@@ -8,11 +8,9 @@ are comma-separated).  Unknown keys are rejected.  Each run writes
 ``records.csv``, ``summary.json`` and ``verdict.txt`` into the output
 directory; given identical configs the outputs are byte-identical, so
 reruns can be diffed directly.  Exit codes: 0 when every asserted
-contract passed, 2 on a contract failure, 1 on configuration or I/O
-errors.
-
-``OPTSTOP_THREADS`` caps the Monte Carlo worker count; it never changes
-the results, only the wall time.
+contract passed, 2 on a contract failure, 1 on configuration, I/O or
+numerical errors (any ``OptstopError``), reported as ``error: ...`` on
+stderr.
 """
 
 from __future__ import annotations
@@ -24,73 +22,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from . import exact, montecarlo
 from .core import SignificanceLevel
+from .errors import OptstopError
 from .models import CauchyEffect, InvariantModelPair, PointMass
 from .stopping import BfThreshold, FixedN, check_invariance, rule_from_params, sum_squares_rule
-
-EXPERIMENT_KINDS = (
-    "exact-calibration",
-    "exact-markov",
-    "exact-expectation",
-    "mc-strong-calibration",
-    "mc-type1",
-    "mc-bf-mean",
-    "mc-marginal-calibration",
-    "invariance-check",
-)
-
-_DESCRIPTIONS = {
-    "exact-calibration": (
-        "Exhaustively enumerates a finite model under a capped stopping rule and\n"
-        "checks weak calibration: within every level set of the Bayes factor, the\n"
-        "ratio of alternative to null mass equals the Bayes factor itself\n"
-        "(verify_calibration over an exact stopped-sequence table)."
-    ),
-    "exact-markov": (
-        "Exhaustively computes the null probability of the Bayes factor ever\n"
-        "reaching 1/alpha before the horizon and checks the Markov bound: that\n"
-        "probability never exceeds alpha, which is the Type-I error guarantee of\n"
-        "the rule 'reject once beta >= 1/alpha' under optional stopping."
-    ),
-    "exact-expectation": (
-        "Exhaustively computes the expected stopped Bayes factor under the null\n"
-        "marginal and checks that it equals 1 (the optional-stopping identity for\n"
-        "the evidence process with proper priors)."
-    ),
-    "mc-strong-calibration": (
-        "Monte Carlo check of strong calibration for the scale-group test: among\n"
-        "stopped runs with Bayes factor near b, the alternative arm is b times as\n"
-        "frequent as the null arm, separately at every nuisance value g\n"
-        "(estimate_strong_calibration; requires a quotient-measurable rule)."
-    ),
-    "mc-type1": (
-        "Monte Carlo check of uniform frequentist Type-I error control: under the\n"
-        "null at each nuisance value g, the rule 'stop and reject once beta >=\n"
-        "1/alpha (capped)' rejects with frequency at most alpha (estimate_type1)."
-    ),
-    "mc-bf-mean": (
-        "Monte Carlo check that the stopped Bayes factor has unit expectation\n"
-        "under the null at every nuisance value g (estimate_stopped_bf_mean)."
-    ),
-    "mc-marginal-calibration": (
-        "Monte Carlo check of calibration for the conditional evidence given an\n"
-        "initial sample: trials draw the nuisance value from its posterior given\n"
-        "x_m and extend the sequence; the conditional stopped Bayes factor must\n"
-        "be calibrated for every initial sample (estimate_marginal_calibration)."
-    ),
-    "invariance-check": (
-        "Randomized probe of stopping-rule invariance under the group action:\n"
-        "declared-invariant rules (fixed-n, Bayes-factor thresholds) must decide\n"
-        "identically on x and x.g; the raw sum-of-squares rule must yield a\n"
-        "counterexample (check_invariance)."
-    ),
-}
-
 
 class ConfigError(ValueError):
     pass
@@ -116,16 +56,12 @@ class ExperimentConfig:
     values: Dict[str, str] = field(default_factory=dict)
     _used: set = field(default_factory=set)
 
-    def get(self, key: str, default=None, required: bool = False) -> Optional[str]:
+    def get(self, key: str, default=None) -> Optional[str]:
         self._used.add(key)
-        if key in self.values:
-            return self.values[key]
-        if required:
-            raise ConfigError(f"missing required config key {key!r}")
-        return default
+        return self.values.get(key, default)
 
-    def get_float(self, key, default=None, required=False) -> Optional[float]:
-        raw = self.get(key, required=required)
+    def get_float(self, key, default=None) -> Optional[float]:
+        raw = self.get(key)
         if raw is None:
             return default
         try:
@@ -133,8 +69,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
 
-    def get_int(self, key, default=None, required=False) -> Optional[int]:
-        raw = self.get(key, required=required)
+    def get_int(self, key, default=None) -> Optional[int]:
+        raw = self.get(key)
         if raw is None:
             return default
         try:
@@ -142,8 +78,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from exc
 
-    def get_float_list(self, key, default=None, required=False) -> Optional[List[float]]:
-        raw = self.get(key, required=required)
+    def get_float_list(self, key, default=None) -> Optional[List[float]]:
+        raw = self.get(key)
         if raw is None:
             return default
         try:
@@ -169,16 +105,12 @@ def _effect_prior(cfg: ExperimentConfig):
 def _rule(cfg: ExperimentConfig, default_cap: int = 1000):
     kind = cfg.get("rule", "bf-threshold") or "bf-threshold"
     cap = cfg.get_int("rule_cap", default_cap)
-    params = {}
-    if kind.replace("_", "-") == "fixed-n":
-        params["n"] = cfg.get_int("rule_n", required=True)
-    elif kind.replace("_", "-") == "bf-threshold":
-        params["upper"] = cfg.get_float("rule_upper", required=True)
-        lower = cfg.get_float("rule_lower", None)
-        if lower is not None:
-            params["lower"] = lower
-    elif kind.replace("_", "-") == "raw-sum-squares":
-        params["threshold"] = cfg.get_float("rule_threshold", required=True)
+    # every other rule_<name> key is a parameter of the rule kind, which checks them
+    params = {
+        key[len("rule_"):]: cfg.get(key)
+        for key in cfg.values
+        if key.startswith("rule_") and key != "rule_cap"
+    }
     try:
         return rule_from_params(kind, cap=cap, **params)
     except ValueError as exc:
@@ -350,34 +282,54 @@ def _run_exact_expectation(cfg: ExperimentConfig, seed: int, out_dir: str):
     return summary, lines, passed
 
 
-def _run_mc_strong_calibration(cfg: ExperimentConfig, seed: int, out_dir: str):
+def _run_mc_calibration(cfg: ExperimentConfig, seed: int, out_dir: str, experiment: str,
+                        sweep_key: str, trials: Callable, summary_key: str, line: str):
+    """H1-against-H0 calibration at every value of one swept config key.
+
+    ``trials(pair, k, value, rule, n_trials, seed)`` runs one arm and
+    ``line`` formats the verdict line of one value.
+    """
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     rule = _rule(cfg, default_cap=200)
-    gs = cfg.get_float_list("g", [1.0])
+    values = cfg.get_float_list(sweep_key, [1.0])
     n_trials = cfg.get_int("n_trials", 100_000)
     bins = cfg.get_int("bins", montecarlo.DEFAULT_BINS)
     cfg.reject_unknown()
     all_records: List[montecarlo.TrialRecord] = []
-    per_g = {}
+    per_value = {}
     passed = True
     lines = []
-    for g in gs:
-        rec0 = montecarlo.run_trials(pair, 0, g, rule, n_trials, seed)
-        rec1 = montecarlo.run_trials(pair, 1, g, rule, n_trials, seed)
+    for v in values:
+        rec0 = trials(pair, 0, v, rule, n_trials, seed)
+        rec1 = trials(pair, 1, v, rule, n_trials, seed)
         all_records.extend(rec0)
         all_records.extend(rec1)
         est = montecarlo.estimate_strong_calibration(rec0, rec1, n_bins=bins)
-        per_g[format(g, ".17g")] = _calibration_summary(est)
+        per_value[format(v, ".17g")] = _calibration_summary(est)
         passed = passed and est.passed
-        lines.append(
-            f"g={g:g}: {est.usable_bins} usable bins, pass fraction "
-            f"{est.pass_fraction:.3f} (need >= {montecarlo.BIN_PASS_FRACTION}) -> "
-            f"{'PASS' if est.passed else 'FAIL'}"
-        )
+        lines.append(line.format(v=v, est=est, verdict="PASS" if est.passed else "FAIL"))
     montecarlo.records_to_csv(all_records, os.path.join(out_dir, "records.csv"))
-    summary = {"experiment": "mc-strong-calibration", "per_g": per_g, "passed": passed}
+    summary = {"experiment": experiment, summary_key: per_value, "passed": passed}
     lines.append(f"VERDICT: {'PASS' if passed else 'FAIL'}")
     return summary, lines, passed
+
+
+def _run_mc_strong_calibration(cfg: ExperimentConfig, seed: int, out_dir: str):
+    return _run_mc_calibration(
+        cfg, seed, out_dir, "mc-strong-calibration", "g", montecarlo.run_trials, "per_g",
+        "g={v:g}: {est.usable_bins} usable bins, pass fraction {est.pass_fraction:.3f} "
+        f"(need >= {montecarlo.BIN_PASS_FRACTION}) -> {{verdict}}",
+    )
+
+
+def _run_mc_marginal_calibration(cfg: ExperimentConfig, seed: int, out_dir: str):
+    # run_marginal_trials reads a scalar x as the initial sample x_m = (x,)
+    return _run_mc_calibration(
+        cfg, seed, out_dir, "mc-marginal-calibration", "x_m", montecarlo.run_marginal_trials,
+        "per_x_m",
+        "x_m=({v:g},): {est.usable_bins} usable bins, pass fraction {est.pass_fraction:.3f} "
+        "-> {verdict}",
+    )
 
 
 def _run_mc_type1(cfg: ExperimentConfig, seed: int, out_dir: str):
@@ -456,35 +408,6 @@ def _run_mc_bf_mean(cfg: ExperimentConfig, seed: int, out_dir: str):
     return summary, lines, passed
 
 
-def _run_mc_marginal_calibration(cfg: ExperimentConfig, seed: int, out_dir: str):
-    pair = InvariantModelPair.scale(_effect_prior(cfg))
-    rule = _rule(cfg, default_cap=200)
-    x_ms = cfg.get_float_list("x_m", [1.0])
-    n_trials = cfg.get_int("n_trials", 100_000)
-    bins = cfg.get_int("bins", montecarlo.DEFAULT_BINS)
-    cfg.reject_unknown()
-    all_records: List[montecarlo.TrialRecord] = []
-    per_xm = {}
-    passed = True
-    lines = []
-    for x in x_ms:
-        rec0 = montecarlo.run_marginal_trials(pair, 0, [x], rule, n_trials, seed)
-        rec1 = montecarlo.run_marginal_trials(pair, 1, [x], rule, n_trials, seed)
-        all_records.extend(rec0)
-        all_records.extend(rec1)
-        est = montecarlo.estimate_strong_calibration(rec0, rec1, n_bins=bins)
-        per_xm[format(x, ".17g")] = _calibration_summary(est)
-        passed = passed and est.passed
-        lines.append(
-            f"x_m=({x:g},): {est.usable_bins} usable bins, pass fraction "
-            f"{est.pass_fraction:.3f} -> {'PASS' if est.passed else 'FAIL'}"
-        )
-    montecarlo.records_to_csv(all_records, os.path.join(out_dir, "records.csv"))
-    summary = {"experiment": "mc-marginal-calibration", "per_x_m": per_xm, "passed": passed}
-    lines.append(f"VERDICT: {'PASS' if passed else 'FAIL'}")
-    return summary, lines, passed
-
-
 def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     trials = cfg.get_int("trials", 10_000)
@@ -547,15 +470,67 @@ def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
     return summary, lines, passed
 
 
-_RUNNERS = {
-    "exact-calibration": _run_exact_calibration,
-    "exact-markov": _run_exact_markov,
-    "exact-expectation": _run_exact_expectation,
-    "mc-strong-calibration": _run_mc_strong_calibration,
-    "mc-type1": _run_mc_type1,
-    "mc-bf-mean": _run_mc_bf_mean,
-    "mc-marginal-calibration": _run_mc_marginal_calibration,
-    "invariance-check": _run_invariance_check,
+class Experiment(NamedTuple):
+    """How to run one experiment kind, and what ``--describe`` says it verifies."""
+
+    run: Callable
+    description: str
+
+
+# every experiment kind, in the order --help lists them
+EXPERIMENTS = {
+    "exact-calibration": Experiment(
+        _run_exact_calibration,
+        "Exhaustively enumerates a finite model under a capped stopping rule and\n"
+        "checks weak calibration: within every level set of the Bayes factor, the\n"
+        "ratio of alternative to null mass equals the Bayes factor itself\n"
+        "(verify_calibration over an exact stopped-sequence table).",
+    ),
+    "exact-markov": Experiment(
+        _run_exact_markov,
+        "Exhaustively computes the null probability of the Bayes factor ever\n"
+        "reaching 1/alpha before the horizon and checks the Markov bound: that\n"
+        "probability never exceeds alpha, which is the Type-I error guarantee of\n"
+        "the rule 'reject once beta >= 1/alpha' under optional stopping.",
+    ),
+    "exact-expectation": Experiment(
+        _run_exact_expectation,
+        "Exhaustively computes the expected stopped Bayes factor under the null\n"
+        "marginal and checks that it equals 1 (the optional-stopping identity for\n"
+        "the evidence process with proper priors).",
+    ),
+    "mc-strong-calibration": Experiment(
+        _run_mc_strong_calibration,
+        "Monte Carlo check of strong calibration for the scale-group test: among\n"
+        "stopped runs with Bayes factor near b, the alternative arm is b times as\n"
+        "frequent as the null arm, separately at every nuisance value g\n"
+        "(estimate_strong_calibration; requires a quotient-measurable rule).",
+    ),
+    "mc-type1": Experiment(
+        _run_mc_type1,
+        "Monte Carlo check of uniform frequentist Type-I error control: under the\n"
+        "null at each nuisance value g, the rule 'stop and reject once beta >=\n"
+        "1/alpha (capped)' rejects with frequency at most alpha (estimate_type1).",
+    ),
+    "mc-bf-mean": Experiment(
+        _run_mc_bf_mean,
+        "Monte Carlo check that the stopped Bayes factor has unit expectation\n"
+        "under the null at every nuisance value g (estimate_stopped_bf_mean).",
+    ),
+    "mc-marginal-calibration": Experiment(
+        _run_mc_marginal_calibration,
+        "Monte Carlo check of calibration for the conditional evidence given an\n"
+        "initial sample: trials draw the nuisance value from its posterior given\n"
+        "x_m and extend the sequence; the conditional stopped Bayes factor must\n"
+        "be calibrated for every initial sample (estimate_marginal_calibration).",
+    ),
+    "invariance-check": Experiment(
+        _run_invariance_check,
+        "Randomized probe of stopping-rule invariance under the group action:\n"
+        "declared-invariant rules (fixed-n, Bayes-factor thresholds) must decide\n"
+        "identically on x and x.g; the raw sum-of-squares rule must yield a\n"
+        "counterexample (check_invariance).",
+    ),
 }
 
 
@@ -565,7 +540,7 @@ def run(kind: str, config: Dict[str, str], seed: Optional[int], out_dir: str) ->
     cfg._used.add("seed")
     try:
         os.makedirs(out_dir, exist_ok=True)
-        summary, lines, passed = _RUNNERS[kind](cfg, effective_seed, out_dir)
+        summary, lines, passed = EXPERIMENTS[kind].run(cfg, effective_seed, out_dir)
         summary["seed"] = effective_seed
         summary["config"] = dict(config)
         _write_outputs(out_dir, summary, lines)
@@ -586,7 +561,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Optional-stopping checks for Bayes factor tests: exact "
         "enumeration on finite models and Monte Carlo on group-invariant models.",
     )
-    parser.add_argument("experiment", choices=EXPERIMENT_KINDS, help="experiment kind")
+    parser.add_argument("experiment", choices=list(EXPERIMENTS), help="experiment kind")
     parser.add_argument("--config", help="path to a flat key = value config file")
     parser.add_argument("--seed", type=int, default=None, help="overrides the config seed")
     parser.add_argument("--out", default=".", help="output directory (default: current)")
@@ -599,7 +574,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.describe:
         print(f"{args.experiment}:")
-        print(_DESCRIPTIONS[args.experiment])
+        print(EXPERIMENTS[args.experiment].description)
         return 0
     if not args.config:
         print("error: --config is required unless --describe is given", file=sys.stderr)
@@ -612,7 +587,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     try:
         return run(args.experiment, config, args.seed, args.out)
-    except (ConfigError, ValueError) as exc:
+    except (OptstopError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 
 class Never(enum.Enum):
     """Explicit 'the rule never fired' outcome (not an error, not infinity)."""
@@ -161,10 +163,9 @@ def stop(traj: BfTrajectory, rule, data: Sequence) -> StopOutcome:
     """
     if len(data) < traj.end:
         raise ValueError("data shorter than the trajectory it produced")
+    data = np.asarray(data)  # prefixes below are views, not copies
     first = max(traj.m + 1, traj.start)
     for n in range(first, traj.end + 1):
-        prefix = data[:n]
-        log_beta_prefix = [traj.value_at(j) for j in range(traj.start, n + 1)]
-        if rule.decide(prefix, log_beta_prefix, m=traj.m):
+        if rule.decide(data[:n], traj.value_at(n)):
             return StopOutcome(stop_index=n, stopped_log_beta=traj.value_at(n))
     return StopOutcome(stop_index=NEVER)

@@ -241,10 +241,10 @@ def build_table(
         m0 = model.cond_matrix(0, ())
         m1 = model.cond_matrix(1, ())
 
-    # stack of expandable nodes: (prefix, lik0, lik1, log-beta path, running max)
-    stack = [((), root_lik0, root_lik1, (), -math.inf)]
+    # stack of expandable nodes: (prefix, lik0, lik1, running max of log beta)
+    stack = [((), root_lik0, root_lik1, -math.inf)]
     while stack:
-        prefix, lik0, lik1, lb_path, max_lb = stack.pop()
+        prefix, lik0, lik1, max_lb = stack.pop()
         cond0 = m0 if iid else model.cond_matrix(0, prefix)
         cond1 = m1 if iid else model.cond_matrix(1, prefix)
         for sym in reversed(range(model.alphabet_size)):
@@ -254,9 +254,8 @@ def build_table(
             mass0 = float(w0 @ clik0)
             mass1 = float(w1 @ clik1)
             lb = math.log(mass1) - math.log(mass0)
-            path = lb_path + (lb,)
             cmax = max(max_lb, lb)
-            if rule.decide(child, path):
+            if rule.decide(child, lb):
                 if len(table.entries) >= max_entries:
                     raise ResourceLimitError(
                         f"stopped-sequence table would exceed the budget of "
@@ -271,7 +270,7 @@ def build_table(
                     max_log_beta=cmax,
                 )
             else:
-                stack.append((child, clik0, clik1, path, cmax))
+                stack.append((child, clik0, clik1, cmax))
     return table
 
 

@@ -60,6 +60,7 @@ LOG_2 = math.log(2.0)
 LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
 SQRT_2 = math.sqrt(2.0)
+Q_MAX = 1.0 - 2.0**-53  # largest double below 1
 
 
 @dataclass(frozen=True)
@@ -158,9 +159,9 @@ def _cauchy_log_bf(n: int, q: float, r: float) -> float:
     """log Bayes factor for the scale pair with a Cauchy(0, r) effect."""
     if n == 1:
         return 0.0  # q is identically 1 at n = 1 and the integral collapses
-    if q >= 1.0:
-        return math.inf  # degenerate, exactly collinear data
-    return _cauchy_log_bf_xi(n, math.log1p(-q), r)
+    # q rounds to exactly 1.0 on collinear prefixes (all x_i equal); clamp to
+    # the largest double below 1 so the value stays finite, as the tables do
+    return _cauchy_log_bf_xi(n, math.log1p(-min(q, Q_MAX)), r)
 
 
 def _cauchy_log_bf_xi(n: int, xi: float, r: float) -> float:
@@ -499,9 +500,7 @@ class ScaleBfCurves:
             return np.array([_pointmass_log_bf(1, float(t), d0) for t in np.atleast_1d(t_signed)])
         lo, coeffs = self._table(n)
         if isinstance(self._prior, CauchyEffect):
-            # q can round to exactly 1.0 for near-collinear prefixes; clamp to
-            # the largest double below 1 so trajectory values stay finite
-            coord = np.log1p(-np.minimum(q, 1.0 - 2.0**-53))
+            coord = np.log1p(-np.minimum(q, Q_MAX))  # same clamp as _cauchy_log_bf
             hi = 0.0
         else:
             coord = np.asarray(t_signed, dtype=float)
@@ -513,8 +512,7 @@ class ScaleBfCurves:
             idx = np.nonzero(~inside)[0]
             for i in idx:
                 if isinstance(self._prior, CauchyEffect):
-                    # same clamp as the tabulated path: batch values stay finite
-                    out[i] = _cauchy_log_bf(n, min(float(q[i]), 1.0 - 2.0**-53), self._prior.scale)
+                    out[i] = _cauchy_log_bf(n, float(q[i]), self._prior.scale)
                 else:
                     out[i] = _pointmass_log_bf(n, float(t_signed[i]), self._prior.delta0)
         return out

@@ -1,22 +1,23 @@
-"""Parallel trial engine and the estimators built on its records.
+"""Trial engine and the estimators built on its records.
 
 Reproducibility model
     Every trial owns a counter-based Philox stream keyed by a 64-bit
     digest of (experiment seed, hypothesis, nuisance value, run variant)
     in one key word and the trial index in the other.  A trial's draws
     are therefore a pure function of (seed, configuration, trial index):
-    neither the worker count, nor the block layout, nor which trials ran
-    before it can change a single record.  Workers only split the trial
-    range; results are concatenated in trial order.
+    neither the block layout nor which trials ran before it can change a
+    single record.  Blocks of trials run one after another and their
+    records are concatenated in trial order.
 
 Trajectory evaluation
     Trials advance in lockstep over whole blocks.  The running
     statistics (sum, sum of squares) determine the invariant coordinate
     at each step, and the log Bayes factor comes from the per-n
     Chebyshev tables in :class:`~optstop.models.ScaleBfCurves`.  The
-    tables are prebuilt sequentially before workers start, so every
-    stopping decision thresholds the same deterministic function of the
-    maximal invariant regardless of scheduling.
+    tables for every n up to the cap are built before the first block
+    runs, so every stopping decision thresholds the same deterministic
+    function of the maximal invariant.  The rule decides for the whole
+    block from the running state (``StoppingRule.decide_batch``).
 
 Pass criteria
     Calibration checks bin stopped values into equal-count bins and
@@ -32,9 +33,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -44,7 +43,7 @@ from .core import NEVER, SignificanceLevel, stop
 from .exact import FiniteModel, sample_sequence, trajectory_finite
 from .groups import GroupElement
 from .models import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
-from .stopping import BfThreshold, FixedN, StoppingRule, SumSquaresRule
+from .stopping import StoppingRule
 
 BLOCK_SIZE = 8192
 DEFAULT_BINS = 30
@@ -65,15 +64,6 @@ class TrialRecord:
     stopped_log_beta: float
     seed: int
     trial: int
-
-
-def worker_count(requested: Optional[int] = None) -> int:
-    """Requested worker count, capped by the OPTSTOP_THREADS environment variable."""
-    count = requested if requested is not None else (os.cpu_count() or 1)
-    env = os.environ.get("OPTSTOP_THREADS")
-    if env:
-        count = min(count, max(int(env), 1))
-    return max(count, 1)
 
 
 def _stream_key(seed: int, k: int, g_components: Sequence[float], variant: int) -> int:
@@ -104,24 +94,6 @@ def _curves_for(pair: InvariantModelPair) -> ScaleBfCurves:
         curves = ScaleBfCurves(pair)
         _curves_cache[key] = curves
     return curves
-
-
-def _vector_stop_mask(rule: StoppingRule, n: int, lb: np.ndarray, sum_sq: np.ndarray) -> np.ndarray:
-    if n >= rule.cap:
-        return np.ones(lb.shape, dtype=bool)
-    if isinstance(rule, FixedN):
-        return np.full(lb.shape, n >= rule.n)
-    if isinstance(rule, BfThreshold):
-        mask = lb >= rule.log_upper
-        if rule.lower is not None:
-            mask = mask | (lb <= rule.log_lower)
-        return mask
-    if isinstance(rule, SumSquaresRule):
-        return sum_sq >= rule.threshold
-    raise NotImplementedError(
-        "the vector engine runs FixedN, BfThreshold, and sum-of-squares rules; "
-        f"got {type(rule).__name__}"
-    )
 
 
 def _run_block(
@@ -203,7 +175,7 @@ def _run_block(
             lb = curves.log_bf_batch(n, q, np.copysign(np.sqrt(q), s1[act])) - lb_offset
         else:
             lb = np.zeros(act.size)
-        mask = _vector_stop_mask(rule, n, lb, s2[act])
+        mask = rule.decide_batch(n, lb, s2[act])
         if np.any(mask):
             hit = act[mask]
             stop_n[hit] = n
@@ -230,17 +202,10 @@ def _run_block(
     ]
 
 
-def _dispatch_blocks(fn, n_trials: int, workers: Optional[int]) -> List[TrialRecord]:
-    blocks = [(lo, min(lo + BLOCK_SIZE, n_trials)) for lo in range(0, n_trials, BLOCK_SIZE)]
-    n_workers = worker_count(workers)
-    if n_workers == 1 or len(blocks) <= 1:
-        results = [fn(lo, hi) for lo, hi in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(lambda span: fn(*span), blocks))
+def _run_blocks(fn, n_trials: int) -> List[TrialRecord]:
     records: List[TrialRecord] = []
-    for chunk in results:
-        records.extend(chunk)
+    for lo in range(0, n_trials, BLOCK_SIZE):
+        records.extend(fn(lo, min(lo + BLOCK_SIZE, n_trials)))
     return records
 
 
@@ -250,7 +215,7 @@ def _prepare_curves(pair: InvariantModelPair, cap: int) -> Optional[ScaleBfCurve
     curves = _curves_for(pair)
     if isinstance(pair.effect_prior, PointMass) and pair.effect_prior.delta0 == 0.0:
         return curves  # identically zero, no tables needed
-    for n in range(2, cap + 1):  # build before workers start: single writer
+    for n in range(2, cap + 1):
         curves._table(n)
     return curves
 
@@ -258,10 +223,7 @@ def _prepare_curves(pair: InvariantModelPair, cap: int) -> Optional[ScaleBfCurve
 def _validate_run(pair: InvariantModelPair, rule: StoppingRule, n_trials: int) -> None:
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
-    if rule.cap <= pair.m:
-        raise ValueError(f"rule cap {rule.cap} must exceed the initial-sample size {pair.m}")
-    if isinstance(rule, FixedN) and rule.n <= pair.m:
-        raise ValueError(f"fixed-n rule must stop after the initial sample (n > {pair.m})")
+    rule.check_start(pair.m)
 
 
 def run_trials(
@@ -271,7 +233,6 @@ def run_trials(
     rule: StoppingRule,
     n_trials: int,
     seed: int,
-    workers: Optional[int] = None,
 ) -> List[TrialRecord]:
     """Run independent stopped trials under P_{k,g}.
 
@@ -293,7 +254,7 @@ def run_trials(
     def block(lo: int, hi: int) -> List[TrialRecord]:
         return _run_block(pair, curves, k, g, rule, key64, lo, hi, seed, None, 0.0)
 
-    return _dispatch_blocks(block, n_trials, workers)
+    return _run_blocks(block, n_trials)
 
 
 def run_marginal_trials(
@@ -303,7 +264,6 @@ def run_marginal_trials(
     rule: StoppingRule,
     n_trials: int,
     seed: int,
-    workers: Optional[int] = None,
 ) -> List[TrialRecord]:
     """Trials from the conditional marginal given the initial sample.
 
@@ -331,7 +291,7 @@ def run_marginal_trials(
     def block(lo: int, hi: int) -> List[TrialRecord]:
         return _run_block(pair, curves, k, None, rule, key64, lo, hi, seed, x_init, lb_offset)
 
-    return _dispatch_blocks(block, n_trials, workers)
+    return _run_blocks(block, n_trials)
 
 
 def run_trials_finite(
@@ -514,11 +474,10 @@ def estimate_marginal_calibration(
     n_trials: int,
     seed: int,
     n_bins: int = DEFAULT_BINS,
-    workers: Optional[int] = None,
 ) -> CalibrationEstimate:
     """Calibration of the conditional stopped value given one initial sample."""
-    records0 = run_marginal_trials(pair, 0, x_m, rule, n_trials, seed, workers)
-    records1 = run_marginal_trials(pair, 1, x_m, rule, n_trials, seed, workers)
+    records0 = run_marginal_trials(pair, 0, x_m, rule, n_trials, seed)
+    records1 = run_marginal_trials(pair, 1, x_m, rule, n_trials, seed)
     return estimate_strong_calibration(records0, records1, n_bins=n_bins)
 
 

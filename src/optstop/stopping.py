@@ -3,7 +3,11 @@
 A rule is a deterministic function of the observed prefix (and, for
 threshold rules, of the log Bayes factor at that prefix) returning
 stop/continue.  Every rule carries a mandatory horizon cap that forces a
-stop, so stopping times are bounded by construction.
+stop, so stopping times are bounded by construction.  Each rule owns its
+decision: the exact oracle, ``core.stop`` and the invariance checker ask
+it one prefix at a time (``decide``), and the Monte Carlo engine asks it
+for a whole block of trials at once from their running state
+(``decide_batch``).
 
 Rules declare whether their decision is invariant under the model's
 group action.  The declaration is not trusted: ``check_invariance``
@@ -17,7 +21,7 @@ failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
@@ -26,27 +30,55 @@ BOUNDARY_SKIP_BAND = 1e-10
 
 
 class StoppingRule:
-    """Base class; concrete rules provide _fires() and boundary_gap().
+    """Base class; concrete rules provide a firing test and boundary_gap().
 
     ``decide`` returns True (stop) at the first prefix where either the
     rule fires or the prefix length reaches the cap.  The caller is
-    responsible for querying only at n > m; rules never see the initial
-    sample alone.
+    responsible for querying only after the initial sample (see
+    ``check_start``); rules never see the initial sample alone.
+
+    A rule whose decision reads the prefix only through the running
+    state (n, log beta, sum of squares) states it once, elementwise, in
+    ``_fires_at``; ``decide`` and its vector form ``decide_batch`` both
+    go through it.  Rules that read the whole prefix override
+    ``_fires`` instead and have no vector form.
     """
 
     cap: int
     declared_invariant: ClassVar[bool]
     uses_log_beta: ClassVar[bool] = False
 
-    def decide(self, prefix, log_beta_prefix=None, m: int = 0) -> bool:
+    def decide(self, prefix, log_beta: Optional[float] = None) -> bool:
+        """Stop after ``prefix``?  ``log_beta`` is log beta at the full prefix."""
         if len(prefix) >= self.cap:
             return True
-        return self._fires(prefix, log_beta_prefix)
+        return bool(self._fires(prefix, log_beta))
 
-    def _fires(self, prefix, log_beta_prefix) -> bool:  # pragma: no cover
-        raise NotImplementedError
+    def decide_batch(self, n: int, log_beta: np.ndarray, sum_sq: np.ndarray) -> np.ndarray:
+        """``decide`` for a vector of prefixes that all have length n.
 
-    def boundary_gap(self, prefix, log_beta_prefix) -> float:
+        Element i is the decision for the prefix whose log Bayes factor
+        is ``log_beta[i]`` and whose sum of squares is ``sum_sq[i]``.
+        """
+        if n >= self.cap:
+            return np.ones(np.shape(log_beta), dtype=bool)
+        return np.broadcast_to(self._fires_at(n, log_beta, sum_sq), np.shape(log_beta))
+
+    def check_start(self, m: int) -> None:
+        """Reject the rule if it cannot decide after an initial sample of size m."""
+        if self.cap <= m:
+            raise ValueError(f"rule cap {self.cap} must exceed the initial-sample size {m}")
+
+    def _fires(self, prefix, log_beta):
+        return self._fires_at(len(prefix), log_beta, None)
+
+    def _fires_at(self, n, log_beta, sum_sq):
+        raise NotImplementedError(
+            f"{type(self).__name__} reads the whole prefix; it has no form over the "
+            "running state (n, log beta, sum of squares)"
+        )
+
+    def boundary_gap(self, prefix, log_beta) -> float:
         """Distance from the rule's decision boundary; inf when data-free."""
         return math.inf
 
@@ -70,8 +102,13 @@ class FixedN(StoppingRule):
             object.__setattr__(self, "cap", self.n)
         self._check_cap()
 
-    def _fires(self, prefix, log_beta_prefix) -> bool:
-        return len(prefix) >= self.n
+    def check_start(self, m: int) -> None:
+        super().check_start(m)
+        if self.n <= m:
+            raise ValueError(f"fixed-n rule must stop after the initial sample (n > {m})")
+
+    def _fires_at(self, n, log_beta, sum_sq):
+        return n >= self.n
 
 
 @dataclass(frozen=True)
@@ -105,19 +142,18 @@ class BfThreshold(StoppingRule):
     def log_lower(self) -> Optional[float]:
         return None if self.lower is None else math.log(self.lower)
 
-    def _fires(self, prefix, log_beta_prefix) -> bool:
-        if log_beta_prefix is None or len(log_beta_prefix) == 0:
+    def _fires_at(self, n, log_beta, sum_sq):
+        if log_beta is None:
             raise ValueError("BfThreshold needs the current log Bayes factor")
-        lb = log_beta_prefix[-1]
-        if lb >= self.log_upper:
-            return True
-        return self.lower is not None and lb <= self.log_lower
-
-    def boundary_gap(self, prefix, log_beta_prefix) -> float:
-        lb = log_beta_prefix[-1]
-        gap = abs(lb - self.log_upper)
+        fires = log_beta >= self.log_upper
         if self.lower is not None:
-            gap = min(gap, abs(lb - self.log_lower))
+            fires = fires | (log_beta <= self.log_lower)
+        return fires
+
+    def boundary_gap(self, prefix, log_beta) -> float:
+        gap = abs(log_beta - self.log_upper)
+        if self.lower is not None:
+            gap = min(gap, abs(log_beta - self.log_lower))
         return gap
 
 
@@ -143,10 +179,10 @@ class InvariantStatistic(StoppingRule):
     def _value(self, prefix) -> float:
         return float(self.statistic(np.asarray(self.transform(prefix), dtype=float)))
 
-    def _fires(self, prefix, log_beta_prefix) -> bool:
+    def _fires(self, prefix, log_beta) -> bool:
         return self._value(prefix) >= self.threshold
 
-    def boundary_gap(self, prefix, log_beta_prefix) -> float:
+    def boundary_gap(self, prefix, log_beta) -> float:
         return abs(self._value(prefix) - self.threshold)
 
 
@@ -170,49 +206,72 @@ class RawStatistic(StoppingRule):
     def _value(self, prefix) -> float:
         return float(self.statistic(np.asarray(prefix, dtype=float)))
 
-    def _fires(self, prefix, log_beta_prefix) -> bool:
+    def _fires(self, prefix, log_beta) -> bool:
         return self._value(prefix) >= self.threshold
 
-    def boundary_gap(self, prefix, log_beta_prefix) -> float:
+    def boundary_gap(self, prefix, log_beta) -> float:
         return abs(self._value(prefix) - self.threshold)
 
 
+def _sum_of_squares(x: np.ndarray) -> float:
+    return float(np.dot(x, x))
+
+
 @dataclass(frozen=True)
-class SumSquaresRule(RawStatistic):
-    """Marker subclass so the vectorized trial engine can run this rule
-    from running sums instead of re-scanning prefixes."""
+class SumOfSquares(RawStatistic):
+    """The raw statistic sum(x_i^2), which the running state also carries."""
+
+    statistic: Callable[[np.ndarray], float] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "statistic", _sum_of_squares)
+        super().__post_init__()
+
+    def _fires_at(self, n, log_beta, sum_sq):
+        return sum_sq >= self.threshold
 
 
-def sum_squares_rule(threshold: float, cap: int) -> SumSquaresRule:
+def sum_squares_rule(threshold: float, cap: int) -> SumOfSquares:
     """The standard inadmissible rule: stop once sum(x_i^2) >= threshold."""
-    return SumSquaresRule(
-        statistic=lambda x: float(np.dot(x, x)), threshold=threshold, cap=cap
-    )
+    return SumOfSquares(threshold=threshold, cap=cap)
+
+
+# kind -> (constructor, required parameters, optional parameters); each
+# parameter name maps to the converter applied to its value
+_RULE_KINDS = {
+    "fixed-n": (FixedN, {"n": int}, {}),
+    "bf-threshold": (BfThreshold, {"upper": float}, {"lower": float}),
+    "raw-sum-squares": (SumOfSquares, {"threshold": float}, {}),
+}
 
 
 def rule_from_params(kind: str, cap: int, **params) -> StoppingRule:
     """Construct a rule from a kind name and numeric parameters.
 
-    Used by the CLI config loader; ``InvariantStatistic`` rules need
-    callables and are not constructible from flat configs.
+    Parameters may be numbers or numeric strings; one given as None or
+    "" counts as absent.  Used by the CLI config loader;
+    ``InvariantStatistic`` rules need callables and are not
+    constructible from flat configs.
     """
     kind = kind.strip().lower().replace("_", "-")
-    if kind == "fixed-n":
-        return FixedN(n=int(params.pop("n")), cap=cap, **_reject_extras(params))
-    if kind == "bf-threshold":
-        upper = float(params.pop("upper"))
-        lower = params.pop("lower", None)
-        lower = None if lower in (None, "") else float(lower)
-        return BfThreshold(upper=upper, lower=lower, cap=cap, **_reject_extras(params))
-    if kind == "raw-sum-squares":
-        return sum_squares_rule(float(params.pop("threshold")), cap=cap, **_reject_extras(params))
-    raise ValueError(f"unknown stopping-rule kind {kind!r}")
-
-
-def _reject_extras(params: dict) -> dict:
-    if params:
-        raise ValueError(f"unexpected rule parameters: {sorted(params)}")
-    return {}
+    if kind not in _RULE_KINDS:
+        raise ValueError(f"unknown stopping-rule kind {kind!r}")
+    make, required, optional = _RULE_KINDS[kind]
+    unexpected = sorted(set(params) - set(required) - set(optional))
+    if unexpected:
+        raise ValueError(f"unexpected rule parameters: {unexpected}")
+    args = {}
+    for name, convert in {**required, **optional}.items():
+        value = params.get(name)
+        if value is None or value == "":
+            if name in required:
+                raise ValueError(f"{kind} rule needs parameter {name!r}")
+            continue
+        try:
+            args[name] = convert(value)
+        except ValueError:
+            raise ValueError(f"rule parameter {name!r}: not a number: {value!r}") from None
+    return make(cap=cap, **args)
 
 
 @dataclass(frozen=True)
@@ -239,8 +298,7 @@ def check_invariance(rule: StoppingRule, pair, trials: int, rng: np.random.Gener
     random nuisance value, random length in [m+1, max_len]) and a random
     group element h, then compares the rule's decision on x with its
     decision on x.h.  The log Bayes factor is recomputed from scratch on
-    the transformed data; only the value at the full prefix is supplied,
-    which is all the rules shipped here inspect.  For declared-invariant
+    the transformed data.  For declared-invariant
     rules any disagreement outside the boundary band counts as a
     mismatch; for raw rules the probe stops at the first counterexample.
     """
@@ -262,15 +320,14 @@ def check_invariance(rule: StoppingRule, pair, trials: int, rng: np.random.Gener
             skipped += 1  # cap forces both decisions; nothing to learn
             continue
         if rule.uses_log_beta:
-            lb_x = [pair.log_bf(x)]
-            lb_xh = [pair.log_bf(xh)]
+            lb_x, lb_xh = pair.log_bf(x), pair.log_bf(xh)
         else:
             lb_x = lb_xh = None
         gap = min(rule.boundary_gap(x, lb_x), rule.boundary_gap(xh, lb_xh))
         if gap <= BOUNDARY_SKIP_BAND:
             skipped += 1
             continue
-        if rule.decide(x, lb_x, m=pair.m) != rule.decide(xh, lb_xh, m=pair.m):
+        if rule.decide(x, lb_x) != rule.decide(xh, lb_xh):
             mismatches += 1
             if counterexample is None:
                 counterexample = (np.array(x), h)

@@ -8,7 +8,6 @@ and the suite pins the draw rather than loosening the tolerances.
 """
 
 import math
-import os
 import time
 
 import numpy as np
@@ -302,32 +301,28 @@ def test_criterion_11_invariance_checker(cauchy_pair):
     assert raw_report.counterexample is not None
 
 
-def test_criterion_12_reproducibility_across_workers(tmp_path):
+def test_criterion_12_reproducibility_across_block_layouts(tmp_path, monkeypatch):
+    from optstop import montecarlo
     from optstop.cli import main
 
     cfg = tmp_path / "repro.cfg"
     cfg.write_text(
         "g = 0.5, 2\nn_trials = 20000\nrule = bf-threshold\nrule_upper = 20\nrule_cap = 100\n"
     )
+    sizes = (montecarlo.BLOCK_SIZE, 1000)
     outputs = {}
-    old = os.environ.get("OPTSTOP_THREADS")
-    try:
-        for threads in ("1", "3"):
-            os.environ["OPTSTOP_THREADS"] = threads
-            out = tmp_path / f"w{threads}"
-            code = main(
-                ["mc-bf-mean", "--config", str(cfg), "--seed", "11", "--out", str(out)]
-            )
-            assert code == 0
-            outputs[threads] = (out / "records.csv").read_bytes()
-    finally:
-        if old is None:
-            os.environ.pop("OPTSTOP_THREADS", None)
-        else:
-            os.environ["OPTSTOP_THREADS"] = old
-    passed = outputs["1"] == outputs["3"]
+    for block_size in sizes:
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", block_size)
+        out = tmp_path / f"b{block_size}"
+        code = main(["mc-bf-mean", "--config", str(cfg), "--seed", "11", "--out", str(out)])
+        assert code == 0
+        outputs[block_size] = [
+            (out / name).read_bytes() for name in ("records.csv", "summary.json", "verdict.txt")
+        ]
+    first, second = outputs.values()
+    passed = first == second
     record_criterion(
-        12, "byte-identical records.csv across OPTSTOP_THREADS", passed,
-        f"{len(outputs['1'])} bytes",
+        12, f"byte-identical outputs across block sizes {sizes[0]} and {sizes[1]}", passed,
+        f"{len(first[0])} bytes of records.csv",
     )
     assert passed

@@ -1,11 +1,12 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+from optstop import exact
 from optstop.cli import ConfigError, main, parse_config_text
+from optstop.errors import ResourceLimitError
 
 
 def write(path, text):
@@ -69,6 +70,17 @@ class TestExitCodes:
         assert "strong calibration" in out.lower() or "calibrat" in out.lower()
         assert not (tmp_path / "summary.json").exists()
 
+    def test_package_error_exits_one_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def over_budget(model, rule, max_entries=2**24):
+            raise ResourceLimitError("stopped-sequence table would exceed the budget")
+
+        monkeypatch.setattr(exact, "build_table", over_budget)
+        cfg = write(tmp_path / "r.cfg", "horizon = 6\nprior_grid = 50\nrule_upper = 3\n")
+        code = main(["exact-calibration", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: stopped-sequence table would exceed the budget\n"
+
     def test_contract_failure_exits_two(self, tmp_path, capsys):
         # an identical-hypotheses model never reaches beta >= 3, so a
         # calibration run under an impossible tolerance must fail cleanly:
@@ -107,25 +119,6 @@ class TestByteIdenticalOutputs:
             assert code in (0, 2)  # contract outcome may be either at this tiny N
         for name in ("records.csv", "summary.json", "verdict.txt"):
             assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
-
-    def test_thread_count_does_not_change_records(self, tmp_path):
-        cfg = write(
-            tmp_path / "t.cfg",
-            "g = 1\nn_trials = 20000\nrule = bf-threshold\nrule_upper = 20\nrule_cap = 50\n",
-        )
-        outs = {}
-        for threads, sub in (("1", "u1"), ("4", "u4")):
-            env = dict(os.environ, OPTSTOP_THREADS=threads)
-            proc = subprocess.run(
-                [sys.executable, "-m", "optstop.cli", "mc-bf-mean", "--config", cfg,
-                 "--seed", "7", "--out", str(tmp_path / sub)],
-                env=env,
-                capture_output=True,
-                text=True,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outs[sub] = (tmp_path / sub / "records.csv").read_bytes()
-        assert outs["u1"] == outs["u4"]
 
 
 class TestEntryPoint:

@@ -175,13 +175,19 @@ class TestAltMarginalAndBf:
             c = math.exp(rng.uniform(-3, 3))
             assert abs(cauchy_pair.log_bf(c * x) - cauchy_pair.log_bf(x)) <= 1e-10
 
-    def test_collinear_data_diverges(self, cauchy_pair):
-        # x proportional to the ones vector has q = 1 exactly: the
-        # alternative marginal diverges for n >= 3 (the effect-prior tail
-        # meets an unbounded likelihood ridge), so the evidence is infinite.
-        # Numeric oracles quietly misreport this point; the closed form
-        # knows better.
-        assert cauchy_pair.log_bf([1.0, 1.0, 1.0, 1.0]) == math.inf
+    def test_collinear_data_clamped(self, cauchy_pair):
+        # x proportional to the ones vector has q = 1 exactly, where the
+        # alternative marginal diverges for n >= 3.  Both evaluation paths
+        # use the largest double below 1 instead, so trajectories stay finite
+        # and the scalar value matches the tabulated one.
+        curves = ScaleBfCurves(cauchy_pair)
+        for n in (3, 4, 12):
+            x = [2.0] * n
+            value = cauchy_pair.log_bf(x)
+            assert math.isfinite(value)
+            assert trajectory(cauchy_pair, x).value_at(n) == value
+            batch = curves.log_bf_batch(n, np.array([1.0]), np.array([1.0]))[0]
+            assert abs(value - batch) <= 1e-8
 
     def test_unit_bf_at_initial_sample_symmetric_prior(self, cauchy_pair):
         # symmetric effect prior: a single observation carries no evidence

@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from scipy import stats
 
 from optstop.core import SignificanceLevel
 from optstop.exact import FiniteModel, build_table, verify_markov_bound
+from optstop import montecarlo
 from optstop.models import CauchyEffect, InvariantModelPair, PointMass
 from optstop.montecarlo import (
     estimate_marginal_calibration,
@@ -18,7 +18,6 @@ from optstop.montecarlo import (
     run_trials,
     run_trials_finite,
     wilson_interval,
-    worker_count,
 )
 from optstop.stopping import BfThreshold, FixedN
 
@@ -46,19 +45,12 @@ class TestRunTrials:
         b = run_trials(CAUCHY, 1, 0.7, rule, 3000, seed=9)
         assert a == b
 
-    def test_worker_count_invariance(self):
+    def test_block_layout_invariance(self, monkeypatch):
+        # 20,000 trials: three blocks of 8192 against twenty of 1000
         rule = BfThreshold(upper=4.0, lower=0.25, cap=40)
-        old = os.environ.get("OPTSTOP_THREADS")
-        try:
-            os.environ["OPTSTOP_THREADS"] = "1"
-            a = run_trials(CAUCHY, 0, 1.3, rule, 20_000, seed=5)
-            os.environ["OPTSTOP_THREADS"] = "5"
-            b = run_trials(CAUCHY, 0, 1.3, rule, 20_000, seed=5, workers=5)
-        finally:
-            if old is None:
-                os.environ.pop("OPTSTOP_THREADS", None)
-            else:
-                os.environ["OPTSTOP_THREADS"] = old
+        a = run_trials(CAUCHY, 0, 1.3, rule, 20_000, seed=5)
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1000)
+        b = run_trials(CAUCHY, 0, 1.3, rule, 20_000, seed=5)
         assert a == b
 
     def test_trials_differ_across_seeds_and_g(self):
@@ -211,15 +203,3 @@ class TestSerialization:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "k,g,stop_index,stopped_log_beta,seed,trial"
-
-    def test_worker_count_env(self):
-        old = os.environ.get("OPTSTOP_THREADS")
-        try:
-            os.environ["OPTSTOP_THREADS"] = "2"
-            assert worker_count(8) == 2
-            assert worker_count(1) == 1
-        finally:
-            if old is None:
-                os.environ.pop("OPTSTOP_THREADS", None)
-            else:
-                os.environ["OPTSTOP_THREADS"] = old

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from optstop.models import CauchyEffect, InvariantModelPair, PointMass
 from optstop.stopping import (
@@ -18,13 +19,13 @@ from optstop.stopping import (
 class TestDecide:
     def test_bf_threshold_stops_above_upper(self):
         rule = BfThreshold(upper=20.0, cap=100)
-        assert rule.decide([0.0] * 3, [math.log(25.0)])
-        assert not rule.decide([0.0] * 3, [math.log(15.0)])
+        assert rule.decide([0.0] * 3, math.log(25.0))
+        assert not rule.decide([0.0] * 3, math.log(15.0))
 
     def test_bf_threshold_two_sided(self):
         rule = BfThreshold(upper=5.0, lower=0.2, cap=100)
-        assert rule.decide([0.0] * 3, [math.log(0.1)])
-        assert not rule.decide([0.0] * 3, [0.0])
+        assert rule.decide([0.0] * 3, math.log(0.1))
+        assert not rule.decide([0.0] * 3, 0.0)
 
     def test_fixed_n_continues_before_n(self):
         rule = FixedN(n=5)
@@ -38,11 +39,11 @@ class TestDecide:
 
     def test_cap_forces_stop(self):
         rule = BfThreshold(upper=1e9, cap=4)
-        assert rule.decide([0.0] * 4, [0.0])
+        assert rule.decide([0.0] * 4, 0.0)
 
     def test_decide_is_pure(self):
         rule = BfThreshold(upper=5.0, lower=0.2, cap=50)
-        args = ([1.0, -2.0], [0.3])
+        args = ([1.0, -2.0], 0.3)
         assert all(rule.decide(*args) == rule.decide(*args) for _ in range(10))
 
     def test_validation(self):
@@ -61,6 +62,40 @@ class TestDecide:
         assert not sum_squares_rule(1.0, cap=5).declared_invariant
 
 
+class TestDecideBatch:
+    """The vector form over the running state makes the scalar decision."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_decide(self, data):
+        prefix = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12))
+        n = len(prefix)
+        x = np.asarray(prefix)
+        sum_sq = float(np.dot(x, x))
+        cap = data.draw(st.sampled_from([n, n + 1]) | st.integers(1, 12))
+        kind = data.draw(st.sampled_from(["fixed-n", "one-sided", "two-sided", "sum-squares"]))
+        boundaries = []
+        if kind == "fixed-n":
+            rule = FixedN(n=data.draw(st.sampled_from([n]) | st.integers(1, 12)), cap=cap)
+        elif kind == "sum-squares":
+            threshold = data.draw(st.sampled_from([sum_sq]) | st.floats(0.0, 1200.0))
+            rule = sum_squares_rule(threshold, cap=cap)
+        else:
+            upper = math.exp(data.draw(st.floats(-3.0, 3.0)))
+            lower = upper * data.draw(st.floats(0.01, 0.99)) if kind == "two-sided" else None
+            rule = BfThreshold(upper=upper, lower=lower, cap=cap)
+            boundaries = [rule.log_upper] + ([rule.log_lower] if lower is not None else [])
+        log_beta = data.draw(st.floats(-8.0, 8.0) | st.sampled_from(boundaries or [0.0]))
+        batch = rule.decide_batch(n, np.array([log_beta]), np.array([sum_sq]))
+        assert batch.shape == (1,)
+        assert bool(batch[0]) == rule.decide(prefix, log_beta)
+
+    def test_whole_prefix_rules_have_no_vector_form(self):
+        rule = RawStatistic(statistic=sum, threshold=1.0, cap=10)
+        with pytest.raises(NotImplementedError):
+            rule.decide_batch(3, np.zeros(2), np.zeros(2))
+
+
 class TestRuleFromParams:
     def test_round_trip(self):
         rule = rule_from_params("bf-threshold", cap=100, upper=20.0, lower=0.05)
@@ -74,6 +109,16 @@ class TestRuleFromParams:
     def test_extra_params_rejected(self):
         with pytest.raises(ValueError):
             rule_from_params("fixed-n", cap=10, n=3, upper=2.0)
+
+    def test_missing_and_malformed_params_rejected(self):
+        with pytest.raises(ValueError, match="needs parameter 'upper'"):
+            rule_from_params("bf-threshold", cap=10, lower=0.5)
+        with pytest.raises(ValueError, match="not a number"):
+            rule_from_params("fixed-n", cap=10, n="five")
+
+    def test_string_params_and_absent_lower(self):
+        rule = rule_from_params("bf_threshold", cap=10, upper="5", lower="")
+        assert rule == BfThreshold(upper=5.0, lower=None, cap=10)
 
 
 class TestCheckInvariance:
