@@ -3,17 +3,19 @@
 
 Writes one output directory per experiment under --out (default
 results/) and prints a final table.  Exit code 0 iff every experiment's
-contracts passed.  Expect the full sweep to take several minutes at the
-bundled trial counts.  --quick shrinks the Monte Carlo runs to exercise
-the plumbing; the calibration pass contracts are tuned for the full
-trial counts and can fail spuriously at the reduced ones.
+contracts passed; a package or configuration error stops the sweep with
+``error: <message>`` on stderr and exit code 1.  Expect the full sweep
+to take several minutes at the bundled trial counts.  --quick shrinks
+the Monte Carlo runs to exercise the plumbing; the calibration pass
+contracts are tuned for the full trial counts and can fail spuriously at
+the reduced ones.
 """
 
 import argparse
 import os
 import sys
 
-from optstop.cli import parse_config_text, run
+from optstop.cli import exit_code, parse_config_text, run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -42,7 +44,10 @@ def main() -> int:
         "contracts are tuned for the full trial counts)",
     )
     args = parser.parse_args()
+    return exit_code(lambda: run_sweep(args))
 
+
+def run_sweep(args: argparse.Namespace) -> int:
     outcomes = []
     for kind, cfg_name in EXPERIMENTS:
         with open(os.path.join(HERE, "configs", cfg_name)) as fh:
@@ -53,8 +58,7 @@ def main() -> int:
                     config[key] = value
         out_dir = os.path.join(args.out, kind)
         print(f"=== {kind} -> {out_dir}")
-        code = run(kind, config, args.seed, out_dir)
-        outcomes.append((kind, code))
+        outcomes.append((kind, run(kind, config, args.seed, out_dir)))
         print()
 
     print("summary:")

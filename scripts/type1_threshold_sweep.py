@@ -5,13 +5,16 @@ For the one-sample scale-invariant test under the null, runs one set of
 trajectories per nuisance value with the loosest threshold, then counts
 crossings of every tighter threshold on the same trajectories (crossing
 a high bar implies having stopped at or above the lower one, so a single
-record set serves the whole alpha grid).  Output is a plot-ready CSV.
+record set serves the whole alpha grid).  Output is a plot-ready CSV.  A
+package or argument error ends the sweep with ``error: <message>`` on
+stderr and exit code 1.
 """
 
 import argparse
 import csv
 import sys
 
+from optstop.cli import exit_code
 from optstop.models import CauchyEffect, InvariantModelPair
 from optstop.montecarlo import estimate_type1, run_trials
 from optstop.stopping import BfThreshold
@@ -26,7 +29,10 @@ def main() -> int:
     parser.add_argument("--alpha-max", type=float, default=0.1)
     parser.add_argument("--g", type=float, nargs="+", default=[0.25, 1.0, 4.0])
     args = parser.parse_args()
+    return exit_code(lambda: sweep(args))
 
+
+def sweep(args: argparse.Namespace) -> int:
     pair = InvariantModelPair.scale(CauchyEffect(1.0))
     rule = BfThreshold(upper=1.0 / args.alpha_max, cap=args.cap)
     alphas = [a for a in (0.1, 0.05, 0.02, 0.01, 0.005) if a <= args.alpha_max]

@@ -555,6 +555,15 @@ def run(kind: str, config: Dict[str, str], seed: Optional[int], out_dir: str) ->
     return 0 if passed else 2
 
 
+def exit_code(call: Callable[[], int]) -> int:
+    """Return ``call()``; a package or value error prints ``error: <message>`` and gives 1."""
+    try:
+        return call()
+    except (OptstopError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="optstop",
@@ -585,11 +594,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"error: cannot read config {args.config!r}: {exc}", file=sys.stderr)
         return 1
-    try:
-        return run(args.experiment, config, args.seed, args.out)
-    except (OptstopError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return exit_code(lambda: run(args.experiment, config, args.seed, args.out))
 
 
 if __name__ == "__main__":

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Tuple, Union
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, log_ndtr
 
 from .errors import SingularInputError
@@ -61,6 +62,7 @@ LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
 SQRT_2 = math.sqrt(2.0)
 Q_MAX = 1.0 - 2.0**-53  # largest double below 1
+XI_MIN = math.log1p(-Q_MAX)  # xi = log(1 - q) at the clamp
 
 
 @dataclass(frozen=True)
@@ -161,72 +163,79 @@ def _cauchy_log_bf(n: int, q: float, r: float) -> float:
         return 0.0  # q is identically 1 at n = 1 and the integral collapses
     # q rounds to exactly 1.0 on collinear prefixes (all x_i equal); clamp to
     # the largest double below 1 so the value stays finite, as the tables do
-    return _cauchy_log_bf_xi(n, math.log1p(-min(q, Q_MAX)), r)
+    return float(_cauchy_log_bf_xi(n, math.log1p(-min(q, Q_MAX)), r))
 
 
-def _cauchy_log_bf_xi(n: int, xi: float, r: float) -> float:
-    """Same, parameterized by xi = log(1 - q) to keep the collinear tail exact.
+def _cauchy_phi(ell: np.ndarray, n, xi, r: float) -> np.ndarray:
+    """log integrand of the Cauchy Bayes factor at l = log(v), v the mixing variance.
 
-    Integrates the Gaussian-component closed form over the inverse-gamma
-    mixing variance v.  Performed in l = log(v); the integrand decays
-    double-exponentially on the left (prior mass vanishes) and like
-    exp(-l) on the right, and its only scales are the prior one,
-    v ~ r^2, and the likelihood one, v ~ 1/(n(1-q)).
+    Integrates the Gaussian-component closed form against the
+    inverse-gamma mixing density; broadcasts over ``ell``, ``n`` and
+    ``xi = log(1 - q)``.
     """
-    const = 0.5 * math.log(0.5 * r * r) - 0.5 * LOG_PI
     half_r2 = 0.5 * r * r
-    log_n = math.log(n)
-    log_n1q = log_n + xi
+    log_n = np.log(n)
+    return (
+        (0.5 * math.log(half_r2) - 0.5 * LOG_PI)
+        - 0.5 * ell
+        - half_r2 * np.exp(np.minimum(-ell, 700.0))
+        + 0.5 * (n - 1) * np.logaddexp(0.0, ell + log_n)
+        - 0.5 * n * np.logaddexp(0.0, ell + (log_n + xi))
+    )
 
-    def phi(ell: np.ndarray) -> np.ndarray:
-        ell = np.asarray(ell, dtype=float)
-        inv = np.exp(np.minimum(-ell, 700.0))
-        return (
-            const
-            - 0.5 * ell
-            - half_r2 * inv
-            + 0.5 * (n - 1) * np.logaddexp(0.0, ell + log_n)
-            - 0.5 * n * np.logaddexp(0.0, ell + log_n1q)
-        )
 
-    l_prior = math.log(half_r2)
-    l_lik = -log_n1q
+_SCAN_POINTS = 129
+_PANELS = 24
+_GL_X, _GL_W = leggauss(16)
+_CHUNK = 256  # points per pass: keeps the (points x nodes) temporaries near 1 MB
+
+
+def _cauchy_log_bf_xi(n, xi, r: float) -> np.ndarray:
+    """log Bayes factor at n >= 2 and xi = log(1 - q), over broadcast arrays.
+
+    The integrand phi decays double-exponentially on the left (prior mass
+    vanishes) and like exp(-l) on the right, and its only scales are the
+    prior one, v ~ r^2, and the likelihood one, v ~ 1/(n(1-q)).  For each
+    point a 129-point scan from 45 below the prior scale to 60 above the
+    larger scale finds the peak; the bracket is the scan range within 46
+    nats of it, widened by one scan step each side.  Composite 16-node
+    Gauss-Legendre panels cover the bracket, 24 of them, each taking an
+    equal share of phi's variation (clipped at the bracket floor) plus
+    twice its length, so steep flanks get narrow panels and flat
+    stretches still get several.  Parameterizing by xi keeps the
+    collinear tail (q -> 1) exact.
+    """
+    n, xi = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(xi, dtype=float))
+    out = np.empty(n.shape)
+    n, xi = n.ravel(), xi.ravel()
+    l_prior = math.log(0.5 * r * r)
     grid_lo = l_prior - 45.0
-    grid_hi = max(l_prior, l_lik) + 60.0
-    grid = np.linspace(grid_lo, grid_hi, 201)
-    vals = phi(grid)
-    i_max = int(np.argmax(vals))
-
-    # golden-section refinement; the peak value only steers the shift and
-    # the bracket drop, so ~1e-3 accuracy in location is ample
-    a = grid[max(i_max - 1, 0)]
-    b = grid[min(i_max + 1, grid.size - 1)]
-    golden = 0.5 * (math.sqrt(5.0) - 1.0)
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc = float(phi(np.array([c]))[0])
-    fd = float(phi(np.array([d]))[0])
-    for _ in range(8):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = float(phi(np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = float(phi(np.array([d]))[0])
-    peak = max(fc, fd)
-    drop = peak - 46.0
-
-    keep = np.nonzero(vals >= drop)[0]
-    step = grid[1] - grid[0]
-    left = grid[keep[0]] - step
-    right = grid[keep[-1]] + step
-    while float(phi(np.array([left]))[0]) > drop:
-        left -= 5.0
-    while float(phi(np.array([right]))[0]) > drop:
-        right += 5.0
-    return integrate_log(phi, left, right, rtol=1e-12, shift=peak)
+    unit = np.linspace(0.0, 1.0, _SCAN_POINTS)
+    shares = np.linspace(0.0, 1.0, _PANELS + 1)
+    for s in range(0, n.size, _CHUNK):
+        nc, xc = n[s : s + _CHUNK, None], xi[s : s + _CHUNK, None]
+        grid_hi = np.maximum(l_prior, -(np.log(nc) + xc)) + 60.0
+        ell = grid_lo + (grid_hi - grid_lo) * unit
+        vals = _cauchy_phi(ell, nc, xc, r)
+        peak = vals.max(axis=1, keepdims=True)
+        floor = peak - 46.0
+        live = np.maximum(vals[:, 1:], vals[:, :-1]) > floor
+        measure = np.abs(np.diff(np.maximum(vals, floor), axis=1)) + 2.0 * live * np.diff(ell, axis=1)
+        cum = np.concatenate([np.zeros_like(peak), np.cumsum(measure, axis=1)], axis=1)
+        cum /= cum[:, -1:]
+        # panel edges: the scan interval holding each share, then linear
+        # interpolation inside it; the first edge is the last dead scan point
+        j = np.clip((cum[:, :, None] < shares).sum(axis=1) - 1, 0, _SCAN_POINTS - 2)
+        c0, c1 = np.take_along_axis(cum, j, 1), np.take_along_axis(cum, j + 1, 1)
+        frac = np.clip((shares - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0, 1.0)
+        l0, l1 = np.take_along_axis(ell, j, 1), np.take_along_axis(ell, j + 1, 1)
+        edges = l0 + frac * (l1 - l0)
+        edges[:, 0] = np.take_along_axis(ell, np.argmax(cum > 0.0, axis=1)[:, None] - 1, 1)[:, 0]
+        half = 0.5 * np.diff(edges, axis=1)
+        nodes = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_X)).reshape(nc.shape[0], -1)
+        f = np.exp(_cauchy_phi(nodes, nc, xc, r) - peak).reshape(nc.shape[0], _PANELS, -1)
+        out.flat[s : s + _CHUNK] = peak[:, 0] + np.log(((f * _GL_W).sum(axis=2) * half).sum(axis=1))
+    return out
 
 
 def _pointmass_log_bf(n: int, t_signed: float, delta0: float) -> float:
@@ -432,10 +441,11 @@ class ScaleBfCurves:
     The exact Bayes factor is a smooth function of one invariant
     coordinate for each n (xi = log(1 - q) for the Cauchy effect, the
     signed normalized mean t for a point mass).  This class caches a
-    Chebyshev interpolant of that curve per n and evaluates it over
-    whole trial vectors at once; points outside the tabulated domain
-    (astronomically large Bayes factors, beyond exp(60)) fall back to
-    the exact code path element by element.
+    piecewise Chebyshev interpolant of that curve per n (one piece
+    unless the curve needs more, see ``_fit``) and evaluates it over
+    whole trial vectors at once.  Each table spans every value the
+    coordinate can take: xi from log(1 - Q_MAX), where q is clamped, to
+    0, and t from -1 to 1.
 
     Because the interpolant is itself a deterministic function of the
     maximal invariant, thresholding its output remains an admissible
@@ -444,49 +454,63 @@ class ScaleBfCurves:
     only at that scale.
     """
 
-    XI_FLOOR = -38.0
+    DEGREE = 64
+    TAIL_TOL = 1e-10
+    MAX_DEPTH = 30
 
-    def __init__(self, pair: InvariantModelPair, degree: int = 64):
+    def __init__(self, pair: InvariantModelPair):
         if not pair.is_scale:
             raise ValueError("curves are defined for scale-group pairs")
-        self._pair = pair
         self._prior = pair.effect_prior
-        self._degree = degree
-        self._tables: dict[int, tuple[float, np.ndarray]] = {}
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _xi_floor(self, n: int) -> float:
-        if n <= 2:
-            return self.XI_FLOOR
-        # crude solve of log beta ~ roof on the collinear tail; correctness
-        # does not depend on it (outside points use the exact path)
-        return max(self.XI_FLOOR, -math.log(n) - 130.0 / (n - 2) - 2.0)
-
-    def _table(self, n: int) -> tuple[float, np.ndarray]:
+    def _table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         cached = self._tables.get(n)
         if cached is not None:
             return cached
         if isinstance(self._prior, CauchyEffect):
-            lo = self._xi_floor(n)
+            lo, hi = XI_MIN, 0.0
             r = self._prior.scale
-            degree = self._degree
 
-            def f(u: np.ndarray) -> np.ndarray:
-                xi = (np.asarray(u) + 1.0) * 0.5 * (0.0 - lo) + lo
-                return np.array([_cauchy_log_bf_xi(n, float(x), r) for x in xi])
+            def f(coord: np.ndarray) -> np.ndarray:
+                return _cauchy_log_bf_xi(n, coord, r)
 
         else:
-            lo = -1.0
+            lo, hi = -1.0, 1.0
             d0 = self._prior.delta0
-            degree = self._degree
 
-            def f(u: np.ndarray) -> np.ndarray:
-                t = (np.asarray(u) + 1.0) * 0.5 * (1.0 - lo) + lo
-                return np.array([_pointmass_log_bf(n, float(ti), d0) for ti in t])
+            def f(coord: np.ndarray) -> np.ndarray:
+                return np.array([_pointmass_log_bf(n, float(t), d0) for t in coord])
 
-        coeffs = np.polynomial.chebyshev.chebinterpolate(f, degree)
-        table = (lo, coeffs)
+        table = self._fit(f, lo, hi)
         self._tables[n] = table
         return table
+
+    def _fit(self, f, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """Piece edges and per-piece Chebyshev coefficients covering [lo, hi].
+
+        A piece whose top eight coefficients are not negligible against
+        TAIL_TOL (plus the rounding floor of its largest coefficient) has
+        not converged and is split in half, down to MAX_DEPTH halvings.
+        One piece suffices for most curves; a narrow prior on a large n
+        bends the Cauchy curve within ~1/n of q = 0 and needs several.
+        """
+        edges, coeffs = [], []
+        todo = [(lo, hi, 0)]
+        while todo:
+            a, b, depth = todo.pop()
+            c = np.polynomial.chebyshev.chebinterpolate(
+                lambda u: f((np.asarray(u) + 1.0) * 0.5 * (b - a) + a), self.DEGREE
+            )
+            tol = self.TAIL_TOL + 1e-14 * np.abs(c).max()
+            if depth < self.MAX_DEPTH and np.abs(c[-8:]).max() > tol:
+                mid = 0.5 * (a + b)
+                todo += [(mid, b, depth + 1), (a, mid, depth + 1)]
+            else:
+                edges.append(a)
+                coeffs.append(c)
+        edges.append(hi)
+        return np.array(edges), np.array(coeffs)
 
     def log_bf_batch(self, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:
         """log beta_n for vectors of invariant coordinates at one n."""
@@ -498,21 +522,20 @@ class ScaleBfCurves:
                 return np.zeros_like(q)
             d0 = self._prior.delta0  # never on the hot path: decisions start at n=2
             return np.array([_pointmass_log_bf(1, float(t), d0) for t in np.atleast_1d(t_signed)])
-        lo, coeffs = self._table(n)
+        edges, coeffs = self._table(n)
         if isinstance(self._prior, CauchyEffect):
             coord = np.log1p(-np.minimum(q, Q_MAX))  # same clamp as _cauchy_log_bf
-            hi = 0.0
         else:
             coord = np.asarray(t_signed, dtype=float)
-            hi = 1.0
-        inside = coord >= lo
-        u = (np.clip(coord, lo, hi) - lo) * (2.0 / (hi - lo)) - 1.0
-        out = np.polynomial.chebyshev.chebval(u, coeffs)
-        if not np.all(inside):
-            idx = np.nonzero(~inside)[0]
-            for i in idx:
-                if isinstance(self._prior, CauchyEffect):
-                    out[i] = _cauchy_log_bf(n, float(q[i]), self._prior.scale)
-                else:
-                    out[i] = _pointmass_log_bf(n, float(t_signed[i]), self._prior.delta0)
+        coord = np.clip(coord, edges[0], edges[-1])
+        if len(coeffs) == 1:  # the common case; the piece lookup below costs ~50% more
+            lo, hi = edges
+            return np.polynomial.chebyshev.chebval((coord - lo) * (2.0 / (hi - lo)) - 1.0, coeffs[0])
+        piece = np.searchsorted(edges[1:-1], coord, side="right")
+        lo, hi = edges[piece], edges[piece + 1]
+        u = (coord - lo) * (2.0 / (hi - lo)) - 1.0
+        out = np.empty_like(u)
+        for k in np.unique(piece):
+            sel = piece == k
+            out[sel] = np.polynomial.chebyshev.chebval(u[sel], coeffs[k])
         return out

@@ -15,9 +15,11 @@ Trajectory evaluation
     at each step, and the log Bayes factor comes from the per-n
     Chebyshev tables in :class:`~optstop.models.ScaleBfCurves`.  The
     tables for every n up to the cap are built before the first block
-    runs, so every stopping decision thresholds the same deterministic
-    function of the maximal invariant.  The rule decides for the whole
-    block from the running state (``StoppingRule.decide_batch``).
+    runs and span every value the invariant coordinate can take, so
+    every stopping decision thresholds the same deterministic function
+    of the maximal invariant and no trial leaves the vectorized path.
+    The rule decides for the whole block from the running state
+    (``StoppingRule.decide_batch``).
 
 Pass criteria
     Calibration checks bin stopped values into equal-count bins and

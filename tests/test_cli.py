@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 
@@ -128,3 +130,45 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "experiment" in proc.stdout
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(SCRIPTS, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScriptErrors:
+    """The scripts report package errors as cli.main does: one line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [ResourceLimitError("draw buffer would exceed the budget"), ConfigError("unknown key 'x'")],
+    )
+    def test_run_all_checks(self, error, tmp_path, capsys, monkeypatch):
+        script = load_script("run_all_checks")
+
+        def failing_run(kind, config, seed, out_dir):
+            raise error
+
+        monkeypatch.setattr(script, "run", failing_run)
+        monkeypatch.setattr(sys, "argv", ["run_all_checks.py", "--out", str(tmp_path)])
+        assert script.main() == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_type1_threshold_sweep(self, tmp_path, capsys, monkeypatch):
+        script = load_script("type1_threshold_sweep")
+
+        def over_budget(*args, **kwargs):
+            raise ResourceLimitError("draw buffer would exceed the budget")
+
+        monkeypatch.setattr(script, "run_trials", over_budget)
+        out = tmp_path / "sweep.csv"
+        monkeypatch.setattr(sys, "argv", ["type1_threshold_sweep.py", "--out", str(out)])
+        assert script.main() == 1
+        assert capsys.readouterr().err == "error: draw buffer would exceed the budget\n"
+        assert not out.exists()

@@ -9,11 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
+from optstop import models
 from optstop.core import conditional_bf
 from optstop.errors import SingularInputError
 from optstop.models import (
+    Q_MAX,
+    XI_MIN,
     CauchyEffect,
     InvariantModelPair,
     PointMass,
@@ -21,6 +25,7 @@ from optstop.models import (
     log_m,
     trajectory,
 )
+from optstop.quadrature import integrate_log
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -189,6 +194,14 @@ class TestAltMarginalAndBf:
             batch = curves.log_bf_batch(n, np.array([1.0]), np.array([1.0]))[0]
             assert abs(value - batch) <= 1e-8
 
+    def test_trajectory_matches_log_bf_near_collinear(self, cauchy_pair, rng):
+        # q rounds to within a few ulps of 1 here, where xi = log(1 - q) is
+        # ill-conditioned: every prefix must take the scalar path's value
+        for x in (np.full(12, 0.1), 100.0 + 1e-7 * rng.standard_normal(12)):
+            traj = trajectory(cauchy_pair, x)
+            for n in range(1, x.size + 1):
+                assert traj.value_at(n) == cauchy_pair.log_bf(x[:n])
+
     def test_unit_bf_at_initial_sample_symmetric_prior(self, cauchy_pair):
         # symmetric effect prior: a single observation carries no evidence
         for x1 in (0.3, -2.0, 11.0):
@@ -313,14 +326,65 @@ class TestPosteriorSampler:
             ls.sample_posterior_g_given_initial(0, [1.0, 2.0], rng)
 
 
+def adaptive_cauchy_log_bf(n, xi, r):
+    """Reference for the Cauchy evaluator: adaptive quadrature of the same phi.
+
+    A fine scan brackets phi within 46 nats of its peak, and the package's
+    adaptive Gauss-Legendre rule integrates over the bracket.
+    """
+
+    def phi(ell):
+        return models._cauchy_phi(np.asarray(ell, dtype=float), n, xi, r)
+
+    l_prior = math.log(0.5 * r * r)
+    grid = np.linspace(l_prior - 45.0, max(l_prior, -(math.log(n) + xi)) + 60.0, 4001)
+    vals = phi(grid)
+    peak = float(vals.max())
+    keep = np.nonzero(vals >= peak - 46.0)[0]
+    step = grid[1] - grid[0]
+    return integrate_log(phi, grid[keep[0]] - step, grid[keep[-1]] + step, rtol=1e-12, shift=peak)
+
+
+class TestCauchyEvaluator:
+    @pytest.mark.parametrize("r", [0.01, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("n", [2, 3, 10, 100, 1000])
+    def test_matches_adaptive_quadrature(self, r, n):
+        xis = np.array([XI_MIN, -20.0, -3.0, -0.3, -1e-14])
+        got = models._cauchy_log_bf_xi(n, xis, r)
+        for xi, value in zip(xis, got):
+            assert abs(value - adaptive_cauchy_log_bf(n, float(xi), r)) <= 1e-10
+
+    def test_scalar_equals_batch(self, rng):
+        n = rng.integers(2, 1001, 300)
+        xi = rng.uniform(XI_MIN, 0.0, 300)
+        batch = models._cauchy_log_bf_xi(n, xi, 1.0)
+        assert batch.shape == (300,)
+        for i in range(0, 300, 29):
+            assert models._cauchy_log_bf_xi(n[i], xi[i], 1.0) == batch[i]
+
+
+@pytest.fixture(scope="module")
+def curves_by_prior():
+    """Tables shared across hypothesis examples, built on first use per n."""
+    return {}
+
+
 class TestCurves:
-    @pytest.mark.parametrize("prior", [CauchyEffect(1.0), PointMass(0.8)])
+    @pytest.mark.parametrize(
+        "prior",
+        [CauchyEffect(1.0), CauchyEffect(0.01), CauchyEffect(0.1), CauchyEffect(10.0), PointMass(0.8)],
+    )
     def test_matches_exact_path(self, prior, rng):
         pair = InvariantModelPair.scale(prior)
         curves = ScaleBfCurves(pair)
-        for n in (2, 3, 11, 64, 200):
-            q = rng.uniform(0.0, 1.0 - 1e-12, 25)
-            t = np.copysign(np.sqrt(q), rng.standard_normal(25))
+        for n in (2, 3, 11, 64, 200, 500, 1000):
+            q = np.concatenate(
+                [
+                    rng.uniform(0.0, 1.0 - 1e-12, 25),
+                    [0.0, 1e-4, 1e-3, 3e-3, 1e-2, 1.0 - 1e-6, 1.0 - 1e-12, Q_MAX, 1.0],
+                ]
+            )
+            t = np.copysign(np.sqrt(q), rng.standard_normal(q.size))
             got = curves.log_bf_batch(n, q, t)
             exact = np.array([pair.log_bf_from_stats(n, float(qi), float(ti)) for qi, ti in zip(q, t)])
             assert np.max(np.abs(got - exact)) <= 1e-8
@@ -329,3 +393,23 @@ class TestCurves:
         curves = ScaleBfCurves(InvariantModelPair.scale(CauchyEffect(1.0)))
         out = curves.log_bf_batch(1, np.array([1.0, 1.0]), np.array([1.0, -1.0]))
         assert np.all(out == 0.0)
+
+    def test_batch_makes_no_scalar_evaluation(self, monkeypatch):
+        def scalar(*args):
+            raise AssertionError("scalar Bayes-factor evaluation in the batch path")
+
+        monkeypatch.setattr(models, "_cauchy_log_bf", scalar)
+        curves = ScaleBfCurves(InvariantModelPair.scale(CauchyEffect(1.0)))
+        q = np.array([0.0, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, Q_MAX, 1.0])
+        for n in (2, 3, 50, 1000):
+            assert np.all(np.isfinite(curves.log_bf_batch(n, q, np.sqrt(q))))
+
+    @pytest.mark.parametrize("prior", [CauchyEffect(1.0), PointMass(0.8)])
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 1000), q=st.floats(0.0, 1.0), sign=st.sampled_from([-1.0, 1.0]))
+    def test_scalar_matches_batch(self, curves_by_prior, prior, n, q, sign):
+        pair = InvariantModelPair.scale(prior)
+        curves = curves_by_prior.setdefault(prior, ScaleBfCurves(pair))
+        t = sign * math.sqrt(q)
+        batch = curves.log_bf_batch(n, np.array([q]), np.array([t]))[0]
+        assert abs(pair.log_bf_from_stats(n, q, t) - batch) <= 1e-8
