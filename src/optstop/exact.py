@@ -35,6 +35,26 @@ _PROB_TOL = 1e-9
 
 
 @dataclass(frozen=True)
+class _Mixture:
+    """One hypothesis's mixture, prepared once per model.
+
+    Row s of ``by_symbol`` holds every i.i.d. component's mass of symbol
+    s (entries of callable components are placeholders, replaced at each
+    prefix), so one gather gives a whole batch of sequences its next
+    factors.
+    """
+
+    weights: np.ndarray  # (components,)
+    by_symbol: np.ndarray  # (alphabet x components), C-contiguous
+    callables: Tuple[Tuple[int, Callable[[Prefix], Sequence[float]]], ...]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class FiniteModel:
     """Two hypotheses on sequences over a finite alphabet.
 
@@ -42,7 +62,10 @@ class FiniteModel:
     component is either an i.i.d. symbol distribution (ndarray of K
     probabilities) or a callable mapping a prefix to the conditional
     distribution of the next symbol.  Full support is required: every
-    conditional probability must be strictly positive.
+    conditional probability must be strictly positive.  The i.i.d.
+    components are validated together and kept as one (components x
+    alphabet) matrix per hypothesis; callables are validated at every
+    prefix they are asked about.
     """
 
     alphabet_size: int
@@ -55,50 +78,70 @@ class FiniteModel:
             raise ValueError("alphabet must have at least two symbols")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        mixtures = []
         for name, comps in (("H0", self.components0), ("H1", self.components1)):
             if not comps:
                 raise ValueError(f"{name} needs at least one component")
             total = math.fsum(w for w, _ in comps)
             if abs(total - 1.0) > _PROB_TOL:
                 raise ValueError(f"{name} prior weights sum to {total}, expected 1")
-            for w, cond in comps:
-                if w <= 0:
-                    raise ValueError("prior weights must be positive")
-                if isinstance(cond, np.ndarray):
-                    self._check_probs(cond)
+            if any(w <= 0 for w, _ in comps):
+                raise ValueError("prior weights must be positive")
+            mixtures.append(self._prepare(comps))
+        object.__setattr__(self, "_mixtures", tuple(mixtures))
+
+    def _prepare(self, comps) -> _Mixture:
+        # callable rows hold a uniform placeholder so the whole stack is checked at once
+        matrix = np.full((len(comps), self.alphabet_size), 1.0 / self.alphabet_size)
+        callables = []
+        for j, (_, cond) in enumerate(comps):
+            if not isinstance(cond, np.ndarray):
+                callables.append((j, cond))
+            elif cond.shape != (self.alphabet_size,):
+                raise ValueError(f"conditional must have {self.alphabet_size} entries")
+            else:
+                matrix[j] = cond
+        self._check_probs(matrix)
+        return _Mixture(
+            weights=_read_only(np.array([w for w, _ in comps], dtype=float)),
+            by_symbol=_read_only(np.ascontiguousarray(matrix.T)),
+            callables=tuple(callables),
+        )
 
     def _check_probs(self, p: np.ndarray) -> None:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.alphabet_size,):
-            raise ValueError(f"conditional must have {self.alphabet_size} entries")
+        """Full support and unit sums for K masses or a stack of rows of K."""
         if np.any(p <= 0.0):
             raise ValueError("full support required: zero conditional mass found")
-        if abs(float(p.sum()) - 1.0) > _PROB_TOL:
-            raise ValueError(f"conditional masses sum to {float(p.sum())}, expected 1")
+        sums = np.atleast_1d(p.sum(axis=-1))
+        off = np.abs(sums - 1.0) > _PROB_TOL
+        if np.any(off):
+            raise ValueError(f"conditional masses sum to {float(sums[off][0])}, expected 1")
+
+    def _conditional(self, cond: Callable[[Prefix], Sequence[float]], prefix: Prefix) -> np.ndarray:
+        """A callable component's next-symbol distribution after ``prefix``, validated."""
+        p = np.asarray(cond(prefix), dtype=float)
+        if p.shape != (self.alphabet_size,):
+            raise ValueError(f"conditional must have {self.alphabet_size} entries")
+        self._check_probs(p)
+        return p
 
     def weights(self, k: int) -> np.ndarray:
-        comps = self.components0 if k == 0 else self.components1
-        return np.array([w for w, _ in comps], dtype=float)
+        """Prior weights of the hypothesis-k components (read-only)."""
+        return self._mixtures[k].weights
 
     def cond_matrix(self, k: int, prefix: Prefix) -> np.ndarray:
         """(components x alphabet) conditional mass matrix after ``prefix``."""
-        comps = self.components0 if k == 0 else self.components1
-        rows = []
-        for _, cond in comps:
-            if isinstance(cond, np.ndarray):
-                rows.append(cond)
-            else:
-                p = np.asarray(cond(prefix), dtype=float)
-                self._check_probs(p)
-                rows.append(p)
-        return np.vstack(rows)
+        mix = self._mixtures[k]
+        if not mix.callables:
+            return mix.by_symbol.T
+        out = mix.by_symbol.T.copy()
+        for j, cond in mix.callables:
+            out[j] = self._conditional(cond, prefix)
+        return out
 
     @property
     def is_iid(self) -> bool:
-        return all(
-            isinstance(cond, np.ndarray)
-            for _, cond in self.components0 + self.components1
-        )
+        return not any(mix.callables for mix in self._mixtures)
 
     # ---------------------------------------------------------------- builders
 
@@ -130,20 +173,61 @@ class FiniteModel:
         return cls(alphabet_size=2, horizon=horizon, components0=c0, components1=c1)
 
 
+def _as_sequences(model: FiniteModel, seqs) -> np.ndarray:
+    """Sequences of equal length as a (rows x length) int array, checked."""
+    seqs = np.asarray(seqs, dtype=np.int64)
+    if seqs.ndim != 2:
+        raise ValueError("sequences must form a (rows x length) array")
+    if seqs.shape[1] > model.horizon:
+        raise ValueError(f"sequence longer than the horizon {model.horizon}")
+    bad = (seqs < 0) | (seqs >= model.alphabet_size)
+    if np.any(bad):
+        raise ValueError(
+            f"symbol {int(seqs[bad][0])} outside alphabet of size {model.alphabet_size}"
+        )
+    return seqs
+
+
+def _prefix_masses(model: FiniteModel, k: int, seqs: np.ndarray) -> np.ndarray:
+    """(rows x length) mixture mass under hypothesis k of every prefix of every row.
+
+    One running likelihood per (row, component), multiplied by each
+    component's conditional mass of the next symbol.  Each row's mixture
+    mass is reduced from that row alone (a C-contiguous sum over axis 1),
+    so a row's values do not depend on which rows share the batch.
+    """
+    mix = model._mixtures[k]
+    rows, length = seqs.shape
+    lik = np.ones((rows, len(mix.weights)))
+    step = np.empty_like(lik)
+    out = np.empty((rows, length))
+    for i in range(length):
+        np.take(mix.by_symbol, seqs[:, i], axis=0, out=step)
+        if mix.callables:
+            for t in range(rows):
+                prefix = tuple(seqs[t, :i].tolist())
+                for j, cond in mix.callables:
+                    step[t, j] = model._conditional(cond, prefix)[seqs[t, i]]
+        lik *= step
+        np.multiply(lik, mix.weights, out=step)
+        out[:, i] = step.sum(axis=1)
+    return out
+
+
+def log_beta_paths(model: FiniteModel, seqs) -> np.ndarray:
+    """log beta_n for n = 1..length of every row of ``seqs`` (rows x length)."""
+    seqs = _as_sequences(model, seqs)
+    return np.log(_prefix_masses(model, 1, seqs)) - np.log(_prefix_masses(model, 0, seqs))
+
+
 def marginal_mass(model: FiniteModel, k: int, x: Sequence[int]) -> float:
     """Exact mixture mass of the sequence ``x`` under hypothesis ``k``."""
     if k not in (0, 1):
         raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
-    x = tuple(int(s) for s in x)
-    if len(x) > model.horizon:
-        raise ValueError(f"sequence longer than the horizon {model.horizon}")
-    for s in x:
-        if not (0 <= s < model.alphabet_size):
-            raise ValueError(f"symbol {s} outside alphabet of size {model.alphabet_size}")
-    lik = np.ones(len(model.weights(k)))
-    for i, s in enumerate(x):
-        lik = lik * model.cond_matrix(k, x[:i])[:, s]
-    return float(model.weights(k) @ lik)
+    seqs = _as_sequences(model, [x])
+    if seqs.shape[1] == 0:
+        return float(model.weights(k).sum())
+    return float(_prefix_masses(model, k, seqs)[0, -1])
 
 
 def log_beta_finite(model: FiniteModel, x: Sequence[int]) -> float:
@@ -151,17 +235,12 @@ def log_beta_finite(model: FiniteModel, x: Sequence[int]) -> float:
 
 
 def trajectory_finite(model: FiniteModel, x: Sequence[int]) -> BfTrajectory:
-    """Per-prefix log Bayes factors of a finite-model sequence (m = 0)."""
-    x = tuple(int(s) for s in x)
-    values = []
-    lik0 = np.ones(len(model.weights(0)))
-    lik1 = np.ones(len(model.weights(1)))
-    w0, w1 = model.weights(0), model.weights(1)
-    for i, s in enumerate(x):
-        lik0 = lik0 * model.cond_matrix(0, x[:i])[:, s]
-        lik1 = lik1 * model.cond_matrix(1, x[:i])[:, s]
-        values.append(math.log(float(w1 @ lik1)) - math.log(float(w0 @ lik0)))
-    return BfTrajectory(m=0, log_beta=tuple(values))
+    """Per-prefix log Bayes factors of a finite-model sequence (m = 0).
+
+    The one-row case of :func:`log_beta_paths`, so it equals the
+    sequence's row of any batch bit for bit.
+    """
+    return BfTrajectory(m=0, log_beta=tuple(log_beta_paths(model, [x])[0].tolist()))
 
 
 def sample_sequence(model: FiniteModel, k: int, rng: np.random.Generator) -> Tuple[int, ...]:
@@ -236,17 +315,13 @@ def build_table(
     w0, w1 = model.weights(0), model.weights(1)
     root_lik0 = np.ones(len(w0))
     root_lik1 = np.ones(len(w1))
-    iid = model.is_iid
-    if iid:
-        m0 = model.cond_matrix(0, ())
-        m1 = model.cond_matrix(1, ())
 
     # stack of expandable nodes: (prefix, lik0, lik1, running max of log beta)
     stack = [((), root_lik0, root_lik1, -math.inf)]
     while stack:
         prefix, lik0, lik1, max_lb = stack.pop()
-        cond0 = m0 if iid else model.cond_matrix(0, prefix)
-        cond1 = m1 if iid else model.cond_matrix(1, prefix)
+        cond0 = model.cond_matrix(0, prefix)
+        cond1 = model.cond_matrix(1, prefix)
         for sym in reversed(range(model.alphabet_size)):
             child = prefix + (sym,)
             clik0 = lik0 * cond0[:, sym]
@@ -343,13 +418,22 @@ def verify_markov_bound(
 ) -> Tuple[MarkovCheck, ...]:
     """Exact P0(exists n <= cap: beta_n >= 1/alpha) for each alpha.
 
-    The crossing event is read off the per-path running maximum, so the
-    table must have been built either with the matching threshold rule
-    (which stops exactly at the first crossing) or with a full-horizon
-    fixed-n rule (whose paths expose the complete running maximum).
+    The crossing event is read off the per-path running maximum up to the
+    stop, which shows it only if the table's rule never stops a path
+    before that path could first reach 1/alpha: a one-sided
+    ``BfThreshold`` with ``upper >= 1/alpha`` (a path it stops early has
+    already crossed every lower threshold, so one table built at the
+    smallest alpha answers every larger one), or a ``FixedN`` with
+    ``n == cap``.  Any other rule raises ``ValueError``.
     """
     checks = []
     for level in alphas:
+        if not table.rule.exposes_crossing(1.0 / level.alpha):
+            raise ValueError(
+                f"a table built with {type(table.rule).__name__} cannot show whether beta "
+                f"reached {1.0 / level.alpha:g}; build it with a one-sided BfThreshold whose "
+                "upper threshold is at least 1/alpha, or with FixedN(n=cap)"
+            )
         thr = level.log_threshold
         prob = math.fsum(e.mass0 for e in table.entries.values() if e.max_log_beta >= thr)
         checks.append(MarkovCheck(alpha=level.alpha, probability=prob))

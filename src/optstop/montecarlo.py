@@ -41,13 +41,15 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import NEVER, SignificanceLevel, stop
-from .exact import FiniteModel, sample_sequence, trajectory_finite
+from .core import NEVER, BfTrajectory, SignificanceLevel, stop
+from .exact import FiniteModel, log_beta_paths, sample_sequence
 from .groups import GroupElement
 from .models import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
 from .stopping import StoppingRule
 
 BLOCK_SIZE = 8192
+# (trials x components) likelihood cells per finite-model chunk: 8 MB of doubles
+FINITE_CHUNK_CELLS = 2**20
 DEFAULT_BINS = 30
 BIN_PASS_FRACTION = 0.93
 MAX_BIN_WIDTH = 0.2  # nats; see estimate_strong_calibration
@@ -296,37 +298,49 @@ def run_marginal_trials(
     return _run_blocks(block, n_trials)
 
 
+def _finite_chunk(model: FiniteModel) -> int:
+    """Trials per chunk of :func:`run_trials_finite`."""
+    components = max(len(model.weights(0)), len(model.weights(1)))
+    return max(1, FINITE_CHUNK_CELLS // components)
+
+
 def run_trials_finite(
     model: FiniteModel, k: int, rule: StoppingRule, n_trials: int, seed: int
 ) -> List[TrialRecord]:
     """Monte Carlo trials on a finite model, for cross-checking the exact tables.
 
-    The finite model carries no group action: records store NaN in the
-    nuisance slot.  This path is plain per-trial Python and is meant for
-    test-scale runs, not for the large group-model experiments.
+    Each trial draws its full-horizon sequence from its own Philox
+    stream.  The log Bayes factors of a chunk of trials come from one
+    likelihood recursion over (trials x components)
+    (:func:`~optstop.exact.log_beta_paths`), and ``core.stop`` then stops
+    each trial on its own row, so every rule works and stopped values
+    are read from the trajectory verbatim.  A trial's record depends
+    neither on the chunk size nor on the other trials.  The finite model
+    carries no group action: records store NaN in the nuisance slot.
     """
     if k not in (0, 1):
         raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
     if rule.cap > model.horizon:
         raise ValueError("rule must cap at or before the model horizon")
     key64 = _stream_key(seed, k, (), variant=2)
+    chunk = _finite_chunk(model)
     records = []
-    for trial in range(n_trials):
-        gen = _trial_generator(key64, trial)
-        seq = sample_sequence(model, k, gen)
-        traj = trajectory_finite(model, seq)
-        outcome = stop(traj, rule, seq)
-        assert outcome.stop_index is not NEVER  # cap <= horizon forces a stop
-        records.append(
-            TrialRecord(
-                k=k,
-                g=math.nan,
-                stop_index=int(outcome.stop_index),
-                stopped_log_beta=float(outcome.stopped_log_beta),
-                seed=seed,
-                trial=trial,
+    for lo in range(0, n_trials, chunk):
+        trials = range(lo, min(lo + chunk, n_trials))
+        seqs = [sample_sequence(model, k, _trial_generator(key64, t)) for t in trials]
+        for trial, seq, path in zip(trials, seqs, log_beta_paths(model, seqs).tolist()):
+            outcome = stop(BfTrajectory(m=0, log_beta=path), rule, seq)
+            assert outcome.stop_index is not NEVER  # cap <= horizon forces a stop
+            records.append(
+                TrialRecord(
+                    k=k,
+                    g=math.nan,
+                    stop_index=int(outcome.stop_index),
+                    stopped_log_beta=float(outcome.stopped_log_beta),
+                    seed=seed,
+                    trial=trial,
+                )
             )
-        )
     return records
 
 

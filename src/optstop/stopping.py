@@ -82,6 +82,16 @@ class StoppingRule:
         """Distance from the rule's decision boundary; inf when data-free."""
         return math.inf
 
+    def exposes_crossing(self, threshold: float) -> bool:
+        """Does the Bayes factor up to this rule's stop reach ``threshold``
+        exactly when it does at some n <= cap?
+
+        ``threshold`` is on the Bayes-factor scale.  When True, the
+        crossing event can be read off the running maximum of each
+        stopped path (``exact.verify_markov_bound``).
+        """
+        return False
+
     def _check_cap(self) -> None:
         if self.cap < 1:
             raise ValueError(f"cap must be a positive sample size, got {self.cap}")
@@ -109,6 +119,9 @@ class FixedN(StoppingRule):
 
     def _fires_at(self, n, log_beta, sum_sq):
         return n >= self.n
+
+    def exposes_crossing(self, threshold: float) -> bool:
+        return self.n == self.cap  # every path runs to the cap
 
 
 @dataclass(frozen=True)
@@ -149,6 +162,10 @@ class BfThreshold(StoppingRule):
         if self.lower is not None:
             fires = fires | (log_beta <= self.log_lower)
         return fires
+
+    def exposes_crossing(self, threshold: float) -> bool:
+        # a path stopped early has crossed upper >= threshold; the rest run to the cap
+        return self.lower is None and self.upper >= threshold
 
     def boundary_gap(self, prefix, log_beta) -> float:
         gap = abs(log_beta - self.log_upper)

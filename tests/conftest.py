@@ -1,22 +1,34 @@
+import os
+
 import numpy as np
 import pytest
 
 # acceptance tests register one line per criterion here; printed at the end
 ACCEPTANCE_LINES = []
+# wall seconds (set-up, module fixtures included, plus call) per test node id
+_WALL = {}
 
 
 def record_criterion(number: int, name: str, passed: bool, detail: str = "") -> None:
     status = "PASS" if passed else "FAIL"
     suffix = f" ({detail})" if detail else ""
-    ACCEPTANCE_LINES.append((number, f"criterion {number:2d} [{status}] {name}{suffix}"))
+    # "<node id> (call)" while a test runs
+    nodeid = os.environ.get("PYTEST_CURRENT_TEST", "").rsplit(" ", 1)[0]
+    ACCEPTANCE_LINES.append((number, f"criterion {number:2d} [{status}] {name}{suffix}", nodeid))
+
+
+def pytest_runtest_logreport(report):
+    if report.when in ("setup", "call"):
+        _WALL[report.nodeid] = _WALL.get(report.nodeid, 0.0) + report.duration
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not ACCEPTANCE_LINES:
         return
     terminalreporter.section("acceptance criteria")
-    for _, line in sorted(ACCEPTANCE_LINES):
-        terminalreporter.write_line(line)
+    for _, line, nodeid in sorted(ACCEPTANCE_LINES):
+        wall = _WALL.get(nodeid)
+        terminalreporter.write_line(line if wall is None else f"{line} [{wall:.2f}s wall]")
 
 
 @pytest.fixture

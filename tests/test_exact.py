@@ -10,6 +10,7 @@ from optstop.exact import (
     FiniteModel,
     build_table,
     log_beta_finite,
+    log_beta_paths,
     marginal_mass,
     random_finite_model,
     random_rule,
@@ -19,7 +20,8 @@ from optstop.exact import (
     verify_expected_stopped_bf,
     verify_markov_bound,
 )
-from optstop.stopping import BfThreshold, FixedN
+from optstop.montecarlo import estimate_stopped_bf_mean, estimate_type1, run_trials_finite
+from optstop.stopping import BfThreshold, FixedN, sum_squares_rule
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +55,92 @@ class TestMarginalMass:
             math.factorial(3) * math.factorial(2) / math.factorial(6)
         )
         assert marginal_mass(bernoulli10, 1, seq) == pytest.approx(expected, rel=1e-8)
+
+
+def laplace_succession(prefix):
+    """p(1 | prefix) = (ones + 1) / (n + 2): the uniform-prior Bernoulli marginal."""
+    p1 = (sum(prefix) + 1.0) / (len(prefix) + 2.0)
+    return [1.0 - p1, p1]
+
+
+def laplace_model(horizon, cond1=laplace_succession):
+    return FiniteModel(
+        alphabet_size=2,
+        horizon=horizon,
+        components0=((1.0, np.array([0.5, 0.5])),),
+        components1=((1.0, cond1),),
+    )
+
+
+class TestModelValidation:
+    GRID = 10_000
+
+    def grid_model(self, last):
+        comps = [(1.0 / self.GRID, np.array([0.5, 0.5]))] * (self.GRID - 1)
+        comps.append((1.0 / self.GRID, np.asarray(last, dtype=float)))
+        return FiniteModel.iid(horizon=4, components0=[(1.0, [0.5, 0.5])], components1=comps)
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ([0.2, 0.3, 0.5], "conditional must have 2 entries"),
+            ([0.0, 1.0], "full support required: zero conditional mass found"),
+            ([0.5, 0.6], r"conditional masses sum to 1\.1\d*, expected 1"),
+        ],
+    )
+    def test_last_bad_component_of_many_is_reported(self, last, message):
+        with pytest.raises(ValueError, match=message):
+            self.grid_model(last)
+
+    def test_valid_grid_model_is_iid(self):
+        model = self.grid_model([0.5, 0.5])
+        assert model.is_iid
+        assert model.cond_matrix(1, (0, 1)).shape == (self.GRID, 2)
+
+
+class TestCallableComponents:
+    """A prefix-dependent component: Laplace's rule of succession."""
+
+    def test_marginal_matches_beta_bernoulli(self):
+        model = laplace_model(6)
+        # P(sequence with h ones in n draws) = h!(n-h)!/(n+1)!
+        expected = math.factorial(3) * math.factorial(2) / math.factorial(6)
+        assert marginal_mass(model, 1, (1, 0, 1, 1, 0)) == pytest.approx(expected, rel=1e-14)
+        assert not model.is_iid
+
+    def test_trajectory_matches_log_beta_at_every_prefix(self, rng):
+        model = laplace_model(9)
+        for _ in range(5):
+            seq = sample_sequence(model, 1, rng)
+            traj = trajectory_finite(model, seq)
+            for n in range(1, len(seq) + 1):
+                assert abs(traj.value_at(n) - log_beta_finite(model, seq[:n])) <= 1e-12
+
+    def test_monte_carlo_matches_exact_table(self):
+        model = laplace_model(6)
+        alpha = SignificanceLevel(0.2)
+        rule = BfThreshold(upper=1.0 / alpha.alpha, cap=6)
+        (chk,) = verify_markov_bound(build_table(model, rule), [alpha])
+        records = run_trials_finite(model, 0, rule, 4000, seed=5)
+        est = estimate_type1(records, alpha)
+        assert abs(est.rate - chk.probability) <= 3.5 * max(est.se, 1e-4)
+        bf = estimate_stopped_bf_mean(records)
+        assert abs(bf.mean - 1.0) <= 3.5 * bf.se
+
+    def test_zero_mass_rejected(self):
+        def degenerate(prefix):
+            return [1.0, 0.0] if len(prefix) == 2 else laplace_succession(prefix)
+
+        model = laplace_model(4, degenerate)
+        message = "full support required"
+        with pytest.raises(ValueError, match=message):
+            trajectory_finite(model, (0, 1, 1))
+        with pytest.raises(ValueError, match=message):
+            log_beta_paths(model, [(0, 0, 0), (1, 1, 1)])
+        with pytest.raises(ValueError, match=message):
+            build_table(model, FixedN(n=4, cap=4))
+        with pytest.raises(ValueError, match=message):
+            run_trials_finite(model, 0, FixedN(n=4, cap=4), 3, seed=1)
 
 
 class TestBuildTable:
@@ -121,6 +209,35 @@ class TestVerifiers:
             table = build_table(model, BfThreshold(upper=1.0 / alpha, cap=8))
             (chk,) = verify_markov_bound(table, [SignificanceLevel(alpha)])
             assert chk.probability == 0.0
+
+    def test_markov_rejects_tables_that_hide_the_crossing(self, bernoulli10):
+        level = SignificanceLevel(0.01)
+        for rule in (
+            BfThreshold(upper=5.0, cap=10),  # stops before beta could reach 100
+            BfThreshold(upper=100.0, lower=0.5, cap=10),  # stops paths that fall low
+            FixedN(n=6, cap=10),
+            sum_squares_rule(3.0, cap=10),
+        ):
+            with pytest.raises(ValueError, match="cannot show whether beta reached 100"):
+                verify_markov_bound(build_table(bernoulli10, rule), [level])
+
+    def test_markov_fixed_n_at_cap_matches_threshold_table(self, bernoulli10):
+        levels = [SignificanceLevel(a) for a in (0.05, 0.2)]
+        full = verify_markov_bound(build_table(bernoulli10, FixedN(n=10, cap=10)), levels)
+        for level, chk in zip(levels, full):
+            own = build_table(bernoulli10, BfThreshold(upper=1.0 / level.alpha, cap=10))
+            (expected,) = verify_markov_bound(own, [level])
+            assert chk.probability == pytest.approx(expected.probability, rel=1e-12)
+
+    def test_one_strict_table_answers_every_alpha(self):
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=12)
+        strict = build_table(model, BfThreshold(upper=100.0, cap=12))
+        levels = [SignificanceLevel(a) for a in (0.05, 0.1, 0.2)]
+        for level, chk in zip(levels, verify_markov_bound(strict, levels)):
+            own = build_table(model, BfThreshold(upper=1.0 / level.alpha, cap=12))
+            (expected,) = verify_markov_bound(own, [level])
+            # theta0 = 1/2: every null mass is a power of two and fsum is exact
+            assert chk.probability == expected.probability
 
     def test_expected_stopped_bf_identical_hypotheses(self):
         comp = ((1.0, np.array([0.3, 0.7])),)

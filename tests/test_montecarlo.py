@@ -5,7 +5,14 @@ import pytest
 from scipy import stats
 
 from optstop.core import SignificanceLevel
-from optstop.exact import FiniteModel, build_table, verify_markov_bound
+from optstop.exact import (
+    FiniteModel,
+    build_table,
+    log_beta_paths,
+    sample_sequence,
+    trajectory_finite,
+    verify_markov_bound,
+)
 from optstop import montecarlo
 from optstop.models import CauchyEffect, InvariantModelPair, PointMass
 from optstop.montecarlo import (
@@ -185,6 +192,23 @@ class TestFiniteCrossCheck:
         # and the stopped-BF mean matches its exact value of 1
         bf = estimate_stopped_bf_mean(records)
         assert abs(bf.mean - 1.0) <= 3.5 * bf.se
+
+    def test_records_independent_of_chunk_layout(self):
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=8, grid=10_000)
+        rule = BfThreshold(upper=3.0, lower=0.5, cap=8)
+        chunk = montecarlo._finite_chunk(model)
+        assert chunk == montecarlo.FINITE_CHUNK_CELLS // 10_000
+        short = run_trials_finite(model, 1, rule, 50, seed=9)
+        long = run_trials_finite(model, 1, rule, chunk + 50, seed=9)
+        assert long[:50] == short
+        # the second chunk's rows match one-row evaluations bit for bit
+        key64 = montecarlo._stream_key(9, 1, (), variant=2)
+        trials = range(chunk, chunk + 50)
+        seqs = [sample_sequence(model, 1, montecarlo._trial_generator(key64, t)) for t in trials]
+        batch = log_beta_paths(model, seqs)
+        for seq, row, record in zip(seqs, batch, long[chunk:]):
+            assert trajectory_finite(model, seq).log_beta == tuple(row.tolist())
+            assert record.stopped_log_beta == row[record.stop_index - 1]
 
     def test_finite_records_reproducible(self):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=6, grid=200)
