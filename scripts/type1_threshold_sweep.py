@@ -15,6 +15,7 @@ import csv
 import sys
 
 from optstop.cli import exit_code
+from optstop.core import rewrite
 from optstop.models import CauchyEffect, InvariantModelPair
 from optstop.montecarlo import estimate_type1, run_trials
 from optstop.stopping import BfThreshold
@@ -49,7 +50,7 @@ def sweep(args: argparse.Namespace) -> int:
                 f"{'ok' if est.passed else 'VIOLATION'}"
             )
 
-    with open(args.out, "w", newline="") as fh:
+    with rewrite(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["g", "alpha", "rate", "wilson_lo", "wilson_hi", "bounded"])
         for row in rows:

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional
 import numpy as np
 
 from . import exact, montecarlo
-from .core import SignificanceLevel
+from .core import SignificanceLevel, rewrite
 from .errors import OptstopError
 from .models import CauchyEffect, InvariantModelPair, PointMass
 from .stopping import BfThreshold, FixedN, check_invariance, rule_from_params, sum_squares_rule
@@ -147,10 +147,10 @@ def _fmt(x: float) -> float:
 
 def _write_outputs(out_dir: str, summary: dict, verdict_lines: List[str]) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+    with rewrite(os.path.join(out_dir, "summary.json")) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(out_dir, "verdict.txt"), "w") as fh:
+    with rewrite(os.path.join(out_dir, "verdict.txt")) as fh:
         fh.write("\n".join(verdict_lines) + "\n")
 
 
@@ -230,7 +230,7 @@ def _run_exact_markov(cfg: ExperimentConfig, seed: int, out_dir: str):
     table = exact.build_table(model, BfThreshold(upper=1.0 / strictest, cap=model.horizon))
     rows = exact.verify_markov_bound(table, levels)
     passed = all(chk.bound_holds for chk in rows)
-    with open(os.path.join(out_dir, "records.csv"), "w", newline="") as fh:
+    with rewrite(os.path.join(out_dir, "records.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "crossing_probability", "bound_holds"])
         for chk in rows:
@@ -454,7 +454,7 @@ def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
                 f"{name}: counterexample {'found' if ok else 'NOT found'}{detail} -> "
                 f"{'PASS' if ok else 'FAIL'}"
             )
-    with open(os.path.join(out_dir, "records.csv"), "w", newline="") as fh:
+    with rewrite(os.path.join(out_dir, "records.csv"), newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["rule", "declared_invariant", "trials", "mismatches", "skipped_boundary",

@@ -3,15 +3,18 @@
 Everything here works in natural-log space: Bayes factors grow or decay
 geometrically with the sample size, so linear-space products overflow
 long before the horizons used elsewhere in the package.  All types are
-immutable values and all operations are pure functions.
+immutable values and all operations are pure functions, apart from
+:func:`rewrite`, the one way the package writes an output file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import os
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -169,3 +172,21 @@ def stop(traj: BfTrajectory, rule, data: Sequence) -> StopOutcome:
         if rule.decide(data[:n], traj.value_at(n)):
             return StopOutcome(stop_index=n, stopped_log_beta=traj.value_at(n))
     return StopOutcome(stop_index=NEVER)
+
+
+@contextlib.contextmanager
+def rewrite(path, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """Open ``path`` to write text that replaces its contents.
+
+    As ``open(path, "w", newline=newline)``, except that an existing file
+    is overwritten in place and truncated only at the end of the new
+    text, never to zero first: on ext4 (default ``auto_da_alloc``)
+    truncating a file that holds data to zero makes its close start
+    writing the new blocks out, so every rerun into the same directory
+    would wait on the disk.  A new file gets mode 0o666 less the umask,
+    symlinks are followed, and a file that cannot be opened for writing
+    raises the same ``OSError`` as ``open``.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+        yield fh
+        fh.truncate()

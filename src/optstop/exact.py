@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import BfTrajectory, SignificanceLevel
+from .core import BfTrajectory, SignificanceLevel, rewrite
 from .errors import ResourceLimitError
 from .stopping import BfThreshold, FixedN, RawStatistic, StoppingRule
 
@@ -82,11 +82,11 @@ class FiniteModel:
         for name, comps in (("H0", self.components0), ("H1", self.components1)):
             if not comps:
                 raise ValueError(f"{name} needs at least one component")
+            if not all(0 < w < math.inf for w, _ in comps):  # NaN fails too
+                raise ValueError("prior weights must be positive and finite")
             total = math.fsum(w for w, _ in comps)
             if abs(total - 1.0) > _PROB_TOL:
                 raise ValueError(f"{name} prior weights sum to {total}, expected 1")
-            if any(w <= 0 for w, _ in comps):
-                raise ValueError("prior weights must be positive")
             mixtures.append(self._prepare(comps))
         object.__setattr__(self, "_mixtures", tuple(mixtures))
 
@@ -110,6 +110,8 @@ class FiniteModel:
 
     def _check_probs(self, p: np.ndarray) -> None:
         """Full support and unit sums for K masses or a stack of rows of K."""
+        if not np.all(np.isfinite(p)):
+            raise ValueError("conditional masses must be finite")
         if np.any(p <= 0.0):
             raise ValueError("full support required: zero conditional mass found")
         sums = np.atleast_1d(p.sum(axis=-1))
@@ -283,7 +285,7 @@ class ExactTable:
         return math.fsum(e.mass1 for e in self.entries.values())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with rewrite(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sequence", "mass0", "mass1", "log_beta", "stop_index"])
             for e in self.entries.values():

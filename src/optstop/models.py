@@ -51,7 +51,6 @@ from typing import Tuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, log_ndtr
 
 from .errors import SingularInputError
 from .groups import LOCATION_SCALE, SCALE, GroupElement, LocationScaleGroup, ScaleGroup
@@ -121,6 +120,11 @@ def log_m(k: int, b: float) -> float:
     within a few steps; that branch integrates the (log-concave)
     integrand directly in log space instead.
     """
+    # scipy.special is imported where it is used, here and in two other
+    # functions: importing it more than doubles the package's import time,
+    # and the Cauchy Bayes factors never need it
+    from scipy.special import gammaln, log_ndtr
+
     if k < 0:
         raise ValueError(f"order k must be >= 0, got {k}")
     if b == 0.0:
@@ -240,6 +244,8 @@ def _cauchy_log_bf_xi(n, xi, r: float) -> np.ndarray:
 
 def _pointmass_log_bf(n: int, t_signed: float, delta0: float) -> float:
     """log Bayes factor for the scale pair with a point-mass effect."""
+    from scipy.special import gammaln
+
     if delta0 == 0.0:
         return 0.0  # identical hypotheses, exactly
     b = delta0 * math.sqrt(2.0 * n) * t_signed
@@ -299,6 +305,8 @@ class InvariantModelPair:
 
     def log_marginal_null(self, x) -> float:
         """Log marginal likelihood of the null with the right Haar prior."""
+        from scipy.special import gammaln
+
         x = self._validate(x)
         n = x.size
         if self.is_scale:

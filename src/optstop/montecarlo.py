@@ -6,7 +6,14 @@ Reproducibility model
     in one key word and the trial index in the other.  A trial's draws
     are therefore a pure function of (seed, configuration, trial index):
     neither the block layout nor which trials ran before it can change a
-    single record.  Blocks of trials run one after another and their
+    single record.  A block builds one Philox generator and re-keys it
+    for each trial (counter 0, empty buffer: the state a freshly built
+    ``Philox(key=[key, trial])`` starts in), then makes all of the
+    trial's draws up front: its effect or posterior state, and one normal
+    per observation up to the cap.  The rare trial whose initial sample
+    falls in the excluded set is re-keyed again, replays those draws and
+    continues its own stream for the replacement.  Blocks hold at most
+    ``DRAW_BUFFER_BYTES`` of draws and run one after another; their
     records are concatenated in trial order.
 
 Trajectory evaluation
@@ -19,7 +26,9 @@ Trajectory evaluation
     every stopping decision thresholds the same deterministic function
     of the maximal invariant and no trial leaves the vectorized path.
     The rule decides for the whole block from the running state
-    (``StoppingRule.decide_batch``).
+    (``StoppingRule.decide_batch``); for a rule that does not read log
+    beta (``uses_log_beta`` False) the tables are evaluated only on the
+    trials it stops.
 
 Pass criteria
     Calibration checks bin stopped values into equal-count bins and
@@ -41,13 +50,16 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import NEVER, BfTrajectory, SignificanceLevel, stop
+from .core import NEVER, BfTrajectory, SignificanceLevel, rewrite, stop
 from .exact import FiniteModel, log_beta_paths, sample_sequence
 from .groups import GroupElement
 from .models import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
 from .stopping import StoppingRule
 
 BLOCK_SIZE = 8192
+# a block's draws, (trials x draws per trial) doubles, take at most this;
+# a long cap gets fewer trials per block (block layout never changes a record)
+DRAW_BUFFER_BYTES = 64 * 2**20
 # (trials x components) likelihood cells per finite-model chunk: 8 MB of doubles
 FINITE_CHUNK_CELLS = 2**20
 DEFAULT_BINS = 30
@@ -79,9 +91,27 @@ def _stream_key(seed: int, k: int, g_components: Sequence[float], variant: int) 
     return int.from_bytes(h.digest(), "little")
 
 
-def _trial_generator(key64: int, trial: int) -> np.random.Generator:
-    key = np.array([key64 & _MASK64, trial & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _TrialStreams:
+    """Every trial's Philox stream, served by one re-keyed generator.
+
+    ``at(trial)`` puts the bit generator in the state that
+    ``Philox(key=[key64, trial])`` starts in (counter 0, empty buffer) and
+    returns the generator, whose draws are then exactly that trial's
+    stream until the next ``at``.  Constructing a Philox also seeds a
+    ``SeedSequence`` from the OS that a given key leaves unused, which
+    costs more than ten times the re-keying.
+    """
+
+    def __init__(self, key64: int) -> None:
+        self._bitgen = np.random.Philox(key=np.array([key64 & _MASK64, 0], dtype=np.uint64))
+        self._state = self._bitgen.state
+        self._key = self._state["state"]["key"]
+        self._gen = np.random.Generator(self._bitgen)
+
+    def at(self, trial: int) -> np.random.Generator:
+        self._key[1] = trial & _MASK64
+        self._bitgen.state = self._state
+        return self._gen
 
 
 _curves_cache: dict = {}
@@ -115,28 +145,29 @@ def _run_block(
 ) -> List[TrialRecord]:
     """Run trials [lo, hi) in lockstep and return their records in order."""
     size = hi - lo
-    gens = [_trial_generator(key64, t) for t in range(lo, hi)]
-
     marginal = x_init is not None
     if marginal:
-        states = [pair._posterior_predictive_state(k, x_init, gen) for gen in gens]
-        a = np.array([s for s, _ in states])
-        b = 0.0
-        delta = np.array([d for _, d in states])
+        a, b = np.empty(size), 0.0  # the posterior-drawn nuisance value, one per trial
+    elif pair.is_scale:
+        a, b = float(g), 0.0
     else:
-        if k == 1:
-            delta = np.array([pair.effect_prior.draw(gen) for gen in gens])
-        else:
-            delta = np.zeros(size)
-        if pair.is_scale:
-            a, b = float(g), 0.0
-        else:
-            a, b = float(g[0]), float(g[1])
+        a, b = float(g[0]), float(g[1])
+    delta = np.zeros(size)
+    draws = np.empty((size, _draws_per_trial(rule, marginal)))
+    streams = _TrialStreams(key64)
 
-    n_draws = rule.cap - (1 if marginal else 0)
-    draws = np.empty((size, n_draws))
-    for i, gen in enumerate(gens):
-        draws[i] = gen.standard_normal(n_draws)
+    def draw(i: int) -> np.random.Generator:
+        """Key trial lo + i's stream and make its leading draws into row i."""
+        gen = streams.at(lo + i)
+        if marginal:
+            a[i], delta[i] = pair._posterior_predictive_state(k, x_init, gen)
+        elif k == 1:
+            delta[i] = pair.effect_prior.draw(gen)
+        gen.standard_normal(out=draws[i])
+        return gen
+
+    for i in range(size):
+        draw(i)
 
     s1 = np.empty(size)
     s2 = np.empty(size)
@@ -144,12 +175,29 @@ def _run_block(
         s1[:] = x_init
         s2[:] = x_init * x_init
     else:
+        # The excluded initial samples (x_1 = 0; x_2 = x_1 for location-scale)
+        # have probability zero.  A trial that hits one replays its stream and
+        # continues it: the next draw replaces the column in place.
         x1 = a * (delta + draws[:, 0]) + b
-        for i in np.nonzero(x1 == 0.0)[0]:
-            while x1[i] == 0.0:  # excluded set has probability zero; redraw
-                x1[i] = a * (delta[i] + float(gens[i].standard_normal())) + b
+        excluded = x1 == 0.0
+        if not pair.is_scale:
+            excluded |= a * (delta + draws[:, 1]) + b == x1
+        for i in np.nonzero(excluded)[0].tolist():
+            gen = draw(i)
+            while a * (delta[i] + draws[i, 0]) + b == 0.0:
+                draws[i, 0] = gen.standard_normal()
+            x1[i] = a * (delta[i] + draws[i, 0]) + b
+            while not pair.is_scale and a * (delta[i] + draws[i, 1]) + b == x1[i]:
+                draws[i, 1] = gen.standard_normal()
         s1[:] = x1
         s2[:] = x1 * x1
+
+    def log_beta(n: int, rows: np.ndarray) -> np.ndarray:
+        if curves is None:
+            return np.zeros(rows.size)
+        q = s1[rows] ** 2 / (n * s2[rows])
+        np.clip(q, 0.0, 1.0, out=q)
+        return curves.log_bf_batch(n, q, np.copysign(np.sqrt(q), s1[rows])) - lb_offset
 
     active = np.ones(size, dtype=bool)
     stop_n = np.zeros(size, dtype=np.int64)
@@ -161,34 +209,24 @@ def _run_block(
         act = np.nonzero(active)[0]
         if act.size == 0:
             break
-        scale_act = a[act] if isinstance(a, np.ndarray) else a
+        scale_act = a[act] if marginal else a
         xn = scale_act * (delta[act] + draws[act, n - col0]) + b
-        if n == 2 and not pair.is_scale:
-            clash = np.nonzero(xn == s1[act])[0]
-            for j in clash:
-                i = act[j]
-                while xn[j] == s1[i]:
-                    xn[j] = a * (delta[i] + float(gens[i].standard_normal())) + b
         s1[act] += xn
         s2[act] += xn * xn
         if n <= m:
             continue
-        if curves is not None:
-            q = s1[act] ** 2 / (n * s2[act])
-            np.clip(q, 0.0, 1.0, out=q)
-            lb = curves.log_bf_batch(n, q, np.copysign(np.sqrt(q), s1[act])) - lb_offset
-        else:
-            lb = np.zeros(act.size)
+        # a rule that does not read log beta gets it only on the rows it stops
+        lb = log_beta(n, act) if rule.uses_log_beta else None
         mask = rule.decide_batch(n, lb, s2[act])
         if np.any(mask):
             hit = act[mask]
             stop_n[hit] = n
-            stop_lb[hit] = lb[mask]
+            stop_lb[hit] = lb[mask] if lb is not None else log_beta(n, hit)
             active[hit] = False
 
     g_values: Sequence
     if marginal:
-        g_values = a  # the posterior-drawn nuisance value, one per trial
+        g_values = a
     elif pair.is_scale:
         g_values = [float(g)] * size
     else:
@@ -206,10 +244,17 @@ def _run_block(
     ]
 
 
-def _run_blocks(fn, n_trials: int) -> List[TrialRecord]:
+def _draws_per_trial(rule: StoppingRule, marginal: bool) -> int:
+    """Normal draws each trial makes up front: one per observation up to the cap."""
+    return rule.cap - (1 if marginal else 0)
+
+
+def _run_blocks(fn, n_trials: int, n_draws: int) -> List[TrialRecord]:
+    """Concatenate ``fn(lo, hi)`` over blocks whose draws fit DRAW_BUFFER_BYTES."""
+    rows = max(1, min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * n_draws)))
     records: List[TrialRecord] = []
-    for lo in range(0, n_trials, BLOCK_SIZE):
-        records.extend(fn(lo, min(lo + BLOCK_SIZE, n_trials)))
+    for lo in range(0, n_trials, rows):
+        records.extend(fn(lo, min(lo + rows, n_trials)))
     return records
 
 
@@ -258,7 +303,7 @@ def run_trials(
     def block(lo: int, hi: int) -> List[TrialRecord]:
         return _run_block(pair, curves, k, g, rule, key64, lo, hi, seed, None, 0.0)
 
-    return _run_blocks(block, n_trials)
+    return _run_blocks(block, n_trials, _draws_per_trial(rule, False))
 
 
 def run_marginal_trials(
@@ -295,7 +340,7 @@ def run_marginal_trials(
     def block(lo: int, hi: int) -> List[TrialRecord]:
         return _run_block(pair, curves, k, None, rule, key64, lo, hi, seed, x_init, lb_offset)
 
-    return _run_blocks(block, n_trials)
+    return _run_blocks(block, n_trials, _draws_per_trial(rule, True))
 
 
 def _finite_chunk(model: FiniteModel) -> int:
@@ -322,12 +367,12 @@ def run_trials_finite(
         raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
     if rule.cap > model.horizon:
         raise ValueError("rule must cap at or before the model horizon")
-    key64 = _stream_key(seed, k, (), variant=2)
+    streams = _TrialStreams(_stream_key(seed, k, (), variant=2))
     chunk = _finite_chunk(model)
     records = []
     for lo in range(0, n_trials, chunk):
         trials = range(lo, min(lo + chunk, n_trials))
-        seqs = [sample_sequence(model, k, _trial_generator(key64, t)) for t in trials]
+        seqs = [sample_sequence(model, k, streams.at(t)) for t in trials]
         for trial, seq, path in zip(trials, seqs, log_beta_paths(model, seqs).tolist()):
             outcome = stop(BfTrajectory(m=0, log_beta=path), rule, seq)
             assert outcome.stop_index is not NEVER  # cap <= horizon forces a stop
@@ -579,7 +624,7 @@ def _format_g(g) -> str:
 
 
 def records_to_csv(records: Sequence[TrialRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with rewrite(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "g", "stop_index", "stopped_log_beta", "seed", "trial"])
         for r in records:

@@ -46,6 +46,7 @@ class StoppingRule:
 
     cap: int
     declared_invariant: ClassVar[bool]
+    # False: the decision never reads log beta, so callers may pass None
     uses_log_beta: ClassVar[bool] = False
 
     def decide(self, prefix, log_beta: Optional[float] = None) -> bool:
@@ -54,15 +55,18 @@ class StoppingRule:
             return True
         return bool(self._fires(prefix, log_beta))
 
-    def decide_batch(self, n: int, log_beta: np.ndarray, sum_sq: np.ndarray) -> np.ndarray:
+    def decide_batch(
+        self, n: int, log_beta: Optional[np.ndarray], sum_sq: np.ndarray
+    ) -> np.ndarray:
         """``decide`` for a vector of prefixes that all have length n.
 
         Element i is the decision for the prefix whose log Bayes factor
         is ``log_beta[i]`` and whose sum of squares is ``sum_sq[i]``.
+        ``log_beta`` may be None when ``uses_log_beta`` is False.
         """
         if n >= self.cap:
-            return np.ones(np.shape(log_beta), dtype=bool)
-        return np.broadcast_to(self._fires_at(n, log_beta, sum_sq), np.shape(log_beta))
+            return np.ones(np.shape(sum_sq), dtype=bool)
+        return np.broadcast_to(self._fires_at(n, log_beta, sum_sq), np.shape(sum_sq))
 
     def check_start(self, m: int) -> None:
         """Reject the rule if it cannot decide after an initial sample of size m."""

@@ -123,6 +123,51 @@ class TestByteIdenticalOutputs:
             assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
 
 
+OUTPUTS = ("records.csv", "summary.json", "verdict.txt")
+
+
+class TestRewrite:
+    """Outputs are overwritten in place; the bytes left are exactly the new ones."""
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("exact-markov", "horizon = 8\nalpha = 0.05, 0.1\nprior_grid = 500\n"),
+            ("exact-calibration", "horizon = 6\nprior_grid = 500\nrule_upper = 3\n"),
+            ("mc-type1", "alpha = 0.05\ng = 1\nn_trials = 300\nrule_cap = 30\n"),
+        ],
+    )
+    def test_longer_previous_outputs_are_replaced(self, kind, text, tmp_path, capsys):
+        cfg = write(tmp_path / "r.cfg", text)
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        reused.mkdir()
+        for name in OUTPUTS:
+            (reused / name).write_bytes(b"stale line that is longer than any output\n" * 5000)
+        for out in (fresh, reused):
+            assert main([kind, "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        for name in OUTPUTS:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("obstacle", ["read-only file", "directory"])
+    def test_unwritable_output_exits_one(self, obstacle, tmp_path, capsys):
+        cfg = write(tmp_path / "m.cfg", "horizon = 8\nalpha = 0.05\nprior_grid = 500\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / "summary.json"
+        if obstacle == "directory":
+            target.mkdir()
+        else:
+            target.write_text("old\n")
+            target.chmod(0o444)
+            if os.access(target, os.W_OK):
+                pytest.skip("this process may write read-only files (superuser)")
+        code = main(["exact-markov", "--config", cfg, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: I/O failure on {target}")
+        if obstacle != "directory":
+            assert target.read_text() == "old\n"
+
+
 class TestEntryPoint:
     def test_console_script_help(self):
         proc = subprocess.run(
@@ -130,6 +175,12 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "experiment" in proc.stdout
+
+    def test_import_leaves_scipy_special_unloaded(self):
+        code = "import sys, optstop, optstop.cli; print('scipy.special' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")

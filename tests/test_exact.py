@@ -86,11 +86,24 @@ class TestModelValidation:
             ([0.2, 0.3, 0.5], "conditional must have 2 entries"),
             ([0.0, 1.0], "full support required: zero conditional mass found"),
             ([0.5, 0.6], r"conditional masses sum to 1\.1\d*, expected 1"),
+            ([math.nan, 0.5], "conditional masses must be finite"),
+            ([math.inf, 0.5], "conditional masses must be finite"),
         ],
     )
     def test_last_bad_component_of_many_is_reported(self, last, message):
         with pytest.raises(ValueError, match=message):
             self.grid_model(last)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.0])
+    def test_non_finite_or_nonpositive_weight_rejected(self, bad):
+        fair = [0.5, 0.5]
+        for comps in ([(bad, fair)], [(bad, fair), (1.0, fair)]):
+            with pytest.raises(ValueError, match="prior weights must be positive and finite"):
+                FiniteModel.iid(4, [(1.0, fair)], comps)
+
+    def test_non_finite_mass_rejected_on_both_hypotheses(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            FiniteModel.iid(4, [(1.0, [math.nan, 0.5])], [(1.0, [0.5, 0.5])])
 
     def test_valid_grid_model_is_iid(self):
         model = self.grid_model([0.5, 0.5])
@@ -126,6 +139,16 @@ class TestCallableComponents:
         assert abs(est.rate - chk.probability) <= 3.5 * max(est.se, 1e-4)
         bf = estimate_stopped_bf_mean(records)
         assert abs(bf.mean - 1.0) <= 3.5 * bf.se
+
+    def test_non_finite_mass_rejected(self):
+        def broken(prefix):
+            return [math.nan, 0.5] if len(prefix) == 2 else laplace_succession(prefix)
+
+        model = laplace_model(4, broken)
+        with pytest.raises(ValueError, match="conditional masses must be finite"):
+            trajectory_finite(model, (0, 1, 1))
+        with pytest.raises(ValueError, match="conditional masses must be finite"):
+            build_table(model, FixedN(n=4, cap=4))
 
     def test_zero_mass_rejected(self):
         def degenerate(prefix):

@@ -14,7 +14,7 @@ from optstop.exact import (
     verify_markov_bound,
 )
 from optstop import montecarlo
-from optstop.models import CauchyEffect, InvariantModelPair, PointMass
+from optstop.models import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
 from optstop.montecarlo import (
     estimate_marginal_calibration,
     estimate_stopped_bf_mean,
@@ -26,10 +26,15 @@ from optstop.montecarlo import (
     run_trials_finite,
     wilson_interval,
 )
-from optstop.stopping import BfThreshold, FixedN
+from optstop.stopping import BfThreshold, FixedN, SumOfSquares
 
 CAUCHY = InvariantModelPair.scale(CauchyEffect(1.0))
 POINT0 = InvariantModelPair.scale(PointMass(0.0))
+
+
+def fresh_stream(key64, trial):
+    """Trial ``trial``'s stream, built from scratch as the module docstring states it."""
+    return np.random.Generator(np.random.Philox(key=np.array([key64, trial], dtype=np.uint64)))
 
 
 class TestRunTrials:
@@ -60,6 +65,30 @@ class TestRunTrials:
         b = run_trials(CAUCHY, 0, 1.3, rule, 20_000, seed=5)
         assert a == b
 
+    def test_draw_buffer_budget_only_changes_block_layout(self, monkeypatch):
+        rule = BfThreshold(upper=4.0, lower=0.25, cap=40)
+        a = run_trials(CAUCHY, 1, 1.3, rule, 2_000, seed=5)
+        am = run_marginal_trials(CAUCHY, 1, [0.8], rule, 2_000, seed=5)
+        blocks = []
+        run_block = montecarlo._run_block
+
+        def spy(pair, curves, k, g, rule, key64, lo, hi, *rest):
+            blocks.append(hi - lo)
+            return run_block(pair, curves, k, g, rule, key64, lo, hi, *rest)
+
+        monkeypatch.setattr(montecarlo, "_run_block", spy)
+        monkeypatch.setattr(montecarlo, "DRAW_BUFFER_BYTES", 8 * 40 * 300)
+        assert run_trials(CAUCHY, 1, 1.3, rule, 2_000, seed=5) == a
+        assert blocks == [300] * 6 + [200]
+        blocks.clear()
+        assert run_marginal_trials(CAUCHY, 1, [0.8], rule, 2_000, seed=5) == am
+        assert blocks == [307] * 6 + [158]  # 39 draws per trial after x_1
+
+    def test_default_budget_keeps_full_blocks_at_benchmark_caps(self):
+        for cap in (100, 200, 1000):
+            rows = montecarlo.DRAW_BUFFER_BYTES // (8 * cap)
+            assert rows >= montecarlo.BLOCK_SIZE
+
     def test_trials_differ_across_seeds_and_g(self):
         rule = FixedN(n=6, cap=10)
         a = run_trials(CAUCHY, 0, 1.0, rule, 50, seed=1)
@@ -78,6 +107,99 @@ class TestRunTrials:
         records = run_trials(pair, 1, (1.5, -1.0), FixedN(n=6, cap=10), 100, seed=3)
         assert all(r.stop_index == 6 for r in records)
         assert all(r.stopped_log_beta == 0.0 for r in records)
+
+
+class SumSquaresSpy(SumOfSquares):
+    """Never fires before the cap; keeps each step's sum of squares by n."""
+
+    seen: dict = {}
+
+    def _fires_at(self, n, log_beta, sum_sq):
+        SumSquaresSpy.seen[n] = np.array(sum_sq)
+        return False
+
+
+class LeadingDraws:
+    """A trial's generator whose vector of normal draws starts with ``lead``."""
+
+    def __init__(self, gen, lead):
+        self._gen, self._lead = gen, lead
+
+    def standard_normal(self, size=None, out=None):
+        if size is None and out is None:
+            return self._gen.standard_normal()  # a redraw: the stream's next value
+        z = self._gen.standard_normal(size, out=out)
+        z[: len(self._lead)] = self._lead
+        return z
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+class TestStreamContract:
+    """A trial's draws are those of Generator(Philox(key=[key64, trial]))."""
+
+    def reference_stop(self, pair, k, g, rule, seed, trial, lead=()):
+        """Stop index and stopped log beta of one trial, recomputed from its stream."""
+        gen = fresh_stream(montecarlo._stream_key(seed, k, (g,), variant=0), trial)
+        delta = pair.effect_prior.draw(gen) if k == 1 else 0.0
+        z = gen.standard_normal(rule.cap)
+        z[: len(lead)] = lead
+        while g * (delta + z[0]) == 0.0:
+            z[0] = gen.standard_normal()
+        x = g * (delta + z)
+        s1, s2 = np.cumsum(x), np.cumsum(x * x)
+        curves = ScaleBfCurves(pair)
+        for n in range(2, rule.cap + 1):
+            q = min(max(s1[n - 1] ** 2 / (n * s2[n - 1]), 0.0), 1.0)
+            t = math.copysign(math.sqrt(q), s1[n - 1])
+            lb = float(curves.log_bf_batch(n, np.array([q]), np.array([t]))[0])
+            if rule.decide(x[:n], lb):
+                return n, lb
+
+    @pytest.mark.parametrize(
+        "k, rule", [(1, BfThreshold(upper=5.0, lower=0.2, cap=40)), (0, FixedN(n=25, cap=40))]
+    )
+    def test_records_match_fresh_streams(self, k, rule):
+        records = run_trials(CAUCHY, k, 0.7, rule, 300, seed=11)
+        for trial in (0, 1, 57, 299):
+            expected = self.reference_stop(CAUCHY, k, 0.7, rule, 11, trial)
+            assert (records[trial].stop_index, records[trial].stopped_log_beta) == expected
+
+    def patch_trial(self, monkeypatch, trial, lead):
+        at = montecarlo._TrialStreams.at
+
+        def patched(self, t):
+            gen = at(self, t)
+            return LeadingDraws(gen, lead) if t == trial else gen
+
+        monkeypatch.setattr(montecarlo._TrialStreams, "at", patched)
+
+    def test_x1_zero_redraws_from_the_trials_own_stream(self, monkeypatch):
+        pair = InvariantModelPair.scale(PointMass(0.5))
+        rule = BfThreshold(upper=5.0, lower=0.2, cap=20)
+        before = run_trials(pair, 1, 1.3, rule, 40, seed=2)
+        self.patch_trial(monkeypatch, 17, [-0.5])  # x_1 = 1.3 * (0.5 - 0.5) = 0
+        after = run_trials(pair, 1, 1.3, rule, 40, seed=2)
+        assert after[:17] + after[18:] == before[:17] + before[18:]
+        expected = self.reference_stop(pair, 1, 1.3, rule, 2, 17, lead=[-0.5])
+        assert (after[17].stop_index, after[17].stopped_log_beta) == expected
+        assert after[17] != before[17]
+
+    def test_location_scale_clash_redraws_from_the_trials_own_stream(self, monkeypatch):
+        pair = InvariantModelPair.location_scale(PointMass(0.3))
+        g, rule, trial = (1.5, -1.0), SumSquaresSpy(threshold=1.0, cap=4), 5
+        self.patch_trial(monkeypatch, trial, [0.7, 0.7])  # x_2 = x_1 = 0.5
+        run_trials(pair, 1, g, rule, 10, seed=4)
+        gen = fresh_stream(montecarlo._stream_key(4, 1, g, variant=0), trial)
+        z = gen.standard_normal(rule.cap)
+        z[:2] = 0.7
+        x1 = g[0] * (0.3 + z[0]) + g[1]
+        while g[0] * (0.3 + z[1]) + g[1] == x1:
+            z[1] = gen.standard_normal()
+        assert z[1] != 0.7
+        x = g[0] * (0.3 + z) + g[1]
+        assert SumSquaresSpy.seen[3][trial] == x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
 
 
 class TestEstimators:
@@ -204,7 +326,7 @@ class TestFiniteCrossCheck:
         # the second chunk's rows match one-row evaluations bit for bit
         key64 = montecarlo._stream_key(9, 1, (), variant=2)
         trials = range(chunk, chunk + 50)
-        seqs = [sample_sequence(model, 1, montecarlo._trial_generator(key64, t)) for t in trials]
+        seqs = [sample_sequence(model, 1, fresh_stream(key64, t)) for t in trials]
         batch = log_beta_paths(model, seqs)
         for seq, row, record in zip(seqs, batch, long[chunk:]):
             assert trajectory_finite(model, seq).log_beta == tuple(row.tolist())
