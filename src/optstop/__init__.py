@@ -22,7 +22,7 @@ from .core import (
     posterior_odds,
     stop,
 )
-from .errors import OptstopError, QuadratureError, ResourceLimitError, SingularInputError
+from .errors import OptstopError, ResourceLimitError, SingularInputError
 from .groups import LOCATION_SCALE, SCALE, LocationScaleGroup, ScaleGroup
 from .models import (
     CauchyEffect,
@@ -44,7 +44,7 @@ from .stopping import (
     sum_squares_rule,
 )
 
-from . import exact, montecarlo, quadrature  # noqa: E402  (submodule access)
+from . import exact, montecarlo  # noqa: E402  (submodule access)
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "posterior_odds",
     "stop",
     "OptstopError",
-    "QuadratureError",
     "ResourceLimitError",
     "SingularInputError",
     "SCALE",

@@ -9,17 +9,5 @@ class SingularInputError(OptstopError, ValueError):
     """Input lies in the excluded (measure-zero) set of a model."""
 
 
-class QuadratureError(OptstopError, ArithmeticError):
-    """Numerical integration failed to converge.
-
-    Carries the last error estimate so callers can decide whether the
-    partial result is still usable.
-    """
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual estimate {residual:.3e})")
-        self.residual = residual
-
-
 class ResourceLimitError(OptstopError, RuntimeError):
     """A configured resource budget would be exceeded."""

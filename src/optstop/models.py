@@ -23,9 +23,10 @@ Scale group (one-sample location test, m = 1)
     one-dimensional integral over the mixing variance.  For a point-mass
     effect the sigma integral reduces to M_k(b) = integral of
     u^k exp(-u^2 + b*u) over u > 0 with k = n-1 and b = delta0 *
-    sqrt(2n) * t, t = sign(xbar) * sqrt(q); M_k satisfies a stable
-    log-space recurrence for b >= 0 and is integrated in log space for
-    b < 0, where the recurrence cancels catastrophically.
+    sqrt(2n) * t, t = sign(xbar) * sqrt(q).  Both effect priors leave
+    one log-integral of a unimodal integrand, and one vectorized
+    evaluator (``_log_integral``: a scan, a 46-nat bracket and fixed
+    Gauss-Legendre panels) computes it for whole arrays of points.
 
 Location-scale group (m = 2)
     The group (a, b): x -> a*x + b acts on the right; with the
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Tuple, Union
 
 import numpy as np
@@ -54,12 +56,10 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import SingularInputError
 from .groups import LOCATION_SCALE, SCALE, GroupElement, LocationScaleGroup, ScaleGroup
-from .quadrature import integrate_log
 
 LOG_2 = math.log(2.0)
 LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
-SQRT_2 = math.sqrt(2.0)
 Q_MAX = 1.0 - 2.0**-53  # largest double below 1
 XI_MIN = math.log1p(-Q_MAX)  # xi = log(1 - q) at the clamp
 
@@ -69,6 +69,10 @@ class PointMass:
     """All effect-size mass on a single value."""
 
     delta0: float
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.delta0):
+            raise ValueError(f"point-mass effect must be finite, got {self.delta0}")
 
     def draw(self, rng: np.random.Generator) -> float:
         return self.delta0
@@ -109,58 +113,6 @@ def _scale_stats(x: np.ndarray) -> Tuple[int, float, float, float]:
     return n, s, q, t
 
 
-def log_m(k: int, b: float) -> float:
-    """log of integral_0^infinity u^k exp(-u^2 + b*u) du.
-
-    b >= 0 uses the recurrence M_k = (b*M_{k-1} + (k-1)*M_{k-2})/2 in log
-    space, seeded by the error-function closed form for M_0 and the
-    identity M_1 = (b*M_0 + 1)/2.  All recurrence terms are positive, so
-    the log-space update is cancellation-free.  For b < 0 the same
-    recurrence subtracts nearly equal quantities and loses all precision
-    within a few steps; that branch integrates the (log-concave)
-    integrand directly in log space instead.
-    """
-    # scipy.special is imported where it is used, here and in two other
-    # functions: importing it more than doubles the package's import time,
-    # and the Cauchy Bayes factors never need it
-    from scipy.special import gammaln, log_ndtr
-
-    if k < 0:
-        raise ValueError(f"order k must be >= 0, got {k}")
-    if b == 0.0:
-        return float(gammaln(0.5 * (k + 1))) - LOG_2
-    l0 = 0.25 * b * b + 0.5 * LOG_PI + float(log_ndtr(b / SQRT_2))
-    if k == 0:
-        return l0
-    if b > 0.0:
-        log_b = math.log(b)
-        l1 = float(np.logaddexp(log_b + l0, 0.0)) - LOG_2
-        prev2, prev1 = l0, l1
-        for j in range(2, k + 1):
-            cur = float(np.logaddexp(log_b + prev1, math.log(j - 1) + prev2)) - LOG_2
-            prev2, prev1 = prev1, cur
-        return prev1
-
-    mode = (b + math.sqrt(b * b + 8.0 * k)) / 4.0
-
-    def g(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return k * np.log(u) - u * u + b * u
-
-    g_mode = float(g(np.array([mode]))[0])
-    drop = g_mode - 46.0
-    lo = mode
-    while lo > 1e-280 and float(g(np.array([lo * 0.5]))[0]) > drop:
-        lo *= 0.5
-    lo *= 0.5
-    step = max(mode, 1.0)
-    hi = mode + step
-    while float(g(np.array([hi]))[0]) > drop:
-        step *= 2.0
-        hi = mode + step
-    return integrate_log(g, lo, hi, rtol=1e-13)
-
-
 def _cauchy_log_bf(n: int, q: float, r: float) -> float:
     """log Bayes factor for the scale pair with a Cauchy(0, r) effect."""
     if n == 1:
@@ -188,39 +140,34 @@ def _cauchy_phi(ell: np.ndarray, n, xi, r: float) -> np.ndarray:
     )
 
 
-_SCAN_POINTS = 129
-_PANELS = 24
+_SCAN = np.linspace(0.0, 1.0, 129)
+_SHARES = np.linspace(0.0, 1.0, 25)  # 24 panels
 _GL_X, _GL_W = leggauss(16)
 _CHUNK = 256  # points per pass: keeps the (points x nodes) temporaries near 1 MB
 
 
-def _cauchy_log_bf_xi(n, xi, r: float) -> np.ndarray:
-    """log Bayes factor at n >= 2 and xi = log(1 - q), over broadcast arrays.
+def _log_integral(phi, lo, hi, *params) -> np.ndarray:
+    """log of the integral of exp(phi(s, *params)) over s, over broadcast arrays.
 
-    The integrand phi decays double-exponentially on the left (prior mass
-    vanishes) and like exp(-l) on the right, and its only scales are the
-    prior one, v ~ r^2, and the likelihood one, v ~ 1/(n(1-q)).  For each
-    point a 129-point scan from 45 below the prior scale to 60 above the
-    larger scale finds the peak; the bracket is the scan range within 46
+    ``phi`` is called with a (points x abscissae) array and each parameter
+    as a column; it must be unimodal in s and fall at least 46 nats below
+    its peak inside each point's scan range [lo, hi].  A 129-point scan
+    of that range finds the peak; the bracket is the scan range within 46
     nats of it, widened by one scan step each side.  Composite 16-node
     Gauss-Legendre panels cover the bracket, 24 of them, each taking an
     equal share of phi's variation (clipped at the bracket floor) plus
     twice its length, so steep flanks get narrow panels and flat
-    stretches still get several.  Parameterizing by xi keeps the
-    collinear tail (q -> 1) exact.
+    stretches still get several.
     """
-    n, xi = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(xi, dtype=float))
-    out = np.empty(n.shape)
-    n, xi = n.ravel(), xi.ravel()
-    l_prior = math.log(0.5 * r * r)
-    grid_lo = l_prior - 45.0
-    unit = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    shares = np.linspace(0.0, 1.0, _PANELS + 1)
-    for s in range(0, n.size, _CHUNK):
-        nc, xc = n[s : s + _CHUNK, None], xi[s : s + _CHUNK, None]
-        grid_hi = np.maximum(l_prior, -(np.log(nc) + xc)) + 60.0
-        ell = grid_lo + (grid_hi - grid_lo) * unit
-        vals = _cauchy_phi(ell, nc, xc, r)
+    lo, hi, *params = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lo, hi, *params)))
+    out = np.empty(lo.shape)
+    lo, hi, params = lo.ravel(), hi.ravel(), [p.ravel() for p in params]
+    for s in range(0, out.size, _CHUNK):
+        rows = slice(s, s + _CHUNK)
+        cols = [p[rows, None] for p in params]
+        grid_lo = lo[rows, None]
+        ell = grid_lo + (hi[rows, None] - grid_lo) * _SCAN
+        vals = phi(ell, *cols)
         peak = vals.max(axis=1, keepdims=True)
         floor = peak - 46.0
         live = np.maximum(vals[:, 1:], vals[:, :-1]) > floor
@@ -229,27 +176,69 @@ def _cauchy_log_bf_xi(n, xi, r: float) -> np.ndarray:
         cum /= cum[:, -1:]
         # panel edges: the scan interval holding each share, then linear
         # interpolation inside it; the first edge is the last dead scan point
-        j = np.clip((cum[:, :, None] < shares).sum(axis=1) - 1, 0, _SCAN_POINTS - 2)
+        j = np.clip((cum[:, :, None] < _SHARES).sum(axis=1) - 1, 0, _SCAN.size - 2)
         c0, c1 = np.take_along_axis(cum, j, 1), np.take_along_axis(cum, j + 1, 1)
-        frac = np.clip((shares - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0, 1.0)
+        frac = np.clip((_SHARES - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0, 1.0)
         l0, l1 = np.take_along_axis(ell, j, 1), np.take_along_axis(ell, j + 1, 1)
         edges = l0 + frac * (l1 - l0)
         edges[:, 0] = np.take_along_axis(ell, np.argmax(cum > 0.0, axis=1)[:, None] - 1, 1)[:, 0]
         half = 0.5 * np.diff(edges, axis=1)
-        nodes = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_X)).reshape(nc.shape[0], -1)
-        f = np.exp(_cauchy_phi(nodes, nc, xc, r) - peak).reshape(nc.shape[0], _PANELS, -1)
-        out.flat[s : s + _CHUNK] = peak[:, 0] + np.log(((f * _GL_W).sum(axis=2) * half).sum(axis=1))
+        nodes = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_X)).reshape(ell.shape[0], -1)
+        f = np.exp(phi(nodes, *cols) - peak).reshape(ell.shape[0], _SHARES.size - 1, -1)
+        out.flat[rows] = peak[:, 0] + np.log(((f * _GL_W).sum(axis=2) * half).sum(axis=1))
     return out
 
 
-def _pointmass_log_bf(n: int, t_signed: float, delta0: float) -> float:
-    """log Bayes factor for the scale pair with a point-mass effect."""
-    from scipy.special import gammaln
+def _cauchy_log_bf_xi(n, xi, r: float) -> np.ndarray:
+    """log Bayes factor at n >= 2 and xi = log(1 - q), over broadcast arrays.
 
+    The integrand phi decays double-exponentially on the left (prior mass
+    vanishes) and like exp(-l) on the right, and its only scales are the
+    prior one, v ~ r^2, and the likelihood one, v ~ 1/(n(1-q)).  The scan
+    runs from 45 below the prior scale to 60 above the larger scale.
+    Parameterizing by xi keeps the collinear tail (q -> 1) exact.
+    """
+    n, xi = np.asarray(n, dtype=float), np.asarray(xi, dtype=float)
+    l_prior = math.log(0.5 * r * r)
+    hi = np.maximum(l_prior, -(np.log(n) + xi)) + 60.0
+    return _log_integral(partial(_cauchy_phi, r=r), l_prior - 45.0, hi, n, xi)
+
+
+def _m_phi(s: np.ndarray, k, b) -> np.ndarray:
+    """log integrand of M_k(b) at s = log(u)."""
+    u = np.exp(s)
+    return (k + 1.0) * s - u * u + b * u
+
+
+def log_m(k, b) -> np.ndarray:
+    """log M_k(b), M_k(b) = integral over u > 0 of u^k exp(-u^2 + b*u), over broadcast arrays.
+
+    In s = log(u) the integrand exp((k+1)s - u^2 + b*u) has one mode, at
+    u* = (b + sqrt(b^2 + 8(k+1)))/4, with width w = 1/sqrt(2u*^2 + k + 1)
+    there.  From the mode, moving s right by d or u left by a fraction x
+    of u* drops the log integrand by at least d^2/(2w^2), respectively
+    x^2/(2w^2), and moving s left by d drops it by at least (k+1)(d - 1).
+    So the scan reaches at least 50 nats down on both sides: 12w above
+    log(u*), and below it the nearer of 1 + 50/(k+1) and -log(1 - 10w).
+    """
+    k, b = np.asarray(k, dtype=float), np.asarray(b, dtype=float)
+    root = np.sqrt(b * b + 8.0 * (k + 1.0))
+    # u*, written without cancellation for b < 0
+    mode = np.where(b < 0.0, 2.0 * (k + 1.0) / (root - b), 0.25 * (b + root))
+    width = 1.0 / np.sqrt(2.0 * mode * mode + k + 1.0)
+    with np.errstate(divide="ignore"):  # 10w >= 1: the log bound is infinite
+        left = np.minimum(1.0 + 50.0 / (k + 1.0), -np.log1p(-np.minimum(10.0 * width, 1.0)))
+    s_mode = np.log(mode)
+    return _log_integral(_m_phi, s_mode - left, s_mode + 12.0 * width, k, b)
+
+
+def _pointmass_log_bf(n: int, t_signed, delta0: float) -> np.ndarray:
+    """log Bayes factor for the scale pair with a point-mass effect, over an array of t."""
+    t_signed = np.asarray(t_signed, dtype=float)
     if delta0 == 0.0:
-        return 0.0  # identical hypotheses, exactly
+        return np.zeros_like(t_signed)  # identical hypotheses, exactly
     b = delta0 * math.sqrt(2.0 * n) * t_signed
-    return -0.5 * n * delta0 * delta0 + LOG_2 - float(gammaln(0.5 * n)) + log_m(n - 1, b)
+    return -0.5 * n * delta0 * delta0 + LOG_2 - math.lgamma(0.5 * n) + log_m(n - 1, b)
 
 
 @dataclass(frozen=True)
@@ -305,16 +294,14 @@ class InvariantModelPair:
 
     def log_marginal_null(self, x) -> float:
         """Log marginal likelihood of the null with the right Haar prior."""
-        from scipy.special import gammaln
-
         x = self._validate(x)
         n = x.size
         if self.is_scale:
             s = float(x @ x)
-            return float(gammaln(0.5 * n)) - LOG_2 - 0.5 * n * (LOG_PI + math.log(s))
+            return math.lgamma(0.5 * n) - LOG_2 - 0.5 * n * (LOG_PI + math.log(s))
         ss = float(np.sum((x - x.mean()) ** 2))
         return (
-            float(gammaln(0.5 * n))
+            math.lgamma(0.5 * n)
             - LOG_2
             - 0.5 * (n - 1) * LOG_2PI
             - 0.5 * math.log(n)
@@ -353,7 +340,7 @@ class InvariantModelPair:
             return _cauchy_log_bf(n, q, self.effect_prior.scale)
         # n = 1 included: beta_1 = 2*Phi(delta0 * sign(x1)), which is 1 only
         # for the symmetric priors
-        return _pointmass_log_bf(n, t_signed, self.effect_prior.delta0)
+        return float(_pointmass_log_bf(n, t_signed, self.effect_prior.delta0))
 
     # ---------------------------------------------------------------- sampling
 
@@ -477,20 +464,9 @@ class ScaleBfCurves:
         if cached is not None:
             return cached
         if isinstance(self._prior, CauchyEffect):
-            lo, hi = XI_MIN, 0.0
-            r = self._prior.scale
-
-            def f(coord: np.ndarray) -> np.ndarray:
-                return _cauchy_log_bf_xi(n, coord, r)
-
+            table = self._fit(partial(_cauchy_log_bf_xi, n, r=self._prior.scale), XI_MIN, 0.0)
         else:
-            lo, hi = -1.0, 1.0
-            d0 = self._prior.delta0
-
-            def f(coord: np.ndarray) -> np.ndarray:
-                return np.array([_pointmass_log_bf(n, float(t), d0) for t in coord])
-
-        table = self._fit(f, lo, hi)
+            table = self._fit(partial(_pointmass_log_bf, n, delta0=self._prior.delta0), -1.0, 1.0)
         self._tables[n] = table
         return table
 
@@ -528,8 +504,7 @@ class ScaleBfCurves:
         if n == 1:
             if isinstance(self._prior, CauchyEffect):
                 return np.zeros_like(q)
-            d0 = self._prior.delta0  # never on the hot path: decisions start at n=2
-            return np.array([_pointmass_log_bf(1, float(t), d0) for t in np.atleast_1d(t_signed)])
+            return _pointmass_log_bf(1, np.atleast_1d(t_signed), self._prior.delta0)
         edges, coeffs = self._table(n)
         if isinstance(self._prior, CauchyEffect):
             coord = np.log1p(-np.minimum(q, Q_MAX))  # same clamp as _cauchy_log_bf

@@ -53,7 +53,7 @@ import numpy as np
 from .core import NEVER, BfTrajectory, SignificanceLevel, rewrite, stop
 from .exact import FiniteModel, log_beta_paths, sample_sequence
 from .groups import GroupElement
-from .models import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
+from .models import InvariantModelPair, PointMass, ScaleBfCurves
 from .stopping import StoppingRule
 
 BLOCK_SIZE = 8192
@@ -114,19 +114,13 @@ class _TrialStreams:
         return self._gen
 
 
-_curves_cache: dict = {}
+_curves_cache: dict = {}  # keyed by the (frozen, hashable) effect prior
 
 
 def _curves_for(pair: InvariantModelPair) -> ScaleBfCurves:
-    prior = pair.effect_prior
-    if isinstance(prior, CauchyEffect):
-        key = ("cauchy", prior.scale)
-    else:
-        key = ("point", prior.delta0)
-    curves = _curves_cache.get(key)
+    curves = _curves_cache.get(pair.effect_prior)
     if curves is None:
-        curves = ScaleBfCurves(pair)
-        _curves_cache[key] = curves
+        curves = _curves_cache[pair.effect_prior] = ScaleBfCurves(pair)
     return curves
 
 
@@ -562,9 +556,11 @@ def estimate_type1(
 ) -> Type1Estimate:
     """Fraction of trials whose stopped Bayes factor reached 1/alpha.
 
-    Evaluating records produced by the rule built for a smaller
-    threshold (a level alpha' >= alpha) is sound and monotone: crossing
-    1/alpha implies having stopped at or above it.
+    The records must come from the rule ``BfThreshold(1/alpha)`` itself;
+    read off another bar's records, the rate is too low.  A trial under a
+    lower bar stops at its first crossing of that bar and never gets the
+    chance to reach 1/alpha, and one under a higher bar that crosses
+    1/alpha without reaching its own bar is recorded at its final value.
     """
     level = alpha if isinstance(alpha, SignificanceLevel) else SignificanceLevel(float(alpha))
     lb = np.array([r.stopped_log_beta for r in records], dtype=float)

@@ -1,4 +1,8 @@
-"""Adaptive 1-D quadrature built on nested Gauss-Legendre pairs.
+"""Adaptive 1-D quadrature built on nested Gauss-Legendre pairs: a test oracle.
+
+The package's Bayes factors come from fixed Gauss-Legendre panels
+(``optstop.models._log_integral``); this independent adaptive rule checks
+them in ``test_models_scale.py``.
 
 Each panel is evaluated with a 7-point and a 15-point Gauss rule; the
 difference between the two estimates serves as the panel error, and the
@@ -6,10 +10,9 @@ panel with the largest error is bisected until the global tolerance is
 met.  Node tables come from ``numpy.polynomial.legendre.leggauss`` so no
 hand-copied constants are involved.
 
-``integrate_log`` is the workhorse for likelihood work: it integrates
-``exp(log_f)`` with the running maximum factored out, so integrands whose
-peak value overflows or underflows double precision are handled in log
-space throughout.
+``integrate_log`` integrates ``exp(log_f)`` with the running maximum
+factored out, so integrands whose peak value overflows or underflows
+double precision are handled in log space throughout.
 """
 
 from __future__ import annotations
@@ -22,7 +25,14 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureError
+
+class QuadratureError(ArithmeticError):
+    """Numerical integration failed to converge; carries the last error estimate."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(f"{message} (residual estimate {residual:.3e})")
+        self.residual = residual
+
 
 _X_LO, _W_LO = leggauss(7)
 _X_HI, _W_HI = leggauss(15)

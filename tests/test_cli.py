@@ -54,6 +54,13 @@ class TestExitCodes:
         assert code == 1
         assert "(0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_nonfinite_point_effect_exits_one(self, tmp_path, capsys, delta):
+        cfg = write(tmp_path / "p.cfg", f"effect = point\neffect_delta = {delta}\nrule_cap = 20\n")
+        code = main(["mc-type1", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "point-mass effect must be finite" in capsys.readouterr().err
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "u.cfg", "horizon = 6\nmystery_key = 3\n")
         code = main(["exact-markov", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -182,6 +189,23 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_evidence_needs_no_scipy(self):
+        # scipy is a test dependency only: every Bayes factor and marginal
+        # must evaluate with it unimportable
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from optstop import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves\n"
+            "x = [0.7, -0.2, 1.3, 0.4]\n"
+            "for prior in (PointMass(0.5), CauchyEffect(1.0)):\n"
+            "    pair = InvariantModelPair.scale(prior)\n"
+            "    pair.log_bf(x[:1]), pair.log_marginal_alt(x)\n"
+            "    ScaleBfCurves(pair).log_bf_batch(4, np.array([0.3]), np.array([-0.5]))\n"
+            "InvariantModelPair.location_scale(CauchyEffect(1.0)).log_marginal_null(x)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -194,7 +218,7 @@ def load_script(name):
 
 
 class TestScriptErrors:
-    """The scripts report package errors as cli.main does: one line, exit 1."""
+    """run_all_checks.py reports package errors as cli.main does: one line, exit 1."""
 
     @pytest.mark.parametrize(
         "error",
@@ -210,16 +234,3 @@ class TestScriptErrors:
         monkeypatch.setattr(sys, "argv", ["run_all_checks.py", "--out", str(tmp_path)])
         assert script.main() == 1
         assert capsys.readouterr().err == f"error: {error}\n"
-
-    def test_type1_threshold_sweep(self, tmp_path, capsys, monkeypatch):
-        script = load_script("type1_threshold_sweep")
-
-        def over_budget(*args, **kwargs):
-            raise ResourceLimitError("draw buffer would exceed the budget")
-
-        monkeypatch.setattr(script, "run_trials", over_budget)
-        out = tmp_path / "sweep.csv"
-        monkeypatch.setattr(sys, "argv", ["type1_threshold_sweep.py", "--out", str(out)])
-        assert script.main() == 1
-        assert capsys.readouterr().err == "error: draw buffer would exceed the budget\n"
-        assert not out.exists()

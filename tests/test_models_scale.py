@@ -1,7 +1,8 @@
 """Scale-group pair: closed forms against independent quadrature oracles.
 
 The oracles integrate the raw density products with scipy's QUADPACK
-(plain or nested), never reusing the package's own integration code, so
+(plain or nested), mpmath, or the adaptive rule in ``quadrature.py``
+beside this file, never reusing the package's own integration code, so
 agreement here is a genuine two-route check.
 """
 
@@ -25,7 +26,7 @@ from optstop.models import (
     log_m,
     trajectory,
 )
-from optstop.quadrature import integrate_log
+from quadrature import integrate_log
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -124,17 +125,26 @@ class TestLogM:
         pts = sorted({0.0, mode / 2, mode, 2 * mode + 1}) + [mpmath.inf]
         return mpmath.log(mpmath.quad(lambda u: u**k * mpmath.e ** (-u * u + b * u), pts))
 
-    @pytest.mark.parametrize("k", [0, 1, 2, 5, 17, 60, 199])
-    @pytest.mark.parametrize("b", [-300.0, -40.0, -3.2, -0.5, 0.0, 0.7, 4.0, 55.0, 300.0])
+    KS = [0, 1, 2, 5, 17, 60, 199, 500, 999]
+
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize(
+        "b", [-3000.0, -300.0, -90.0, -40.0, -3.2, -0.5, 0.0, 0.7, 4.0, 55.0, 90.0, 300.0, 3000.0]
+    )
     def test_against_high_precision(self, k, b):
+        # at k = 0, b = 3000 the peak is 2.4e-4 wide in log(u) beside a left
+        # tail that falls by only k + 1 nats per unit: a scan range not
+        # scaled to the peak width leaves it inside a single panel
         ref = float(self._reference(k, b))
         assert log_m(k, b) == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
     def test_zero_drift_closed_form(self):
+        # M_k(0) = Gamma((k+1)/2) / 2; the evaluator has no b = 0 branch
         from scipy.special import gammaln
 
-        for k in (0, 1, 7, 40):
-            assert log_m(k, 0.0) == float(gammaln((k + 1) / 2)) - math.log(2.0)
+        for k in self.KS:
+            ref = float(gammaln((k + 1) / 2)) - math.log(2.0)
+            assert float(log_m(k, 0.0)) == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
 
 class TestAltMarginalAndBf:
@@ -357,10 +367,13 @@ class TestCauchyEvaluator:
     def test_scalar_equals_batch(self, rng):
         n = rng.integers(2, 1001, 300)
         xi = rng.uniform(XI_MIN, 0.0, 300)
+        b = rng.uniform(-300.0, 300.0, 300)
         batch = models._cauchy_log_bf_xi(n, xi, 1.0)
-        assert batch.shape == (300,)
+        m_batch = models.log_m(n - 1, b)
+        assert batch.shape == m_batch.shape == (300,)
         for i in range(0, 300, 29):
             assert models._cauchy_log_bf_xi(n[i], xi[i], 1.0) == batch[i]
+            assert models.log_m(n[i] - 1, b[i]) == m_batch[i]
 
 
 @pytest.fixture(scope="module")
@@ -398,11 +411,21 @@ class TestCurves:
         def scalar(*args):
             raise AssertionError("scalar Bayes-factor evaluation in the batch path")
 
+        array_log_m = models.log_m
+
+        def log_m_arrays_only(k, b):
+            if np.ndim(b) == 0:
+                scalar()
+            return array_log_m(k, b)
+
         monkeypatch.setattr(models, "_cauchy_log_bf", scalar)
-        curves = ScaleBfCurves(InvariantModelPair.scale(CauchyEffect(1.0)))
+        monkeypatch.setattr(models, "log_m", log_m_arrays_only)
         q = np.array([0.0, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, Q_MAX, 1.0])
-        for n in (2, 3, 50, 1000):
-            assert np.all(np.isfinite(curves.log_bf_batch(n, q, np.sqrt(q))))
+        t = np.sqrt(q) * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        for prior in (CauchyEffect(1.0), PointMass(0.8)):
+            curves = ScaleBfCurves(InvariantModelPair.scale(prior))
+            for n in (1, 2, 3, 50, 1000):
+                assert np.all(np.isfinite(curves.log_bf_batch(n, q, t)))
 
     @pytest.mark.parametrize("prior", [CauchyEffect(1.0), PointMass(0.8)])
     @settings(max_examples=40, deadline=None)

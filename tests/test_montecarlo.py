@@ -231,10 +231,18 @@ class TestEstimators:
         assert est.passed
 
     def test_type1_monotone_in_alpha(self):
-        records = run_trials(CAUCHY, 0, 1.0, BfThreshold(upper=20.0, cap=200), 20_000, seed=4)
-        alphas = [0.05, 0.08, 0.12, 0.2, 0.5]
-        rates = [estimate_type1(records, a).rate for a in alphas]
-        assert rates == sorted(rates)
+        # each alpha runs its own rule; one seed gives every rule the same
+        # trajectories, and a trajectory that reaches a higher bar reached
+        # every lower one, so the rejected trials nest as alpha grows
+        rejected = []
+        for alpha in [0.05, 0.08, 0.12, 0.2, 0.5]:
+            rule = BfThreshold(upper=1.0 / alpha, cap=200)
+            records = run_trials(CAUCHY, 0, 1.0, rule, 20_000, seed=4)
+            est = estimate_type1(records, alpha)
+            hits = {r.trial for r in records if r.stopped_log_beta >= rule.log_upper}
+            assert est.n_reject == len(hits)
+            rejected.append(hits)
+        assert all(a < b for a, b in zip(rejected, rejected[1:]))
 
     def test_type1_alpha_validation(self):
         records = run_trials(CAUCHY, 0, 1.0, BfThreshold(upper=20.0, cap=50), 100, seed=4)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from optstop.errors import QuadratureError
-from optstop.quadrature import integrate, integrate_log
+from quadrature import QuadratureError, integrate, integrate_log
 
 
 def test_polynomial_exact():
