@@ -447,17 +447,41 @@ class ScaleBfCurves:
     quotient-measurable stopping rule; the approximation error (below
     1e-8, checked in the test suite) only relabels evidence values, and
     only at that scale.
+
+    The exact beta_n increases strictly in one coordinate (``coordinate``:
+    q for the Cauchy effect, sign(delta0) * t for a point mass), so a bar
+    on the table at n is a bound on that coordinate.  ``boundary`` takes
+    these bounds from the tables themselves, for all n at once, widened
+    so that a trial outside them cannot meet the bar; the Monte Carlo
+    engine evaluates the tables only on the trials inside.
     """
 
     DEGREE = 64
     TAIL_TOL = 1e-10
     MAX_DEPTH = 30
+    # boundary(): the bisection's level sits this many nats short of the
+    # bar, far above the table error (< 1e-8) and Clenshaw rounding, and
+    # stops at a bracket 2**-20 of the coordinate range wide (about 1e-6)
+    BOUNDARY_MARGIN = 1e-6
+    BOUNDARY_STEPS = 20
 
     def __init__(self, pair: InvariantModelPair):
         if not pair.is_scale:
             raise ValueError("curves are defined for scale-group pairs")
         self._prior = pair.effect_prior
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._boundaries: dict[tuple[float, int, bool], np.ndarray] = {}
+
+    @property
+    def _flat(self) -> bool:
+        """True for the point mass at zero, whose log beta is identically 0."""
+        return isinstance(self._prior, PointMass) and self._prior.delta0 == 0.0
+
+    def _table_coord(self, c: np.ndarray) -> np.ndarray:
+        """The table coordinate (xi, respectively t) of ``coordinate`` values."""
+        if isinstance(self._prior, CauchyEffect):
+            return np.log1p(-np.minimum(c, Q_MAX))  # same clamp as _cauchy_log_bf
+        return -c if self._prior.delta0 < 0.0 else c
 
     def _table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         cached = self._tables.get(n)
@@ -496,10 +520,90 @@ class ScaleBfCurves:
         edges.append(hi)
         return np.array(edges), np.array(coeffs)
 
+    def coordinate(self, q: np.ndarray, s1: np.ndarray) -> np.ndarray:
+        """The coordinate log beta_n increases in, from q and the running sum s1.
+
+        q for the Cauchy effect; for a point mass the signed
+        t = sign(s1) * sqrt(q), negated when delta0 < 0 (at delta0 = 0
+        log beta is flat and any coordinate serves).
+        """
+        if isinstance(self._prior, CauchyEffect):
+            return q
+        t = np.copysign(np.sqrt(q), s1)
+        return -t if self._prior.delta0 < 0.0 else t
+
+    def boundary(self, log_bar: float, cap: int, above: bool) -> np.ndarray:
+        """Per-n bounds on ``coordinate`` beyond which the table cannot reach a bar.
+
+        Element n (2 <= n < cap) is a bound b such that the table at n is
+        >= ``log_bar`` only at coordinates >= b when ``above``, and
+        <= ``log_bar`` only at coordinates <= b otherwise.  The other
+        elements are -inf, respectively +inf: every coordinate is a
+        candidate (the cap stops every trial).
+
+        One bisection, vectorized across n, brackets each n's crossing of
+        the level ``log_bar`` -/+ BOUNDARY_MARGIN by the table itself,
+        one stacked Clenshaw pass per step; the bound is the bracket end
+        on the bar's side, moved out by one more bracket width (rounding
+        in the map to the table coordinate).  Because the exact curve
+        increases strictly and the table is within half the margin of it,
+        a coordinate beyond the bound cannot meet the bar.  A bar met at
+        every coordinate leaves the bound below the range (every trial a
+        candidate); one met nowhere leaves it within two bracket widths
+        of the range's far end.  Cached per (log_bar, cap, above).
+        """
+        key = (log_bar, cap, above)
+        cached = self._boundaries.get(key)
+        if cached is not None:
+            return cached
+        out = np.full(cap + 1, -math.inf if above else math.inf)
+        ns = np.arange(2, cap)
+        if ns.size:
+            level = log_bar - self.BOUNDARY_MARGIN if above else log_bar + self.BOUNDARY_MARGIN
+            evaluate = self._stacked(ns)
+            c_lo, c_hi = (0.0, 1.0) if isinstance(self._prior, CauchyEffect) else (-1.0, 1.0)
+            lo, hi = np.full(ns.size, c_lo), np.full(ns.size, c_hi)
+            # evaluate(lo) < level unless lo = c_lo; level <= evaluate(hi) unless hi = c_hi
+            for _ in range(self.BOUNDARY_STEPS):
+                mid = 0.5 * (lo + hi)
+                meets = evaluate(mid) >= level
+                hi = np.where(meets, mid, hi)
+                lo = np.where(meets, lo, mid)
+            width = (c_hi - c_lo) * 2.0**-self.BOUNDARY_STEPS
+            out[2:cap] = lo - width if above else hi + width
+        self._boundaries[key] = out
+        return out
+
+    def _stacked(self, ns: np.ndarray):
+        """The tables at ``ns`` as one function of a coordinate vector, one value per n."""
+        if self._flat:
+            return lambda c: np.zeros_like(c)
+        tables = [self._table(int(n)) for n in ns]
+        pieces = max(len(coeffs) for _, coeffs in tables)
+        edges = np.zeros((ns.size, pieces + 1))
+        inner = np.full((ns.size, pieces - 1), math.inf)  # padding selects no piece
+        coeffs = np.zeros((ns.size, pieces, self.DEGREE + 1))
+        for i, (e, c) in enumerate(tables):
+            edges[i, : e.size] = e
+            inner[i, : e.size - 2] = e[1:-1]
+            coeffs[i, : len(c)] = c
+        rows = np.arange(ns.size)
+        first = edges[:, 0]
+        last = np.array([e[-1] for e, _ in tables])
+
+        def evaluate(c: np.ndarray) -> np.ndarray:
+            coord = np.clip(self._table_coord(c), first, last)
+            piece = (coord[:, None] >= inner).sum(axis=1)  # searchsorted(side="right")
+            lo, hi = edges[rows, piece], edges[rows, piece + 1]
+            u = (coord - lo) * (2.0 / (hi - lo)) - 1.0
+            return np.polynomial.chebyshev.chebval(u, coeffs[rows, piece].T, tensor=False)
+
+        return evaluate
+
     def log_bf_batch(self, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:
         """log beta_n for vectors of invariant coordinates at one n."""
         q = np.asarray(q, dtype=float)
-        if isinstance(self._prior, PointMass) and self._prior.delta0 == 0.0:
+        if self._flat:
             return np.zeros_like(q)
         if n == 1:
             if isinstance(self._prior, CauchyEffect):
@@ -507,7 +611,7 @@ class ScaleBfCurves:
             return _pointmass_log_bf(1, np.atleast_1d(t_signed), self._prior.delta0)
         edges, coeffs = self._table(n)
         if isinstance(self._prior, CauchyEffect):
-            coord = np.log1p(-np.minimum(q, Q_MAX))  # same clamp as _cauchy_log_bf
+            coord = self._table_coord(q)
         else:
             coord = np.asarray(t_signed, dtype=float)
         coord = np.clip(coord, edges[0], edges[-1])

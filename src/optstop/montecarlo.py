@@ -14,7 +14,9 @@ Reproducibility model
     falls in the excluded set is re-keyed again, replays those draws and
     continues its own stream for the replacement.  Blocks hold at most
     ``DRAW_BUFFER_BYTES`` of draws and run one after another; their
-    records are concatenated in trial order.
+    records are concatenated in trial order.  A run whose single draw
+    row would exceed that budget is refused with ``ResourceLimitError``
+    before any table is built.
 
 Trajectory evaluation
     Trials advance in lockstep over whole blocks.  The running
@@ -26,9 +28,17 @@ Trajectory evaluation
     every stopping decision thresholds the same deterministic function
     of the maximal invariant and no trial leaves the vectorized path.
     The rule decides for the whole block from the running state
-    (``StoppingRule.decide_batch``); for a rule that does not read log
-    beta (``uses_log_beta`` False) the tables are evaluated only on the
-    trials it stops.
+    (``StoppingRule.decide_batch``), and the tables are evaluated only
+    where a trial can stop.  log beta_n increases strictly in one
+    invariant coordinate (q, or the signed t for a point mass), so each
+    of a threshold rule's ``log_bars`` is a per-n bound on it
+    (``ScaleBfCurves.boundary``, taken from the tables and widened past
+    their error).  At each n only the candidates, the active trials
+    beyond a bound (all of them at the cap), get the table and the
+    rule's decision; the others cannot meet a bar.  A rule without bars
+    gets the table only on the trials it stops.  Each value is the same
+    elementwise table evaluation either way, so the records equal those
+    of evaluating every active trial at every step, bit for bit.
 
 Pass criteria
     Calibration checks bin stopped values into equal-count bins and
@@ -51,6 +61,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import NEVER, BfTrajectory, SignificanceLevel, rewrite, stop
+from .errors import ResourceLimitError
 from .exact import FiniteModel, log_beta_paths, sample_sequence
 from .groups import GroupElement
 from .models import InvariantModelPair, PointMass, ScaleBfCurves
@@ -186,12 +197,24 @@ def _run_block(
         s1[:] = x1
         s2[:] = x1 * x1
 
+    def q_at(n: int, rows: np.ndarray) -> np.ndarray:
+        q = s1[rows] ** 2 / (n * s2[rows])
+        return np.clip(q, 0.0, 1.0, out=q)
+
     def log_beta(n: int, rows: np.ndarray) -> np.ndarray:
         if curves is None:
             return np.zeros(rows.size)
-        q = s1[rows] ** 2 / (n * s2[rows])
-        np.clip(q, 0.0, 1.0, out=q)
+        q = q_at(n, rows)
         return curves.log_bf_batch(n, q, np.copysign(np.sqrt(q), s1[rows])) - lb_offset
+
+    # each bar of the rule as per-n bounds on the coordinate log beta increases
+    # in; the tables are read only on the rows beyond a bound (all at the cap)
+    bounds = []
+    if curves is not None:
+        bounds = [
+            (curves.boundary(bar + lb_offset, rule.cap, above), above)
+            for bar, above in rule.log_bars
+        ]
 
     active = np.ones(size, dtype=bool)
     stop_n = np.zeros(size, dtype=np.int64)
@@ -209,11 +232,20 @@ def _run_block(
         s2[act] += xn * xn
         if n <= m:
             continue
+        rows = act
+        if bounds:
+            c = curves.coordinate(q_at(n, act), s1[act])
+            near = np.zeros(act.size, dtype=bool)
+            for bound, above in bounds:
+                near |= c >= bound[n] if above else c <= bound[n]
+            if not near.any():
+                continue
+            rows = act[near]
         # a rule that does not read log beta gets it only on the rows it stops
-        lb = log_beta(n, act) if rule.uses_log_beta else None
-        mask = rule.decide_batch(n, lb, s2[act])
+        lb = log_beta(n, rows) if rule.log_bars else None
+        mask = rule.decide_batch(n, lb, s2[rows])
         if np.any(mask):
-            hit = act[mask]
+            hit = rows[mask]
             stop_n[hit] = n
             stop_lb[hit] = lb[mask] if lb is not None else log_beta(n, hit)
             active[hit] = False
@@ -245,7 +277,7 @@ def _draws_per_trial(rule: StoppingRule, marginal: bool) -> int:
 
 def _run_blocks(fn, n_trials: int, n_draws: int) -> List[TrialRecord]:
     """Concatenate ``fn(lo, hi)`` over blocks whose draws fit DRAW_BUFFER_BYTES."""
-    rows = max(1, min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * n_draws)))
+    rows = min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * n_draws))  # >= 1: see _validate_run
     records: List[TrialRecord] = []
     for lo in range(0, n_trials, rows):
         records.extend(fn(lo, min(lo + rows, n_trials)))
@@ -263,10 +295,19 @@ def _prepare_curves(pair: InvariantModelPair, cap: int) -> Optional[ScaleBfCurve
     return curves
 
 
-def _validate_run(pair: InvariantModelPair, rule: StoppingRule, n_trials: int) -> None:
+def _validate_run(
+    pair: InvariantModelPair, rule: StoppingRule, n_trials: int, marginal: bool
+) -> None:
+    """Reject a run before any table is built: bad arguments, or a draw row over budget."""
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
     rule.check_start(pair.m)
+    row_bytes = 8 * _draws_per_trial(rule, marginal)
+    if row_bytes > DRAW_BUFFER_BYTES:
+        raise ResourceLimitError(
+            f"one trial's draws up to cap {rule.cap} take {row_bytes} bytes, over the "
+            f"draw buffer budget of {DRAW_BUFFER_BYTES} bytes"
+        )
 
 
 def run_trials(
@@ -287,7 +328,7 @@ def run_trials(
     """
     if k not in (0, 1):
         raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
-    _validate_run(pair, rule, n_trials)
+    _validate_run(pair, rule, n_trials, marginal=False)
     if n_trials == 0:
         return []
     curves = _prepare_curves(pair, rule.cap)
@@ -320,7 +361,7 @@ def run_marginal_trials(
         raise NotImplementedError("marginal trials are implemented for the scale group")
     if k not in (0, 1):
         raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
-    _validate_run(pair, rule, n_trials)
+    _validate_run(pair, rule, n_trials, marginal=True)
     x_m = np.asarray(x_m, dtype=float).reshape(-1)
     if x_m.size != pair.m:
         raise ValueError(f"initial sample must have length m = {pair.m}")

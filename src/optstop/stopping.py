@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,12 +42,19 @@ class StoppingRule:
     ``_fires_at``; ``decide`` and its vector form ``decide_batch`` both
     go through it.  Rules that read the whole prefix override
     ``_fires`` instead and have no vector form.
+
+    A rule that reads log beta fires, before the cap, only where log
+    beta is on the firing side of one of its ``log_bars``: pairs
+    (bar, above) that fire at log beta >= bar when ``above`` and at
+    log beta <= bar otherwise.  The Monte Carlo engine turns each bar
+    into a per-n bound on an invariant coordinate and asks the rule only
+    about the trials beyond one.  Empty: the decision never reads log
+    beta, and callers may pass None for it.
     """
 
     cap: int
     declared_invariant: ClassVar[bool]
-    # False: the decision never reads log beta, so callers may pass None
-    uses_log_beta: ClassVar[bool] = False
+    log_bars: ClassVar[Tuple[Tuple[float, bool], ...]] = ()
 
     def decide(self, prefix, log_beta: Optional[float] = None) -> bool:
         """Stop after ``prefix``?  ``log_beta`` is log beta at the full prefix."""
@@ -62,7 +69,7 @@ class StoppingRule:
 
         Element i is the decision for the prefix whose log Bayes factor
         is ``log_beta[i]`` and whose sum of squares is ``sum_sq[i]``.
-        ``log_beta`` may be None when ``uses_log_beta`` is False.
+        ``log_beta`` may be None when the rule has no ``log_bars``.
         """
         if n >= self.cap:
             return np.ones(np.shape(sum_sq), dtype=bool)
@@ -142,7 +149,6 @@ class BfThreshold(StoppingRule):
     lower: Optional[float] = None
     cap: int = 1000
     declared_invariant: ClassVar[bool] = True
-    uses_log_beta: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not (self.upper > 0):
@@ -158,6 +164,11 @@ class BfThreshold(StoppingRule):
     @property
     def log_lower(self) -> Optional[float]:
         return None if self.lower is None else math.log(self.lower)
+
+    @property
+    def log_bars(self) -> Tuple[Tuple[float, bool], ...]:
+        upper = ((self.log_upper, True),)
+        return upper if self.lower is None else upper + ((self.log_lower, False),)
 
     def _fires_at(self, n, log_beta, sum_sq):
         if log_beta is None:
@@ -340,7 +351,7 @@ def check_invariance(rule: StoppingRule, pair, trials: int, rng: np.random.Gener
         if n >= rule.cap:
             skipped += 1  # cap forces both decisions; nothing to learn
             continue
-        if rule.uses_log_beta:
+        if rule.log_bars:
             lb_x, lb_xh = pair.log_bf(x), pair.log_bf(xh)
         else:
             lb_x = lb_xh = None

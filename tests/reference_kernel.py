@@ -1,0 +1,110 @@
+"""Reference Monte Carlo block kernel: log beta on every active trial at every n.
+
+This is the engine's trial loop before per-n boundaries: a rule that
+reads log beta gets the Chebyshev table evaluated on all active trials
+at every step.  Swapped in for ``montecarlo._run_block`` (same
+signature), it gives the records the boundary engine must reproduce bit
+for bit.
+"""
+
+from typing import List, Optional
+
+import numpy as np
+
+from optstop.montecarlo import TrialRecord, _draws_per_trial, _TrialStreams
+
+
+def run_block_per_step(
+    pair, curves, k, g, rule, key64, lo, hi, seed, x_init: Optional[float], lb_offset
+) -> List[TrialRecord]:
+    size = hi - lo
+    marginal = x_init is not None
+    if marginal:
+        a, b = np.empty(size), 0.0
+    elif pair.is_scale:
+        a, b = float(g), 0.0
+    else:
+        a, b = float(g[0]), float(g[1])
+    delta = np.zeros(size)
+    draws = np.empty((size, _draws_per_trial(rule, marginal)))
+    streams = _TrialStreams(key64)
+
+    def draw(i):
+        gen = streams.at(lo + i)
+        if marginal:
+            a[i], delta[i] = pair._posterior_predictive_state(k, x_init, gen)
+        elif k == 1:
+            delta[i] = pair.effect_prior.draw(gen)
+        gen.standard_normal(out=draws[i])
+        return gen
+
+    for i in range(size):
+        draw(i)
+
+    s1 = np.empty(size)
+    s2 = np.empty(size)
+    if marginal:
+        s1[:] = x_init
+        s2[:] = x_init * x_init
+    else:
+        x1 = a * (delta + draws[:, 0]) + b
+        excluded = x1 == 0.0
+        if not pair.is_scale:
+            excluded |= a * (delta + draws[:, 1]) + b == x1
+        for i in np.nonzero(excluded)[0].tolist():
+            gen = draw(i)
+            while a * (delta[i] + draws[i, 0]) + b == 0.0:
+                draws[i, 0] = gen.standard_normal()
+            x1[i] = a * (delta[i] + draws[i, 0]) + b
+            while not pair.is_scale and a * (delta[i] + draws[i, 1]) + b == x1[i]:
+                draws[i, 1] = gen.standard_normal()
+        s1[:] = x1
+        s2[:] = x1 * x1
+
+    def log_beta(n, rows):
+        if curves is None:
+            return np.zeros(rows.size)
+        q = s1[rows] ** 2 / (n * s2[rows])
+        np.clip(q, 0.0, 1.0, out=q)
+        return curves.log_bf_batch(n, q, np.copysign(np.sqrt(q), s1[rows])) - lb_offset
+
+    active = np.ones(size, dtype=bool)
+    stop_n = np.zeros(size, dtype=np.int64)
+    stop_lb = np.zeros(size)
+    col0 = 2 if marginal else 1
+
+    for n in range(2, rule.cap + 1):
+        act = np.nonzero(active)[0]
+        if act.size == 0:
+            break
+        scale_act = a[act] if marginal else a
+        xn = scale_act * (delta[act] + draws[act, n - col0]) + b
+        s1[act] += xn
+        s2[act] += xn * xn
+        if n <= pair.m:
+            continue
+        lb = log_beta(n, act) if rule.log_bars else None
+        mask = rule.decide_batch(n, lb, s2[act])
+        if np.any(mask):
+            hit = act[mask]
+            stop_n[hit] = n
+            stop_lb[hit] = lb[mask] if lb is not None else log_beta(n, hit)
+            active[hit] = False
+
+    if marginal:
+        g_values = [float(v) for v in a]
+    elif pair.is_scale:
+        g_values = [float(g)] * size
+    else:
+        g_values = [(float(g[0]), float(g[1]))] * size
+    return [
+        TrialRecord(
+            k=k,
+            g=g_values[i],
+            stop_index=int(stop_n[i]),
+            stopped_log_beta=float(stop_lb[i]),
+            seed=seed,
+            trial=lo + i,
+        )
+        for i in range(size)
+    ]

@@ -61,6 +61,16 @@ class TestExitCodes:
         assert code == 1
         assert "point-mass effect must be finite" in capsys.readouterr().err
 
+    def test_draw_row_over_budget_exits_one(self, tmp_path, capsys):
+        # one trial's draws up to this cap take 72 MB: refused on the cap alone,
+        # before any Bayes-factor table is built
+        cfg = write(tmp_path / "d.cfg", "alpha = 0.05\nrule_cap = 9000000\nn_trials = 10\n")
+        code = main(["mc-type1", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "draw buffer budget" in err[0]
+
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "u.cfg", "horizon = 6\nmystery_key = 3\n")
         code = main(["exact-markov", "--config", cfg, "--out", str(tmp_path / "out")])

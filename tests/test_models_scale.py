@@ -112,13 +112,17 @@ class TestLogM:
         For b >= 0, tanh-sinh quadrature split at the mode.  For b < 0 the
         direct quadrature loses digits (huge dynamic range near zero), so
         substitute u = t/|b|, which turns the integrand into an O(1)-scaled
-        gamma shape that mpmath resolves to full precision.
+        gamma shape that mpmath resolves to full precision, split at its
+        mode t* = |b|*u* and at 2, 4 and 8 peak widths either side of it.
         """
         mpmath.mp.dps = 40
         if b < 0.0:
             mu = mpmath.mpf(-b)
-            center = max(k, 1)
-            pts = [0, center / 2, center, 2 * center, 4 * center, mpmath.inf]
+            u_mode = 2 * k / (math.sqrt(b * b + 8 * k) - b)  # u* of u^k exp(-u^2 + b*u)
+            width = -b / math.sqrt(2 + (k / u_mode**2 if k else 0))  # in t
+            center = -b * u_mode
+            splits = [center + j * width for j in (-8, -4, -2, 0, 2, 4, 8)]
+            pts = [0.0] + [p for p in splits if p > 0.0] + [mpmath.inf]
             val = mpmath.quad(lambda t: t**k * mpmath.e ** (-((t / mu) ** 2) - t), pts)
             return mpmath.log(val) - (k + 1) * mpmath.log(mu)
         mode = (b + math.sqrt(b * b + 8 * max(k, 1))) / 4
@@ -137,6 +141,11 @@ class TestLogM:
         # scaled to the peak width leaves it inside a single panel
         ref = float(self._reference(k, b))
         assert log_m(k, b) == pytest.approx(ref, rel=1e-11, abs=1e-11)
+
+    def test_large_k_small_negative_drift(self):
+        # the peak sits near t = |b| * sqrt(k/2), far beyond t = 4k when |b| is small
+        k, b = 199_999, -10.0
+        assert log_m(k, b) == pytest.approx(float(self._reference(k, b)), rel=1e-11, abs=1e-11)
 
     def test_zero_drift_closed_form(self):
         # M_k(0) = Gamma((k+1)/2) / 2; the evaluator has no b = 0 branch
