@@ -140,6 +140,13 @@ def _alphas(cfg: ExperimentConfig, default="0.05") -> List[SignificanceLevel]:
         raise ConfigError(f"alpha: {exc}") from exc
 
 
+def _n_trials(cfg: ExperimentConfig) -> int:
+    n_trials = cfg.get_int("n_trials", 100_000)
+    if n_trials < 1:
+        raise ConfigError(f"n_trials must be at least 1, got {n_trials}")
+    return n_trials
+
+
 def _fmt(x: float) -> float:
     """Normalize a float through 17 significant digits (round-trip exact)."""
     return float(format(float(x), ".17g"))
@@ -292,18 +299,17 @@ def _run_mc_calibration(cfg: ExperimentConfig, seed: int, out_dir: str, experime
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     rule = _rule(cfg, default_cap=200)
     values = cfg.get_float_list(sweep_key, [1.0])
-    n_trials = cfg.get_int("n_trials", 100_000)
+    n_trials = _n_trials(cfg)
     bins = cfg.get_int("bins", montecarlo.DEFAULT_BINS)
     cfg.reject_unknown()
-    all_records: List[montecarlo.TrialRecord] = []
+    all_records: List[montecarlo.TrialRecords] = []
     per_value = {}
     passed = True
     lines = []
     for v in values:
         rec0 = trials(pair, 0, v, rule, n_trials, seed)
         rec1 = trials(pair, 1, v, rule, n_trials, seed)
-        all_records.extend(rec0)
-        all_records.extend(rec1)
+        all_records += [rec0, rec1]
         est = montecarlo.estimate_strong_calibration(rec0, rec1, n_bins=bins)
         per_value[format(v, ".17g")] = _calibration_summary(est)
         passed = passed and est.passed
@@ -336,10 +342,10 @@ def _run_mc_type1(cfg: ExperimentConfig, seed: int, out_dir: str):
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     levels = _alphas(cfg)
     gs = cfg.get_float_list("g", [1.0])
-    n_trials = cfg.get_int("n_trials", 100_000)
+    n_trials = _n_trials(cfg)
     cap = cfg.get_int("rule_cap", 1000)
     cfg.reject_unknown()
-    all_records: List[montecarlo.TrialRecord] = []
+    all_records: List[montecarlo.TrialRecords] = []
     results = []
     passed = True
     lines = []
@@ -347,7 +353,7 @@ def _run_mc_type1(cfg: ExperimentConfig, seed: int, out_dir: str):
         rule = BfThreshold(upper=1.0 / level.alpha, cap=cap)
         for g in gs:
             records = montecarlo.run_trials(pair, 0, g, rule, n_trials, seed)
-            all_records.extend(records)
+            all_records.append(records)
             est = montecarlo.estimate_type1(records, level)
             results.append(
                 {
@@ -377,15 +383,15 @@ def _run_mc_bf_mean(cfg: ExperimentConfig, seed: int, out_dir: str):
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     rule = _rule(cfg, default_cap=1000)
     gs = cfg.get_float_list("g", [1.0])
-    n_trials = cfg.get_int("n_trials", 100_000)
+    n_trials = _n_trials(cfg)
     cfg.reject_unknown()
-    all_records: List[montecarlo.TrialRecord] = []
+    all_records: List[montecarlo.TrialRecords] = []
     results = []
     passed = True
     lines = []
     for g in gs:
         records = montecarlo.run_trials(pair, 0, g, rule, n_trials, seed)
-        all_records.extend(records)
+        all_records.append(records)
         est = montecarlo.estimate_stopped_bf_mean(records)
         results.append(
             {

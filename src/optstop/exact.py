@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -48,10 +49,30 @@ class _Mixture:
     by_symbol: np.ndarray  # (alphabet x components), C-contiguous
     callables: Tuple[Tuple[int, Callable[[Prefix], Sequence[float]]], ...]
 
+    @cached_property
+    def cdfs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Sampling CDFs (:func:`_cdf`) of the weights, and of each component by row.
+
+        Built on the first draw; the rows of callable components are placeholders.
+        """
+        return _cdf(self.weights), _cdf(np.ascontiguousarray(self.by_symbol.T))
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Normalized CDF of masses ``p`` along the last axis, as ``rng.choice`` forms it.
+
+    ``rng.choice(n, p=p / p.sum())`` cumulates the normalized masses,
+    divides by the last partial sum and returns ``searchsorted(cdf, u,
+    side="right")`` for one uniform u; this repeats those operations.
+    """
+    p = p / p.sum(axis=-1, keepdims=True)
+    cdf = np.cumsum(p, axis=-1)
+    return cdf / cdf[..., -1:]
 
 
 @dataclass(frozen=True)
@@ -246,15 +267,25 @@ def trajectory_finite(model: FiniteModel, x: Sequence[int]) -> BfTrajectory:
 
 
 def sample_sequence(model: FiniteModel, k: int, rng: np.random.Generator) -> Tuple[int, ...]:
-    """Draw a full-horizon sequence from the hypothesis-k marginal."""
-    weights = model.weights(k)
-    comp = int(rng.choice(len(weights), p=weights / weights.sum()))
-    comps = model.components0 if k == 0 else model.components1
-    cond = comps[comp][1]
+    """Draw a full-horizon sequence from the hypothesis-k marginal.
+
+    One ``rng.random(horizon + 1)`` gives the uniforms: the first picks
+    the component and each later one the next symbol, by
+    ``searchsorted(side="right")`` on a CDF from :func:`_cdf` (cached
+    per model for i.i.d. components, formed at each prefix for
+    callables).  The sequence, and the generator's state afterwards, are
+    those of one ``rng.choice`` per draw, bit for bit.
+    """
+    weight_cdf, symbol_cdf = model._mixtures[k].cdfs
+    u = rng.random(model.horizon + 1)
+    comp = int(np.searchsorted(weight_cdf, u[0], side="right"))
+    cond = (model.components0 if k == 0 else model.components1)[comp][1]
+    if isinstance(cond, np.ndarray):
+        return tuple(np.searchsorted(symbol_cdf[comp], u[1:], side="right").tolist())
     out: List[int] = []
-    for i in range(model.horizon):
-        p = cond if isinstance(cond, np.ndarray) else np.asarray(cond(tuple(out)), dtype=float)
-        out.append(int(rng.choice(model.alphabet_size, p=p / p.sum())))
+    for x in u[1:].tolist():
+        cdf = _cdf(model._conditional(cond, tuple(out)))
+        out.append(int(np.searchsorted(cdf, x, side="right")))
     return tuple(out)
 
 

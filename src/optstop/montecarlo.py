@@ -18,6 +18,15 @@ Reproducibility model
     row would exceed that budget is refused with ``ResourceLimitError``
     before any table is built.
 
+Records
+    A run returns one :class:`TrialRecords` batch: an array each of stop
+    index, stopped log beta and trial index, with the hypothesis, seed,
+    rule and nuisance value kept once (a marginal run keeps each trial's
+    drawn nuisance value in an array too).  The estimators read the
+    arrays and ``records_to_csv`` formats rows from them a slice at a
+    time; a :class:`TrialRecord` row exists only where a batch is
+    indexed or iterated.
+
 Trajectory evaluation
     Trials advance in lockstep over whole blocks.  The running
     statistics (sum, sum of squares) determine the invariant coordinate
@@ -51,12 +60,12 @@ Pass criteria
 
 from __future__ import annotations
 
-import csv
 import hashlib
+import itertools
 import math
 import struct
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,7 +74,7 @@ from .errors import ResourceLimitError
 from .exact import FiniteModel, log_beta_paths, sample_sequence
 from .groups import GroupElement
 from .models import InvariantModelPair, PointMass, ScaleBfCurves
-from .stopping import StoppingRule
+from .stopping import BfThreshold, StoppingRule
 
 BLOCK_SIZE = 8192
 # a block's draws, (trials x draws per trial) doubles, take at most this;
@@ -83,7 +92,7 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One stopped trial; rerunning the same (seed, config, trial) reproduces it."""
+    """One stopped trial, as a row of :class:`TrialRecords`; fields are Python scalars."""
 
     k: int
     g: Union[float, Tuple[float, float]]
@@ -91,6 +100,76 @@ class TrialRecord:
     stopped_log_beta: float
     seed: int
     trial: int
+
+
+def _bits(x) -> Tuple[str, tuple, bytes]:
+    a = np.asarray(x)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+@dataclass(frozen=True, eq=False)
+class TrialRecords:
+    """The records of one run, column by column; rerunning the run reproduces them.
+
+    ``stop_index``, ``stopped_log_beta`` and ``trial`` hold one entry per
+    trial.  ``k``, ``seed`` and ``rule`` are the run's, and so is ``g``:
+    its nuisance value (a scale, a (scale, location) pair, or NaN on a
+    finite model), or, for a marginal run, whose trials draw it, an
+    array of one value per trial.  Indexing and iteration give
+    :class:`TrialRecord` rows, and a slice is a batch of the same run.
+    ``==`` is exact: the same run and bit-identical columns.
+    """
+
+    k: int
+    g: Union[float, Tuple[float, float], np.ndarray]
+    seed: int
+    rule: StoppingRule
+    stop_index: np.ndarray
+    stopped_log_beta: np.ndarray
+    trial: np.ndarray
+
+    @property
+    def per_trial_g(self) -> bool:
+        return isinstance(self.g, np.ndarray)
+
+    def _trial_columns(self) -> Tuple[str, ...]:
+        """The fields that hold one value per trial."""
+        return ("stop_index", "stopped_log_beta", "trial") + (("g",) if self.per_trial_g else ())
+
+    def __len__(self) -> int:
+        return len(self.trial)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(self, **{c: getattr(self, c)[index] for c in self._trial_columns()})
+        return TrialRecord(
+            k=self.k,
+            g=float(self.g[index]) if self.per_trial_g else self.g,
+            stop_index=int(self.stop_index[index]),
+            stopped_log_beta=float(self.stopped_log_beta[index]),
+            seed=self.seed,
+            trial=int(self.trial[index]),
+        )
+
+    def __iter__(self) -> Iterator[TrialRecord]:
+        gs = self.g.tolist() if self.per_trial_g else itertools.repeat(self.g)
+        columns = self.stop_index.tolist(), self.stopped_log_beta.tolist(), self.trial.tolist()
+        for g, n, lb, t in zip(gs, *columns):
+            yield TrialRecord(self.k, g, n, lb, self.seed, t)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TrialRecords):
+            return NotImplemented
+        return (self.k, self.seed, self.rule) == (other.k, other.seed, other.rule) and all(
+            _bits(getattr(self, c)) == _bits(getattr(other, c))
+            for c in ("g", "stop_index", "stopped_log_beta", "trial")
+        )
+
+    @staticmethod
+    def empty(k: int, g, seed: int, rule: StoppingRule) -> "TrialRecords":
+        return TrialRecords(
+            k, g, seed, rule, np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64)
+        )
 
 
 def _stream_key(seed: int, k: int, g_components: Sequence[float], variant: int) -> int:
@@ -147,7 +226,7 @@ def _run_block(
     seed: int,
     x_init: Optional[float],
     lb_offset: float,
-) -> List[TrialRecord]:
+) -> TrialRecords:
     """Run trials [lo, hi) in lockstep and return their records in order."""
     size = hi - lo
     marginal = x_init is not None
@@ -159,20 +238,23 @@ def _run_block(
         a, b = float(g[0]), float(g[1])
     delta = np.zeros(size)
     draws = np.empty((size, _draws_per_trial(rule, marginal)))
-    streams = _TrialStreams(key64)
-
-    def draw(i: int) -> np.random.Generator:
-        """Key trial lo + i's stream and make its leading draws into row i."""
-        gen = streams.at(lo + i)
-        if marginal:
-            a[i], delta[i] = pair._posterior_predictive_state(k, x_init, gen)
-        elif k == 1:
-            delta[i] = pair.effect_prior.draw(gen)
-        gen.standard_normal(out=draws[i])
-        return gen
-
-    for i in range(size):
-        draw(i)
+    # each trial keys its stream, makes its leading draws, then fills its row
+    at = _TrialStreams(key64).at
+    if marginal:
+        posterior_state = pair._posterior_predictive_state
+        for i in range(size):
+            gen = at(lo + i)
+            a[i], delta[i] = posterior_state(k, x_init, gen)
+            gen.standard_normal(out=draws[i])
+    elif k == 1:
+        effect_draw = pair.effect_prior.draw
+        for i in range(size):
+            gen = at(lo + i)
+            delta[i] = effect_draw(gen)
+            gen.standard_normal(out=draws[i])
+    else:
+        for i in range(size):
+            at(lo + i).standard_normal(out=draws[i])
 
     s1 = np.empty(size)
     s2 = np.empty(size)
@@ -188,7 +270,10 @@ def _run_block(
         if not pair.is_scale:
             excluded |= a * (delta + draws[:, 1]) + b == x1
         for i in np.nonzero(excluded)[0].tolist():
-            gen = draw(i)
+            gen = at(lo + i)  # replay the trial's leading draws, then continue its stream
+            if k == 1:
+                delta[i] = pair.effect_prior.draw(gen)
+            gen.standard_normal(out=draws[i])
             while a * (delta[i] + draws[i, 0]) + b == 0.0:
                 draws[i, 0] = gen.standard_normal()
             x1[i] = a * (delta[i] + draws[i, 0]) + b
@@ -250,24 +335,8 @@ def _run_block(
             stop_lb[hit] = lb[mask] if lb is not None else log_beta(n, hit)
             active[hit] = False
 
-    g_values: Sequence
-    if marginal:
-        g_values = a
-    elif pair.is_scale:
-        g_values = [float(g)] * size
-    else:
-        g_values = [(float(g[0]), float(g[1]))] * size
-    return [
-        TrialRecord(
-            k=k,
-            g=g_values[i] if not isinstance(g_values, np.ndarray) else float(g_values[i]),
-            stop_index=int(stop_n[i]),
-            stopped_log_beta=float(stop_lb[i]),
-            seed=seed,
-            trial=lo + i,
-        )
-        for i in range(size)
-    ]
+    g_run = a if marginal or pair.is_scale else (a, b)
+    return TrialRecords(k, g_run, seed, rule, stop_n, stop_lb, np.arange(lo, hi, dtype=np.int64))
 
 
 def _draws_per_trial(rule: StoppingRule, marginal: bool) -> int:
@@ -275,13 +344,14 @@ def _draws_per_trial(rule: StoppingRule, marginal: bool) -> int:
     return rule.cap - (1 if marginal else 0)
 
 
-def _run_blocks(fn, n_trials: int, n_draws: int) -> List[TrialRecord]:
+def _run_blocks(fn, n_trials: int, n_draws: int) -> TrialRecords:
     """Concatenate ``fn(lo, hi)`` over blocks whose draws fit DRAW_BUFFER_BYTES."""
     rows = min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * n_draws))  # >= 1: see _validate_run
-    records: List[TrialRecord] = []
-    for lo in range(0, n_trials, rows):
-        records.extend(fn(lo, min(lo + rows, n_trials)))
-    return records
+    blocks = [fn(lo, min(lo + rows, n_trials)) for lo in range(0, n_trials, rows)]
+    return replace(
+        blocks[0],
+        **{c: np.concatenate([getattr(b, c) for b in blocks]) for c in blocks[0]._trial_columns()},
+    )
 
 
 def _prepare_curves(pair: InvariantModelPair, cap: int) -> Optional[ScaleBfCurves]:
@@ -317,7 +387,7 @@ def run_trials(
     rule: StoppingRule,
     n_trials: int,
     seed: int,
-) -> List[TrialRecord]:
+) -> TrialRecords:
     """Run independent stopped trials under P_{k,g}.
 
     Data are drawn sequentially from the pair under the given hypothesis
@@ -329,14 +399,15 @@ def run_trials(
     if k not in (0, 1):
         raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
     _validate_run(pair, rule, n_trials, marginal=False)
-    if n_trials == 0:
-        return []
-    curves = _prepare_curves(pair, rule.cap)
     g_comps = (float(g),) if pair.is_scale else (float(g[0]), float(g[1]))
+    g_run = g_comps[0] if pair.is_scale else g_comps
+    if n_trials == 0:
+        return TrialRecords.empty(k, g_run, seed, rule)
+    curves = _prepare_curves(pair, rule.cap)
     key64 = _stream_key(seed, k, g_comps, variant=0)
 
-    def block(lo: int, hi: int) -> List[TrialRecord]:
-        return _run_block(pair, curves, k, g, rule, key64, lo, hi, seed, None, 0.0)
+    def block(lo: int, hi: int) -> TrialRecords:
+        return _run_block(pair, curves, k, g_run, rule, key64, lo, hi, seed, None, 0.0)
 
     return _run_blocks(block, n_trials, _draws_per_trial(rule, False))
 
@@ -348,7 +419,7 @@ def run_marginal_trials(
     rule: StoppingRule,
     n_trials: int,
     seed: int,
-) -> List[TrialRecord]:
+) -> TrialRecords:
     """Trials from the conditional marginal given the initial sample.
 
     Each trial draws its nuisance value (and, under the alternative, its
@@ -366,13 +437,13 @@ def run_marginal_trials(
     if x_m.size != pair.m:
         raise ValueError(f"initial sample must have length m = {pair.m}")
     if n_trials == 0:
-        return []
+        return TrialRecords.empty(k, np.empty(0), seed, rule)
     curves = _prepare_curves(pair, rule.cap)
     lb_offset = pair.log_bf(x_m) if pair.m >= 1 else 0.0
     x_init = float(x_m[0])
     key64 = _stream_key(seed, k, (x_init,), variant=1)
 
-    def block(lo: int, hi: int) -> List[TrialRecord]:
+    def block(lo: int, hi: int) -> TrialRecords:
         return _run_block(pair, curves, k, None, rule, key64, lo, hi, seed, x_init, lb_offset)
 
     return _run_blocks(block, n_trials, _draws_per_trial(rule, True))
@@ -386,7 +457,7 @@ def _finite_chunk(model: FiniteModel) -> int:
 
 def run_trials_finite(
     model: FiniteModel, k: int, rule: StoppingRule, n_trials: int, seed: int
-) -> List[TrialRecord]:
+) -> TrialRecords:
     """Monte Carlo trials on a finite model, for cross-checking the exact tables.
 
     Each trial draws its full-horizon sequence from its own Philox
@@ -404,24 +475,25 @@ def run_trials_finite(
         raise ValueError("rule must cap at or before the model horizon")
     streams = _TrialStreams(_stream_key(seed, k, (), variant=2))
     chunk = _finite_chunk(model)
-    records = []
+    stop_n: List[int] = []
+    stop_lb: List[float] = []
     for lo in range(0, n_trials, chunk):
         trials = range(lo, min(lo + chunk, n_trials))
         seqs = [sample_sequence(model, k, streams.at(t)) for t in trials]
-        for trial, seq, path in zip(trials, seqs, log_beta_paths(model, seqs).tolist()):
+        for seq, path in zip(seqs, log_beta_paths(model, seqs).tolist()):
             outcome = stop(BfTrajectory(m=0, log_beta=path), rule, seq)
             assert outcome.stop_index is not NEVER  # cap <= horizon forces a stop
-            records.append(
-                TrialRecord(
-                    k=k,
-                    g=math.nan,
-                    stop_index=int(outcome.stop_index),
-                    stopped_log_beta=float(outcome.stopped_log_beta),
-                    seed=seed,
-                    trial=trial,
-                )
-            )
-    return records
+            stop_n.append(outcome.stop_index)
+            stop_lb.append(outcome.stopped_log_beta)
+    return TrialRecords(
+        k,
+        math.nan,
+        seed,
+        rule,
+        np.array(stop_n, dtype=np.int64),
+        np.array(stop_lb, dtype=float),
+        np.arange(len(stop_n), dtype=np.int64),
+    )
 
 
 # ------------------------------------------------------------------ estimators
@@ -486,7 +558,7 @@ class CalibrationEstimate:
 
 
 def estimate_strong_calibration(
-    records0: Sequence[TrialRecord], records1: Sequence[TrialRecord], n_bins: int = DEFAULT_BINS
+    records0: TrialRecords, records1: TrialRecords, n_bins: int = DEFAULT_BINS
 ) -> CalibrationEstimate:
     """Bin stopped values and compare H1/H0 frequency ratios to the bin's beta.
 
@@ -500,8 +572,7 @@ def estimate_strong_calibration(
     mean being tested only while bins stay narrow.  The ratio gets a
     delta-method 95% interval on the log scale.
     """
-    lb0 = np.array([r.stopped_log_beta for r in records0], dtype=float)
-    lb1 = np.array([r.stopped_log_beta for r in records1], dtype=float)
+    lb0, lb1 = records0.stopped_log_beta, records1.stopped_log_beta
     n0, n1 = lb0.size, lb1.size
     if n0 == 0 or n1 == 0:
         raise ValueError("both record lists must be nonempty")
@@ -593,21 +664,31 @@ class Type1Estimate:
 
 
 def estimate_type1(
-    records: Sequence[TrialRecord], alpha: Union[SignificanceLevel, float]
+    records: TrialRecords, alpha: Union[SignificanceLevel, float]
 ) -> Type1Estimate:
     """Fraction of trials whose stopped Bayes factor reached 1/alpha.
 
-    The records must come from the rule ``BfThreshold(1/alpha)`` itself;
-    read off another bar's records, the rate is too low.  A trial under a
-    lower bar stops at its first crossing of that bar and never gets the
-    chance to reach 1/alpha, and one under a higher bar that crosses
-    1/alpha without reaching its own bar is recorded at its final value.
+    The records must come from ``BfThreshold(upper=1/alpha)`` itself,
+    with or without a ``lower`` bar; any other rule raises
+    ``ValueError``.  Read off another upper bar's records, the rate is
+    too low: a trial under a smaller bar stops at its first crossing of
+    it and never gets the chance to reach 1/alpha, and one under a
+    larger bar that crosses 1/alpha without reaching its own is recorded
+    at its final value.  A trial rejects where the rule's upper bar
+    stopped it, at log beta >= ``rule.log_upper`` (for some alpha one
+    ulp below -log(alpha)).
     """
     level = alpha if isinstance(alpha, SignificanceLevel) else SignificanceLevel(float(alpha))
-    lb = np.array([r.stopped_log_beta for r in records], dtype=float)
+    rule = records.rule
+    if not (isinstance(rule, BfThreshold) and rule.upper == 1.0 / level.alpha):
+        raise ValueError(
+            f"a Type-I rate at alpha = {level.alpha:g} needs records of "
+            f"BfThreshold(upper={1.0 / level.alpha:g}), got {rule!r}"
+        )
+    lb = records.stopped_log_beta
     if lb.size == 0:
         raise ValueError("no records")
-    n_reject = int(np.count_nonzero(lb >= level.log_threshold))
+    n_reject = int(np.count_nonzero(lb >= rule.log_upper))
     rate = n_reject / lb.size
     se = math.sqrt(rate * (1.0 - rate) / lb.size)
     lo, hi = wilson_interval(n_reject, lb.size)
@@ -635,9 +716,9 @@ class StoppedBfMean:
         return abs(self.mean - 1.0) <= 3.0 * self.se
 
 
-def estimate_stopped_bf_mean(records: Sequence[TrialRecord]) -> StoppedBfMean:
+def estimate_stopped_bf_mean(records: TrialRecords) -> StoppedBfMean:
     """Sample mean of the stopped Bayes factor; equals 1 in expectation under H0."""
-    beta = np.exp(np.array([r.stopped_log_beta for r in records], dtype=float))
+    beta = np.exp(records.stopped_log_beta)
     if beta.size == 0:
         raise ValueError("no records")
     mean = float(beta.mean())
@@ -660,18 +741,34 @@ def _format_g(g) -> str:
     return format(float(g), ".17g")
 
 
-def records_to_csv(records: Sequence[TrialRecord], path) -> None:
+def records_to_csv(batches: Sequence[TrialRecords], path) -> None:
+    """Write the batches' records in order, one CSV row per trial.
+
+    The columns are k, g, stop_index, stopped_log_beta, seed and trial:
+    floats as ``.17g``, a (scale, location) g as its two components
+    joined by '|', lines ended by CRLF.  No field can hold a delimiter or
+    a quote, so these are the bytes ``csv.writer`` writes for the same
+    rows.  Rows are formatted from ``tolist()`` columns BLOCK_SIZE at a
+    time, so only one slice's strings are held at once.
+    """
     with rewrite(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "g", "stop_index", "stopped_log_beta", "seed", "trial"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.k,
-                    _format_g(r.g),
-                    r.stop_index,
-                    format(r.stopped_log_beta, ".17g"),
-                    r.seed,
-                    r.trial,
-                ]
-            )
+        fh.write("k,g,stop_index,stopped_log_beta,seed,trial\r\n")
+        for batch in batches:
+            k, seed = batch.k, batch.seed
+            run_g = None if batch.per_trial_g else _format_g(batch.g)
+            for lo in range(0, len(batch), BLOCK_SIZE):
+                rows = slice(lo, lo + BLOCK_SIZE)
+                if run_g is None:
+                    gs = [format(v, ".17g") for v in batch.g[rows].tolist()]
+                else:
+                    gs = itertools.repeat(run_g)
+                columns = (
+                    batch.stop_index[rows].tolist(),
+                    batch.stopped_log_beta[rows].tolist(),
+                    batch.trial[rows].tolist(),
+                )
+                fh.write(
+                    "".join(
+                        f"{k},{g},{n},{lb:.17g},{seed},{t}\r\n" for g, n, lb, t in zip(gs, *columns)
+                    )
+                )

@@ -7,16 +7,16 @@ signature), it gives the records the boundary engine must reproduce bit
 for bit.
 """
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from optstop.montecarlo import TrialRecord, _draws_per_trial, _TrialStreams
+from optstop.montecarlo import TrialRecords, _draws_per_trial, _TrialStreams
 
 
 def run_block_per_step(
     pair, curves, k, g, rule, key64, lo, hi, seed, x_init: Optional[float], lb_offset
-) -> List[TrialRecord]:
+) -> TrialRecords:
     size = hi - lo
     marginal = x_init is not None
     if marginal:
@@ -91,20 +91,5 @@ def run_block_per_step(
             stop_lb[hit] = lb[mask] if lb is not None else log_beta(n, hit)
             active[hit] = False
 
-    if marginal:
-        g_values = [float(v) for v in a]
-    elif pair.is_scale:
-        g_values = [float(g)] * size
-    else:
-        g_values = [(float(g[0]), float(g[1]))] * size
-    return [
-        TrialRecord(
-            k=k,
-            g=g_values[i],
-            stop_index=int(stop_n[i]),
-            stopped_log_beta=float(stop_lb[i]),
-            seed=seed,
-            trial=lo + i,
-        )
-        for i in range(size)
-    ]
+    g_run = a if marginal or pair.is_scale else (a, b)
+    return TrialRecords(k, g_run, seed, rule, stop_n, stop_lb, np.arange(lo, hi, dtype=np.int64))

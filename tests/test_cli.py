@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from optstop import exact
+from optstop import exact, montecarlo
 from optstop.cli import ConfigError, main, parse_config_text
 from optstop.errors import ResourceLimitError
 
@@ -70,6 +70,22 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "draw buffer budget" in err[0]
+
+    @pytest.mark.parametrize(
+        "kind", ["mc-strong-calibration", "mc-marginal-calibration", "mc-type1", "mc-bf-mean"]
+    )
+    @pytest.mark.parametrize("n_trials", ["0", "-3"])
+    def test_no_trials_exits_one_up_front(self, kind, n_trials, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(montecarlo, "run_trials", no_run)
+        monkeypatch.setattr(montecarlo, "run_marginal_trials", no_run)
+        cfg = write(tmp_path / "n.cfg", f"n_trials = {n_trials}\nrule_upper = 20\nrule_cap = 20\n")
+        code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: n_trials must be at least 1, got {n_trials}\n"
+        assert not (tmp_path / "out" / "records.csv").exists()
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "u.cfg", "horizon = 6\nmystery_key = 3\n")

@@ -286,7 +286,36 @@ class TestTauIndependenceCrossCheck:
             assert ta.entries[seq].log_beta == tb.entries[seq].log_beta
 
 
+def sample_sequence_by_choice(model, k, rng):
+    """Reference sampler: one ``rng.choice`` per component and per symbol."""
+    weights = model.weights(k)
+    comp = int(rng.choice(len(weights), p=weights / weights.sum()))
+    cond = (model.components0 if k == 0 else model.components1)[comp][1]
+    out = []
+    for _ in range(model.horizon):
+        p = cond if isinstance(cond, np.ndarray) else np.asarray(cond(tuple(out)), dtype=float)
+        out.append(int(rng.choice(model.alphabet_size, p=p / p.sum())))
+    return tuple(out)
+
+
 class TestSampling:
+    @pytest.mark.parametrize("kind", ["bernoulli", "random", "laplace"])
+    def test_sample_sequence_matches_choice(self, kind):
+        """Same sequences, and the generator left at the same draw, bit for bit."""
+        models = {
+            "bernoulli": lambda r: FiniteModel.bernoulli_point_vs_uniform(horizon=9, grid=500),
+            "random": lambda r: random_finite_model(r, max_alphabet=5, max_components=4),
+            "laplace": lambda r: laplace_model(7),
+        }
+        for seed in range(40):
+            model = models[kind](np.random.default_rng(seed))
+            for k in (0, 1):
+                a = np.random.Generator(np.random.Philox(key=[seed, k]))
+                b = np.random.Generator(np.random.Philox(key=[seed, k]))
+                for _ in range(5):
+                    assert sample_sequence(model, k, a) == sample_sequence_by_choice(model, k, b)
+                assert a.random(3).tolist() == b.random(3).tolist()
+
     def test_sample_sequence_length_and_alphabet(self, rng):
         model = random_finite_model(rng)
         seq = sample_sequence(model, 1, rng)

@@ -24,6 +24,7 @@ from optstop.montecarlo import (
     run_marginal_trials,
     run_trials,
     run_trials_finite,
+    TrialRecords,
     wilson_interval,
 )
 from optstop.stopping import BfThreshold, FixedN, SumOfSquares
@@ -39,7 +40,9 @@ def fresh_stream(key64, trial):
 
 class TestRunTrials:
     def test_zero_trials(self):
-        assert run_trials(CAUCHY, 0, 1.0, FixedN(n=5, cap=10), 0, seed=1) == []
+        records = run_trials(CAUCHY, 0, 1.0, FixedN(n=5, cap=10), 0, seed=1)
+        assert isinstance(records, TrialRecords)
+        assert len(records) == 0 and list(records) == []
 
     def test_fixed_n_stop_indices(self):
         records = run_trials(CAUCHY, 0, 1.0, FixedN(n=5, cap=10), 500, seed=1)
@@ -181,7 +184,7 @@ class TestStreamContract:
         before = run_trials(pair, 1, 1.3, rule, 40, seed=2)
         self.patch_trial(monkeypatch, 17, [-0.5])  # x_1 = 1.3 * (0.5 - 0.5) = 0
         after = run_trials(pair, 1, 1.3, rule, 40, seed=2)
-        assert after[:17] + after[18:] == before[:17] + before[18:]
+        assert after[:17] == before[:17] and after[18:] == before[18:]
         expected = self.reference_stop(pair, 1, 1.3, rule, 2, 17, lead=[-0.5])
         assert (after[17].stop_index, after[17].stopped_log_beta) == expected
         assert after[17] != before[17]
@@ -352,8 +355,8 @@ class TestSerialization:
     def test_csv_layout_and_determinism(self, tmp_path):
         records = run_trials(CAUCHY, 0, 0.5, FixedN(n=4, cap=8), 50, seed=30)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        records_to_csv(records, p1)
-        records_to_csv(records, p2)
+        records_to_csv([records], p1)
+        records_to_csv([records], p2)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "k,g,stop_index,stopped_log_beta,seed,trial"
