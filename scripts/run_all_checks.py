@@ -15,22 +15,16 @@ import argparse
 import os
 import sys
 
-from optstop.cli import exit_code, parse_config_text, run
+from optstop.cli import EXPERIMENTS, exit_code, parse_config_text, run
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-EXPERIMENTS = [
-    ("exact-calibration", "exact_calibration.cfg"),
-    ("exact-markov", "exact_markov.cfg"),
-    ("exact-expectation", "exact_expectation.cfg"),
-    ("mc-strong-calibration", "mc_strong_calibration.cfg"),
-    ("mc-type1", "mc_type1.cfg"),
-    ("mc-bf-mean", "mc_bf_mean.cfg"),
-    ("mc-marginal-calibration", "mc_marginal_calibration.cfg"),
-    ("invariance-check", "invariance_check.cfg"),
-]
-
 QUICK_OVERRIDES = {"n_trials": "20000", "trials": "2000"}
+
+
+def config_path(kind: str) -> str:
+    """The bundled config of an experiment kind: configs/<kind, '-' as '_'>.cfg."""
+    return os.path.join(HERE, "configs", kind.replace("-", "_") + ".cfg")
 
 
 def main() -> int:
@@ -49,8 +43,8 @@ def main() -> int:
 
 def run_sweep(args: argparse.Namespace) -> int:
     outcomes = []
-    for kind, cfg_name in EXPERIMENTS:
-        with open(os.path.join(HERE, "configs", cfg_name)) as fh:
+    for kind in EXPERIMENTS:
+        with open(config_path(kind)) as fh:
             config = parse_config_text(fh.read())
         if args.quick:
             for key, value in QUICK_OVERRIDES.items():

@@ -16,18 +16,18 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from . import exact, montecarlo
-from .core import SignificanceLevel, rewrite
+from .core import SignificanceLevel, rewrite, write_csv
 from .errors import OptstopError
 from .models import CauchyEffect, InvariantModelPair, PointMass
 from .stopping import BfThreshold, FixedN, check_invariance, rule_from_params, sum_squares_rule
@@ -52,7 +52,6 @@ def parse_config_text(text: str) -> Dict[str, str]:
 
 @dataclass
 class ExperimentConfig:
-    kind: str
     values: Dict[str, str] = field(default_factory=dict)
     _used: set = field(default_factory=set)
 
@@ -60,32 +59,26 @@ class ExperimentConfig:
         self._used.add(key)
         return self.values.get(key, default)
 
-    def get_float(self, key, default=None) -> Optional[float]:
+    def _parse(self, key, default, convert: Callable, what: str):
         raw = self.get(key)
         if raw is None:
             return default
         try:
-            return float(raw)
+            return convert(raw)
         except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not a number: {raw!r}") from exc
+            raise ConfigError(f"key {key!r}: not {what}: {raw!r}") from exc
+
+    def get_float(self, key, default=None) -> Optional[float]:
+        return self._parse(key, default, float, "a number")
 
     def get_int(self, key, default=None) -> Optional[int]:
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not an integer: {raw!r}") from exc
+        return self._parse(key, default, int, "an integer")
 
     def get_float_list(self, key, default=None) -> Optional[List[float]]:
-        raw = self.get(key)
-        if raw is None:
-            return default
-        try:
-            return [float(part) for part in raw.split(",") if part.strip() != ""]
-        except ValueError as exc:
-            raise ConfigError(f"key {key!r}: not a comma-separated number list: {raw!r}") from exc
+        return self._parse(
+            key, default, lambda raw: [float(part) for part in raw.split(",") if part.strip() != ""],
+            "a comma-separated number list",
+        )
 
     def reject_unknown(self) -> None:
         unknown = set(self.values) - self._used
@@ -128,10 +121,8 @@ def _finite_model(cfg: ExperimentConfig) -> exact.FiniteModel:
     )
 
 
-def _alphas(cfg: ExperimentConfig, default="0.05") -> List[SignificanceLevel]:
-    values = cfg.get_float_list("alpha", None)
-    if values is None:
-        values = [float(default)]
+def _alphas(cfg: ExperimentConfig) -> List[SignificanceLevel]:
+    values = cfg.get_float_list("alpha", [0.05])
     if not values:
         raise ConfigError("alpha: at least one level is required")
     try:
@@ -140,11 +131,11 @@ def _alphas(cfg: ExperimentConfig, default="0.05") -> List[SignificanceLevel]:
         raise ConfigError(f"alpha: {exc}") from exc
 
 
-def _n_trials(cfg: ExperimentConfig) -> int:
-    n_trials = cfg.get_int("n_trials", 100_000)
-    if n_trials < 1:
-        raise ConfigError(f"n_trials must be at least 1, got {n_trials}")
-    return n_trials
+def _count(cfg: ExperimentConfig, key: str, default: int) -> int:
+    value = cfg.get_int(key, default)
+    if value < 1:
+        raise ConfigError(f"{key} must be at least 1, got {value}")
+    return value
 
 
 def _fmt(x: float) -> float:
@@ -152,13 +143,8 @@ def _fmt(x: float) -> float:
     return float(format(float(x), ".17g"))
 
 
-def _write_outputs(out_dir: str, summary: dict, verdict_lines: List[str]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with rewrite(os.path.join(out_dir, "summary.json")) as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with rewrite(os.path.join(out_dir, "verdict.txt")) as fh:
-        fh.write("\n".join(verdict_lines) + "\n")
+def _verdict(passed: bool) -> str:
+    return "PASS" if passed else "FAIL"
 
 
 def _calibration_summary(est: montecarlo.CalibrationEstimate) -> dict:
@@ -191,19 +177,26 @@ def _calibration_summary(est: montecarlo.CalibrationEstimate) -> dict:
 
 
 # ------------------------------------------------------------ experiment runs
+# A runner reads its config keys, writes records.csv and returns its summary
+# body, its verdict lines and one pass flag per check; ``run`` does the rest.
 
 
-def _run_exact_calibration(cfg: ExperimentConfig, seed: int, out_dir: str):
+def _run_exact_table(cfg: ExperimentConfig, seed: int, out_dir: str, default_tol: float,
+                     check: Callable):
+    """Check the table of the configured rule's stopped sequences with ``check(table, tol)``."""
     model = _finite_model(cfg)
     rule = _rule(cfg, default_cap=model.horizon)
-    tol = cfg.get_float("tol", 1e-9)
+    tol = cfg.get_float("tol", default_tol)
     cfg.reject_unknown()
     table = exact.build_table(model, rule)
-    report = exact.verify_calibration(table, tol=tol)
+    body, lines, passed = check(table, tol)
     table.to_csv(os.path.join(out_dir, "records.csv"))
-    summary = {
-        "experiment": "exact-calibration",
-        "entries": len(table.entries),
+    return dict(body, entries=len(table.entries), tol=_fmt(tol)), lines, [passed]
+
+
+def _calibration_check(table: exact.ExactTable, tol: float):
+    report = exact.verify_calibration(table, tol=tol)
+    body = {
         "groups": [
             {
                 "log_beta": _fmt(g.log_beta),
@@ -215,16 +208,24 @@ def _run_exact_calibration(cfg: ExperimentConfig, seed: int, out_dir: str):
             for g in report.groups
         ],
         "max_residual": _fmt(report.max_residual),
-        "tol": _fmt(tol),
-        "passed": report.passed,
     }
     lines = [
         f"exact calibration: {len(report.groups)} Bayes-factor groups over "
         f"{len(table.entries)} stopped sequences",
         f"max relative residual {report.max_residual:.3e} (tolerance {tol:.1e})",
-        f"VERDICT: {'PASS' if report.passed else 'FAIL'}",
     ]
-    return summary, lines, report.passed
+    return body, lines, report.passed
+
+
+def _expectation_check(table: exact.ExactTable, tol: float):
+    expectation = exact.verify_expected_stopped_bf(table)
+    error = abs(expectation - 1.0)
+    body = {"expected_stopped_bf": _fmt(expectation), "abs_error": _fmt(error)}
+    lines = [
+        f"E0[stopped Bayes factor] = {expectation!r} over {len(table.entries)} sequences",
+        f"|E - 1| = {error:.3e} (tolerance {tol:.1e})",
+    ]
+    return body, lines, error <= tol
 
 
 def _run_exact_markov(cfg: ExperimentConfig, seed: int, out_dir: str):
@@ -236,16 +237,12 @@ def _run_exact_markov(cfg: ExperimentConfig, seed: int, out_dir: str):
     strictest = min(level.alpha for level in levels)
     table = exact.build_table(model, BfThreshold(upper=1.0 / strictest, cap=model.horizon))
     rows = exact.verify_markov_bound(table, levels)
-    passed = all(chk.bound_holds for chk in rows)
-    with rewrite(os.path.join(out_dir, "records.csv"), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "crossing_probability", "bound_holds"])
-        for chk in rows:
-            writer.writerow(
-                [format(chk.alpha, ".17g"), format(chk.probability, ".17g"), chk.bound_holds]
-            )
-    summary = {
-        "experiment": "exact-markov",
+    write_csv(
+        os.path.join(out_dir, "records.csv"),
+        ["alpha", "crossing_probability", "bound_holds"],
+        ([format(c.alpha, ".17g"), format(c.probability, ".17g"), c.bound_holds] for c in rows),
+    )
+    body = {
         "checks": [
             {
                 "alpha": _fmt(c.alpha),
@@ -253,165 +250,117 @@ def _run_exact_markov(cfg: ExperimentConfig, seed: int, out_dir: str):
                 "bound_holds": c.bound_holds,
             }
             for c in rows
-        ],
-        "passed": passed,
+        ]
     }
     lines = [
         f"alpha={c.alpha:g}: P0(beta ever >= {1/c.alpha:g}) = {c.probability:.6f} "
-        f"{'<=' if c.bound_holds else '>'} alpha -> {'PASS' if c.bound_holds else 'FAIL'}"
+        f"{'<=' if c.bound_holds else '>'} alpha -> {_verdict(c.bound_holds)}"
         for c in rows
-    ] + [f"VERDICT: {'PASS' if passed else 'FAIL'}"]
-    return summary, lines, passed
-
-
-def _run_exact_expectation(cfg: ExperimentConfig, seed: int, out_dir: str):
-    model = _finite_model(cfg)
-    rule = _rule(cfg, default_cap=model.horizon)
-    tol = cfg.get_float("tol", 1e-10)
-    cfg.reject_unknown()
-    table = exact.build_table(model, rule)
-    expectation = exact.verify_expected_stopped_bf(table)
-    passed = abs(expectation - 1.0) <= tol
-    table.to_csv(os.path.join(out_dir, "records.csv"))
-    summary = {
-        "experiment": "exact-expectation",
-        "entries": len(table.entries),
-        "expected_stopped_bf": _fmt(expectation),
-        "abs_error": _fmt(abs(expectation - 1.0)),
-        "tol": _fmt(tol),
-        "passed": passed,
-    }
-    lines = [
-        f"E0[stopped Bayes factor] = {expectation!r} over {len(table.entries)} sequences",
-        f"|E - 1| = {abs(expectation - 1.0):.3e} (tolerance {tol:.1e})",
-        f"VERDICT: {'PASS' if passed else 'FAIL'}",
     ]
-    return summary, lines, passed
+    return body, lines, [c.bound_holds for c in rows]
 
 
-def _run_mc_calibration(cfg: ExperimentConfig, seed: int, out_dir: str, experiment: str,
-                        sweep_key: str, trials: Callable, summary_key: str, line: str):
+def _run_mc_calibration(cfg: ExperimentConfig, seed: int, out_dir: str, sweep_key: str,
+                        trials: str, summary_key: str, line: str):
     """H1-against-H0 calibration at every value of one swept config key.
 
-    ``trials(pair, k, value, rule, n_trials, seed)`` runs one arm and
-    ``line`` formats the verdict line of one value.
+    ``trials`` names the montecarlo function that runs one arm (looked up
+    per run, so a wrapped function is the one called); ``line`` formats
+    the verdict line of one value.
     """
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     rule = _rule(cfg, default_cap=200)
     values = cfg.get_float_list(sweep_key, [1.0])
-    n_trials = _n_trials(cfg)
-    bins = cfg.get_int("bins", montecarlo.DEFAULT_BINS)
+    n_trials = _count(cfg, "n_trials", 100_000)
+    bins = _count(cfg, "bins", montecarlo.DEFAULT_BINS)
     cfg.reject_unknown()
     all_records: List[montecarlo.TrialRecords] = []
     per_value = {}
-    passed = True
-    lines = []
+    lines, passed = [], []
     for v in values:
-        rec0 = trials(pair, 0, v, rule, n_trials, seed)
-        rec1 = trials(pair, 1, v, rule, n_trials, seed)
+        rec0 = getattr(montecarlo, trials)(pair, 0, v, rule, n_trials, seed)
+        rec1 = getattr(montecarlo, trials)(pair, 1, v, rule, n_trials, seed)
         all_records += [rec0, rec1]
         est = montecarlo.estimate_strong_calibration(rec0, rec1, n_bins=bins)
         per_value[format(v, ".17g")] = _calibration_summary(est)
-        passed = passed and est.passed
-        lines.append(line.format(v=v, est=est, verdict="PASS" if est.passed else "FAIL"))
+        lines.append(line.format(v=v, est=est, verdict=_verdict(est.passed)))
+        passed.append(est.passed)
     montecarlo.records_to_csv(all_records, os.path.join(out_dir, "records.csv"))
-    summary = {"experiment": experiment, summary_key: per_value, "passed": passed}
-    lines.append(f"VERDICT: {'PASS' if passed else 'FAIL'}")
-    return summary, lines, passed
+    return {summary_key: per_value}, lines, passed
 
 
-def _run_mc_strong_calibration(cfg: ExperimentConfig, seed: int, out_dir: str):
-    return _run_mc_calibration(
-        cfg, seed, out_dir, "mc-strong-calibration", "g", montecarlo.run_trials, "per_g",
-        "g={v:g}: {est.usable_bins} usable bins, pass fraction {est.pass_fraction:.3f} "
-        f"(need >= {montecarlo.BIN_PASS_FRACTION}) -> {{verdict}}",
-    )
+def _run_null_arm(cfg: ExperimentConfig, seed: int, out_dir: str, checks: Callable):
+    """Null-arm trials of each (rule, check) pair, in order, at every nuisance value g.
 
-
-def _run_mc_marginal_calibration(cfg: ExperimentConfig, seed: int, out_dir: str):
-    # run_marginal_trials reads a scalar x as the initial sample x_m = (x,)
-    return _run_mc_calibration(
-        cfg, seed, out_dir, "mc-marginal-calibration", "x_m", montecarlo.run_marginal_trials,
-        "per_x_m",
-        "x_m=({v:g},): {est.usable_bins} usable bins, pass fraction {est.pass_fraction:.3f} "
-        "-> {verdict}",
-    )
-
-
-def _run_mc_type1(cfg: ExperimentConfig, seed: int, out_dir: str):
+    ``checks(cfg)`` reads the kind's own config keys and gives the pairs;
+    ``check(records, g)`` gives one summary row, with its ``passed``
+    flag, and one verdict line.
+    """
     pair = InvariantModelPair.scale(_effect_prior(cfg))
-    levels = _alphas(cfg)
+    pairs = checks(cfg)
     gs = cfg.get_float_list("g", [1.0])
-    n_trials = _n_trials(cfg)
-    cap = cfg.get_int("rule_cap", 1000)
+    n_trials = _count(cfg, "n_trials", 100_000)
     cfg.reject_unknown()
     all_records: List[montecarlo.TrialRecords] = []
-    results = []
-    passed = True
-    lines = []
-    for level in levels:
-        rule = BfThreshold(upper=1.0 / level.alpha, cap=cap)
+    rows, lines = [], []
+    for rule, check in pairs:
         for g in gs:
             records = montecarlo.run_trials(pair, 0, g, rule, n_trials, seed)
             all_records.append(records)
-            est = montecarlo.estimate_type1(records, level)
-            results.append(
-                {
-                    "alpha": _fmt(level.alpha),
-                    "g": _fmt(g),
-                    "rate": _fmt(est.rate),
-                    "se": _fmt(est.se),
-                    "wilson_lo": _fmt(est.wilson_lo),
-                    "wilson_hi": _fmt(est.wilson_hi),
-                    "n_reject": est.n_reject,
-                    "passed": est.passed,
-                }
-            )
-            passed = passed and est.passed
-            lines.append(
-                f"alpha={level.alpha:g} g={g:g}: rejection rate {est.rate:.5f} "
-                f"(alpha + 3se = {level.alpha + 3 * est.se:.5f}) -> "
-                f"{'PASS' if est.passed else 'FAIL'}"
-            )
+            row, line = check(records, g)
+            rows.append(row)
+            lines.append(line)
     montecarlo.records_to_csv(all_records, os.path.join(out_dir, "records.csv"))
-    summary = {"experiment": "mc-type1", "checks": results, "passed": passed}
-    lines.append(f"VERDICT: {'PASS' if passed else 'FAIL'}")
-    return summary, lines, passed
+    return {"checks": rows}, lines, [row["passed"] for row in rows]
 
 
-def _run_mc_bf_mean(cfg: ExperimentConfig, seed: int, out_dir: str):
-    pair = InvariantModelPair.scale(_effect_prior(cfg))
-    rule = _rule(cfg, default_cap=1000)
-    gs = cfg.get_float_list("g", [1.0])
-    n_trials = _n_trials(cfg)
-    cfg.reject_unknown()
-    all_records: List[montecarlo.TrialRecords] = []
-    results = []
-    passed = True
-    lines = []
-    for g in gs:
-        records = montecarlo.run_trials(pair, 0, g, rule, n_trials, seed)
-        all_records.append(records)
-        est = montecarlo.estimate_stopped_bf_mean(records)
-        results.append(
-            {
-                "g": _fmt(g),
-                "mean": _fmt(est.mean),
-                "se": _fmt(est.se),
-                "ci_lo": _fmt(est.ci_lo),
-                "ci_hi": _fmt(est.ci_hi),
-                "passed": est.passed,
-            }
-        )
-        passed = passed and est.passed
-        lines.append(
-            f"g={g:g}: mean stopped Bayes factor {est.mean:.4f} +- {est.se:.4f} "
-            f"(|mean - 1| <= 3se) -> {'PASS' if est.passed else 'FAIL'}"
-        )
-    montecarlo.records_to_csv(all_records, os.path.join(out_dir, "records.csv"))
-    summary = {"experiment": "mc-bf-mean", "checks": results, "passed": passed}
-    lines.append(f"VERDICT: {'PASS' if passed else 'FAIL'}")
-    return summary, lines, passed
+def _type1_checks(cfg: ExperimentConfig):
+    levels = _alphas(cfg)
+    cap = cfg.get_int("rule_cap", 1000)
+    return [
+        (BfThreshold(upper=1.0 / level.alpha, cap=cap), partial(_type1_check, level))
+        for level in levels
+    ]
+
+
+def _type1_check(level: SignificanceLevel, records: montecarlo.TrialRecords, g: float):
+    est = montecarlo.estimate_type1(records, level)
+    row = {
+        "alpha": _fmt(level.alpha),
+        "g": _fmt(g),
+        "rate": _fmt(est.rate),
+        "se": _fmt(est.se),
+        "wilson_lo": _fmt(est.wilson_lo),
+        "wilson_hi": _fmt(est.wilson_hi),
+        "n_reject": est.n_reject,
+        "passed": est.passed,
+    }
+    line = (
+        f"alpha={level.alpha:g} g={g:g}: rejection rate {est.rate:.5f} "
+        f"(alpha + 3se = {level.alpha + 3 * est.se:.5f}) -> {_verdict(est.passed)}"
+    )
+    return row, line
+
+
+def _bf_mean_checks(cfg: ExperimentConfig):
+    return [(_rule(cfg, default_cap=1000), _bf_mean_check)]
+
+
+def _bf_mean_check(records: montecarlo.TrialRecords, g: float):
+    est = montecarlo.estimate_stopped_bf_mean(records)
+    row = {
+        "g": _fmt(g),
+        "mean": _fmt(est.mean),
+        "se": _fmt(est.se),
+        "ci_lo": _fmt(est.ci_lo),
+        "ci_hi": _fmt(est.ci_hi),
+        "passed": est.passed,
+    }
+    line = (
+        f"g={g:g}: mean stopped Bayes factor {est.mean:.4f} +- {est.se:.4f} "
+        f"(|mean - 1| <= 3se) -> {_verdict(est.passed)}"
+    )
+    return row, line
 
 
 def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
@@ -427,14 +376,11 @@ def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
         ("fixed-n", FixedN(n=8, cap=cap)),
         ("raw-sum-squares", sum_squares_rule(raw_threshold, cap=cap)),
     ]
-    rows = []
-    passed = True
-    lines = []
+    rows, lines = [], []
     for name, rule in rules:
         report = check_invariance(rule, pair, trials=trials, rng=rng)
-        expected_invariant = rule.declared_invariant
-        ok = report.passed if expected_invariant else report.counterexample is not None
-        passed = passed and ok
+        found = report.counterexample is not None
+        ok = report.passed if rule.declared_invariant else found
         rows.append(
             {
                 "rule": name,
@@ -442,38 +388,30 @@ def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
                 "trials": report.trials,
                 "mismatches": report.mismatches,
                 "skipped_boundary": report.skipped_boundary,
-                "counterexample_found": report.counterexample is not None,
+                "counterexample_found": found,
                 "passed": ok,
             }
         )
-        if expected_invariant:
+        if rule.declared_invariant:
             lines.append(
                 f"{name}: {report.mismatches} mismatches in {report.trials} trials "
-                f"({report.skipped_boundary} boundary skips) -> {'PASS' if ok else 'FAIL'}"
+                f"({report.skipped_boundary} boundary skips) -> {_verdict(ok)}"
             )
         else:
             detail = ""
-            if report.counterexample is not None:
+            if found:
                 x, h = report.counterexample
                 detail = f" (x={np.array2string(x, precision=3)}, h={h:.3f})"
             lines.append(
                 f"{name}: counterexample {'found' if ok else 'NOT found'}{detail} -> "
-                f"{'PASS' if ok else 'FAIL'}"
+                f"{_verdict(ok)}"
             )
-    with rewrite(os.path.join(out_dir, "records.csv"), newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["rule", "declared_invariant", "trials", "mismatches", "skipped_boundary",
-             "counterexample_found"]
-        )
-        for row in rows:
-            writer.writerow(
-                [row["rule"], row["declared_invariant"], row["trials"], row["mismatches"],
-                 row["skipped_boundary"], row["counterexample_found"]]
-            )
-    summary = {"experiment": "invariance-check", "rules": rows, "passed": passed}
-    lines.append(f"VERDICT: {'PASS' if passed else 'FAIL'}")
-    return summary, lines, passed
+    columns = ["rule", "declared_invariant", "trials", "mismatches", "skipped_boundary",
+               "counterexample_found"]
+    write_csv(
+        os.path.join(out_dir, "records.csv"), columns, ([row[c] for c in columns] for row in rows)
+    )
+    return {"rules": rows}, lines, [row["passed"] for row in rows]
 
 
 class Experiment(NamedTuple):
@@ -486,7 +424,7 @@ class Experiment(NamedTuple):
 # every experiment kind, in the order --help lists them
 EXPERIMENTS = {
     "exact-calibration": Experiment(
-        _run_exact_calibration,
+        partial(_run_exact_table, default_tol=1e-9, check=_calibration_check),
         "Exhaustively enumerates a finite model under a capped stopping rule and\n"
         "checks weak calibration: within every level set of the Bayes factor, the\n"
         "ratio of alternative to null mass equals the Bayes factor itself\n"
@@ -500,31 +438,41 @@ EXPERIMENTS = {
         "the rule 'reject once beta >= 1/alpha' under optional stopping.",
     ),
     "exact-expectation": Experiment(
-        _run_exact_expectation,
+        partial(_run_exact_table, default_tol=1e-10, check=_expectation_check),
         "Exhaustively computes the expected stopped Bayes factor under the null\n"
         "marginal and checks that it equals 1 (the optional-stopping identity for\n"
         "the evidence process with proper priors).",
     ),
     "mc-strong-calibration": Experiment(
-        _run_mc_strong_calibration,
+        partial(
+            _run_mc_calibration, sweep_key="g", trials="run_trials", summary_key="per_g",
+            line="g={v:g}: {est.usable_bins} usable bins, pass fraction "
+            f"{{est.pass_fraction:.3f}} (need >= {montecarlo.BIN_PASS_FRACTION}) -> {{verdict}}",
+        ),
         "Monte Carlo check of strong calibration for the scale-group test: among\n"
         "stopped runs with Bayes factor near b, the alternative arm is b times as\n"
         "frequent as the null arm, separately at every nuisance value g\n"
         "(estimate_strong_calibration; requires a quotient-measurable rule).",
     ),
     "mc-type1": Experiment(
-        _run_mc_type1,
+        partial(_run_null_arm, checks=_type1_checks),
         "Monte Carlo check of uniform frequentist Type-I error control: under the\n"
         "null at each nuisance value g, the rule 'stop and reject once beta >=\n"
         "1/alpha (capped)' rejects with frequency at most alpha (estimate_type1).",
     ),
     "mc-bf-mean": Experiment(
-        _run_mc_bf_mean,
+        partial(_run_null_arm, checks=_bf_mean_checks),
         "Monte Carlo check that the stopped Bayes factor has unit expectation\n"
         "under the null at every nuisance value g (estimate_stopped_bf_mean).",
     ),
     "mc-marginal-calibration": Experiment(
-        _run_mc_marginal_calibration,
+        # run_marginal_trials reads a scalar x as the initial sample x_m = (x,)
+        partial(
+            _run_mc_calibration, sweep_key="x_m", trials="run_marginal_trials",
+            summary_key="per_x_m",
+            line="x_m=({v:g},): {est.usable_bins} usable bins, pass fraction "
+            "{est.pass_fraction:.3f} -> {verdict}",
+        ),
         "Monte Carlo check of calibration for the conditional evidence given an\n"
         "initial sample: trials draw the nuisance value from its posterior given\n"
         "x_m and extend the sequence; the conditional stopped Bayes factor must\n"
@@ -541,17 +489,22 @@ EXPERIMENTS = {
 
 
 def run(kind: str, config: Dict[str, str], seed: Optional[int], out_dir: str) -> int:
-    cfg = ExperimentConfig(kind=kind, values=dict(config))
+    cfg = ExperimentConfig(values=dict(config))
     effective_seed = seed if seed is not None else cfg.get_int("seed", 0)
     cfg._used.add("seed")
     try:
         os.makedirs(out_dir, exist_ok=True)
-        summary, lines, passed = EXPERIMENTS[kind].run(cfg, effective_seed, out_dir)
-        summary["seed"] = effective_seed
-        summary["config"] = dict(config)
-        _write_outputs(out_dir, summary, lines)
-    except ConfigError:
-        raise
+        body, lines, checks = EXPERIMENTS[kind].run(cfg, effective_seed, out_dir)
+        passed = all(checks)
+        lines = lines + [f"VERDICT: {_verdict(passed)}"]
+        summary = dict(
+            body, experiment=kind, passed=passed, seed=effective_seed, config=dict(config)
+        )
+        with rewrite(os.path.join(out_dir, "summary.json")) as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        with rewrite(os.path.join(out_dir, "verdict.txt")) as fh:
+            fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         path = getattr(exc, "filename", None) or out_dir
         print(f"error: I/O failure on {path}: {exc}", file=sys.stderr)

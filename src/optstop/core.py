@@ -4,17 +4,19 @@ Everything here works in natural-log space: Bayes factors grow or decay
 geometrically with the sample size, so linear-space products overflow
 long before the horizons used elsewhere in the package.  All types are
 immutable values and all operations are pure functions, apart from
-:func:`rewrite`, the one way the package writes an output file.
+:func:`rewrite`, the one way the package writes an output file, and
+:func:`write_csv` on top of it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import enum
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -190,3 +192,11 @@ def rewrite(path, newline: Optional[str] = None) -> Iterator[TextIO]:
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
         yield fh
         fh.truncate()
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Replace ``path`` with ``header`` and ``rows`` as ``csv.writer`` writes them."""
+    with rewrite(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

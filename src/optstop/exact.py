@@ -17,7 +17,6 @@ own arithmetic, not by summation order.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .core import BfTrajectory, SignificanceLevel, rewrite
+from .core import BfTrajectory, SignificanceLevel, write_csv
 from .errors import ResourceLimitError
 from .stopping import BfThreshold, FixedN, RawStatistic, StoppingRule
 
@@ -316,19 +315,20 @@ class ExactTable:
         return math.fsum(e.mass1 for e in self.entries.values())
 
     def to_csv(self, path) -> None:
-        with rewrite(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sequence", "mass0", "mass1", "log_beta", "stop_index"])
-            for e in self.entries.values():
-                writer.writerow(
-                    [
-                        "-".join(str(s) for s in e.sequence),
-                        format(e.mass0, ".17g"),
-                        format(e.mass1, ".17g"),
-                        format(e.log_beta, ".17g"),
-                        e.stop_index,
-                    ]
-                )
+        write_csv(
+            path,
+            ["sequence", "mass0", "mass1", "log_beta", "stop_index"],
+            (
+                [
+                    "-".join(str(s) for s in e.sequence),
+                    format(e.mass0, ".17g"),
+                    format(e.mass1, ".17g"),
+                    format(e.log_beta, ".17g"),
+                    e.stop_index,
+                ]
+                for e in self.entries.values()
+            ),
+        )
 
 
 def build_table(

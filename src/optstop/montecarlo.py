@@ -31,11 +31,12 @@ Trajectory evaluation
     Trials advance in lockstep over whole blocks.  The running
     statistics (sum, sum of squares) determine the invariant coordinate
     at each step, and the log Bayes factor comes from the per-n
-    Chebyshev tables in :class:`~optstop.models.ScaleBfCurves`.  The
-    tables for every n up to the cap are built before the first block
-    runs and span every value the invariant coordinate can take, so
-    every stopping decision thresholds the same deterministic function
-    of the maximal invariant and no trial leaves the vectorized path.
+    Chebyshev tables in :class:`~optstop.models.ScaleBfCurves`.  A
+    table is built the first time it is read, by a rule's boundaries or
+    by a trial, and kept for the process; each spans every value the
+    invariant coordinate can take, so every stopping decision
+    thresholds the same deterministic function of the maximal invariant
+    and no trial leaves the vectorized path.
     The rule decides for the whole block from the running state
     (``StoppingRule.decide_batch``), and the tables are evaluated only
     where a trial can stop.  log beta_n increases strictly in one
@@ -73,7 +74,7 @@ from .core import NEVER, BfTrajectory, SignificanceLevel, rewrite, stop
 from .errors import ResourceLimitError
 from .exact import FiniteModel, log_beta_paths, sample_sequence
 from .groups import GroupElement
-from .models import InvariantModelPair, PointMass, ScaleBfCurves
+from .models import InvariantModelPair, ScaleBfCurves
 from .stopping import BfThreshold, StoppingRule
 
 BLOCK_SIZE = 8192
@@ -173,6 +174,8 @@ class TrialRecords:
 
 
 def _stream_key(seed: int, k: int, g_components: Sequence[float], variant: int) -> int:
+    if not -(2**63) <= int(seed) < 2**63:
+        raise ValueError(f"seed must be a signed 64-bit integer, got {seed}")
     h = hashlib.blake2b(digest_size=8)
     h.update(struct.pack("<q", int(seed)))
     h.update(bytes([k & 0xFF, variant & 0xFF]))
@@ -354,17 +357,6 @@ def _run_blocks(fn, n_trials: int, n_draws: int) -> TrialRecords:
     )
 
 
-def _prepare_curves(pair: InvariantModelPair, cap: int) -> Optional[ScaleBfCurves]:
-    if not pair.is_scale:
-        return None
-    curves = _curves_for(pair)
-    if isinstance(pair.effect_prior, PointMass) and pair.effect_prior.delta0 == 0.0:
-        return curves  # identically zero, no tables needed
-    for n in range(2, cap + 1):
-        curves._table(n)
-    return curves
-
-
 def _validate_run(
     pair: InvariantModelPair, rule: StoppingRule, n_trials: int, marginal: bool
 ) -> None:
@@ -394,16 +386,19 @@ def run_trials(
     and nuisance value, the log Bayes factor is updated after every
     observation, and the rule (with its mandatory cap) decides when to
     stop.  Deterministic given (seed, configuration); see the module
-    docstring for the stream layout.
+    docstring for the stream layout.  A nuisance value that is not a
+    group element with finite components raises ``ValueError``.
     """
     if k not in (0, 1):
         raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
     _validate_run(pair, rule, n_trials, marginal=False)
     g_comps = (float(g),) if pair.is_scale else (float(g[0]), float(g[1]))
+    if not (0.0 < g_comps[0] < math.inf and all(map(math.isfinite, g_comps))):
+        raise ValueError(f"nuisance value must be finite with a positive scale, got {g}")
     g_run = g_comps[0] if pair.is_scale else g_comps
     if n_trials == 0:
         return TrialRecords.empty(k, g_run, seed, rule)
-    curves = _prepare_curves(pair, rule.cap)
+    curves = _curves_for(pair) if pair.is_scale else None
     key64 = _stream_key(seed, k, g_comps, variant=0)
 
     def block(lo: int, hi: int) -> TrialRecords:
@@ -438,7 +433,7 @@ def run_marginal_trials(
         raise ValueError(f"initial sample must have length m = {pair.m}")
     if n_trials == 0:
         return TrialRecords.empty(k, np.empty(0), seed, rule)
-    curves = _prepare_curves(pair, rule.cap)
+    curves = _curves_for(pair)
     lb_offset = pair.log_bf(x_m) if pair.m >= 1 else 0.0
     x_init = float(x_m[0])
     key64 = _stream_key(seed, k, (x_init,), variant=1)

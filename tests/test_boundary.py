@@ -77,7 +77,7 @@ def test_tables_read_only_near_stops(monkeypatch):
     """A long null run reads the tables about once per trial, not once per step."""
     pair = InvariantModelPair.scale(CauchyEffect(1.0))
     rule = BfThreshold(upper=20.0, cap=200)
-    curves = montecarlo._prepare_curves(pair, rule.cap)
+    curves = montecarlo._curves_for(pair)
     rows = []
     table = curves.log_bf_batch
 
@@ -117,7 +117,7 @@ BARS = [(math.log(20.0), True), (math.log(0.2), False), (math.log(0.8), True)]
 def test_boundary_is_sound(prior, cap):
     """Every coordinate where the table meets a bar lies on the candidate side."""
     pair = InvariantModelPair.scale(prior)
-    curves = montecarlo._prepare_curves(pair, cap)
+    curves = montecarlo._curves_for(pair)
     if isinstance(prior, CauchyEffect):
         lo, hi = 0.0, 1.0
     else:

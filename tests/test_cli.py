@@ -7,13 +7,17 @@ import sys
 import pytest
 
 from optstop import exact, montecarlo
-from optstop.cli import ConfigError, main, parse_config_text
+from optstop.cli import EXPERIMENTS, ConfigError, main, parse_config_text
 from optstop.errors import ResourceLimitError
 
 
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def trials_ran(*args, **kwargs):
+    raise AssertionError("trials ran")
 
 
 class TestConfigParsing:
@@ -76,16 +80,55 @@ class TestExitCodes:
     )
     @pytest.mark.parametrize("n_trials", ["0", "-3"])
     def test_no_trials_exits_one_up_front(self, kind, n_trials, tmp_path, capsys, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("trials ran")
-
-        monkeypatch.setattr(montecarlo, "run_trials", no_run)
-        monkeypatch.setattr(montecarlo, "run_marginal_trials", no_run)
+        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_marginal_trials", trials_ran)
         cfg = write(tmp_path / "n.cfg", f"n_trials = {n_trials}\nrule_upper = 20\nrule_cap = 20\n")
         code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: n_trials must be at least 1, got {n_trials}\n"
         assert not (tmp_path / "out" / "records.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["mc-strong-calibration", "mc-marginal-calibration"])
+    def test_no_bins_exits_one_up_front(self, kind, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_marginal_trials", trials_ran)
+        cfg = write(tmp_path / "b.cfg", "bins = 0\nn_trials = 50\nrule_upper = 20\nrule_cap = 20\n")
+        code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: bins must be at least 1, got 0\n"
+        assert not (tmp_path / "out" / "records.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["mc-strong-calibration", "mc-type1", "mc-bf-mean"])
+    @pytest.mark.parametrize("g", ["0", "-1", "nan", "inf"])
+    def test_nuisance_value_outside_the_group_exits_one(self, kind, g, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(montecarlo, "_run_block", trials_ran)
+        rule = "rule_cap = 20\n" + ("" if kind == "mc-type1" else "rule_upper = 20\n")
+        cfg = write(tmp_path / "g.cfg", f"g = {g}\nn_trials = 50\n{rule}")
+        code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: nuisance value must be finite with a positive scale")
+        assert not (tmp_path / "out" / "records.csv").exists()
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_seed_outside_64_bits_exits_one(self, where, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_run_block", trials_ran)
+        seed = "99999999999999999999"
+        text = "n_trials = 50\nrule_cap = 20\n" + (f"seed = {seed}\n" if where == "config" else "")
+        cfg = write(tmp_path / "s.cfg", text)
+        argv = ["mc-type1", "--config", cfg, "--out", str(tmp_path / "out")]
+        code = main(argv + (["--seed", seed] if where == "flag" else []))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: seed must be a signed 64-bit integer, got {seed}\n"
+        assert not (tmp_path / "out" / "records.csv").exists()
+
+    def test_negative_seed_runs(self, tmp_path, capsys):
+        cfg = write(tmp_path / "s.cfg", "n_trials = 50\nrule_cap = 20\n")
+        code = main(["mc-type1", "--config", cfg, "--seed", "-7", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert json.loads((tmp_path / "out" / "summary.json").read_text())["seed"] == -7
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "u.cfg", "horizon = 6\nmystery_key = 3\n")
@@ -241,6 +284,13 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_every_kind_has_one_bundled_config():
+    script = load_script("run_all_checks")
+    paths = [script.config_path(kind) for kind in EXPERIMENTS]
+    assert all(os.path.dirname(p) == os.path.join(SCRIPTS, "configs") for p in paths)
+    assert sorted(os.listdir(os.path.join(SCRIPTS, "configs"))) == sorted(map(os.path.basename, paths))
 
 
 class TestScriptErrors:

@@ -105,6 +105,37 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(CAUCHY, 0, 1.0, FixedN(n=1, cap=1), 10, seed=0)
 
+    @pytest.mark.parametrize(
+        "group, g",
+        [
+            ("scale", 0.0),
+            ("scale", -1.0),
+            ("scale", math.nan),
+            ("scale", math.inf),
+            ("location_scale", (0.0, 0.0)),
+            ("location_scale", (1.0, math.nan)),
+        ],
+    )
+    def test_nuisance_value_outside_the_group_refused(self, group, g, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a table was built or a block ran")
+
+        monkeypatch.setattr(ScaleBfCurves, "_table", no_work)
+        monkeypatch.setattr(montecarlo, "_run_block", no_work)
+        pair = getattr(InvariantModelPair, group)(CauchyEffect(1.0))
+        with pytest.raises(ValueError, match="nuisance value must be finite with a positive scale"):
+            run_trials(pair, 0, g, BfThreshold(upper=20.0, cap=10), 10, seed=0)
+
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 10**20])
+    def test_seed_outside_64_bits_refused(self, seed):
+        with pytest.raises(ValueError, match="seed must be a signed 64-bit integer"):
+            run_trials(CAUCHY, 0, 1.0, FixedN(n=6, cap=10), 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [-(2**63), -5, 2**63 - 1])
+    def test_seed_at_64_bit_limits_runs(self, seed):
+        records = run_trials(CAUCHY, 0, 1.0, FixedN(n=6, cap=10), 10, seed=seed)
+        assert records.seed == seed and np.all(records.stop_index == 6)
+
     def test_location_scale_pair_runs(self):
         pair = InvariantModelPair.location_scale(PointMass(0.0))
         records = run_trials(pair, 1, (1.5, -1.0), FixedN(n=6, cap=10), 100, seed=3)
