@@ -131,6 +131,16 @@ def _alphas(cfg: ExperimentConfig) -> List[SignificanceLevel]:
         raise ConfigError(f"alpha: {exc}") from exc
 
 
+def _sweep(cfg: ExperimentConfig, key: str, check: Callable) -> List[float]:
+    """The values of a swept key (default 1), each passed to ``check`` before any trial runs."""
+    values = cfg.get_float_list(key, [1.0])
+    if not values:
+        raise ConfigError(f"{key}: at least one value is required")
+    for v in values:
+        check(v)
+    return values
+
+
 def _count(cfg: ExperimentConfig, key: str, default: int) -> int:
     value = cfg.get_int(key, default)
     if value < 1:
@@ -261,16 +271,17 @@ def _run_exact_markov(cfg: ExperimentConfig, seed: int, out_dir: str):
 
 
 def _run_mc_calibration(cfg: ExperimentConfig, seed: int, out_dir: str, sweep_key: str,
-                        trials: str, summary_key: str, line: str):
+                        check: Callable, trials: str, summary_key: str, line: str):
     """H1-against-H0 calibration at every value of one swept config key.
 
+    ``check(pair, value)`` refuses a swept value the trials would;
     ``trials`` names the montecarlo function that runs one arm (looked up
     per run, so a wrapped function is the one called); ``line`` formats
     the verdict line of one value.
     """
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     rule = _rule(cfg, default_cap=200)
-    values = cfg.get_float_list(sweep_key, [1.0])
+    values = _sweep(cfg, sweep_key, partial(check, pair))
     n_trials = _count(cfg, "n_trials", 100_000)
     bins = _count(cfg, "bins", montecarlo.DEFAULT_BINS)
     cfg.reject_unknown()
@@ -298,7 +309,7 @@ def _run_null_arm(cfg: ExperimentConfig, seed: int, out_dir: str, checks: Callab
     """
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     pairs = checks(cfg)
-    gs = cfg.get_float_list("g", [1.0])
+    gs = _sweep(cfg, "g", partial(montecarlo.check_nuisance, pair))
     n_trials = _count(cfg, "n_trials", 100_000)
     cfg.reject_unknown()
     all_records: List[montecarlo.TrialRecords] = []
@@ -445,7 +456,8 @@ EXPERIMENTS = {
     ),
     "mc-strong-calibration": Experiment(
         partial(
-            _run_mc_calibration, sweep_key="g", trials="run_trials", summary_key="per_g",
+            _run_mc_calibration, sweep_key="g", check=montecarlo.check_nuisance,
+            trials="run_trials", summary_key="per_g",
             line="g={v:g}: {est.usable_bins} usable bins, pass fraction "
             f"{{est.pass_fraction:.3f}} (need >= {montecarlo.BIN_PASS_FRACTION}) -> {{verdict}}",
         ),
@@ -468,8 +480,8 @@ EXPERIMENTS = {
     "mc-marginal-calibration": Experiment(
         # run_marginal_trials reads a scalar x as the initial sample x_m = (x,)
         partial(
-            _run_mc_calibration, sweep_key="x_m", trials="run_marginal_trials",
-            summary_key="per_x_m",
+            _run_mc_calibration, sweep_key="x_m", check=montecarlo.check_initial_sample,
+            trials="run_marginal_trials", summary_key="per_x_m",
             line="x_m=({v:g},): {est.usable_bins} usable bins, pass fraction "
             "{est.pass_fraction:.3f} -> {verdict}",
         ),

@@ -113,15 +113,6 @@ def _scale_stats(x: np.ndarray) -> Tuple[int, float, float, float]:
     return n, s, q, t
 
 
-def _cauchy_log_bf(n: int, q: float, r: float) -> float:
-    """log Bayes factor for the scale pair with a Cauchy(0, r) effect."""
-    if n == 1:
-        return 0.0  # q is identically 1 at n = 1 and the integral collapses
-    # q rounds to exactly 1.0 on collinear prefixes (all x_i equal); clamp to
-    # the largest double below 1 so the value stays finite, as the tables do
-    return float(_cauchy_log_bf_xi(n, math.log1p(-min(q, Q_MAX)), r))
-
-
 def _cauchy_phi(ell: np.ndarray, n, xi, r: float) -> np.ndarray:
     """log integrand of the Cauchy Bayes factor at l = log(v), v the mixing variance.
 
@@ -232,13 +223,26 @@ def log_m(k, b) -> np.ndarray:
     return _log_integral(_m_phi, s_mode - left, s_mode + 12.0 * width, k, b)
 
 
-def _pointmass_log_bf(n: int, t_signed, delta0: float) -> np.ndarray:
-    """log Bayes factor for the scale pair with a point-mass effect, over an array of t."""
-    t_signed = np.asarray(t_signed, dtype=float)
+def _cauchy_log_bf(n: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
+    """log Bayes factor for the scale pair with a Cauchy(0, r) effect, over arrays of n and q."""
+    out = np.zeros(n.shape)  # q is identically 1 at n = 1 and the integral collapses
+    many = n >= 2
+    # q rounds to exactly 1.0 on collinear prefixes (all x_i equal); clamp to
+    # the largest double below 1 so the value stays finite, as the tables do.
+    # math.log1p, not np.log1p: the two differ in the last bit on some q
+    xi = [math.log1p(-min(v, Q_MAX)) for v in q[many].tolist()]
+    out[many] = _cauchy_log_bf_xi(n[many], xi, r)
+    return out
+
+
+def _pointmass_log_bf(n, t_signed, delta0: float) -> np.ndarray:
+    """log Bayes factor for the scale pair with a point-mass effect, over broadcast n and t."""
+    n, t_signed = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(t_signed, dtype=float))
     if delta0 == 0.0:
-        return np.zeros_like(t_signed)  # identical hypotheses, exactly
-    b = delta0 * math.sqrt(2.0 * n) * t_signed
-    return -0.5 * n * delta0 * delta0 + LOG_2 - math.lgamma(0.5 * n) + log_m(n - 1, b)
+        return np.zeros(t_signed.shape)  # identical hypotheses, exactly
+    log_gamma = np.array([math.lgamma(0.5 * v) for v in n.ravel().tolist()]).reshape(n.shape)
+    b = delta0 * np.sqrt(2.0 * n) * t_signed
+    return -0.5 * n * delta0 * delta0 + LOG_2 - log_gamma + log_m(n - 1.0, b)
 
 
 @dataclass(frozen=True)
@@ -320,12 +324,27 @@ class InvariantModelPair:
         return self.log_marginal_null(x) + self.log_bf(x)
 
     def log_bf(self, x) -> float:
-        """log beta_n; invariant under the group action on the data."""
-        x = self._validate(x)
+        """log beta_n; invariant under the group action on the data.
+
+        The one-prefix call of ``log_bf_many``.
+        """
+        return float(self.log_bf_many([x])[0])
+
+    def log_bf_many(self, prefixes) -> np.ndarray:
+        """log beta_n of each sample in ``prefixes``, in one exact-evaluator call.
+
+        Every sample is checked as ``log_bf`` checks it, and its statistics
+        come from it alone, so element i is ``log_bf(prefixes[i])`` bit for
+        bit: the evaluator treats each point independently.  Location-scale
+        pairs give zeros.
+        """
+        samples = [self._validate(x) for x in prefixes]
         if not self.is_scale:
-            return 0.0
-        n, _, q, t = _scale_stats(x)
-        return self.log_bf_from_stats(n, q, t)
+            return np.zeros(len(samples))
+        n, q, t = np.zeros((3, len(samples)))
+        for i, x in enumerate(samples):
+            n[i], _, q[i], t[i] = _scale_stats(x)
+        return self._log_bf_stats(n, q, t)
 
     def log_bf_from_stats(self, n: int, q: float, t_signed: float) -> float:
         """log beta_n from the invariant coordinates directly (scale pairs).
@@ -336,11 +355,16 @@ class InvariantModelPair:
         """
         if not self.is_scale:
             raise NotImplementedError("location-scale evidence is identically zero")
+        stats = (np.array([v], dtype=float) for v in (n, q, t_signed))
+        return float(self._log_bf_stats(*stats)[0])
+
+    def _log_bf_stats(self, n: np.ndarray, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:
+        """log beta over equal-length arrays of (n, q, t_signed), one evaluator call."""
         if isinstance(self.effect_prior, CauchyEffect):
             return _cauchy_log_bf(n, q, self.effect_prior.scale)
         # n = 1 included: beta_1 = 2*Phi(delta0 * sign(x1)), which is 1 only
         # for the symmetric priors
-        return float(_pointmass_log_bf(n, t_signed, self.effect_prior.delta0))
+        return _pointmass_log_bf(n, t_signed, self.effect_prior.delta0)
 
     # ---------------------------------------------------------------- sampling
 
@@ -421,13 +445,18 @@ class InvariantModelPair:
 
 
 def trajectory(pair: InvariantModelPair, x) -> "BfTrajectory":
-    """Exact per-prefix log Bayes factors for one data sequence."""
+    """Exact per-prefix log Bayes factors for one data sequence.
+
+    One ``log_bf_many`` call over every prefix from the initial sample
+    on; each prefix's statistics are recomputed from the prefix itself,
+    so element n is ``pair.log_bf(x[:n])`` bit for bit.
+    """
     from .core import BfTrajectory
 
     x = np.asarray(x, dtype=float)
     start = max(pair.m, 1)
-    values = [pair.log_bf(x[:n]) for n in range(start, x.size + 1)]
-    return BfTrajectory(m=pair.m, log_beta=tuple(values))
+    values = pair.log_bf_many([x[:n] for n in range(start, x.size + 1)])
+    return BfTrajectory(m=pair.m, log_beta=tuple(values.tolist()))
 
 
 class ScaleBfCurves:

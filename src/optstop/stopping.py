@@ -12,7 +12,11 @@ for a whole block of trials at once from their running state
 Rules declare whether their decision is invariant under the model's
 group action.  The declaration is not trusted: ``check_invariance``
 probes it with randomized data and group elements, recomputing the Bayes
-factor on the transformed data.  Group transformations perturb the
+factor on the transformed data.  Probes are drawn one after another in a
+fixed order; for a rule that reads the Bayes factor, a chunk of them is
+drawn first and evaluated by one exact-evaluator call, and decisions are
+then taken in probe order, so chunking changes neither the report nor
+the generator's final state.  Group transformations perturb the
 recomputed value at the rounding level, so decisions within 1e-10 of a
 rule's decision boundary are counted as inconclusive skips rather than
 failures.
@@ -27,6 +31,8 @@ from typing import Callable, ClassVar, Optional, Sequence, Tuple
 import numpy as np
 
 BOUNDARY_SKIP_BAND = 1e-10
+# probes per log_bf_many call in check_invariance: 2 x 1024 short samples
+PROBE_CHUNK = 1024
 
 
 class StoppingRule:
@@ -322,6 +328,17 @@ class InvarianceReport:
         return self.mismatches == 0
 
 
+def _draw_probe(pair, rng: np.random.Generator, max_len: int):
+    """One probe (n, x, h, x.h), drawing from ``rng`` in the checker's fixed order."""
+    group = pair.group
+    k = int(rng.integers(0, 2))
+    g = group.random_element(rng)
+    n = int(rng.integers(pair.m + 1, max_len + 1))
+    x = pair.sample(k, g, n, rng)
+    h = group.random_element(rng)
+    return n, x, h, group.act(x, h)
+
+
 def check_invariance(rule: StoppingRule, pair, trials: int, rng: np.random.Generator,
                      max_len: int = 12) -> InvarianceReport:
     """Probe a rule's invariance under the pair's group action.
@@ -333,38 +350,41 @@ def check_invariance(rule: StoppingRule, pair, trials: int, rng: np.random.Gener
     the transformed data.  For declared-invariant
     rules any disagreement outside the boundary band counts as a
     mismatch; for raw rules the probe stops at the first counterexample.
+
+    Probes are drawn in order, in chunks: a declared-invariant rule with
+    ``log_bars`` takes PROBE_CHUNK probes at a time and has log beta of
+    all of the chunk's x and x.h (below the cap) from one
+    ``log_bf_many`` call; any other rule reads no log beta or may stop
+    early, and takes one probe at a time.  Decisions are then made in
+    probe order, so the report and the generator's final state are those
+    of probing one trial at a time.  A sample the pair rejects raises
+    as it would there, once the rest of its chunk has been drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    group = pair.group
+    chunk = PROBE_CHUNK if rule.log_bars and rule.declared_invariant else 1
     mismatches = 0
     skipped = 0
     counterexample = None
-    for _ in range(trials):
-        k = int(rng.integers(0, 2))
-        g = group.random_element(rng)
-        n = int(rng.integers(pair.m + 1, max_len + 1))
-        x = pair.sample(k, g, n, rng)
-        h = group.random_element(rng)
-        xh = group.act(x, h)
-
-        if n >= rule.cap:
-            skipped += 1  # cap forces both decisions; nothing to learn
-            continue
+    drawn = 0
+    while drawn < trials and (rule.declared_invariant or counterexample is None):
+        probes = [_draw_probe(pair, rng, max_len) for _ in range(min(chunk, trials - drawn))]
+        drawn += len(probes)
+        live = [(x, h, xh) for n, x, h, xh in probes if n < rule.cap]
+        skipped += len(probes) - len(live)  # the cap forces both decisions; nothing to learn
         if rule.log_bars:
-            lb_x, lb_xh = pair.log_bf(x), pair.log_bf(xh)
+            log_betas = pair.log_bf_many([y for x, _, xh in live for y in (x, xh)]).tolist()
         else:
-            lb_x = lb_xh = None
-        gap = min(rule.boundary_gap(x, lb_x), rule.boundary_gap(xh, lb_xh))
-        if gap <= BOUNDARY_SKIP_BAND:
-            skipped += 1
-            continue
-        if rule.decide(x, lb_x) != rule.decide(xh, lb_xh):
-            mismatches += 1
-            if counterexample is None:
-                counterexample = (np.array(x), h)
-            if not rule.declared_invariant:
-                break
+            log_betas = [None] * (2 * len(live))
+        for (x, h, xh), lb_x, lb_xh in zip(live, log_betas[::2], log_betas[1::2]):
+            gap = min(rule.boundary_gap(x, lb_x), rule.boundary_gap(xh, lb_xh))
+            if gap <= BOUNDARY_SKIP_BAND:
+                skipped += 1
+                continue
+            if rule.decide(x, lb_x) != rule.decide(xh, lb_xh):
+                mismatches += 1
+                if counterexample is None:
+                    counterexample = (np.array(x), h)
     return InvarianceReport(
         rule_kind=type(rule).__name__,
         declared_invariant=rule.declared_invariant,

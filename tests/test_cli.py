@@ -112,6 +112,44 @@ class TestExitCodes:
         assert err[0].startswith("error: nuisance value must be finite with a positive scale")
         assert not (tmp_path / "out" / "records.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("mc-type1", "g"), ("mc-bf-mean", "g"), ("mc-strong-calibration", "g"),
+         ("mc-marginal-calibration", "x_m")],
+    )
+    @pytest.mark.parametrize("value", ["", " , "])
+    def test_empty_sweep_exits_one(self, kind, key, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_marginal_trials", trials_ran)
+        rule = "" if kind == "mc-type1" else "rule_upper = 20\n"
+        cfg = write(tmp_path / "e.cfg", f"{key} ={value}\nn_trials = 50\n{rule}")
+        code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {key}: at least one value is required\n"
+        assert not (tmp_path / "out" / "records.csv").exists()
+
+    @pytest.mark.parametrize(
+        "kind, sweep, message",
+        [
+            ("mc-type1", "g = 1, 0", "nuisance value must be finite with a positive scale"),
+            ("mc-bf-mean", "g = 2, 1, -1", "nuisance value must be finite with a positive scale"),
+            ("mc-strong-calibration", "g = 1, nan", "nuisance value must be finite"),
+            ("mc-marginal-calibration", "x_m = 1, 0", "initial sample lies in the excluded set"),
+            ("mc-marginal-calibration", "x_m = 2, inf", "sample contains non-finite values"),
+        ],
+    )
+    def test_bad_sweep_value_refused_before_any_trial(self, kind, sweep, message, tmp_path,
+                                                      capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_marginal_trials", trials_ran)
+        rule = "" if kind == "mc-type1" else "rule_upper = 20\n"
+        cfg = write(tmp_path / "v.cfg", f"{sweep}\nn_trials = 50\n{rule}")
+        code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
+        assert not (tmp_path / "out" / "records.csv").exists()
+
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_seed_outside_64_bits_exits_one(self, where, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(montecarlo, "_run_block", trials_ran)

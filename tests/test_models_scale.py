@@ -245,6 +245,77 @@ class TestAltMarginalAndBf:
             assert via_subtraction == pytest.approx(via_marginals, abs=1e-10)
 
 
+class TestLogBfMany:
+    """One evaluator call for many samples gives each sample's log_bf bit for bit."""
+
+    PRIORS = [CauchyEffect(0.01), CauchyEffect(0.1), CauchyEffect(1.0), CauchyEffect(10.0),
+              PointMass(0.8), PointMass(-0.5), PointMass(0.0)]
+
+    @staticmethod
+    def samples(rng, m):
+        xs = [rng.standard_normal(int(rng.integers(m, 15))) * rng.uniform(0.1, 5.0)
+              + rng.uniform(-3.0, 3.0) for _ in range(300)]
+        # n = 1; collinear prefixes, where q rounds to 1; means of both signs,
+        # so a point mass of either sign sees b < 0 as well as b > 0
+        xs += [np.array([0.4]), np.array([-2.5]), np.full(2, 2.0), np.full(12, -0.1),
+               100.0 + 1e-7 * rng.standard_normal(12), -3.0 + 0.1 * rng.standard_normal(9)]
+        return [x for x in xs if x.size >= m and (m == 1 or x[0] != x[1])]
+
+    @pytest.mark.parametrize("group", ["scale", "location_scale"])
+    @pytest.mark.parametrize("prior", PRIORS)
+    def test_equals_log_bf_exactly(self, group, prior, rng):
+        pair = getattr(InvariantModelPair, group)(prior)
+        xs = self.samples(rng, pair.m)
+        many = pair.log_bf_many(xs)
+        assert many.shape == (len(xs),)
+        assert [float(v) for v in many] == [pair.log_bf(x) for x in xs]
+        if group == "location_scale":
+            assert np.all(many == 0.0)
+
+    @pytest.mark.parametrize("r", [0.1, 1.0])
+    def test_cauchy_xi_from_math_log1p(self, r, rng):
+        # np.log1p and math.log1p differ in the last bit on some q; the
+        # evaluator is fed math.log1p(-q), as one-point evaluation always was
+        pair = InvariantModelPair.scale(CauchyEffect(r))
+        xs = self.samples(rng, 2)
+        stats = [models._scale_stats(x) for x in xs]
+        assert any(np.log1p(-q) != math.log1p(-q) for _, _, q, _ in stats)
+        expected = [float(models._cauchy_log_bf_xi(n, math.log1p(-min(q, Q_MAX)), r))
+                    for n, _, q, _ in stats]
+        assert [float(v) for v in pair.log_bf_many(xs)] == expected
+
+    def test_collinear_and_one_point_values(self, cauchy_pair):
+        many = cauchy_pair.log_bf_many([[2.0], [2.0] * 3, [2.0] * 12])
+        assert many[0] == 0.0
+        assert np.all(np.isfinite(many)) and many[1] < many[2]
+
+    def test_point_mass_negative_drift(self, rng):
+        # b = delta0 * sqrt(2n) * t < 0 on every sample
+        pair = InvariantModelPair.scale(PointMass(0.8))
+        xs = [-np.abs(rng.standard_normal(n)) - 0.5 for n in (1, 2, 5, 14)]
+        many = pair.log_bf_many(xs)
+        assert [float(v) for v in many] == [pair.log_bf(x) for x in xs]
+        assert np.all(many < 0.0)
+
+    def test_empty_and_checked_input(self, cauchy_pair):
+        assert cauchy_pair.log_bf_many([]).shape == (0,)
+        with pytest.raises(SingularInputError):
+            cauchy_pair.log_bf_many([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            cauchy_pair.log_bf_many([[1.0, math.nan]])
+
+    def test_trajectory_is_one_call(self, cauchy_pair, monkeypatch, rng):
+        x = rng.standard_normal(30) + 0.3
+        expected = [cauchy_pair.log_bf(x[:n]) for n in range(1, 31)]
+        calls = []
+        many = InvariantModelPair.log_bf_many
+        monkeypatch.setattr(
+            InvariantModelPair, "log_bf_many", lambda self, xs: calls.append(1) or many(self, xs)
+        )
+        assert list(trajectory(cauchy_pair, x).log_beta) == expected
+        assert len(calls) == 1
+
+
 class TestMaximalInvariant:
     def test_formula(self, cauchy_pair):
         coords = cauchy_pair.maximal_invariant([2.0, -4.0, 6.0]).coords

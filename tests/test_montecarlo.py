@@ -14,6 +14,7 @@ from optstop.exact import (
     verify_markov_bound,
 )
 from optstop import montecarlo
+from optstop.errors import SingularInputError
 from optstop.models import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
 from optstop.montecarlo import (
     estimate_marginal_calibration,
@@ -200,6 +201,31 @@ class TestStreamContract:
             expected = self.reference_stop(CAUCHY, k, 0.7, rule, 11, trial)
             assert (records[trial].stop_index, records[trial].stopped_log_beta) == expected
 
+    @staticmethod
+    def plain_state(bitgen):
+        """A Philox state dict with its arrays as lists, comparable with ==."""
+        state = bitgen.state
+        return dict(state, state={k: v.tolist() for k, v in state["state"].items()},
+                    buffer=state["buffer"].tolist())
+
+    @pytest.mark.parametrize("leave", ["nothing", "uint32", "part_buffer"])
+    def test_rekey_leaves_a_fresh_philox_state(self, leave):
+        key64 = montecarlo._stream_key(3, 1, (0.7,), variant=0)
+        streams = montecarlo._TrialStreams(key64)
+        for trial in (0, 1, 2**63, 2**64 - 1):
+            gen = streams.at(trial)
+            if leave == "uint32":
+                gen.integers(0, 10, dtype=np.uint32)
+                assert gen.bit_generator.state["has_uint32"] == 1
+            elif leave == "part_buffer":
+                gen.bit_generator.random_raw(3)
+                assert gen.bit_generator.state["buffer_pos"] == 3
+            gen = streams.at(trial)
+            fresh = np.random.Philox(key=np.array([key64, trial], dtype=np.uint64))
+            assert self.plain_state(gen.bit_generator) == self.plain_state(fresh)
+            expected = fresh_stream(key64, trial).standard_normal(3)
+            assert gen.standard_normal(3).tolist() == expected.tolist()
+
     def patch_trial(self, monkeypatch, trial, lead):
         at = montecarlo._TrialStreams.at
 
@@ -322,6 +348,20 @@ class TestMarginalCalibration:
         pair = InvariantModelPair.location_scale(PointMass(0.0))
         with pytest.raises(NotImplementedError):
             run_marginal_trials(pair, 0, [1.0, 2.0], FixedN(n=5, cap=10), 10, seed=0)
+
+    @pytest.mark.parametrize(
+        "x_m, error",
+        [([0.0], SingularInputError), ([math.nan], ValueError), ([1.0, 2.0], ValueError)],
+    )
+    @pytest.mark.parametrize("n_trials", [0, 10])
+    def test_initial_sample_the_pair_rejects_refused(self, x_m, error, n_trials, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a table was built or a block ran")
+
+        monkeypatch.setattr(ScaleBfCurves, "_table", no_work)
+        monkeypatch.setattr(montecarlo, "_run_block", no_work)
+        with pytest.raises(error):
+            run_marginal_trials(CAUCHY, 0, x_m, FixedN(n=5, cap=10), n_trials, seed=0)
 
     def test_moderate_run_calibrates(self):
         rule = BfThreshold(upper=5.0, lower=0.2, cap=100)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from optstop.models import CauchyEffect, InvariantModelPair, PointMass
 from optstop.stopping import (
+    PROBE_CHUNK,
     BfThreshold,
     FixedN,
     InvariantStatistic,
@@ -14,6 +15,7 @@ from optstop.stopping import (
     rule_from_params,
     sum_squares_rule,
 )
+from reference_invariance import check_invariance_sequential
 
 
 class TestDecide:
@@ -165,3 +167,77 @@ class TestCheckInvariance:
         assert ok.passed
         bad = check_invariance(sum_squares_rule(10.0, cap=1000), pair, 500, rng)
         assert bad.counterexample is not None
+
+
+class BfOrSquares(BfThreshold):
+    """A rule that reads log beta but is not invariant: the scale of x also stops it."""
+
+    declared_invariant = False
+
+    def _fires(self, prefix, log_beta):
+        return log_beta >= self.log_upper or float(np.dot(prefix, prefix)) >= 20.0
+
+
+class TestChunkedProbe:
+    """Chunked evaluation gives the sequential probe's report and generator state."""
+
+    RULES = [
+        BfThreshold(upper=20.0, cap=1000),
+        BfThreshold(upper=5.0, lower=0.2, cap=1000),
+        BfThreshold(upper=3.0, lower=0.5, cap=7),  # some probes reach the cap
+        FixedN(n=8, cap=1000),
+        sum_squares_rule(20.0, cap=1000),
+        BfOrSquares(upper=20.0, cap=1000),
+    ]
+
+    @pytest.mark.parametrize("seed", [3, 11, 2024])
+    @pytest.mark.parametrize(
+        "rule", RULES,
+        ids=["bf-upper", "bf-two-sided", "bf-cap-7", "fixed-n", "sum-squares", "bf-or-squares"],
+    )
+    def test_matches_sequential_reference(self, rule, seed):
+        pair = InvariantModelPair.scale(CauchyEffect(1.0))
+        trials = 2 * PROBE_CHUNK + 452
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = check_invariance(rule, pair, trials, rng_a)
+        ref = check_invariance_sequential(rule, pair, trials, rng_b)
+        fields = ("rule_kind", "declared_invariant", "trials", "mismatches", "skipped_boundary")
+        assert [getattr(got, f) for f in fields] == [getattr(ref, f) for f in fields]
+        assert (got.counterexample is None) == (ref.counterexample is None)
+        if ref.counterexample is not None:
+            assert np.array_equal(got.counterexample[0], ref.counterexample[0])
+            assert got.counterexample[1] == ref.counterexample[1]
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            InvariantModelPair.scale(PointMass(0.8)),
+            InvariantModelPair.location_scale(PointMass(0.0)),
+        ],
+    )
+    def test_matches_sequential_reference_other_pairs(self, pair):
+        rule = BfThreshold(upper=5.0, lower=0.2, cap=1000)
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        got = check_invariance(rule, pair, PROBE_CHUNK + 300, rng_a)
+        ref = check_invariance_sequential(rule, pair, PROBE_CHUNK + 300, rng_b)
+        assert (got.mismatches, got.skipped_boundary) == (ref.mismatches, ref.skipped_boundary)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_one_evaluator_call_per_chunk(self, monkeypatch):
+        def scalar(self, x):
+            raise AssertionError("scalar log_bf call in the probe")
+
+        calls = []
+        many = InvariantModelPair.log_bf_many
+
+        def counted(self, xs):
+            calls.append(len(xs))
+            return many(self, xs)
+
+        monkeypatch.setattr(InvariantModelPair, "log_bf", scalar)
+        monkeypatch.setattr(InvariantModelPair, "log_bf_many", counted)
+        pair = InvariantModelPair.scale(CauchyEffect(1.0))
+        rule = BfThreshold(upper=20.0, cap=1000)
+        check_invariance(rule, pair, 2 * PROBE_CHUNK + 5, np.random.default_rng(1))
+        assert calls == [2 * PROBE_CHUNK, 2 * PROBE_CHUNK, 10]
