@@ -141,10 +141,10 @@ def _sweep(cfg: ExperimentConfig, key: str, check: Callable) -> List[float]:
     return values
 
 
-def _count(cfg: ExperimentConfig, key: str, default: int) -> int:
+def _count(cfg: ExperimentConfig, key: str, default: int, least: int = 1) -> int:
     value = cfg.get_int(key, default)
-    if value < 1:
-        raise ConfigError(f"{key} must be at least 1, got {value}")
+    if value < least:
+        raise ConfigError(f"{key} must be at least {least}, got {value}")
     return value
 
 
@@ -300,17 +300,19 @@ def _run_mc_calibration(cfg: ExperimentConfig, seed: int, out_dir: str, sweep_ke
     return {summary_key: per_value}, lines, passed
 
 
-def _run_null_arm(cfg: ExperimentConfig, seed: int, out_dir: str, checks: Callable):
+def _run_null_arm(cfg: ExperimentConfig, seed: int, out_dir: str, checks: Callable,
+                  min_trials: int = 1):
     """Null-arm trials of each (rule, check) pair, in order, at every nuisance value g.
 
     ``checks(cfg)`` reads the kind's own config keys and gives the pairs;
     ``check(records, g)`` gives one summary row, with its ``passed``
-    flag, and one verdict line.
+    flag, and one verdict line.  ``n_trials`` below ``min_trials`` is
+    refused before any trial runs.
     """
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     pairs = checks(cfg)
     gs = _sweep(cfg, "g", partial(montecarlo.check_nuisance, pair))
-    n_trials = _count(cfg, "n_trials", 100_000)
+    n_trials = _count(cfg, "n_trials", 100_000, least=min_trials)
     cfg.reject_unknown()
     all_records: List[montecarlo.TrialRecords] = []
     rows, lines = [], []
@@ -473,7 +475,8 @@ EXPERIMENTS = {
         "1/alpha (capped)' rejects with frequency at most alpha (estimate_type1).",
     ),
     "mc-bf-mean": Experiment(
-        partial(_run_null_arm, checks=_bf_mean_checks),
+        # a standard error needs two trials
+        partial(_run_null_arm, checks=_bf_mean_checks, min_trials=2),
         "Monte Carlo check that the stopped Bayes factor has unit expectation\n"
         "under the null at every nuisance value g (estimate_stopped_bf_mean).",
     ),

@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -134,7 +134,7 @@ def _cauchy_phi(ell: np.ndarray, n, xi, r: float) -> np.ndarray:
 _SCAN = np.linspace(0.0, 1.0, 129)
 _SHARES = np.linspace(0.0, 1.0, 25)  # 24 panels
 _GL_X, _GL_W = leggauss(16)
-_CHUNK = 256  # points per pass: keeps the (points x nodes) temporaries near 1 MB
+_CHUNK = 128  # points per pass: keeps the (points x nodes) temporaries near 400 KB
 
 
 def _log_integral(phi, lo, hi, *params) -> np.ndarray:
@@ -459,17 +459,41 @@ def trajectory(pair: InvariantModelPair, x) -> "BfTrajectory":
     return BfTrajectory(m=pair.m, log_beta=tuple(values.tolist()))
 
 
+class _TableStack(NamedTuple):
+    """Every table built so far, stacked for reads at many n in one pass.
+
+    ``piece0`` is indexed by n (-1 at an n without a table); the other
+    arrays by the piece's index in the stack, in which each n's pieces
+    are consecutive and in coordinate order.
+    """
+
+    piece0: np.ndarray  # (n,) stack index of the table's first piece
+    inner: np.ndarray  # (n, most pieces - 1) inner piece edges, padded with inf
+    lo: np.ndarray  # (pieces,) left piece edge
+    scale: np.ndarray  # (pieces,) 2 / piece width
+    coeffs: np.ndarray  # (DEGREE + 1, pieces): row i holds every piece's coefficient i
+
+
 class ScaleBfCurves:
-    """Vectorized per-n evaluation of log beta over invariant coordinates.
+    """Vectorized evaluation of log beta_n over invariant coordinates, at any mix of n.
 
     The exact Bayes factor is a smooth function of one invariant
     coordinate for each n (xi = log(1 - q) for the Cauchy effect, the
     signed normalized mean t for a point mass).  This class caches a
     piecewise Chebyshev interpolant of that curve per n (one piece
-    unless the curve needs more, see ``_fit``) and evaluates it over
-    whole trial vectors at once.  Each table spans every value the
-    coordinate can take: xi from log(1 - Q_MAX), where q is clamped, to
-    0, and t from -1 to 1.
+    unless the curve needs more, see ``_fit``), built the first time a
+    cell at that n is read.  Each table spans every value the coordinate
+    can take: xi from log(1 - Q_MAX), where q is clamped, to 0, and t
+    from -1 to 1.
+
+    One evaluator reads the tables: ``log_bf_cells`` takes cells
+    (n, q, t) with an n of their own and runs one Clenshaw recurrence
+    over all of them, each cell on its own n's piece, taking one row of
+    the stacked coefficients per recurrence step.  ``log_bf_batch`` is
+    its call at one n, and ``boundary`` bisects with it across all n at
+    once.  Each cell's value is the arithmetic numpy's ``chebval`` does
+    on that piece alone, so the value of a cell does not depend on what
+    else is read with it.
 
     Because the interpolant is itself a deterministic function of the
     maximal invariant, thresholding its output remains an admissible
@@ -499,6 +523,7 @@ class ScaleBfCurves:
             raise ValueError("curves are defined for scale-group pairs")
         self._prior = pair.effect_prior
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._stacked: Optional[_TableStack] = None
         self._boundaries: dict[tuple[float, int, bool], np.ndarray] = {}
 
     @property
@@ -512,15 +537,20 @@ class ScaleBfCurves:
             return np.log1p(-np.minimum(c, Q_MAX))  # same clamp as _cauchy_log_bf
         return -c if self._prior.delta0 < 0.0 else c
 
+    @property
+    def _range(self) -> tuple[float, float]:
+        """The table coordinate's range, which every table spans."""
+        return (XI_MIN, 0.0) if isinstance(self._prior, CauchyEffect) else (-1.0, 1.0)
+
     def _table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         cached = self._tables.get(n)
         if cached is not None:
             return cached
         if isinstance(self._prior, CauchyEffect):
-            table = self._fit(partial(_cauchy_log_bf_xi, n, r=self._prior.scale), XI_MIN, 0.0)
+            curve = partial(_cauchy_log_bf_xi, n, r=self._prior.scale)
         else:
-            table = self._fit(partial(_pointmass_log_bf, n, delta0=self._prior.delta0), -1.0, 1.0)
-        self._tables[n] = table
+            curve = partial(_pointmass_log_bf, n, delta0=self._prior.delta0)
+        table = self._tables[n] = self._fit(curve, *self._range)
         return table
 
     def _fit(self, f, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -549,6 +579,96 @@ class ScaleBfCurves:
         edges.append(hi)
         return np.array(edges), np.array(coeffs)
 
+    def _pieces(self, ns: np.ndarray) -> tuple[_TableStack, np.ndarray]:
+        """The stacked tables and the stack index of each ``ns``'s first piece.
+
+        Tables missing at ``ns`` are built first, and the stack rebuilt.
+        """
+        stack = self._stacked
+        if stack is not None and ns.max() < stack.piece0.size:
+            piece = stack.piece0[ns]
+            if piece.min() >= 0:
+                return stack, piece
+        for n in set(ns.tolist()):
+            self._table(n)
+        built = sorted(self._tables)
+        tables = [self._tables[n] for n in built]
+        counts = np.array([len(coeffs) for _, coeffs in tables])
+        piece0 = np.full(built[-1] + 1, -1, dtype=np.int64)
+        piece0[built] = np.cumsum(counts) - counts
+        inner = np.full((piece0.size, counts.max() - 1), math.inf)  # padding selects no piece
+        for n, (edges, _) in zip(built, tables):
+            inner[n, : edges.size - 2] = edges[1:-1]
+        lo = np.concatenate([edges[:-1] for edges, _ in tables])
+        hi = np.concatenate([edges[1:] for edges, _ in tables])
+        coeffs = np.concatenate([coeffs for _, coeffs in tables])
+        stack = self._stacked = _TableStack(
+            piece0, inner, lo, 2.0 / (hi - lo), np.ascontiguousarray(coeffs.T)
+        )
+        return stack, stack.piece0[ns]
+
+    def _cells(self, ns: np.ndarray, coord: np.ndarray) -> np.ndarray:
+        """The table at ``ns[i]`` read at table coordinate ``coord[i]``, for 1-D arrays, n >= 2.
+
+        Each element goes through what a read of its own n's table alone
+        does: clip to the table's range, the piece ``searchsorted`` picks,
+        the affine map onto [-1, 1] and ``chebval``'s recurrence, with the
+        piece's coefficients taken one row per step.  No (cells x
+        coefficients) matrix is formed.
+        """
+        stack, piece = self._pieces(ns)
+        coord = np.clip(coord, *self._range)
+        if stack.inner.shape[1]:
+            piece += (coord[:, None] >= stack.inner[ns]).sum(axis=1)  # searchsorted, side right
+        u = coord - stack.lo[piece]  # (coord - lo) * (2.0 / (hi - lo)) - 1.0
+        u *= stack.scale[piece]
+        u -= 1.0
+        # chebval's recurrence: c0, c1 = c[-i] - c1, c0 + c1 * 2u, in place
+        rows = stack.coeffs
+        u2 = 2 * u
+        c0, c1, spare = rows[-2].take(piece), rows[-1].take(piece), np.empty(u.size)
+        for row in rows[-3::-1]:
+            row.take(piece, out=spare)
+            spare -= c1
+            c1 *= u2
+            c1 += c0
+            c0, spare = spare, c0
+        return c0 + c1 * u
+
+    def log_bf_cells(self, ns, q, t_signed) -> np.ndarray:
+        """log beta at cells: element i at n = ``ns[i]``, q = ``q[i]``, t = ``t_signed[i]``.
+
+        The three arguments broadcast together.  Cells at n >= 2 are read
+        off the tables in one pass (``_cells``), building the tables at
+        the n that are new; at n = 1 the value is exact (0 for the Cauchy
+        effect).  ``t_signed`` is read only for a point mass.
+        """
+        ns, q, t_signed = np.broadcast_arrays(
+            np.asarray(ns, dtype=np.int64),
+            np.asarray(q, dtype=float),
+            np.asarray(t_signed, dtype=float),
+        )
+        shape, cauchy = q.shape, isinstance(self._prior, CauchyEffect)
+        if self._flat or q.size == 0:
+            return np.zeros(shape)
+        ns, q, t_signed = ns.ravel(), q.ravel(), t_signed.ravel()
+        table = ns >= 2
+        if table.all():
+            return self._cells(ns, self._table_coord(q) if cauchy else t_signed).reshape(shape)
+        out = np.zeros(shape)
+        flat_out = out.reshape(-1)
+        if not cauchy:
+            one = ~table
+            flat_out[one] = _pointmass_log_bf(1, t_signed[one], self._prior.delta0)
+        if table.any():
+            coord = self._table_coord(q[table]) if cauchy else t_signed[table]
+            flat_out[table] = self._cells(ns[table], coord)
+        return out
+
+    def log_bf_batch(self, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:
+        """log beta_n for vectors of invariant coordinates at one n: ``log_bf_cells`` at n."""
+        return self.log_bf_cells(n, q, t_signed)
+
     def coordinate(self, q: np.ndarray, s1: np.ndarray) -> np.ndarray:
         """The coordinate log beta_n increases in, from q and the running sum s1.
 
@@ -572,14 +692,14 @@ class ScaleBfCurves:
 
         One bisection, vectorized across n, brackets each n's crossing of
         the level ``log_bar`` -/+ BOUNDARY_MARGIN by the table itself,
-        one stacked Clenshaw pass per step; the bound is the bracket end
-        on the bar's side, moved out by one more bracket width (rounding
-        in the map to the table coordinate).  Because the exact curve
-        increases strictly and the table is within half the margin of it,
-        a coordinate beyond the bound cannot meet the bar.  A bar met at
-        every coordinate leaves the bound below the range (every trial a
-        candidate); one met nowhere leaves it within two bracket widths
-        of the range's far end.  Cached per (log_bar, cap, above).
+        one ``_cells`` pass over all n per step; the bound is the bracket
+        end on the bar's side, moved out by one more bracket width
+        (rounding in the map to the table coordinate).  Because the exact
+        curve increases strictly and the table is within half the margin
+        of it, a coordinate beyond the bound cannot meet the bar.  A bar
+        met at every coordinate leaves the bound below the range (every
+        trial a candidate); one met nowhere leaves it within two bracket
+        widths of the range's far end.  Cached per (log_bar, cap, above).
         """
         key = (log_bar, cap, above)
         cached = self._boundaries.get(key)
@@ -589,69 +709,16 @@ class ScaleBfCurves:
         ns = np.arange(2, cap)
         if ns.size:
             level = log_bar - self.BOUNDARY_MARGIN if above else log_bar + self.BOUNDARY_MARGIN
-            evaluate = self._stacked(ns)
             c_lo, c_hi = (0.0, 1.0) if isinstance(self._prior, CauchyEffect) else (-1.0, 1.0)
             lo, hi = np.full(ns.size, c_lo), np.full(ns.size, c_hi)
-            # evaluate(lo) < level unless lo = c_lo; level <= evaluate(hi) unless hi = c_hi
+            # table(lo) < level unless lo = c_lo; level <= table(hi) unless hi = c_hi
             for _ in range(self.BOUNDARY_STEPS):
                 mid = 0.5 * (lo + hi)
-                meets = evaluate(mid) >= level
+                table = np.zeros(ns.size) if self._flat else self._cells(ns, self._table_coord(mid))
+                meets = table >= level
                 hi = np.where(meets, mid, hi)
                 lo = np.where(meets, lo, mid)
             width = (c_hi - c_lo) * 2.0**-self.BOUNDARY_STEPS
             out[2:cap] = lo - width if above else hi + width
         self._boundaries[key] = out
-        return out
-
-    def _stacked(self, ns: np.ndarray):
-        """The tables at ``ns`` as one function of a coordinate vector, one value per n."""
-        if self._flat:
-            return lambda c: np.zeros_like(c)
-        tables = [self._table(int(n)) for n in ns]
-        pieces = max(len(coeffs) for _, coeffs in tables)
-        edges = np.zeros((ns.size, pieces + 1))
-        inner = np.full((ns.size, pieces - 1), math.inf)  # padding selects no piece
-        coeffs = np.zeros((ns.size, pieces, self.DEGREE + 1))
-        for i, (e, c) in enumerate(tables):
-            edges[i, : e.size] = e
-            inner[i, : e.size - 2] = e[1:-1]
-            coeffs[i, : len(c)] = c
-        rows = np.arange(ns.size)
-        first = edges[:, 0]
-        last = np.array([e[-1] for e, _ in tables])
-
-        def evaluate(c: np.ndarray) -> np.ndarray:
-            coord = np.clip(self._table_coord(c), first, last)
-            piece = (coord[:, None] >= inner).sum(axis=1)  # searchsorted(side="right")
-            lo, hi = edges[rows, piece], edges[rows, piece + 1]
-            u = (coord - lo) * (2.0 / (hi - lo)) - 1.0
-            return np.polynomial.chebyshev.chebval(u, coeffs[rows, piece].T, tensor=False)
-
-        return evaluate
-
-    def log_bf_batch(self, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:
-        """log beta_n for vectors of invariant coordinates at one n."""
-        q = np.asarray(q, dtype=float)
-        if self._flat:
-            return np.zeros_like(q)
-        if n == 1:
-            if isinstance(self._prior, CauchyEffect):
-                return np.zeros_like(q)
-            return _pointmass_log_bf(1, np.atleast_1d(t_signed), self._prior.delta0)
-        edges, coeffs = self._table(n)
-        if isinstance(self._prior, CauchyEffect):
-            coord = self._table_coord(q)
-        else:
-            coord = np.asarray(t_signed, dtype=float)
-        coord = np.clip(coord, edges[0], edges[-1])
-        if len(coeffs) == 1:  # the common case; the piece lookup below costs ~50% more
-            lo, hi = edges
-            return np.polynomial.chebyshev.chebval((coord - lo) * (2.0 / (hi - lo)) - 1.0, coeffs[0])
-        piece = np.searchsorted(edges[1:-1], coord, side="right")
-        lo, hi = edges[piece], edges[piece + 1]
-        u = (coord - lo) * (2.0 / (hi - lo)) - 1.0
-        out = np.empty_like(u)
-        for k in np.unique(piece):
-            sel = piece == k
-            out[sel] = np.polynomial.chebyshev.chebval(u[sel], coeffs[k])
         return out

@@ -13,8 +13,10 @@ Reproducibility model
     per observation up to the cap.  The rare trial whose initial sample
     falls in the excluded set is re-keyed again, replays those draws and
     continues its own stream for the replacement.  Blocks hold at most
-    ``DRAW_BUFFER_BYTES`` of draws and run one after another; their
-    records are concatenated in trial order.  A run whose single draw
+    ``DRAW_BUFFER_BYTES`` of draws, each block in a memory mapping of its
+    own (``_draw_buffer``) that is returned to the system when the block
+    ends, and run one after another; their records are concatenated in
+    trial order.  A run whose single draw
     row would exceed that budget is refused with ``ResourceLimitError``
     before any table is built.
 
@@ -28,27 +30,35 @@ Records
     indexed or iterated.
 
 Trajectory evaluation
-    Trials advance in lockstep over whole blocks.  The running
-    statistics (sum, sum of squares) determine the invariant coordinate
-    at each step, and the log Bayes factor comes from the per-n
-    Chebyshev tables in :class:`~optstop.models.ScaleBfCurves`.  A
-    table is built the first time it is read, by a rule's boundaries or
+    Trials advance in lockstep over whole blocks, STEP_CHUNK steps at a
+    time.  At each chunk the active trials' draws for its steps are
+    gathered once into a (steps x trials) buffer, one contiguous row per
+    step, and the running statistics (sum, sum of squares) are
+    accumulated row by row on compact arrays.  They determine the
+    invariant coordinate at each step, and the log Bayes factor comes
+    from the Chebyshev tables of :class:`~optstop.models.ScaleBfCurves`.
+    A table is built the first time it is read, by a rule's boundaries or
     by a trial, and kept for the process; each spans every value the
-    invariant coordinate can take, so every stopping decision
-    thresholds the same deterministic function of the maximal invariant
-    and no trial leaves the vectorized path.
-    The rule decides for the whole block from the running state
-    (``StoppingRule.decide_batch``), and the tables are evaluated only
-    where a trial can stop.  log beta_n increases strictly in one
-    invariant coordinate (q, or the signed t for a point mass), so each
-    of a threshold rule's ``log_bars`` is a per-n bound on it
-    (``ScaleBfCurves.boundary``, taken from the tables and widened past
-    their error).  At each n only the candidates, the active trials
-    beyond a bound (all of them at the cap), get the table and the
-    rule's decision; the others cannot meet a bar.  A rule without bars
-    gets the table only on the trials it stops.  Each value is the same
-    elementwise table evaluation either way, so the records equal those
-    of evaluating every active trial at every step, bit for bit.
+    invariant coordinate can take, so every stopping decision thresholds
+    the same deterministic function of the maximal invariant and no
+    trial leaves the vectorized path.
+    The tables are evaluated only where a trial can stop.  log beta_n
+    increases strictly in one invariant coordinate (q, or the signed t
+    for a point mass), so each of a threshold rule's ``log_bars`` is a
+    per-n bound on it (``ScaleBfCurves.boundary``, taken from the tables
+    and widened past their error).  Within a chunk every (trial, n) cell
+    beyond a bound is marked; the others cannot meet a bar.  The marked
+    cells are then read in waves: wave r reads the r-th marked cell of
+    every trial still running, all in one ``log_bf_cells`` call, and the
+    rule decides those cells at once (``StoppingRule.decide_batch`` with
+    an n per cell); a trial that fires stops there, and its later cells
+    are dropped.  A rule without bars decides at every step from the
+    running state and gets the table only on the cells it stops; every
+    trial still running after the cap's step stops at the cap.  So each
+    trial's cells are read in order up to its stop, exactly the cells
+    that evaluating every active trial at every step would reach, and
+    each value is the same elementwise table evaluation: the records
+    equal those of the per-step kernel bit for bit, for any chunk width.
 
 Pass criteria
     Calibration checks bin stopped values into equal-count bins and
@@ -64,6 +74,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import mmap
 import struct
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
@@ -78,6 +89,8 @@ from .models import InvariantModelPair, ScaleBfCurves
 from .stopping import BfThreshold, StoppingRule
 
 BLOCK_SIZE = 8192
+# steps a block advances between table reads (layout only: never changes a record)
+STEP_CHUNK = 8
 # a block's draws, (trials x draws per trial) doubles, take at most this;
 # a long cap gets fewer trials per block (block layout never changes a record)
 DRAW_BUFFER_BYTES = 64 * 2**20
@@ -248,7 +261,7 @@ def _run_block(
     else:
         a, b = float(g[0]), float(g[1])
     delta = np.zeros(size)
-    draws = np.empty((size, _draws_per_trial(rule, marginal)))
+    draws = _draw_buffer(size, _draws_per_trial(rule, marginal))
     # each trial keys its stream, makes its leading draws, then fills its row
     at = _TrialStreams(key64).at
     if marginal:
@@ -267,11 +280,8 @@ def _run_block(
         for i in range(size):
             at(lo + i).standard_normal(out=draws[i])
 
-    s1 = np.empty(size)
-    s2 = np.empty(size)
     if marginal:
-        s1[:] = x_init
-        s2[:] = x_init * x_init
+        s1, s2 = np.full(size, x_init), np.full(size, x_init * x_init)
     else:
         # The excluded initial samples (x_1 = 0; x_2 = x_1 for location-scale)
         # have probability zero.  A trial that hits one replays its stream and
@@ -290,64 +300,125 @@ def _run_block(
             x1[i] = a * (delta[i] + draws[i, 0]) + b
             while not pair.is_scale and a * (delta[i] + draws[i, 1]) + b == x1[i]:
                 draws[i, 1] = gen.standard_normal()
-        s1[:] = x1
-        s2[:] = x1 * x1
+        s1, s2 = x1, x1 * x1
 
-    def q_at(n: int, rows: np.ndarray) -> np.ndarray:
-        q = s1[rows] ** 2 / (n * s2[rows])
-        return np.clip(q, 0.0, 1.0, out=q)
-
-    def log_beta(n: int, rows: np.ndarray) -> np.ndarray:
+    def log_beta(ns, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+        """log beta at cells (n, running sum, running sum of squares): one table read."""
         if curves is None:
-            return np.zeros(rows.size)
-        q = q_at(n, rows)
-        return curves.log_bf_batch(n, q, np.copysign(np.sqrt(q), s1[rows])) - lb_offset
+            return np.zeros(c1.size)
+        q = c1 ** 2 / (ns * c2)
+        np.clip(q, 0.0, 1.0, out=q)
+        return curves.log_bf_cells(ns, q, np.copysign(np.sqrt(q), c1)) - lb_offset
 
     # each bar of the rule as per-n bounds on the coordinate log beta increases
-    # in; the tables are read only on the rows beyond a bound (all at the cap)
+    # in; the tables are read only on the cells beyond a bound
     bounds = []
     if curves is not None:
         bounds = [
             (curves.boundary(bar + lb_offset, rule.cap, above), above)
             for bar, above in rule.log_bars
         ]
+    m = pair.m
+    col0 = 2 if marginal else 1  # draws column holding x_n is n - col0
+
+    def advance(act: np.ndarray, steps: range) -> list:
+        """Advance trials ``act`` over ``steps``; the cells to read before the cap.
+
+        A cell is (trial, n, s1, s2, its rank: the trial's cells before it
+        in the chunk).  They come as five columns, each a list of per-step
+        parts.
+        """
+        xs = np.empty((len(steps), act.size))  # the observations, a contiguous row per step
+        for n, xn in zip(steps, xs):
+            draws[:, n - col0].take(act, out=xn)
+        xs += delta[act]
+        xs *= a[act] if marginal else a
+        xs += b
+        s1c, s2c = s1[act], s2[act]
+        # without bounds the rule decides at every step: log beta is identically
+        # 0 (no curves) or not read (no bars), and is read only where a trial stops
+        step_lb = np.zeros(act.size) if rule.log_bars else None
+        fired = np.zeros(act.size, dtype=bool)  # stopped at an earlier step
+        rank = np.zeros(act.size, dtype=np.int32)
+        cells = [[], [], [], [], []]
+        for n, xn in zip(steps, xs):
+            s1c += xn
+            s2c += xn * xn
+            if n <= m or n == rule.cap:
+                continue
+            if bounds:
+                q = np.square(s1c, out=xn)  # the row's observations are spent
+                q /= n * s2c
+                c = curves.coordinate(np.clip(q, 0.0, 1.0, out=q), s1c)
+                near = np.zeros(act.size, dtype=bool)
+                for bound, above in bounds:
+                    near |= c >= bound[n] if above else c <= bound[n]
+            else:
+                near = rule.decide_batch(n, step_lb, s2c) & ~fired
+                fired |= near
+            pos = np.flatnonzero(near)
+            parts = act[pos], np.full(pos.size, n, dtype=np.int32), s1c[pos], s2c[pos], rank[pos]
+            for column, part in zip(cells, parts):
+                column.append(part)
+            rank[pos] += 1
+        s1[act], s2[act] = s1c, s2c
+        return cells
 
     active = np.ones(size, dtype=bool)
     stop_n = np.zeros(size, dtype=np.int64)
     stop_lb = np.zeros(size)
-    m = pair.m
-    col0 = 2 if marginal else 1  # draws column holding x_n is n - col0
 
-    for n in range(2, rule.cap + 1):
-        act = np.nonzero(active)[0]
+    def stop(trial: np.ndarray, n, lb: np.ndarray) -> None:
+        stop_n[trial], stop_lb[trial], active[trial] = n, lb, False
+
+    for n0 in range(2, rule.cap + 1, STEP_CHUNK):
+        act = np.flatnonzero(active)
         if act.size == 0:
             break
-        scale_act = a[act] if marginal else a
-        xn = scale_act * (delta[act] + draws[act, n - col0]) + b
-        s1[act] += xn
-        s2[act] += xn * xn
-        if n <= m:
+        cells = advance(act, range(n0, min(n0 + STEP_CHUNK, rule.cap + 1)))
+        if not cells[0]:
             continue
-        rows = act
-        if bounds:
-            c = curves.coordinate(q_at(n, act), s1[act])
-            near = np.zeros(act.size, dtype=bool)
-            for bound, above in bounds:
-                near |= c >= bound[n] if above else c <= bound[n]
-            if not near.any():
-                continue
-            rows = act[near]
-        # a rule that does not read log beta gets it only on the rows it stops
-        lb = log_beta(n, rows) if rule.log_bars else None
-        mask = rule.decide_batch(n, lb, s2[rows])
-        if np.any(mask):
-            hit = rows[mask]
-            stop_n[hit] = n
-            stop_lb[hit] = lb[mask] if lb is not None else log_beta(n, hit)
-            active[hit] = False
+        # joined a column at a time, each column's parts freed as it is joined
+        trial, ns, c1, c2, rank = (np.concatenate(cells.pop(0)) for _ in range(5))
+        if not bounds:  # every cell is a stop
+            stop(trial, ns, log_beta(ns, c1, c2))
+            continue
+        # waves: wave r reads and decides the r-th candidate cell of every
+        # trial still running, all at once
+        for r in range(STEP_CHUNK):
+            wave = np.flatnonzero((rank == r) & active[trial])
+            if wave.size == 0:  # every trial with an r-th cell has stopped
+                break
+            lb = log_beta(ns[wave], c1[wave], c2[wave])
+            hit = rule.decide_batch(ns[wave], lb, c2[wave])
+            stop(trial[wave[hit]], ns[wave[hit]], lb[hit])
+    # the cap stops every trial still running
+    rest = np.flatnonzero(active)
+    stop(rest, rule.cap, log_beta(rule.cap, s1[rest], s2[rest]))
 
     g_run = a if marginal or pair.is_scale else (a, b)
     return TrialRecords(k, g_run, seed, rule, stop_n, stop_lb, np.arange(lo, hi, dtype=np.int64))
+
+
+def _draw_buffer(rows: int, cols: int) -> np.ndarray:
+    """A (rows x cols) float array in an anonymous memory mapping of its own.
+
+    A block's draws take megabytes.  From the C heap they would land in
+    whatever holes earlier temporaries left (once the first buffer is
+    freed, glibc raises its mmap threshold past it and serves every later
+    one from the heap), so how far the heap grows, and with it the peak
+    resident size, would vary with the seed.  A mapping of its own is
+    faulted in up front (MAP_POPULATE, where the platform has it) and
+    unmapped when the array is dropped: each block adds exactly its
+    buffer to resident memory.
+    """
+    nbytes = max(8 * rows * cols, 1)
+    if hasattr(mmap, "MAP_ANONYMOUS"):
+        flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
+        buf = mmap.mmap(-1, nbytes, flags=flags)
+    else:  # Windows: anonymous memory backed by the paging file
+        buf = mmap.mmap(-1, nbytes)
+    return np.frombuffer(buf, count=rows * cols).reshape(rows, cols)
 
 
 def _draws_per_trial(rule: StoppingRule, marginal: bool) -> int:
@@ -740,12 +811,15 @@ class StoppedBfMean:
 
 
 def estimate_stopped_bf_mean(records: TrialRecords) -> StoppedBfMean:
-    """Sample mean of the stopped Bayes factor; equals 1 in expectation under H0."""
+    """Sample mean of the stopped Bayes factor; equals 1 in expectation under H0.
+
+    Its standard error needs at least two records; fewer raise ``ValueError``.
+    """
     beta = np.exp(records.stopped_log_beta)
-    if beta.size == 0:
-        raise ValueError("no records")
+    if beta.size < 2:
+        raise ValueError(f"a stopped Bayes-factor mean needs at least two records, got {beta.size}")
     mean = float(beta.mean())
-    se = float(beta.std(ddof=1) / math.sqrt(beta.size)) if beta.size > 1 else math.inf
+    se = float(beta.std(ddof=1) / math.sqrt(beta.size))
     return StoppedBfMean(
         mean=mean,
         se=se,

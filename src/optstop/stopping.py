@@ -6,8 +6,8 @@ stop/continue.  Every rule carries a mandatory horizon cap that forces a
 stop, so stopping times are bounded by construction.  Each rule owns its
 decision: the exact oracle, ``core.stop`` and the invariance checker ask
 it one prefix at a time (``decide``), and the Monte Carlo engine asks it
-for a whole block of trials at once from their running state
-(``decide_batch``).
+about many prefixes at once, from their running state and possibly at
+different lengths (``decide_batch``).
 
 Rules declare whether their decision is invariant under the model's
 group action.  The declaration is not trusted: ``check_invariance``
@@ -68,18 +68,22 @@ class StoppingRule:
             return True
         return bool(self._fires(prefix, log_beta))
 
-    def decide_batch(
-        self, n: int, log_beta: Optional[np.ndarray], sum_sq: np.ndarray
-    ) -> np.ndarray:
-        """``decide`` for a vector of prefixes that all have length n.
+    def decide_batch(self, n, log_beta: Optional[np.ndarray], sum_sq: np.ndarray) -> np.ndarray:
+        """``decide`` for a vector of prefixes, each given by its running state.
 
-        Element i is the decision for the prefix whose log Bayes factor
-        is ``log_beta[i]`` and whose sum of squares is ``sum_sq[i]``.
-        ``log_beta`` may be None when the rule has no ``log_bars``.
+        Element i is the decision for the prefix of length ``n[i]`` whose
+        log Bayes factor is ``log_beta[i]`` and whose sum of squares is
+        ``sum_sq[i]``; ``n`` may be one length for every prefix or an
+        array of them, so the prefixes of one call may come from different
+        steps of different trials.  ``log_beta`` may be None when the rule
+        has no ``log_bars``.  The result has the broadcast shape of ``n``
+        and ``sum_sq``.
         """
-        if n >= self.cap:
-            return np.ones(np.shape(sum_sq), dtype=bool)
-        return np.broadcast_to(self._fires_at(n, log_beta, sum_sq), np.shape(sum_sq))
+        at_cap = np.asarray(n) >= self.cap
+        shape = np.broadcast_shapes(at_cap.shape, np.shape(sum_sq))
+        if at_cap.all():
+            return np.ones(shape, dtype=bool)
+        return np.broadcast_to(self._fires_at(n, log_beta, sum_sq), shape) | at_cap
 
     def check_start(self, m: int) -> None:
         """Reject the rule if it cannot decide after an initial sample of size m."""

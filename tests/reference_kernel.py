@@ -2,9 +2,10 @@
 
 This is the engine's trial loop before per-n boundaries: a rule that
 reads log beta gets the Chebyshev table evaluated on all active trials
-at every step.  Swapped in for ``montecarlo._run_block`` (same
-signature), it gives the records the boundary engine must reproduce bit
-for bit.
+at every step, one step at a time, through the per-n table read of
+``reference_tables``.  Swapped in for ``montecarlo._run_block`` (same
+signature), it gives the records the chunked boundary engine must
+reproduce bit for bit.
 """
 
 from typing import Optional
@@ -12,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from optstop.montecarlo import TrialRecords, _draws_per_trial, _TrialStreams
+from reference_tables import log_bf_per_n
 
 
 def run_block_per_step(
@@ -66,7 +68,7 @@ def run_block_per_step(
             return np.zeros(rows.size)
         q = s1[rows] ** 2 / (n * s2[rows])
         np.clip(q, 0.0, 1.0, out=q)
-        return curves.log_bf_batch(n, q, np.copysign(np.sqrt(q), s1[rows])) - lb_offset
+        return log_bf_per_n(curves, n, q, np.copysign(np.sqrt(q), s1[rows])) - lb_offset
 
     active = np.ones(size, dtype=bool)
     stop_n = np.zeros(size, dtype=np.int64)

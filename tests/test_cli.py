@@ -85,7 +85,17 @@ class TestExitCodes:
         cfg = write(tmp_path / "n.cfg", f"n_trials = {n_trials}\nrule_upper = 20\nrule_cap = 20\n")
         code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err == f"error: n_trials must be at least 1, got {n_trials}\n"
+        least = 2 if kind == "mc-bf-mean" else 1
+        assert capsys.readouterr().err == f"error: n_trials must be at least {least}, got {n_trials}\n"
+        assert not (tmp_path / "out" / "records.csv").exists()
+
+    def test_one_trial_bf_mean_exits_one_up_front(self, tmp_path, capsys, monkeypatch):
+        # one trial has no standard error: the mean check would pass vacuously
+        monkeypatch.setattr(montecarlo, "_run_block", trials_ran)
+        cfg = write(tmp_path / "n.cfg", "n_trials = 1\nrule_upper = 20\nrule_cap = 50\n")
+        code = main(["mc-bf-mean", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: n_trials must be at least 2, got 1\n"
         assert not (tmp_path / "out" / "records.csv").exists()
 
     @pytest.mark.parametrize("kind", ["mc-strong-calibration", "mc-marginal-calibration"])

@@ -246,6 +246,11 @@ class TestStreamContract:
         assert (after[17].stop_index, after[17].stopped_log_beta) == expected
         assert after[17] != before[17]
 
+    def test_x1_zero_redraw_with_a_chunk_boundary_after_n_2(self, monkeypatch):
+        # one step per chunk: the replayed trial's x_2 is read in a chunk of its own
+        monkeypatch.setattr(montecarlo, "STEP_CHUNK", 1)
+        self.test_x1_zero_redraws_from_the_trials_own_stream(monkeypatch)
+
     def test_location_scale_clash_redraws_from_the_trials_own_stream(self, monkeypatch):
         pair = InvariantModelPair.location_scale(PointMass(0.3))
         g, rule, trial = (1.5, -1.0), SumSquaresSpy(threshold=1.0, cap=4), 5
@@ -314,6 +319,16 @@ class TestEstimators:
         est = estimate_stopped_bf_mean(records)
         assert est.mean == 1.0
         assert est.passed
+
+    @pytest.mark.parametrize("n_trials", [0, 1])
+    def test_stopped_bf_mean_needs_two_records(self, n_trials):
+        # one record has no standard error: the check would pass vacuously
+        rule = BfThreshold(upper=20.0, cap=50)
+        records = TrialRecords(
+            0, 1.0, 3, rule, np.full(n_trials, 50), np.full(n_trials, -2.1), np.arange(n_trials)
+        )
+        with pytest.raises(ValueError, match="at least two records, got"):
+            estimate_stopped_bf_mean(records)
 
     def test_stopped_bf_mean_contains_one(self):
         records = run_trials(
