@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -148,40 +147,19 @@ def _count(cfg: ExperimentConfig, key: str, default: int, least: int = 1) -> int
     return value
 
 
-def _fmt(x: float) -> float:
-    """Normalize a float through 17 significant digits (round-trip exact)."""
-    return float(format(float(x), ".17g"))
-
-
 def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
 def _calibration_summary(est: montecarlo.CalibrationEstimate) -> dict:
-    def opt(x: float):
-        # strict JSON: unusable-bin statistics become null, never NaN
-        return None if math.isnan(x) else _fmt(x)
-
+    # the estimate itself stands for its bins list, which _write_summary writes from its columns
     return {
         "n0": est.n0,
         "n1": est.n1,
-        "bins": [
-            {
-                "log_beta_lo": _fmt(b.log_beta_lo),
-                "log_beta_hi": _fmt(b.log_beta_hi),
-                "count0": b.count0,
-                "count1": b.count1,
-                "ratio": opt(b.ratio),
-                "ci_lo": opt(b.ci_lo),
-                "ci_hi": opt(b.ci_hi),
-                "log_beta_gmean": opt(b.log_beta_gmean),
-                "ok": b.ok,
-            }
-            for b in est.bins
-        ],
+        "bins": est,
         "usable_bins": est.usable_bins,
         "excluded_bins": est.excluded_bins,
-        "pass_fraction": _fmt(est.pass_fraction),
+        "pass_fraction": est.pass_fraction,
         "passed": est.passed,
     }
 
@@ -201,7 +179,7 @@ def _run_exact_table(cfg: ExperimentConfig, seed: int, out_dir: str, default_tol
     table = exact.build_table(model, rule)
     body, lines, passed = check(table, tol)
     table.to_csv(os.path.join(out_dir, "records.csv"))
-    return dict(body, entries=len(table.entries), tol=_fmt(tol)), lines, [passed]
+    return dict(body, entries=len(table.entries), tol=float(tol)), lines, [passed]
 
 
 def _calibration_check(table: exact.ExactTable, tol: float):
@@ -209,15 +187,15 @@ def _calibration_check(table: exact.ExactTable, tol: float):
     body = {
         "groups": [
             {
-                "log_beta": _fmt(g.log_beta),
-                "mass0": _fmt(g.mass0),
-                "mass1": _fmt(g.mass1),
-                "ratio": _fmt(g.ratio),
-                "residual": _fmt(g.residual),
+                "log_beta": float(g.log_beta),
+                "mass0": float(g.mass0),
+                "mass1": float(g.mass1),
+                "ratio": float(g.ratio),
+                "residual": float(g.residual),
             }
             for g in report.groups
         ],
-        "max_residual": _fmt(report.max_residual),
+        "max_residual": float(report.max_residual),
     }
     lines = [
         f"exact calibration: {len(report.groups)} Bayes-factor groups over "
@@ -230,7 +208,7 @@ def _calibration_check(table: exact.ExactTable, tol: float):
 def _expectation_check(table: exact.ExactTable, tol: float):
     expectation = exact.verify_expected_stopped_bf(table)
     error = abs(expectation - 1.0)
-    body = {"expected_stopped_bf": _fmt(expectation), "abs_error": _fmt(error)}
+    body = {"expected_stopped_bf": float(expectation), "abs_error": float(error)}
     lines = [
         f"E0[stopped Bayes factor] = {expectation!r} over {len(table.entries)} sequences",
         f"|E - 1| = {error:.3e} (tolerance {tol:.1e})",
@@ -255,8 +233,8 @@ def _run_exact_markov(cfg: ExperimentConfig, seed: int, out_dir: str):
     body = {
         "checks": [
             {
-                "alpha": _fmt(c.alpha),
-                "crossing_probability": _fmt(c.probability),
+                "alpha": float(c.alpha),
+                "crossing_probability": float(c.probability),
                 "bound_holds": c.bound_holds,
             }
             for c in rows
@@ -283,7 +261,7 @@ def _run_mc_calibration(cfg: ExperimentConfig, seed: int, out_dir: str, sweep_ke
     rule = _rule(cfg, default_cap=200)
     values = _sweep(cfg, sweep_key, partial(check, pair))
     n_trials = _count(cfg, "n_trials", 100_000)
-    bins = _count(cfg, "bins", montecarlo.DEFAULT_BINS)
+    bins = montecarlo.check_bins(_count(cfg, "bins", montecarlo.DEFAULT_BINS))
     cfg.reject_unknown()
     all_records: List[montecarlo.TrialRecords] = []
     per_value = {}
@@ -339,12 +317,12 @@ def _type1_checks(cfg: ExperimentConfig):
 def _type1_check(level: SignificanceLevel, records: montecarlo.TrialRecords, g: float):
     est = montecarlo.estimate_type1(records, level)
     row = {
-        "alpha": _fmt(level.alpha),
-        "g": _fmt(g),
-        "rate": _fmt(est.rate),
-        "se": _fmt(est.se),
-        "wilson_lo": _fmt(est.wilson_lo),
-        "wilson_hi": _fmt(est.wilson_hi),
+        "alpha": float(level.alpha),
+        "g": float(g),
+        "rate": float(est.rate),
+        "se": float(est.se),
+        "wilson_lo": float(est.wilson_lo),
+        "wilson_hi": float(est.wilson_hi),
         "n_reject": est.n_reject,
         "passed": est.passed,
     }
@@ -362,11 +340,11 @@ def _bf_mean_checks(cfg: ExperimentConfig):
 def _bf_mean_check(records: montecarlo.TrialRecords, g: float):
     est = montecarlo.estimate_stopped_bf_mean(records)
     row = {
-        "g": _fmt(g),
-        "mean": _fmt(est.mean),
-        "se": _fmt(est.se),
-        "ci_lo": _fmt(est.ci_lo),
-        "ci_hi": _fmt(est.ci_hi),
+        "g": float(g),
+        "mean": float(est.mean),
+        "se": float(est.se),
+        "ci_lo": float(est.ci_lo),
+        "ci_hi": float(est.ci_hi),
         "passed": est.passed,
     }
     line = (
@@ -503,6 +481,67 @@ EXPERIMENTS = {
 }
 
 
+# where a bins list goes in the encoded summary; no config value can equal it (each is
+# checked as a number or a known name), so the quoted mark occurs only at a bins key
+_BINS_MARK = "\0bins"
+_BIN_KEYS = ("ci_hi", "ci_lo", "count0", "count1", "log_beta_gmean", "log_beta_hi",
+             "log_beta_lo", "ok", "ratio")
+# bins rendered per write, so a run with thousands of bins holds only one slice's strings
+_BIN_ROWS = 512
+
+
+def _write_summary(fh, summary: dict) -> None:
+    """Write ``json.dumps(summary, indent=2, sort_keys=True)``, each calibration's bins from columns.
+
+    A calibration summary holds its ``CalibrationEstimate`` under
+    ``bins`` (``_calibration_summary``), at depth 3: summary, per-value
+    map, value.  The rest is encoded as usual with a placeholder string
+    per estimate, and each placeholder is replaced by the bins list
+    rendered with one row template, at that depth, from the estimate's
+    columns: a dict per bin with keys sorted, floats as ``repr``,
+    unusable-bin statistics as null (strict JSON: never NaN).  Every
+    field is the json token the C encoder writes for that value, so the
+    text equals what the indented encoder writes for the per-bin dicts.
+    """
+    found: List[montecarlo.CalibrationEstimate] = []
+
+    def mark(est):
+        found.append(est)
+        return _BINS_MARK
+
+    def tokens(column, nan="NaN") -> List[str]:
+        return json.dumps(column.tolist())[1:-1].replace("NaN", nan).split(", ")
+
+    parts = json.dumps(summary, indent=2, sort_keys=True, default=mark).split(
+        json.dumps(_BINS_MARK)
+    )
+    # the indented encoder's closures form a reference cycle that keeps ``mark`` alive
+    # until a full collection; unbinding ``found`` keeps the estimates out of it
+    estimates, found = found, None
+    depth = 3  # the bins list's key: summary > per_g / per_x_m > value
+    close, item, field = (" " * 2 * d for d in (depth, depth + 1, depth + 2))
+    row = f"{item}{{\n" + ",\n".join(f'{field}"{k}": %s' for k in _BIN_KEYS) + f"\n{item}}}"
+    fh.write(parts[0])
+    for est, rest in zip(estimates, parts[1:]):
+        for lo in range(0, est.count0.size, _BIN_ROWS):
+            rows = slice(lo, lo + _BIN_ROWS)
+            edges = tokens(est.edges[lo : lo + _BIN_ROWS + 1])
+            columns = (
+                tokens(est.ci_hi[rows], "null"),
+                tokens(est.ci_lo[rows], "null"),
+                tokens(est.count0[rows]),
+                tokens(est.count1[rows]),
+                tokens(est.log_beta_gmean[rows], "null"),
+                edges[1:],
+                edges[:-1],
+                tokens(est.ok[rows]),
+                tokens(est.ratio[rows], "null"),
+            )
+            fh.write(",\n" if lo else "[\n")
+            fh.write(",\n".join(map(row.__mod__, zip(*columns))))
+        fh.write(f"\n{close}]{rest}")
+
+
 def run(kind: str, config: Dict[str, str], seed: Optional[int], out_dir: str) -> int:
     cfg = ExperimentConfig(values=dict(config))
     effective_seed = seed if seed is not None else cfg.get_int("seed", 0)
@@ -516,7 +555,7 @@ def run(kind: str, config: Dict[str, str], seed: Optional[int], out_dir: str) ->
             body, experiment=kind, passed=passed, seed=effective_seed, config=dict(config)
         )
         with rewrite(os.path.join(out_dir, "summary.json")) as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            _write_summary(fh, summary)
             fh.write("\n")
         with rewrite(os.path.join(out_dir, "verdict.txt")) as fh:
             fh.write("\n".join(lines) + "\n")

@@ -607,6 +607,8 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> Tuple[float, floa
 
 @dataclass(frozen=True)
 class CalibrationBin:
+    """One bin of a :class:`CalibrationEstimate`, as Python scalars."""
+
     log_beta_lo: float
     log_beta_hi: float
     count0: int
@@ -625,30 +627,101 @@ class CalibrationBin:
         return self.usable and self.ci_lo <= math.exp(self.log_beta_gmean) <= self.ci_hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibrationEstimate:
-    bins: Tuple[CalibrationBin, ...]
+    """A calibration estimate, column by column: one entry per bin.
+
+    Bin j spans ``edges[j]`` to ``edges[j + 1]`` and holds ``count0``
+    null and ``count1`` alternative stopped values, whose mean log beta
+    is ``log_beta_gmean`` (NaN for an empty bin).  ``ratio``, ``ci_lo``
+    and ``ci_hi`` are NaN where ``count0`` is 0 (an unusable bin), and
+    ``ok`` flags the usable bins whose geometric-mean Bayes factor lies
+    in the interval.  ``n0`` and ``n1`` are the arms' trial counts.
+    ``bins`` gives the same statistics as :class:`CalibrationBin` rows.
+    """
+
+    edges: np.ndarray
+    count0: np.ndarray
+    count1: np.ndarray
+    log_beta_gmean: np.ndarray
+    ratio: np.ndarray
+    ci_lo: np.ndarray
+    ci_hi: np.ndarray
+    ok: np.ndarray
     n0: int
     n1: int
 
     @property
+    def bins(self) -> Tuple[CalibrationBin, ...]:
+        columns = (
+            self.edges[:-1].tolist(),
+            self.edges[1:].tolist(),
+            self.count0.tolist(),
+            self.count1.tolist(),
+            self.ratio.tolist(),
+            self.ci_lo.tolist(),
+            self.ci_hi.tolist(),
+            self.log_beta_gmean.tolist(),
+        )
+        return tuple(itertools.starmap(CalibrationBin, zip(*columns)))
+
+    @property
     def usable_bins(self) -> int:
-        return sum(1 for b in self.bins if b.usable)
+        return int(np.count_nonzero(self.count0))
 
     @property
     def excluded_bins(self) -> int:
-        return len(self.bins) - self.usable_bins
+        return self.count0.size - self.usable_bins
 
     @property
     def pass_fraction(self) -> float:
         usable = self.usable_bins
         if usable == 0:
             return 0.0
-        return sum(1 for b in self.bins if b.ok) / usable
+        return int(np.count_nonzero(self.ok)) / usable
 
     @property
     def passed(self) -> bool:
         return self.pass_fraction >= BIN_PASS_FRACTION
+
+
+def check_bins(n_bins: int) -> int:
+    """``n_bins`` if a calibration can bin into that many quantiles.
+
+    ``ValueError`` below one bin; ``ResourceLimitError`` when its
+    quantile edges alone would take more than DRAW_BUFFER_BYTES, so a
+    run can refuse the count before any trial.
+    """
+    if n_bins < 1:
+        raise ValueError("need at least one bin")
+    if 8 * (n_bins + 1) > DRAW_BUFFER_BYTES:
+        raise ResourceLimitError(
+            f"{n_bins} bins take {8 * (n_bins + 1)} bytes of quantile edges, over the "
+            f"budget of {DRAW_BUFFER_BYTES} bytes"
+        )
+    return n_bins
+
+
+def _narrow_edges(edges: np.ndarray) -> np.ndarray:
+    """Split every gap wider than MAX_BIN_WIDTH evenly; the given edges stay exact.
+
+    A gap from ``left`` to ``right`` of width w > MAX_BIN_WIDTH becomes
+    ``pieces = ceil(w / MAX_BIN_WIDTH)`` pieces with inner edges
+    ``left + w * i / pieces``, evaluated in that order.
+    """
+    left = edges[:-1]
+    width = edges[1:] - left
+    wide = width > MAX_BIN_WIDTH
+    pieces = np.ones(width.size, dtype=np.int64)
+    pieces[wide] = np.ceil(width[wide] / MAX_BIN_WIDTH)
+    starts = np.zeros(edges.size, dtype=np.int64)
+    np.cumsum(pieces, out=starts[1:])
+    gap = np.repeat(np.arange(width.size), pieces)
+    i = np.arange(starts[-1]) - starts[gap]
+    out = np.empty(starts[-1] + 1)
+    out[:-1] = left[gap] + width[gap] * i / pieces[gap]
+    out[starts] = edges
+    return out
 
 
 def estimate_strong_calibration(
@@ -665,26 +738,24 @@ def estimate_strong_calibration(
     bin-conditional arithmetic mean of beta, which tracks the geometric
     mean being tested only while bins stay narrow.  The ratio gets a
     delta-method 95% interval on the log scale.
+
+    The estimate is columnar (:class:`CalibrationEstimate`): edges,
+    counts and mean log beta come from array operations over all bins,
+    while ratio, interval and pass flag are computed only on the usable
+    bins, one scalar ``math.exp`` each.  A wide-range arm can make
+    thousands of bins, most of them without a null value.  ``n_bins``
+    is checked by :func:`check_bins`.
     """
     lb0, lb1 = records0.stopped_log_beta, records1.stopped_log_beta
     n0, n1 = lb0.size, lb1.size
     if n0 == 0 or n1 == 0:
         raise ValueError("both record lists must be nonempty")
-    if n_bins < 1:
-        raise ValueError("need at least one bin")
+    check_bins(n_bins)
     pooled = np.concatenate([lb0, lb1])
     edges = np.unique(np.quantile(pooled, np.linspace(0.0, 1.0, n_bins + 1)))
     if edges.size < 2:
         edges = np.array([edges[0], edges[0] + 1.0])
-    refined = [edges[0]]
-    for right in edges[1:]:
-        left = refined[-1]
-        width = right - left
-        if width > MAX_BIN_WIDTH:
-            pieces = int(math.ceil(width / MAX_BIN_WIDTH))
-            refined.extend(left + width * (i + 1) / pieces for i in range(pieces - 1))
-        refined.append(right)
-    edges = np.array(refined)
+    edges = _narrow_edges(edges)
     edges[-1] = np.nextafter(edges[-1], math.inf)  # keep the max inside the last bin
     nb = edges.size - 1
     idx0 = np.clip(np.searchsorted(edges, lb0, side="right") - 1, 0, nb - 1)
@@ -694,38 +765,27 @@ def estimate_strong_calibration(
     sums = np.bincount(idx0, weights=lb0, minlength=nb) + np.bincount(
         idx1, weights=lb1, minlength=nb
     )
-    bins = []
-    for j in range(nb):
-        count0, count1 = int(c0[j]), int(c1[j])
-        total = count0 + count1
-        gmean = sums[j] / total if total else math.nan
-        if count0 == 0:
-            ratio, ci_lo, ci_hi = math.nan, math.nan, math.nan
+    total = c0 + c1
+    gmean = np.full(nb, math.nan)
+    np.divide(sums, total, out=gmean, where=total > 0)
+    ratio, ci_lo, ci_hi = np.full(nb, math.nan), np.full(nb, math.nan), np.full(nb, math.nan)
+    ok = np.zeros(nb, dtype=bool)
+    usable = np.flatnonzero(c0)
+    for j, count0, count1, lbar in zip(
+        usable.tolist(), c0[usable].tolist(), c1[usable].tolist(), gmean[usable].tolist()
+    ):
+        p0 = count0 / n0
+        if count1 == 0:
+            r, lo, hi = 0.0, 0.0, (3.0 / n1) / p0  # rule-of-three upper bound
         else:
-            p0 = count0 / n0
-            if count1 == 0:
-                ratio, ci_lo = 0.0, 0.0
-                ci_hi = (3.0 / n1) / p0  # rule-of-three upper bound
-            else:
-                p1 = count1 / n1
-                ratio = p1 / p0
-                var_log = (1.0 - p1) / (n1 * p1) + (1.0 - p0) / (n0 * p0)
-                half = Z95 * math.sqrt(var_log)
-                ci_lo = ratio * math.exp(-half)
-                ci_hi = ratio * math.exp(half)
-        bins.append(
-            CalibrationBin(
-                log_beta_lo=float(edges[j]),
-                log_beta_hi=float(edges[j + 1]),
-                count0=count0,
-                count1=count1,
-                ratio=ratio,
-                ci_lo=ci_lo,
-                ci_hi=ci_hi,
-                log_beta_gmean=float(gmean),
-            )
-        )
-    return CalibrationEstimate(bins=tuple(bins), n0=n0, n1=n1)
+            p1 = count1 / n1
+            r = p1 / p0
+            var_log = (1.0 - p1) / (n1 * p1) + (1.0 - p0) / (n0 * p0)
+            half = Z95 * math.sqrt(var_log)
+            lo, hi = r * math.exp(-half), r * math.exp(half)
+        ratio[j], ci_lo[j], ci_hi[j] = r, lo, hi
+        ok[j] = lo <= math.exp(lbar) <= hi
+    return CalibrationEstimate(edges, c0, c1, gmean, ratio, ci_lo, ci_hi, ok, n0, n1)
 
 
 def estimate_marginal_calibration(
@@ -737,6 +797,7 @@ def estimate_marginal_calibration(
     n_bins: int = DEFAULT_BINS,
 ) -> CalibrationEstimate:
     """Calibration of the conditional stopped value given one initial sample."""
+    check_bins(n_bins)
     records0 = run_marginal_trials(pair, 0, x_m, rule, n_trials, seed)
     records1 = run_marginal_trials(pair, 1, x_m, rule, n_trials, seed)
     return estimate_strong_calibration(records0, records1, n_bins=n_bins)
@@ -845,27 +906,17 @@ def records_to_csv(batches: Sequence[TrialRecords], path) -> None:
     floats as ``.17g``, a (scale, location) g as its two components
     joined by '|', lines ended by CRLF.  No field can hold a delimiter or
     a quote, so these are the bytes ``csv.writer`` writes for the same
-    rows.  Rows are formatted from ``tolist()`` columns BLOCK_SIZE at a
-    time, so only one slice's strings are held at once.
+    rows.  Each batch has one ``%`` row template, with its k and seed
+    (and a run's single g) written in, and rows are formatted from
+    ``tolist()`` columns BLOCK_SIZE at a time, so only one slice's
+    strings are held at once.
     """
     with rewrite(path, newline="") as fh:
         fh.write("k,g,stop_index,stopped_log_beta,seed,trial\r\n")
         for batch in batches:
-            k, seed = batch.k, batch.seed
-            run_g = None if batch.per_trial_g else _format_g(batch.g)
+            g = "%.17g" if batch.per_trial_g else _format_g(batch.g)
+            fmt = f"{batch.k},{g},%d,%.17g,{batch.seed},%d\r\n"
+            names = ("g",) * batch.per_trial_g + ("stop_index", "stopped_log_beta", "trial")
             for lo in range(0, len(batch), BLOCK_SIZE):
-                rows = slice(lo, lo + BLOCK_SIZE)
-                if run_g is None:
-                    gs = [format(v, ".17g") for v in batch.g[rows].tolist()]
-                else:
-                    gs = itertools.repeat(run_g)
-                columns = (
-                    batch.stop_index[rows].tolist(),
-                    batch.stopped_log_beta[rows].tolist(),
-                    batch.trial[rows].tolist(),
-                )
-                fh.write(
-                    "".join(
-                        f"{k},{g},{n},{lb:.17g},{seed},{t}\r\n" for g, n, lb, t in zip(gs, *columns)
-                    )
-                )
+                columns = [getattr(batch, c)[lo : lo + BLOCK_SIZE].tolist() for c in names]
+                fh.write("".join(map(fmt.__mod__, zip(*columns))))

@@ -108,6 +108,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: bins must be at least 1, got 0\n"
         assert not (tmp_path / "out" / "records.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["mc-strong-calibration", "mc-marginal-calibration"])
+    @pytest.mark.parametrize("bins", [montecarlo.DRAW_BUFFER_BYTES // 8, 1_000_000_000_000])
+    def test_oversized_bins_refused_before_any_trial(self, kind, bins, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_marginal_trials", trials_ran)
+        text = f"bins = {bins}\nn_trials = 50\nrule_upper = 20\nrule_cap = 20\n"
+        code = main([kind, "--config", write(tmp_path / "b.cfg", text), "--out",
+                     str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bins} bins take ")
+        assert not (tmp_path / "out" / "records.csv").exists()
+
+    def test_largest_bins_within_budget_accepted(self):
+        most = montecarlo.DRAW_BUFFER_BYTES // 8 - 1
+        assert montecarlo.check_bins(most) == most
+        with pytest.raises(ResourceLimitError):
+            montecarlo.check_bins(most + 1)
+
     @pytest.mark.parametrize("kind", ["mc-strong-calibration", "mc-type1", "mc-bf-mean"])
     @pytest.mark.parametrize("g", ["0", "-1", "nan", "inf"])
     def test_nuisance_value_outside_the_group_exits_one(self, kind, g, tmp_path, capsys,
