@@ -401,26 +401,20 @@ class InvariantModelPair:
         x_m = self._validate(np.atleast_1d(np.asarray(x_m, dtype=float)))
         if x_m.size != 1:
             raise ValueError("the scale-group initial sample has length 1")
-        w = 0.0
-        while w == 0.0:
-            w = float(rng.chisquare(1))
-        return abs(x_m[0]) / math.sqrt(w)
+        return self._posterior_predictive_state(0, float(x_m[0]), rng)[0]
 
     def _posterior_predictive_state(
         self, k: int, x1: float, rng: np.random.Generator
     ) -> Tuple[float, float]:
         """Draw (sigma, delta) from the hypothesis-k posterior given x^m = (x1,).
 
-        Scale group only.  Under k=1 with a Cauchy effect the posterior
-        factorizes through the mixing variance: v keeps its prior (a
-        single observation carries no evidence between the hypotheses),
-        x1^2 / (sigma^2 (1+v)) is chi-square(1), and delta given (sigma, v)
-        is Gaussian with mean (v/(1+v)) * x1/sigma and variance v/(1+v).
+        Scale group only, x1 != 0: the callers check both.  Under k=1 with
+        a Cauchy effect the posterior factorizes through the mixing
+        variance: v keeps its prior (a single observation carries no
+        evidence between the hypotheses), x1^2 / (sigma^2 (1+v)) is
+        chi-square(1), and delta given (sigma, v) is Gaussian with mean
+        (v/(1+v)) * x1/sigma and variance v/(1+v).
         """
-        if not self.is_scale:
-            raise NotImplementedError("posterior predictive state requires the scale group")
-        if x1 == 0.0:
-            raise SingularInputError("initial sample lies in the excluded set (x_1 = 0)")
         if k == 0 or (isinstance(self.effect_prior, PointMass) and self.effect_prior.delta0 == 0.0):
             w = 0.0
             while w == 0.0:
@@ -487,13 +481,12 @@ class ScaleBfCurves:
     from -1 to 1.
 
     One evaluator reads the tables: ``log_bf_cells`` takes cells
-    (n, q, t) with an n of their own and runs one Clenshaw recurrence
-    over all of them, each cell on its own n's piece, taking one row of
-    the stacked coefficients per recurrence step.  ``log_bf_batch`` is
-    its call at one n, and ``boundary`` bisects with it across all n at
-    once.  Each cell's value is the arithmetic numpy's ``chebval`` does
-    on that piece alone, so the value of a cell does not depend on what
-    else is read with it.
+    (n, ``coordinate``) with an n of their own and runs one Clenshaw
+    recurrence over all of them, each cell on its own n's piece, taking
+    one row of the stacked coefficients per recurrence step, and
+    ``boundary`` bisects with it across all n at once.  Each cell's value
+    is the arithmetic numpy's ``chebval`` does on that piece alone, so
+    the value of a cell does not depend on what else is read with it.
 
     Because the interpolant is itself a deterministic function of the
     maximal invariant, thresholding its output remains an admissible
@@ -635,39 +628,23 @@ class ScaleBfCurves:
             c0, spare = spare, c0
         return c0 + c1 * u
 
-    def log_bf_cells(self, ns, q, t_signed) -> np.ndarray:
-        """log beta at cells: element i at n = ``ns[i]``, q = ``q[i]``, t = ``t_signed[i]``.
+    def log_bf_cells(self, ns, c) -> np.ndarray:
+        """log beta at cells: element i at n = ``ns[i]`` and ``coordinate`` value ``c[i]``.
 
-        The three arguments broadcast together.  Cells at n >= 2 are read
-        off the tables in one pass (``_cells``), building the tables at
-        the n that are new; at n = 1 the value is exact (0 for the Cauchy
-        effect).  ``t_signed`` is read only for a point mass.
+        The two arguments broadcast together.  The cells are read off the
+        tables in one pass (``_cells``) at the table coordinate of ``c``,
+        building the tables at the n that are new.  The tables hold n >= 2:
+        a cell at n < 2 raises ``ValueError`` (the pair's ``log_bf`` gives
+        the exact value at n = 1).
         """
-        ns, q, t_signed = np.broadcast_arrays(
-            np.asarray(ns, dtype=np.int64),
-            np.asarray(q, dtype=float),
-            np.asarray(t_signed, dtype=float),
-        )
-        shape, cauchy = q.shape, isinstance(self._prior, CauchyEffect)
-        if self._flat or q.size == 0:
-            return np.zeros(shape)
-        ns, q, t_signed = ns.ravel(), q.ravel(), t_signed.ravel()
-        table = ns >= 2
-        if table.all():
-            return self._cells(ns, self._table_coord(q) if cauchy else t_signed).reshape(shape)
-        out = np.zeros(shape)
-        flat_out = out.reshape(-1)
-        if not cauchy:
-            one = ~table
-            flat_out[one] = _pointmass_log_bf(1, t_signed[one], self._prior.delta0)
-        if table.any():
-            coord = self._table_coord(q[table]) if cauchy else t_signed[table]
-            flat_out[table] = self._cells(ns[table], coord)
-        return out
-
-    def log_bf_batch(self, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:
-        """log beta_n for vectors of invariant coordinates at one n: ``log_bf_cells`` at n."""
-        return self.log_bf_cells(n, q, t_signed)
+        ns, c = np.broadcast_arrays(np.asarray(ns, dtype=np.int64), np.asarray(c, dtype=float))
+        if c.size == 0:
+            return np.zeros(c.shape)
+        if ns.min() < 2:
+            raise ValueError(f"the tables hold n >= 2, got a cell at n = {ns.min()}")
+        if self._flat:
+            return np.zeros(c.shape)
+        return self._cells(ns.ravel(), self._table_coord(c.ravel())).reshape(c.shape)
 
     def coordinate(self, q: np.ndarray, s1: np.ndarray) -> np.ndarray:
         """The coordinate log beta_n increases in, from q and the running sum s1.

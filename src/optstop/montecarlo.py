@@ -23,38 +23,39 @@ Reproducibility model
 Records
     A run returns one :class:`TrialRecords` batch: an array each of stop
     index, stopped log beta and trial index, with the hypothesis, seed,
-    rule and nuisance value kept once (a marginal run keeps each trial's
-    drawn nuisance value in an array too).  The estimators read the
-    arrays and ``records_to_csv`` formats rows from them a slice at a
-    time; a :class:`TrialRecord` row exists only where a batch is
-    indexed or iterated.
+    rule and scale g kept once (a marginal run keeps each trial's drawn
+    scale in an array too).  The estimators read the arrays and
+    ``records_to_csv`` formats rows from them a slice at a time; a
+    :class:`TrialRecord` row exists only where a batch is indexed or
+    iterated.  A non-finite stopped log beta fails the run.
 
 Trajectory evaluation
-    Trials advance in lockstep over whole blocks, STEP_CHUNK steps at a
-    time.  At each chunk the active trials' draws for its steps are
-    gathered once into a (steps x trials) buffer, one contiguous row per
-    step, and the running statistics (sum, sum of squares) are
-    accumulated row by row on compact arrays.  They determine the
-    invariant coordinate at each step, and the log Bayes factor comes
-    from the Chebyshev tables of :class:`~optstop.models.ScaleBfCurves`.
-    A table is built the first time it is read, by a rule's boundaries or
-    by a trial, and kept for the process; each spans every value the
-    invariant coordinate can take, so every stopping decision thresholds
-    the same deterministic function of the maximal invariant and no
-    trial leaves the vectorized path.
+    Trials run on scale-group pairs only, in lockstep over whole blocks,
+    STEP_CHUNK steps at a time.  At each chunk the active trials' draws
+    for its steps are gathered once into a (steps x trials) buffer, one
+    contiguous row per step, and the running statistics (sum, sum of
+    squares) are accumulated row by row on compact arrays.  They
+    determine the invariant coordinate at each step, and the log Bayes
+    factor comes from the Chebyshev tables of
+    :class:`~optstop.models.ScaleBfCurves`.  A table is built the first
+    time it is read, by a rule's boundaries or by a trial, and kept for
+    the process; each spans every value the invariant coordinate can
+    take, so every stopping decision thresholds the same deterministic
+    function of the maximal invariant and no trial leaves the vectorized
+    path.
     The tables are evaluated only where a trial can stop.  log beta_n
-    increases strictly in one invariant coordinate (q, or the signed t
-    for a point mass), so each of a threshold rule's ``log_bars`` is a
-    per-n bound on it (``ScaleBfCurves.boundary``, taken from the tables
-    and widened past their error).  Within a chunk every (trial, n) cell
-    beyond a bound is marked; the others cannot meet a bar.  The marked
-    cells are then read in waves: wave r reads the r-th marked cell of
-    every trial still running, all in one ``log_bf_cells`` call, and the
-    rule decides those cells at once (``StoppingRule.decide_batch`` with
-    an n per cell); a trial that fires stops there, and its later cells
-    are dropped.  A rule without bars decides at every step from the
-    running state and gets the table only on the cells it stops; every
-    trial still running after the cap's step stops at the cap.  So each
+    increases strictly in one invariant coordinate
+    (``ScaleBfCurves.coordinate``), so each of a threshold rule's
+    ``log_bars`` is a per-n bound on it (``ScaleBfCurves.boundary``,
+    taken from the tables and widened past their error).  Within a chunk
+    every (trial, n) cell beyond a bound is marked with its coordinate;
+    the others cannot meet a bar.  A rule without bars marks the cells
+    where it fires.  The marked cells are then read in waves: wave r
+    reads the r-th marked cell of every trial still running, all in one
+    ``log_bf_cells`` call, and the rule decides those cells at once
+    (``StoppingRule.decide_batch`` with an n per cell); a trial that
+    fires stops there, and its later cells are dropped.  Every trial
+    still running after the cap's step stops at the cap.  So each
     trial's cells are read in order up to its stop, exactly the cells
     that evaluating every active trial at every step would reach, and
     each value is the same elementwise table evaluation: the records
@@ -82,9 +83,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .core import NEVER, BfTrajectory, SignificanceLevel, rewrite, stop
-from .errors import ResourceLimitError
+from .errors import OptstopError, ResourceLimitError
 from .exact import FiniteModel, log_beta_paths, sample_sequence
-from .groups import GroupElement
 from .models import InvariantModelPair, ScaleBfCurves
 from .stopping import BfThreshold, StoppingRule
 
@@ -109,7 +109,7 @@ class TrialRecord:
     """One stopped trial, as a row of :class:`TrialRecords`; fields are Python scalars."""
 
     k: int
-    g: Union[float, Tuple[float, float]]
+    g: float
     stop_index: int
     stopped_log_beta: float
     seed: int
@@ -127,15 +127,15 @@ class TrialRecords:
 
     ``stop_index``, ``stopped_log_beta`` and ``trial`` hold one entry per
     trial.  ``k``, ``seed`` and ``rule`` are the run's, and so is ``g``:
-    its nuisance value (a scale, a (scale, location) pair, or NaN on a
-    finite model), or, for a marginal run, whose trials draw it, an
-    array of one value per trial.  Indexing and iteration give
-    :class:`TrialRecord` rows, and a slice is a batch of the same run.
+    its nuisance value (a scale, or NaN on a finite model), or, for a
+    marginal run, whose trials draw it, an array of one value per trial.
+    Indexing and iteration give :class:`TrialRecord` rows, and a slice
+    is a batch of the same run.
     ``==`` is exact: the same run and bit-identical columns.
     """
 
     k: int
-    g: Union[float, Tuple[float, float], np.ndarray]
+    g: Union[float, np.ndarray]
     seed: int
     rule: StoppingRule
     stop_index: np.ndarray
@@ -240,9 +240,9 @@ def _curves_for(pair: InvariantModelPair) -> ScaleBfCurves:
 
 def _run_block(
     pair: InvariantModelPair,
-    curves: Optional[ScaleBfCurves],
+    curves: ScaleBfCurves,
     k: int,
-    g: GroupElement,
+    g: Optional[float],
     rule: StoppingRule,
     key64: int,
     lo: int,
@@ -254,12 +254,8 @@ def _run_block(
     """Run trials [lo, hi) in lockstep and return their records in order."""
     size = hi - lo
     marginal = x_init is not None
-    if marginal:
-        a, b = np.empty(size), 0.0  # the posterior-drawn nuisance value, one per trial
-    elif pair.is_scale:
-        a, b = float(g), 0.0
-    else:
-        a, b = float(g[0]), float(g[1])
+    # the scale g: one per trial, drawn from the posterior, in a marginal run
+    a = np.empty(size) if marginal else float(g)
     delta = np.zeros(size)
     draws = _draw_buffer(size, _draws_per_trial(rule, marginal))
     # each trial keys its stream, makes its leading draws, then fills its row
@@ -283,81 +279,68 @@ def _run_block(
     if marginal:
         s1, s2 = np.full(size, x_init), np.full(size, x_init * x_init)
     else:
-        # The excluded initial samples (x_1 = 0; x_2 = x_1 for location-scale)
-        # have probability zero.  A trial that hits one replays its stream and
-        # continues it: the next draw replaces the column in place.
-        x1 = a * (delta + draws[:, 0]) + b
-        excluded = x1 == 0.0
-        if not pair.is_scale:
-            excluded |= a * (delta + draws[:, 1]) + b == x1
-        for i in np.nonzero(excluded)[0].tolist():
+        # The excluded initial sample x_1 = 0 has probability zero.  A trial
+        # that hits it replays its stream and continues it: the next draw
+        # replaces x_1 in place.
+        x1 = a * (delta + draws[:, 0])
+        for i in np.flatnonzero(x1 == 0.0).tolist():
             gen = at(lo + i)  # replay the trial's leading draws, then continue its stream
             if k == 1:
                 delta[i] = pair.effect_prior.draw(gen)
             gen.standard_normal(out=draws[i])
-            while a * (delta[i] + draws[i, 0]) + b == 0.0:
+            while a * (delta[i] + draws[i, 0]) == 0.0:
                 draws[i, 0] = gen.standard_normal()
-            x1[i] = a * (delta[i] + draws[i, 0]) + b
-            while not pair.is_scale and a * (delta[i] + draws[i, 1]) + b == x1[i]:
-                draws[i, 1] = gen.standard_normal()
+            x1[i] = a * (delta[i] + draws[i, 0])
         s1, s2 = x1, x1 * x1
 
-    def log_beta(ns, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
-        """log beta at cells (n, running sum, running sum of squares): one table read."""
-        if curves is None:
-            return np.zeros(c1.size)
-        q = c1 ** 2 / (ns * c2)
-        np.clip(q, 0.0, 1.0, out=q)
-        return curves.log_bf_cells(ns, q, np.copysign(np.sqrt(q), c1)) - lb_offset
+    def coordinate(n, c1: np.ndarray, c2: np.ndarray, out=None) -> np.ndarray:
+        """``curves.coordinate`` at cells (n, running sum, running sum of squares)."""
+        q = np.square(c1, out=out)
+        q /= n * c2
+        return curves.coordinate(np.clip(q, 0.0, 1.0, out=q), c1)
+
+    def log_beta(ns, c: np.ndarray) -> np.ndarray:
+        """log beta at cells (n, coordinate): one table read."""
+        return curves.log_bf_cells(ns, c) - lb_offset
 
     # each bar of the rule as per-n bounds on the coordinate log beta increases
     # in; the tables are read only on the cells beyond a bound
-    bounds = []
-    if curves is not None:
-        bounds = [
-            (curves.boundary(bar + lb_offset, rule.cap, above), above)
-            for bar, above in rule.log_bars
-        ]
-    m = pair.m
+    bounds = [
+        (curves.boundary(bar + lb_offset, rule.cap, above), above) for bar, above in rule.log_bars
+    ]
     col0 = 2 if marginal else 1  # draws column holding x_n is n - col0
 
     def advance(act: np.ndarray, steps: range) -> list:
         """Advance trials ``act`` over ``steps``; the cells to read before the cap.
 
-        A cell is (trial, n, s1, s2, its rank: the trial's cells before it
-        in the chunk).  They come as five columns, each a list of per-step
-        parts.
+        A cell is (trial, n, coordinate, s2, its rank: the trial's cells
+        before it in the chunk).  They come as five columns, each a list of
+        per-step parts.
         """
         xs = np.empty((len(steps), act.size))  # the observations, a contiguous row per step
         for n, xn in zip(steps, xs):
             draws[:, n - col0].take(act, out=xn)
         xs += delta[act]
         xs *= a[act] if marginal else a
-        xs += b
         s1c, s2c = s1[act], s2[act]
-        # without bounds the rule decides at every step: log beta is identically
-        # 0 (no curves) or not read (no bars), and is read only where a trial stops
-        step_lb = np.zeros(act.size) if rule.log_bars else None
-        fired = np.zeros(act.size, dtype=bool)  # stopped at an earlier step
         rank = np.zeros(act.size, dtype=np.int32)
         cells = [[], [], [], [], []]
         for n, xn in zip(steps, xs):
             s1c += xn
             s2c += xn * xn
-            if n <= m or n == rule.cap:
+            if n == rule.cap:
                 continue
             if bounds:
-                q = np.square(s1c, out=xn)  # the row's observations are spent
-                q /= n * s2c
-                c = curves.coordinate(np.clip(q, 0.0, 1.0, out=q), s1c)
+                c = coordinate(n, s1c, s2c, out=xn)  # the row's observations are spent
                 near = np.zeros(act.size, dtype=bool)
                 for bound, above in bounds:
                     near |= c >= bound[n] if above else c <= bound[n]
-            else:
-                near = rule.decide_batch(n, step_lb, s2c) & ~fired
-                fired |= near
-            pos = np.flatnonzero(near)
-            parts = act[pos], np.full(pos.size, n, dtype=np.int32), s1c[pos], s2c[pos], rank[pos]
+                pos = np.flatnonzero(near)
+                c = c[pos]
+            else:  # the rule never reads log beta: its cells are those where it fires
+                pos = np.flatnonzero(rule.decide_batch(n, None, s2c))
+                c = coordinate(n, s1c[pos], s2c[pos])
+            parts = act[pos], np.full(pos.size, n, dtype=np.int32), c, s2c[pos], rank[pos]
             for column, part in zip(cells, parts):
                 column.append(part)
             rank[pos] += 1
@@ -379,25 +362,20 @@ def _run_block(
         if not cells[0]:
             continue
         # joined a column at a time, each column's parts freed as it is joined
-        trial, ns, c1, c2, rank = (np.concatenate(cells.pop(0)) for _ in range(5))
-        if not bounds:  # every cell is a stop
-            stop(trial, ns, log_beta(ns, c1, c2))
-            continue
+        trial, ns, c, c2, rank = (np.concatenate(cells.pop(0)) for _ in range(5))
         # waves: wave r reads and decides the r-th candidate cell of every
         # trial still running, all at once
         for r in range(STEP_CHUNK):
             wave = np.flatnonzero((rank == r) & active[trial])
             if wave.size == 0:  # every trial with an r-th cell has stopped
                 break
-            lb = log_beta(ns[wave], c1[wave], c2[wave])
+            lb = log_beta(ns[wave], c[wave])
             hit = rule.decide_batch(ns[wave], lb, c2[wave])
             stop(trial[wave[hit]], ns[wave[hit]], lb[hit])
     # the cap stops every trial still running
     rest = np.flatnonzero(active)
-    stop(rest, rule.cap, log_beta(rule.cap, s1[rest], s2[rest]))
-
-    g_run = a if marginal or pair.is_scale else (a, b)
-    return TrialRecords(k, g_run, seed, rule, stop_n, stop_lb, np.arange(lo, hi, dtype=np.int64))
+    stop(rest, rule.cap, log_beta(rule.cap, coordinate(rule.cap, s1[rest], s2[rest])))
+    return TrialRecords(k, a, seed, rule, stop_n, stop_lb, np.arange(lo, hi, dtype=np.int64))
 
 
 def _draw_buffer(rows: int, cols: int) -> np.ndarray:
@@ -427,19 +405,37 @@ def _draws_per_trial(rule: StoppingRule, marginal: bool) -> int:
 
 
 def _run_blocks(fn, n_trials: int, n_draws: int) -> TrialRecords:
-    """Concatenate ``fn(lo, hi)`` over blocks whose draws fit DRAW_BUFFER_BYTES."""
+    """Concatenate ``fn(lo, hi)`` over blocks whose draws fit DRAW_BUFFER_BYTES.
+
+    ``OptstopError`` if a trial stopped at a non-finite log beta: the
+    records of such a run would pass or fail a check on NaN comparisons.
+    """
     rows = min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * n_draws))  # >= 1: see _validate_run
     blocks = [fn(lo, min(lo + rows, n_trials)) for lo in range(0, n_trials, rows)]
-    return replace(
+    records = replace(
         blocks[0],
         **{c: np.concatenate([getattr(b, c) for b in blocks]) for c in blocks[0]._trial_columns()},
     )
+    bad = np.count_nonzero(~np.isfinite(records.stopped_log_beta))
+    if bad:
+        raise OptstopError(
+            f"{bad} of {len(records)} trials stopped at a non-finite log Bayes factor: the data's "
+            "sums of squares left the double range, or this effect prior's tables are not finite"
+        )
+    return records
 
 
 def _validate_run(
-    pair: InvariantModelPair, rule: StoppingRule, n_trials: int, marginal: bool
+    pair: InvariantModelPair, k: int, rule: StoppingRule, n_trials: int, marginal: bool
 ) -> None:
-    """Reject a run before any table is built: bad arguments, or a draw row over budget."""
+    """Reject a run before any table is built: bad arguments, or a draw row over budget.
+
+    ``NotImplementedError`` unless the pair is a scale-group pair.
+    """
+    if not pair.is_scale:
+        raise NotImplementedError("Monte Carlo trials are implemented for the scale group")
+    if k not in (0, 1):
+        raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
     rule.check_start(pair.m)
@@ -451,15 +447,15 @@ def _validate_run(
         )
 
 
-def check_nuisance(pair: InvariantModelPair, g: GroupElement) -> Tuple[float, ...]:
-    """The components of nuisance value ``g``: (c,) for the scale group, (a, b) otherwise.
+def check_nuisance(pair: InvariantModelPair, g: float) -> float:
+    """Scale ``g`` of the scale-group ``pair`` as a float.
 
-    ``ValueError`` unless g is a group element with finite components.
+    ``ValueError`` unless g is finite and positive.
     """
-    comps = (float(g),) if pair.is_scale else (float(g[0]), float(g[1]))
-    if not (0.0 < comps[0] < math.inf and all(map(math.isfinite, comps))):
+    c = float(g)
+    if not 0.0 < c < math.inf:
         raise ValueError(f"nuisance value must be finite with a positive scale, got {g}")
-    return comps
+    return c
 
 
 def check_initial_sample(pair: InvariantModelPair, x_m) -> np.ndarray:
@@ -477,7 +473,7 @@ def check_initial_sample(pair: InvariantModelPair, x_m) -> np.ndarray:
 def run_trials(
     pair: InvariantModelPair,
     k: int,
-    g: GroupElement,
+    g: float,
     rule: StoppingRule,
     n_trials: int,
     seed: int,
@@ -488,21 +484,19 @@ def run_trials(
     and nuisance value, the log Bayes factor is updated after every
     observation, and the rule (with its mandatory cap) decides when to
     stop.  Deterministic given (seed, configuration); see the module
-    docstring for the stream layout.  A nuisance value that is not a
-    group element with finite components raises ``ValueError``.
+    docstring for the stream layout.  Scale-group pairs only
+    (``NotImplementedError`` otherwise).  A nuisance value that is not a
+    finite positive scale raises ``ValueError``.
     """
-    if k not in (0, 1):
-        raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
-    _validate_run(pair, rule, n_trials, marginal=False)
-    g_comps = check_nuisance(pair, g)
-    g_run = g_comps[0] if pair.is_scale else g_comps
+    _validate_run(pair, k, rule, n_trials, marginal=False)
+    g = check_nuisance(pair, g)
     if n_trials == 0:
-        return TrialRecords.empty(k, g_run, seed, rule)
-    curves = _curves_for(pair) if pair.is_scale else None
-    key64 = _stream_key(seed, k, g_comps, variant=0)
+        return TrialRecords.empty(k, g, seed, rule)
+    curves = _curves_for(pair)
+    key64 = _stream_key(seed, k, (g,), variant=0)
 
     def block(lo: int, hi: int) -> TrialRecords:
-        return _run_block(pair, curves, k, g_run, rule, key64, lo, hi, seed, None, 0.0)
+        return _run_block(pair, curves, k, g, rule, key64, lo, hi, seed, None, 0.0)
 
     return _run_blocks(block, n_trials, _draws_per_trial(rule, False))
 
@@ -524,16 +518,12 @@ def run_marginal_trials(
     to that conditional value.  Scale-group pairs only.  An initial
     sample the pair rejects raises ``ValueError`` (``check_initial_sample``).
     """
-    if not pair.is_scale:
-        raise NotImplementedError("marginal trials are implemented for the scale group")
-    if k not in (0, 1):
-        raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
-    _validate_run(pair, rule, n_trials, marginal=True)
+    _validate_run(pair, k, rule, n_trials, marginal=True)
     x_m = check_initial_sample(pair, x_m)
     if n_trials == 0:
         return TrialRecords.empty(k, np.empty(0), seed, rule)
     curves = _curves_for(pair)
-    lb_offset = pair.log_bf(x_m) if pair.m >= 1 else 0.0
+    lb_offset = pair.log_bf(x_m)
     x_init = float(x_m[0])
     key64 = _stream_key(seed, k, (x_init,), variant=1)
 
@@ -893,18 +883,11 @@ def estimate_stopped_bf_mean(records: TrialRecords) -> StoppedBfMean:
 # -------------------------------------------------------------- serialization
 
 
-def _format_g(g) -> str:
-    if isinstance(g, tuple):
-        return "|".join(format(float(c), ".17g") for c in g)
-    return format(float(g), ".17g")
-
-
 def records_to_csv(batches: Sequence[TrialRecords], path) -> None:
     """Write the batches' records in order, one CSV row per trial.
 
     The columns are k, g, stop_index, stopped_log_beta, seed and trial:
-    floats as ``.17g``, a (scale, location) g as its two components
-    joined by '|', lines ended by CRLF.  No field can hold a delimiter or
+    floats as ``.17g``, lines ended by CRLF.  No field can hold a delimiter or
     a quote, so these are the bytes ``csv.writer`` writes for the same
     rows.  Each batch has one ``%`` row template, with its k and seed
     (and a run's single g) written in, and rows are formatted from
@@ -914,7 +897,7 @@ def records_to_csv(batches: Sequence[TrialRecords], path) -> None:
     with rewrite(path, newline="") as fh:
         fh.write("k,g,stop_index,stopped_log_beta,seed,trial\r\n")
         for batch in batches:
-            g = "%.17g" if batch.per_trial_g else _format_g(batch.g)
+            g = "%.17g" if batch.per_trial_g else format(float(batch.g), ".17g")
             fmt = f"{batch.k},{g},%d,%.17g,{batch.seed},%d\r\n"
             names = ("g",) * batch.per_trial_g + ("stop_index", "stopped_log_beta", "trial")
             for lo in range(0, len(batch), BLOCK_SIZE):

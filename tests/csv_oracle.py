@@ -9,12 +9,6 @@ gives the bytes the columnar writer must reproduce.
 import csv
 
 
-def _format_g(g) -> str:
-    if isinstance(g, tuple):
-        return "|".join(format(float(c), ".17g") for c in g)
-    return format(float(g), ".17g")
-
-
 def records_to_csv_per_row(batches, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -24,7 +18,7 @@ def records_to_csv_per_row(batches, path) -> None:
                 writer.writerow(
                     [
                         r.k,
-                        _format_g(r.g),
+                        format(r.g, ".17g"),
                         r.stop_index,
                         format(r.stopped_log_beta, ".17g"),
                         r.seed,

@@ -21,12 +21,7 @@ def run_block_per_step(
 ) -> TrialRecords:
     size = hi - lo
     marginal = x_init is not None
-    if marginal:
-        a, b = np.empty(size), 0.0
-    elif pair.is_scale:
-        a, b = float(g), 0.0
-    else:
-        a, b = float(g[0]), float(g[1])
+    a = np.empty(size) if marginal else float(g)
     delta = np.zeros(size)
     draws = np.empty((size, _draws_per_trial(rule, marginal)))
     streams = _TrialStreams(key64)
@@ -49,23 +44,16 @@ def run_block_per_step(
         s1[:] = x_init
         s2[:] = x_init * x_init
     else:
-        x1 = a * (delta + draws[:, 0]) + b
-        excluded = x1 == 0.0
-        if not pair.is_scale:
-            excluded |= a * (delta + draws[:, 1]) + b == x1
-        for i in np.nonzero(excluded)[0].tolist():
+        x1 = a * (delta + draws[:, 0])
+        for i in np.nonzero(x1 == 0.0)[0].tolist():
             gen = draw(i)
-            while a * (delta[i] + draws[i, 0]) + b == 0.0:
+            while a * (delta[i] + draws[i, 0]) == 0.0:
                 draws[i, 0] = gen.standard_normal()
-            x1[i] = a * (delta[i] + draws[i, 0]) + b
-            while not pair.is_scale and a * (delta[i] + draws[i, 1]) + b == x1[i]:
-                draws[i, 1] = gen.standard_normal()
+            x1[i] = a * (delta[i] + draws[i, 0])
         s1[:] = x1
         s2[:] = x1 * x1
 
     def log_beta(n, rows):
-        if curves is None:
-            return np.zeros(rows.size)
         q = s1[rows] ** 2 / (n * s2[rows])
         np.clip(q, 0.0, 1.0, out=q)
         return log_bf_per_n(curves, n, q, np.copysign(np.sqrt(q), s1[rows])) - lb_offset
@@ -80,11 +68,9 @@ def run_block_per_step(
         if act.size == 0:
             break
         scale_act = a[act] if marginal else a
-        xn = scale_act * (delta[act] + draws[act, n - col0]) + b
+        xn = scale_act * (delta[act] + draws[act, n - col0])
         s1[act] += xn
         s2[act] += xn * xn
-        if n <= pair.m:
-            continue
         lb = log_beta(n, act) if rule.log_bars else None
         mask = rule.decide_batch(n, lb, s2[act])
         if np.any(mask):
@@ -93,5 +79,4 @@ def run_block_per_step(
             stop_lb[hit] = lb[mask] if lb is not None else log_beta(n, hit)
             active[hit] = False
 
-    g_run = a if marginal or pair.is_scale else (a, b)
-    return TrialRecords(k, g_run, seed, rule, stop_n, stop_lb, np.arange(lo, hi, dtype=np.int64))
+    return TrialRecords(k, a, seed, rule, stop_n, stop_lb, np.arange(lo, hi, dtype=np.int64))

@@ -1,16 +1,16 @@
-"""Reference table read: log beta at one n, one ``chebval`` call per piece.
+"""Reference table read: log beta at one n >= 2, one ``chebval`` call per piece.
 
-This is ``ScaleBfCurves.log_bf_batch`` as it was before the stacked
-evaluator: the table at n (built by the curves object itself) is read
-with a single-piece fast path or a loop over the pieces present, each a
-plain ``numpy.polynomial.chebyshev.chebval``.  It shares no evaluation
-code with ``ScaleBfCurves.log_bf_cells``, which must match it bit for
-bit.
+This is the per-n table read as it was before the stacked evaluator,
+taking the invariant coordinates (q, signed t): the table at n (built
+by the curves object itself) is read with a single-piece fast path or a
+loop over the pieces present, each a plain
+``numpy.polynomial.chebyshev.chebval``.  It shares no evaluation code
+with ``ScaleBfCurves.log_bf_cells``, which must match it bit for bit.
 """
 
 import numpy as np
 
-from optstop.models import CauchyEffect, _pointmass_log_bf
+from optstop.models import CauchyEffect
 
 
 def log_bf_per_n(curves, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:
@@ -19,10 +19,6 @@ def log_bf_per_n(curves, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndar
     prior = curves._prior
     if curves._flat:
         return np.zeros_like(q)
-    if n == 1:
-        if isinstance(prior, CauchyEffect):
-            return np.zeros_like(q)
-        return _pointmass_log_bf(1, np.atleast_1d(t_signed), prior.delta0)
     edges, coeffs = curves._table(n)
     if isinstance(prior, CauchyEffect):
         coord = curves._table_coord(q)

@@ -81,9 +81,9 @@ def count_reads(monkeypatch, curves):
     reads = []
     cells = curves.log_bf_cells
 
-    def counting(ns, q, t):
-        reads.append(np.size(q))
-        return cells(ns, q, t)
+    def counting(ns, c):
+        reads.append(np.size(c))
+        return cells(ns, c)
 
     monkeypatch.setattr(curves, "log_bf_cells", counting)
     return reads
@@ -140,17 +140,34 @@ def test_cells_read_matches_per_n_reference(prior):
     curves = ScaleBfCurves(InvariantModelPair.scale(prior))
     q = np.concatenate([PROBE_Q, PROBE_Q])
     t = np.concatenate([np.sqrt(PROBE_Q), -np.sqrt(PROBE_Q)])
-    ns = [1, 2, 3, CAP]
+    c = curves.coordinate(q, t)
+    ns = [2, 3, CAP]
     expected = {n: log_bf_per_n(curves, n, q, t) for n in ns}
     for n in ns:
-        assert curves.log_bf_cells(n, q, t).tobytes() == expected[n].tobytes(), n
-        assert curves.log_bf_batch(n, q, t).tobytes() == expected[n].tobytes(), n
+        assert curves.log_bf_cells(n, c).tobytes() == expected[n].tobytes(), n
     # every n in one call, in shuffled order
     order = np.random.default_rng(0).permutation(len(ns) * q.size)
-    got = curves.log_bf_cells(np.repeat(ns, q.size)[order], np.tile(q, 4)[order], np.tile(t, 4)[order])
+    got = curves.log_bf_cells(np.repeat(ns, q.size)[order], np.tile(c, len(ns))[order])
     assert got.tobytes() == np.concatenate([expected[n] for n in ns])[order].tobytes()
-    empty = curves.log_bf_cells(np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))
+    empty = curves.log_bf_cells(np.empty(0, dtype=np.int64), np.empty(0))
     assert empty.shape == (0,)
+
+
+@pytest.mark.parametrize("prior", [CauchyEffect(1.0), PointMass(0.5), PointMass(0.0)], ids=str)
+@pytest.mark.parametrize("ns", [1, 0, np.array([5, 1, 7])], ids=["n=1", "n=0", "mixed"])
+def test_cells_read_refuses_n_below_two(prior, ns, monkeypatch):
+    """The tables hold n >= 2: a cell below that is refused before any table is built.
+
+    ``pair.log_bf`` gives the exact value at n = 1; the flat prior refuses too.
+    """
+    curves = ScaleBfCurves(InvariantModelPair.scale(prior))
+
+    def no_table(n):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(curves, "_table", no_table)
+    with pytest.raises(ValueError, match="n >= 2"):
+        curves.log_bf_cells(ns, np.array([0.1, 0.2, 0.3]))
 
 
 def test_narrow_prior_tables_have_pieces():
@@ -170,8 +187,8 @@ def test_cells_read_builds_only_the_tables_read(monkeypatch):
         return table(n)
 
     monkeypatch.setattr(curves, "_table", spy)
-    curves.log_bf_cells(np.array([100, 7, 100]), np.array([0.1, 0.2, 0.3]), np.zeros(3))
-    curves.log_bf_cells(100, np.array([0.5]), np.zeros(1))
+    curves.log_bf_cells(np.array([100, 7, 100]), np.array([0.1, 0.2, 0.3]))
+    curves.log_bf_cells(100, np.array([0.5]))
     assert sorted(set(built)) == [7, 100]
     monkeypatch.setattr(montecarlo, "_curves_cache", {})
     pair = InvariantModelPair.scale(PointMass(0.3))
@@ -193,13 +210,10 @@ CHUNK_RULES = {
 @pytest.mark.parametrize("rule", CHUNK_RULES.values(), ids=CHUNK_RULES.keys())
 @pytest.mark.parametrize("delta0", [0.5, -0.5, 0.0])
 def test_records_do_not_depend_on_step_chunk(delta0, rule, chunk, monkeypatch):
-    """Any chunk width gives the per-step kernel's records: both groups, marginal runs too."""
+    """Any chunk width gives the per-step kernel's records: both arms, marginal runs too."""
     monkeypatch.setattr(montecarlo, "STEP_CHUNK", chunk)
     scale = InvariantModelPair.scale(PointMass(delta0))
-    location_scale = InvariantModelPair.location_scale(PointMass(delta0))
     runs = [lambda k=k: run_trials(scale, k, 1.3, rule, 400, seed=21) for k in (0, 1)]
-    runs += [lambda k=k: run_trials(location_scale, k, (1.3, -0.4), rule, 400, seed=21)
-             for k in (0, 1)]
     # the alternative posterior is not sampled for a nonzero point effect
     runs += [lambda k=k: run_marginal_trials(scale, k, (0.8,), rule, 400, seed=21)
              for k in ((0,) if delta0 else (0, 1))]
@@ -237,13 +251,11 @@ def test_boundary_is_sound(prior, cap):
         lo, hi = 0.0, 1.0
     else:
         lo, hi = -1.0, 1.0
-    sign = -1.0 if isinstance(prior, PointMass) and prior.delta0 < 0.0 else 1.0
     bounds = [(curves.boundary(bar, cap, above), bar, above) for bar, above in BARS]
     for n in range(2, cap):
         for bound, bar, above in bounds:
             c = _grid(bound[n], lo, hi)
-            q, t = (c, np.sqrt(c)) if isinstance(prior, CauchyEffect) else (c * c, sign * c)
-            lb = curves.log_bf_batch(n, q, t)
+            lb = curves.log_bf_cells(n, c)
             if above:
                 assert np.all(c[lb >= bar] >= bound[n]), (n, bar)
             else:

@@ -192,6 +192,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: seed must be a signed 64-bit integer, got {seed}\n"
         assert not (tmp_path / "out" / "records.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            # the sums of squares underflow: every q is 0/0
+            ("mc-type1", "g = 1e-170\n"),
+            # the r = 1e200 Cauchy tables are NaN
+            ("mc-type1", "effect_scale = 1e200\n"),
+            # the sums of squares overflow from x_1 on
+            ("mc-marginal-calibration", "x_m = 1e200\nrule_upper = 20\n"),
+        ],
+        ids=["g-1e-170", "effect-scale-1e200", "x_m-1e200"],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    def test_non_finite_stopped_log_beta_exits_one(self, kind, text, tmp_path, capsys):
+        cfg = write(tmp_path / "f.cfg", f"{text}n_trials = 300\nrule_cap = 50\n")
+        code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: ")
+        assert "trials stopped at a non-finite log Bayes factor" in err[-1]
+        assert not (tmp_path / "out" / "records.csv").exists()
+
     def test_negative_seed_runs(self, tmp_path, capsys):
         cfg = write(tmp_path / "s.cfg", "n_trials = 50\nrule_cap = 20\n")
         code = main(["mc-type1", "--config", cfg, "--seed", "-7", "--out", str(tmp_path / "out")])
@@ -312,17 +334,25 @@ class TestRewrite:
             assert target.read_text() == "old\n"
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_python(*args):
+    """A child interpreter on ``args`` that imports optstop from this checkout's src/."""
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_console_script_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "optstop.cli", "--help"], capture_output=True, text=True
-        )
+        proc = run_python("-m", "optstop.cli", "--help")
         assert proc.returncode == 0
         assert "experiment" in proc.stdout
 
     def test_import_leaves_scipy_special_unloaded(self):
         code = "import sys, optstop, optstop.cli; print('scipy.special' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
@@ -337,14 +367,15 @@ class TestEntryPoint:
             "for prior in (PointMass(0.5), CauchyEffect(1.0)):\n"
             "    pair = InvariantModelPair.scale(prior)\n"
             "    pair.log_bf(x[:1]), pair.log_marginal_alt(x)\n"
-            "    ScaleBfCurves(pair).log_bf_batch(4, np.array([0.3]), np.array([-0.5]))\n"
+            "    curves = ScaleBfCurves(pair)\n"
+            "    curves.log_bf_cells(4, curves.coordinate(np.array([0.3]), np.array([-0.5])))\n"
             "InvariantModelPair.location_scale(CauchyEffect(1.0)).log_marginal_null(x)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
 
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+SCRIPTS = os.path.join(ROOT, "scripts")
 
 
 def load_script(name):

@@ -210,7 +210,7 @@ class TestAltMarginalAndBf:
             value = cauchy_pair.log_bf(x)
             assert math.isfinite(value)
             assert trajectory(cauchy_pair, x).value_at(n) == value
-            batch = curves.log_bf_batch(n, np.array([1.0]), np.array([1.0]))[0]
+            batch = curves.log_bf_cells(n, curves.coordinate(np.array([1.0]), np.array([1.0])))[0]
             assert abs(value - batch) <= 1e-8
 
     def test_trajectory_matches_log_bf_near_collinear(self, cauchy_pair, rng):
@@ -408,6 +408,22 @@ class TestPosteriorSampler:
         assert np.all(np.isfinite(draws))
         assert np.all(draws > 0)
 
+    @pytest.mark.parametrize("x1", [1.3, -0.02, 7e5])
+    def test_draws_equal_the_chi_square_loop(self, cauchy_pair, x1):
+        """The sampler is the null branch of the posterior state: same draws, same stream."""
+
+        def loop(rng):  # the one-draw chi-square loop, written out
+            w = 0.0
+            while w == 0.0:
+                w = float(rng.chisquare(1))
+            return abs(x1) / math.sqrt(w)
+
+        rng, ref = np.random.default_rng(4242), np.random.default_rng(4242)
+        got = [cauchy_pair.sample_posterior_g_given_initial(0, [x1], rng) for _ in range(500)]
+        expected = [loop(ref) for _ in range(500)]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_unsupported_combinations(self, cauchy_pair, rng):
         with pytest.raises(NotImplementedError):
             cauchy_pair.sample_posterior_g_given_initial(1, [1.0], rng)
@@ -478,14 +494,9 @@ class TestCurves:
                 ]
             )
             t = np.copysign(np.sqrt(q), rng.standard_normal(q.size))
-            got = curves.log_bf_batch(n, q, t)
+            got = curves.log_bf_cells(n, curves.coordinate(q, t))
             exact = np.array([pair.log_bf_from_stats(n, float(qi), float(ti)) for qi, ti in zip(q, t)])
             assert np.max(np.abs(got - exact)) <= 1e-8
-
-    def test_n_one_is_zero(self):
-        curves = ScaleBfCurves(InvariantModelPair.scale(CauchyEffect(1.0)))
-        out = curves.log_bf_batch(1, np.array([1.0, 1.0]), np.array([1.0, -1.0]))
-        assert np.all(out == 0.0)
 
     def test_batch_makes_no_scalar_evaluation(self, monkeypatch):
         def scalar(*args):
@@ -504,8 +515,8 @@ class TestCurves:
         t = np.sqrt(q) * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
         for prior in (CauchyEffect(1.0), PointMass(0.8)):
             curves = ScaleBfCurves(InvariantModelPair.scale(prior))
-            for n in (1, 2, 3, 50, 1000):
-                assert np.all(np.isfinite(curves.log_bf_batch(n, q, t)))
+            for n in (2, 3, 50, 1000):
+                assert np.all(np.isfinite(curves.log_bf_cells(n, curves.coordinate(q, t))))
 
     @pytest.mark.parametrize("prior", [CauchyEffect(1.0), PointMass(0.8)])
     @settings(max_examples=40, deadline=None)
@@ -514,5 +525,5 @@ class TestCurves:
         pair = InvariantModelPair.scale(prior)
         curves = curves_by_prior.setdefault(prior, ScaleBfCurves(pair))
         t = sign * math.sqrt(q)
-        batch = curves.log_bf_batch(n, np.array([q]), np.array([t]))[0]
+        batch = curves.log_bf_cells(n, curves.coordinate(np.array([q]), np.array([t])))[0]
         assert abs(pair.log_bf_from_stats(n, q, t) - batch) <= 1e-8

@@ -28,7 +28,7 @@ from optstop.montecarlo import (
     TrialRecords,
     wilson_interval,
 )
-from optstop.stopping import BfThreshold, FixedN, SumOfSquares
+from optstop.stopping import BfThreshold, FixedN
 
 CAUCHY = InvariantModelPair.scale(CauchyEffect(1.0))
 POINT0 = InvariantModelPair.scale(PointMass(0.0))
@@ -106,26 +106,15 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(CAUCHY, 0, 1.0, FixedN(n=1, cap=1), 10, seed=0)
 
-    @pytest.mark.parametrize(
-        "group, g",
-        [
-            ("scale", 0.0),
-            ("scale", -1.0),
-            ("scale", math.nan),
-            ("scale", math.inf),
-            ("location_scale", (0.0, 0.0)),
-            ("location_scale", (1.0, math.nan)),
-        ],
-    )
-    def test_nuisance_value_outside_the_group_refused(self, group, g, monkeypatch):
+    @pytest.mark.parametrize("g", [0.0, -1.0, math.nan, math.inf])
+    def test_nuisance_value_outside_the_group_refused(self, g, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("a table was built or a block ran")
 
         monkeypatch.setattr(ScaleBfCurves, "_table", no_work)
         monkeypatch.setattr(montecarlo, "_run_block", no_work)
-        pair = getattr(InvariantModelPair, group)(CauchyEffect(1.0))
         with pytest.raises(ValueError, match="nuisance value must be finite with a positive scale"):
-            run_trials(pair, 0, g, BfThreshold(upper=20.0, cap=10), 10, seed=0)
+            run_trials(CAUCHY, 0, g, BfThreshold(upper=20.0, cap=10), 10, seed=0)
 
     @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 10**20])
     def test_seed_outside_64_bits_refused(self, seed):
@@ -137,21 +126,16 @@ class TestRunTrials:
         records = run_trials(CAUCHY, 0, 1.0, FixedN(n=6, cap=10), 10, seed=seed)
         assert records.seed == seed and np.all(records.stop_index == 6)
 
-    def test_location_scale_pair_runs(self):
+    @pytest.mark.parametrize("n_trials", [0, 10])
+    def test_location_scale_pair_refused_up_front(self, n_trials, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a table was built or a block ran")
+
+        monkeypatch.setattr(ScaleBfCurves, "_table", no_work)
+        monkeypatch.setattr(montecarlo, "_run_block", no_work)
         pair = InvariantModelPair.location_scale(PointMass(0.0))
-        records = run_trials(pair, 1, (1.5, -1.0), FixedN(n=6, cap=10), 100, seed=3)
-        assert all(r.stop_index == 6 for r in records)
-        assert all(r.stopped_log_beta == 0.0 for r in records)
-
-
-class SumSquaresSpy(SumOfSquares):
-    """Never fires before the cap; keeps each step's sum of squares by n."""
-
-    seen: dict = {}
-
-    def _fires_at(self, n, log_beta, sum_sq):
-        SumSquaresSpy.seen[n] = np.array(sum_sq)
-        return False
+        with pytest.raises(NotImplementedError, match="scale group"):
+            run_trials(pair, 1, (1.5, -1.0), FixedN(n=6, cap=10), n_trials, seed=3)
 
 
 class LeadingDraws:
@@ -188,7 +172,7 @@ class TestStreamContract:
         for n in range(2, rule.cap + 1):
             q = min(max(s1[n - 1] ** 2 / (n * s2[n - 1]), 0.0), 1.0)
             t = math.copysign(math.sqrt(q), s1[n - 1])
-            lb = float(curves.log_bf_batch(n, np.array([q]), np.array([t]))[0])
+            lb = float(curves.log_bf_cells(n, curves.coordinate(np.array([q]), np.array([t])))[0])
             if rule.decide(x[:n], lb):
                 return n, lb
 
@@ -250,21 +234,6 @@ class TestStreamContract:
         # one step per chunk: the replayed trial's x_2 is read in a chunk of its own
         monkeypatch.setattr(montecarlo, "STEP_CHUNK", 1)
         self.test_x1_zero_redraws_from_the_trials_own_stream(monkeypatch)
-
-    def test_location_scale_clash_redraws_from_the_trials_own_stream(self, monkeypatch):
-        pair = InvariantModelPair.location_scale(PointMass(0.3))
-        g, rule, trial = (1.5, -1.0), SumSquaresSpy(threshold=1.0, cap=4), 5
-        self.patch_trial(monkeypatch, trial, [0.7, 0.7])  # x_2 = x_1 = 0.5
-        run_trials(pair, 1, g, rule, 10, seed=4)
-        gen = fresh_stream(montecarlo._stream_key(4, 1, g, variant=0), trial)
-        z = gen.standard_normal(rule.cap)
-        z[:2] = 0.7
-        x1 = g[0] * (0.3 + z[0]) + g[1]
-        while g[0] * (0.3 + z[1]) + g[1] == x1:
-            z[1] = gen.standard_normal()
-        assert z[1] != 0.7
-        x = g[0] * (0.3 + z) + g[1]
-        assert SumSquaresSpy.seen[3][trial] == x[0] * x[0] + x[1] * x[1] + x[2] * x[2]
 
 
 class TestEstimators:

@@ -27,19 +27,17 @@ from optstop.montecarlo import (
 from optstop.stopping import BfThreshold, FixedN
 
 CAUCHY = InvariantModelPair.scale(CauchyEffect(1.0))
-LOCATION_SCALE = InvariantModelPair.location_scale(PointMass(0.3))
+POINT = InvariantModelPair.scale(PointMass(0.3))
 CORRIDOR = BfThreshold(upper=5.0, lower=0.2, cap=40)
 BERNOULLI = FiniteModel.bernoulli_point_vs_uniform(horizon=8, grid=200)
 
 
 @pytest.fixture(scope="module")
 def batches():
-    """One batch of every kind of run: scale, (scale, location), marginal, finite."""
+    """One batch of every kind of run: scale (a threshold and a fixed-n rule), marginal, finite."""
     return {
         "scale": run_trials(CAUCHY, 1, 0.7, CORRIDOR, 300, seed=5),
-        "location-scale": run_trials(
-            LOCATION_SCALE, 1, (1.5, -1.0), FixedN(n=6, cap=10), 200, seed=6
-        ),
+        "fixed-n": run_trials(POINT, 1, 1.5, FixedN(n=6, cap=10), 200, seed=6),
         "marginal": run_marginal_trials(CAUCHY, 0, [0.8], CORRIDOR, 250, seed=7),
         "finite": run_trials_finite(BERNOULLI, 1, BfThreshold(upper=3.0, cap=8), 150, seed=8),
     }
@@ -57,16 +55,13 @@ class TestTrialRecords:
                 records[len(records)]
 
     def test_rows_are_python_scalars(self, batches):
-        for name, records in batches.items():
+        for records in batches.values():
             for row in (records[0], next(iter(records))):
                 assert isinstance(row, TrialRecord)
                 assert type(row.k) is int and type(row.seed) is int
                 assert type(row.stop_index) is int and type(row.trial) is int
                 assert type(row.stopped_log_beta) is float
-                if name == "location-scale":
-                    assert row.g == (1.5, -1.0) and all(type(c) is float for c in row.g)
-                else:
-                    assert type(row.g) is float
+                assert type(row.g) is float
         assert math.isnan(batches["finite"][0].g)
         assert batches["scale"][3].g == 0.7
 
@@ -152,7 +147,7 @@ class TestCsvMatchesPerRowWriter:
         assert got == (tmp_path / "oracle.csv").read_bytes()
         return got
 
-    @pytest.mark.parametrize("kind", ["scale", "location-scale", "marginal", "finite"])
+    @pytest.mark.parametrize("kind", ["scale", "fixed-n", "marginal", "finite"])
     def test_each_kind_of_run(self, batches, kind, tmp_path):
         out = self.assert_same_bytes([batches[kind]], tmp_path)
         assert out.count(b"\r\n") == len(batches[kind]) + 1
@@ -177,7 +172,7 @@ class TestCsvMatchesPerRowWriter:
         rule = FixedN(n=5, cap=10)
         batches = [
             TrialRecords(1, 1e-5, 2**40, rule, stops, lb, trials),
-            TrialRecords(0, (0.1, -0.0), 7, rule, stops, lb, trials),
+            TrialRecords(0, -0.0, 7, rule, stops, lb, trials),
             TrialRecords(1, lb[::-1].copy(), 7, rule, stops, lb, trials),
         ]
         self.assert_same_bytes(batches, tmp_path)
