@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import ClassVar, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -69,10 +69,15 @@ class PointMass:
     """All effect-size mass on a single value."""
 
     delta0: float
+    NORMALS: ClassVar[int] = 0  # standard normals a draw reads from the stream
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.delta0):
             raise ValueError(f"point-mass effect must be finite, got {self.delta0}")
+
+    def from_normals(self, z: np.ndarray) -> np.ndarray:
+        """delta0 for each row of ``z``, whose rows hold NORMALS (no) standard normals."""
+        return np.full(z.shape[:-1], self.delta0)
 
     def draw(self, rng: np.random.Generator) -> float:
         return self.delta0
@@ -83,13 +88,23 @@ class CauchyEffect:
     """Cauchy(0, scale) prior on the standardized effect size."""
 
     scale: float = 1.0
+    NORMALS: ClassVar[int] = 2  # standard normals a draw reads from the stream
 
     def __post_init__(self) -> None:
         if not (self.scale > 0 and math.isfinite(self.scale)):
             raise ValueError(f"Cauchy scale must be positive and finite, got {self.scale}")
 
+    def from_normals(self, z: np.ndarray) -> np.ndarray:
+        """The effect drawn from each row (z0, z1) of standard normals: scale * (z0 / z1).
+
+        With z0 and z1 the stream's next two normals, in that order, this
+        is ``scale * rng.standard_cauchy()`` bit for bit, and the stream
+        ends in the same place.
+        """
+        return self.scale * (z[..., 0] / z[..., 1])
+
     def draw(self, rng: np.random.Generator) -> float:
-        return self.scale * float(rng.standard_cauchy())
+        return float(self.from_normals(rng.standard_normal(self.NORMALS)))
 
 
 EffectPrior = Union[PointMass, CauchyEffect]

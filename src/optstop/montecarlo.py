@@ -8,16 +8,27 @@ Reproducibility model
     neither the block layout nor which trials ran before it can change a
     single record.  A block builds one Philox generator and re-keys it
     for each trial (counter 0, empty buffer: the state a freshly built
-    ``Philox(key=[key, trial])`` starts in), then makes all of the
-    trial's draws up front: its effect or posterior state, and one normal
-    per observation up to the cap.  The rare trial whose initial sample
-    falls in the excluded set is re-keyed again, replays those draws and
+    ``Philox(key=[key, trial])`` starts in), then draws the trial's row
+    up front in one ``standard_normal`` call: the effect's leading
+    normals (a Cauchy effect is r * (z0 / z1) from two, numpy's
+    ``standard_cauchy`` bit for bit; a point mass takes none), then one
+    normal per observation.  A marginal run draws the trial's posterior
+    state before its row.  A run's first block draws every row to the
+    cap.  A later block draws only a head of each row: the steps up to
+    the first chunk's end past which at most 1 in ``LAZY_TAIL`` of the
+    run's earlier trials ran (the full row if that lies past half the
+    cap).  Before its first chunk that reads past the head, every trial
+    still running is re-keyed and replays its whole row, the same
+    values from the same stream, into a buffer of its own, and the
+    heads are released.  The rare trial whose initial sample falls in
+    the excluded set is re-keyed again, replays its full row and
     continues its own stream for the replacement.  Blocks hold at most
-    ``DRAW_BUFFER_BYTES`` of draws, each block in a memory mapping of its
-    own (``_draw_buffer``) that is returned to the system when the block
-    ends, and run one after another; their records are concatenated in
-    trial order.  A run whose single draw
-    row would exceed that budget is refused with ``ResourceLimitError``
+    ``DRAW_BUFFER_BYTES`` of observation draws (an effect's leading
+    normals ride along), each block in memory mappings of its own
+    (``_draw_buffer``) that are returned to the system when the block
+    is done with them, and run one after another; their records are
+    concatenated in trial order.  A run whose single row of observation
+    draws would exceed that budget is refused with ``ResourceLimitError``
     before any table is built.
 
 Records
@@ -94,6 +105,10 @@ STEP_CHUNK = 8
 # a block's draws, (trials x draws per trial) doubles, take at most this;
 # a long cap gets fewer trials per block (block layout never changes a record)
 DRAW_BUFFER_BYTES = 64 * 2**20
+# a block after the first draws its rows only up to the first chunk's end past
+# which at most 1 in LAZY_TAIL of the earlier trials ran, if that lies within
+# half the cap (layout only: never changes a record)
+LAZY_TAIL = 8
 # (trials x components) likelihood cells per finite-model chunk: 8 MB of doubles
 FINITE_CHUNK_CELLS = 2**20
 DEFAULT_BINS = 30
@@ -250,47 +265,59 @@ def _run_block(
     seed: int,
     x_init: Optional[float],
     lb_offset: float,
+    head: int,
 ) -> TrialRecords:
-    """Run trials [lo, hi) in lockstep and return their records in order."""
+    """Run trials [lo, hi) in lockstep and return their records in order.
+
+    Each trial draws its row up to step ``head`` up front; the trials
+    still running past it replay their rows to the cap.
+    """
     size = hi - lo
     marginal = x_init is not None
     # the scale g: one per trial, drawn from the posterior, in a marginal run
     a = np.empty(size) if marginal else float(g)
-    delta = np.zeros(size)
-    draws = _draw_buffer(size, _draws_per_trial(rule, marginal))
-    # each trial keys its stream, makes its leading draws, then fills its row
+    # an effect drawn from the prior takes the row's leading normals
+    lead = pair.effect_prior.NORMALS if k == 1 and not marginal else 0
+    col0 = (2 if marginal else 1) - lead  # a row's column holding x_n is n - col0
+    width = rule.cap + 1 - col0  # a full row
+    draws = _draw_buffer(size, head + 1 - col0)
+    # each trial keys its stream and fills its row, after its posterior
+    # draw in a marginal run
     at = _TrialStreams(key64).at
+    posterior_state = pair._posterior_predictive_state
     if marginal:
-        posterior_state = pair._posterior_predictive_state
+        delta = np.empty(size)
         for i in range(size):
             gen = at(lo + i)
             a[i], delta[i] = posterior_state(k, x_init, gen)
             gen.standard_normal(out=draws[i])
-    elif k == 1:
-        effect_draw = pair.effect_prior.draw
-        for i in range(size):
-            gen = at(lo + i)
-            delta[i] = effect_draw(gen)
-            gen.standard_normal(out=draws[i])
     else:
         for i in range(size):
             at(lo + i).standard_normal(out=draws[i])
+        delta = pair.effect_prior.from_normals(draws[:, :lead]) if k == 1 else np.zeros(size)
+
+    def replay(act: np.ndarray) -> np.ndarray:
+        """The full rows of trials ``act``, redrawn from their streams, in a buffer of their own."""
+        full = _draw_buffer(act.size, width)
+        for i, out in zip(act.tolist(), full):
+            gen = at(lo + i)
+            if marginal:
+                posterior_state(k, x_init, gen)
+            gen.standard_normal(out=out)
+        return full
 
     if marginal:
         s1, s2 = np.full(size, x_init), np.full(size, x_init * x_init)
     else:
         # The excluded initial sample x_1 = 0 has probability zero.  A trial
-        # that hits it replays its stream and continues it: the next draw
-        # replaces x_1 in place.
-        x1 = a * (delta + draws[:, 0])
+        # that hits it replays its full row and continues its stream: the
+        # next draw replaces x_1.
+        x1 = a * (delta + draws[:, lead])
         for i in np.flatnonzero(x1 == 0.0).tolist():
-            gen = at(lo + i)  # replay the trial's leading draws, then continue its stream
-            if k == 1:
-                delta[i] = pair.effect_prior.draw(gen)
-            gen.standard_normal(out=draws[i])
-            while a * (delta[i] + draws[i, 0]) == 0.0:
-                draws[i, 0] = gen.standard_normal()
-            x1[i] = a * (delta[i] + draws[i, 0])
+            gen = at(lo + i)
+            gen.standard_normal(width)
+            while x1[i] == 0.0:
+                x1[i] = a * (delta[i] + gen.standard_normal())
         s1, s2 = x1, x1 * x1
 
     def coordinate(n, c1: np.ndarray, c2: np.ndarray, out=None) -> np.ndarray:
@@ -308,7 +335,7 @@ def _run_block(
     bounds = [
         (curves.boundary(bar + lb_offset, rule.cap, above), above) for bar, above in rule.log_bars
     ]
-    col0 = 2 if marginal else 1  # draws column holding x_n is n - col0
+    row = np.arange(size)  # each trial's row of draws
 
     def advance(act: np.ndarray, steps: range) -> list:
         """Advance trials ``act`` over ``steps``; the cells to read before the cap.
@@ -318,8 +345,9 @@ def _run_block(
         per-step parts.
         """
         xs = np.empty((len(steps), act.size))  # the observations, a contiguous row per step
+        rows = row[act]
         for n, xn in zip(steps, xs):
-            draws[:, n - col0].take(act, out=xn)
+            draws[:, n - col0].take(rows, out=xn)
         xs += delta[act]
         xs *= a[act] if marginal else a
         s1c, s2c = s1[act], s2[act]
@@ -358,7 +386,11 @@ def _run_block(
         act = np.flatnonzero(active)
         if act.size == 0:
             break
-        cells = advance(act, range(n0, min(n0 + STEP_CHUNK, rule.cap + 1)))
+        steps = range(n0, min(n0 + STEP_CHUNK, rule.cap + 1))
+        if steps[-1] > head:  # the replayed rows take the heads' place
+            draws, head = replay(act), rule.cap
+            row[act] = np.arange(act.size)
+        cells = advance(act, steps)
         if not cells[0]:
             continue
         # joined a column at a time, each column's parts freed as it is joined
@@ -400,18 +432,42 @@ def _draw_buffer(rows: int, cols: int) -> np.ndarray:
 
 
 def _draws_per_trial(rule: StoppingRule, marginal: bool) -> int:
-    """Normal draws each trial makes up front: one per observation up to the cap."""
+    """Normals a trial's full row holds for its observations: one each up to the cap."""
     return rule.cap - (1 if marginal else 0)
 
 
-def _run_blocks(fn, n_trials: int, n_draws: int) -> TrialRecords:
-    """Concatenate ``fn(lo, hi)`` over blocks whose draws fit DRAW_BUFFER_BYTES.
+def _lazy_head(stops: np.ndarray) -> int:
+    """The last step a block draws up front, given earlier blocks' stop counts.
 
-    ``OptstopError`` if a trial stopped at a non-finite log beta: the
-    records of such a run would pass or fail a check on NaN comparisons.
+    ``stops[n]`` counts the earlier trials that stopped at n, up to the
+    cap.  The head is the first chunk's end past which at most 1 in
+    LAZY_TAIL of them ran, if it lies within half the cap, and else the
+    cap.  A fresh run draws in full.
     """
-    rows = min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * n_draws))  # >= 1: see _validate_run
-    blocks = [fn(lo, min(lo + rows, n_trials)) for lo in range(0, n_trials, rows)]
+    total = int(stops.sum())
+    running = total - np.cumsum(stops)  # running[n]: trials that ran past step n
+    ends = np.arange(1 + STEP_CHUNK, (stops.size - 1) // 2 + 1, STEP_CHUNK)
+    few = ends[running[ends] * LAZY_TAIL <= total]
+    return int(few[0]) if total and few.size else stops.size - 1
+
+
+def _run_blocks(fn, n_trials: int, rule: StoppingRule, marginal: bool) -> TrialRecords:
+    """Concatenate ``fn(lo, hi, head)`` over blocks whose draws fit DRAW_BUFFER_BYTES.
+
+    Each block gets the head (``_lazy_head``) that the blocks before it
+    call for.  ``OptstopError`` if a trial stopped at a non-finite log
+    beta: the records of such a run would pass or fail a check on NaN
+    comparisons.  So numpy's floating-point warnings, in the kernel and
+    in the tables it builds, are not shown.
+    """
+    # >= 1: see _validate_run
+    rows = min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * _draws_per_trial(rule, marginal)))
+    stops = np.zeros(rule.cap + 1, dtype=np.int64)
+    blocks = []
+    with np.errstate(all="ignore"):
+        for lo in range(0, n_trials, rows):
+            blocks.append(fn(lo, min(lo + rows, n_trials), _lazy_head(stops)))
+            stops += np.bincount(blocks[-1].stop_index, minlength=stops.size)
     records = replace(
         blocks[0],
         **{c: np.concatenate([getattr(b, c) for b in blocks]) for c in blocks[0]._trial_columns()},
@@ -495,10 +551,10 @@ def run_trials(
     curves = _curves_for(pair)
     key64 = _stream_key(seed, k, (g,), variant=0)
 
-    def block(lo: int, hi: int) -> TrialRecords:
-        return _run_block(pair, curves, k, g, rule, key64, lo, hi, seed, None, 0.0)
+    def block(lo: int, hi: int, head: int) -> TrialRecords:
+        return _run_block(pair, curves, k, g, rule, key64, lo, hi, seed, None, 0.0, head)
 
-    return _run_blocks(block, n_trials, _draws_per_trial(rule, False))
+    return _run_blocks(block, n_trials, rule, marginal=False)
 
 
 def run_marginal_trials(
@@ -523,14 +579,17 @@ def run_marginal_trials(
     if n_trials == 0:
         return TrialRecords.empty(k, np.empty(0), seed, rule)
     curves = _curves_for(pair)
-    lb_offset = pair.log_bf(x_m)
+    with np.errstate(all="ignore"):  # non-finite, it fails the run in _run_blocks
+        lb_offset = pair.log_bf(x_m)
     x_init = float(x_m[0])
     key64 = _stream_key(seed, k, (x_init,), variant=1)
 
-    def block(lo: int, hi: int) -> TrialRecords:
-        return _run_block(pair, curves, k, None, rule, key64, lo, hi, seed, x_init, lb_offset)
+    def block(lo: int, hi: int, head: int) -> TrialRecords:
+        return _run_block(
+            pair, curves, k, None, rule, key64, lo, hi, seed, x_init, lb_offset, head
+        )
 
-    return _run_blocks(block, n_trials, _draws_per_trial(rule, True))
+    return _run_blocks(block, n_trials, rule, marginal=True)
 
 
 def _finite_chunk(model: FiniteModel) -> int:

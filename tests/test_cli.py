@@ -204,7 +204,7 @@ class TestExitCodes:
         ],
         ids=["g-1e-170", "effect-scale-1e200", "x_m-1e200"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the run shows none of numpy's
     def test_non_finite_stopped_log_beta_exits_one(self, kind, text, tmp_path, capsys):
         cfg = write(tmp_path / "f.cfg", f"{text}n_trials = 300\nrule_cap = 50\n")
         code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])

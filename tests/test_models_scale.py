@@ -380,6 +380,32 @@ class TestSampler:
         with pytest.raises(ValueError):
             cauchy_pair.sample(0, 1.0, 0, rng)
 
+    @pytest.mark.parametrize("scale", [1.0, 0.1, 7.3])
+    def test_cauchy_draw_is_numpys_standard_cauchy(self, scale):
+        """Two normals, z0 / z1: ``scale * standard_cauchy()`` bit for bit, on 1,000 streams.
+
+        The stream ends where ``standard_cauchy`` leaves it: the next
+        normals are equal too.
+        """
+        prior = CauchyEffect(scale)
+        for trial in range(1000):
+            key = np.array([20240817, trial], dtype=np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
+            ref = np.random.Generator(np.random.Philox(key=key))
+            assert prior.draw(gen) == scale * float(ref.standard_cauchy())
+            assert gen.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
+
+    def test_effect_from_leading_normals(self, rng):
+        """``from_normals`` on rows of NORMALS normals equals ``draw`` on each row's stream."""
+        z = rng.standard_normal((50, 2))
+        cauchy = CauchyEffect(0.7)
+        assert cauchy.NORMALS == 2
+        rows = [float(cauchy.from_normals(row)) for row in z]
+        assert cauchy.from_normals(z).tolist() == rows == [0.7 * (a / b) for a, b in z.tolist()]
+        point = PointMass(-0.5)
+        assert point.NORMALS == 0
+        assert point.from_normals(z[:, :0]).tolist() == [-0.5] * 50
+
 
 class TestPosteriorSampler:
     def test_chi_square_pullback(self, cauchy_pair, rng):

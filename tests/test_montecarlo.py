@@ -29,9 +29,11 @@ from optstop.montecarlo import (
     wilson_interval,
 )
 from optstop.stopping import BfThreshold, FixedN
+from reference_kernel import run_block_per_step
 
 CAUCHY = InvariantModelPair.scale(CauchyEffect(1.0))
 POINT0 = InvariantModelPair.scale(PointMass(0.0))
+CORRIDOR = BfThreshold(upper=5.0, lower=0.2, cap=100)
 
 
 def fresh_stream(key64, trial):
@@ -234,6 +236,87 @@ class TestStreamContract:
         # one step per chunk: the replayed trial's x_2 is read in a chunk of its own
         monkeypatch.setattr(montecarlo, "STEP_CHUNK", 1)
         self.test_x1_zero_redraws_from_the_trials_own_stream(monkeypatch)
+
+    def test_x1_zero_redraw_in_a_lazy_block(self, monkeypatch):
+        """Trial 524 sits in the second block, which draws heads, and runs past its head."""
+        pair = InvariantModelPair.scale(PointMass(0.5))
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)
+        before = run_trials(pair, 1, 1.3, CORRIDOR, 1024, seed=2)
+        shapes = spy_buffers(monkeypatch)
+        self.patch_trial(monkeypatch, 524, [-0.5])  # x_1 = 1.3 * (0.5 - 0.5) = 0
+        after = run_trials(pair, 1, 1.3, CORRIDOR, 1024, seed=2)
+        (_, full), (rows, head), (survivors, replayed) = shapes
+        assert rows == 512 and head < full == replayed == CORRIDOR.cap and survivors < rows
+        assert after[:524] == before[:524] and after[525:] == before[525:]
+        expected = self.reference_stop(pair, 1, 1.3, CORRIDOR, 2, 524, lead=[-0.5])
+        assert (after[524].stop_index, after[524].stopped_log_beta) == expected
+        assert after[524].stop_index > head  # its x_n past the head came from the replay
+
+
+def spy_buffers(monkeypatch):
+    """The (rows, columns) of every draw buffer a run maps, in order."""
+    shapes = []
+    draw_buffer = montecarlo._draw_buffer
+
+    def spy(rows, cols):
+        shapes.append((rows, cols))
+        return draw_buffer(rows, cols)
+
+    monkeypatch.setattr(montecarlo, "_draw_buffer", spy)
+    return shapes
+
+
+LAZY_RUNS = {
+    "cauchy-h0": (lambda: run_trials(CAUCHY, 0, 1.3, CORRIDOR, 2048, seed=5), 100),
+    # the Cauchy effect takes two leading normals
+    "cauchy-h1": (lambda: run_trials(CAUCHY, 1, 1.3, CORRIDOR, 2048, seed=5), 102),
+    "point-mass-h1": (
+        lambda: run_trials(InvariantModelPair.scale(PointMass(0.5)), 1, 1.3, CORRIDOR, 2048, 5),
+        100,
+    ),
+    # x_1 is given: draws start at x_2
+    "marginal-h1": (lambda: run_marginal_trials(CAUCHY, 1, [0.8], CORRIDOR, 2048, seed=5), 99),
+}
+
+
+class TestLazyDraws:
+    """Blocks after a run's first draw row heads; trials running past them replay to the cap."""
+
+    @pytest.mark.parametrize("run, full", LAZY_RUNS.values(), ids=LAZY_RUNS.keys())
+    def test_later_blocks_draw_heads_then_replay(self, run, full, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # four blocks
+        shapes = spy_buffers(monkeypatch)
+        records = run()
+        assert shapes[0] == (512, full)
+        later = shapes[1:]
+        assert len(later) == 6
+        for (rows, head), (survivors, replayed) in zip(later[::2], later[1::2]):
+            assert rows == 512 and head < full and replayed == full and 0 < survivors < rows
+        monkeypatch.setattr(montecarlo, "_run_block", run_block_per_step)
+        assert records == run()
+
+    @pytest.mark.parametrize(
+        "k, rule", [(0, BfThreshold(upper=20.0, cap=200)), (0, FixedN(n=100)), (1, FixedN(n=100))]
+    )
+    def test_runs_that_reach_far_draw_in_full(self, k, rule, monkeypatch):
+        # most trials run past half the cap: no head would save a replay
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)
+        shapes = spy_buffers(monkeypatch)
+        run_trials(CAUCHY, k, 1.0, rule, 2048, seed=3)
+        assert shapes == [(512, rule.cap + 2 * k)] * 4
+
+    @staticmethod
+    def head(cap, stops):
+        return montecarlo._lazy_head(np.bincount(np.array(stops, dtype=np.int64), minlength=cap + 1))
+
+    def test_head_is_the_first_chunk_end_with_few_trials_running(self):
+        assert self.head(100, []) == 100  # a fresh run draws in full
+        assert self.head(100, [2] * 8) == 9
+        assert self.head(100, [2] * 7 + [100]) == 9  # 1 in 8 still running
+        assert self.head(100, [2] * 6 + [100] * 2) == 100  # 1 in 4 until the cap
+        assert self.head(100, [45] * 8) == 49  # at most half the cap
+        assert self.head(100, [51] * 8) == 100
+        assert self.head(34, [10] * 8) == 17 and self.head(33, [10] * 8) == 33
 
 
 class TestEstimators:
