@@ -2,7 +2,9 @@
 """Run every bundled experiment config and summarize the verdicts.
 
 Writes one output directory per experiment under --out (default
-results/) and prints a final table.  Exit code 0 iff every experiment's
+results/) and prints a final table: each experiment's verdict and its
+wall seconds (stdout only; the output directories do not hold them).
+Exit code 0 iff every experiment's
 contracts passed; a package or configuration error stops the sweep with
 ``error: <message>`` on stderr and exit code 1.  Expect the full sweep
 to take several minutes at the bundled trial counts.  --quick shrinks
@@ -14,6 +16,7 @@ the reduced ones.
 import argparse
 import os
 import sys
+import time
 
 from optstop.cli import EXPERIMENTS, exit_code, parse_config_text, run
 
@@ -52,13 +55,16 @@ def run_sweep(args: argparse.Namespace) -> int:
                     config[key] = value
         out_dir = os.path.join(args.out, kind)
         print(f"=== {kind} -> {out_dir}")
-        outcomes.append((kind, run(kind, config, args.seed, out_dir)))
+        start = time.perf_counter()
+        code = run(kind, config, args.seed, out_dir)
+        outcomes.append((kind, code, time.perf_counter() - start))
         print()
 
     print("summary:")
-    for kind, code in outcomes:
-        print(f"  {kind:28s} {'PASS' if code == 0 else 'FAIL (exit %d)' % code}")
-    return 0 if all(code == 0 for _, code in outcomes) else 2
+    for kind, code, seconds in outcomes:
+        verdict = "PASS" if code == 0 else f"FAIL (exit {code})"
+        print(f"  {kind:28s} {verdict:13s} {seconds:8.2f} s")
+    return 0 if all(code == 0 for _, code, _ in outcomes) else 2
 
 
 if __name__ == "__main__":

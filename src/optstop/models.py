@@ -149,7 +149,26 @@ def _cauchy_phi(ell: np.ndarray, n, xi, r: float) -> np.ndarray:
 _SCAN = np.linspace(0.0, 1.0, 129)
 _SHARES = np.linspace(0.0, 1.0, 25)  # 24 panels
 _GL_X, _GL_W = leggauss(16)
-_CHUNK = 128  # points per pass: keeps the (points x nodes) temporaries near 400 KB
+# points per pass: (points x nodes) temporaries near 200 KB, the size a one-table
+# fit's 65-point pass had; a batched table build passes every table's nodes at once
+_CHUNK = 64
+
+
+def _count_below_shares(cum: np.ndarray) -> np.ndarray:
+    """(points x shares) counts: element (p, i) is how many of row p's values are < _SHARES[i].
+
+    The count (cum[:, :, None] < _SHARES).sum(axis=1), integer for
+    integer, without that (points x values x shares) array: a value is
+    below share i exactly when ``searchsorted(_SHARES, value, "right")``,
+    the number of shares <= it, is at most i.  So one ``searchsorted``,
+    one ``bincount`` of those indices offset by row, and a running sum
+    over each row's bins.  A NaN sorts past every share and is below none.
+    """
+    points, bins = cum.shape[0], _SHARES.size + 1  # searchsorted gives 0 .. shares
+    index = np.searchsorted(_SHARES, cum, side="right")
+    index += np.arange(0, points * bins, bins)[:, None]
+    counts = np.bincount(index.ravel(), minlength=points * bins).reshape(points, bins)
+    return counts.cumsum(axis=1)[:, :-1]
 
 
 def _log_integral(phi, lo, hi, *params) -> np.ndarray:
@@ -164,15 +183,19 @@ def _log_integral(phi, lo, hi, *params) -> np.ndarray:
     equal share of phi's variation (clipped at the bracket floor) plus
     twice its length, so steep flanks get narrow panels and flat
     stretches still get several.
+
+    Every point's arithmetic is its own: element i is the value of a call
+    on point i alone, bit for bit, whatever the batch.  The scan interval
+    holding each share comes from ``_count_below_shares``.
     """
     lo, hi, *params = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lo, hi, *params)))
     out = np.empty(lo.shape)
-    lo, hi, params = lo.ravel(), hi.ravel(), [p.ravel() for p in params]
     for s in range(0, out.size, _CHUNK):
-        rows = slice(s, s + _CHUNK)
-        cols = [p[rows, None] for p in params]
-        grid_lo = lo[rows, None]
-        ell = grid_lo + (hi[rows, None] - grid_lo) * _SCAN
+        rows = slice(s, s + _CHUNK)  # read through .flat: no flattened copy of a broadcast array
+        cols = [p.flat[rows][:, None] for p in params]
+        grid_lo = lo.flat[rows][:, None]
+        ell = grid_lo + (hi.flat[rows][:, None] - grid_lo) * _SCAN
+        points = ell.shape[0]
         vals = phi(ell, *cols)
         peak = vals.max(axis=1, keepdims=True)
         floor = peak - 46.0
@@ -182,15 +205,16 @@ def _log_integral(phi, lo, hi, *params) -> np.ndarray:
         cum /= cum[:, -1:]
         # panel edges: the scan interval holding each share, then linear
         # interpolation inside it; the first edge is the last dead scan point
-        j = np.clip((cum[:, :, None] < _SHARES).sum(axis=1) - 1, 0, _SCAN.size - 2)
-        c0, c1 = np.take_along_axis(cum, j, 1), np.take_along_axis(cum, j + 1, 1)
+        j = np.clip(_count_below_shares(cum) - 1, 0, _SCAN.size - 2)
+        j += np.arange(0, points * _SCAN.size, _SCAN.size)[:, None]  # flat index into cum, ell
+        c0, c1 = cum.ravel()[j], cum.ravel()[j + 1]
         frac = np.clip((_SHARES - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0, 1.0)
-        l0, l1 = np.take_along_axis(ell, j, 1), np.take_along_axis(ell, j + 1, 1)
+        l0, l1 = ell.ravel()[j], ell.ravel()[j + 1]
         edges = l0 + frac * (l1 - l0)
-        edges[:, 0] = np.take_along_axis(ell, np.argmax(cum > 0.0, axis=1)[:, None] - 1, 1)[:, 0]
+        edges[:, 0] = ell[np.arange(points), np.argmax(cum > 0.0, axis=1) - 1]
         half = 0.5 * np.diff(edges, axis=1)
-        nodes = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_X)).reshape(ell.shape[0], -1)
-        f = np.exp(phi(nodes, *cols) - peak).reshape(ell.shape[0], _SHARES.size - 1, -1)
+        nodes = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_X)).reshape(points, -1)
+        f = np.exp(phi(nodes, *cols) - peak).reshape(points, _SHARES.size - 1, -1)
         out.flat[rows] = peak[:, 0] + np.log(((f * _GL_W).sum(axis=2) * half).sum(axis=1))
     return out
 
@@ -490,10 +514,13 @@ class ScaleBfCurves:
     coordinate for each n (xi = log(1 - q) for the Cauchy effect, the
     signed normalized mean t for a point mass).  This class caches a
     piecewise Chebyshev interpolant of that curve per n (one piece
-    unless the curve needs more, see ``_fit``), built the first time a
-    cell at that n is read.  Each table spans every value the coordinate
-    can take: xi from log(1 - Q_MAX), where q is clamped, to 0, and t
-    from -1 to 1.
+    unless the curve needs more, see ``_build``).  The n a read or a
+    boundary needs are built together, in one batched fit that evaluates
+    the Chebyshev nodes of every pending piece of every n in one exact-
+    evaluator call per round; each table is the one a fit of its n alone
+    gives, bit for bit.  Each table spans every value the coordinate can
+    take: xi from log(1 - Q_MAX), where q is clamped, to 0, and t from
+    -1 to 1.
 
     One evaluator reads the tables: ``log_bf_cells`` takes cells
     (n, ``coordinate``) with an n of their own and runs one Clenshaw
@@ -525,6 +552,9 @@ class ScaleBfCurves:
     # stops at a bracket 2**-20 of the coordinate range wide (about 1e-6)
     BOUNDARY_MARGIN = 1e-6
     BOUNDARY_STEPS = 20
+    # chebinterpolate's nodes on [-1, 1] and its transposed Vandermonde view
+    _NODES = np.polynomial.chebyshev.chebpts1(DEGREE + 1)
+    _VT = np.polynomial.chebyshev.chebvander(_NODES, DEGREE).T
 
     def __init__(self, pair: InvariantModelPair):
         if not pair.is_scale:
@@ -551,54 +581,72 @@ class ScaleBfCurves:
         return (XI_MIN, 0.0) if isinstance(self._prior, CauchyEffect) else (-1.0, 1.0)
 
     def _table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._tables.get(n)
-        if cached is not None:
-            return cached
-        if isinstance(self._prior, CauchyEffect):
-            curve = partial(_cauchy_log_bf_xi, n, r=self._prior.scale)
-        else:
-            curve = partial(_pointmass_log_bf, n, delta0=self._prior.delta0)
-        table = self._tables[n] = self._fit(curve, *self._range)
-        return table
+        """The piece edges and per-piece coefficients of the table at n, built if missing."""
+        if n not in self._tables:
+            self._build([n])
+        return self._tables[n]
 
-    def _fit(self, f, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Piece edges and per-piece Chebyshev coefficients covering [lo, hi].
+    def _build(self, ns) -> None:
+        """Fit the tables at every n of ``ns`` together, one exact-evaluator call per round.
 
-        A piece whose top eight coefficients are not negligible against
-        TAIL_TOL (plus the rounding floor of its largest coefficient) has
-        not converged and is split in half, down to MAX_DEPTH halvings.
-        One piece suffices for most curves; a narrow prior on a large n
-        bends the Cauchy curve within ~1/n of q = 0 and needs several.
+        Each table covers the coordinate range with pieces, each the
+        degree-DEGREE interpolant ``chebinterpolate`` gives of the curve
+        on that piece.  A piece whose top eight coefficients are not
+        negligible against TAIL_TOL (plus the rounding floor of its
+        largest coefficient) has not converged and is split in half, down
+        to MAX_DEPTH halvings; its halves go to the next round.  One piece
+        suffices for most curves; a narrow prior on a large n bends the
+        Cauchy curve within ~1/n of q = 0 and needs several.
+
+        A round evaluates the nodes of every pending piece of every n in
+        one call, which treats each point on its own, and takes each
+        piece's coefficients with ``chebinterpolate``'s arithmetic, one
+        product per piece: every table is the one a fit of its n alone
+        gives, bit for bit.
         """
-        edges, coeffs = [], []
-        todo = [(lo, hi, 0)]
-        while todo:
-            a, b, depth = todo.pop()
-            c = np.polynomial.chebyshev.chebinterpolate(
-                lambda u: f((np.asarray(u) + 1.0) * 0.5 * (b - a) + a), self.DEGREE
-            )
-            tol = self.TAIL_TOL + 1e-14 * np.abs(c).max()
-            if depth < self.MAX_DEPTH and np.abs(c[-8:]).max() > tol:
-                mid = 0.5 * (a + b)
-                todo += [(mid, b, depth + 1), (a, mid, depth + 1)]
+        order = self.DEGREE + 1
+        lo, hi = self._range
+        done: dict[int, list] = {n: [] for n in ns}
+        pending = [(n, lo, hi, 0) for n in ns]  # (n, piece start, piece end, halvings)
+        while pending:
+            n, a, b, depth = (np.array(v) for v in zip(*pending))
+            x = (self._NODES + 1.0) * 0.5 * (b - a)[:, None] + a[:, None]
+            if isinstance(self._prior, CauchyEffect):
+                y = _cauchy_log_bf_xi(n[:, None], x, self._prior.scale)
             else:
-                edges.append(a)
-                coeffs.append(c)
-        edges.append(hi)
-        return np.array(edges), np.array(coeffs)
+                y = _pointmass_log_bf(n[:, None], x, self._prior.delta0)
+            # one product per piece with the transposed view, as chebinterpolate
+            # takes it: one product over all pieces, or a contiguous copy of the
+            # view, may take another BLAS kernel and change bits
+            c = np.array([np.dot(self._VT, v) for v in y])
+            c[:, 0] /= order
+            c[:, 1:] /= 0.5 * order
+            tol = self.TAIL_TOL + 1e-14 * np.abs(c).max(axis=1)
+            split = (depth < self.MAX_DEPTH) & (np.abs(c[:, -8:]).max(axis=1) > tol)
+            fitted, pending = pending, []
+            for (n_i, a_i, b_i, d_i), c_i, split_i in zip(fitted, c, split):
+                if split_i:
+                    mid = 0.5 * (a_i + b_i)
+                    pending += [(n_i, a_i, mid, d_i + 1), (n_i, mid, b_i, d_i + 1)]
+                else:
+                    done[n_i].append((a_i, c_i))
+        for n, pieces in done.items():
+            pieces.sort(key=lambda piece: piece[0])
+            edges = np.array([a for a, _ in pieces] + [hi])
+            self._tables[n] = (edges, np.array([c for _, c in pieces]))
 
     def _pieces(self, ns: np.ndarray) -> tuple[_TableStack, np.ndarray]:
         """The stacked tables and the stack index of each ``ns``'s first piece.
 
-        Tables missing at ``ns`` are built first, and the stack rebuilt.
+        Tables missing at ``ns`` are built first, in one batch, and the
+        stack rebuilt.
         """
         stack = self._stacked
         if stack is not None and ns.max() < stack.piece0.size:
             piece = stack.piece0[ns]
             if piece.min() >= 0:
                 return stack, piece
-        for n in set(ns.tolist()):
-            self._table(n)
+        self._build(sorted(set(ns.tolist()) - self._tables.keys()))
         built = sorted(self._tables)
         tables = [self._tables[n] for n in built]
         counts = np.array([len(coeffs) for _, coeffs in tables])

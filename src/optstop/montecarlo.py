@@ -28,7 +28,8 @@ Reproducibility model
     (``_draw_buffer``) that are returned to the system when the block
     is done with them, and run one after another; their records are
     concatenated in trial order.  A run whose single row of observation
-    draws would exceed that budget is refused with ``ResourceLimitError``
+    draws would exceed that budget, or whose records would take more
+    than ``RECORD_BUDGET_BYTES``, is refused with ``ResourceLimitError``
     before any table is built.
 
 Records
@@ -48,12 +49,12 @@ Trajectory evaluation
     squares) are accumulated row by row on compact arrays.  They
     determine the invariant coordinate at each step, and the log Bayes
     factor comes from the Chebyshev tables of
-    :class:`~optstop.models.ScaleBfCurves`.  A table is built the first
-    time it is read, by a rule's boundaries or by a trial, and kept for
-    the process; each spans every value the invariant coordinate can
-    take, so every stopping decision thresholds the same deterministic
-    function of the maximal invariant and no trial leaves the vectorized
-    path.
+    :class:`~optstop.models.ScaleBfCurves`.  The tables a rule's
+    boundaries or a read by the trials needs are built together, the
+    first time they are needed, and kept for the process; each spans
+    every value the invariant coordinate can take, so every stopping
+    decision thresholds the same deterministic function of the maximal
+    invariant and no trial leaves the vectorized path.
     The tables are evaluated only where a trial can stop.  log beta_n
     increases strictly in one invariant coordinate
     (``ScaleBfCurves.coordinate``), so each of a threshold rule's
@@ -109,6 +110,9 @@ DRAW_BUFFER_BYTES = 64 * 2**20
 # which at most 1 in LAZY_TAIL of the earlier trials ran, if that lies within
 # half the cap (layout only: never changes a record)
 LAZY_TAIL = 8
+# a run's records, 8 bytes per trial in each column (stop index, stopped log
+# beta, trial index; a marginal run's drawn scale too), take at most this
+RECORD_BUDGET_BYTES = 2**30
 # (trials x components) likelihood cells per finite-model chunk: 8 MB of doubles
 FINITE_CHUNK_CELLS = 2**20
 DEFAULT_BINS = 30
@@ -484,7 +488,7 @@ def _run_blocks(fn, n_trials: int, rule: StoppingRule, marginal: bool) -> TrialR
 def _validate_run(
     pair: InvariantModelPair, k: int, rule: StoppingRule, n_trials: int, marginal: bool
 ) -> None:
-    """Reject a run before any table is built: bad arguments, or a draw row over budget.
+    """Reject a run before any table is built: bad arguments, or records or a draw row over budget.
 
     ``NotImplementedError`` unless the pair is a scale-group pair.
     """
@@ -494,6 +498,12 @@ def _validate_run(
         raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
+    record_bytes = 8 * (4 if marginal else 3) * n_trials
+    if record_bytes > RECORD_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"{n_trials} trials' records take {record_bytes} bytes, over the record budget "
+            f"of {RECORD_BUDGET_BYTES} bytes"
+        )
     rule.check_start(pair.m)
     row_bytes = 8 * _draws_per_trial(rule, marginal)
     if row_bytes > DRAW_BUFFER_BYTES:

@@ -1,16 +1,48 @@
-"""Reference table read: log beta at one n >= 2, one ``chebval`` call per piece.
+"""Reference tables: the per-n table fit, and the per-n table read.
 
-This is the per-n table read as it was before the stacked evaluator,
-taking the invariant coordinates (q, signed t): the table at n (built
-by the curves object itself) is read with a single-piece fast path or a
-loop over the pieces present, each a plain
+``fit_per_n`` is the table build as it was before the batched one: one
+table at a time, one ``chebinterpolate`` call per piece, pieces split
+depth first.  ``ScaleBfCurves._build`` must give its edges and
+coefficients bit for bit.
+
+``log_bf_per_n`` is the per-n table read as it was before the stacked
+evaluator, taking the invariant coordinates (q, signed t): the table at
+n (built by the curves object itself) is read with a single-piece fast
+path or a loop over the pieces present, each a plain
 ``numpy.polynomial.chebyshev.chebval``.  It shares no evaluation code
 with ``ScaleBfCurves.log_bf_cells``, which must match it bit for bit.
 """
 
+from functools import partial
+
 import numpy as np
 
-from optstop.models import CauchyEffect
+from optstop.models import CauchyEffect, _cauchy_log_bf_xi, _pointmass_log_bf
+
+
+def fit_per_n(curves, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Piece edges and per-piece Chebyshev coefficients of the table at n, fitted alone."""
+    if isinstance(curves._prior, CauchyEffect):
+        f = partial(_cauchy_log_bf_xi, n, r=curves._prior.scale)
+    else:
+        f = partial(_pointmass_log_bf, n, delta0=curves._prior.delta0)
+    lo, hi = curves._range
+    edges, coeffs = [], []
+    todo = [(lo, hi, 0)]
+    while todo:
+        a, b, depth = todo.pop()
+        c = np.polynomial.chebyshev.chebinterpolate(
+            lambda u: f((np.asarray(u) + 1.0) * 0.5 * (b - a) + a), curves.DEGREE
+        )
+        tol = curves.TAIL_TOL + 1e-14 * np.abs(c).max()
+        if depth < curves.MAX_DEPTH and np.abs(c[-8:]).max() > tol:
+            mid = 0.5 * (a + b)
+            todo += [(mid, b, depth + 1), (a, mid, depth + 1)]
+        else:
+            edges.append(a)
+            coeffs.append(c)
+    edges.append(hi)
+    return np.array(edges), np.array(coeffs)
 
 
 def log_bf_per_n(curves, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:

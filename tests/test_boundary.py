@@ -14,12 +14,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from optstop import montecarlo
-from optstop.models import Q_MAX, CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
+from optstop import models, montecarlo
+from optstop.models import (
+    Q_MAX,
+    XI_MIN,
+    CauchyEffect,
+    InvariantModelPair,
+    PointMass,
+    ScaleBfCurves,
+)
 from optstop.montecarlo import run_marginal_trials, run_trials
 from optstop.stopping import BfThreshold, FixedN, SumOfSquares
 from reference_kernel import run_block_per_step
-from reference_tables import log_bf_per_n
+import reference_tables
+from reference_tables import fit_per_n, log_bf_per_n
 
 PRIORS = [
     CauchyEffect(0.01),
@@ -162,10 +170,10 @@ def test_cells_read_refuses_n_below_two(prior, ns, monkeypatch):
     """
     curves = ScaleBfCurves(InvariantModelPair.scale(prior))
 
-    def no_table(n):
+    def no_table(ns):
         raise AssertionError("a table was built")
 
-    monkeypatch.setattr(curves, "_table", no_table)
+    monkeypatch.setattr(curves, "_build", no_table)
     with pytest.raises(ValueError, match="n >= 2"):
         curves.log_bf_cells(ns, np.array([0.1, 0.2, 0.3]))
 
@@ -177,24 +185,104 @@ def test_narrow_prior_tables_have_pieces():
         assert len(curves._table(CAP)[1]) > 1
 
 
+def spy_builds(monkeypatch, curves):
+    """Each ``curves._build`` call's list of n, in call order."""
+    builds = []
+    build = curves._build
+
+    def spy(ns):
+        builds.append(list(ns))
+        return build(ns)
+
+    monkeypatch.setattr(curves, "_build", spy)
+    return builds
+
+
 def test_cells_read_builds_only_the_tables_read(monkeypatch):
     curves = ScaleBfCurves(InvariantModelPair.scale(CauchyEffect(1.0)))
-    built = []
-    table = curves._table
-
-    def spy(n):
-        built.append(n)
-        return table(n)
-
-    monkeypatch.setattr(curves, "_table", spy)
+    builds = spy_builds(monkeypatch, curves)
     curves.log_bf_cells(np.array([100, 7, 100]), np.array([0.1, 0.2, 0.3]))
     curves.log_bf_cells(100, np.array([0.5]))
-    assert sorted(set(built)) == [7, 100]
+    assert sorted({n for ns in builds for n in ns}) == [7, 100]
     monkeypatch.setattr(montecarlo, "_curves_cache", {})
     pair = InvariantModelPair.scale(PointMass(0.3))
     records = run_trials(pair, 0, 1.0, FixedN(n=100), 50, seed=3)
     assert np.all(records.stop_index == 100)
     assert list(montecarlo._curves_for(pair)._tables) == [100]
+
+
+# at r = 1 every table below cap 200 is one piece: one round, so one evaluator call
+ONE_ROUND_CALLS = 1
+
+
+def test_boundary_builds_every_table_in_one_evaluator_call(monkeypatch):
+    """``boundary`` hands every missing n to one build, which evaluates all their nodes at once."""
+    calls = []
+    evaluate = models._cauchy_log_bf_xi
+
+    def counting(n, xi, r):
+        calls.append(np.size(xi))
+        return evaluate(n, xi, r)
+
+    monkeypatch.setattr(models, "_cauchy_log_bf_xi", counting)
+    curves = ScaleBfCurves(InvariantModelPair.scale(CauchyEffect(1.0)))
+    builds = spy_builds(monkeypatch, curves)
+    curves.boundary(math.log(20.0), 200, True)
+    assert builds == [list(range(2, 200))]
+    assert all(len(curves._table(n)[1]) == 1 for n in range(2, 200))
+    assert len(calls) == ONE_ROUND_CALLS
+    assert calls[0] == 198 * (ScaleBfCurves.DEGREE + 1)  # every n's nodes
+
+
+FIT_CAP = 61  # tables at n = 2 .. 60
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [CauchyEffect(1.0), CauchyEffect(0.1), CauchyEffect(0.01), PointMass(0.5), PointMass(-0.5),
+     PointMass(0.0)],
+    ids=str,
+)
+def test_batched_tables_equal_per_n_fit(prior, monkeypatch):
+    """Batched tables (some n built before the batch) and bounds equal per-n fits, byte for byte."""
+    pair = InvariantModelPair.scale(prior)
+    curves = ScaleBfCurves(pair)
+    builds = spy_builds(monkeypatch, curves)
+    curves._pieces(np.arange(2, FIT_CAP, 3))
+    curves._pieces(np.arange(2, FIT_CAP))
+    first = list(range(2, FIT_CAP, 3))
+    assert builds == [first, [n for n in range(2, FIT_CAP) if n not in first]]
+    reference = ScaleBfCurves(pair)
+    for n in range(2, FIT_CAP):
+        edges, coeffs = reference._tables[n] = fit_per_n(reference, n)
+        got_edges, got_coeffs = curves._table(n)
+        assert got_edges.tobytes() == edges.tobytes(), n
+        assert got_coeffs.tobytes() == coeffs.tobytes(), n
+    if isinstance(prior, CauchyEffect) and prior.scale <= 0.1:
+        assert len(curves._table(FIT_CAP - 1)[1]) > 1  # multi-piece tables are covered
+    for bar, above in BARS:
+        got = curves.boundary(bar, FIT_CAP, above)
+        assert got.tobytes() == reference.boundary(bar, FIT_CAP, above).tobytes()
+
+
+@pytest.mark.parametrize("steep_end", ["left", "right"])
+def test_batched_pieces_in_coordinate_order(steep_end, monkeypatch):
+    """A curve split deepest at either end of the range still gives per-n fits' tables."""
+    lo, hi = XI_MIN, 0.0
+
+    def curve(n, xi, r):
+        u = (xi - lo) / (hi - lo) if steep_end == "left" else (hi - xi) / (hi - lo)
+        return np.sqrt(u + 1e-3 / n)
+
+    monkeypatch.setattr(models, "_cauchy_log_bf_xi", curve)
+    monkeypatch.setattr(reference_tables, "_cauchy_log_bf_xi", curve)
+    curves = ScaleBfCurves(InvariantModelPair.scale(CauchyEffect(1.0)))
+    curves._pieces(np.array([2, 9, 30]))
+    for n in (2, 9, 30):
+        edges, coeffs = fit_per_n(curves, n)
+        assert len(coeffs) > 3
+        assert curves._table(n)[0].tobytes() == edges.tobytes()
+        assert curves._table(n)[1].tobytes() == coeffs.tobytes()
 
 
 CHUNK_CAP = 30

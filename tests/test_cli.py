@@ -9,6 +9,7 @@ import pytest
 from optstop import exact, montecarlo
 from optstop.cli import EXPERIMENTS, ConfigError, main, parse_config_text
 from optstop.errors import ResourceLimitError
+from optstop.models import ScaleBfCurves
 
 
 def write(path, text):
@@ -74,6 +75,22 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "draw buffer budget" in err[0]
+
+    @pytest.mark.parametrize(
+        "kind", ["mc-strong-calibration", "mc-marginal-calibration", "mc-type1", "mc-bf-mean"]
+    )
+    def test_records_over_budget_exit_one_up_front(self, kind, tmp_path, capsys, monkeypatch):
+        # terabytes of record columns: refused before any table is built or trial runs
+        monkeypatch.setattr(ScaleBfCurves, "_build", trials_ran)
+        monkeypatch.setattr(montecarlo, "_run_block", trials_ran)
+        bar = "alpha = 0.05" if kind == "mc-type1" else "rule_upper = 20"
+        cfg = write(tmp_path / "r.cfg", f"n_trials = 1000000000000\n{bar}\nrule_cap = 200\n")
+        code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: 1000000000000 trials' records take ")
+        assert "record budget" in err[0]
+        assert not (tmp_path / "out" / "records.csv").exists()
 
     @pytest.mark.parametrize(
         "kind", ["mc-strong-calibration", "mc-marginal-calibration", "mc-type1", "mc-bf-mean"]
@@ -390,6 +407,23 @@ def test_every_kind_has_one_bundled_config():
     paths = [script.config_path(kind) for kind in EXPERIMENTS]
     assert all(os.path.dirname(p) == os.path.join(SCRIPTS, "configs") for p in paths)
     assert sorted(os.listdir(os.path.join(SCRIPTS, "configs"))) == sorted(map(os.path.basename, paths))
+
+
+def test_run_all_checks_summary_gives_each_kinds_wall_seconds(tmp_path, capsys, monkeypatch):
+    script = load_script("run_all_checks")
+    clock = iter(range(0, 4 * len(EXPERIMENTS), 2))  # start and end of each run: 2 s apart
+    monkeypatch.setattr(script.time, "perf_counter", lambda: 1.5 * next(clock))
+    codes = {kind: 2 if i == 1 else 0 for i, kind in enumerate(EXPERIMENTS)}
+    monkeypatch.setattr(script, "run", lambda kind, config, seed, out_dir: codes[kind])
+    monkeypatch.setattr(sys, "argv", ["run_all_checks.py", "--out", str(tmp_path)])
+    assert script.main() == 2
+    out = capsys.readouterr()
+    summary = out.out.split("summary:\n", 1)[1].splitlines()
+    assert summary == [
+        f"  {kind:28s} {'FAIL (exit 2)' if codes[kind] else 'PASS':13s}     3.00 s"
+        for kind in EXPERIMENTS
+    ]
+    assert out.err == ""
 
 
 class TestScriptErrors:

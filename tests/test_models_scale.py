@@ -304,6 +304,17 @@ class TestLogBfMany:
         with pytest.raises(ValueError, match="non-finite"):
             cauchy_pair.log_bf_many([[1.0, math.nan]])
 
+    # batch sizes 63, 64, 65 and 129: either side of one evaluator pass and of two
+    @pytest.mark.parametrize("size", [models._CHUNK - 1, models._CHUNK, models._CHUNK + 1,
+                                      2 * models._CHUNK + 1])
+    @pytest.mark.parametrize("prior", [CauchyEffect(1.0), PointMass(0.8)], ids=str)
+    def test_batches_across_the_pass_width(self, prior, size, rng):
+        pair = InvariantModelPair.scale(prior)
+        xs = self.samples(rng, 1)[:size]
+        many = pair.log_bf_many(xs)
+        assert many.shape == (size,)
+        assert [float(v) for v in many] == [pair.log_bf(x) for x in xs]
+
     def test_trajectory_is_one_call(self, cauchy_pair, monkeypatch, rng):
         x = rng.standard_normal(30) + 0.3
         expected = [cauchy_pair.log_bf(x[:n]) for n in range(1, 31)]
@@ -496,6 +507,45 @@ class TestCauchyEvaluator:
         for i in range(0, 300, 29):
             assert models._cauchy_log_bf_xi(n[i], xi[i], 1.0) == batch[i]
             assert models.log_m(n[i] - 1, b[i]) == m_batch[i]
+
+
+class TestShareCount:
+    """The scan points below each panel share, counted without a (points x scan x shares) array."""
+
+    @staticmethod
+    def check(cum):
+        got = models._count_below_shares(cum)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, (cum[:, :, None] < models._SHARES).sum(axis=1))
+
+    @staticmethod
+    def normalized(steps):
+        cum = np.concatenate([np.zeros((len(steps), 1)), np.cumsum(steps, axis=1)], axis=1)
+        return cum / cum[:, -1:]
+
+    def test_random_nondecreasing_rows(self, rng):
+        self.check(self.normalized(rng.exponential(size=(200, 128)) ** 3))
+
+    def test_rows_with_ties(self, rng):
+        # flat stretches (zero steps) and rows of a few repeated values
+        steps = rng.exponential(size=(200, 128)) * (rng.random((200, 128)) < 0.3)
+        steps[:, 0] += 1.0
+        ties = np.sort(rng.choice([0.0, 0.25, 0.3, 1.0], size=(50, 129)), axis=1)
+        self.check(np.concatenate([self.normalized(steps), ties]))
+
+    def test_values_exactly_at_shares(self, rng):
+        at = np.tile(models._SHARES, (100, 1))
+        cum = np.sort(np.concatenate([at, rng.random((100, 104))], axis=1), axis=1)
+        assert np.isin(models._SHARES, cum[0]).all()
+        self.check(cum)
+
+    def test_nan_rows(self, rng):
+        # 0/0 normalizes a row with no variation to NaN throughout
+        cum = self.normalized(rng.exponential(size=(5, 128)))
+        cum[1] = np.nan
+        cum[3, 60:] = np.nan
+        self.check(cum)
+        assert np.all(models._count_below_shares(cum)[1] == 0)
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,7 @@ from optstop.exact import (
     verify_markov_bound,
 )
 from optstop import montecarlo
-from optstop.errors import SingularInputError
+from optstop.errors import ResourceLimitError, SingularInputError
 from optstop.models import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
 from optstop.montecarlo import (
     estimate_marginal_calibration,
@@ -94,6 +94,27 @@ class TestRunTrials:
         for cap in (100, 200, 1000):
             rows = montecarlo.DRAW_BUFFER_BYTES // (8 * cap)
             assert rows >= montecarlo.BLOCK_SIZE
+
+    @pytest.mark.parametrize("marginal, row_bytes", [(False, 24), (True, 32)])
+    def test_record_budget_boundary(self, marginal, row_bytes):
+        most = montecarlo.RECORD_BUDGET_BYTES // row_bytes
+        rule = BfThreshold(upper=20.0, cap=200)
+        montecarlo._validate_run(CAUCHY, 0, rule, most, marginal)
+        with pytest.raises(ResourceLimitError, match="record budget"):
+            montecarlo._validate_run(CAUCHY, 0, rule, most + 1, marginal)
+
+    def test_records_over_budget_refused_before_any_table(self, monkeypatch):
+        def no_tables(pair):
+            raise AssertionError("tables were built")
+
+        monkeypatch.setattr(montecarlo, "_curves_for", no_tables)
+        rule = BfThreshold(upper=20.0, cap=200)
+        over = montecarlo.RECORD_BUDGET_BYTES // 24 + 1
+        with pytest.raises(ResourceLimitError, match="record budget"):
+            run_trials(CAUCHY, 0, 1.0, rule, over, seed=3)
+        with pytest.raises(ResourceLimitError, match="record budget"):
+            run_marginal_trials(CAUCHY, 0, [0.8], rule, montecarlo.RECORD_BUDGET_BYTES // 32 + 1,
+                                seed=3)
 
     def test_trials_differ_across_seeds_and_g(self):
         rule = FixedN(n=6, cap=10)
