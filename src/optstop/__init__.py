@@ -15,11 +15,8 @@ enumeration (`optstop.exact`), group-invariant models by Monte Carlo
 from .core import (
     NEVER,
     BfTrajectory,
-    PriorOdds,
     SignificanceLevel,
     StopOutcome,
-    conditional_bf,
-    posterior_odds,
     stop,
 )
 from .errors import OptstopError, ResourceLimitError, SingularInputError
@@ -30,7 +27,6 @@ from .models import (
     MaximalInvariantValue,
     PointMass,
     ScaleBfCurves,
-    trajectory,
 )
 from .stopping import (
     BfThreshold,
@@ -51,11 +47,8 @@ __version__ = "0.1.0"
 __all__ = [
     "NEVER",
     "BfTrajectory",
-    "PriorOdds",
     "SignificanceLevel",
     "StopOutcome",
-    "conditional_bf",
-    "posterior_odds",
     "stop",
     "OptstopError",
     "ResourceLimitError",
@@ -69,7 +62,6 @@ __all__ = [
     "InvariantModelPair",
     "MaximalInvariantValue",
     "ScaleBfCurves",
-    "trajectory",
     "StoppingRule",
     "FixedN",
     "BfThreshold",

@@ -459,9 +459,11 @@ EXPERIMENTS = {
         "under the null at every nuisance value g (estimate_stopped_bf_mean).",
     ),
     "mc-marginal-calibration": Experiment(
-        # run_marginal_trials reads a scalar x as the initial sample x_m = (x,)
+        # run_marginal_trials reads a scalar x as the initial sample x_m = (x,); its
+        # alternative arm (k = 1) refuses all that its null arm does
         partial(
-            _run_mc_calibration, sweep_key="x_m", check=montecarlo.check_initial_sample,
+            _run_mc_calibration, sweep_key="x_m",
+            check=partial(montecarlo.check_initial_sample, k=1),
             trials="run_marginal_trials", summary_key="per_x_m",
             line="x_m=({v:g},): {est.usable_bins} usable bins, pass fraction "
             "{est.pass_fraction:.3f} -> {verdict}",

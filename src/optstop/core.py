@@ -1,4 +1,4 @@
-"""Model-independent algebra of Bayes factors, odds, and stopped values.
+"""Model-independent algebra of Bayes factors and stopped values.
 
 Everything here works in natural-log space: Bayes factors grow or decay
 geometrically with the sample size, so linear-space products overflow
@@ -15,7 +15,7 @@ import csv
 import enum
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
@@ -33,20 +33,6 @@ class Never(enum.Enum):
 NEVER = Never.NEVER
 
 StopIndex = Union[int, Never]
-
-
-@dataclass(frozen=True)
-class PriorOdds:
-    """Prior odds of the alternative over the null, stored as a natural log.
-
-    The default 0.0 means equal prior odds.
-    """
-
-    log_odds: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.log_odds):
-            raise ValueError(f"log prior odds must be finite, got {self.log_odds}")
 
 
 @dataclass(frozen=True)
@@ -98,13 +84,6 @@ class BfTrajectory:
         """Largest n covered by the trajectory."""
         return self.start + len(self.log_beta) - 1
 
-    @property
-    def log_beta_m(self) -> float:
-        """log beta_m, defined for m >= 1."""
-        if self.m < 1:
-            raise ValueError("log_beta_m is only defined for m >= 1")
-        return self.value_at(self.m)
-
     def value_at(self, n: int) -> float:
         if not (self.start <= n <= self.end):
             raise ValueError(f"n={n} outside trajectory range [{self.start}, {self.end}]")
@@ -131,27 +110,6 @@ class StopOutcome:
     @property
     def stopped(self) -> bool:
         return self.stop_index is not NEVER
-
-
-def posterior_odds(prior: PriorOdds, log_beta: float) -> float:
-    """Log posterior odds: prior log odds plus the log Bayes factor."""
-    if not math.isfinite(log_beta):
-        raise ValueError(f"log Bayes factor must be finite, got {log_beta}")
-    return prior.log_odds + log_beta
-
-
-def conditional_bf(traj: BfTrajectory, n: int) -> float:
-    """log beta_{n|m}: the Bayes factor for x_{m+1..n} after updating on x^m.
-
-    Exactly log beta_n - log beta_m, which is the log-space form of the
-    coherence identity between updating all at once and updating in two
-    stages.
-    """
-    if traj.m < 1:
-        raise ValueError("conditional Bayes factor requires m >= 1")
-    if n < traj.m:
-        raise ValueError(f"n={n} must be >= m={traj.m}")
-    return traj.value_at(n) - traj.value_at(traj.m)
 
 
 def stop(traj: BfTrajectory, rule, data: Sequence) -> StopOutcome:

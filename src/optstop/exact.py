@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -161,23 +161,7 @@ class FiniteModel:
             out[j] = self._conditional(cond, prefix)
         return out
 
-    @property
-    def is_iid(self) -> bool:
-        return not any(mix.callables for mix in self._mixtures)
-
     # ---------------------------------------------------------------- builders
-
-    @classmethod
-    def iid(
-        cls,
-        horizon: int,
-        components0: Sequence[Tuple[float, Sequence[float]]],
-        components1: Sequence[Tuple[float, Sequence[float]]],
-    ) -> "FiniteModel":
-        c0 = tuple((float(w), np.asarray(p, dtype=float)) for w, p in components0)
-        c1 = tuple((float(w), np.asarray(p, dtype=float)) for w, p in components1)
-        k = len(c0[0][1])
-        return cls(alphabet_size=k, horizon=horizon, components0=c0, components1=c1)
 
     @classmethod
     def bernoulli_point_vs_uniform(
@@ -252,10 +236,6 @@ def marginal_mass(model: FiniteModel, k: int, x: Sequence[int]) -> float:
     return float(_prefix_masses(model, k, seqs)[0, -1])
 
 
-def log_beta_finite(model: FiniteModel, x: Sequence[int]) -> float:
-    return math.log(marginal_mass(model, 1, x)) - math.log(marginal_mass(model, 0, x))
-
-
 def trajectory_finite(model: FiniteModel, x: Sequence[int]) -> BfTrajectory:
     """Per-prefix log Bayes factors of a finite-model sequence (m = 0).
 
@@ -305,14 +285,6 @@ class ExactTable:
     model: FiniteModel
     rule: StoppingRule
     entries: Dict[Prefix, TableEntry] = field(default_factory=dict)
-
-    @property
-    def total_mass0(self) -> float:
-        return math.fsum(e.mass0 for e in self.entries.values())
-
-    @property
-    def total_mass1(self) -> float:
-        return math.fsum(e.mass1 for e in self.entries.values())
 
     def to_csv(self, path) -> None:
         write_csv(

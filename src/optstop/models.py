@@ -351,17 +351,6 @@ class InvariantModelPair:
             - 0.5 * n * math.log(0.5 * ss)
         )
 
-    def log_marginal_alt(self, x) -> float:
-        """Log marginal likelihood of the alternative.
-
-        For the location-scale group a mean effect is absorbed exactly by
-        the location component of the Haar integral, so the value equals
-        the null marginal for every effect prior.
-        """
-        if not self.is_scale:
-            return self.log_marginal_null(x)
-        return self.log_marginal_null(x) + self.log_bf(x)
-
     def log_bf(self, x) -> float:
         """log beta_n; invariant under the group action on the data.
 
@@ -447,22 +436,20 @@ class InvariantModelPair:
     ) -> Tuple[float, float]:
         """Draw (sigma, delta) from the hypothesis-k posterior given x^m = (x1,).
 
-        Scale group only, x1 != 0: the callers check both.  Under k=1 with
-        a Cauchy effect the posterior factorizes through the mixing
-        variance: v keeps its prior (a single observation carries no
-        evidence between the hypotheses), x1^2 / (sigma^2 (1+v)) is
-        chi-square(1), and delta given (sigma, v) is Gaussian with mean
-        (v/(1+v)) * x1/sigma and variance v/(1+v).
+        Scale group only, x1 != 0, and under k=1 no nonzero point effect:
+        the callers check all three, so a point mass here is zero and its
+        delta is 0.  Under k=1 with a Cauchy effect the posterior
+        factorizes through the mixing variance: v keeps its prior (a
+        single observation carries no evidence between the hypotheses),
+        x1^2 / (sigma^2 (1+v)) is chi-square(1), and delta given
+        (sigma, v) is Gaussian with mean (v/(1+v)) * x1/sigma and variance
+        v/(1+v).
         """
-        if k == 0 or (isinstance(self.effect_prior, PointMass) and self.effect_prior.delta0 == 0.0):
+        if k == 0 or isinstance(self.effect_prior, PointMass):
             w = 0.0
             while w == 0.0:
                 w = float(rng.chisquare(1))
             return abs(x1) / math.sqrt(w), 0.0
-        if isinstance(self.effect_prior, PointMass):
-            raise NotImplementedError(
-                "alternative posterior sampling with a nonzero point effect is not supported"
-            )
         r = self.effect_prior.scale
         lam = 0.0
         while lam == 0.0:
@@ -475,21 +462,6 @@ class InvariantModelPair:
         shrink = v / (1.0 + v)
         delta = float(rng.normal(shrink * x1 / sigma, math.sqrt(shrink)))
         return sigma, delta
-
-
-def trajectory(pair: InvariantModelPair, x) -> "BfTrajectory":
-    """Exact per-prefix log Bayes factors for one data sequence.
-
-    One ``log_bf_many`` call over every prefix from the initial sample
-    on; each prefix's statistics are recomputed from the prefix itself,
-    so element n is ``pair.log_bf(x[:n])`` bit for bit.
-    """
-    from .core import BfTrajectory
-
-    x = np.asarray(x, dtype=float)
-    start = max(pair.m, 1)
-    values = pair.log_bf_many([x[:n] for n in range(start, x.size + 1)])
-    return BfTrajectory(m=pair.m, log_beta=tuple(values.tolist()))
 
 
 class _TableStack(NamedTuple):

@@ -97,7 +97,7 @@ import numpy as np
 from .core import NEVER, BfTrajectory, SignificanceLevel, rewrite, stop
 from .errors import OptstopError, ResourceLimitError
 from .exact import FiniteModel, log_beta_paths, sample_sequence
-from .models import InvariantModelPair, ScaleBfCurves
+from .models import InvariantModelPair, PointMass, ScaleBfCurves
 from .stopping import BfThreshold, StoppingRule
 
 BLOCK_SIZE = 8192
@@ -524,12 +524,20 @@ def check_nuisance(pair: InvariantModelPair, g: float) -> float:
     return c
 
 
-def check_initial_sample(pair: InvariantModelPair, x_m) -> np.ndarray:
-    """``x_m`` as a flat initial sample: ``ValueError`` unless the pair accepts it.
+def check_initial_sample(pair: InvariantModelPair, x_m, k: int) -> np.ndarray:
+    """``x_m`` as a flat initial sample: ``ValueError`` unless hypothesis-k trials can use it.
 
     It must have length m, be finite and lie outside the pair's excluded
     set (``SingularInputError``, e.g. x_1 = 0 for the scale group).
+    Under the alternative (k = 1, which refuses all the null does) the
+    effect prior must not be a nonzero point mass, whose posterior given
+    ``x_m`` the trials do not sample.
     """
+    if k == 1 and isinstance(pair.effect_prior, PointMass) and pair.effect_prior.delta0 != 0.0:
+        raise ValueError(
+            "marginal trials under the alternative need a Cauchy effect or a zero point "
+            "mass: the posterior of a nonzero point effect given x_m is not sampled"
+        )
     x_m = np.asarray(x_m, dtype=float).reshape(-1)
     if x_m.size != pair.m:
         raise ValueError(f"initial sample must have length m = {pair.m}")
@@ -582,10 +590,11 @@ def run_marginal_trials(
     the sequence from ``x_m`` under those parameters.  Records hold the
     conditional stopped value log beta_{tau|m}, and the rule is applied
     to that conditional value.  Scale-group pairs only.  An initial
-    sample the pair rejects raises ``ValueError`` (``check_initial_sample``).
+    sample the pair rejects, or a nonzero point effect under the
+    alternative, raises ``ValueError`` (``check_initial_sample``).
     """
     _validate_run(pair, k, rule, n_trials, marginal=True)
-    x_m = check_initial_sample(pair, x_m)
+    x_m = check_initial_sample(pair, x_m, k)
     if n_trials == 0:
         return TrialRecords.empty(k, np.empty(0), seed, rule)
     curves = _curves_for(pair)
@@ -664,28 +673,6 @@ def wilson_interval(successes: int, n: int, z: float = Z95) -> Tuple[float, floa
     return lo, hi
 
 
-@dataclass(frozen=True)
-class CalibrationBin:
-    """One bin of a :class:`CalibrationEstimate`, as Python scalars."""
-
-    log_beta_lo: float
-    log_beta_hi: float
-    count0: int
-    count1: int
-    ratio: float
-    ci_lo: float
-    ci_hi: float
-    log_beta_gmean: float
-
-    @property
-    def usable(self) -> bool:
-        return self.count0 > 0
-
-    @property
-    def ok(self) -> bool:
-        return self.usable and self.ci_lo <= math.exp(self.log_beta_gmean) <= self.ci_hi
-
-
 @dataclass(frozen=True, eq=False)
 class CalibrationEstimate:
     """A calibration estimate, column by column: one entry per bin.
@@ -696,7 +683,6 @@ class CalibrationEstimate:
     and ``ci_hi`` are NaN where ``count0`` is 0 (an unusable bin), and
     ``ok`` flags the usable bins whose geometric-mean Bayes factor lies
     in the interval.  ``n0`` and ``n1`` are the arms' trial counts.
-    ``bins`` gives the same statistics as :class:`CalibrationBin` rows.
     """
 
     edges: np.ndarray
@@ -709,20 +695,6 @@ class CalibrationEstimate:
     ok: np.ndarray
     n0: int
     n1: int
-
-    @property
-    def bins(self) -> Tuple[CalibrationBin, ...]:
-        columns = (
-            self.edges[:-1].tolist(),
-            self.edges[1:].tolist(),
-            self.count0.tolist(),
-            self.count1.tolist(),
-            self.ratio.tolist(),
-            self.ci_lo.tolist(),
-            self.ci_hi.tolist(),
-            self.log_beta_gmean.tolist(),
-        )
-        return tuple(itertools.starmap(CalibrationBin, zip(*columns)))
 
     @property
     def usable_bins(self) -> int:

@@ -318,7 +318,13 @@ def rule_from_params(kind: str, cap: int, **params) -> StoppingRule:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Outcome of a randomized invariance probe of one rule."""
+    """Outcome of a randomized invariance probe of one rule.
+
+    It passes with no mismatch and at least one decided probe: a probe at
+    or past the cap, or within the boundary band, is skipped and decides
+    nothing.  A declared-invariant rule is probed ``trials`` times, so
+    that is fewer skips than trials.
+    """
 
     rule_kind: str
     declared_invariant: bool
@@ -329,7 +335,7 @@ class InvarianceReport:
 
     @property
     def passed(self) -> bool:
-        return self.mismatches == 0
+        return self.mismatches == 0 and self.skipped_boundary < self.trials
 
 
 def _draw_probe(pair, rng: np.random.Generator, max_len: int):
@@ -362,10 +368,13 @@ def check_invariance(rule: StoppingRule, pair, trials: int, rng: np.random.Gener
     early, and takes one probe at a time.  Decisions are then made in
     probe order, so the report and the generator's final state are those
     of probing one trial at a time.  A sample the pair rejects raises
-    as it would there, once the rest of its chunk has been drawn.
+    as it would there, once the rest of its chunk has been drawn.  A rule
+    that cannot decide after the pair's initial sample raises
+    ``ValueError`` before any probe (``StoppingRule.check_start``).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    rule.check_start(pair.m)
     chunk = PROBE_CHUNK if rule.log_bars and rule.declared_invariant else 1
     mismatches = 0
     skipped = 0

@@ -16,14 +16,29 @@ from typing import Tuple
 
 import numpy as np
 
-from optstop.montecarlo import (
-    BIN_PASS_FRACTION,
-    DEFAULT_BINS,
-    MAX_BIN_WIDTH,
-    Z95,
-    CalibrationBin,
-    TrialRecords,
-)
+from optstop.montecarlo import BIN_PASS_FRACTION, DEFAULT_BINS, MAX_BIN_WIDTH, Z95, TrialRecords
+
+
+@dataclass(frozen=True)
+class CalibrationBin:
+    """One bin's statistics, as Python scalars."""
+
+    log_beta_lo: float
+    log_beta_hi: float
+    count0: int
+    count1: int
+    ratio: float
+    ci_lo: float
+    ci_hi: float
+    log_beta_gmean: float
+
+    @property
+    def usable(self) -> bool:
+        return self.count0 > 0
+
+    @property
+    def ok(self) -> bool:
+        return self.usable and self.ci_lo <= math.exp(self.log_beta_gmean) <= self.ci_hi
 
 
 @dataclass(frozen=True)

@@ -108,19 +108,6 @@ def test_columns_match_reference_bit_for_bit(case):
         assert est.edges.size == 6  # [v, v + 1] cut into 0.2-nat pieces
 
 
-def test_bins_view_matches_reference_rows(case):
-    _, (rec0, rec1) = case
-    got = estimate_strong_calibration(rec0, rec1).bins
-    want = ref.estimate_strong_calibration(rec0, rec1).bins
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert np.array(list(vars(a).values())).tobytes() == np.array(
-            list(vars(b).values())
-        ).tobytes()
-        assert (a.usable, a.ok) == (b.usable, b.ok)
-        assert all(type(x) is type(y) for x, y in zip(vars(a).values(), vars(b).values()))
-
-
 @pytest.mark.parametrize(
     "kind, sweep, trials, summary_key",
     [

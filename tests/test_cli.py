@@ -159,6 +159,22 @@ class TestExitCodes:
         assert err[0].startswith("error: nuisance value must be finite with a positive scale")
         assert not (tmp_path / "out" / "records.csv").exists()
 
+    def test_point_effect_marginal_calibration_exits_one_up_front(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # the alternative arm cannot sample a nonzero point effect's posterior given x_m:
+        # refused before any table is built or any trial of either arm runs
+        monkeypatch.setattr(ScaleBfCurves, "_build", trials_ran)
+        monkeypatch.setattr(montecarlo, "_run_block", trials_ran)
+        text = ("effect = point\neffect_delta = 0.5\nx_m = 1\nn_trials = 100\nrule_upper = 5\n"
+                "rule_lower = 0.2\nrule_cap = 20\n")
+        code = main(["mc-marginal-calibration", "--config", write(tmp_path / "p.cfg", text),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: marginal trials under the alternative need a Cauchy")
+        assert not (tmp_path / "out" / "records.csv").exists()
+
     @pytest.mark.parametrize(
         "kind, key",
         [("mc-type1", "g"), ("mc-bf-mean", "g"), ("mc-strong-calibration", "g"),
@@ -288,6 +304,25 @@ class TestInvarianceCheckCli:
         text = (tmp_path / "out" / "records.csv").read_text()
         assert "raw-sum-squares" in text
 
+    def test_no_decided_probe_fails(self, tmp_path, capsys):
+        # every probe (lengths 2 to 12) is at or past cap 2, so none decides anything
+        cfg = write(tmp_path / "i.cfg", "trials = 200\nrule_cap = 2\n")
+        code = main(["invariance-check", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
+            "bf-threshold: 0 mismatches in 200 trials (200 boundary skips) -> FAIL",
+            "fixed-n: 0 mismatches in 200 trials (200 boundary skips) -> FAIL",
+        ]
+        assert lines[-1] == "VERDICT: FAIL"
+
+    def test_cap_within_the_initial_sample_exits_one(self, tmp_path, capsys):
+        cfg = write(tmp_path / "i.cfg", "trials = 200\nrule_cap = 1\n")
+        code = main(["invariance-check", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = "error: rule cap 1 must exceed the initial-sample size 1\n"
+        assert capsys.readouterr().err == err
+
 
 class TestByteIdenticalOutputs:
     def test_same_config_same_bytes(self, tmp_path, capsys):
@@ -383,7 +418,7 @@ class TestEntryPoint:
             "x = [0.7, -0.2, 1.3, 0.4]\n"
             "for prior in (PointMass(0.5), CauchyEffect(1.0)):\n"
             "    pair = InvariantModelPair.scale(prior)\n"
-            "    pair.log_bf(x[:1]), pair.log_marginal_alt(x)\n"
+            "    pair.log_bf(x[:1]), pair.log_marginal_null(x) + pair.log_bf(x)\n"
             "    curves = ScaleBfCurves(pair)\n"
             "    curves.log_bf_cells(4, curves.coordinate(np.array([0.3]), np.array([-0.5])))\n"
             "InvariantModelPair.location_scale(CauchyEffect(1.0)).log_marginal_null(x)\n"

@@ -7,44 +7,13 @@ from hypothesis import given, settings, strategies as st
 from optstop.core import (
     NEVER,
     BfTrajectory,
-    PriorOdds,
     SignificanceLevel,
     StopOutcome,
-    conditional_bf,
-    posterior_odds,
     stop,
 )
 from optstop.stopping import BfThreshold, FixedN
 
-LN_4_3 = math.log(4.0 / 3.0)
-
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
-
-
-class TestPosteriorOdds:
-    def test_equal_odds_unit_bf(self):
-        assert posterior_odds(PriorOdds(0.0), 0.0) == 0.0
-
-    def test_beta_bernoulli_value(self):
-        # Bernoulli point-1/2 vs uniform prior at x = (1,1): beta = (1/3)/(1/4)
-        assert posterior_odds(PriorOdds(0.0), LN_4_3) == LN_4_3
-
-    def test_log_additivity(self):
-        assert posterior_odds(PriorOdds(math.log(2)), math.log(3)) == pytest.approx(
-            math.log(6), abs=1e-15
-        )
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            posterior_odds(PriorOdds(0.0), math.inf)
-        with pytest.raises(ValueError):
-            PriorOdds(math.nan)
-
-    @given(p=finite_floats, a=finite_floats, b=finite_floats)
-    def test_two_stage_update_equals_one_stage(self, p, a, b):
-        one_stage = posterior_odds(PriorOdds(p), a + b)
-        two_stage = posterior_odds(PriorOdds(posterior_odds(PriorOdds(p), a)), b)
-        assert one_stage == pytest.approx(two_stage, abs=1e-9)
 
 
 class TestSignificanceLevel:
@@ -62,35 +31,14 @@ class TestTrajectory:
         traj = BfTrajectory(m=1, log_beta=(0.1, 0.2, 0.3))
         assert traj.start == 1 and traj.end == 3
         assert traj.value_at(2) == 0.2
-        assert traj.log_beta_m == 0.1
 
     def test_m_zero_starts_at_one(self):
         traj = BfTrajectory(m=0, log_beta=(0.5,))
         assert traj.start == 1
-        with pytest.raises(ValueError):
-            traj.log_beta_m
 
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(ValueError):
             BfTrajectory(m=0, log_beta=(0.0, math.inf))
-
-    def test_conditional_bf_definition(self):
-        traj = BfTrajectory(m=1, log_beta=(0.7, -0.1, 2.0))
-        assert conditional_bf(traj, 1) == 0.0
-        assert conditional_bf(traj, 3) == 2.0 - 0.7
-
-    def test_conditional_bf_requires_n_at_least_m(self):
-        traj = BfTrajectory(m=1, log_beta=(0.7, 0.9))
-        with pytest.raises(ValueError):
-            conditional_bf(traj, 0)
-
-    def test_coherence_identity(self):
-        # exact up to one rounding of the subtraction inside conditional_bf
-        traj = BfTrajectory(m=1, log_beta=(0.4, 1.1, -0.2))
-        for n in (1, 2, 3):
-            assert traj.value_at(n) == pytest.approx(
-                traj.log_beta_m + conditional_bf(traj, n), abs=1e-15
-            )
 
 
 class TestStop:

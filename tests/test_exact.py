@@ -9,7 +9,6 @@ from optstop.errors import ResourceLimitError
 from optstop.exact import (
     FiniteModel,
     build_table,
-    log_beta_finite,
     log_beta_paths,
     marginal_mass,
     random_finite_model,
@@ -72,13 +71,23 @@ def laplace_model(horizon, cond1=laplace_succession):
     )
 
 
+def log_beta_by_masses(model, x):
+    return math.log(marginal_mass(model, 1, x)) - math.log(marginal_mass(model, 0, x))
+
+
+def two_symbol_model(components0, components1):
+    return FiniteModel(
+        alphabet_size=2, horizon=4, components0=tuple(components0), components1=tuple(components1)
+    )
+
+
 class TestModelValidation:
     GRID = 10_000
 
     def grid_model(self, last):
         comps = [(1.0 / self.GRID, np.array([0.5, 0.5]))] * (self.GRID - 1)
         comps.append((1.0 / self.GRID, np.asarray(last, dtype=float)))
-        return FiniteModel.iid(horizon=4, components0=[(1.0, [0.5, 0.5])], components1=comps)
+        return two_symbol_model([(1.0, np.array([0.5, 0.5]))], comps)
 
     @pytest.mark.parametrize(
         "last, message",
@@ -96,18 +105,17 @@ class TestModelValidation:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.0])
     def test_non_finite_or_nonpositive_weight_rejected(self, bad):
-        fair = [0.5, 0.5]
+        fair = np.array([0.5, 0.5])
         for comps in ([(bad, fair)], [(bad, fair), (1.0, fair)]):
             with pytest.raises(ValueError, match="prior weights must be positive and finite"):
-                FiniteModel.iid(4, [(1.0, fair)], comps)
+                two_symbol_model([(1.0, fair)], comps)
 
     def test_non_finite_mass_rejected_on_both_hypotheses(self):
         with pytest.raises(ValueError, match="must be finite"):
-            FiniteModel.iid(4, [(1.0, [math.nan, 0.5])], [(1.0, [0.5, 0.5])])
+            two_symbol_model([(1.0, np.array([math.nan, 0.5]))], [(1.0, np.array([0.5, 0.5]))])
 
     def test_valid_grid_model_is_iid(self):
         model = self.grid_model([0.5, 0.5])
-        assert model.is_iid
         assert model.cond_matrix(1, (0, 1)).shape == (self.GRID, 2)
 
 
@@ -119,7 +127,6 @@ class TestCallableComponents:
         # P(sequence with h ones in n draws) = h!(n-h)!/(n+1)!
         expected = math.factorial(3) * math.factorial(2) / math.factorial(6)
         assert marginal_mass(model, 1, (1, 0, 1, 1, 0)) == pytest.approx(expected, rel=1e-14)
-        assert not model.is_iid
 
     def test_trajectory_matches_log_beta_at_every_prefix(self, rng):
         model = laplace_model(9)
@@ -127,7 +134,7 @@ class TestCallableComponents:
             seq = sample_sequence(model, 1, rng)
             traj = trajectory_finite(model, seq)
             for n in range(1, len(seq) + 1):
-                assert abs(traj.value_at(n) - log_beta_finite(model, seq[:n])) <= 1e-12
+                assert abs(traj.value_at(n) - log_beta_by_masses(model, seq[:n])) <= 1e-12
 
     def test_monte_carlo_matches_exact_table(self):
         model = laplace_model(6)
@@ -170,8 +177,8 @@ class TestBuildTable:
     def test_stop_at_one(self, bernoulli10):
         table = build_table(bernoulli10, FixedN(n=1, cap=10))
         assert len(table.entries) == 2
-        assert table.total_mass0 == pytest.approx(1.0, abs=1e-15)
-        assert table.total_mass1 == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(e.mass0 for e in table.entries.values()) == pytest.approx(1.0, abs=1e-15)
+        assert math.fsum(e.mass1 for e in table.entries.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_full_tree_leaf_count(self):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=100)
@@ -186,7 +193,7 @@ class TestBuildTable:
         assert entry.mass0 == pytest.approx(0.25, abs=1e-15)
         assert entry.stop_index == 2
         # prefix-free partition
-        assert table.total_mass0 == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(e.mass0 for e in table.entries.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_prefix_free(self, bernoulli10):
         table = build_table(bernoulli10, BfThreshold(upper=3.0, cap=10))
@@ -328,7 +335,7 @@ class TestSampling:
         traj = trajectory_finite(model, seq)
         for n in range(1, len(seq) + 1):
             assert traj.value_at(n) == pytest.approx(
-                log_beta_finite(model, seq[:n]), abs=1e-12
+                log_beta_by_masses(model, seq[:n]), abs=1e-12
             )
 
     def test_stop_on_finite_trajectory(self, rng):
@@ -351,8 +358,8 @@ def test_partition_calibration_markov_expectation_properties(seed):
     model = random_finite_model(rng)
     rule = random_rule(rng, model.horizon)
     table = build_table(model, rule)
-    assert abs(table.total_mass0 - 1.0) <= 1e-12
-    assert abs(table.total_mass1 - 1.0) <= 1e-12
+    assert abs(math.fsum(e.mass0 for e in table.entries.values()) - 1.0) <= 1e-12
+    assert abs(math.fsum(e.mass1 for e in table.entries.values()) - 1.0) <= 1e-12
     assert verify_calibration(table, tol=1e-9).passed
     assert abs(verify_expected_stopped_bf(table) - 1.0) <= 1e-10
     alpha = float(rng.uniform(0.02, 0.9))

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from optstop import models
-from optstop.core import conditional_bf
 from optstop.errors import SingularInputError
 from optstop.models import (
     Q_MAX,
@@ -24,7 +23,6 @@ from optstop.models import (
     PointMass,
     ScaleBfCurves,
     log_m,
-    trajectory,
 )
 from quadrature import integrate_log
 
@@ -162,7 +160,6 @@ class TestAltMarginalAndBf:
         for _ in range(10):
             x = rng.standard_normal(int(rng.integers(1, 20))) + rng.uniform(-1, 1)
             assert pair.log_bf(x) == 0.0
-            assert pair.log_marginal_alt(x) == pair.log_marginal_null(x)
 
     def test_cauchy_bf_vs_nested_quadrature(self, cauchy_pair, rng):
         cases = [np.array([1.0, -1.0])]
@@ -185,11 +182,14 @@ class TestAltMarginalAndBf:
             assert abs(math.expm1(got - ref)) <= 1e-8
 
     def test_alt_marginal_scale_equivariance(self, cauchy_pair, rng):
+        def log_marginal_alt(x):
+            return cauchy_pair.log_marginal_null(x) + cauchy_pair.log_bf(x)
+
         x = rng.standard_normal(7) + 0.6
         n = len(x)
         for c in (0.5, 2.0):
-            assert cauchy_pair.log_marginal_alt(c * x) == pytest.approx(
-                cauchy_pair.log_marginal_alt(x) - n * math.log(c), abs=1e-10
+            assert log_marginal_alt(c * x) == pytest.approx(
+                log_marginal_alt(x) - n * math.log(c), abs=1e-10
             )
 
     def test_bf_invariance(self, cauchy_pair, rng):
@@ -209,7 +209,7 @@ class TestAltMarginalAndBf:
             x = [2.0] * n
             value = cauchy_pair.log_bf(x)
             assert math.isfinite(value)
-            assert trajectory(cauchy_pair, x).value_at(n) == value
+            assert cauchy_pair.log_bf_many([x[:i] for i in range(1, n + 1)])[-1] == value
             batch = curves.log_bf_cells(n, curves.coordinate(np.array([1.0]), np.array([1.0])))[0]
             assert abs(value - batch) <= 1e-8
 
@@ -217,9 +217,10 @@ class TestAltMarginalAndBf:
         # q rounds to within a few ulps of 1 here, where xi = log(1 - q) is
         # ill-conditioned: every prefix must take the scalar path's value
         for x in (np.full(12, 0.1), 100.0 + 1e-7 * rng.standard_normal(12)):
-            traj = trajectory(cauchy_pair, x)
-            for n in range(1, x.size + 1):
-                assert traj.value_at(n) == cauchy_pair.log_bf(x[:n])
+            prefixes = [x[:n] for n in range(1, x.size + 1)]
+            assert cauchy_pair.log_bf_many(prefixes).tolist() == list(
+                map(cauchy_pair.log_bf, prefixes)
+            )
 
     def test_unit_bf_at_initial_sample_symmetric_prior(self, cauchy_pair):
         # symmetric effect prior: a single observation carries no evidence
@@ -232,17 +233,6 @@ class TestAltMarginalAndBf:
         for x1 in (1.5, -0.4):
             expected = 2.0 * stats.norm.cdf(0.7 * math.copysign(1.0, x1))
             assert math.exp(pair.log_bf([x1])) == pytest.approx(expected, rel=1e-12)
-
-    def test_conditional_bf_two_routes_agree(self, cauchy_pair, rng):
-        # subtraction along the trajectory vs conditional-marginal quotient
-        x = rng.standard_normal(8) + 0.5
-        traj = trajectory(cauchy_pair, x)
-        for n in (2, 5, 8):
-            via_subtraction = conditional_bf(traj, n)
-            via_marginals = (
-                cauchy_pair.log_marginal_alt(x[:n]) - cauchy_pair.log_marginal_alt(x[:1])
-            ) - (cauchy_pair.log_marginal_null(x[:n]) - cauchy_pair.log_marginal_null(x[:1]))
-            assert via_subtraction == pytest.approx(via_marginals, abs=1e-10)
 
 
 class TestLogBfMany:
@@ -314,17 +304,6 @@ class TestLogBfMany:
         many = pair.log_bf_many(xs)
         assert many.shape == (size,)
         assert [float(v) for v in many] == [pair.log_bf(x) for x in xs]
-
-    def test_trajectory_is_one_call(self, cauchy_pair, monkeypatch, rng):
-        x = rng.standard_normal(30) + 0.3
-        expected = [cauchy_pair.log_bf(x[:n]) for n in range(1, 31)]
-        calls = []
-        many = InvariantModelPair.log_bf_many
-        monkeypatch.setattr(
-            InvariantModelPair, "log_bf_many", lambda self, xs: calls.append(1) or many(self, xs)
-        )
-        assert list(trajectory(cauchy_pair, x).log_beta) == expected
-        assert len(calls) == 1
 
 
 class TestMaximalInvariant:

@@ -1,0 +1,68 @@
+"""The package's public surface: one public way to compute each quantity.
+
+Each removed name recomputed a quantity another public call gives; the
+comment beside it names that call.  An entry point that only tests use
+fails here if it comes back.
+"""
+
+import optstop
+from optstop import core, exact, models, montecarlo
+
+PUBLIC = [
+    "NEVER",
+    "BfTrajectory",
+    "SignificanceLevel",
+    "StopOutcome",
+    "stop",
+    "OptstopError",
+    "ResourceLimitError",
+    "SingularInputError",
+    "SCALE",
+    "LOCATION_SCALE",
+    "ScaleGroup",
+    "LocationScaleGroup",
+    "CauchyEffect",
+    "PointMass",
+    "InvariantModelPair",
+    "MaximalInvariantValue",
+    "ScaleBfCurves",
+    "StoppingRule",
+    "FixedN",
+    "BfThreshold",
+    "InvariantStatistic",
+    "RawStatistic",
+    "InvarianceReport",
+    "check_invariance",
+    "rule_from_params",
+    "sum_squares_rule",
+    "__version__",
+]
+
+REMOVED = [
+    (core, "PriorOdds"),  # prior log odds + log beta
+    (core, "posterior_odds"),
+    (core, "conditional_bf"),  # value_at(n) - value_at(m)
+    (core.BfTrajectory, "log_beta_m"),
+    (models, "trajectory"),  # log_bf_many over the prefixes
+    (models.InvariantModelPair, "log_marginal_alt"),  # log_marginal_null + log_bf
+    (exact, "log_beta_finite"),  # log_beta_paths(model, [x])[0, -1]
+    (exact.FiniteModel, "iid"),  # the constructor with arrays
+    (exact.FiniteModel, "is_iid"),
+    (exact.ExactTable, "total_mass0"),  # math.fsum over the entries
+    (exact.ExactTable, "total_mass1"),
+    (montecarlo, "CalibrationBin"),  # the estimate's columns
+    (montecarlo.CalibrationEstimate, "bins"),
+]
+
+
+def test_all_is_the_public_list():
+    assert optstop.__all__ == PUBLIC
+
+
+def test_every_public_name_resolves():
+    assert [name for name in PUBLIC if not hasattr(optstop, name)] == []
+
+
+def test_removed_names_are_gone():
+    present = [name for home, name in REMOVED if hasattr(optstop, name) or hasattr(home, name)]
+    assert present == []

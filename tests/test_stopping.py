@@ -161,6 +161,13 @@ class TestCheckInvariance:
         report = check_invariance(rule, pair, 500, rng)
         assert report.passed
 
+    def test_rule_that_cannot_decide_refused_before_any_probe(self, rng):
+        pair = InvariantModelPair.location_scale(PointMass(0.0))
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="initial-sample size 2"):
+            check_invariance(BfThreshold(upper=20.0, cap=2), pair, 10, rng)
+        assert rng.bit_generator.state == state
+
     def test_location_scale_group_probe(self, rng):
         pair = InvariantModelPair.location_scale(PointMass(0.0))
         ok = check_invariance(FixedN(n=6, cap=1000), pair, 300, rng)
