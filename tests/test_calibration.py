@@ -17,7 +17,7 @@ import reference_calibration as ref
 from optstop import montecarlo
 from optstop.cli import main, parse_config_text
 from optstop.models import CauchyEffect, InvariantModelPair
-from optstop.montecarlo import TrialRecords, estimate_strong_calibration
+from optstop.montecarlo import MAX_BIN_WIDTH, TrialRecords, estimate_strong_calibration
 from optstop.stopping import BfThreshold, FixedN
 
 CAUCHY = InvariantModelPair.scale(CauchyEffect(1.0))
@@ -106,6 +106,29 @@ def test_columns_match_reference_bit_for_bit(case):
         assert np.any((est.count0 > 0) & (est.count1 == 0))
     if name == "all-equal":
         assert est.edges.size == 6  # [v, v + 1] cut into 0.2-nat pieces
+
+
+def test_bins_partition_the_stopped_values(case):
+    _, (rec0, rec1) = case
+    est = estimate_strong_calibration(rec0, rec1)
+    widths = np.diff(est.edges)
+    assert np.all(widths > 0.0) and np.all(widths <= MAX_BIN_WIDTH + 1e-9)
+    pooled = []
+    for records, counts in ((rec0, est.count0), (rec1, est.count1)):
+        lb = records.stopped_log_beta
+        inside = (lb[:, None] >= est.edges[:-1]) & (lb[:, None] < est.edges[1:])
+        assert np.all(inside.sum(axis=1) == 1)  # every stopped value in exactly one bin
+        assert np.array_equal(inside.sum(axis=0), counts)
+        pooled.append((lb, inside))
+    total = est.count0 + est.count1
+    sums = sum(lb @ inside for lb, inside in pooled)
+    filled = total > 0
+    assert np.allclose(est.log_beta_gmean[filled], sums[filled] / total[filled], rtol=1e-12)
+    assert np.all(np.isnan(est.log_beta_gmean[~filled]))
+    usable = est.count0 > 0
+    for column in (est.ratio, est.ci_lo, est.ci_hi):
+        assert np.array_equal(np.isnan(column), ~usable)
+    assert not np.any(est.ok[~usable])
 
 
 @pytest.mark.parametrize(

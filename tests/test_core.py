@@ -40,6 +40,12 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             BfTrajectory(m=0, log_beta=(0.0, math.inf))
 
+    @pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (1, 4), (2, 1), (2, 5)])
+    def test_value_at_rejects_n_outside_range(self, m, n):
+        traj = BfTrajectory(m=m, log_beta=(0.7, -0.1, 2.0))
+        with pytest.raises(ValueError, match="outside trajectory range"):
+            traj.value_at(n)
+
 
 class TestStop:
     def _bernoulli_ones_traj(self, length):

@@ -450,6 +450,24 @@ class TestMarginalCalibration:
         with pytest.raises(error):
             run_marginal_trials(CAUCHY, 0, x_m, FixedN(n=5, cap=10), n_trials, seed=0)
 
+    @pytest.mark.parametrize("n_trials", [0, 10])
+    def test_nonzero_point_effect_refused_under_the_alternative(self, n_trials, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a table was built or a block ran")
+
+        monkeypatch.setattr(ScaleBfCurves, "_table", no_work)
+        monkeypatch.setattr(montecarlo, "_run_block", no_work)
+        pair = InvariantModelPair.scale(PointMass(0.5))
+        with pytest.raises(ValueError, match="nonzero point effect"):
+            run_marginal_trials(pair, 1, [1.0], FixedN(n=5, cap=10), n_trials, seed=0)
+
+    @pytest.mark.parametrize("delta, k", [(0.5, 0), (0.0, 1)])
+    def test_point_effect_marginal_runs_where_sampled(self, delta, k):
+        pair = InvariantModelPair.scale(PointMass(delta))
+        records = run_marginal_trials(pair, k, [1.0], FixedN(n=5, cap=10), 50, seed=0)
+        assert len(records) == 50
+        assert all(r.stop_index == 5 for r in records)
+
     def test_moderate_run_calibrates(self):
         rule = BfThreshold(upper=5.0, lower=0.2, cap=100)
         est = estimate_marginal_calibration(CAUCHY, [1.5], rule, 30_000, seed=13)

@@ -9,6 +9,7 @@ from optstop.stopping import (
     PROBE_CHUNK,
     BfThreshold,
     FixedN,
+    InvarianceReport,
     InvariantStatistic,
     RawStatistic,
     check_invariance,
@@ -167,6 +168,14 @@ class TestCheckInvariance:
         with pytest.raises(ValueError, match="initial-sample size 2"):
             check_invariance(BfThreshold(upper=20.0, cap=2), pair, 10, rng)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "mismatches, skipped, passed",
+        [(0, 0, True), (0, 9, True), (0, 10, False), (1, 0, False), (1, 10, False)],
+    )
+    def test_report_passes_on_a_decided_probe_without_mismatch(self, mismatches, skipped, passed):
+        report = InvarianceReport("bf-threshold", True, 10, mismatches, skipped)
+        assert report.passed is passed
 
     def test_location_scale_group_probe(self, rng):
         pair = InvariantModelPair.location_scale(PointMass(0.0))
