@@ -362,8 +362,10 @@ def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
     raw_threshold = cfg.get_float("raw_threshold", 20.0)
     cfg.reject_unknown()
     rng = np.random.default_rng(seed)
+    bf_rule = BfThreshold(upper=upper, cap=cap)
+    bf_rule.check_start(pair.m)  # refuse a cap within the initial sample before FixedN(8) does
     rules = [
-        ("bf-threshold", BfThreshold(upper=upper, cap=cap)),
+        ("bf-threshold", bf_rule),
         ("fixed-n", FixedN(n=8, cap=cap)),
         ("raw-sum-squares", sum_squares_rule(raw_threshold, cap=cap)),
     ]

@@ -32,6 +32,7 @@ Prefix = Tuple[int, ...]
 Conditional = Union[np.ndarray, Callable[[Prefix], Sequence[float]]]
 
 _PROB_TOL = 1e-9
+MAX_PRIOR_GRID = 10**6  # uniform-prior atoms: about 0.3 GB of component objects at the limit
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,10 @@ class FiniteModel:
         atoms of equal weight, which keeps the model exactly computable
         while approximating the Beta-Bernoulli closed form to O(grid^-2).
         """
+        if grid > MAX_PRIOR_GRID:
+            raise ResourceLimitError(
+                f"prior grid {grid} exceeds the budget of {MAX_PRIOR_GRID} atoms"
+            )
         thetas = (np.arange(grid) + 0.5) / grid
         c1 = tuple((1.0 / grid, np.array([1.0 - t, t])) for t in thetas)
         c0 = ((1.0, np.array([1.0 - theta0, theta0])),)

@@ -66,10 +66,12 @@ XI_MIN = math.log1p(-Q_MAX)  # xi = log(1 - q) at the clamp
 
 @dataclass(frozen=True)
 class PointMass:
-    """All effect-size mass on a single value."""
+    """All effect-size mass on a single value; the scale pair's tables take the signed t."""
 
     delta0: float
     NORMALS: ClassVar[int] = 0  # standard normals a draw reads from the stream
+    COORDINATE_RANGE: ClassVar[Tuple[float, float]] = (-1.0, 1.0)
+    TABLE_RANGE: ClassVar[Tuple[float, float]] = (-1.0, 1.0)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.delta0):
@@ -82,13 +84,47 @@ class PointMass:
     def draw(self, rng: np.random.Generator) -> float:
         return self.delta0
 
+    def coordinate(self, q: np.ndarray, s1: np.ndarray) -> np.ndarray:
+        """sign(delta0) * t from q and the running sum s1: t = sign(s1) * sqrt(q) at delta0 >= 0."""
+        t = np.copysign(np.sqrt(q), s1)
+        return -t if self.delta0 < 0.0 else t
+
+    def table_coordinate(self, c: np.ndarray) -> np.ndarray:
+        """t at ``coordinate`` values."""
+        return -c if self.delta0 < 0.0 else c
+
+    def log_bf_table(self, n, t) -> np.ndarray:
+        """log beta over broadcast n and signed t; at n = 1, beta_1 = 2*Phi(delta0 * sign(x1))."""
+        n, t = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(t, dtype=float))
+        if self.delta0 == 0.0:
+            return np.zeros(t.shape)  # identical hypotheses, exactly
+        log_gamma = np.array([math.lgamma(0.5 * v) for v in n.ravel().tolist()]).reshape(n.shape)
+        b = self.delta0 * np.sqrt(2.0 * n) * t
+        return -0.5 * n * self.delta0 * self.delta0 + LOG_2 - log_gamma + log_m(n - 1.0, b)
+
+    def log_bf_stats(self, n: np.ndarray, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:
+        """log beta over equal-length arrays of (n, q, t_signed): the table evaluator at t."""
+        return self.log_bf_table(n, t_signed)
+
+    @property
+    def posterior_sampled(self) -> bool:
+        """Is the alternative's posterior given x1 sampled?  Only at delta0 = 0, the null's."""
+        return self.delta0 == 0.0
+
+    def posterior_state(self, x1: float, rng: np.random.Generator) -> Tuple[float, float]:
+        """(sigma, 0) from the posterior given x1 at delta0 = 0: x1^2 / sigma^2 is chi-square(1)."""
+        return abs(x1) / math.sqrt(_chisquare1(rng)), 0.0
+
 
 @dataclass(frozen=True)
 class CauchyEffect:
-    """Cauchy(0, scale) prior on the standardized effect size."""
+    """Cauchy(0, scale) prior on the standardized effect size; the tables take xi = log(1 - q)."""
 
     scale: float = 1.0
     NORMALS: ClassVar[int] = 2  # standard normals a draw reads from the stream
+    COORDINATE_RANGE: ClassVar[Tuple[float, float]] = (0.0, 1.0)
+    TABLE_RANGE: ClassVar[Tuple[float, float]] = (XI_MIN, 0.0)  # q is clamped at Q_MAX
+    posterior_sampled: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if not (self.scale > 0 and math.isfinite(self.scale)):
@@ -106,8 +142,44 @@ class CauchyEffect:
     def draw(self, rng: np.random.Generator) -> float:
         return float(self.from_normals(rng.standard_normal(self.NORMALS)))
 
+    def coordinate(self, q: np.ndarray, s1: np.ndarray) -> np.ndarray:
+        """q itself, whatever the sign of the running sum s1."""
+        return q
+
+    def table_coordinate(self, q: np.ndarray) -> np.ndarray:
+        """xi = log(1 - q), q clamped at Q_MAX as ``log_bf_stats`` clamps it."""
+        return np.log1p(-np.minimum(q, Q_MAX))
+
+    def log_bf_table(self, n, xi) -> np.ndarray:
+        """log beta at n >= 2 and xi = log(1 - q), over broadcast arrays."""
+        return _cauchy_log_bf_xi(n, xi, self.scale)
+
+    def log_bf_stats(self, n: np.ndarray, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:
+        """log beta over equal-length arrays of (n, q, t_signed), one evaluator call."""
+        out = np.zeros(n.shape)  # q is identically 1 at n = 1 and the integral collapses
+        many = n >= 2
+        # q is exactly 1.0 on collinear prefixes (all x_i equal): clamped at Q_MAX, as in
+        # the tables, it stays finite; math.log1p, not np.log1p: they differ in the last bit
+        xi = [math.log1p(-min(v, Q_MAX)) for v in q[many].tolist()]
+        out[many] = self.log_bf_table(n[many], xi)
+        return out
+
+    def posterior_state(self, x1: float, rng: np.random.Generator) -> Tuple[float, float]:
+        """(sigma, delta) from the alternative's posterior given x1, through the mixing variance v.
+
+        v keeps its prior (one observation carries no evidence between the
+        hypotheses), x1^2 / (sigma^2 (1+v)) is chi-square(1), and delta given
+        (sigma, v) is Gaussian with mean (v/(1+v)) * x1/sigma and variance v/(1+v).
+        """
+        v = self.scale * self.scale / _chisquare1(rng)
+        sigma = abs(x1) / math.sqrt(_chisquare1(rng) * (1.0 + v))
+        shrink = v / (1.0 + v)
+        delta = float(rng.normal(shrink * x1 / sigma, math.sqrt(shrink)))
+        return sigma, delta
+
 
 EffectPrior = Union[PointMass, CauchyEffect]
+_NULL_EFFECT = PointMass(0.0)  # the null hypothesis: no effect
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +198,14 @@ def _scale_stats(x: np.ndarray) -> Tuple[int, float, float, float]:
     q = min(max(q, 0.0), 1.0)
     t = math.copysign(math.sqrt(q), xbar)
     return n, s, q, t
+
+
+def _chisquare1(rng: np.random.Generator) -> float:
+    """A chi-square(1) draw, drawn again on the probability-zero 0.0."""
+    w = 0.0
+    while w == 0.0:
+        w = float(rng.chisquare(1))
+    return w
 
 
 def _cauchy_phi(ell: np.ndarray, n, xi, r: float) -> np.ndarray:
@@ -262,28 +342,6 @@ def log_m(k, b) -> np.ndarray:
     return _log_integral(_m_phi, s_mode - left, s_mode + 12.0 * width, k, b)
 
 
-def _cauchy_log_bf(n: np.ndarray, q: np.ndarray, r: float) -> np.ndarray:
-    """log Bayes factor for the scale pair with a Cauchy(0, r) effect, over arrays of n and q."""
-    out = np.zeros(n.shape)  # q is identically 1 at n = 1 and the integral collapses
-    many = n >= 2
-    # q rounds to exactly 1.0 on collinear prefixes (all x_i equal); clamp to
-    # the largest double below 1 so the value stays finite, as the tables do.
-    # math.log1p, not np.log1p: the two differ in the last bit on some q
-    xi = [math.log1p(-min(v, Q_MAX)) for v in q[many].tolist()]
-    out[many] = _cauchy_log_bf_xi(n[many], xi, r)
-    return out
-
-
-def _pointmass_log_bf(n, t_signed, delta0: float) -> np.ndarray:
-    """log Bayes factor for the scale pair with a point-mass effect, over broadcast n and t."""
-    n, t_signed = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(t_signed, dtype=float))
-    if delta0 == 0.0:
-        return np.zeros(t_signed.shape)  # identical hypotheses, exactly
-    log_gamma = np.array([math.lgamma(0.5 * v) for v in n.ravel().tolist()]).reshape(n.shape)
-    b = delta0 * np.sqrt(2.0 * n) * t_signed
-    return -0.5 * n * delta0 * delta0 + LOG_2 - log_gamma + log_m(n - 1.0, b)
-
-
 @dataclass(frozen=True)
 class InvariantModelPair:
     """A null/alternative pair sharing a group-structured nuisance parameter.
@@ -372,7 +430,7 @@ class InvariantModelPair:
         n, q, t = np.zeros((3, len(samples)))
         for i, x in enumerate(samples):
             n[i], _, q[i], t[i] = _scale_stats(x)
-        return self._log_bf_stats(n, q, t)
+        return self.effect_prior.log_bf_stats(n, q, t)
 
     def log_bf_from_stats(self, n: int, q: float, t_signed: float) -> float:
         """log beta_n from the invariant coordinates directly (scale pairs).
@@ -384,15 +442,7 @@ class InvariantModelPair:
         if not self.is_scale:
             raise NotImplementedError("location-scale evidence is identically zero")
         stats = (np.array([v], dtype=float) for v in (n, q, t_signed))
-        return float(self._log_bf_stats(*stats)[0])
-
-    def _log_bf_stats(self, n: np.ndarray, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:
-        """log beta over equal-length arrays of (n, q, t_signed), one evaluator call."""
-        if isinstance(self.effect_prior, CauchyEffect):
-            return _cauchy_log_bf(n, q, self.effect_prior.scale)
-        # n = 1 included: beta_1 = 2*Phi(delta0 * sign(x1)), which is 1 only
-        # for the symmetric priors
-        return _pointmass_log_bf(n, t_signed, self.effect_prior.delta0)
+        return float(self.effect_prior.log_bf_stats(*stats)[0])
 
     # ---------------------------------------------------------------- sampling
 
@@ -429,39 +479,13 @@ class InvariantModelPair:
         x_m = self._validate(np.atleast_1d(np.asarray(x_m, dtype=float)))
         if x_m.size != 1:
             raise ValueError("the scale-group initial sample has length 1")
-        return self._posterior_predictive_state(0, float(x_m[0]), rng)[0]
+        return _NULL_EFFECT.posterior_state(float(x_m[0]), rng)[0]
 
     def _posterior_predictive_state(
         self, k: int, x1: float, rng: np.random.Generator
     ) -> Tuple[float, float]:
-        """Draw (sigma, delta) from the hypothesis-k posterior given x^m = (x1,).
-
-        Scale group only, x1 != 0, and under k=1 no nonzero point effect:
-        the callers check all three, so a point mass here is zero and its
-        delta is 0.  Under k=1 with a Cauchy effect the posterior
-        factorizes through the mixing variance: v keeps its prior (a
-        single observation carries no evidence between the hypotheses),
-        x1^2 / (sigma^2 (1+v)) is chi-square(1), and delta given
-        (sigma, v) is Gaussian with mean (v/(1+v)) * x1/sigma and variance
-        v/(1+v).
-        """
-        if k == 0 or isinstance(self.effect_prior, PointMass):
-            w = 0.0
-            while w == 0.0:
-                w = float(rng.chisquare(1))
-            return abs(x1) / math.sqrt(w), 0.0
-        r = self.effect_prior.scale
-        lam = 0.0
-        while lam == 0.0:
-            lam = float(rng.chisquare(1))
-        v = r * r / lam
-        w = 0.0
-        while w == 0.0:
-            w = float(rng.chisquare(1))
-        sigma = abs(x1) / math.sqrt(w * (1.0 + v))
-        shrink = v / (1.0 + v)
-        delta = float(rng.normal(shrink * x1 / sigma, math.sqrt(shrink)))
-        return sigma, delta
+        """(sigma, delta) from the hypothesis-k posterior given x1 != 0 (k=1: posterior_sampled)."""
+        return (self.effect_prior if k == 1 else _NULL_EFFECT).posterior_state(x1, rng)
 
 
 class _TableStack(NamedTuple):
@@ -482,22 +506,21 @@ class _TableStack(NamedTuple):
 class ScaleBfCurves:
     """Vectorized evaluation of log beta_n over invariant coordinates, at any mix of n.
 
-    The exact Bayes factor is a smooth function of one invariant
-    coordinate for each n (xi = log(1 - q) for the Cauchy effect, the
-    signed normalized mean t for a point mass).  This class caches a
-    piecewise Chebyshev interpolant of that curve per n (one piece
-    unless the curve needs more, see ``_build``).  The n a read or a
-    boundary needs are built together, in one batched fit that evaluates
-    the Chebyshev nodes of every pending piece of every n in one exact-
-    evaluator call per round; each table is the one a fit of its n alone
-    gives, bit for bit.  Each table spans every value the coordinate can
-    take: xi from log(1 - Q_MAX), where q is clamped, to 0, and t from
-    -1 to 1.
+    The exact Bayes factor is, for each n, a smooth function of the
+    effect prior's table coordinate (xi = log(1 - q) for the Cauchy
+    effect, the signed t for a point mass), its ``log_bf_table``.  This
+    class caches a piecewise Chebyshev interpolant of that curve per n
+    (one piece unless the curve needs more, see ``_build``; the zero
+    point mass gets one all-zero piece, which reads +0.0).  The n a read
+    or a boundary needs are built together, in one batched fit that
+    evaluates the Chebyshev nodes of every pending piece of every n in
+    one exact-evaluator call per round; each table is the one a fit of
+    its n alone gives, bit for bit, and spans the prior's TABLE_RANGE.
 
     One evaluator reads the tables: ``log_bf_cells`` takes cells
-    (n, ``coordinate``) with an n of their own and runs one Clenshaw
-    recurrence over all of them, each cell on its own n's piece, taking
-    one row of the stacked coefficients per recurrence step, and
+    (n, the prior's ``coordinate``) with an n of their own and runs one
+    Clenshaw recurrence over all of them, each cell on its own n's piece,
+    taking one row of the stacked coefficients per recurrence step, and
     ``boundary`` bisects with it across all n at once.  Each cell's value
     is the arithmetic numpy's ``chebval`` does on that piece alone, so
     the value of a cell does not depend on what else is read with it.
@@ -508,8 +531,8 @@ class ScaleBfCurves:
     1e-8, checked in the test suite) only relabels evidence values, and
     only at that scale.
 
-    The exact beta_n increases strictly in one coordinate (``coordinate``:
-    q for the Cauchy effect, sign(delta0) * t for a point mass), so a bar
+    The exact beta_n increases strictly in the prior's ``coordinate``
+    (q for the Cauchy effect, sign(delta0) * t for a point mass), so a bar
     on the table at n is a bound on that coordinate.  ``boundary`` takes
     these bounds from the tables themselves, for all n at once, widened
     so that a trial outside them cannot meet the bar; the Monte Carlo
@@ -536,22 +559,6 @@ class ScaleBfCurves:
         self._stacked: Optional[_TableStack] = None
         self._boundaries: dict[tuple[float, int, bool], np.ndarray] = {}
 
-    @property
-    def _flat(self) -> bool:
-        """True for the point mass at zero, whose log beta is identically 0."""
-        return isinstance(self._prior, PointMass) and self._prior.delta0 == 0.0
-
-    def _table_coord(self, c: np.ndarray) -> np.ndarray:
-        """The table coordinate (xi, respectively t) of ``coordinate`` values."""
-        if isinstance(self._prior, CauchyEffect):
-            return np.log1p(-np.minimum(c, Q_MAX))  # same clamp as _cauchy_log_bf
-        return -c if self._prior.delta0 < 0.0 else c
-
-    @property
-    def _range(self) -> tuple[float, float]:
-        """The table coordinate's range, which every table spans."""
-        return (XI_MIN, 0.0) if isinstance(self._prior, CauchyEffect) else (-1.0, 1.0)
-
     def _table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The piece edges and per-piece coefficients of the table at n, built if missing."""
         if n not in self._tables:
@@ -577,16 +584,13 @@ class ScaleBfCurves:
         gives, bit for bit.
         """
         order = self.DEGREE + 1
-        lo, hi = self._range
+        lo, hi = self._prior.TABLE_RANGE
         done: dict[int, list] = {n: [] for n in ns}
         pending = [(n, lo, hi, 0) for n in ns]  # (n, piece start, piece end, halvings)
         while pending:
             n, a, b, depth = (np.array(v) for v in zip(*pending))
             x = (self._NODES + 1.0) * 0.5 * (b - a)[:, None] + a[:, None]
-            if isinstance(self._prior, CauchyEffect):
-                y = _cauchy_log_bf_xi(n[:, None], x, self._prior.scale)
-            else:
-                y = _pointmass_log_bf(n[:, None], x, self._prior.delta0)
+            y = self._prior.log_bf_table(n[:, None], x)
             # one product per piece with the transposed view, as chebinterpolate
             # takes it: one product over all pieces, or a contiguous copy of the
             # view, may take another BLAS kernel and change bits
@@ -645,7 +649,7 @@ class ScaleBfCurves:
         coefficients) matrix is formed.
         """
         stack, piece = self._pieces(ns)
-        coord = np.clip(coord, *self._range)
+        coord = np.clip(coord, *self._prior.TABLE_RANGE)
         if stack.inner.shape[1]:
             piece += (coord[:, None] >= stack.inner[ns]).sum(axis=1)  # searchsorted, side right
         u = coord - stack.lo[piece]  # (coord - lo) * (2.0 / (hi - lo)) - 1.0
@@ -664,7 +668,7 @@ class ScaleBfCurves:
         return c0 + c1 * u
 
     def log_bf_cells(self, ns, c) -> np.ndarray:
-        """log beta at cells: element i at n = ``ns[i]`` and ``coordinate`` value ``c[i]``.
+        """log beta at cells: element i at n = ``ns[i]`` and the prior's ``coordinate`` ``c[i]``.
 
         The two arguments broadcast together.  The cells are read off the
         tables in one pass (``_cells``) at the table coordinate of ``c``,
@@ -677,24 +681,10 @@ class ScaleBfCurves:
             return np.zeros(c.shape)
         if ns.min() < 2:
             raise ValueError(f"the tables hold n >= 2, got a cell at n = {ns.min()}")
-        if self._flat:
-            return np.zeros(c.shape)
-        return self._cells(ns.ravel(), self._table_coord(c.ravel())).reshape(c.shape)
-
-    def coordinate(self, q: np.ndarray, s1: np.ndarray) -> np.ndarray:
-        """The coordinate log beta_n increases in, from q and the running sum s1.
-
-        q for the Cauchy effect; for a point mass the signed
-        t = sign(s1) * sqrt(q), negated when delta0 < 0 (at delta0 = 0
-        log beta is flat and any coordinate serves).
-        """
-        if isinstance(self._prior, CauchyEffect):
-            return q
-        t = np.copysign(np.sqrt(q), s1)
-        return -t if self._prior.delta0 < 0.0 else t
+        return self._cells(ns.ravel(), self._prior.table_coordinate(c.ravel())).reshape(c.shape)
 
     def boundary(self, log_bar: float, cap: int, above: bool) -> np.ndarray:
-        """Per-n bounds on ``coordinate`` beyond which the table cannot reach a bar.
+        """Per-n bounds on the prior's ``coordinate`` beyond which the table cannot reach a bar.
 
         Element n (2 <= n < cap) is a bound b such that the table at n is
         >= ``log_bar`` only at coordinates >= b when ``above``, and
@@ -721,12 +711,12 @@ class ScaleBfCurves:
         ns = np.arange(2, cap)
         if ns.size:
             level = log_bar - self.BOUNDARY_MARGIN if above else log_bar + self.BOUNDARY_MARGIN
-            c_lo, c_hi = (0.0, 1.0) if isinstance(self._prior, CauchyEffect) else (-1.0, 1.0)
+            c_lo, c_hi = self._prior.COORDINATE_RANGE
             lo, hi = np.full(ns.size, c_lo), np.full(ns.size, c_hi)
             # table(lo) < level unless lo = c_lo; level <= table(hi) unless hi = c_hi
             for _ in range(self.BOUNDARY_STEPS):
                 mid = 0.5 * (lo + hi)
-                table = np.zeros(ns.size) if self._flat else self._cells(ns, self._table_coord(mid))
+                table = self._cells(ns, self._prior.table_coordinate(mid))
                 meets = table >= level
                 hi = np.where(meets, mid, hi)
                 lo = np.where(meets, lo, mid)

@@ -56,8 +56,8 @@ Trajectory evaluation
     decision thresholds the same deterministic function of the maximal
     invariant and no trial leaves the vectorized path.
     The tables are evaluated only where a trial can stop.  log beta_n
-    increases strictly in one invariant coordinate
-    (``ScaleBfCurves.coordinate``), so each of a threshold rule's
+    increases strictly in one invariant coordinate, the effect prior's
+    ``coordinate`` (q, or the signed t), so each of a threshold rule's
     ``log_bars`` is a per-n bound on it (``ScaleBfCurves.boundary``,
     taken from the tables and widened past their error).  Within a chunk
     every (trial, n) cell beyond a bound is marked with its coordinate;
@@ -97,7 +97,7 @@ import numpy as np
 from .core import NEVER, BfTrajectory, SignificanceLevel, rewrite, stop
 from .errors import OptstopError, ResourceLimitError
 from .exact import FiniteModel, log_beta_paths, sample_sequence
-from .models import InvariantModelPair, PointMass, ScaleBfCurves
+from .models import InvariantModelPair, ScaleBfCurves
 from .stopping import BfThreshold, StoppingRule
 
 BLOCK_SIZE = 8192
@@ -325,10 +325,10 @@ def _run_block(
         s1, s2 = x1, x1 * x1
 
     def coordinate(n, c1: np.ndarray, c2: np.ndarray, out=None) -> np.ndarray:
-        """``curves.coordinate`` at cells (n, running sum, running sum of squares)."""
+        """The prior's ``coordinate`` at cells (n, running sum, running sum of squares)."""
         q = np.square(c1, out=out)
         q /= n * c2
-        return curves.coordinate(np.clip(q, 0.0, 1.0, out=q), c1)
+        return pair.effect_prior.coordinate(np.clip(q, 0.0, 1.0, out=q), c1)
 
     def log_beta(ns, c: np.ndarray) -> np.ndarray:
         """log beta at cells (n, coordinate): one table read."""
@@ -530,10 +530,10 @@ def check_initial_sample(pair: InvariantModelPair, x_m, k: int) -> np.ndarray:
     It must have length m, be finite and lie outside the pair's excluded
     set (``SingularInputError``, e.g. x_1 = 0 for the scale group).
     Under the alternative (k = 1, which refuses all the null does) the
-    effect prior must not be a nonzero point mass, whose posterior given
-    ``x_m`` the trials do not sample.
+    effect prior's posterior given ``x_m`` must be sampled
+    (``posterior_sampled``): not for a nonzero point mass.
     """
-    if k == 1 and isinstance(pair.effect_prior, PointMass) and pair.effect_prior.delta0 != 0.0:
+    if k == 1 and not pair.effect_prior.posterior_sampled:
         raise ValueError(
             "marginal trials under the alternative need a Cauchy effect or a zero point "
             "mass: the posterior of a nonzero point effect given x_m is not sampled"

@@ -132,6 +132,8 @@ class FixedN(StoppingRule):
         if self.cap is None:
             object.__setattr__(self, "cap", self.n)
         self._check_cap()
+        if self.n > self.cap:
+            raise ValueError(f"fixed sample size {self.n} exceeds the rule cap {self.cap}")
 
     def check_start(self, m: int) -> None:
         super().check_start(m)

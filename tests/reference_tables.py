@@ -1,32 +1,33 @@
 """Reference tables: the per-n table fit, and the per-n table read.
 
 ``fit_per_n`` is the table build as it was before the batched one: one
-table at a time, one ``chebinterpolate`` call per piece, pieces split
-depth first.  ``ScaleBfCurves._build`` must give its edges and
-coefficients bit for bit.
+table at a time, one ``chebinterpolate`` call per piece of the effect
+prior's exact curve (``log_bf_table``), pieces split depth first.
+``ScaleBfCurves._build`` must give its edges and coefficients bit for
+bit.
 
 ``log_bf_per_n`` is the per-n table read as it was before the stacked
 evaluator, taking the invariant coordinates (q, signed t): the table at
 n (built by the curves object itself) is read with a single-piece fast
 path or a loop over the pieces present, each a plain
-``numpy.polynomial.chebyshev.chebval``.  It shares no evaluation code
-with ``ScaleBfCurves.log_bf_cells``, which must match it bit for bit.
+``numpy.polynomial.chebyshev.chebval``.  It forms the table coordinate
+itself (xi = log(1 - q) with q clamped at Q_MAX, or the signed t) and
+gives its own zeros for the zero point mass, without reading a table.
+It shares no evaluation code with ``ScaleBfCurves.log_bf_cells``, which
+must match it bit for bit: +0.0 for the zero point mass.
 """
 
 from functools import partial
 
 import numpy as np
 
-from optstop.models import CauchyEffect, _cauchy_log_bf_xi, _pointmass_log_bf
+from optstop.models import Q_MAX, CauchyEffect, PointMass
 
 
 def fit_per_n(curves, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Piece edges and per-piece Chebyshev coefficients of the table at n, fitted alone."""
-    if isinstance(curves._prior, CauchyEffect):
-        f = partial(_cauchy_log_bf_xi, n, r=curves._prior.scale)
-    else:
-        f = partial(_pointmass_log_bf, n, delta0=curves._prior.delta0)
-    lo, hi = curves._range
+    f = partial(curves._prior.log_bf_table, n)
+    lo, hi = curves._prior.TABLE_RANGE
     edges, coeffs = [], []
     todo = [(lo, hi, 0)]
     while todo:
@@ -49,11 +50,11 @@ def log_bf_per_n(curves, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndar
     """log beta_n for vectors of invariant coordinates at one n."""
     q = np.asarray(q, dtype=float)
     prior = curves._prior
-    if curves._flat:
+    if isinstance(prior, PointMass) and prior.delta0 == 0.0:
         return np.zeros_like(q)
     edges, coeffs = curves._table(n)
     if isinstance(prior, CauchyEffect):
-        coord = curves._table_coord(q)
+        coord = np.log1p(-np.minimum(q, Q_MAX))
     else:
         coord = np.asarray(t_signed, dtype=float)
     coord = np.clip(coord, edges[0], edges[-1])

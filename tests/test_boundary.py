@@ -26,7 +26,6 @@ from optstop.models import (
 from optstop.montecarlo import run_marginal_trials, run_trials
 from optstop.stopping import BfThreshold, FixedN, SumOfSquares
 from reference_kernel import run_block_per_step
-import reference_tables
 from reference_tables import fit_per_n, log_bf_per_n
 
 PRIORS = [
@@ -148,7 +147,7 @@ def test_cells_read_matches_per_n_reference(prior):
     curves = ScaleBfCurves(InvariantModelPair.scale(prior))
     q = np.concatenate([PROBE_Q, PROBE_Q])
     t = np.concatenate([np.sqrt(PROBE_Q), -np.sqrt(PROBE_Q)])
-    c = curves.coordinate(q, t)
+    c = prior.coordinate(q, t)
     ns = [2, 3, CAP]
     expected = {n: log_bf_per_n(curves, n, q, t) for n in ns}
     for n in ns:
@@ -275,7 +274,6 @@ def test_batched_pieces_in_coordinate_order(steep_end, monkeypatch):
         return np.sqrt(u + 1e-3 / n)
 
     monkeypatch.setattr(models, "_cauchy_log_bf_xi", curve)
-    monkeypatch.setattr(reference_tables, "_cauchy_log_bf_xi", curve)
     curves = ScaleBfCurves(InvariantModelPair.scale(CauchyEffect(1.0)))
     curves._pieces(np.array([2, 9, 30]))
     for n in (2, 9, 30):
@@ -351,4 +349,9 @@ def test_boundary_is_sound(prior, cap):
     # the cap stops every trial: every coordinate is a candidate there
     for bound, _, above in bounds:
         assert bound[cap] == (-math.inf if above else math.inf)
+    # the bisection runs over the prior's coordinate range, and a bound ends
+    # within one bracket width of it (two allowed)
+    width = 2 * (hi - lo) * 2.0**-ScaleBfCurves.BOUNDARY_STEPS
+    for bound, _, _ in bounds:
+        assert np.all((lo - width <= bound[2:cap]) & (bound[2:cap] <= hi + width))
 

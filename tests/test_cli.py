@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -65,6 +66,27 @@ class TestExitCodes:
         code = main(["mc-type1", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert "point-mass effect must be finite" in capsys.readouterr().err
+
+    def test_fixed_n_past_the_cap_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
+        cfg = write(tmp_path / "f.cfg", "rule = fixed-n\nrule_n = 50\nrule_cap = 20\n")
+        code = main(["mc-strong-calibration", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: fixed sample size 50 exceeds the rule cap 20\n"
+
+    def test_prior_grid_over_budget_exits_one_unallocated(self, tmp_path, capsys):
+        cfg = write(tmp_path / "g.cfg", "prior_grid = 1000000000000\n")
+        tracemalloc.start()
+        try:
+            code = main(["exact-calibration", "--config", cfg, "--out", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: prior grid 1000000000000 exceeds the budget of "
+                       f"{exact.MAX_PRIOR_GRID} atoms"]
+        assert peak < 2**20  # refused before any atom is built
 
     def test_draw_row_over_budget_exits_one(self, tmp_path, capsys):
         # one trial's draws up to this cap take 72 MB: refused on the cap alone,
@@ -304,17 +326,13 @@ class TestInvarianceCheckCli:
         text = (tmp_path / "out" / "records.csv").read_text()
         assert "raw-sum-squares" in text
 
-    def test_no_decided_probe_fails(self, tmp_path, capsys):
-        # every probe (lengths 2 to 12) is at or past cap 2, so none decides anything
+    def test_cap_below_the_fixed_n_probe_exits_one(self, tmp_path, capsys):
+        # the fixed-n probe is FixedN(8), which a cap of 2 would cut short; the
+        # no-decided-probe FAIL rule is covered in test_stopping's InvarianceReport tests
         cfg = write(tmp_path / "i.cfg", "trials = 200\nrule_cap = 2\n")
         code = main(["invariance-check", "--config", cfg, "--out", str(tmp_path / "out")])
-        assert code == 2
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[:2] == [
-            "bf-threshold: 0 mismatches in 200 trials (200 boundary skips) -> FAIL",
-            "fixed-n: 0 mismatches in 200 trials (200 boundary skips) -> FAIL",
-        ]
-        assert lines[-1] == "VERDICT: FAIL"
+        assert code == 1
+        assert capsys.readouterr().err == "error: fixed sample size 8 exceeds the rule cap 2\n"
 
     def test_cap_within_the_initial_sample_exits_one(self, tmp_path, capsys):
         cfg = write(tmp_path / "i.cfg", "trials = 200\nrule_cap = 1\n")
@@ -420,7 +438,7 @@ class TestEntryPoint:
             "    pair = InvariantModelPair.scale(prior)\n"
             "    pair.log_bf(x[:1]), pair.log_marginal_null(x) + pair.log_bf(x)\n"
             "    curves = ScaleBfCurves(pair)\n"
-            "    curves.log_bf_cells(4, curves.coordinate(np.array([0.3]), np.array([-0.5])))\n"
+            "    curves.log_bf_cells(4, prior.coordinate(np.array([0.3]), np.array([-0.5])))\n"
             "InvariantModelPair.location_scale(CauchyEffect(1.0)).log_marginal_null(x)\n"
         )
         proc = run_python("-c", code)

@@ -210,7 +210,8 @@ class TestAltMarginalAndBf:
             value = cauchy_pair.log_bf(x)
             assert math.isfinite(value)
             assert cauchy_pair.log_bf_many([x[:i] for i in range(1, n + 1)])[-1] == value
-            batch = curves.log_bf_cells(n, curves.coordinate(np.array([1.0]), np.array([1.0])))[0]
+            c = cauchy_pair.effect_prior.coordinate(np.array([1.0]), np.array([1.0]))
+            batch = curves.log_bf_cells(n, c)[0]
             assert abs(value - batch) <= 1e-8
 
     def test_trajectory_matches_log_bf_near_collinear(self, cauchy_pair, rng):
@@ -549,7 +550,7 @@ class TestCurves:
                 ]
             )
             t = np.copysign(np.sqrt(q), rng.standard_normal(q.size))
-            got = curves.log_bf_cells(n, curves.coordinate(q, t))
+            got = curves.log_bf_cells(n, prior.coordinate(q, t))
             exact = np.array([pair.log_bf_from_stats(n, float(qi), float(ti)) for qi, ti in zip(q, t)])
             assert np.max(np.abs(got - exact)) <= 1e-8
 
@@ -564,14 +565,14 @@ class TestCurves:
                 scalar()
             return array_log_m(k, b)
 
-        monkeypatch.setattr(models, "_cauchy_log_bf", scalar)
+        monkeypatch.setattr(CauchyEffect, "log_bf_stats", scalar)
         monkeypatch.setattr(models, "log_m", log_m_arrays_only)
         q = np.array([0.0, 0.5, 1.0 - 1e-6, 1.0 - 1e-12, Q_MAX, 1.0])
         t = np.sqrt(q) * np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
         for prior in (CauchyEffect(1.0), PointMass(0.8)):
             curves = ScaleBfCurves(InvariantModelPair.scale(prior))
             for n in (2, 3, 50, 1000):
-                assert np.all(np.isfinite(curves.log_bf_cells(n, curves.coordinate(q, t))))
+                assert np.all(np.isfinite(curves.log_bf_cells(n, prior.coordinate(q, t))))
 
     @pytest.mark.parametrize("prior", [CauchyEffect(1.0), PointMass(0.8)])
     @settings(max_examples=40, deadline=None)
@@ -580,5 +581,5 @@ class TestCurves:
         pair = InvariantModelPair.scale(prior)
         curves = curves_by_prior.setdefault(prior, ScaleBfCurves(pair))
         t = sign * math.sqrt(q)
-        batch = curves.log_bf_cells(n, curves.coordinate(np.array([q]), np.array([t])))[0]
+        batch = curves.log_bf_cells(n, prior.coordinate(np.array([q]), np.array([t])))[0]
         assert abs(pair.log_bf_from_stats(n, q, t) - batch) <= 1e-8

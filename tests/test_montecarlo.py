@@ -195,7 +195,8 @@ class TestStreamContract:
         for n in range(2, rule.cap + 1):
             q = min(max(s1[n - 1] ** 2 / (n * s2[n - 1]), 0.0), 1.0)
             t = math.copysign(math.sqrt(q), s1[n - 1])
-            lb = float(curves.log_bf_cells(n, curves.coordinate(np.array([q]), np.array([t])))[0])
+            c = pair.effect_prior.coordinate(np.array([q]), np.array([t]))
+            lb = float(curves.log_bf_cells(n, c)[0])
             if rule.decide(x[:n], lb):
                 return n, lb
 

@@ -1,8 +1,9 @@
 """The package's public surface: one public way to compute each quantity.
 
-Each removed name recomputed a quantity another public call gives; the
-comment beside it names that call.  An entry point that only tests use
-fails here if it comes back.
+Each removed name recomputed a quantity another public call gives, or
+branched on the effect prior's type where the prior now answers; the
+comment beside it names the call that replaces it.  An entry point that
+only tests use fails here if it comes back.
 """
 
 import optstop
@@ -52,6 +53,9 @@ REMOVED = [
     (exact.ExactTable, "total_mass1"),
     (montecarlo, "CalibrationBin"),  # the estimate's columns
     (montecarlo.CalibrationEstimate, "bins"),
+    (models.ScaleBfCurves, "coordinate"),  # pair.effect_prior.coordinate
+    (models, "_cauchy_log_bf"),  # CauchyEffect.log_bf_stats
+    (models.InvariantModelPair, "_log_bf_stats"),  # pair.effect_prior.log_bf_stats
 ]
 
 

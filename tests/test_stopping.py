@@ -56,6 +56,8 @@ class TestDecide:
             BfThreshold(upper=5.0, lower=7.0, cap=10)
         with pytest.raises(ValueError):
             FixedN(n=0)
+        with pytest.raises(ValueError, match="fixed sample size 11 exceeds the rule cap 10"):
+            FixedN(n=11, cap=10)  # would stop at the cap, not at n
         with pytest.raises(ValueError):
             RawStatistic(statistic=sum, threshold=1.0, cap=0)
 
@@ -79,7 +81,8 @@ class TestDecideBatch:
         kind = data.draw(st.sampled_from(["fixed-n", "one-sided", "two-sided", "sum-squares"]))
         boundaries = []
         if kind == "fixed-n":
-            rule = FixedN(n=data.draw(st.sampled_from([n]) | st.integers(1, 12)), cap=cap)
+            fixed = data.draw(st.sampled_from([n]) | st.integers(1, 12))
+            rule = FixedN(n=fixed, cap=max(cap, fixed))  # FixedN refuses n > cap
         elif kind == "sum-squares":
             threshold = data.draw(st.sampled_from([sum_sq]) | st.floats(0.0, 1200.0))
             rule = sum_squares_rule(threshold, cap=cap)
