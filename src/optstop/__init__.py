@@ -35,9 +35,9 @@ from .stopping import (
     InvarianceReport,
     RawStatistic,
     StoppingRule,
+    SumOfSquares,
     check_invariance,
     rule_from_params,
-    sum_squares_rule,
 )
 
 from . import exact, montecarlo  # noqa: E402  (submodule access)
@@ -70,6 +70,6 @@ __all__ = [
     "InvarianceReport",
     "check_invariance",
     "rule_from_params",
-    "sum_squares_rule",
+    "SumOfSquares",
     "__version__",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from . import exact, montecarlo
 from .core import SignificanceLevel, rewrite, write_csv
 from .errors import OptstopError
 from .models import CauchyEffect, InvariantModelPair, PointMass
-from .stopping import BfThreshold, FixedN, check_invariance, rule_from_params, sum_squares_rule
+from .stopping import BfThreshold, FixedN, SumOfSquares, check_invariance, rule_from_params
 
 class ConfigError(ValueError):
     pass
@@ -175,6 +176,8 @@ def _run_exact_table(cfg: ExperimentConfig, seed: int, out_dir: str, default_tol
     model = _finite_model(cfg)
     rule = _rule(cfg, default_cap=model.horizon)
     tol = cfg.get_float("tol", default_tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"tol must be a finite number >= 0, got {tol}")
     cfg.reject_unknown()
     table = exact.build_table(model, rule)
     body, lines, passed = check(table, tol)
@@ -367,13 +370,12 @@ def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
     rules = [
         ("bf-threshold", bf_rule),
         ("fixed-n", FixedN(n=8, cap=cap)),
-        ("raw-sum-squares", sum_squares_rule(raw_threshold, cap=cap)),
+        ("raw-sum-squares", SumOfSquares(raw_threshold, cap=cap)),
     ]
     rows, lines = [], []
     for name, rule in rules:
         report = check_invariance(rule, pair, trials=trials, rng=rng)
         found = report.counterexample is not None
-        ok = report.passed if rule.declared_invariant else found
         rows.append(
             {
                 "rule": name,
@@ -382,13 +384,13 @@ def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
                 "mismatches": report.mismatches,
                 "skipped_boundary": report.skipped_boundary,
                 "counterexample_found": found,
-                "passed": ok,
+                "passed": report.passed,
             }
         )
         if rule.declared_invariant:
             lines.append(
                 f"{name}: {report.mismatches} mismatches in {report.trials} trials "
-                f"({report.skipped_boundary} boundary skips) -> {_verdict(ok)}"
+                f"({report.skipped_boundary} boundary skips) -> {_verdict(report.passed)}"
             )
         else:
             detail = ""
@@ -396,8 +398,8 @@ def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
                 x, h = report.counterexample
                 detail = f" (x={np.array2string(x, precision=3)}, h={h:.3f})"
             lines.append(
-                f"{name}: counterexample {'found' if ok else 'NOT found'}{detail} -> "
-                f"{_verdict(ok)}"
+                f"{name}: counterexample {'found' if found else 'NOT found'}{detail} -> "
+                f"{_verdict(report.passed)}"
             )
     columns = ["rule", "declared_invariant", "trials", "mismatches", "skipped_boundary",
                "counterexample_found"]

@@ -55,19 +55,15 @@ class SignificanceLevel:
 class BfTrajectory:
     """Per-prefix log Bayes factors for one data sequence.
 
-    ``log_beta[i]`` holds log beta_n for n = start + i where
-    ``start = max(m, 1)``; ``m`` is the initial-sample size (0 for models
-    with proper priors).  All entries must be finite: the models in this
-    package are mutually absolutely continuous, so an infinite Bayes
-    factor signals a bug upstream, not evidence.
+    ``log_beta[i]`` holds log beta_n for n = i + 1.  All entries must be
+    finite: the models in this package are mutually absolutely
+    continuous, so an infinite Bayes factor signals a bug upstream, not
+    evidence.
     """
 
-    m: int
     log_beta: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError("initial-sample size m must be >= 0")
         if not self.log_beta:
             raise ValueError("trajectory must contain at least one value")
         object.__setattr__(self, "log_beta", tuple(float(v) for v in self.log_beta))
@@ -76,18 +72,14 @@ class BfTrajectory:
                 raise ValueError(f"log Bayes factors must be finite, got {v}")
 
     @property
-    def start(self) -> int:
-        return max(self.m, 1)
-
-    @property
     def end(self) -> int:
         """Largest n covered by the trajectory."""
-        return self.start + len(self.log_beta) - 1
+        return len(self.log_beta)
 
     def value_at(self, n: int) -> float:
-        if not (self.start <= n <= self.end):
-            raise ValueError(f"n={n} outside trajectory range [{self.start}, {self.end}]")
-        return self.log_beta[n - self.start]
+        if not (1 <= n <= self.end):
+            raise ValueError(f"n={n} outside trajectory range [1, {self.end}]")
+        return self.log_beta[n - 1]
 
 
 @dataclass(frozen=True)
@@ -115,7 +107,7 @@ class StopOutcome:
 def stop(traj: BfTrajectory, rule, data: Sequence) -> StopOutcome:
     """Apply a stopping rule to a trajectory and return the stopped value.
 
-    The rule is queried at n = m+1, m+2, ... in order; the first n at
+    The rule is queried at n = 1, 2, ... in order; the first n at
     which it fires (or at which its cap forces a stop) is the stop index.
     The stopped value is read from ``traj`` verbatim, never recomputed,
     so two rules stopping at the same n on the same data yield
@@ -127,8 +119,7 @@ def stop(traj: BfTrajectory, rule, data: Sequence) -> StopOutcome:
     if len(data) < traj.end:
         raise ValueError("data shorter than the trajectory it produced")
     data = np.asarray(data)  # prefixes below are views, not copies
-    first = max(traj.m + 1, traj.start)
-    for n in range(first, traj.end + 1):
+    for n in range(1, traj.end + 1):
         if rule.decide(data[:n], traj.value_at(n)):
             return StopOutcome(stop_index=n, stopped_log_beta=traj.value_at(n))
     return StopOutcome(stop_index=NEVER)

@@ -247,7 +247,7 @@ def trajectory_finite(model: FiniteModel, x: Sequence[int]) -> BfTrajectory:
     The one-row case of :func:`log_beta_paths`, so it equals the
     sequence's row of any batch bit for bit.
     """
-    return BfTrajectory(m=0, log_beta=tuple(log_beta_paths(model, [x])[0].tolist()))
+    return BfTrajectory(tuple(log_beta_paths(model, [x])[0].tolist()))
 
 
 def sample_sequence(model: FiniteModel, k: int, rng: np.random.Generator) -> Tuple[int, ...]:

@@ -98,7 +98,7 @@ from .core import NEVER, BfTrajectory, SignificanceLevel, rewrite, stop
 from .errors import OptstopError, ResourceLimitError
 from .exact import FiniteModel, log_beta_paths, sample_sequence
 from .models import InvariantModelPair, ScaleBfCurves
-from .stopping import BfThreshold, StoppingRule
+from .stopping import StoppingRule
 
 BLOCK_SIZE = 8192
 # steps a block advances between table reads (layout only: never changes a record)
@@ -643,7 +643,7 @@ def run_trials_finite(
         trials = range(lo, min(lo + chunk, n_trials))
         seqs = [sample_sequence(model, k, streams.at(t)) for t in trials]
         for seq, path in zip(seqs, log_beta_paths(model, seqs).tolist()):
-            outcome = stop(BfTrajectory(m=0, log_beta=path), rule, seq)
+            outcome = stop(BfTrajectory(path), rule, seq)
             assert outcome.stop_index is not NEVER  # cap <= horizon forces a stop
             stop_n.append(outcome.stop_index)
             stop_lb.append(outcome.stopped_log_beta)
@@ -854,19 +854,20 @@ def estimate_type1(
 ) -> Type1Estimate:
     """Fraction of trials whose stopped Bayes factor reached 1/alpha.
 
-    The records must come from ``BfThreshold(upper=1/alpha)`` itself,
-    with or without a ``lower`` bar; any other rule raises
-    ``ValueError``.  Read off another upper bar's records, the rate is
-    too low: a trial under a smaller bar stops at its first crossing of
-    it and never gets the chance to reach 1/alpha, and one under a
-    larger bar that crosses 1/alpha without reaching its own is recorded
-    at its final value.  A trial rejects where the rule's upper bar
-    stopped it, at log beta >= ``rule.log_upper`` (for some alpha one
-    ulp below -log(alpha)).
+    The records must come from a rule whose only upper bar is
+    log(1/alpha), such as ``BfThreshold(upper=1/alpha)`` with or without
+    a ``lower`` bar; any other rule raises ``ValueError``.  Read off
+    another upper bar's records, the rate is too low: a trial under a
+    smaller bar stops at its first crossing of it and never gets the
+    chance to reach 1/alpha, and one under a larger bar that crosses
+    1/alpha without reaching its own is recorded at its final value.  A
+    trial rejects where the upper bar stopped it, at log beta >= the bar
+    (for some alpha one ulp below -log(alpha)).
     """
     level = alpha if isinstance(alpha, SignificanceLevel) else SignificanceLevel(float(alpha))
     rule = records.rule
-    if not (isinstance(rule, BfThreshold) and rule.upper == 1.0 / level.alpha):
+    bar = math.log(1.0 / level.alpha)
+    if [b for b, above in rule.log_bars if above] != [bar]:
         raise ValueError(
             f"a Type-I rate at alpha = {level.alpha:g} needs records of "
             f"BfThreshold(upper={1.0 / level.alpha:g}), got {rule!r}"
@@ -874,7 +875,7 @@ def estimate_type1(
     lb = records.stopped_log_beta
     if lb.size == 0:
         raise ValueError("no records")
-    n_reject = int(np.count_nonzero(lb >= rule.log_upper))
+    n_reject = int(np.count_nonzero(lb >= bar))
     rate = n_reject / lb.size
     se = math.sqrt(rate * (1.0 - rate) / lb.size)
     lo, hi = wilson_interval(n_reject, lb.size)

@@ -13,19 +13,19 @@ Rules declare whether their decision is invariant under the model's
 group action.  The declaration is not trusted: ``check_invariance``
 probes it with randomized data and group elements, recomputing the Bayes
 factor on the transformed data.  Probes are drawn one after another in a
-fixed order; for a rule that reads the Bayes factor, a chunk of them is
-drawn first and evaluated by one exact-evaluator call, and decisions are
-then taken in probe order, so chunking changes neither the report nor
-the generator's final state.  Group transformations perturb the
-recomputed value at the rounding level, so decisions within 1e-10 of a
-rule's decision boundary are counted as inconclusive skips rather than
-failures.
+fixed order; for a declared-invariant rule a chunk of them is drawn
+first (with the Bayes factor of all of them from one exact-evaluator
+call when the rule reads it), and decisions are then taken in probe
+order, so chunking changes neither the report nor the generator's final
+state.  Group transformations perturb the recomputed value at the
+rounding level, so decisions within 1e-10 of a rule's decision boundary
+are counted as inconclusive skips rather than failures.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,31 +36,36 @@ PROBE_CHUNK = 1024
 
 
 class StoppingRule:
-    """Base class; concrete rules provide a firing test and boundary_gap().
+    """Base class: a rule's bars and running state make its decision.
 
     ``decide`` returns True (stop) at the first prefix where either the
     rule fires or the prefix length reaches the cap.  The caller is
     responsible for querying only after the initial sample (see
     ``check_start``); rules never see the initial sample alone.
 
+    A rule that reads log beta fires, before the cap, where log beta is
+    on the firing side of one of its ``log_bars``: pairs (bar, above)
+    that fire at log beta >= bar when ``above`` and at log beta <= bar
+    otherwise, and ``boundary_gap`` is the distance to the nearest bar.
+    The Monte Carlo engine turns each bar into a per-n bound on an
+    invariant coordinate and asks the rule only about the trials beyond
+    one.  Empty: the decision never reads log beta, and callers may pass
+    None for it.
+
     A rule whose decision reads the prefix only through the running
     state (n, log beta, sum of squares) states it once, elementwise, in
     ``_fires_at``; ``decide`` and its vector form ``decide_batch`` both
     go through it.  Rules that read the whole prefix override
     ``_fires`` instead and have no vector form.
-
-    A rule that reads log beta fires, before the cap, only where log
-    beta is on the firing side of one of its ``log_bars``: pairs
-    (bar, above) that fire at log beta >= bar when ``above`` and at
-    log beta <= bar otherwise.  The Monte Carlo engine turns each bar
-    into a per-n bound on an invariant coordinate and asks the rule only
-    about the trials beyond one.  Empty: the decision never reads log
-    beta, and callers may pass None for it.
     """
 
     cap: int
     declared_invariant: ClassVar[bool]
     log_bars: ClassVar[Tuple[Tuple[float, bool], ...]] = ()
+
+    def __post_init__(self) -> None:
+        if self.cap < 1:
+            raise ValueError(f"cap must be a positive sample size, got {self.cap}")
 
     def decide(self, prefix, log_beta: Optional[float] = None) -> bool:
         """Stop after ``prefix``?  ``log_beta`` is log beta at the full prefix."""
@@ -94,14 +99,21 @@ class StoppingRule:
         return self._fires_at(len(prefix), log_beta, None)
 
     def _fires_at(self, n, log_beta, sum_sq):
-        raise NotImplementedError(
-            f"{type(self).__name__} reads the whole prefix; it has no form over the "
-            "running state (n, log beta, sum of squares)"
-        )
+        if not self.log_bars:
+            raise NotImplementedError(
+                f"{type(self).__name__} reads the whole prefix; it has no form over the "
+                "running state (n, log beta, sum of squares)"
+            )
+        if log_beta is None:
+            raise ValueError(f"{type(self).__name__} needs the current log Bayes factor")
+        fires = False
+        for bar, above in self.log_bars:
+            fires = fires | (log_beta >= bar if above else log_beta <= bar)
+        return fires
 
     def boundary_gap(self, prefix, log_beta) -> float:
-        """Distance from the rule's decision boundary; inf when data-free."""
-        return math.inf
+        """Distance from the rule's decision boundary: to the nearest bar, inf with none."""
+        return min((abs(log_beta - bar) for bar, _ in self.log_bars), default=math.inf)
 
     def exposes_crossing(self, threshold: float) -> bool:
         """Does the Bayes factor up to this rule's stop reach ``threshold``
@@ -112,10 +124,6 @@ class StoppingRule:
         stopped path (``exact.verify_markov_bound``).
         """
         return False
-
-    def _check_cap(self) -> None:
-        if self.cap < 1:
-            raise ValueError(f"cap must be a positive sample size, got {self.cap}")
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,7 @@ class FixedN(StoppingRule):
             raise ValueError(f"fixed sample size must be >= 1, got {self.n}")
         if self.cap is None:
             object.__setattr__(self, "cap", self.n)
-        self._check_cap()
+        super().__post_init__()
         if self.n > self.cap:
             raise ValueError(f"fixed sample size {self.n} exceeds the rule cap {self.cap}")
 
@@ -152,7 +160,8 @@ class BfThreshold(StoppingRule):
     """Stop when the Bayes factor leaves [lower, upper].
 
     Thresholds are on the Bayes-factor scale; ``lower`` is optional
-    (one-sided rule).  The Bayes factor is a function of the maximal
+    (one-sided rule).  They become the rule's ``log_bars`` once, at
+    construction.  The Bayes factor is a function of the maximal
     invariant, so the rule is invariant whenever the model pair shares a
     group structure.
     """
@@ -167,42 +176,43 @@ class BfThreshold(StoppingRule):
             raise ValueError(f"upper threshold must be positive, got {self.upper}")
         if self.lower is not None and not (0 < self.lower < self.upper):
             raise ValueError(f"lower threshold must lie in (0, upper), got {self.lower}")
-        self._check_cap()
+        super().__post_init__()
+        bars = ((math.log(self.upper), True),)
+        if self.lower is not None:
+            bars += ((math.log(self.lower), False),)
+        object.__setattr__(self, "log_bars", bars)
 
     @property
     def log_upper(self) -> float:
-        return math.log(self.upper)
+        return self.log_bars[0][0]
 
     @property
     def log_lower(self) -> Optional[float]:
-        return None if self.lower is None else math.log(self.lower)
-
-    @property
-    def log_bars(self) -> Tuple[Tuple[float, bool], ...]:
-        upper = ((self.log_upper, True),)
-        return upper if self.lower is None else upper + ((self.log_lower, False),)
-
-    def _fires_at(self, n, log_beta, sum_sq):
-        if log_beta is None:
-            raise ValueError("BfThreshold needs the current log Bayes factor")
-        fires = log_beta >= self.log_upper
-        if self.lower is not None:
-            fires = fires | (log_beta <= self.log_lower)
-        return fires
+        return None if self.lower is None else self.log_bars[1][0]
 
     def exposes_crossing(self, threshold: float) -> bool:
         # a path stopped early has crossed upper >= threshold; the rest run to the cap
         return self.lower is None and self.upper >= threshold
 
+
+class _StatisticRule(StoppingRule):
+    """Stop once ``statistic`` of the prefix, mapped by ``_coords``, reaches ``threshold``."""
+
+    def _coords(self, prefix):
+        return prefix
+
+    def _value(self, prefix) -> float:
+        return float(self.statistic(np.asarray(self._coords(prefix), dtype=float)))
+
+    def _fires(self, prefix, log_beta) -> bool:
+        return self._value(prefix) >= self.threshold
+
     def boundary_gap(self, prefix, log_beta) -> float:
-        gap = abs(log_beta - self.log_upper)
-        if self.lower is not None:
-            gap = min(gap, abs(log_beta - self.log_lower))
-        return gap
+        return abs(self._value(prefix) - self.threshold)
 
 
 @dataclass(frozen=True)
-class InvariantStatistic(StoppingRule):
+class InvariantStatistic(_StatisticRule):
     """Stop when a statistic of the maximal invariant crosses a threshold.
 
     ``transform`` maps the raw prefix to maximal-invariant coordinates
@@ -217,26 +227,18 @@ class InvariantStatistic(StoppingRule):
     cap: int
     declared_invariant: ClassVar[bool] = True
 
-    def __post_init__(self) -> None:
-        self._check_cap()
-
-    def _value(self, prefix) -> float:
-        return float(self.statistic(np.asarray(self.transform(prefix), dtype=float)))
-
-    def _fires(self, prefix, log_beta) -> bool:
-        return self._value(prefix) >= self.threshold
-
-    def boundary_gap(self, prefix, log_beta) -> float:
-        return abs(self._value(prefix) - self.threshold)
+    def _coords(self, prefix):
+        return self.transform(prefix)
 
 
 @dataclass(frozen=True)
-class RawStatistic(StoppingRule):
+class RawStatistic(_StatisticRule):
     """Stop when a statistic of the raw prefix crosses a threshold.
 
-    Deliberately not invariant in general; the canonical example is
-    'stop once the sum of squares exceeds 20', which reacts to the scale
-    of the data and is therefore inadmissible for the group results.
+    Deliberately not invariant in general: a statistic of the raw data
+    (its sum, say) reacts to the scale of the data, which makes the rule
+    inadmissible for the group results; ``SumOfSquares`` is the
+    canonical case.
     """
 
     statistic: Callable[[np.ndarray], float]
@@ -244,40 +246,32 @@ class RawStatistic(StoppingRule):
     cap: int
     declared_invariant: ClassVar[bool] = False
 
-    def __post_init__(self) -> None:
-        self._check_cap()
-
-    def _value(self, prefix) -> float:
-        return float(self.statistic(np.asarray(prefix, dtype=float)))
-
-    def _fires(self, prefix, log_beta) -> bool:
-        return self._value(prefix) >= self.threshold
-
-    def boundary_gap(self, prefix, log_beta) -> float:
-        return abs(self._value(prefix) - self.threshold)
-
-
-def _sum_of_squares(x: np.ndarray) -> float:
-    return float(np.dot(x, x))
-
 
 @dataclass(frozen=True)
-class SumOfSquares(RawStatistic):
-    """The raw statistic sum(x_i^2), which the running state also carries."""
+class SumOfSquares(StoppingRule):
+    """The standard inadmissible rule: stop once sum(x_i^2) >= threshold.
 
-    statistic: Callable[[np.ndarray], float] = field(init=False, repr=False)
+    It reads the running state (n, log beta, sum of squares) and reacts
+    to the scale of the data, so it is not invariant.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "statistic", _sum_of_squares)
-        super().__post_init__()
+    threshold: float
+    cap: int
+    declared_invariant: ClassVar[bool] = False
+
+    @staticmethod
+    def _sum_sq(prefix) -> float:
+        x = np.asarray(prefix, dtype=float)
+        return float(np.dot(x, x))
+
+    def _fires(self, prefix, log_beta) -> bool:
+        return self._fires_at(len(prefix), log_beta, self._sum_sq(prefix))
 
     def _fires_at(self, n, log_beta, sum_sq):
         return sum_sq >= self.threshold
 
-
-def sum_squares_rule(threshold: float, cap: int) -> SumOfSquares:
-    """The standard inadmissible rule: stop once sum(x_i^2) >= threshold."""
-    return SumOfSquares(threshold=threshold, cap=cap)
+    def boundary_gap(self, prefix, log_beta) -> float:
+        return abs(self._sum_sq(prefix) - self.threshold)
 
 
 # kind -> (constructor, required parameters, optional parameters); each
@@ -322,10 +316,12 @@ def rule_from_params(kind: str, cap: int, **params) -> StoppingRule:
 class InvarianceReport:
     """Outcome of a randomized invariance probe of one rule.
 
-    It passes with no mismatch and at least one decided probe: a probe at
-    or past the cap, or within the boundary band, is skipped and decides
-    nothing.  A declared-invariant rule is probed ``trials`` times, so
-    that is fewer skips than trials.
+    A declared-invariant rule passes with no mismatch and at least one
+    decided probe: a probe at or past the cap, or within the boundary
+    band, is skipped and decides nothing.  It is probed ``trials`` times,
+    so that is fewer skips than trials.  A rule not declared invariant
+    passes when the probe refutes its invariance: a counterexample was
+    found.
     """
 
     rule_kind: str
@@ -337,6 +333,8 @@ class InvarianceReport:
 
     @property
     def passed(self) -> bool:
+        if not self.declared_invariant:
+            return self.counterexample is not None
         return self.mismatches == 0 and self.skipped_boundary < self.trials
 
 
@@ -363,11 +361,11 @@ def check_invariance(rule: StoppingRule, pair, trials: int, rng: np.random.Gener
     rules any disagreement outside the boundary band counts as a
     mismatch; for raw rules the probe stops at the first counterexample.
 
-    Probes are drawn in order, in chunks: a declared-invariant rule with
-    ``log_bars`` takes PROBE_CHUNK probes at a time and has log beta of
+    Probes are drawn in order, in chunks: a declared-invariant rule takes
+    PROBE_CHUNK probes at a time and, with ``log_bars``, has log beta of
     all of the chunk's x and x.h (below the cap) from one
-    ``log_bf_many`` call; any other rule reads no log beta or may stop
-    early, and takes one probe at a time.  Decisions are then made in
+    ``log_bf_many`` call; a raw rule stops at its first counterexample,
+    and takes one probe at a time.  Decisions are then made in
     probe order, so the report and the generator's final state are those
     of probing one trial at a time.  A sample the pair rejects raises
     as it would there, once the rest of its chunk has been drawn.  A rule
@@ -377,7 +375,7 @@ def check_invariance(rule: StoppingRule, pair, trials: int, rng: np.random.Gener
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rule.check_start(pair.m)
-    chunk = PROBE_CHUNK if rule.log_bars and rule.declared_invariant else 1
+    chunk = PROBE_CHUNK if rule.declared_invariant else 1
     mismatches = 0
     skipped = 0
     counterexample = None

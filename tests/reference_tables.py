@@ -12,7 +12,8 @@ n (built by the curves object itself) is read with a single-piece fast
 path or a loop over the pieces present, each a plain
 ``numpy.polynomial.chebyshev.chebval``.  It forms the table coordinate
 itself (xi = log(1 - q) with q clamped at Q_MAX, or the signed t) and
-gives its own zeros for the zero point mass, without reading a table.
+gives its own zeros for the zero point mass, without reading a table;
+``read_per_n`` is its read at given table coordinates.
 It shares no evaluation code with ``ScaleBfCurves.log_bf_cells``, which
 must match it bit for bit: +0.0 for the zero point mass.
 """
@@ -52,11 +53,16 @@ def log_bf_per_n(curves, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndar
     prior = curves._prior
     if isinstance(prior, PointMass) and prior.delta0 == 0.0:
         return np.zeros_like(q)
-    edges, coeffs = curves._table(n)
     if isinstance(prior, CauchyEffect):
         coord = np.log1p(-np.minimum(q, Q_MAX))
     else:
         coord = np.asarray(t_signed, dtype=float)
+    return read_per_n(curves, n, coord)
+
+
+def read_per_n(curves, n: int, coord: np.ndarray) -> np.ndarray:
+    """The table at n read at table coordinates: on a piece edge, the piece that starts there."""
+    edges, coeffs = curves._table(n)
     coord = np.clip(coord, edges[0], edges[-1])
     if len(coeffs) == 1:
         lo, hi = edges

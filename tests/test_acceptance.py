@@ -38,7 +38,7 @@ from optstop.montecarlo import (
     estimate_type1,
     run_trials,
 )
-from optstop.stopping import BfThreshold, FixedN, check_invariance, sum_squares_rule
+from optstop.stopping import BfThreshold, FixedN, SumOfSquares, check_invariance
 
 SEED = 3  # pinned Monte Carlo seed for the statistical criteria
 N_TRIALS = 100_000
@@ -287,7 +287,7 @@ def test_criterion_11_invariance_checker(cauchy_pair):
     rng = np.random.default_rng(515151)
     bf_report = check_invariance(BfThreshold(upper=20.0, cap=1000), cauchy_pair, 10_000, rng)
     fixed_report = check_invariance(FixedN(n=8, cap=1000), cauchy_pair, 10_000, rng)
-    raw_report = check_invariance(sum_squares_rule(20.0, cap=1000), cauchy_pair, 10_000, rng)
+    raw_report = check_invariance(SumOfSquares(20.0, cap=1000), cauchy_pair, 10_000, rng)
     passed = bf_report.passed and fixed_report.passed and raw_report.counterexample is not None
     record_criterion(
         11,

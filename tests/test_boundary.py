@@ -26,7 +26,7 @@ from optstop.models import (
 from optstop.montecarlo import run_marginal_trials, run_trials
 from optstop.stopping import BfThreshold, FixedN, SumOfSquares
 from reference_kernel import run_block_per_step
-from reference_tables import fit_per_n, log_bf_per_n
+from reference_tables import fit_per_n, log_bf_per_n, read_per_n
 
 PRIORS = [
     CauchyEffect(0.01),
@@ -182,6 +182,16 @@ def test_narrow_prior_tables_have_pieces():
     for r in (0.01, 0.1):
         curves = montecarlo._curves_for(InvariantModelPair.scale(CauchyEffect(r)))
         assert len(curves._table(CAP)[1]) > 1
+
+
+@pytest.mark.parametrize("r", [0.01, 0.1])
+def test_read_on_an_inner_piece_edge_takes_the_piece_that_starts_there(r):
+    """A table coordinate exactly on an inner piece edge reads as ``searchsorted``, side right."""
+    curves = ScaleBfCurves(InvariantModelPair.scale(CauchyEffect(r)))
+    inner = curves._table(CAP)[0][1:-1]
+    assert inner.size > 1
+    got = curves._cells(np.full(inner.size, CAP), inner)
+    assert got.tobytes() == read_per_n(curves, CAP, inner).tobytes()
 
 
 def spy_builds(monkeypatch, curves):

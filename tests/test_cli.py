@@ -74,6 +74,20 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err == "error: fixed sample size 50 exceeds the rule cap 20\n"
 
+    @pytest.mark.parametrize("kind", ["exact-calibration", "exact-expectation"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_tol_not_finite_and_nonnegative_exits_one(self, tmp_path, capsys, monkeypatch, kind,
+                                                      tol):
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(exact, "build_table", no_table)
+        cfg = write(tmp_path / "t.cfg", f"horizon = 6\nrule_upper = 3\ntol = {tol}\n")
+        code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: tol must be a finite number >= 0, got {float(tol)}"]
+
     def test_prior_grid_over_budget_exits_one_unallocated(self, tmp_path, capsys):
         cfg = write(tmp_path / "g.cfg", "prior_grid = 1000000000000\n")
         tracemalloc.start()

@@ -28,21 +28,17 @@ class TestSignificanceLevel:
 
 class TestTrajectory:
     def test_indexing(self):
-        traj = BfTrajectory(m=1, log_beta=(0.1, 0.2, 0.3))
-        assert traj.start == 1 and traj.end == 3
-        assert traj.value_at(2) == 0.2
-
-    def test_m_zero_starts_at_one(self):
-        traj = BfTrajectory(m=0, log_beta=(0.5,))
-        assert traj.start == 1
+        traj = BfTrajectory(log_beta=(0.1, 0.2, 0.3))
+        assert traj.end == 3
+        assert traj.value_at(1) == 0.1 and traj.value_at(2) == 0.2
 
     def test_rejects_nonfinite_entries(self):
         with pytest.raises(ValueError):
-            BfTrajectory(m=0, log_beta=(0.0, math.inf))
+            BfTrajectory(log_beta=(0.0, math.inf))
 
-    @pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (1, 4), (2, 1), (2, 5)])
-    def test_value_at_rejects_n_outside_range(self, m, n):
-        traj = BfTrajectory(m=m, log_beta=(0.7, -0.1, 2.0))
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_value_at_rejects_n_outside_range(self, n):
+        traj = BfTrajectory(log_beta=(0.7, -0.1, 2.0))
         with pytest.raises(ValueError, match="outside trajectory range"):
             traj.value_at(n)
 
@@ -53,7 +49,7 @@ class TestStop:
         # beta_n = 2^n / (n+1), evaluated with the same float expression
         # the threshold tests use (log of the ratio)
         values = [math.log(2.0**n / (n + 1.0)) for n in range(1, length + 1)]
-        return BfTrajectory(m=0, log_beta=tuple(values))
+        return BfTrajectory(log_beta=tuple(values))
 
     def test_fixed_n(self):
         traj = self._bernoulli_ones_traj(8)
@@ -62,7 +58,7 @@ class TestStop:
         assert out.stopped_log_beta == traj.value_at(5)
 
     def test_cap_clause(self):
-        traj = BfTrajectory(m=0, log_beta=tuple([0.0] * 10))
+        traj = BfTrajectory(log_beta=tuple([0.0] * 10))
         out = stop(traj, BfThreshold(upper=20.0, cap=10), data=[0] * 10)
         assert out.stop_index == 10
         assert out.stopped_log_beta == 0.0
@@ -75,7 +71,7 @@ class TestStop:
         assert math.exp(out.stopped_log_beta) == pytest.approx(4.0 / 3.0, abs=1e-15)
 
     def test_never_when_cap_beyond_data(self):
-        traj = BfTrajectory(m=0, log_beta=(0.0, 0.0, 0.0))
+        traj = BfTrajectory(log_beta=(0.0, 0.0, 0.0))
         out = stop(traj, BfThreshold(upper=20.0, cap=100), data=[0, 0, 0])
         assert out.stop_index is NEVER
         assert not out.stopped
@@ -112,7 +108,7 @@ class TestStop:
 )
 def test_stop_reads_trajectory_verbatim(values, n1, n2):
     """Any two rules stopping at the same index yield bit-identical values."""
-    traj = BfTrajectory(m=0, log_beta=tuple(values))
+    traj = BfTrajectory(log_beta=tuple(values))
     n1 = min(n1, traj.end)
     n2 = min(n2, traj.end)
     data = list(range(traj.end))

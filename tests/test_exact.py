@@ -20,7 +20,7 @@ from optstop.exact import (
     verify_markov_bound,
 )
 from optstop.montecarlo import estimate_stopped_bf_mean, estimate_type1, run_trials_finite
-from optstop.stopping import BfThreshold, FixedN, sum_squares_rule
+from optstop.stopping import BfThreshold, FixedN, SumOfSquares
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +246,7 @@ class TestVerifiers:
             BfThreshold(upper=5.0, cap=10),  # stops before beta could reach 100
             BfThreshold(upper=100.0, lower=0.5, cap=10),  # stops paths that fall low
             FixedN(n=6, cap=10),
-            sum_squares_rule(3.0, cap=10),
+            SumOfSquares(3.0, cap=10),
         ):
             with pytest.raises(ValueError, match="cannot show whether beta reached 100"):
                 verify_markov_bound(build_table(bernoulli10, rule), [level])

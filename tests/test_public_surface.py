@@ -1,13 +1,14 @@
 """The package's public surface: one public way to compute each quantity.
 
-Each removed name recomputed a quantity another public call gives, or
-branched on the effect prior's type where the prior now answers; the
-comment beside it names the call that replaces it.  An entry point that
+Each removed name recomputed a quantity another public call gives,
+branched on the effect prior's type where the prior now answers, or was
+a second constructor or an offset that only ever held one value; the
+comment beside it names what replaces it.  An entry point that
 only tests use fails here if it comes back.
 """
 
 import optstop
-from optstop import core, exact, models, montecarlo
+from optstop import core, exact, models, montecarlo, stopping
 
 PUBLIC = [
     "NEVER",
@@ -35,7 +36,7 @@ PUBLIC = [
     "InvarianceReport",
     "check_invariance",
     "rule_from_params",
-    "sum_squares_rule",
+    "SumOfSquares",
     "__version__",
 ]
 
@@ -56,6 +57,8 @@ REMOVED = [
     (models.ScaleBfCurves, "coordinate"),  # pair.effect_prior.coordinate
     (models, "_cauchy_log_bf"),  # CauchyEffect.log_bf_stats
     (models.InvariantModelPair, "_log_bf_stats"),  # pair.effect_prior.log_bf_stats
+    (stopping, "sum_squares_rule"),  # SumOfSquares(threshold, cap)
+    (core.BfTrajectory, "start"),  # always 1
 ]
 
 

@@ -12,9 +12,9 @@ from optstop.stopping import (
     InvarianceReport,
     InvariantStatistic,
     RawStatistic,
+    SumOfSquares,
     check_invariance,
     rule_from_params,
-    sum_squares_rule,
 )
 from reference_invariance import check_invariance_sequential
 
@@ -36,7 +36,7 @@ class TestDecide:
         assert rule.decide([1.0] * 5, None)
 
     def test_raw_statistic_direct_arithmetic(self):
-        rule = sum_squares_rule(20.0, cap=100)
+        rule = SumOfSquares(20.0, cap=100)
         assert rule.decide([3.0, 3.0, 2.0], None)  # 9 + 9 + 4 = 22 >= 20
         assert not rule.decide([3.0, 2.0], None)
 
@@ -64,7 +64,38 @@ class TestDecide:
     def test_declared_invariance_flags(self):
         assert FixedN(n=3).declared_invariant
         assert BfThreshold(upper=2.0, cap=5).declared_invariant
-        assert not sum_squares_rule(1.0, cap=5).declared_invariant
+        assert not SumOfSquares(1.0, cap=5).declared_invariant
+
+
+class TestBars:
+    """A rule's ``log_bars`` make its threshold decisions and measure its boundary gap."""
+
+    RULES = {
+        "one-sided": BfThreshold(upper=20.0, cap=100),
+        "two-sided": BfThreshold(upper=5.0, lower=0.2, cap=100),
+    }
+
+    def test_bars_are_the_thresholds_logs(self):
+        assert self.RULES["one-sided"].log_bars == ((math.log(20.0), True),)
+        assert self.RULES["two-sided"].log_bars == ((math.log(5.0), True), (math.log(0.2), False))
+        assert FixedN(n=3).log_bars == ()
+
+    @pytest.mark.parametrize("rule", RULES.values(), ids=RULES.keys())
+    def test_each_bar_fires_on_itself(self, rule):
+        for bar, above in rule.log_bars:
+            inside = np.nextafter(bar, -math.inf if above else math.inf)
+            assert rule.decide([0.0] * 3, bar)
+            assert not rule.decide([0.0] * 3, inside)
+            batch = rule.decide_batch(np.array([3, 3]), np.array([bar, inside]), np.zeros(2))
+            assert batch.tolist() == [True, False]
+
+    def test_boundary_gap_is_the_distance_to_the_nearest_bar(self):
+        up, low = math.log(5.0), math.log(0.2)
+        for lb in (up + 0.3, up - 0.1, 0.0, low + 0.2, low - 1.0):
+            gap = self.RULES["two-sided"].boundary_gap([0.0], lb)
+            assert gap == min(abs(lb - up), abs(lb - low))
+        assert self.RULES["one-sided"].boundary_gap([0.0], -1.0) == abs(-1.0 - math.log(20.0))
+        assert FixedN(n=3).boundary_gap([0.0], None) == math.inf
 
 
 class TestDecideBatch:
@@ -85,7 +116,7 @@ class TestDecideBatch:
             rule = FixedN(n=fixed, cap=max(cap, fixed))  # FixedN refuses n > cap
         elif kind == "sum-squares":
             threshold = data.draw(st.sampled_from([sum_sq]) | st.floats(0.0, 1200.0))
-            rule = sum_squares_rule(threshold, cap=cap)
+            rule = SumOfSquares(threshold, cap=cap)
         else:
             upper = math.exp(data.draw(st.floats(-3.0, 3.0)))
             lower = upper * data.draw(st.floats(0.01, 0.99)) if kind == "two-sided" else None
@@ -141,16 +172,16 @@ class TestCheckInvariance:
 
     def test_sum_squares_counterexample_found(self, rng):
         pair = InvariantModelPair.scale(CauchyEffect(1.0))
-        report = check_invariance(sum_squares_rule(20.0, cap=1000), pair, 1000, rng)
+        report = check_invariance(SumOfSquares(20.0, cap=1000), pair, 1000, rng)
         assert report.counterexample is not None
         x, h = report.counterexample
         # the reported pair really does flip the decision
-        rule = sum_squares_rule(20.0, cap=1000)
+        rule = SumOfSquares(20.0, cap=1000)
         assert rule.decide(x, None) != rule.decide(np.asarray(x) * h, None)
 
     def test_sum_squares_hand_example(self):
         # x = (1,1,1): sum 3 < 20; scaled by 5: sum 75 >= 20
-        rule = sum_squares_rule(20.0, cap=100)
+        rule = SumOfSquares(20.0, cap=100)
         assert not rule.decide([1.0, 1.0, 1.0], None)
         assert rule.decide([5.0, 5.0, 5.0], None)
 
@@ -173,18 +204,31 @@ class TestCheckInvariance:
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize(
-        "mismatches, skipped, passed",
-        [(0, 0, True), (0, 9, True), (0, 10, False), (1, 0, False), (1, 10, False)],
+        "declared, mismatches, skipped, found, passed",
+        [
+            (True, 0, 0, False, True),
+            (True, 0, 9, False, True),
+            (True, 0, 10, False, False),
+            (True, 1, 0, False, False),
+            (True, 1, 10, False, False),
+            # a raw rule passes when its invariance is refuted
+            (False, 1, 0, True, True),
+            (False, 0, 0, False, False),
+            (False, 0, 10, False, False),
+        ],
     )
-    def test_report_passes_on_a_decided_probe_without_mismatch(self, mismatches, skipped, passed):
-        report = InvarianceReport("bf-threshold", True, 10, mismatches, skipped)
+    def test_report_passes_on_a_decided_probe_without_mismatch(
+        self, declared, mismatches, skipped, found, passed
+    ):
+        counterexample = (np.ones(3), 2.0) if found else None
+        report = InvarianceReport("rule", declared, 10, mismatches, skipped, counterexample)
         assert report.passed is passed
 
     def test_location_scale_group_probe(self, rng):
         pair = InvariantModelPair.location_scale(PointMass(0.0))
         ok = check_invariance(FixedN(n=6, cap=1000), pair, 300, rng)
         assert ok.passed
-        bad = check_invariance(sum_squares_rule(10.0, cap=1000), pair, 500, rng)
+        bad = check_invariance(SumOfSquares(10.0, cap=1000), pair, 500, rng)
         assert bad.counterexample is not None
 
 
@@ -197,6 +241,9 @@ class BfOrSquares(BfThreshold):
         return log_beta >= self.log_upper or float(np.dot(prefix, prefix)) >= 20.0
 
 
+SCALE_PAIR = InvariantModelPair.scale(CauchyEffect(1.0))
+
+
 class TestChunkedProbe:
     """Chunked evaluation gives the sequential probe's report and generator state."""
 
@@ -205,14 +252,21 @@ class TestChunkedProbe:
         BfThreshold(upper=5.0, lower=0.2, cap=1000),
         BfThreshold(upper=3.0, lower=0.5, cap=7),  # some probes reach the cap
         FixedN(n=8, cap=1000),
-        sum_squares_rule(20.0, cap=1000),
+        SumOfSquares(20.0, cap=1000),
         BfOrSquares(upper=20.0, cap=1000),
+        InvariantStatistic(
+            statistic=lambda coords: float(np.max(np.abs(coords))),
+            threshold=2.5,
+            transform=lambda prefix: SCALE_PAIR.maximal_invariant(prefix).coords,
+            cap=1000,
+        ),
     ]
 
     @pytest.mark.parametrize("seed", [3, 11, 2024])
     @pytest.mark.parametrize(
         "rule", RULES,
-        ids=["bf-upper", "bf-two-sided", "bf-cap-7", "fixed-n", "sum-squares", "bf-or-squares"],
+        ids=["bf-upper", "bf-two-sided", "bf-cap-7", "fixed-n", "sum-squares", "bf-or-squares",
+             "invariant-statistic"],
     )
     def test_matches_sequential_reference(self, rule, seed):
         pair = InvariantModelPair.scale(CauchyEffect(1.0))
