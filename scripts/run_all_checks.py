@@ -2,8 +2,10 @@
 """Run every bundled experiment config and summarize the verdicts.
 
 Writes one output directory per experiment under --out (default
-results/) and prints a final table: each experiment's verdict and its
-wall seconds (stdout only; the output directories do not hold them).
+results/) and prints a final table: each experiment's verdict, its wall
+seconds and its CPU seconds, this process's plus those of the worker
+processes its Monte Carlo runs fork (stdout only; the output directories
+do not hold them).
 Exit code 0 iff every experiment's
 contracts passed; a package or configuration error stops the sweep with
 ``error: <message>`` on stderr and exit code 1.  Expect the full sweep
@@ -55,16 +57,22 @@ def run_sweep(args: argparse.Namespace) -> int:
                     config[key] = value
         out_dir = os.path.join(args.out, kind)
         print(f"=== {kind} -> {out_dir}")
-        start = time.perf_counter()
+        start, cpu = time.perf_counter(), cpu_seconds()
         code = run(kind, config, args.seed, out_dir)
-        outcomes.append((kind, code, time.perf_counter() - start))
+        outcomes.append((kind, code, time.perf_counter() - start, cpu_seconds() - cpu))
         print()
 
     print("summary:")
-    for kind, code, seconds in outcomes:
+    for kind, code, wall, cpu in outcomes:
         verdict = "PASS" if code == 0 else f"FAIL (exit {code})"
-        print(f"  {kind:28s} {verdict:13s} {seconds:8.2f} s")
-    return 0 if all(code == 0 for _, code, _ in outcomes) else 2
+        print(f"  {kind:28s} {verdict:13s} {wall:8.2f} s wall {cpu:8.2f} s cpu")
+    return 0 if all(code == 0 for _, code, _, _ in outcomes) else 2
+
+
+def cpu_seconds() -> float:
+    """CPU seconds spent by this process and by its children it has waited for."""
+    t = os.times()
+    return t.user + t.system + t.children_user + t.children_system
 
 
 if __name__ == "__main__":

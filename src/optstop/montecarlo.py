@@ -26,11 +26,33 @@ Reproducibility model
     ``DRAW_BUFFER_BYTES`` of observation draws (an effect's leading
     normals ride along), each block in memory mappings of its own
     (``_draw_buffer``) that are returned to the system when the block
-    is done with them, and run one after another; their records are
-    concatenated in trial order.  A run whose single row of observation
-    draws would exceed that budget, or whose records would take more
-    than ``RECORD_BUDGET_BYTES``, is refused with ``ResourceLimitError``
+    is done with them.  A run whose single row of observation draws
+    would exceed that budget, or whose records would take more than
+    ``RECORD_BUDGET_BYTES``, is refused with ``ResourceLimitError``
     before any table is built.
+
+Worker processes
+    A run splits its trials into W contiguous groups of equal size (to a
+    trial).  The calling process runs the first group and one
+    ``os.fork``ed child per other group runs another, all at once; each
+    process runs its group in blocks, one after another, one block's
+    draws mapped at a time, and each group keeps its own lazy-head
+    history, so every group's first block draws full rows.  Every table
+    and boundary a rule's bars need, and the table at the cap, are built
+    before the fork, so the children inherit them.  Each process writes its trials'
+    records at their trial offsets into the run's record columns, one
+    shared anonymous mapping the caller makes before the fork.  Since a
+    trial's draws depend on nothing but its stream, the records do not
+    depend on W.  W is the least of ``worker_count()`` (the usable CPUs
+    on Linux with ``os.fork``, else 1), the number of blocks and the
+    count whose blocks' draws together fit ``RUN_DRAW_BYTES`` (4 x
+    ``DRAW_BUFFER_BYTES`` = 256 MiB: 4 processes at cap 1000, 20 at cap
+    200); it is 1, and the run forks nothing, when the process runs
+    another Python thread, since a fork would copy a lock that thread
+    may hold.  A child leaves through ``os._exit`` and sends a failure's
+    message back on a pipe; the caller reaps every child before it
+    returns or raises, kills them first when it raises itself, and
+    raises ``OptstopError`` for a child that failed or died.
 
 Records
     A run returns one :class:`TrialRecords` batch: an array each of stop
@@ -84,11 +106,17 @@ Pass criteria
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import math
 import mmap
+import os
+import select
+import signal
 import struct
+import sys
+import threading
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -106,6 +134,8 @@ STEP_CHUNK = 8
 # a block's draws, (trials x draws per trial) doubles, take at most this;
 # a long cap gets fewer trials per block (block layout never changes a record)
 DRAW_BUFFER_BYTES = 64 * 2**20
+# a run's processes together map at most this of draws, a block each
+RUN_DRAW_BYTES = 4 * DRAW_BUFFER_BYTES
 # a block after the first draws its rows only up to the first chunk's end past
 # which at most 1 in LAZY_TAIL of the earlier trials ran, if that lies within
 # half the cap (layout only: never changes a record)
@@ -269,12 +299,14 @@ def _run_block(
     seed: int,
     x_init: Optional[float],
     lb_offset: float,
+    bounds: list,
     head: int,
 ) -> TrialRecords:
     """Run trials [lo, hi) in lockstep and return their records in order.
 
-    Each trial draws its row up to step ``head`` up front; the trials
-    still running past it replay their rows to the cap.
+    ``bounds`` holds each bar of the rule as (``ScaleBfCurves.boundary``,
+    above).  Each trial draws its row up to step ``head`` up front; the
+    trials still running past it replay their rows to the cap.
     """
     size = hi - lo
     marginal = x_init is not None
@@ -334,11 +366,6 @@ def _run_block(
         """log beta at cells (n, coordinate): one table read."""
         return curves.log_bf_cells(ns, c) - lb_offset
 
-    # each bar of the rule as per-n bounds on the coordinate log beta increases
-    # in; the tables are read only on the cells beyond a bound
-    bounds = [
-        (curves.boundary(bar + lb_offset, rule.cap, above), above) for bar, above in rule.log_bars
-    ]
     row = np.arange(size)  # each trial's row of draws
 
     def advance(act: np.ndarray, steps: range) -> list:
@@ -455,27 +482,72 @@ def _lazy_head(stops: np.ndarray) -> int:
     return int(few[0]) if total and few.size else stops.size - 1
 
 
-def _run_blocks(fn, n_trials: int, rule: StoppingRule, marginal: bool) -> TrialRecords:
-    """Concatenate ``fn(lo, hi, head)`` over blocks whose draws fit DRAW_BUFFER_BYTES.
+def worker_count() -> int:
+    """The processes a run may split its blocks over.
 
-    Each block gets the head (``_lazy_head``) that the blocks before it
-    call for.  ``OptstopError`` if a trial stopped at a non-finite log
-    beta: the records of such a run would pass or fail a check on NaN
-    comparisons.  So numpy's floating-point warnings, in the kernel and
-    in the tables it builds, are not shown.
+    The usable CPUs on Linux, which has ``os.fork``; 1 anywhere else.
     """
-    # >= 1: see _validate_run
-    rows = min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * _draws_per_trial(rule, marginal)))
-    stops = np.zeros(rule.cap + 1, dtype=np.int64)
-    blocks = []
-    with np.errstate(all="ignore"):
-        for lo in range(0, n_trials, rows):
-            blocks.append(fn(lo, min(lo + rows, n_trials), _lazy_head(stops)))
-            stops += np.bincount(blocks[-1].stop_index, minlength=stops.size)
-    records = replace(
-        blocks[0],
-        **{c: np.concatenate([getattr(b, c) for b in blocks]) for c in blocks[0]._trial_columns()},
-    )
+    if sys.platform.startswith("linux") and hasattr(os, "fork"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _run_blocks(
+    pair: InvariantModelPair,
+    k: int,
+    g: Optional[float],
+    rule: StoppingRule,
+    key64: int,
+    n_trials: int,
+    seed: int,
+    x_init: Optional[float],
+    lb_offset: float,
+) -> TrialRecords:
+    """Run trials [0, n_trials) in blocks whose draws fit DRAW_BUFFER_BYTES, over W processes.
+
+    See the module docstring for the groups of trials and the choice of
+    W.  Each block gets the head (``_lazy_head``) that the blocks before
+    it in its group call for.  ``OptstopError`` if a worker failed, or if
+    a trial stopped at a non-finite log beta: the records of such a run
+    would pass or fail a check on NaN comparisons.  So numpy's
+    floating-point warnings, in the kernel and in the tables it builds,
+    are not shown.
+    """
+    marginal = x_init is not None
+    per_trial = _draws_per_trial(rule, marginal)
+    rows = min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * per_trial))  # >= 1: see _validate_run
+    n_blocks = -(-n_trials // rows)
+    workers = min(worker_count(), n_blocks, max(1, RUN_DRAW_BYTES // (8 * rows * per_trial)))
+    if threading.active_count() > 1:
+        workers = 1
+    columns = _record_columns(n_trials, marginal)
+    curves = _curves_for(pair)
+
+    def run_group(trials: range) -> None:
+        stops = np.zeros(rule.cap + 1, dtype=np.int64)
+        for lo in range(trials.start, trials.stop, rows):
+            hi = min(lo + rows, trials.stop)
+            records = _run_block(
+                pair, curves, k, g, rule, key64, lo, hi, seed, x_init, lb_offset, bounds,
+                _lazy_head(stops),
+            )
+            for name, column in columns.items():
+                column[lo:hi] = getattr(records, name)
+            stops += np.bincount(records.stop_index, minlength=stops.size)
+
+    with np.errstate(all="ignore"):  # entered before the fork: the children inherit it
+        # each bar of the rule as per-n bounds on the coordinate log beta
+        # increases in; the tables are read only on the cells beyond a bound
+        bounds = [
+            (curves.boundary(bar + lb_offset, rule.cap, above), above)
+            for bar, above in rule.log_bars
+        ]
+        curves.log_bf_cells(rule.cap, 0.0)  # the cap's table, which stops every trial left
+        _run_groups(
+            run_group,
+            [range(n_trials * i // workers, n_trials * (i + 1) // workers) for i in range(workers)],
+        )
+    records = TrialRecords(k, columns.pop("g", g), seed, rule, **columns)
     bad = np.count_nonzero(~np.isfinite(records.stopped_log_beta))
     if bad:
         raise OptstopError(
@@ -483,6 +555,106 @@ def _run_blocks(fn, n_trials: int, rule: StoppingRule, marginal: bool) -> TrialR
             "sums of squares left the double range, or this effect prior's tables are not finite"
         )
     return records
+
+
+def _record_columns(n_trials: int, marginal: bool) -> dict:
+    """A run's record columns by field name, all in one shared anonymous mapping.
+
+    Shared (MAP_SHARED, the default of an anonymous ``mmap``): the rows
+    a forked worker writes are the caller's.
+    """
+    dtypes = {"stop_index": np.int64, "stopped_log_beta": np.float64, "trial": np.int64}
+    if marginal:
+        dtypes["g"] = np.float64
+    buf = mmap.mmap(-1, 8 * n_trials * len(dtypes))
+    return {
+        name: np.frombuffer(buf, dtype=dtype, count=n_trials, offset=8 * n_trials * i)
+        for i, (name, dtype) in enumerate(dtypes.items())
+    }
+
+
+def _run_groups(run, groups: list) -> None:
+    """``run(group)`` for every group at once: the first here, each other in a forked child.
+
+    Every child is reaped before this returns or raises; if ``run``
+    raises here (a ``KeyboardInterrupt`` too), the children are killed
+    first.  ``OptstopError`` naming the first child that failed or died.
+    """
+    children = []
+    try:
+        for group in groups[1:]:
+            children.append(_fork(run, group))
+        run(groups[0])
+    except BaseException:
+        _reap(children, kill=True)
+        raise
+    failures = _reap(children, kill=False)
+    if failures:
+        raise OptstopError(f"a Monte Carlo worker failed: {failures[0]}")
+
+
+def _fork(run, group) -> Tuple[int, int]:
+    """Start ``run(group)`` in a forked child; its pid and the read end of its pipe.
+
+    The child always leaves through ``os._exit``, so none of the caller's
+    ``finally`` blocks, exit handlers or stdio flushes run in it.  A
+    failure writes its message, at most PIPE_BUF bytes (which an empty
+    pipe takes without blocking), to the pipe and exits with status 1.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            run(group)
+            status = 0
+        except BaseException as exc:
+            os.write(write_end, f"{type(exc).__name__}: {exc}".encode()[: select.PIPE_BUF])
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _reap(children: list, kill: bool) -> List[str]:
+    """Wait for every child (killed first with ``kill``) and close its pipe; the failures.
+
+    Interrupted while waiting, it kills the children not yet reaped and
+    reaps them before it raises.
+    """
+    statuses = {}
+    try:
+        try:
+            for pid, _ in children:
+                if kill:
+                    os.kill(pid, signal.SIGKILL)
+            for pid, _ in children:
+                statuses[pid] = os.waitpid(pid, 0)[1]
+        except BaseException:
+            for pid in (pid for pid, _ in children if pid not in statuses):
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            raise
+        # each child has exited: all it wrote is in its pipe
+        messages = [os.read(fd, select.PIPE_BUF).decode(errors="replace") for _, fd in children]
+    finally:
+        for _, fd in children:
+            os.close(fd)
+    failures = []
+    for (pid, _), message in zip(children, messages):
+        code = os.waitstatus_to_exitcode(statuses[pid])
+        if code < 0:
+            failures.append(f"worker {pid} died by signal {-code}")
+        elif code:
+            failures.append(message or f"worker {pid} exited with status {code}")
+    return failures
 
 
 def _validate_run(
@@ -566,13 +738,8 @@ def run_trials(
     g = check_nuisance(pair, g)
     if n_trials == 0:
         return TrialRecords.empty(k, g, seed, rule)
-    curves = _curves_for(pair)
     key64 = _stream_key(seed, k, (g,), variant=0)
-
-    def block(lo: int, hi: int, head: int) -> TrialRecords:
-        return _run_block(pair, curves, k, g, rule, key64, lo, hi, seed, None, 0.0, head)
-
-    return _run_blocks(block, n_trials, rule, marginal=False)
+    return _run_blocks(pair, k, g, rule, key64, n_trials, seed, None, 0.0)
 
 
 def run_marginal_trials(
@@ -597,18 +764,11 @@ def run_marginal_trials(
     x_m = check_initial_sample(pair, x_m, k)
     if n_trials == 0:
         return TrialRecords.empty(k, np.empty(0), seed, rule)
-    curves = _curves_for(pair)
     with np.errstate(all="ignore"):  # non-finite, it fails the run in _run_blocks
         lb_offset = pair.log_bf(x_m)
     x_init = float(x_m[0])
     key64 = _stream_key(seed, k, (x_init,), variant=1)
-
-    def block(lo: int, hi: int, head: int) -> TrialRecords:
-        return _run_block(
-            pair, curves, k, None, rule, key64, lo, hi, seed, x_init, lb_offset, head
-        )
-
-    return _run_blocks(block, n_trials, rule, marginal=True)
+    return _run_blocks(pair, k, None, rule, key64, n_trials, seed, x_init, lb_offset)
 
 
 def _finite_chunk(model: FiniteModel) -> int:

@@ -4,8 +4,9 @@ This is the engine's trial loop before per-n boundaries: a rule that
 reads log beta gets the Chebyshev table evaluated on all active trials
 at every step, one step at a time, through the per-n table read of
 ``reference_tables``.  Every trial draws its effect (``draw``) and its
-full row of normals up front, whatever head the engine passes: it takes
-the ``head`` argument and ignores it.  Swapped in for
+full row of normals up front, whatever head the engine passes, and reads
+log beta at every step: it takes the ``bounds`` and ``head`` arguments
+and ignores them.  Swapped in for
 ``montecarlo._run_block`` (same signature), it gives the records the
 chunked boundary engine, with its lazy heads and replayed rows, must
 reproduce bit for bit.
@@ -20,7 +21,8 @@ from reference_tables import log_bf_per_n
 
 
 def run_block_per_step(
-    pair, curves, k, g, rule, key64, lo, hi, seed, x_init: Optional[float], lb_offset, head
+    pair, curves, k, g, rule, key64, lo, hi, seed, x_init: Optional[float], lb_offset, bounds,
+    head,
 ) -> TrialRecords:
     size = hi - lo
     marginal = x_init is not None

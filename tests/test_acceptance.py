@@ -309,20 +309,22 @@ def test_criterion_12_reproducibility_across_block_layouts(tmp_path, monkeypatch
     cfg.write_text(
         "g = 0.5, 2\nn_trials = 20000\nrule = bf-threshold\nrule_upper = 20\nrule_cap = 100\n"
     )
-    sizes = (montecarlo.BLOCK_SIZE, 1000)
+    # (block size, worker processes): one process first, then split over 1 to 3
+    layouts = [(montecarlo.BLOCK_SIZE, 1)] + [(1000, workers) for workers in (1, 2, 3)]
     outputs = {}
-    for block_size in sizes:
+    for block_size, workers in layouts:
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", block_size)
-        out = tmp_path / f"b{block_size}"
+        monkeypatch.setattr(montecarlo, "worker_count", lambda: workers)
+        out = tmp_path / f"b{block_size}-w{workers}"
         code = main(["mc-bf-mean", "--config", str(cfg), "--seed", "11", "--out", str(out)])
         assert code == 0
-        outputs[block_size] = [
+        outputs[block_size, workers] = [
             (out / name).read_bytes() for name in ("records.csv", "summary.json", "verdict.txt")
         ]
-    first, second = outputs.values()
-    passed = first == second
+    first, *others = outputs.values()
+    passed = all(other == first for other in others)
     record_criterion(
-        12, f"byte-identical outputs across block sizes {sizes[0]} and {sizes[1]}", passed,
-        f"{len(first[0])} bytes of records.csv",
+        12, f"byte-identical outputs across block sizes {layouts[0][0]} and 1000 and 1 to 3 "
+        "worker processes", passed, f"{len(first[0])} bytes of records.csv",
     )
     assert passed

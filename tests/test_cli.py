@@ -102,6 +102,27 @@ class TestExitCodes:
                        f"{exact.MAX_PRIOR_GRID} atoms"]
         assert peak < 2**20  # refused before any atom is built
 
+    def test_worker_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        caller = os.getpid()
+        run_block = montecarlo._run_block
+
+        def failing_in_a_worker(*args):
+            if os.getpid() != caller:
+                raise MemoryError("no memory for the draws")
+            return run_block(*args)
+
+        monkeypatch.setattr(montecarlo, "worker_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_run_block", failing_in_a_worker)
+        # three blocks: the last two run in a forked worker
+        cfg = write(tmp_path / "w.cfg", "alpha = 0.05\nrule_cap = 20\nn_trials = 20000\n")
+        code = main(["mc-type1", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: a Monte Carlo worker failed: MemoryError: no memory for the draws"]
+        assert not (tmp_path / "out" / "records.csv").exists()
+        with pytest.raises(ChildProcessError):  # the worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
     def test_draw_row_over_budget_exits_one(self, tmp_path, capsys):
         # one trial's draws up to this cap take 72 MB: refused on the cap alone,
         # before any Bayes-factor table is built
@@ -480,6 +501,14 @@ def test_run_all_checks_summary_gives_each_kinds_wall_seconds(tmp_path, capsys, 
     script = load_script("run_all_checks")
     clock = iter(range(0, 4 * len(EXPERIMENTS), 2))  # start and end of each run: 2 s apart
     monkeypatch.setattr(script.time, "perf_counter", lambda: 1.5 * next(clock))
+    ticks = iter(range(2 * len(EXPERIMENTS)))
+
+    def times():
+        # each run: 0.5 s user and 0.25 s system here, 1 s and 0.75 s in children
+        t = next(ticks)
+        return os.times_result((0.5 * t, 0.25 * t, 1.0 * t, 0.75 * t, 0.0))
+
+    monkeypatch.setattr(script.os, "times", times)
     codes = {kind: 2 if i == 1 else 0 for i, kind in enumerate(EXPERIMENTS)}
     monkeypatch.setattr(script, "run", lambda kind, config, seed, out_dir: codes[kind])
     monkeypatch.setattr(sys, "argv", ["run_all_checks.py", "--out", str(tmp_path)])
@@ -487,7 +516,8 @@ def test_run_all_checks_summary_gives_each_kinds_wall_seconds(tmp_path, capsys, 
     out = capsys.readouterr()
     summary = out.out.split("summary:\n", 1)[1].splitlines()
     assert summary == [
-        f"  {kind:28s} {'FAIL (exit 2)' if codes[kind] else 'PASS':13s}     3.00 s"
+        f"  {kind:28s} {'FAIL (exit 2)' if codes[kind] else 'PASS':13s}     3.00 s wall "
+        "    2.50 s cpu"
         for kind in EXPERIMENTS
     ]
     assert out.err == ""

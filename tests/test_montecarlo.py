@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from optstop.exact import (
     verify_markov_bound,
 )
 from optstop import montecarlo
-from optstop.errors import ResourceLimitError, SingularInputError
+from optstop.errors import OptstopError, ResourceLimitError, SingularInputError
 from optstop.models import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
 from optstop.montecarlo import (
     estimate_marginal_calibration,
@@ -28,7 +32,7 @@ from optstop.montecarlo import (
     TrialRecords,
     wilson_interval,
 )
-from optstop.stopping import BfThreshold, FixedN
+from optstop.stopping import BfThreshold, FixedN, SumOfSquares
 from reference_kernel import run_block_per_step
 
 CAUCHY = InvariantModelPair.scale(CauchyEffect(1.0))
@@ -39,6 +43,22 @@ CORRIDOR = BfThreshold(upper=5.0, lower=0.2, cap=100)
 def fresh_stream(key64, trial):
     """Trial ``trial``'s stream, built from scratch as the module docstring states it."""
     return np.random.Generator(np.random.Philox(key=np.array([key64, trial], dtype=np.uint64)))
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """Every block of a run runs in this process, where a spy sees it."""
+    monkeypatch.setattr(montecarlo, "worker_count", lambda: 1)
+
+
+TWO_SIDED = BfThreshold(upper=4.0, lower=0.25, cap=40)
+LAYOUT_RUNS = {
+    "two-sided-h0": lambda: run_trials(CAUCHY, 0, 1.3, TWO_SIDED, 20_000, seed=5),
+    "one-sided-h1": lambda: run_trials(CAUCHY, 1, 1.3, BfThreshold(upper=4.0, cap=40), 20_000, 5),
+    "fixed-n-h1": lambda: run_trials(CAUCHY, 1, 1.3, FixedN(n=25, cap=40), 20_000, seed=5),
+    "sum-of-squares-h0": lambda: run_trials(CAUCHY, 0, 1.3, SumOfSquares(20.0, cap=40), 20_000, 5),
+    "marginal-h1": lambda: run_marginal_trials(CAUCHY, 1, [0.8], TWO_SIDED, 20_000, seed=5),
+}
 
 
 class TestRunTrials:
@@ -63,14 +83,34 @@ class TestRunTrials:
         b = run_trials(CAUCHY, 1, 0.7, rule, 3000, seed=9)
         assert a == b
 
-    def test_block_layout_invariance(self, monkeypatch):
-        # 20,000 trials: three blocks of 8192 against twenty of 1000
-        rule = BfThreshold(upper=4.0, lower=0.25, cap=40)
-        a = run_trials(CAUCHY, 0, 1.3, rule, 20_000, seed=5)
+    @pytest.mark.parametrize(
+        "workers, run_draw_blocks, forks",
+        [(1, None, 0), (2, None, 1), (3, None, 2), (3, 2, 1)],
+        ids=["1-worker", "2-workers", "3-workers", "3-workers-memory-capped-at-2"],
+    )
+    @pytest.mark.parametrize("run", LAYOUT_RUNS.values(), ids=LAYOUT_RUNS.keys())
+    def test_block_layout_invariance(self, run, workers, run_draw_blocks, forks, monkeypatch):
+        # 20,000 trials: three blocks of 8192 in this process against twenty
+        # of 1000 split over `workers` processes, or over as many as
+        # RUN_DRAW_BYTES lets map a block each
+        monkeypatch.setattr(montecarlo, "worker_count", lambda: 1)
+        a = run()
+        monkeypatch.setattr(montecarlo, "worker_count", lambda: workers)
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1000)
-        b = run_trials(CAUCHY, 0, 1.3, rule, 20_000, seed=5)
-        assert a == b
+        if run_draw_blocks is not None:
+            monkeypatch.setattr(montecarlo, "RUN_DRAW_BYTES", run_draw_blocks * 8 * 1000 * 40)
+        started = []
+        fork = montecarlo._fork
 
+        def counting_fork(*args):
+            started.append(args)
+            return fork(*args)
+
+        monkeypatch.setattr(montecarlo, "_fork", counting_fork)
+        assert run() == a
+        assert len(started) == forks
+
+    @pytest.mark.usefixtures("one_process")
     def test_draw_buffer_budget_only_changes_block_layout(self, monkeypatch):
         rule = BfThreshold(upper=4.0, lower=0.25, cap=40)
         a = run_trials(CAUCHY, 1, 1.3, rule, 2_000, seed=5)
@@ -159,6 +199,82 @@ class TestRunTrials:
         pair = InvariantModelPair.location_scale(PointMass(0.0))
         with pytest.raises(NotImplementedError, match="scale group"):
             run_trials(pair, 1, (1.5, -1.0), FixedN(n=6, cap=10), n_trials, seed=3)
+
+
+def assert_no_child():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestWorkerProcesses:
+    """A run reaps every worker it forks, whether the run returns or raises."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        # 2,000 trials: four blocks of 500, the last two in a forked worker
+        monkeypatch.setattr(montecarlo, "worker_count", lambda: 2)
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 500)
+
+    def patch_block(self, monkeypatch, before):
+        """``_run_block`` that calls ``before(lo, in_worker)`` first."""
+        caller = os.getpid()
+        run_block = montecarlo._run_block
+
+        def patched(pair, curves, k, g, rule, key64, lo, *rest):
+            before(lo, os.getpid() != caller)
+            return run_block(pair, curves, k, g, rule, key64, lo, *rest)
+
+        monkeypatch.setattr(montecarlo, "_run_block", patched)
+
+    def test_a_run_with_workers_leaves_no_child(self):
+        assert len(run_trials(CAUCHY, 0, 1.3, TWO_SIDED, 2000, seed=5)) == 2000
+        assert_no_child()
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(montecarlo, "_fork", lambda *args: started.append(args))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            records = run_trials(CAUCHY, 0, 1.3, TWO_SIDED, 2000, seed=5)
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive() and started == []
+        monkeypatch.setattr(montecarlo, "worker_count", lambda: 1)
+        assert records == run_trials(CAUCHY, 0, 1.3, TWO_SIDED, 2000, seed=5)
+
+    @pytest.mark.parametrize(
+        "failure, message",
+        [("raise", "RuntimeError: block at trial 1500 failed"), ("signal", "died by signal 9")],
+    )
+    def test_worker_failure_raises_in_the_caller(self, failure, message, monkeypatch):
+        def before(lo, in_worker):
+            if lo == 1500 and in_worker:
+                if failure == "raise":
+                    raise RuntimeError(f"block at trial {lo} failed")
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        self.patch_block(monkeypatch, before)
+        with pytest.raises(OptstopError, match=f"^a Monte Carlo worker failed: .*{message}$"):
+            run_trials(CAUCHY, 0, 1.3, TWO_SIDED, 2000, seed=5)
+        assert_no_child()
+
+    def test_interrupted_caller_kills_and_reaps_its_workers(self, monkeypatch):
+        def before(lo, in_worker):
+            if in_worker:
+                time.sleep(30)  # would outlast the run unless killed
+            elif lo == 500:  # the caller's second block
+                raise KeyboardInterrupt
+
+        self.patch_block(monkeypatch, before)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_marginal_trials(CAUCHY, 1, [0.8], TWO_SIDED, 2000, seed=5)
+        assert time.monotonic() - start < 15
+        assert_no_child()
 
 
 class LeadingDraws:
@@ -259,6 +375,7 @@ class TestStreamContract:
         monkeypatch.setattr(montecarlo, "STEP_CHUNK", 1)
         self.test_x1_zero_redraws_from_the_trials_own_stream(monkeypatch)
 
+    @pytest.mark.usefixtures("one_process")
     def test_x1_zero_redraw_in_a_lazy_block(self, monkeypatch):
         """Trial 524 sits in the second block, which draws heads, and runs past its head."""
         pair = InvariantModelPair.scale(PointMass(0.5))
@@ -304,6 +421,7 @@ LAZY_RUNS = {
 class TestLazyDraws:
     """Blocks after a run's first draw row heads; trials running past them replay to the cap."""
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("run, full", LAZY_RUNS.values(), ids=LAZY_RUNS.keys())
     def test_later_blocks_draw_heads_then_replay(self, run, full, monkeypatch):
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # four blocks
@@ -317,6 +435,7 @@ class TestLazyDraws:
         monkeypatch.setattr(montecarlo, "_run_block", run_block_per_step)
         assert records == run()
 
+    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize(
         "k, rule", [(0, BfThreshold(upper=20.0, cap=200)), (0, FixedN(n=100)), (1, FixedN(n=100))]
     )
