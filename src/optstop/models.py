@@ -54,6 +54,7 @@ from typing import ClassVar, NamedTuple, Optional, Tuple, Union
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import workers
 from .errors import SingularInputError
 from .groups import LOCATION_SCALE, SCALE, GroupElement, LocationScaleGroup, ScaleGroup
 
@@ -232,6 +233,8 @@ _GL_X, _GL_W = leggauss(16)
 # points per pass: (points x nodes) temporaries near 200 KB, the size a one-table
 # fit's 65-point pass had; a batched table build passes every table's nodes at once
 _CHUNK = 64
+# a call forks only into groups of at least this many points (see _log_integral)
+_FORK_POINTS = 1024
 
 
 def _count_below_shares(cum: np.ndarray) -> np.ndarray:
@@ -266,37 +269,50 @@ def _log_integral(phi, lo, hi, *params) -> np.ndarray:
 
     Every point's arithmetic is its own: element i is the value of a call
     on point i alone, bit for bit, whatever the batch.  The scan interval
-    holding each share comes from ``_count_below_shares``.
+    holding each share comes from ``_count_below_shares``.  The points
+    are passed _CHUNK at a time, and a call of many points splits them
+    into contiguous groups of whole passes, at least _FORK_POINTS points
+    each, over worker processes (``optstop.workers``); the values do not
+    depend on the split.
     """
     lo, hi, *params = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lo, hi, *params)))
-    out = np.empty(lo.shape)
-    for s in range(0, out.size, _CHUNK):
-        rows = slice(s, s + _CHUNK)  # read through .flat: no flattened copy of a broadcast array
-        cols = [p.flat[rows][:, None] for p in params]
-        grid_lo = lo.flat[rows][:, None]
-        ell = grid_lo + (hi.flat[rows][:, None] - grid_lo) * _SCAN
-        points = ell.shape[0]
-        vals = phi(ell, *cols)
-        peak = vals.max(axis=1, keepdims=True)
-        floor = peak - 46.0
-        live = np.maximum(vals[:, 1:], vals[:, :-1]) > floor
-        measure = np.abs(np.diff(np.maximum(vals, floor), axis=1)) + 2.0 * live * np.diff(ell, axis=1)
-        cum = np.concatenate([np.zeros_like(peak), np.cumsum(measure, axis=1)], axis=1)
-        cum /= cum[:, -1:]
-        # panel edges: the scan interval holding each share, then linear
-        # interpolation inside it; the first edge is the last dead scan point
-        j = np.clip(_count_below_shares(cum) - 1, 0, _SCAN.size - 2)
-        j += np.arange(0, points * _SCAN.size, _SCAN.size)[:, None]  # flat index into cum, ell
-        c0, c1 = cum.ravel()[j], cum.ravel()[j + 1]
-        frac = np.clip((_SHARES - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0, 1.0)
-        l0, l1 = ell.ravel()[j], ell.ravel()[j + 1]
-        edges = l0 + frac * (l1 - l0)
-        edges[:, 0] = ell[np.arange(points), np.argmax(cum > 0.0, axis=1) - 1]
-        half = 0.5 * np.diff(edges, axis=1)
-        nodes = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_X)).reshape(points, -1)
-        f = np.exp(phi(nodes, *cols) - peak).reshape(points, _SHARES.size - 1, -1)
-        out.flat[rows] = peak[:, 0] + np.log(((f * _GL_W).sum(axis=2) * half).sum(axis=1))
-    return out
+    size = lo.size
+    w = workers.usable(size // _FORK_POINTS)
+    out = workers.shared_arrays(size, [np.float64])[0] if w > 1 else np.empty(size)
+
+    def run(group: range) -> None:
+        for s in range(group.start, group.stop, _CHUNK):
+            rows = slice(s, min(s + _CHUNK, group.stop))  # read through .flat: no flattened copy
+            cols = [p.flat[rows][:, None] for p in params]
+            grid_lo = lo.flat[rows][:, None]
+            ell = grid_lo + (hi.flat[rows][:, None] - grid_lo) * _SCAN
+            points = ell.shape[0]
+            vals = phi(ell, *cols)
+            peak = vals.max(axis=1, keepdims=True)
+            floor = peak - 46.0
+            live = np.maximum(vals[:, 1:], vals[:, :-1]) > floor
+            measure = np.abs(np.diff(np.maximum(vals, floor), axis=1))
+            measure += 2.0 * live * np.diff(ell, axis=1)
+            cum = np.concatenate([np.zeros_like(peak), np.cumsum(measure, axis=1)], axis=1)
+            cum /= cum[:, -1:]
+            # panel edges: the scan interval holding each share, then linear
+            # interpolation inside it; the first edge is the last dead scan point
+            j = np.clip(_count_below_shares(cum) - 1, 0, _SCAN.size - 2)
+            j += np.arange(0, points * _SCAN.size, _SCAN.size)[:, None]  # flat index: cum, ell
+            c0, c1 = cum.ravel()[j], cum.ravel()[j + 1]
+            frac = np.clip((_SHARES - c0) / np.where(c1 > c0, c1 - c0, 1.0), 0.0, 1.0)
+            l0, l1 = ell.ravel()[j], ell.ravel()[j + 1]
+            edges = l0 + frac * (l1 - l0)
+            edges[:, 0] = ell[np.arange(points), np.argmax(cum > 0.0, axis=1) - 1]
+            half = 0.5 * np.diff(edges, axis=1)
+            nodes = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_X)).reshape(points, -1)
+            f = np.exp(phi(nodes, *cols) - peak).reshape(points, _SHARES.size - 1, -1)
+            out[rows] = peak[:, 0] + np.log(((f * _GL_W).sum(axis=2) * half).sum(axis=1))
+
+    # group boundaries fall on whole passes: each pass is the one a single process makes
+    bounds = [size * i // w // _CHUNK * _CHUNK for i in range(w)] + [size]
+    workers.run_groups(run, [range(a, b) for a, b in zip(bounds, bounds[1:])], "an exact-evaluator")
+    return out.reshape(lo.shape)
 
 
 def _cauchy_log_bf_xi(n, xi, r: float) -> np.ndarray:

@@ -32,27 +32,13 @@ Reproducibility model
     before any table is built.
 
 Worker processes
-    A run splits its trials into W contiguous groups of equal size (to a
-    trial).  The calling process runs the first group and one
-    ``os.fork``ed child per other group runs another, all at once; each
-    process runs its group in blocks, one after another, one block's
-    draws mapped at a time, and each group keeps its own lazy-head
-    history, so every group's first block draws full rows.  Every table
-    and boundary a rule's bars need, and the table at the cap, are built
-    before the fork, so the children inherit them.  Each process writes its trials'
-    records at their trial offsets into the run's record columns, one
-    shared anonymous mapping the caller makes before the fork.  Since a
-    trial's draws depend on nothing but its stream, the records do not
-    depend on W.  W is the least of ``worker_count()`` (the usable CPUs
-    on Linux with ``os.fork``, else 1), the number of blocks and the
-    count whose blocks' draws together fit ``RUN_DRAW_BYTES`` (4 x
-    ``DRAW_BUFFER_BYTES`` = 256 MiB: 4 processes at cap 1000, 20 at cap
-    200); it is 1, and the run forks nothing, when the process runs
-    another Python thread, since a fork would copy a lock that thread
-    may hold.  A child leaves through ``os._exit`` and sends a failure's
-    message back on a pipe; the caller reaps every child before it
-    returns or raises, kills them first when it raises itself, and
-    raises ``OptstopError`` for a child that failed or died.
+    A run's trials are split into contiguous groups of equal size (to a
+    trial) over the worker processes of ``optstop.workers``: at most one
+    per block, and no more than can map a block's draws each within
+    ``RUN_DRAW_BYTES``.  Each group runs in blocks with its own lazy-head
+    history, so its first block draws full rows.  Every table and
+    boundary a rule's bars need, and the table at the cap, are built
+    before the fork; the records go to one shared mapping.
 
 Records
     A run returns one :class:`TrialRecords` batch: an array each of stop
@@ -106,17 +92,11 @@ Pass criteria
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import itertools
 import math
 import mmap
-import os
-import select
-import signal
 import struct
-import sys
-import threading
 from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -127,6 +107,8 @@ from .errors import OptstopError, ResourceLimitError
 from .exact import FiniteModel, log_beta_paths, sample_sequence
 from .models import InvariantModelPair, ScaleBfCurves
 from .stopping import StoppingRule
+from . import workers
+from .workers import worker_count  # noqa: F401  (re-exported: the CPUs a run may fork over)
 
 BLOCK_SIZE = 8192
 # steps a block advances between table reads (layout only: never changes a record)
@@ -482,16 +464,6 @@ def _lazy_head(stops: np.ndarray) -> int:
     return int(few[0]) if total and few.size else stops.size - 1
 
 
-def worker_count() -> int:
-    """The processes a run may split its blocks over.
-
-    The usable CPUs on Linux, which has ``os.fork``; 1 anywhere else.
-    """
-    if sys.platform.startswith("linux") and hasattr(os, "fork"):
-        return len(os.sched_getaffinity(0))
-    return 1
-
-
 def _run_blocks(
     pair: InvariantModelPair,
     k: int,
@@ -517,9 +489,7 @@ def _run_blocks(
     per_trial = _draws_per_trial(rule, marginal)
     rows = min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * per_trial))  # >= 1: see _validate_run
     n_blocks = -(-n_trials // rows)
-    workers = min(worker_count(), n_blocks, max(1, RUN_DRAW_BYTES // (8 * rows * per_trial)))
-    if threading.active_count() > 1:
-        workers = 1
+    w = workers.usable(min(n_blocks, RUN_DRAW_BYTES // (8 * rows * per_trial)))
     columns = _record_columns(n_trials, marginal)
     curves = _curves_for(pair)
 
@@ -543,9 +513,10 @@ def _run_blocks(
             for bar, above in rule.log_bars
         ]
         curves.log_bf_cells(rule.cap, 0.0)  # the cap's table, which stops every trial left
-        _run_groups(
+        workers.run_groups(
             run_group,
-            [range(n_trials * i // workers, n_trials * (i + 1) // workers) for i in range(workers)],
+            [range(n_trials * i // w, n_trials * (i + 1) // w) for i in range(w)],
+            "a Monte Carlo",
         )
     records = TrialRecords(k, columns.pop("g", g), seed, rule, **columns)
     bad = np.count_nonzero(~np.isfinite(records.stopped_log_beta))
@@ -558,103 +529,11 @@ def _run_blocks(
 
 
 def _record_columns(n_trials: int, marginal: bool) -> dict:
-    """A run's record columns by field name, all in one shared anonymous mapping.
-
-    Shared (MAP_SHARED, the default of an anonymous ``mmap``): the rows
-    a forked worker writes are the caller's.
-    """
+    """A run's record columns by field name, in one shared mapping (``workers.shared_arrays``)."""
     dtypes = {"stop_index": np.int64, "stopped_log_beta": np.float64, "trial": np.int64}
     if marginal:
         dtypes["g"] = np.float64
-    buf = mmap.mmap(-1, 8 * n_trials * len(dtypes))
-    return {
-        name: np.frombuffer(buf, dtype=dtype, count=n_trials, offset=8 * n_trials * i)
-        for i, (name, dtype) in enumerate(dtypes.items())
-    }
-
-
-def _run_groups(run, groups: list) -> None:
-    """``run(group)`` for every group at once: the first here, each other in a forked child.
-
-    Every child is reaped before this returns or raises; if ``run``
-    raises here (a ``KeyboardInterrupt`` too), the children are killed
-    first.  ``OptstopError`` naming the first child that failed or died.
-    """
-    children = []
-    try:
-        for group in groups[1:]:
-            children.append(_fork(run, group))
-        run(groups[0])
-    except BaseException:
-        _reap(children, kill=True)
-        raise
-    failures = _reap(children, kill=False)
-    if failures:
-        raise OptstopError(f"a Monte Carlo worker failed: {failures[0]}")
-
-
-def _fork(run, group) -> Tuple[int, int]:
-    """Start ``run(group)`` in a forked child; its pid and the read end of its pipe.
-
-    The child always leaves through ``os._exit``, so none of the caller's
-    ``finally`` blocks, exit handlers or stdio flushes run in it.  A
-    failure writes its message, at most PIPE_BUF bytes (which an empty
-    pipe takes without blocking), to the pipe and exits with status 1.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            run(group)
-            status = 0
-        except BaseException as exc:
-            os.write(write_end, f"{type(exc).__name__}: {exc}".encode()[: select.PIPE_BUF])
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _reap(children: list, kill: bool) -> List[str]:
-    """Wait for every child (killed first with ``kill``) and close its pipe; the failures.
-
-    Interrupted while waiting, it kills the children not yet reaped and
-    reaps them before it raises.
-    """
-    statuses = {}
-    try:
-        try:
-            for pid, _ in children:
-                if kill:
-                    os.kill(pid, signal.SIGKILL)
-            for pid, _ in children:
-                statuses[pid] = os.waitpid(pid, 0)[1]
-        except BaseException:
-            for pid in (pid for pid, _ in children if pid not in statuses):
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            raise
-        # each child has exited: all it wrote is in its pipe
-        messages = [os.read(fd, select.PIPE_BUF).decode(errors="replace") for _, fd in children]
-    finally:
-        for _, fd in children:
-            os.close(fd)
-    failures = []
-    for (pid, _), message in zip(children, messages):
-        code = os.waitstatus_to_exitcode(statuses[pid])
-        if code < 0:
-            failures.append(f"worker {pid} died by signal {-code}")
-        elif code:
-            failures.append(message or f"worker {pid} exited with status {code}")
-    return failures
+    return dict(zip(dtypes, workers.shared_arrays(n_trials, list(dtypes.values()))))
 
 
 def _validate_run(

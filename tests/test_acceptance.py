@@ -302,7 +302,7 @@ def test_criterion_11_invariance_checker(cauchy_pair):
 
 
 def test_criterion_12_reproducibility_across_block_layouts(tmp_path, monkeypatch):
-    from optstop import montecarlo
+    from optstop import montecarlo, workers
     from optstop.cli import main
 
     cfg = tmp_path / "repro.cfg"
@@ -310,15 +310,15 @@ def test_criterion_12_reproducibility_across_block_layouts(tmp_path, monkeypatch
         "g = 0.5, 2\nn_trials = 20000\nrule = bf-threshold\nrule_upper = 20\nrule_cap = 100\n"
     )
     # (block size, worker processes): one process first, then split over 1 to 3
-    layouts = [(montecarlo.BLOCK_SIZE, 1)] + [(1000, workers) for workers in (1, 2, 3)]
+    layouts = [(montecarlo.BLOCK_SIZE, 1)] + [(1000, n_workers) for n_workers in (1, 2, 3)]
     outputs = {}
-    for block_size, workers in layouts:
+    for block_size, n_workers in layouts:
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", block_size)
-        monkeypatch.setattr(montecarlo, "worker_count", lambda: workers)
-        out = tmp_path / f"b{block_size}-w{workers}"
+        monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+        out = tmp_path / f"b{block_size}-w{n_workers}"
         code = main(["mc-bf-mean", "--config", str(cfg), "--seed", "11", "--out", str(out)])
         assert code == 0
-        outputs[block_size, workers] = [
+        outputs[block_size, n_workers] = [
             (out / name).read_bytes() for name in ("records.csv", "summary.json", "verdict.txt")
         ]
     first, *others = outputs.values()

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from optstop import exact, montecarlo
+from optstop import exact, montecarlo, workers
 from optstop.cli import EXPERIMENTS, ConfigError, main, parse_config_text
 from optstop.errors import ResourceLimitError
 from optstop.models import ScaleBfCurves
@@ -111,7 +111,7 @@ class TestExitCodes:
                 raise MemoryError("no memory for the draws")
             return run_block(*args)
 
-        monkeypatch.setattr(montecarlo, "worker_count", lambda: 2)
+        monkeypatch.setattr(workers, "worker_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "_run_block", failing_in_a_worker)
         # three blocks: the last two run in a forked worker
         cfg = write(tmp_path / "w.cfg", "alpha = 0.05\nrule_cap = 20\nn_trials = 20000\n")

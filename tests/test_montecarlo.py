@@ -17,7 +17,7 @@ from optstop.exact import (
     trajectory_finite,
     verify_markov_bound,
 )
-from optstop import montecarlo
+from optstop import montecarlo, workers
 from optstop.errors import OptstopError, ResourceLimitError, SingularInputError
 from optstop.models import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
 from optstop.montecarlo import (
@@ -48,7 +48,7 @@ def fresh_stream(key64, trial):
 @pytest.fixture
 def one_process(monkeypatch):
     """Every block of a run runs in this process, where a spy sees it."""
-    monkeypatch.setattr(montecarlo, "worker_count", lambda: 1)
+    monkeypatch.setattr(workers, "worker_count", lambda: 1)
 
 
 TWO_SIDED = BfThreshold(upper=4.0, lower=0.25, cap=40)
@@ -84,29 +84,29 @@ class TestRunTrials:
         assert a == b
 
     @pytest.mark.parametrize(
-        "workers, run_draw_blocks, forks",
+        "n_workers, run_draw_blocks, forks",
         [(1, None, 0), (2, None, 1), (3, None, 2), (3, 2, 1)],
         ids=["1-worker", "2-workers", "3-workers", "3-workers-memory-capped-at-2"],
     )
     @pytest.mark.parametrize("run", LAYOUT_RUNS.values(), ids=LAYOUT_RUNS.keys())
-    def test_block_layout_invariance(self, run, workers, run_draw_blocks, forks, monkeypatch):
+    def test_block_layout_invariance(self, run, n_workers, run_draw_blocks, forks, monkeypatch):
         # 20,000 trials: three blocks of 8192 in this process against twenty
-        # of 1000 split over `workers` processes, or over as many as
+        # of 1000 split over `n_workers` processes, or over as many as
         # RUN_DRAW_BYTES lets map a block each
-        monkeypatch.setattr(montecarlo, "worker_count", lambda: 1)
+        monkeypatch.setattr(workers, "worker_count", lambda: 1)
         a = run()
-        monkeypatch.setattr(montecarlo, "worker_count", lambda: workers)
+        monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1000)
         if run_draw_blocks is not None:
             monkeypatch.setattr(montecarlo, "RUN_DRAW_BYTES", run_draw_blocks * 8 * 1000 * 40)
         started = []
-        fork = montecarlo._fork
+        fork = workers._fork
 
         def counting_fork(*args):
             started.append(args)
             return fork(*args)
 
-        monkeypatch.setattr(montecarlo, "_fork", counting_fork)
+        monkeypatch.setattr(workers, "_fork", counting_fork)
         assert run() == a
         assert len(started) == forks
 
@@ -213,7 +213,7 @@ class TestWorkerProcesses:
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
         # 2,000 trials: four blocks of 500, the last two in a forked worker
-        monkeypatch.setattr(montecarlo, "worker_count", lambda: 2)
+        monkeypatch.setattr(workers, "worker_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 500)
 
     def patch_block(self, monkeypatch, before):
@@ -233,7 +233,7 @@ class TestWorkerProcesses:
 
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
         started = []
-        monkeypatch.setattr(montecarlo, "_fork", lambda *args: started.append(args))
+        monkeypatch.setattr(workers, "_fork", lambda *args: started.append(args))
         release = threading.Event()
         thread = threading.Thread(target=release.wait, args=(60,))
         thread.start()
@@ -243,7 +243,7 @@ class TestWorkerProcesses:
             release.set()
             thread.join(60)
         assert not thread.is_alive() and started == []
-        monkeypatch.setattr(montecarlo, "worker_count", lambda: 1)
+        monkeypatch.setattr(workers, "worker_count", lambda: 1)
         assert records == run_trials(CAUCHY, 0, 1.3, TWO_SIDED, 2000, seed=5)
 
     @pytest.mark.parametrize(
