@@ -233,8 +233,11 @@ _GL_X, _GL_W = leggauss(16)
 # points per pass: (points x nodes) temporaries near 200 KB, the size a one-table
 # fit's 65-point pass had; a batched table build passes every table's nodes at once
 _CHUNK = 64
-# a call forks only into groups of at least this many points (see _log_integral)
-_FORK_POINTS = 1024
+# a call forks only into groups of at least this many points (see _log_integral):
+# a table build to cap c passes 65 points or more per n < c (6,370 at cap 100) and
+# forks, while a single-n build (65) and check_invariance's chunk (2 x PROBE_CHUNK
+# = 2,048), whose split showed no end-to-end gain on 2 CPUs, stay in one process
+_FORK_POINTS = 2048
 
 
 def _count_below_shares(cum: np.ndarray) -> np.ndarray:

@@ -13,8 +13,11 @@ made before the fork, so the children inherit it.
 W is at most ``worker_count()`` (the usable CPUs on Linux with
 ``os.fork``, else 1) and the job's own limit (``usable``).  It is 1, and
 the job forks nothing, when the process runs another Python thread,
-since a fork would copy a lock that thread may hold, and in a process
-that is itself a worker: a job inside a worker runs in that worker.
+since a fork would copy a lock that thread may hold, and inside a job
+that runs split over processes, in the caller's group as in each
+child's: that job's processes already hold the CPUs, so a job started
+there (a table a bar-less rule's trials build on demand) runs where it
+is.
 
 A child leaves through ``os._exit`` and sends a failure's message back
 on a pipe; the caller reaps every child before it returns or raises,
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import OptstopError
 
-_in_worker = False  # set in each forked child
+_in_job = False  # set while a split job's group runs, here or in a forked child
 
 
 def worker_count() -> int:
@@ -50,10 +53,10 @@ def worker_count() -> int:
 def usable(most: int) -> int:
     """The processes a job that splits into at most ``most`` groups runs in.
 
-    The least of ``worker_count()`` and ``most``, and at least 1; 1 in a
-    worker and while another Python thread runs.
+    The least of ``worker_count()`` and ``most``, and at least 1; 1 inside
+    a split job and while another Python thread runs.
     """
-    if _in_worker or threading.active_count() > 1:
+    if _in_job or threading.active_count() > 1:
         return 1
     return max(1, min(worker_count(), most))
 
@@ -81,14 +84,18 @@ def run_groups(run: Callable, groups: list, what: str) -> None:
     first.  ``OptstopError`` naming ``what`` and the first child that
     failed or died.
     """
-    children = []
+    global _in_job
+    outer, children = _in_job, []
     try:
         for group in groups[1:]:
             children.append(_fork(run, group))
+        _in_job = outer or bool(children)
         run(groups[0])
     except BaseException:
         _reap(children, kill=True)
         raise
+    finally:
+        _in_job = outer
     failures = _reap(children, kill=False)
     if failures:
         raise OptstopError(f"{what} worker failed: {failures[0]}")
@@ -102,7 +109,7 @@ def _fork(run: Callable, group) -> Tuple[int, int]:
     failure writes its message, at most PIPE_BUF bytes (which an empty
     pipe takes without blocking), to the pipe and exits with status 1.
     """
-    global _in_worker
+    global _in_job
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -111,7 +118,7 @@ def _fork(run: Callable, group) -> Tuple[int, int]:
         os.close(write_end)
         raise
     if pid == 0:
-        _in_worker = True
+        _in_job = True
         status = 1
         try:
             os.close(read_end)

@@ -12,7 +12,7 @@ from optstop import models, montecarlo, workers
 from optstop.errors import OptstopError
 from optstop.models import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
 from optstop.montecarlo import run_trials
-from optstop.stopping import BfThreshold, FixedN, SumOfSquares, check_invariance
+from optstop.stopping import PROBE_CHUNK, BfThreshold, FixedN, SumOfSquares, check_invariance
 
 CAUCHY = InvariantModelPair.scale(CauchyEffect(1.0))
 
@@ -48,13 +48,28 @@ def test_montecarlo_worker_count_is_the_workers_one():
 
 
 @pytest.mark.parametrize(
-    "cpus, most, in_worker, expected",
+    "cpus, most, in_job, expected",
     [(3, 5, False, 3), (3, 2, False, 2), (3, 0, False, 1), (1, 5, False, 1), (3, 5, True, 1)],
 )
-def test_usable_workers(cpus, most, in_worker, expected, monkeypatch):
+def test_usable_workers(cpus, most, in_job, expected, monkeypatch):
     force_workers(monkeypatch, cpus)
-    monkeypatch.setattr(workers, "_in_worker", in_worker)
+    monkeypatch.setattr(workers, "_in_job", in_job)
     assert workers.usable(most) == expected
+
+
+def test_a_split_job_runs_further_jobs_where_they_are(monkeypatch):
+    force_workers(monkeypatch, 3)
+    seen = []
+
+    def run(group):
+        if workers.usable(5) != 1:
+            raise AssertionError("a job inside a split job may fork")  # in the child too
+        seen.append(group)
+
+    workers.run_groups(run, [0, 1], "a test")
+    assert seen == [0] and workers.usable(5) == 3  # the caller's group; flag cleared after
+    workers.run_groups(lambda group: seen.append(workers.usable(5)), [2], "a test")
+    assert seen == [0, 3]  # a job of one group forks nothing, so a job inside it may
 
 
 def table_bytes(prior) -> bytes:
@@ -96,14 +111,23 @@ class TestSameBytesAcrossWorkerCounts:
 
 def test_only_large_calls_fork(forks, monkeypatch):
     force_workers(monkeypatch, 2)
-    ScaleBfCurves(CAUCHY).log_bf_cells(150, 0.5)  # one n: 65 points
-    assert forks == []
-    # one chunk of 1,000 probes: log beta of up to 2,000 prefixes in one call
-    report = check_invariance(BfThreshold(upper=20.0, cap=1000), CAUCHY, 1000,
+    sizes = []
+    log_integral = models._log_integral
+
+    def sized(*args):
+        out = log_integral(*args)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(models, "_log_integral", sized)
+    ScaleBfCurves(CAUCHY).log_bf_cells(150, 0.5)  # one n
+    # one full chunk, as the bundled invariance-check config makes: every
+    # probe is shorter than the cap, so log beta of x and x.h in one call
+    report = check_invariance(BfThreshold(upper=20.0, cap=1000), CAUCHY, PROBE_CHUNK,
                               np.random.default_rng(3))
-    assert report.passed and forks == []
-    ScaleBfCurves(CAUCHY).boundary(math.log(20.0), 200, above=True)  # 12,870 points
-    assert len(forks) == 1
+    assert report.passed and sizes == [65, 2 * PROBE_CHUNK] and forks == []
+    ScaleBfCurves(CAUCHY).boundary(math.log(20.0), 200, above=True)
+    assert sizes[2:] == [12870] and len(forks) == 1
 
 
 def bump(ell):
@@ -179,18 +203,26 @@ class TestEvaluatorWorkers:
     "rule", [SumOfSquares(20.0, cap=40), FixedN(n=25, cap=40)], ids=["sum-of-squares", "fixed-n"]
 )
 def test_a_worker_forks_nothing(rule, monkeypatch):
-    # Bar-less rules build the tables their cells need on demand, after the
-    # fork.  Every table build asks to fork here, and a fork outside the
-    # caller fails its worker, and with it the run.
-    caller = os.getpid()
-    fork = workers._fork
+    # Bar-less rules build the tables their cells need on demand, inside
+    # their trial blocks, in the caller's group as in the worker's.  Every
+    # table build asks to fork here, and a fork inside a block fails the run.
+    caller, fork, run_block = os.getpid(), workers._fork, montecarlo._run_block
+    in_block = []
 
-    def caller_only_fork(run, group):
-        if os.getpid() != caller:
-            raise AssertionError("a worker forked")
+    def trial_block(*args):
+        in_block.append(True)
+        try:
+            return run_block(*args)
+        finally:
+            in_block.pop()
+
+    def fork_outside_blocks(run, group):
+        if os.getpid() != caller or in_block:
+            raise AssertionError("a process of a split run forked")
         return fork(run, group)
 
-    monkeypatch.setattr(workers, "_fork", caller_only_fork)
+    monkeypatch.setattr(montecarlo, "_run_block", trial_block)
+    monkeypatch.setattr(workers, "_fork", fork_outside_blocks)
     monkeypatch.setattr(models, "_FORK_POINTS", 1)
     monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 500)  # 4 blocks: 2 in a forked worker
     force_workers(monkeypatch, 2)
