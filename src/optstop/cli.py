@@ -111,9 +111,9 @@ def _rule(cfg: ExperimentConfig, default_cap: int = 1000):
 
 
 def _finite_model(cfg: ExperimentConfig) -> exact.FiniteModel:
-    horizon = cfg.get_int("horizon", 10)
+    horizon = _count(cfg, "horizon", 10)
     theta0 = cfg.get_float("theta0", 0.5)
-    grid = cfg.get_int("prior_grid", 10_000)
+    grid = _count(cfg, "prior_grid", 10_000)
     if not (0.0 < theta0 < 1.0):
         raise ConfigError(f"theta0 must lie strictly between 0 and 1, got {theta0}")
     return exact.FiniteModel.bernoulli_point_vs_uniform(

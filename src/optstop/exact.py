@@ -8,6 +8,15 @@ bound on the threshold-crossing probability, and the unit expectation of
 the stopped Bayes factor.  The tables double as ground truth for the
 Monte Carlo engine.
 
+The tree is enumerated depth first, every node's masses from its
+parent's per-component likelihoods, so a subtree depends on its own
+path alone.  A large tree, at least ``2 * _SPLIT_CELLS`` cells (see
+``build_table``) of a model with no callable component, splits: the caller
+expands the top of the tree and its open subtrees run in contiguous
+groups, one per usable CPU, in forked worker processes
+(``optstop.workers``).  The table, keys, float bits and order, is the
+one-process table whatever the split.
+
 Masses are kept in linear space: with conditional probabilities bounded
 away from zero and horizons below ~40, products stay far from the
 double-precision underflow threshold.  Reductions over entries use
@@ -18,12 +27,14 @@ own arithmetic, not by summation order.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import workers
 from .core import BfTrajectory, SignificanceLevel, write_csv
 from .errors import ResourceLimitError
 from .stopping import BfThreshold, FixedN, RawStatistic, StoppingRule
@@ -33,6 +44,17 @@ Conditional = Union[np.ndarray, Callable[[Prefix], Sequence[float]]]
 
 _PROB_TOL = 1e-9
 MAX_PRIOR_GRID = 10**6  # uniform-prior atoms: about 0.3 GB of component objects at the limit
+# build_table splits a tree over processes only into groups of at least
+# _SPLIT_CELLS cells, (H0 + H1 components + _NODE_CELLS) x K^cap: a node's
+# products and dot products over the components, plus its fixed cost (the
+# rule's decision, the entry), about that of 4,096 components.  Forced
+# two-way splits on 2 CPUs paid from 14 M cells up (the bundled exact
+# configs, 10,001 components at cap 10 or 12: 14 or 58 M; 100 or 500 atoms
+# at cap 12: 17 or 19 M) and lost at 1.2 to 4.7 M (the finite cross-check's
+# 501 components at cap 8; 10,000 atoms at cap 8, 5,000 at cap 9)
+_SPLIT_CELLS = 2**22
+_NODE_CELLS = 4096
+_TOP_NODES_PER_GROUP = 8  # open nodes per group where the caller's expansion of the top stops
 
 
 @dataclass(frozen=True)
@@ -318,18 +340,55 @@ def build_table(
     sequences form a prefix-free partition of the sample space.  Raises
     :class:`ResourceLimitError` once more than ``max_entries`` leaves
     would be recorded.
+
+    A tree of at least ``2 * _SPLIT_CELLS`` cells, (H0 + H1 components
+    + _NODE_CELLS) x K^cap, of a model with no callable component,
+    splits over up to ``cells // _SPLIT_CELLS`` processes
+    (``optstop.workers``); see :func:`_split`.  The table, its float
+    bits and its order, does not depend on the split.
     """
     if rule.cap > model.horizon:
         raise ValueError(f"rule cap {rule.cap} exceeds the model horizon {model.horizon}")
-    table = ExactTable(model=model, rule=rule)
     w0, w1 = model.weights(0), model.weights(1)
-    root_lik0 = np.ones(len(w0))
-    root_lik1 = np.ones(len(w1))
+    # a node of the tree: (prefix, lik0, lik1, running max of log beta)
+    root = ((), np.ones(len(w0)), np.ones(len(w1)), -math.inf)
+    cells = (len(w0) + len(w1) + _NODE_CELLS) * model.alphabet_size**rule.cap
+    # a callable is user code: its errors stay the caller's, and it may not be fork-safe
+    splits = not any(mix.callables for mix in model._mixtures)
+    w = workers.usable(cells // _SPLIT_CELLS) if splits else 1
+    if w > 1:
+        entries = _split(model, rule, root, w, max_entries)
+    else:
+        entries = []
+        if not _grow(model, rule, [root], entries, max_entries):
+            raise _over_budget(max_entries)
+    return ExactTable(model=model, rule=rule, entries={e.sequence: e for e in entries})
 
-    # stack of expandable nodes: (prefix, lik0, lik1, running max of log beta)
-    stack = [((), root_lik0, root_lik1, -math.inf)]
+
+def _over_budget(max_entries: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"stopped-sequence table would exceed the budget of {max_entries} entries"
+    )
+
+
+def _grow(model: FiniteModel, rule: StoppingRule, stack: list, out: list, budget: int,
+          depth: int = -1) -> bool:
+    """Expand the nodes of ``stack`` depth first, popping from its end.
+
+    Appends to ``out`` the entry of every stopped sequence in the order
+    it is reached, and each node at ``depth`` itself, unexpanded, in the
+    place its subtree's entries would take.  False, with ``out`` left
+    short, once ``out`` would hold more than ``budget`` items.
+    """
+    w0, w1 = model.weights(0), model.weights(1)
     while stack:
-        prefix, lik0, lik1, max_lb = stack.pop()
+        node = stack.pop()
+        prefix, lik0, lik1, max_lb = node
+        if len(prefix) == depth:
+            if len(out) >= budget:
+                return False
+            out.append(node)
+            continue
         cond0 = model.cond_matrix(0, prefix)
         cond1 = model.cond_matrix(1, prefix)
         for sym in reversed(range(model.alphabet_size)):
@@ -341,22 +400,89 @@ def build_table(
             lb = math.log(mass1) - math.log(mass0)
             cmax = max(max_lb, lb)
             if rule.decide(child, lb):
-                if len(table.entries) >= max_entries:
-                    raise ResourceLimitError(
-                        f"stopped-sequence table would exceed the budget of "
-                        f"{max_entries} entries"
+                if len(out) >= budget:
+                    return False
+                out.append(
+                    TableEntry(
+                        sequence=child,
+                        mass0=mass0,
+                        mass1=mass1,
+                        log_beta=lb,
+                        stop_index=len(child),
+                        max_log_beta=cmax,
                     )
-                table.entries[child] = TableEntry(
-                    sequence=child,
-                    mass0=mass0,
-                    mass1=mass1,
-                    log_beta=lb,
-                    stop_index=len(child),
-                    max_log_beta=cmax,
                 )
             else:
                 stack.append((child, clik0, clik1, cmax))
-    return table
+    return True
+
+
+def _split(model: FiniteModel, rule: StoppingRule, root: tuple, w: int, max_entries: int) -> list:
+    """The entries of ``build_table``'s one-process enumeration, built in up to ``w`` processes.
+
+    The caller expands the top of the tree, down to the first depth of
+    at least _TOP_NODES_PER_GROUP * w nodes (K^depth, or the cap less
+    one).  The one-process enumeration records the entries stopped above
+    that depth and each open node's whole subtree in one order, which
+    ``_grow`` gives with the nodes in their subtrees' places.  The open
+    nodes split into ``w`` contiguous groups in that order; the caller
+    grows the first group's subtrees and a forked child each other's
+    (``workers.run_groups``), each subtree as the one process would, and
+    the caller puts every subtree's entries back in its node's place.
+
+    Every item of the top, an entry or an open node, holds at least one
+    leaf, so a group's budget is ``max_entries`` less the items outside
+    it.  A group past its budget stops: the caller's raises
+    ``ResourceLimitError`` at once (killing the children), a child's
+    returns its count and the caller raises once it has reaped them all.
+    """
+    depth = 0
+    while depth < rule.cap - 1 and model.alphabet_size**depth < _TOP_NODES_PER_GROUP * w:
+        depth += 1
+    top: list = []
+    if not _grow(model, rule, [root], top, max_entries, depth):
+        raise _over_budget(max_entries)
+    nodes = [item for item in top if not isinstance(item, TableEntry)]
+    bounds = [len(nodes) * i // w for i in range(w + 1)]
+    groups = [nodes[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    caller = os.getpid()
+
+    def run(group: list):
+        """The group's entries, subtree after subtree, and each subtree's end; or its count.
+
+        A child's entries come back as tuples of their fields, and the
+        caller builds them again: an unpickled entry takes about three
+        times the memory of a constructed one, and pickles slower.
+        """
+        out: list = []
+        ends = []
+        for node in group:
+            if not _grow(model, rule, [node], out, max_entries - (len(top) - len(group))):
+                if os.getpid() == caller:
+                    raise _over_budget(max_entries)
+                return len(out) + 1
+            ends.append(len(out))
+        if os.getpid() == caller:
+            return out, ends
+        return [(e.sequence, e.mass0, e.mass1, e.log_beta, e.stop_index, e.max_log_beta)
+                for e in out], ends
+
+    results = workers.run_groups(run, groups, "an exact-table") if groups else []
+    if any(isinstance(result, int) for result in results):
+        raise _over_budget(max_entries)
+    for i in range(1, len(results)):
+        rows, ends = results[i]
+        results[i] = [TableEntry(*row) for row in rows], ends
+    subtrees = (out[a:b] for out, ends in results for a, b in zip([0] + ends, ends))
+    entries = []
+    for item in top:
+        if isinstance(item, TableEntry):
+            entries.append(item)
+        else:
+            entries += next(subtrees)
+    if len(entries) > max_entries:
+        raise _over_budget(max_entries)
+    return entries
 
 
 # -------------------------------------------------------------------- checks

@@ -1,14 +1,20 @@
 """Worker processes: one job split into contiguous groups, each but the first in a forked child.
 
 A job (a Monte Carlo run's trials, the points of a large exact-evaluator
-call) is split into W contiguous groups.  The calling process runs the
-first group and one ``os.fork``ed child per other group runs another,
-all at once.  Each process writes its results at their offsets into
-arrays in one shared anonymous mapping (``shared_arrays``) that the
-caller makes before the fork, and since every result is a function of
-its own inputs alone, the output does not depend on W.  Whatever the
-job needs read-only (a run's tables, the evaluator's parameters) is
-made before the fork, so the children inherit it.
+call, the subtrees of a large exact table) is split into W contiguous
+groups.  The calling process runs the first group and one ``os.fork``ed
+child per other group runs another, all at once.  A job whose results
+have a known size (the trials, the evaluator's points) has each process
+write them at their offsets into arrays in one shared anonymous mapping
+(``shared_arrays``) that the caller makes before the fork.  A job whose
+results have no size known in advance (a table's stopped sequences)
+returns them instead: a child's return value is pickled into an unnamed
+temporary file, which the caller reads once it has reaped the child, and
+``run_groups`` returns every group's value in group order.  Every result
+is a function of its own inputs alone, so the output does not depend on
+W.  Whatever the job needs read-only (a run's tables, the evaluator's
+parameters, the model) is made before the fork, so the children inherit
+it.
 
 W is at most ``worker_count()`` (the usable CPUs on Linux with
 ``os.fork``, else 1) and the job's own limit (``usable``).  It is 1, and
@@ -30,11 +36,13 @@ from __future__ import annotations
 import contextlib
 import mmap
 import os
+import pickle
 import select
 import signal
 import sys
+import tempfile
 import threading
-from typing import Callable, List, Sequence, Tuple
+from typing import IO, Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -76,13 +84,14 @@ def shared_arrays(count: int, dtypes: Sequence) -> List[np.ndarray]:
     ]
 
 
-def run_groups(run: Callable, groups: list, what: str) -> None:
-    """``run(group)`` for every group at once: the first here, each other in a forked child.
+def run_groups(run: Callable, groups: list, what: str) -> list:
+    """``run(group)`` for every group at once, the first here, each other in a forked child; their values.
 
-    Every child is reaped before this returns or raises; if ``run``
-    raises here (a ``KeyboardInterrupt`` too), the children are killed
-    first.  ``OptstopError`` naming ``what`` and the first child that
-    failed or died.
+    The values come back in group order.  Every child is reaped before
+    this returns or raises; if ``run`` raises here (a
+    ``KeyboardInterrupt`` too), the children are killed first.
+    ``OptstopError`` naming ``what`` and the first child that failed or
+    died.
     """
     global _in_job
     outer, children = _in_job, []
@@ -90,78 +99,95 @@ def run_groups(run: Callable, groups: list, what: str) -> None:
         for group in groups[1:]:
             children.append(_fork(run, group))
         _in_job = outer or bool(children)
-        run(groups[0])
+        first = run(groups[0])
     except BaseException:
         _reap(children, kill=True)
         raise
     finally:
         _in_job = outer
-    failures = _reap(children, kill=False)
+    failures, values = _reap(children, kill=False)
     if failures:
         raise OptstopError(f"{what} worker failed: {failures[0]}")
+    return [first] + values
 
 
-def _fork(run: Callable, group) -> Tuple[int, int]:
-    """Start ``run(group)`` in a forked child; its pid and the read end of its pipe.
+def _fork(run: Callable, group) -> Tuple[int, int, IO[bytes]]:
+    """Start ``run(group)`` in a forked child; its pid, the read end of its pipe and its value's file.
 
     The child always leaves through ``os._exit``, so none of the caller's
-    ``finally`` blocks, exit handlers or stdio flushes run in it.  A
-    failure writes its message, at most PIPE_BUF bytes (which an empty
-    pipe takes without blocking), to the pipe and exits with status 1.
+    ``finally`` blocks, exit handlers or stdio flushes run in it.  It
+    pickles its return value into the unnamed temporary file and exits
+    with status 0.  A failure writes its message, at most PIPE_BUF bytes
+    (which an empty pipe takes without blocking), to the pipe and exits
+    with status 1.
     """
     global _in_job
-    read_end, write_end = os.pipe()
+    value_file = tempfile.TemporaryFile()
+    try:
+        read_end, write_end = os.pipe()
+    except BaseException:
+        value_file.close()
+        raise
     try:
         pid = os.fork()
     except BaseException:
         os.close(read_end)
         os.close(write_end)
+        value_file.close()
         raise
     if pid == 0:
         _in_job = True
         status = 1
         try:
             os.close(read_end)
-            run(group)
+            pickle.dump(run(group), value_file, protocol=pickle.HIGHEST_PROTOCOL)
+            value_file.flush()
             status = 0
         except BaseException as exc:
             os.write(write_end, f"{type(exc).__name__}: {exc}".encode()[: select.PIPE_BUF])
         finally:
             os._exit(status)
     os.close(write_end)
-    return pid, read_end
+    return pid, read_end, value_file
 
 
-def _reap(children: list, kill: bool) -> List[str]:
-    """Wait for every child (killed first with ``kill``) and close its pipe; the failures.
+def _reap(children: list, kill: bool) -> Tuple[List[str], list]:
+    """Wait for every child (killed first with ``kill``) and close its pipe and file.
 
+    The failures, and, unless killed or failed, every child's return value.
     Interrupted while waiting, it kills the children not yet reaped and
     reaps them before it raises.
     """
     statuses = {}
     try:
         try:
-            for pid, _ in children:
+            for pid, _, _ in children:
                 if kill:
                     os.kill(pid, signal.SIGKILL)
-            for pid, _ in children:
+            for pid, _, _ in children:
                 statuses[pid] = os.waitpid(pid, 0)[1]
         except BaseException:
-            for pid in (pid for pid, _ in children if pid not in statuses):
+            for pid in (pid for pid, _, _ in children if pid not in statuses):
                 with contextlib.suppress(ProcessLookupError, ChildProcessError):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
             raise
-        # each child has exited: all it wrote is in its pipe
-        messages = [os.read(fd, select.PIPE_BUF).decode(errors="replace") for _, fd in children]
+        # each child has exited: all it wrote is in its pipe and its file
+        messages = [os.read(fd, select.PIPE_BUF).decode(errors="replace") for _, fd, _ in children]
+        failures = []
+        for (pid, _, _), message in zip(children, messages):
+            code = os.waitstatus_to_exitcode(statuses[pid])
+            if code < 0:
+                failures.append(f"worker {pid} died by signal {-code}")
+            elif code:
+                failures.append(message or f"worker {pid} exited with status {code}")
+        values = []
+        if not (kill or failures):
+            for _, _, value_file in children:
+                value_file.seek(0)  # the child's writes moved the offset it shares with the caller
+                values.append(pickle.load(value_file))
     finally:
-        for _, fd in children:
+        for _, fd, value_file in children:
             os.close(fd)
-    failures = []
-    for (pid, _), message in zip(children, messages):
-        code = os.waitstatus_to_exitcode(statuses[pid])
-        if code < 0:
-            failures.append(f"worker {pid} died by signal {-code}")
-        elif code:
-            failures.append(message or f"worker {pid} exited with status {code}")
-    return failures
+            value_file.close()
+    return failures, values

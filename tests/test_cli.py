@@ -102,6 +102,13 @@ class TestExitCodes:
                        f"{exact.MAX_PRIOR_GRID} atoms"]
         assert peak < 2**20  # refused before any atom is built
 
+    @pytest.mark.parametrize("key", ["horizon", "prior_grid"])
+    def test_finite_model_count_below_one_exits_one(self, tmp_path, capsys, key):
+        cfg = write(tmp_path / "n.cfg", f"{key} = -5\n")
+        code = main(["exact-markov", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {key} must be at least 1, got -5"]
+
     def test_worker_failure_exits_one(self, tmp_path, capsys, monkeypatch):
         caller = os.getpid()
         run_block = montecarlo._run_block

@@ -1,11 +1,15 @@
+import hashlib
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from optstop import exact, workers
 from optstop.core import NEVER, SignificanceLevel, stop
-from optstop.errors import ResourceLimitError
+from optstop.errors import OptstopError, ResourceLimitError
 from optstop.exact import (
     FiniteModel,
     build_table,
@@ -20,7 +24,7 @@ from optstop.exact import (
     verify_markov_bound,
 )
 from optstop.montecarlo import estimate_stopped_bf_mean, estimate_type1, run_trials_finite
-from optstop.stopping import BfThreshold, FixedN, SumOfSquares
+from optstop.stopping import BfThreshold, FixedN, RawStatistic, SumOfSquares
 
 
 @pytest.fixture(scope="module")
@@ -366,3 +370,187 @@ def test_partition_calibration_markov_expectation_properties(seed):
     markov_table = build_table(model, BfThreshold(upper=1.0 / alpha, cap=model.horizon))
     (chk,) = verify_markov_bound(markov_table, [SignificanceLevel(alpha)])
     assert chk.bound_holds
+
+
+# split enumeration -----------------------------------------------------------
+
+# sha256 of repr(list(table.entries.values())) for the bundled exact-markov
+# tree (horizon 12, prior_grid 10,000, BfThreshold(100)), as one process built
+# it before the tree could split
+MARKOV_DIGEST = "684c47012525ed46e9f3f01998ec4cd3b0696968367888cc31a3f215dd0de5f6"
+BUDGET_MESSAGE = "^stopped-sequence table would exceed the budget of {} entries$"
+
+
+def assert_no_child():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def items_digest(table):
+    """sha256 of ``repr`` of the table's items, in order: every float bit shows."""
+    return hashlib.sha256(repr(list(table.entries.items())).encode()).hexdigest()
+
+
+def table_items(model, rule, n_workers, monkeypatch, split_cells=1, **kwargs):
+    """``items_digest`` of the table built with ``n_workers`` usable CPUs."""
+    monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+    monkeypatch.setattr(exact, "_SPLIT_CELLS", split_cells)
+    return items_digest(build_table(model, rule, **kwargs))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The groups handed to forked children, in order; the fork itself still happens."""
+    started = []
+    fork = workers._fork
+
+    def spy(run, group):
+        started.append(group)
+        return fork(run, group)
+
+    monkeypatch.setattr(workers, "_fork", spy)
+    return started
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.data_too_large, HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**31 - 1))
+def test_split_table_equals_one_process(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    model = random_finite_model(rng)
+    rule = random_rule(rng, model.horizon)
+    one = table_items(model, rule, 1, monkeypatch)
+    assert table_items(model, rule, 2, monkeypatch) == one
+    assert table_items(model, rule, 3, monkeypatch) == one
+
+
+class TestSplitEnumeration:
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            BfThreshold(upper=4.0, lower=0.25, cap=10),
+            RawStatistic(statistic=lambda x: float(np.sum(x)), threshold=4.0, cap=10),
+            FixedN(n=10, cap=10),
+        ],
+        ids=["two-sided", "raw-statistic", "fixed-n"],
+    )
+    def test_same_items_across_worker_counts(self, rule, forks, monkeypatch):
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
+        one = table_items(model, rule, 1, monkeypatch)
+        assert forks == []
+        for n_workers in (2, 3):
+            forks.clear()
+            assert table_items(model, rule, n_workers, monkeypatch) == one
+            assert len(forks) == n_workers - 1
+            assert_no_child()
+
+    def test_bundled_markov_tree_digest(self, forks, monkeypatch):
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=12, grid=10_000)
+        rule = BfThreshold(upper=100.0, cap=12)
+        for n_workers in (1, 2, 3):
+            monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+            forks.clear()
+            entries = build_table(model, rule).entries  # the bundled split constant
+            assert len(forks) == n_workers - 1
+            digest = hashlib.sha256(repr(list(entries.values())).encode()).hexdigest()
+            assert (len(entries), digest) == (4094, MARKOV_DIGEST)
+
+    def test_only_large_trees_split(self, forks, monkeypatch):
+        monkeypatch.setattr(workers, "worker_count", lambda: 2)
+        # the finite cross-check's tree: 501 components, cap 8
+        build_table(FiniteModel.bernoulli_point_vs_uniform(horizon=8, grid=500),
+                    BfThreshold(upper=5.0, cap=8))
+        assert forks == []
+        # the bundled exact-calibration tree: 10,001 components, cap 10
+        build_table(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=10_000),
+                    BfThreshold(upper=3.0, cap=10))
+        assert len(forks) == 1
+
+    def test_callable_model_never_splits(self, forks, monkeypatch):
+        rule = BfThreshold(upper=5.0, lower=0.2, cap=8)
+        one = table_items(laplace_model(8), rule, 1, monkeypatch)
+        assert table_items(laplace_model(8), rule, 3, monkeypatch) == one
+        assert forks == []
+
+    def test_callable_error_reaches_the_caller_as_itself(self, forks, monkeypatch):
+        def broken(prefix):
+            return [math.nan, 0.5] if len(prefix) == 6 else laplace_succession(prefix)
+
+        monkeypatch.setattr(workers, "worker_count", lambda: 3)
+        monkeypatch.setattr(exact, "_SPLIT_CELLS", 1)
+        with pytest.raises(ValueError, match="conditional masses must be finite"):
+            build_table(laplace_model(8, broken), FixedN(n=8, cap=8))
+        assert forks == []
+
+    # FixedN(10) on a 10-symbol-deep binary tree: 1,024 leaves.  At three
+    # workers the top is the 32 nodes at depth 5, 32 leaves each, in groups
+    # of 10, 11 and 11 nodes: 320, 352 and 352 leaves, with budgets of
+    # max_entries less the 22, 21 and 21 items outside the group
+    @pytest.mark.parametrize(
+        "max_entries",
+        [128, 360, 1023],
+        ids=["caller-group-over", "child-group-over", "only-the-sum-over"],
+    )
+    def test_entry_budget_of_a_split_tree(self, max_entries, forks, monkeypatch):
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=100)
+        rule = FixedN(n=10, cap=10)
+        with pytest.raises(ResourceLimitError, match=BUDGET_MESSAGE.format(max_entries)):
+            table_items(model, rule, 3, monkeypatch, max_entries=max_entries)
+        assert [len(group) for group in forks] == [11, 11]
+        assert_no_child()
+        assert len(build_table(model, rule, max_entries=1024).entries) == 1024
+        assert_no_child()
+
+    def test_worker_failure_raises_in_the_caller(self, monkeypatch):
+        caller = os.getpid()
+
+        def statistic(x):
+            if os.getpid() != caller:
+                raise RuntimeError("statistic failed")
+            return 0.0
+
+        rule = RawStatistic(statistic=statistic, threshold=1.0, cap=10)
+        with pytest.raises(
+            OptstopError, match="^an exact-table worker failed: RuntimeError: statistic failed$"
+        ):
+            table_items(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50), rule, 2,
+                        monkeypatch)
+        assert_no_child()
+
+    def test_interrupted_caller_kills_and_reaps_its_workers(self, monkeypatch):
+        caller = os.getpid()
+
+        def statistic(x):
+            if os.getpid() != caller:
+                time.sleep(30)  # would outlast the build unless killed
+            elif workers._in_job:  # the caller's own group
+                raise KeyboardInterrupt
+            return 0.0
+
+        rule = RawStatistic(statistic=statistic, threshold=1.0, cap=10)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            table_items(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50), rule, 3,
+                        monkeypatch)
+        assert time.monotonic() - start < 15
+        assert_no_child()
+
+    def test_a_build_inside_a_split_job_forks_nothing(self, monkeypatch):
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
+        rule = BfThreshold(upper=4.0, lower=0.25, cap=10)
+        one = table_items(model, rule, 1, monkeypatch)
+        caller, fork = os.getpid(), workers._fork
+
+        def outside_jobs(run, group):
+            if os.getpid() != caller or workers._in_job:
+                raise AssertionError("a process of a split job forked")
+            return fork(run, group)
+
+        monkeypatch.setattr(workers, "_fork", outside_jobs)
+        monkeypatch.setattr(workers, "worker_count", lambda: 2)
+        built = workers.run_groups(
+            lambda group: items_digest(build_table(model, rule)), [0, 1], "a test"
+        )
+        assert built == [one, one]  # the caller's group's table, then the child's
+        assert_no_child()

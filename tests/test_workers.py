@@ -72,6 +72,15 @@ def test_a_split_job_runs_further_jobs_where_they_are(monkeypatch):
     assert seen == [0, 3]  # a job of one group forks nothing, so a job inside it may
 
 
+def test_group_values_come_back_in_group_order(forks, monkeypatch):
+    force_workers(monkeypatch, 3)
+    # the last value is larger than a pipe holds: it comes back through a file
+    values = workers.run_groups(lambda group: list(range(group)), [3, 0, 10**5], "a test")
+    assert values == [[0, 1, 2], [], list(range(10**5))]
+    assert forks == [0, 10**5]
+    assert_no_child()
+
+
 def table_bytes(prior) -> bytes:
     """The bytes of the cap-200 boundary at a bar of 20 and of every table it built."""
     curves = ScaleBfCurves(InvariantModelPair.scale(prior))
