@@ -10,12 +10,13 @@ Monte Carlo engine.
 
 The tree is enumerated depth first, every node's masses from its
 parent's per-component likelihoods, so a subtree depends on its own
-path alone.  A large tree, at least ``2 * _SPLIT_CELLS`` cells (see
-``build_table``) of a model with no callable component, splits: the caller
-expands the top of the tree and its open subtrees run in contiguous
-groups, one per usable CPU, in forked worker processes
-(``optstop.workers``).  The table, keys, float bits and order, is the
-one-process table whatever the split.
+path alone.  The caller expands the top of the tree and its open
+subtrees run in contiguous groups through ``optstop.workers``: one group
+in the caller, or, for a large tree (at least ``2 * _SPLIT_CELLS``
+cells, see ``build_table``) of a model with no callable component, one
+per usable CPU, each but the first in a forked worker process.  The
+table, keys, float bits and order, is that of a plain depth-first
+enumeration from the root whatever the split.
 
 Masses are kept in linear space: with conditional probabilities bounded
 away from zero and horizons below ~40, products stay far from the
@@ -30,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -295,8 +296,9 @@ def sample_sequence(model: FiniteModel, k: int, rng: np.random.Generator) -> Tup
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
+    """A stopped sequence; a named tuple: one unpickled from a worker is as small as one built."""
+
     sequence: Prefix
     mass0: float
     mass1: float
@@ -341,11 +343,16 @@ def build_table(
     :class:`ResourceLimitError` once more than ``max_entries`` leaves
     would be recorded.
 
-    A tree of at least ``2 * _SPLIT_CELLS`` cells, (H0 + H1 components
-    + _NODE_CELLS) x K^cap, of a model with no callable component,
-    splits over up to ``cells // _SPLIT_CELLS`` processes
-    (``optstop.workers``); see :func:`_split`.  The table, its float
+    Every tree is enumerated by :func:`_split`, in up to ``cells //
+    _SPLIT_CELLS`` processes (``optstop.workers``) for a tree of (H0 +
+    H1 components + _NODE_CELLS) x K^cap cells.  The table, its float
     bits and its order, does not depend on the split.
+
+    A model with a callable component runs in one process: a callable's
+    errors raise as themselves.  So does the rule's own callable (the
+    statistic of ``RawStatistic`` or ``InvariantStatistic``) in the
+    caller's group; in a child's group it reaches the caller as
+    ``OptstopError("an exact-table worker failed: ...")``.
     """
     if rule.cap > model.horizon:
         raise ValueError(f"rule cap {rule.cap} exceeds the model horizon {model.horizon}")
@@ -356,12 +363,7 @@ def build_table(
     # a callable is user code: its errors stay the caller's, and it may not be fork-safe
     splits = not any(mix.callables for mix in model._mixtures)
     w = workers.usable(cells // _SPLIT_CELLS) if splits else 1
-    if w > 1:
-        entries = _split(model, rule, root, w, max_entries)
-    else:
-        entries = []
-        if not _grow(model, rule, [root], entries, max_entries):
-            raise _over_budget(max_entries)
+    entries = _split(model, rule, root, w, max_entries)
     return ExactTable(model=model, rule=rule, entries={e.sequence: e for e in entries})
 
 
@@ -418,17 +420,16 @@ def _grow(model: FiniteModel, rule: StoppingRule, stack: list, out: list, budget
 
 
 def _split(model: FiniteModel, rule: StoppingRule, root: tuple, w: int, max_entries: int) -> list:
-    """The entries of ``build_table``'s one-process enumeration, built in up to ``w`` processes.
+    """The entries ``_grow`` enumerates from ``root`` alone, in up to ``w`` processes.
 
-    The caller expands the top of the tree, down to the first depth of
-    at least _TOP_NODES_PER_GROUP * w nodes (K^depth, or the cap less
-    one).  The one-process enumeration records the entries stopped above
-    that depth and each open node's whole subtree in one order, which
-    ``_grow`` gives with the nodes in their subtrees' places.  The open
-    nodes split into ``w`` contiguous groups in that order; the caller
-    grows the first group's subtrees and a forked child each other's
-    (``workers.run_groups``), each subtree as the one process would, and
-    the caller puts every subtree's entries back in its node's place.
+    The same path at every ``w``.  The caller expands the top of the
+    tree, down to the first depth of at least _TOP_NODES_PER_GROUP * w
+    nodes (K^depth, or the cap less one): ``_grow`` gives the entries
+    stopped above that depth in their order, each open node in its
+    subtree's place.  The open nodes split into up to ``w`` contiguous
+    groups; the caller grows the first group's subtrees and a forked
+    child each other's (``workers.run_groups``), and puts every subtree's
+    entries back in its node's place.
 
     Every item of the top, an entry or an open node, holds at least one
     leaf, so a group's budget is ``max_entries`` less the items outside
@@ -448,12 +449,7 @@ def _split(model: FiniteModel, rule: StoppingRule, root: tuple, w: int, max_entr
     caller = os.getpid()
 
     def run(group: list):
-        """The group's entries, subtree after subtree, and each subtree's end; or its count.
-
-        A child's entries come back as tuples of their fields, and the
-        caller builds them again: an unpickled entry takes about three
-        times the memory of a constructed one, and pickles slower.
-        """
+        """The group's entries, subtree after subtree, and each subtree's end; or its count."""
         out: list = []
         ends = []
         for node in group:
@@ -462,17 +458,11 @@ def _split(model: FiniteModel, rule: StoppingRule, root: tuple, w: int, max_entr
                     raise _over_budget(max_entries)
                 return len(out) + 1
             ends.append(len(out))
-        if os.getpid() == caller:
-            return out, ends
-        return [(e.sequence, e.mass0, e.mass1, e.log_beta, e.stop_index, e.max_log_beta)
-                for e in out], ends
+        return out, ends
 
     results = workers.run_groups(run, groups, "an exact-table") if groups else []
     if any(isinstance(result, int) for result in results):
         raise _over_budget(max_entries)
-    for i in range(1, len(results)):
-        rows, ends = results[i]
-        results[i] = [TableEntry(*row) for row in rows], ends
     subtrees = (out[a:b] for out, ends in results for a, b in zip([0] + ends, ends))
     entries = []
     for item in top:

@@ -273,15 +273,16 @@ def _log_integral(phi, lo, hi, *params) -> np.ndarray:
     Every point's arithmetic is its own: element i is the value of a call
     on point i alone, bit for bit, whatever the batch.  The scan interval
     holding each share comes from ``_count_below_shares``.  The points
-    are passed _CHUNK at a time, and a call of many points splits them
-    into contiguous groups of whole passes, at least _FORK_POINTS points
-    each, over worker processes (``optstop.workers``); the values do not
-    depend on the split.
+    are passed _CHUNK at a time, in contiguous groups of whole passes
+    (``workers.run_groups``) that write into one shared mapping: groups
+    of at least _FORK_POINTS points in worker processes for a call of
+    many points, else one group in the caller.  The values do not depend
+    on the split.
     """
     lo, hi, *params = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lo, hi, *params)))
     size = lo.size
     w = workers.usable(size // _FORK_POINTS)
-    out = workers.shared_arrays(size, [np.float64])[0] if w > 1 else np.empty(size)
+    out = workers.shared_arrays(size, [np.float64])[0]
 
     def run(group: range) -> None:
         for s in range(group.start, group.stop, _CHUNK):

@@ -3,9 +3,10 @@
 A job (a Monte Carlo run's trials, the points of a large exact-evaluator
 call, the subtrees of a large exact table) is split into W contiguous
 groups.  The calling process runs the first group and one ``os.fork``ed
-child per other group runs another, all at once.  A job whose results
-have a known size (the trials, the evaluator's points) has each process
-write them at their offsets into arrays in one shared anonymous mapping
+child per other group runs another, all at once; at W = 1 the one group
+runs in the caller through the same code.  A job whose results have a
+known size (the trials, the evaluator's points) has each process write
+them at their offsets into arrays in one shared anonymous mapping
 (``shared_arrays``) that the caller makes before the fork.  A job whose
 results have no size known in advance (a table's stopped sequences)
 returns them instead: a child's return value is pickled into an unnamed
@@ -25,10 +26,11 @@ child's: that job's processes already hold the CPUs, so a job started
 there (a table a bar-less rule's trials build on demand) runs where it
 is.
 
-A child leaves through ``os._exit`` and sends a failure's message back
-on a pipe; the caller reaps every child before it returns or raises,
-kills them first when it raises itself, and raises ``OptstopError`` for
-a child that failed or died.
+A child leaves through ``os._exit`` and reports through its temporary
+file alone: its pickled return value and exit status 0, or its failure's
+message, whole, and status 1.  The caller reaps every child before it
+returns or raises, kills them first when it raises itself, and raises
+``OptstopError`` for a child that failed or died.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import contextlib
 import mmap
 import os
 import pickle
-import select
 import signal
 import sys
 import tempfile
@@ -111,48 +112,41 @@ def run_groups(run: Callable, groups: list, what: str) -> list:
     return [first] + values
 
 
-def _fork(run: Callable, group) -> Tuple[int, int, IO[bytes]]:
-    """Start ``run(group)`` in a forked child; its pid, the read end of its pipe and its value's file.
+def _fork(run: Callable, group) -> Tuple[int, IO[bytes]]:
+    """Start ``run(group)`` in a forked child; its pid and its result file.
 
     The child always leaves through ``os._exit``, so none of the caller's
     ``finally`` blocks, exit handlers or stdio flushes run in it.  It
     pickles its return value into the unnamed temporary file and exits
-    with status 0.  A failure writes its message, at most PIPE_BUF bytes
-    (which an empty pipe takes without blocking), to the pipe and exits
-    with status 1.
+    with status 0.  A failure, in ``run`` or in the pickling, empties the
+    file, writes its message there instead and exits with status 1.
     """
     global _in_job
-    value_file = tempfile.TemporaryFile()
-    try:
-        read_end, write_end = os.pipe()
-    except BaseException:
-        value_file.close()
-        raise
+    result = tempfile.TemporaryFile()
     try:
         pid = os.fork()
     except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        value_file.close()
+        result.close()
         raise
     if pid == 0:
         _in_job = True
         status = 1
         try:
-            os.close(read_end)
-            pickle.dump(run(group), value_file, protocol=pickle.HIGHEST_PROTOCOL)
-            value_file.flush()
+            pickle.dump(run(group), result, protocol=pickle.HIGHEST_PROTOCOL)
+            result.flush()
             status = 0
         except BaseException as exc:
-            os.write(write_end, f"{type(exc).__name__}: {exc}".encode()[: select.PIPE_BUF])
+            result.seek(0)  # a value pickled partway is dropped
+            result.truncate()
+            result.write(f"{type(exc).__name__}: {exc}".encode())
+            result.flush()
         finally:
             os._exit(status)
-    os.close(write_end)
-    return pid, read_end, value_file
+    return pid, result
 
 
 def _reap(children: list, kill: bool) -> Tuple[List[str], list]:
-    """Wait for every child (killed first with ``kill``) and close its pipe and file.
+    """Wait for every (pid, result file) child, killed first with ``kill``, and close its file.
 
     The failures, and, unless killed or failed, every child's return value.
     Interrupted while waiting, it kills the children not yet reaped and
@@ -161,33 +155,28 @@ def _reap(children: list, kill: bool) -> Tuple[List[str], list]:
     statuses = {}
     try:
         try:
-            for pid, _, _ in children:
+            for pid, _ in children:
                 if kill:
                     os.kill(pid, signal.SIGKILL)
-            for pid, _, _ in children:
+            for pid, _ in children:
                 statuses[pid] = os.waitpid(pid, 0)[1]
         except BaseException:
-            for pid in (pid for pid, _, _ in children if pid not in statuses):
+            for pid in (pid for pid, _ in children if pid not in statuses):
                 with contextlib.suppress(ProcessLookupError, ChildProcessError):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
             raise
-        # each child has exited: all it wrote is in its pipe and its file
-        messages = [os.read(fd, select.PIPE_BUF).decode(errors="replace") for _, fd, _ in children]
         failures = []
-        for (pid, _, _), message in zip(children, messages):
+        for pid, result in children:
+            result.seek(0)  # the exited child's writes moved the offset it shares with the caller
             code = os.waitstatus_to_exitcode(statuses[pid])
             if code < 0:
                 failures.append(f"worker {pid} died by signal {-code}")
             elif code:
+                message = result.read().decode(errors="replace")
                 failures.append(message or f"worker {pid} exited with status {code}")
-        values = []
-        if not (kill or failures):
-            for _, _, value_file in children:
-                value_file.seek(0)  # the child's writes moved the offset it shares with the caller
-                values.append(pickle.load(value_file))
+        values = [] if kill or failures else [pickle.load(result) for _, result in children]
     finally:
-        for _, fd, value_file in children:
-            os.close(fd)
-            value_file.close()
+        for _, result in children:
+            result.close()
     return failures, values

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import pickle
 import time
 
 import numpy as np
@@ -11,7 +12,9 @@ from optstop import exact, workers
 from optstop.core import NEVER, SignificanceLevel, stop
 from optstop.errors import OptstopError, ResourceLimitError
 from optstop.exact import (
+    ExactTable,
     FiniteModel,
+    TableEntry,
     build_table,
     log_beta_paths,
     marginal_mass,
@@ -399,6 +402,14 @@ def table_items(model, rule, n_workers, monkeypatch, split_cells=1, **kwargs):
     return items_digest(build_table(model, rule, **kwargs))
 
 
+def plain_items(model, rule):
+    """``items_digest`` of the table a plain depth-first enumeration from the root gives."""
+    root = ((), np.ones(len(model.weights(0))), np.ones(len(model.weights(1))), -math.inf)
+    out = []
+    assert exact._grow(model, rule, [root], out, 2**24)
+    return items_digest(ExactTable(model, rule, {e.sequence: e for e in out}))
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The groups handed to forked children, in order; the fork itself still happens."""
@@ -413,6 +424,21 @@ def forks(monkeypatch):
     return started
 
 
+def test_table_entry_fields_repr_and_pickle():
+    entry = TableEntry(sequence=(0, 1), mass0=0.25, mass1=0.125, log_beta=-math.log(2.0),
+                       stop_index=2, max_log_beta=0.5)
+    names = ("sequence", "mass0", "mass1", "log_beta", "stop_index", "max_log_beta")
+    assert [getattr(entry, name) for name in names] == [(0, 1), 0.25, 0.125, -math.log(2.0), 2, 0.5]
+    assert repr(entry) == (
+        "TableEntry(sequence=(0, 1), mass0=0.25, mass1=0.125, log_beta=-0.6931471805599453, "
+        "stop_index=2, max_log_beta=0.5)"
+    )
+    with pytest.raises(AttributeError):
+        entry.mass0 = 1.0
+    back = pickle.loads(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
+    assert type(back) is TableEntry and back == entry
+
+
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.data_too_large, HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**31 - 1))
@@ -420,9 +446,9 @@ def test_split_table_equals_one_process(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     model = random_finite_model(rng)
     rule = random_rule(rng, model.horizon)
-    one = table_items(model, rule, 1, monkeypatch)
-    assert table_items(model, rule, 2, monkeypatch) == one
-    assert table_items(model, rule, 3, monkeypatch) == one
+    plain = plain_items(model, rule)
+    for n_workers in (1, 2, 3):
+        assert table_items(model, rule, n_workers, monkeypatch) == plain
 
 
 class TestSplitEnumeration:
@@ -437,13 +463,40 @@ class TestSplitEnumeration:
     )
     def test_same_items_across_worker_counts(self, rule, forks, monkeypatch):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
-        one = table_items(model, rule, 1, monkeypatch)
-        assert forks == []
-        for n_workers in (2, 3):
+        plain = plain_items(model, rule)
+        for n_workers in (1, 2, 3):
             forks.clear()
-            assert table_items(model, rule, n_workers, monkeypatch) == one
+            assert table_items(model, rule, n_workers, monkeypatch) == plain
             assert len(forks) == n_workers - 1
             assert_no_child()
+
+    def test_one_path_at_every_worker_count(self, monkeypatch):
+        groups = []
+        run_groups = workers.run_groups
+
+        def spy(run, job_groups, what):
+            groups.append(len(job_groups))
+            return run_groups(run, job_groups, what)
+
+        monkeypatch.setattr(workers, "run_groups", spy)
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
+        rule = BfThreshold(upper=4.0, lower=0.25, cap=10)
+        for n_workers in (1, 2, 3):
+            table_items(model, rule, n_workers, monkeypatch)
+        table_items(model, rule, 3, monkeypatch, split_cells=2**40)  # too small to split
+        assert groups == [1, 2, 3, 1]
+
+    def test_entries_from_every_group_are_table_entries(self, forks, monkeypatch):
+        monkeypatch.setattr(workers, "worker_count", lambda: 2)
+        monkeypatch.setattr(exact, "_SPLIT_CELLS", 1)
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
+        entries = build_table(model, FixedN(n=10, cap=10)).entries.values()
+        (child_group,) = forks
+        depth = len(child_group[0][0])  # a node is (prefix, lik0, lik1, running max)
+        in_child = {node[0] for node in child_group}
+        from_child = [e for e in entries if e.sequence[:depth] in in_child]
+        assert 0 < len(from_child) < len(entries)
+        assert all(type(e) is TableEntry for e in entries)
 
     def test_bundled_markov_tree_digest(self, forks, monkeypatch):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=12, grid=10_000)
@@ -500,6 +553,23 @@ class TestSplitEnumeration:
         assert [len(group) for group in forks] == [11, 11]
         assert_no_child()
         assert len(build_table(model, rule, max_entries=1024).entries) == 1024
+        assert_no_child()
+
+    def test_an_over_budget_caller_group_raises_without_waiting(self, monkeypatch):
+        caller, slept = os.getpid(), []
+
+        def statistic(x):
+            if os.getpid() != caller and not slept:
+                slept.append(True)
+                time.sleep(30)  # would outlast the build unless killed
+            return 0.0
+
+        rule = RawStatistic(statistic=statistic, threshold=1.0, cap=10)
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError, match=BUDGET_MESSAGE.format(128)):
+            table_items(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50), rule, 3,
+                        monkeypatch, max_entries=128)
+        assert time.monotonic() - start < 15
         assert_no_child()
 
     def test_worker_failure_raises_in_the_caller(self, monkeypatch):

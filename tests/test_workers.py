@@ -2,6 +2,8 @@
 
 import math
 import os
+import pickle
+import select
 import threading
 import time
 
@@ -74,10 +76,37 @@ def test_a_split_job_runs_further_jobs_where_they_are(monkeypatch):
 
 def test_group_values_come_back_in_group_order(forks, monkeypatch):
     force_workers(monkeypatch, 3)
-    # the last value is larger than a pipe holds: it comes back through a file
+    # the last value pickles to some 300 KB, which its child's file gives back whole
     values = workers.run_groups(lambda group: list(range(group)), [3, 0, 10**5], "a test")
     assert values == [[0, 1, 2], [], list(range(10**5))]
     assert forks == [0, 10**5]
+    assert_no_child()
+
+
+def test_a_long_failure_message_reaches_the_caller_whole(monkeypatch):
+    force_workers(monkeypatch, 2)
+    message = "a failure " * select.PIPE_BUF + "ends here"
+
+    def run(group):
+        if group:
+            raise RuntimeError(message)
+
+    with pytest.raises(OptstopError) as failed:
+        workers.run_groups(run, [0, 1], "a test")
+    assert str(failed.value) == f"a test worker failed: RuntimeError: {message}"
+    assert_no_child()
+
+
+def test_a_value_that_fails_to_pickle_gives_the_pickling_error(monkeypatch):
+    force_workers(monkeypatch, 2)
+    # some 300 KB of the value reach the child's file before the lambda fails to pickle
+    value = list(range(10**5)) + [lambda: None]
+    with pytest.raises(Exception) as expected:
+        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    with pytest.raises(OptstopError) as failed:
+        workers.run_groups(lambda group: value if group else None, [0, 1], "a test")
+    error = expected.value
+    assert str(failed.value) == f"a test worker failed: {type(error).__name__}: {error}"
     assert_no_child()
 
 
