@@ -444,15 +444,13 @@ def _split(model: FiniteModel, rule: StoppingRule, root: tuple, w: int, max_entr
     if not _grow(model, rule, [root], top, max_entries, depth):
         raise _over_budget(max_entries)
     nodes = [item for item in top if not isinstance(item, TableEntry)]
-    bounds = [len(nodes) * i // w for i in range(w + 1)]
-    groups = [nodes[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
     caller = os.getpid()
 
-    def run(group: list):
+    def run(group: range):
         """The group's entries, subtree after subtree, and each subtree's end; or its count."""
         out: list = []
         ends = []
-        for node in group:
+        for node in nodes[group.start:group.stop]:
             if not _grow(model, rule, [node], out, max_entries - (len(top) - len(group))):
                 if os.getpid() == caller:
                     raise _over_budget(max_entries)
@@ -460,7 +458,7 @@ def _split(model: FiniteModel, rule: StoppingRule, root: tuple, w: int, max_entr
             ends.append(len(out))
         return out, ends
 
-    results = workers.run_groups(run, groups, "an exact-table") if groups else []
+    results = workers.run_groups(run, len(nodes), w, "an exact-table")
     if any(isinstance(result, int) for result in results):
         raise _over_budget(max_entries)
     subtrees = (out[a:b] for out, ends in results for a, b in zip([0] + ends, ends))

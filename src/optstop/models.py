@@ -274,19 +274,18 @@ def _log_integral(phi, lo, hi, *params) -> np.ndarray:
     on point i alone, bit for bit, whatever the batch.  The scan interval
     holding each share comes from ``_count_below_shares``.  The points
     are passed _CHUNK at a time, in contiguous groups of whole passes
-    (``workers.run_groups``) that write into one shared mapping: groups
+    (``workers.run_groups``) that each return their own values: groups
     of at least _FORK_POINTS points in worker processes for a call of
     many points, else one group in the caller.  The values do not depend
     on the split.
     """
     lo, hi, *params = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (lo, hi, *params)))
-    size = lo.size
-    w = workers.usable(size // _FORK_POINTS)
-    out = workers.shared_arrays(size, [np.float64])[0]
 
-    def run(group: range) -> None:
-        for s in range(group.start, group.stop, _CHUNK):
-            rows = slice(s, min(s + _CHUNK, group.stop))  # read through .flat: no flattened copy
+    def run(group: range) -> np.ndarray:
+        out = np.empty(len(group))
+        for s in range(0, len(group), _CHUNK):
+            # read through .flat: no flattened copy
+            rows = slice(group.start + s, min(group.start + s + _CHUNK, group.stop))
             cols = [p.flat[rows][:, None] for p in params]
             grid_lo = lo.flat[rows][:, None]
             ell = grid_lo + (hi.flat[rows][:, None] - grid_lo) * _SCAN
@@ -311,12 +310,12 @@ def _log_integral(phi, lo, hi, *params) -> np.ndarray:
             half = 0.5 * np.diff(edges, axis=1)
             nodes = (edges[:, :-1, None] + half[:, :, None] * (1.0 + _GL_X)).reshape(points, -1)
             f = np.exp(phi(nodes, *cols) - peak).reshape(points, _SHARES.size - 1, -1)
-            out[rows] = peak[:, 0] + np.log(((f * _GL_W).sum(axis=2) * half).sum(axis=1))
+            out[s:s + points] = peak[:, 0] + np.log(((f * _GL_W).sum(axis=2) * half).sum(axis=1))
+        return out
 
-    # group boundaries fall on whole passes: each pass is the one a single process makes
-    bounds = [size * i // w // _CHUNK * _CHUNK for i in range(w)] + [size]
-    workers.run_groups(run, [range(a, b) for a, b in zip(bounds, bounds[1:])], "an exact-evaluator")
-    return out.reshape(lo.shape)
+    # step=_CHUNK: each pass is the one a single process makes
+    groups = workers.run_groups(run, lo.size, lo.size // _FORK_POINTS, "an exact-evaluator", _CHUNK)
+    return np.concatenate(groups).reshape(lo.shape)
 
 
 def _cauchy_log_bf_xi(n, xi, r: float) -> np.ndarray:

@@ -38,7 +38,8 @@ Worker processes
     ``RUN_DRAW_BYTES``.  Each group runs in blocks with its own lazy-head
     history, so its first block draws full rows.  Every table and
     boundary a rule's bars need, and the table at the cap, are built
-    before the fork; the records go to one shared mapping.
+    before the fork.  Each group returns its records' columns, and the
+    caller joins them in group order.
 
 Records
     A run returns one :class:`TrialRecords` batch: an array each of stop
@@ -123,7 +124,9 @@ RUN_DRAW_BYTES = 4 * DRAW_BUFFER_BYTES
 # half the cap (layout only: never changes a record)
 LAZY_TAIL = 8
 # a run's records, 8 bytes per trial in each column (stop index, stopped log
-# beta, trial index; a marginal run's drawn scale too), take at most this
+# beta, trial index; a marginal run's drawn scale too), take at most this.  A
+# run joining its groups' columns briefly holds up to twice these bytes, and a
+# forked group's share passes through its unnamed temporary file on the way
 RECORD_BUDGET_BYTES = 2**30
 # (trials x components) likelihood cells per finite-model chunk: 8 MB of doubles
 FINITE_CHUNK_CELLS = 2**20
@@ -489,21 +492,20 @@ def _run_blocks(
     per_trial = _draws_per_trial(rule, marginal)
     rows = min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * per_trial))  # >= 1: see _validate_run
     n_blocks = -(-n_trials // rows)
-    w = workers.usable(min(n_blocks, RUN_DRAW_BYTES // (8 * rows * per_trial)))
-    columns = _record_columns(n_trials, marginal)
+    names = ("stop_index", "stopped_log_beta", "trial") + (("g",) if marginal else ())
     curves = _curves_for(pair)
 
-    def run_group(trials: range) -> None:
+    def run_group(trials: range) -> list:
+        """The group's records, one column per field of ``names``."""
         stops = np.zeros(rule.cap + 1, dtype=np.int64)
+        blocks = []
         for lo in range(trials.start, trials.stop, rows):
-            hi = min(lo + rows, trials.stop)
-            records = _run_block(
-                pair, curves, k, g, rule, key64, lo, hi, seed, x_init, lb_offset, bounds,
-                _lazy_head(stops),
-            )
-            for name, column in columns.items():
-                column[lo:hi] = getattr(records, name)
-            stops += np.bincount(records.stop_index, minlength=stops.size)
+            blocks.append(_run_block(
+                pair, curves, k, g, rule, key64, lo, min(lo + rows, trials.stop), seed, x_init,
+                lb_offset, bounds, _lazy_head(stops),
+            ))
+            stops += np.bincount(blocks[-1].stop_index, minlength=stops.size)
+        return [np.concatenate([getattr(block, name) for block in blocks]) for name in names]
 
     with np.errstate(all="ignore"):  # entered before the fork: the children inherit it
         # each bar of the rule as per-n bounds on the coordinate log beta
@@ -513,11 +515,11 @@ def _run_blocks(
             for bar, above in rule.log_bars
         ]
         curves.log_bf_cells(rule.cap, 0.0)  # the cap's table, which stops every trial left
-        workers.run_groups(
-            run_group,
-            [range(n_trials * i // w, n_trials * (i + 1) // w) for i in range(w)],
+        groups = workers.run_groups(
+            run_group, n_trials, min(n_blocks, RUN_DRAW_BYTES // (8 * rows * per_trial)),
             "a Monte Carlo",
         )
+    columns = {name: np.concatenate(parts) for name, parts in zip(names, zip(*groups))}
     records = TrialRecords(k, columns.pop("g", g), seed, rule, **columns)
     bad = np.count_nonzero(~np.isfinite(records.stopped_log_beta))
     if bad:
@@ -526,14 +528,6 @@ def _run_blocks(
             "sums of squares left the double range, or this effect prior's tables are not finite"
         )
     return records
-
-
-def _record_columns(n_trials: int, marginal: bool) -> dict:
-    """A run's record columns by field name, in one shared mapping (``workers.shared_arrays``)."""
-    dtypes = {"stop_index": np.int64, "stopped_log_beta": np.float64, "trial": np.int64}
-    if marginal:
-        dtypes["g"] = np.float64
-    return dict(zip(dtypes, workers.shared_arrays(n_trials, list(dtypes.values()))))
 
 
 def _validate_run(

@@ -1,30 +1,27 @@
 """Worker processes: one job split into contiguous groups, each but the first in a forked child.
 
 A job (a Monte Carlo run's trials, the points of a large exact-evaluator
-call, the subtrees of a large exact table) is split into W contiguous
-groups.  The calling process runs the first group and one ``os.fork``ed
-child per other group runs another, all at once; at W = 1 the one group
-runs in the caller through the same code.  A job whose results have a
-known size (the trials, the evaluator's points) has each process write
-them at their offsets into arrays in one shared anonymous mapping
-(``shared_arrays``) that the caller makes before the fork.  A job whose
-results have no size known in advance (a table's stopped sequences)
-returns them instead: a child's return value is pickled into an unnamed
-temporary file, which the caller reads once it has reaped the child, and
-``run_groups`` returns every group's value in group order.  Every result
-is a function of its own inputs alone, so the output does not depend on
-W.  Whatever the job needs read-only (a run's tables, the evaluator's
-parameters, the model) is made before the fork, so the children inherit
-it.
+call, the subtrees of a large exact table) of ``size`` items is split
+into W contiguous groups of whole ``step``s (``run_groups``).  The
+calling process runs the first group and one ``os.fork``ed child per
+other group runs another, all at once; at W = 1 the one group runs in
+the caller through the same code.  Each group returns its results: a
+child's return value is pickled into an unnamed temporary file, which
+the caller reads once it has reaped the child, and ``run_groups``
+returns every group's value in group order for the caller to join.
+Every result is a function of its own inputs alone, so the output does
+not depend on W.  Whatever the job needs read-only (a run's tables, the
+evaluator's parameters, the model) is made before the fork, so the
+children inherit it.
 
 W is at most ``worker_count()`` (the usable CPUs on Linux with
-``os.fork``, else 1) and the job's own limit (``usable``).  It is 1, and
-the job forks nothing, when the process runs another Python thread,
-since a fork would copy a lock that thread may hold, and inside a job
-that runs split over processes, in the caller's group as in each
-child's: that job's processes already hold the CPUs, so a job started
-there (a table a bar-less rule's trials build on demand) runs where it
-is.
+``os.fork``, else 1), the job's own limit (``usable``) and its number
+of ``step``s.  It is 1, and the job forks nothing, when the process
+runs another Python thread, since a fork would copy a lock that thread
+may hold, and inside a job that runs split over processes, in the
+caller's group as in each child's: that job's processes already hold
+the CPUs, so a job started there (a table a bar-less rule's trials
+build on demand) runs where it is.
 
 A child leaves through ``os._exit`` and reports through its temporary
 file alone: its pickled return value and exit status 0, or its failure's
@@ -36,16 +33,13 @@ returns or raises, kills them first when it raises itself, and raises
 from __future__ import annotations
 
 import contextlib
-import mmap
 import os
 import pickle
 import signal
 import sys
 import tempfile
 import threading
-from typing import IO, Callable, List, Sequence, Tuple
-
-import numpy as np
+from typing import IO, Callable, List, Tuple
 
 from .errors import OptstopError
 
@@ -70,31 +64,22 @@ def usable(most: int) -> int:
     return max(1, min(worker_count(), most))
 
 
-def shared_arrays(count: int, dtypes: Sequence) -> List[np.ndarray]:
-    """An array of ``count`` elements per dtype, all in one shared anonymous mapping.
+def run_groups(run: Callable, size: int, most: int, what: str, step: int = 1) -> list:
+    """``run(group)`` for contiguous groups of ``range(size)``, the first here; their values.
 
-    Shared (MAP_SHARED, the default of an anonymous ``mmap``): the
-    elements a forked worker writes are the caller's.
-    """
-    sizes = [count * np.dtype(dtype).itemsize for dtype in dtypes]
-    buf = mmap.mmap(-1, max(sum(sizes), 1))
-    offsets = np.cumsum([0] + sizes).tolist()
-    return [
-        np.frombuffer(buf, dtype=dtype, count=count, offset=offset)
-        for dtype, offset in zip(dtypes, offsets)
-    ]
-
-
-def run_groups(run: Callable, groups: list, what: str) -> list:
-    """``run(group)`` for every group at once, the first here, each other in a forked child; their values.
-
-    The values come back in group order.  Every child is reaped before
-    this returns or raises; if ``run`` raises here (a
-    ``KeyboardInterrupt`` too), the children are killed first.
-    ``OptstopError`` naming ``what`` and the first child that failed or
-    died.
+    The groups, at most ``usable(most)``, run at once, each but the first
+    in a forked child.  Each but the last is a whole number of ``step``s,
+    and none is empty but the one group of a job of size 0.  The values
+    come back in group order.  Every child is reaped before this returns
+    or raises; if ``run`` raises here (a ``KeyboardInterrupt`` too), the
+    children are killed first.  ``OptstopError`` naming ``what`` and the
+    first child that failed or died.
     """
     global _in_job
+    steps = -(-size // step)
+    w = min(usable(most), max(steps, 1))
+    bounds = [steps * i // w * step for i in range(w)] + [size]
+    groups = [range(a, b) for a, b in zip(bounds, bounds[1:])]
     outer, children = _in_job, []
     try:
         for group in groups[1:]:

@@ -31,6 +31,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line if wall is None else f"{line} [{wall:.2f}s wall]")
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

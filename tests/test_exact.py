@@ -474,9 +474,10 @@ class TestSplitEnumeration:
         groups = []
         run_groups = workers.run_groups
 
-        def spy(run, job_groups, what):
-            groups.append(len(job_groups))
-            return run_groups(run, job_groups, what)
+        def spy(*args):
+            values = run_groups(*args)
+            groups.append(len(values))  # one value per group
+            return values
 
         monkeypatch.setattr(workers, "run_groups", spy)
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
@@ -491,10 +492,9 @@ class TestSplitEnumeration:
         monkeypatch.setattr(exact, "_SPLIT_CELLS", 1)
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
         entries = build_table(model, FixedN(n=10, cap=10)).entries.values()
-        (child_group,) = forks
-        depth = len(child_group[0][0])  # a node is (prefix, lik0, lik1, running max)
-        in_child = {node[0] for node in child_group}
-        from_child = [e for e in entries if e.sequence[:depth] in in_child]
+        (child_group,) = forks  # a range of the open nodes, here every node at one depth
+        per_node = len(entries) // child_group.stop  # each node's leaves, in node order
+        from_child = list(entries)[child_group.start * per_node:]
         assert 0 < len(from_child) < len(entries)
         assert all(type(e) is TableEntry for e in entries)
 
@@ -620,7 +620,7 @@ class TestSplitEnumeration:
         monkeypatch.setattr(workers, "_fork", outside_jobs)
         monkeypatch.setattr(workers, "worker_count", lambda: 2)
         built = workers.run_groups(
-            lambda group: items_digest(build_table(model, rule)), [0, 1], "a test"
+            lambda group: items_digest(build_table(model, rule)), 2, 2, "a test"
         )
         assert built == [one, one]  # the caller's group's table, then the child's
         assert_no_child()

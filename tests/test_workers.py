@@ -3,7 +3,6 @@
 import math
 import os
 import pickle
-import select
 import threading
 import time
 
@@ -68,31 +67,55 @@ def test_a_split_job_runs_further_jobs_where_they_are(monkeypatch):
             raise AssertionError("a job inside a split job may fork")  # in the child too
         seen.append(group)
 
-    workers.run_groups(run, [0, 1], "a test")
-    assert seen == [0] and workers.usable(5) == 3  # the caller's group; flag cleared after
-    workers.run_groups(lambda group: seen.append(workers.usable(5)), [2], "a test")
-    assert seen == [0, 3]  # a job of one group forks nothing, so a job inside it may
+    workers.run_groups(run, 2, 2, "a test")
+    assert seen == [range(0, 1)] and workers.usable(5) == 3  # the caller's group; flag cleared
+    workers.run_groups(lambda group: seen.append(workers.usable(5)), 2, 1, "a test")
+    assert seen == [range(0, 1), 3]  # a job of one group forks nothing, so a job inside it may
 
 
 def test_group_values_come_back_in_group_order(forks, monkeypatch):
     force_workers(monkeypatch, 3)
-    # the last value pickles to some 300 KB, which its child's file gives back whole
-    values = workers.run_groups(lambda group: list(range(group)), [3, 0, 10**5], "a test")
-    assert values == [[0, 1, 2], [], list(range(10**5))]
-    assert forks == [0, 10**5]
+    # each child's value pickles to some 500 KB, which its file gives back whole
+    values = workers.run_groups(list, 3 * 10**5, 3, "a test")
+    assert values == [list(range(0, 10**5)), list(range(10**5, 2 * 10**5)),
+                      list(range(2 * 10**5, 3 * 10**5))]
+    assert forks == [range(10**5, 2 * 10**5), range(2 * 10**5, 3 * 10**5)]
+    assert_no_child()
+
+
+@pytest.mark.parametrize(
+    "size, most, step, expected",
+    [
+        (0, 3, 1, [range(0, 0)]),
+        (2, 3, 1, [range(0, 1), range(1, 2)]),
+        (5, 2, 1, [range(0, 2), range(2, 5)]),
+        (200, 3, 64, [range(0, 64), range(64, 128), range(128, 200)]),
+        (65, 3, 64, [range(0, 64), range(64, 65)]),
+        (64, 3, 64, [range(0, 64)]),
+        (1000, 2, 64, [range(0, 512), range(512, 1000)]),
+    ],
+)
+def test_the_split_contract(size, most, step, expected, forks, monkeypatch):
+    force_workers(monkeypatch, 3)
+    values = workers.run_groups(lambda group: group, size, most, "a test", step)
+    assert values == expected  # in group order
+    assert forks == expected[1:]  # the first group runs here, each other in a child
+    assert all(values) or size == 0  # no empty group but a size-0 job's one
+    assert all(len(group) % step == 0 for group in values[:-1])
     assert_no_child()
 
 
 def test_a_long_failure_message_reaches_the_caller_whole(monkeypatch):
     force_workers(monkeypatch, 2)
-    message = "a failure " * select.PIPE_BUF + "ends here"
+    message = "a failure " * 500 + "ends here"
+    assert len(message) > 4096  # a pipe's atomic write, which cut the message once
 
     def run(group):
-        if group:
+        if group.start:
             raise RuntimeError(message)
 
     with pytest.raises(OptstopError) as failed:
-        workers.run_groups(run, [0, 1], "a test")
+        workers.run_groups(run, 2, 2, "a test")
     assert str(failed.value) == f"a test worker failed: RuntimeError: {message}"
     assert_no_child()
 
@@ -104,7 +127,7 @@ def test_a_value_that_fails_to_pickle_gives_the_pickling_error(monkeypatch):
     with pytest.raises(Exception) as expected:
         pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     with pytest.raises(OptstopError) as failed:
-        workers.run_groups(lambda group: value if group else None, [0, 1], "a test")
+        workers.run_groups(lambda group: value if group.start else None, 2, 2, "a test")
     error = expected.value
     assert str(failed.value) == f"a test worker failed: {type(error).__name__}: {error}"
     assert_no_child()
