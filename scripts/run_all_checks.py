@@ -9,8 +9,9 @@ builds and for large exact-table builds (stdout only; the output
 directories do not hold them).
 Exit code 0 iff every experiment's
 contracts passed; a package or configuration error stops the sweep with
-``error: <message>`` on stderr and exit code 1.  Expect the full sweep
-to take several minutes at the bundled trial counts.  --quick shrinks
+``error: <message>`` on stderr and exit code 1.  The full sweep at the
+bundled trial counts took 29-32 s wall (about 50 s CPU) at seed 3 on a
+2-vCPU Xeon host, Python 3.11.  --quick shrinks
 the Monte Carlo runs to exercise the plumbing; the calibration pass
 contracts are tuned for the full trial counts and can fail spuriously at
 the reduced ones.

@@ -575,9 +575,15 @@ def run(kind: str, config: Dict[str, str], seed: Optional[int], out_dir: str) ->
 
 
 def exit_code(call: Callable[[], int]) -> int:
-    """Return ``call()``; a package or value error prints ``error: <message>`` and gives 1."""
+    """``call()``; on a package or value error, or a closed stdout, one ``error:`` line and 1."""
     try:
-        return call()
+        code = call()
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # nor at exit
+        print(f"error: standard output closed: {exc}", file=sys.stderr)
+        return 1
     except (OptstopError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

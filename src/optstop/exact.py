@@ -13,10 +13,9 @@ parent's per-component likelihoods, so a subtree depends on its own
 path alone.  The caller expands the top of the tree and its open
 subtrees run in contiguous groups through ``optstop.workers``: one group
 in the caller, or, for a large tree (at least ``2 * _SPLIT_CELLS``
-cells, see ``build_table``) of a model with no callable component, one
-per usable CPU, each but the first in a forked worker process.  The
-table, keys, float bits and order, is that of a plain depth-first
-enumeration from the root whatever the split.
+cells, see ``build_table``), one per usable CPU, each but the first in a
+forked worker process.  The table, keys, float bits and order, is that
+of a plain depth-first enumeration from the root whatever the split.
 
 Masses are kept in linear space: with conditional probabilities bounded
 away from zero and horizons below ~40, products stay far from the
@@ -31,7 +30,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .errors import ResourceLimitError
 from .stopping import BfThreshold, FixedN, RawStatistic, StoppingRule
 
 Prefix = Tuple[int, ...]
-Conditional = Union[np.ndarray, Callable[[Prefix], Sequence[float]]]
 
 _PROB_TOL = 1e-9
 MAX_PRIOR_GRID = 10**6  # uniform-prior atoms: about 0.3 GB of component objects at the limit
@@ -62,21 +60,18 @@ _TOP_NODES_PER_GROUP = 8  # open nodes per group where the caller's expansion of
 class _Mixture:
     """One hypothesis's mixture, prepared once per model.
 
-    Row s of ``by_symbol`` holds every i.i.d. component's mass of symbol
-    s (entries of callable components are placeholders, replaced at each
-    prefix), so one gather gives a whole batch of sequences its next
-    factors.
+    Row s of ``by_symbol`` holds every component's mass of symbol s, so
+    one gather gives a whole batch of sequences its next factors.
     """
 
     weights: np.ndarray  # (components,)
     by_symbol: np.ndarray  # (alphabet x components), C-contiguous
-    callables: Tuple[Tuple[int, Callable[[Prefix], Sequence[float]]], ...]
 
     @cached_property
     def cdfs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sampling CDFs (:func:`_cdf`) of the weights, and of each component by row.
 
-        Built on the first draw; the rows of callable components are placeholders.
+        Built on the first draw.
         """
         return _cdf(self.weights), _cdf(np.ascontiguousarray(self.by_symbol.T))
 
@@ -102,20 +97,18 @@ def _cdf(p: np.ndarray) -> np.ndarray:
 class FiniteModel:
     """Two hypotheses on sequences over a finite alphabet.
 
-    Each hypothesis is a prior-weighted mixture of components; a
-    component is either an i.i.d. symbol distribution (ndarray of K
-    probabilities) or a callable mapping a prefix to the conditional
-    distribution of the next symbol.  Full support is required: every
-    conditional probability must be strictly positive.  The i.i.d.
-    components are validated together and kept as one (components x
-    alphabet) matrix per hypothesis; callables are validated at every
-    prefix they are asked about.
+    Each hypothesis is a prior-weighted mixture of i.i.d. components; a
+    component is the distribution of every symbol, K probabilities in
+    any sequence numpy reads.  Full support is required: every
+    probability must be strictly positive.  The components are validated
+    together at construction and kept as one (components x alphabet)
+    matrix per hypothesis.
     """
 
     alphabet_size: int
     horizon: int
-    components0: Tuple[Tuple[float, Conditional], ...]
-    components1: Tuple[Tuple[float, Conditional], ...]
+    components0: Tuple[Tuple[float, Sequence[float]], ...]
+    components1: Tuple[Tuple[float, Sequence[float]], ...]
 
     def __post_init__(self) -> None:
         if self.alphabet_size < 2:
@@ -135,55 +128,34 @@ class FiniteModel:
         object.__setattr__(self, "_mixtures", tuple(mixtures))
 
     def _prepare(self, comps) -> _Mixture:
-        # callable rows hold a uniform placeholder so the whole stack is checked at once
-        matrix = np.full((len(comps), self.alphabet_size), 1.0 / self.alphabet_size)
-        callables = []
-        for j, (_, cond) in enumerate(comps):
-            if not isinstance(cond, np.ndarray):
-                callables.append((j, cond))
-            elif cond.shape != (self.alphabet_size,):
-                raise ValueError(f"conditional must have {self.alphabet_size} entries")
-            else:
-                matrix[j] = cond
-        self._check_probs(matrix)
-        return _Mixture(
-            weights=_read_only(np.array([w for w, _ in comps], dtype=float)),
-            by_symbol=_read_only(np.ascontiguousarray(matrix.T)),
-            callables=tuple(callables),
-        )
-
-    def _check_probs(self, p: np.ndarray) -> None:
-        """Full support and unit sums for K masses or a stack of rows of K."""
+        """Every component's masses as one matrix, checked: full support, unit sums."""
+        wrong_shape = ValueError(f"conditional must have {self.alphabet_size} entries")
+        try:
+            p = np.array([cond for _, cond in comps], dtype=float)
+        except (TypeError, ValueError) as exc:  # not numbers, or rows of unequal length
+            raise wrong_shape from exc
+        if p.shape != (len(comps), self.alphabet_size):
+            raise wrong_shape
         if not np.all(np.isfinite(p)):
             raise ValueError("conditional masses must be finite")
         if np.any(p <= 0.0):
             raise ValueError("full support required: zero conditional mass found")
-        sums = np.atleast_1d(p.sum(axis=-1))
+        sums = p.sum(axis=1)
         off = np.abs(sums - 1.0) > _PROB_TOL
         if np.any(off):
             raise ValueError(f"conditional masses sum to {float(sums[off][0])}, expected 1")
-
-    def _conditional(self, cond: Callable[[Prefix], Sequence[float]], prefix: Prefix) -> np.ndarray:
-        """A callable component's next-symbol distribution after ``prefix``, validated."""
-        p = np.asarray(cond(prefix), dtype=float)
-        if p.shape != (self.alphabet_size,):
-            raise ValueError(f"conditional must have {self.alphabet_size} entries")
-        self._check_probs(p)
-        return p
+        return _Mixture(
+            weights=_read_only(np.array([w for w, _ in comps], dtype=float)),
+            by_symbol=_read_only(np.ascontiguousarray(p.T)),
+        )
 
     def weights(self, k: int) -> np.ndarray:
         """Prior weights of the hypothesis-k components (read-only)."""
         return self._mixtures[k].weights
 
-    def cond_matrix(self, k: int, prefix: Prefix) -> np.ndarray:
-        """(components x alphabet) conditional mass matrix after ``prefix``."""
-        mix = self._mixtures[k]
-        if not mix.callables:
-            return mix.by_symbol.T
-        out = mix.by_symbol.T.copy()
-        for j, cond in mix.callables:
-            out[j] = self._conditional(cond, prefix)
-        return out
+    def cond_matrix(self, k: int) -> np.ndarray:
+        """(components x alphabet) symbol masses of the hypothesis-k components (read-only)."""
+        return self._mixtures[k].by_symbol.T
 
     # ---------------------------------------------------------------- builders
 
@@ -237,11 +209,6 @@ def _prefix_masses(model: FiniteModel, k: int, seqs: np.ndarray) -> np.ndarray:
     out = np.empty((rows, length))
     for i in range(length):
         np.take(mix.by_symbol, seqs[:, i], axis=0, out=step)
-        if mix.callables:
-            for t in range(rows):
-                prefix = tuple(seqs[t, :i].tolist())
-                for j, cond in mix.callables:
-                    step[t, j] = model._conditional(cond, prefix)[seqs[t, i]]
         lik *= step
         np.multiply(lik, mix.weights, out=step)
         out[:, i] = step.sum(axis=1)
@@ -278,22 +245,14 @@ def sample_sequence(model: FiniteModel, k: int, rng: np.random.Generator) -> Tup
 
     One ``rng.random(horizon + 1)`` gives the uniforms: the first picks
     the component and each later one the next symbol, by
-    ``searchsorted(side="right")`` on a CDF from :func:`_cdf` (cached
-    per model for i.i.d. components, formed at each prefix for
-    callables).  The sequence, and the generator's state afterwards, are
-    those of one ``rng.choice`` per draw, bit for bit.
+    ``searchsorted(side="right")`` on a CDF from :func:`_cdf`, cached per
+    model.  The sequence, and the generator's state afterwards, are those
+    of one ``rng.choice`` per draw, bit for bit.
     """
     weight_cdf, symbol_cdf = model._mixtures[k].cdfs
     u = rng.random(model.horizon + 1)
     comp = int(np.searchsorted(weight_cdf, u[0], side="right"))
-    cond = (model.components0 if k == 0 else model.components1)[comp][1]
-    if isinstance(cond, np.ndarray):
-        return tuple(np.searchsorted(symbol_cdf[comp], u[1:], side="right").tolist())
-    out: List[int] = []
-    for x in u[1:].tolist():
-        cdf = _cdf(model._conditional(cond, tuple(out)))
-        out.append(int(np.searchsorted(cdf, x, side="right")))
-    return tuple(out)
+    return tuple(np.searchsorted(symbol_cdf[comp], u[1:], side="right").tolist())
 
 
 class TableEntry(NamedTuple):
@@ -348,9 +307,8 @@ def build_table(
     H1 components + _NODE_CELLS) x K^cap cells.  The table, its float
     bits and its order, does not depend on the split.
 
-    A model with a callable component runs in one process: a callable's
-    errors raise as themselves.  So does the rule's own callable (the
-    statistic of ``RawStatistic`` or ``InvariantStatistic``) in the
+    An error of the rule's own callable (the statistic of
+    ``RawStatistic`` or ``InvariantStatistic``) raises as itself in the
     caller's group; in a child's group it reaches the caller as
     ``OptstopError("an exact-table worker failed: ...")``.
     """
@@ -360,10 +318,7 @@ def build_table(
     # a node of the tree: (prefix, lik0, lik1, running max of log beta)
     root = ((), np.ones(len(w0)), np.ones(len(w1)), -math.inf)
     cells = (len(w0) + len(w1) + _NODE_CELLS) * model.alphabet_size**rule.cap
-    # a callable is user code: its errors stay the caller's, and it may not be fork-safe
-    splits = not any(mix.callables for mix in model._mixtures)
-    w = workers.usable(cells // _SPLIT_CELLS) if splits else 1
-    entries = _split(model, rule, root, w, max_entries)
+    entries = _split(model, rule, root, workers.usable(cells // _SPLIT_CELLS), max_entries)
     return ExactTable(model=model, rule=rule, entries={e.sequence: e for e in entries})
 
 
@@ -383,6 +338,7 @@ def _grow(model: FiniteModel, rule: StoppingRule, stack: list, out: list, budget
     short, once ``out`` would hold more than ``budget`` items.
     """
     w0, w1 = model.weights(0), model.weights(1)
+    cond0, cond1 = model.cond_matrix(0), model.cond_matrix(1)
     while stack:
         node = stack.pop()
         prefix, lik0, lik1, max_lb = node
@@ -391,8 +347,6 @@ def _grow(model: FiniteModel, rule: StoppingRule, stack: list, out: list, budget
                 return False
             out.append(node)
             continue
-        cond0 = model.cond_matrix(0, prefix)
-        cond1 = model.cond_matrix(1, prefix)
         for sym in reversed(range(model.alphabet_size)):
             child = prefix + (sym,)
             clik0 = lik0 * cond0[:, sym]

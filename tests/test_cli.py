@@ -449,11 +449,15 @@ class TestRewrite:
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def child_env(**extra):
+    """This environment, with optstop imported from this checkout's src/ and ``extra`` set."""
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def run_python(*args):
     """A child interpreter on ``args`` that imports optstop from this checkout's src/."""
-    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child_env())
 
 
 class TestEntryPoint:
@@ -495,6 +499,29 @@ def load_script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_ends_in_one_error_line(unbuffered, tmp_path, capsys):
+    """Exit 1 with one ``error:`` line and no traceback; the three output files are complete."""
+    cfg = os.path.join(SCRIPTS, "configs", "exact_calibration.cfg")
+    args = ["exact-calibration", "--config", cfg, "--seed", "3", "--out"]
+    assert main([*args, str(tmp_path / "ref")]) == 0
+    capsys.readouterr()
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first line
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "optstop.cli", *args, str(tmp_path / "out")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=child_env(PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: standard output closed: [Errno 32] Broken pipe\n"
+    for name in ("records.csv", "summary.json", "verdict.txt"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
 
 def test_every_kind_has_one_bundled_config():

@@ -26,7 +26,6 @@ from optstop.exact import (
     verify_expected_stopped_bf,
     verify_markov_bound,
 )
-from optstop.montecarlo import estimate_stopped_bf_mean, estimate_type1, run_trials_finite
 from optstop.stopping import BfThreshold, FixedN, RawStatistic, SumOfSquares
 
 
@@ -61,21 +60,6 @@ class TestMarginalMass:
             math.factorial(3) * math.factorial(2) / math.factorial(6)
         )
         assert marginal_mass(bernoulli10, 1, seq) == pytest.approx(expected, rel=1e-8)
-
-
-def laplace_succession(prefix):
-    """p(1 | prefix) = (ones + 1) / (n + 2): the uniform-prior Bernoulli marginal."""
-    p1 = (sum(prefix) + 1.0) / (len(prefix) + 2.0)
-    return [1.0 - p1, p1]
-
-
-def laplace_model(horizon, cond1=laplace_succession):
-    return FiniteModel(
-        alphabet_size=2,
-        horizon=horizon,
-        components0=((1.0, np.array([0.5, 0.5])),),
-        components1=((1.0, cond1),),
-    )
 
 
 def log_beta_by_masses(model, x):
@@ -123,61 +107,41 @@ class TestModelValidation:
 
     def test_valid_grid_model_is_iid(self):
         model = self.grid_model([0.5, 0.5])
-        assert model.cond_matrix(1, (0, 1)).shape == (self.GRID, 2)
+        assert model.cond_matrix(1).shape == (self.GRID, 2)
 
+    @staticmethod
+    def three_symbol_model(form):
+        return FiniteModel(
+            alphabet_size=3,
+            horizon=6,
+            components0=((1.0, form([0.2, 0.3, 0.5])),),
+            components1=((0.25, form([0.6, 0.3, 0.1])), (0.75, form([0.1, 0.1, 0.8]))),
+        )
 
-class TestCallableComponents:
-    """A prefix-dependent component: Laplace's rule of succession."""
+    @pytest.mark.parametrize("form", [list, tuple])
+    def test_a_sequence_component_is_its_array(self, form, tmp_path):
+        """A list or tuple of masses builds the ndarray form's table bytes and masses."""
+        model, reference = self.three_symbol_model(form), self.three_symbol_model(np.array)
+        rule = BfThreshold(upper=4.0, lower=0.25, cap=6)
+        build_table(model, rule).to_csv(tmp_path / "seq.csv")
+        build_table(reference, rule).to_csv(tmp_path / "array.csv")
+        assert (tmp_path / "seq.csv").read_bytes() == (tmp_path / "array.csv").read_bytes()
+        for x in [(), (2,), (0, 1, 2, 2), (1, 1, 0, 2, 0, 1)]:
+            for k in (0, 1):
+                assert marginal_mass(model, k, x) == marginal_mass(reference, k, x)
+        seqs = [(0, 1, 2, 2, 1, 0), (2, 2, 2, 0, 0, 1)]
+        assert log_beta_paths(model, seqs).tolist() == log_beta_paths(reference, seqs).tolist()
 
-    def test_marginal_matches_beta_bernoulli(self):
-        model = laplace_model(6)
-        # P(sequence with h ones in n draws) = h!(n-h)!/(n+1)!
-        expected = math.factorial(3) * math.factorial(2) / math.factorial(6)
-        assert marginal_mass(model, 1, (1, 0, 1, 1, 0)) == pytest.approx(expected, rel=1e-14)
-
-    def test_trajectory_matches_log_beta_at_every_prefix(self, rng):
-        model = laplace_model(9)
-        for _ in range(5):
-            seq = sample_sequence(model, 1, rng)
-            traj = trajectory_finite(model, seq)
-            for n in range(1, len(seq) + 1):
-                assert abs(traj.value_at(n) - log_beta_by_masses(model, seq[:n])) <= 1e-12
-
-    def test_monte_carlo_matches_exact_table(self):
-        model = laplace_model(6)
-        alpha = SignificanceLevel(0.2)
-        rule = BfThreshold(upper=1.0 / alpha.alpha, cap=6)
-        (chk,) = verify_markov_bound(build_table(model, rule), [alpha])
-        records = run_trials_finite(model, 0, rule, 4000, seed=5)
-        est = estimate_type1(records, alpha)
-        assert abs(est.rate - chk.probability) <= 3.5 * max(est.se, 1e-4)
-        bf = estimate_stopped_bf_mean(records)
-        assert abs(bf.mean - 1.0) <= 3.5 * bf.se
-
-    def test_non_finite_mass_rejected(self):
-        def broken(prefix):
-            return [math.nan, 0.5] if len(prefix) == 2 else laplace_succession(prefix)
-
-        model = laplace_model(4, broken)
-        with pytest.raises(ValueError, match="conditional masses must be finite"):
-            trajectory_finite(model, (0, 1, 1))
-        with pytest.raises(ValueError, match="conditional masses must be finite"):
-            build_table(model, FixedN(n=4, cap=4))
-
-    def test_zero_mass_rejected(self):
-        def degenerate(prefix):
-            return [1.0, 0.0] if len(prefix) == 2 else laplace_succession(prefix)
-
-        model = laplace_model(4, degenerate)
-        message = "full support required"
-        with pytest.raises(ValueError, match=message):
-            trajectory_finite(model, (0, 1, 1))
-        with pytest.raises(ValueError, match=message):
-            log_beta_paths(model, [(0, 0, 0), (1, 1, 1)])
-        with pytest.raises(ValueError, match=message):
-            build_table(model, FixedN(n=4, cap=4))
-        with pytest.raises(ValueError, match=message):
-            run_trials_finite(model, 0, FixedN(n=4, cap=4), 3, seed=1)
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda prefix: [0.5, 0.5], [0.5], (0.2, 0.3, 0.5), np.array([[0.5, 0.5]]), 0.5, "ab"],
+        ids=["callable", "one-entry", "three-entries", "matrix", "scalar", "string"],
+    )
+    def test_a_component_that_is_not_k_masses_is_refused(self, bad):
+        fair = [0.5, 0.5]
+        for comps0, comps1 in (([(1.0, fair)], [(1.0, bad)]), ([(1.0, bad)], [(1.0, fair)])):
+            with pytest.raises(ValueError, match="conditional must have 2 entries"):
+                two_symbol_model(comps0, comps1)
 
 
 class TestBuildTable:
@@ -307,19 +271,18 @@ def sample_sequence_by_choice(model, k, rng):
     cond = (model.components0 if k == 0 else model.components1)[comp][1]
     out = []
     for _ in range(model.horizon):
-        p = cond if isinstance(cond, np.ndarray) else np.asarray(cond(tuple(out)), dtype=float)
+        p = np.asarray(cond, dtype=float)
         out.append(int(rng.choice(model.alphabet_size, p=p / p.sum())))
     return tuple(out)
 
 
 class TestSampling:
-    @pytest.mark.parametrize("kind", ["bernoulli", "random", "laplace"])
+    @pytest.mark.parametrize("kind", ["bernoulli", "random"])
     def test_sample_sequence_matches_choice(self, kind):
         """Same sequences, and the generator left at the same draw, bit for bit."""
         models = {
             "bernoulli": lambda r: FiniteModel.bernoulli_point_vs_uniform(horizon=9, grid=500),
             "random": lambda r: random_finite_model(r, max_alphabet=5, max_components=4),
-            "laplace": lambda r: laplace_model(7),
         }
         for seed in range(40):
             model = models[kind](np.random.default_rng(seed))
@@ -329,6 +292,17 @@ class TestSampling:
                 for _ in range(5):
                     assert sample_sequence(model, k, a) == sample_sequence_by_choice(model, k, b)
                 assert a.random(3).tolist() == b.random(3).tolist()
+
+    def test_a_uniform_on_a_cdf_step_takes_the_next_index(self):
+        """``searchsorted(side="right")``, as ``rng.choice`` uses, for the atom and each symbol."""
+
+        class Uniforms:
+            def random(self, n):
+                return np.array([0.5, 0.25, 0.0, 0.75][:n])
+
+        # two atoms of weight 1/2 (CDF 0.5, 1): u = 0.5 picks theta = 0.75, whose CDF is (0.25, 1)
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=3, grid=2)
+        assert sample_sequence(model, 1, Uniforms()) == (1, 0, 1)
 
     def test_sample_sequence_length_and_alphabet(self, rng):
         model = random_finite_model(rng)
@@ -519,22 +493,6 @@ class TestSplitEnumeration:
         build_table(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=10_000),
                     BfThreshold(upper=3.0, cap=10))
         assert len(forks) == 1
-
-    def test_callable_model_never_splits(self, forks, monkeypatch):
-        rule = BfThreshold(upper=5.0, lower=0.2, cap=8)
-        one = table_items(laplace_model(8), rule, 1, monkeypatch)
-        assert table_items(laplace_model(8), rule, 3, monkeypatch) == one
-        assert forks == []
-
-    def test_callable_error_reaches_the_caller_as_itself(self, forks, monkeypatch):
-        def broken(prefix):
-            return [math.nan, 0.5] if len(prefix) == 6 else laplace_succession(prefix)
-
-        monkeypatch.setattr(workers, "worker_count", lambda: 3)
-        monkeypatch.setattr(exact, "_SPLIT_CELLS", 1)
-        with pytest.raises(ValueError, match="conditional masses must be finite"):
-            build_table(laplace_model(8, broken), FixedN(n=8, cap=8))
-        assert forks == []
 
     # FixedN(10) on a 10-symbol-deep binary tree: 1,024 leaves.  At three
     # workers the top is the 32 nodes at depth 5, 32 leaves each, in groups

@@ -59,6 +59,8 @@ REMOVED = [
     (models.InvariantModelPair, "_log_bf_stats"),  # pair.effect_prior.log_bf_stats
     (stopping, "sum_squares_rule"),  # SumOfSquares(threshold, cap)
     (core.BfTrajectory, "start"),  # always 1
+    (exact, "Conditional"),  # a component is K masses
+    (exact.FiniteModel, "_conditional"),
 ]
 
 
