@@ -16,7 +16,7 @@ row, and under it the first failing test, or why the row is stale:
 
 Exit status 1 if any row is stale, else 0; a survivor is reported, not a
 failure.  The working tree is never modified.  Not part of the tier-1
-suite; the whole table took 84-89 s on a 2-vCPU Xeon host.
+suite; the whole table of 26 rows took 109 s on a 2-vCPU Xeon host.
 
     python scripts/mutants.py
 """
@@ -39,6 +39,7 @@ CLI = "src/optstop/cli.py"
 MONTECARLO = "src/optstop/montecarlo.py"
 TEST_WORKERS = "tests/test_workers.py"
 TEST_EXACT = "tests/test_exact.py"
+TEST_MONTECARLO = "tests/test_montecarlo.py"
 
 # (name, file, old text, new text, pytest selection)
 MUTANTS = [
@@ -170,7 +171,66 @@ MUTANTS = [
         "",
         [f"{TEST_EXACT}::TestSplitEnumeration::test_an_over_budget_caller_group_raises_without_waiting"],
     ),
-    # verdicts; survives: the raw-rule control sits about 51 se below 1 (ROADMAP item 3)
+    # one split job per call: every run of a many-run call
+    (
+        "runs joined from reversed groups",
+        MONTECARLO,
+        "    for group in groups:\n",
+        "    for group in groups[::-1]:\n",
+        [f"{TEST_MONTECARLO}::TestManyRuns::test_runs_equal_their_one_run_calls"],
+    ),
+    (
+        "every run uses the first run's bounds",
+        MONTECARLO,
+        "seed, run.x_init, run.lb_offset, bounds[i], _lazy_head(stops),",
+        "seed, run.x_init, run.lb_offset, bounds[0], _lazy_head(stops),",
+        [f"{TEST_MONTECARLO}::TestManyRuns::test_runs_equal_their_one_run_calls"],
+    ),
+    (
+        "item -> run index off by one: a group's last run segment is dropped",
+        MONTECARLO,
+        "range(items.start // n_trials, (items.stop - 1) // n_trials + 1)",
+        "range(items.start // n_trials, (items.stop - 1) // n_trials)",
+        [f"{TEST_MONTECARLO}::TestManyRuns::test_runs_equal_their_one_run_calls"],
+    ),
+    (
+        "a run segment starts at its run's first trial",
+        MONTECARLO,
+        "lo, hi = max(items.start - offset, 0), min(items.stop - offset, n_trials)",
+        "lo, hi = 0, min(items.stop - offset, n_trials)",
+        [f"{TEST_MONTECARLO}::TestManyRuns::test_runs_equal_their_one_run_calls"],
+    ),
+    (
+        "the worker limit counts one run's blocks, not the call's",
+        MONTECARLO,
+        "n_blocks = sum(-(-n_trials // r) for r in rows)",
+        "n_blocks = -(-n_trials // rows[0])",
+        ["tests/test_cli.py::test_every_run_of_a_call_is_one_split_job"],
+    ),
+    (
+        "a many-run call checks only its first run's arguments",
+        MONTECARLO,
+        "        _validate_run(pair, k, rule, n_trials, marginal=False)\n",
+        "        checked or _validate_run(pair, k, rule, n_trials, marginal=False)\n",
+        [f"{TEST_MONTECARLO}::TestManyRuns"],
+    ),
+    (
+        "the CLI runs each calibration value as a call of its own",
+        CLI,
+        "    all_records = getattr(montecarlo, trials)(pair, runs, n_trials, seed)\n",
+        "    all_records = [r for v in values for r in getattr(montecarlo, trials)(\n"
+        "        pair, [(k, v, rule) for k in (0, 1)], n_trials, seed)]\n",
+        ["tests/test_cli.py::test_every_run_of_a_call_is_one_split_job"],
+    ),
+    # verdicts
+    (
+        "CalibrationEstimate passes at 50% of its bins instead of 93%",
+        MONTECARLO,
+        "return self.pass_fraction >= BIN_PASS_FRACTION",
+        "return self.pass_fraction >= 0.5",
+        ["tests/test_cli_golden.py", "tests/test_calibration.py"],
+    ),
+    # survives: the raw-rule control sits about 51 se below 1 (ROADMAP item 3)
     (
         "StoppedBfMean passes within 30 se instead of 3",
         MONTECARLO,

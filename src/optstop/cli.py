@@ -256,9 +256,10 @@ def _run_mc_calibration(cfg: ExperimentConfig, seed: int, out_dir: str, sweep_ke
     """H1-against-H0 calibration at every value of one swept config key.
 
     ``check(pair, value)`` refuses a swept value the trials would;
-    ``trials`` names the montecarlo function that runs one arm (looked up
-    per run, so a wrapped function is the one called); ``line`` formats
-    the verdict line of one value.
+    ``trials`` names the montecarlo function that runs the (k, value,
+    rule) arms, both at every value, in one call: one split job (looked
+    up at call time, so a wrapped function is the one called); ``line``
+    formats the verdict line of one value.
     """
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     rule = _rule(cfg, default_cap=200)
@@ -266,13 +267,11 @@ def _run_mc_calibration(cfg: ExperimentConfig, seed: int, out_dir: str, sweep_ke
     n_trials = _count(cfg, "n_trials", 100_000)
     bins = montecarlo.check_bins(_count(cfg, "bins", montecarlo.DEFAULT_BINS))
     cfg.reject_unknown()
-    all_records: List[montecarlo.TrialRecords] = []
+    runs = [(k, v, rule) for v in values for k in (0, 1)]
+    all_records = getattr(montecarlo, trials)(pair, runs, n_trials, seed)
     per_value = {}
     lines, passed = [], []
-    for v in values:
-        rec0 = getattr(montecarlo, trials)(pair, 0, v, rule, n_trials, seed)
-        rec1 = getattr(montecarlo, trials)(pair, 1, v, rule, n_trials, seed)
-        all_records += [rec0, rec1]
+    for v, rec0, rec1 in zip(values, all_records[::2], all_records[1::2]):
         est = montecarlo.estimate_strong_calibration(rec0, rec1, n_bins=bins)
         per_value[format(v, ".17g")] = _calibration_summary(est)
         lines.append(line.format(v=v, est=est, verdict=_verdict(est.passed)))
@@ -285,6 +284,7 @@ def _run_null_arm(cfg: ExperimentConfig, seed: int, out_dir: str, checks: Callab
                   min_trials: int = 1):
     """Null-arm trials of each (rule, check) pair, in order, at every nuisance value g.
 
+    All the (rule, g) runs are one ``run_trials_many`` call: one split job.
     ``checks(cfg)`` reads the kind's own config keys and gives the pairs;
     ``check(records, g)`` gives one summary row, with its ``passed``
     flag, and one verdict line.  ``n_trials`` below ``min_trials`` is
@@ -295,15 +295,15 @@ def _run_null_arm(cfg: ExperimentConfig, seed: int, out_dir: str, checks: Callab
     gs = _sweep(cfg, "g", partial(montecarlo.check_nuisance, pair))
     n_trials = _count(cfg, "n_trials", 100_000, least=min_trials)
     cfg.reject_unknown()
-    all_records: List[montecarlo.TrialRecords] = []
+    runs = [(rule, check, g) for rule, check in pairs for g in gs]
+    all_records = montecarlo.run_trials_many(
+        pair, [(0, g, rule) for rule, _, g in runs], n_trials, seed
+    )
     rows, lines = [], []
-    for rule, check in pairs:
-        for g in gs:
-            records = montecarlo.run_trials(pair, 0, g, rule, n_trials, seed)
-            all_records.append(records)
-            row, line = check(records, g)
-            rows.append(row)
-            lines.append(line)
+    for (_, check, g), records in zip(runs, all_records):
+        row, line = check(records, g)
+        rows.append(row)
+        lines.append(line)
     montecarlo.records_to_csv(all_records, os.path.join(out_dir, "records.csv"))
     return {"checks": rows}, lines, [row["passed"] for row in rows]
 
@@ -441,7 +441,7 @@ EXPERIMENTS = {
     "mc-strong-calibration": Experiment(
         partial(
             _run_mc_calibration, sweep_key="g", check=montecarlo.check_nuisance,
-            trials="run_trials", summary_key="per_g",
+            trials="run_trials_many", summary_key="per_g",
             line="g={v:g}: {est.usable_bins} usable bins, pass fraction "
             f"{{est.pass_fraction:.3f}} (need >= {montecarlo.BIN_PASS_FRACTION}) -> {{verdict}}",
         ),
@@ -463,12 +463,12 @@ EXPERIMENTS = {
         "under the null at every nuisance value g (estimate_stopped_bf_mean).",
     ),
     "mc-marginal-calibration": Experiment(
-        # run_marginal_trials reads a scalar x as the initial sample x_m = (x,); its
+        # run_marginal_trials_many reads a scalar x as the initial sample x_m = (x,); its
         # alternative arm (k = 1) refuses all that its null arm does
         partial(
             _run_mc_calibration, sweep_key="x_m",
             check=partial(montecarlo.check_initial_sample, k=1),
-            trials="run_marginal_trials", summary_key="per_x_m",
+            trials="run_marginal_trials_many", summary_key="per_x_m",
             line="x_m=({v:g},): {est.usable_bins} usable bins, pass fraction "
             "{est.pass_fraction:.3f} -> {verdict}",
         ),

@@ -13,14 +13,14 @@ Reproducibility model
     normals (a Cauchy effect is r * (z0 / z1) from two, numpy's
     ``standard_cauchy`` bit for bit; a point mass takes none), then one
     normal per observation.  A marginal run draws the trial's posterior
-    state before its row.  A run's first block draws every row to the
-    cap.  A later block draws only a head of each row: the steps up to
-    the first chunk's end past which at most 1 in ``LAZY_TAIL`` of the
-    run's earlier trials ran (the full row if that lies past half the
-    cap).  Before its first chunk that reads past the head, every trial
-    still running is re-keyed and replays its whole row, the same
-    values from the same stream, into a buffer of its own, and the
-    heads are released.  The rare trial whose initial sample falls in
+    state before its row.  The first block of a run's segment (see
+    below) draws every row to the cap.  A later block draws only a head
+    of each row: the steps up to the first chunk's end past which at most
+    1 in ``LAZY_TAIL`` of the segment's earlier trials ran (the full row
+    if that lies past half the cap).  Before its first chunk that reads
+    past the head, every trial still running is re-keyed and replays its
+    whole row, the same values from the same stream, into a buffer of its
+    own, and the heads are released.  The rare trial whose initial sample falls in
     the excluded set is re-keyed again, replays its full row and
     continues its own stream for the replacement.  Blocks hold at most
     ``DRAW_BUFFER_BYTES`` of observation draws (an effect's leading
@@ -32,14 +32,18 @@ Reproducibility model
     before any table is built.
 
 Worker processes
-    A run's trials are split into contiguous groups of equal size (to a
-    trial) over the worker processes of ``optstop.workers``: at most one
-    per block, and no more than can map a block's draws each within
-    ``RUN_DRAW_BYTES``.  Each group runs in blocks with its own lazy-head
-    history, so its first block draws full rows.  Every table and
-    boundary a rule's bars need, and the table at the cap, are built
-    before the fork.  Each group returns its records' columns, and the
-    caller joins them in group order.
+    A call's runs (``run_trials_many``, ``run_marginal_trials_many``; a
+    one-run call is one of them) are one split job of ``optstop.workers``.
+    Its items are every run's trials, run after run, and they are split
+    into contiguous groups of equal size (to a trial): at most one group
+    per block of the call, and no more than can map the call's largest
+    block of draws each within ``RUN_DRAW_BYTES``.  A group runs each run
+    segment its range covers in that run's blocks, with a lazy-head
+    history of its own per segment, so a segment's first block draws full
+    rows and the rest of it draws heads.  Every table and boundary the
+    runs' bars need, and the tables at their caps, are built before the
+    fork.  Each group returns its segments' record columns, and the caller
+    joins each run's in group order.
 
 Records
     A run returns one :class:`TrialRecords` batch: an array each of stop
@@ -99,7 +103,7 @@ import math
 import mmap
 import struct
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -124,9 +128,10 @@ RUN_DRAW_BYTES = 4 * DRAW_BUFFER_BYTES
 # half the cap (layout only: never changes a record)
 LAZY_TAIL = 8
 # a run's records, 8 bytes per trial in each column (stop index, stopped log
-# beta, trial index; a marginal run's drawn scale too), take at most this.  A
-# run joining its groups' columns briefly holds up to twice these bytes, and a
-# forked group's share passes through its unnamed temporary file on the way
+# beta, trial index; a marginal run's drawn scale too), take at most this: the
+# budget is per run.  A many-run call holds every run's records; while it joins
+# one run's columns from its groups' parts it holds up to twice that run's
+# bytes, and a forked group's share passes through its unnamed temporary file
 RECORD_BUDGET_BYTES = 2**30
 # (trials x components) likelihood cells per finite-model chunk: 8 MB of doubles
 FINITE_CHUNK_CELLS = 2**20
@@ -467,67 +472,97 @@ def _lazy_head(stops: np.ndarray) -> int:
     return int(few[0]) if total and few.size else stops.size - 1
 
 
-def _run_blocks(
-    pair: InvariantModelPair,
-    k: int,
-    g: Optional[float],
-    rule: StoppingRule,
-    key64: int,
-    n_trials: int,
-    seed: int,
-    x_init: Optional[float],
-    lb_offset: float,
-) -> TrialRecords:
-    """Run trials [0, n_trials) in blocks whose draws fit DRAW_BUFFER_BYTES, over W processes.
+class _Run(NamedTuple):
+    """One run of a many-run call, checked.
 
-    See the module docstring for the groups of trials and the choice of
-    W.  Each block gets the head (``_lazy_head``) that the blocks before
-    it in its group call for.  ``OptstopError`` if a worker failed, or if
-    a trial stopped at a non-finite log beta: the records of such a run
+    A marginal run has its initial sample's x_1 in ``x_init`` and the
+    sample's log beta in ``lb_offset``, and no ``g``; a plain run has
+    ``x_init`` None and ``lb_offset`` 0.
+    """
+
+    k: int
+    g: Optional[float]
+    rule: StoppingRule
+    key64: int
+    x_init: Optional[float]
+    lb_offset: float
+
+
+def _run_blocks(
+    pair: InvariantModelPair, runs: Sequence[_Run], n_trials: int, seed: int
+) -> List[TrialRecords]:
+    """Trials [0, n_trials) of each run, in blocks whose draws fit DRAW_BUFFER_BYTES; its records.
+
+    ``n_trials`` is positive.  One split job over W processes serves the
+    whole call: its items are the runs' trials, run-major, and each group
+    runs the run segments its range covers.  See the module docstring for
+    the groups and the choice of W.  Each block gets the head
+    (``_lazy_head``) that the blocks before it in its segment call for.
+    ``OptstopError`` if a worker failed, or, for the first such run, if a
+    trial stopped at a non-finite log beta: the records of such a run
     would pass or fail a check on NaN comparisons.  So numpy's
     floating-point warnings, in the kernel and in the tables it builds,
     are not shown.
     """
-    marginal = x_init is not None
-    per_trial = _draws_per_trial(rule, marginal)
-    rows = min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * per_trial))  # >= 1: see _validate_run
-    n_blocks = -(-n_trials // rows)
-    names = ("stop_index", "stopped_log_beta", "trial") + (("g",) if marginal else ())
     curves = _curves_for(pair)
+    rows, block_bytes, names, bounds = [], [], [], []  # per run
 
-    def run_group(trials: range) -> list:
-        """The group's records, one column per field of ``names``."""
-        stops = np.zeros(rule.cap + 1, dtype=np.int64)
-        blocks = []
-        for lo in range(trials.start, trials.stop, rows):
-            blocks.append(_run_block(
-                pair, curves, k, g, rule, key64, lo, min(lo + rows, trials.stop), seed, x_init,
-                lb_offset, bounds, _lazy_head(stops),
-            ))
-            stops += np.bincount(blocks[-1].stop_index, minlength=stops.size)
-        return [np.concatenate([getattr(block, name) for block in blocks]) for name in names]
+    def run_group(items: range) -> list:
+        """(run index, one column per field of its ``names``) for each run segment in ``items``."""
+        parts = []
+        for i in range(items.start // n_trials, (items.stop - 1) // n_trials + 1):
+            run, offset = runs[i], i * n_trials
+            lo, hi = max(items.start - offset, 0), min(items.stop - offset, n_trials)
+            stops = np.zeros(run.rule.cap + 1, dtype=np.int64)
+            blocks = []
+            for a in range(lo, hi, rows[i]):
+                blocks.append(_run_block(
+                    pair, curves, run.k, run.g, run.rule, run.key64, a, min(a + rows[i], hi),
+                    seed, run.x_init, run.lb_offset, bounds[i], _lazy_head(stops),
+                ))
+                stops += np.bincount(blocks[-1].stop_index, minlength=stops.size)
+            parts.append((i, [np.concatenate([getattr(b, name) for b in blocks])
+                              for name in names[i]]))
+        return parts
 
     with np.errstate(all="ignore"):  # entered before the fork: the children inherit it
-        # each bar of the rule as per-n bounds on the coordinate log beta
-        # increases in; the tables are read only on the cells beyond a bound
-        bounds = [
-            (curves.boundary(bar + lb_offset, rule.cap, above), above)
-            for bar, above in rule.log_bars
-        ]
-        curves.log_bf_cells(rule.cap, 0.0)  # the cap's table, which stops every trial left
+        for run in runs:
+            marginal = run.x_init is not None
+            per_trial = _draws_per_trial(run.rule, marginal)  # the row fits: see _validate_run
+            rows.append(min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * per_trial)))
+            block_bytes.append(8 * rows[-1] * per_trial)
+            names.append(("stop_index", "stopped_log_beta", "trial") + ("g",) * marginal)
+            # each bar of the rule as per-n bounds on the coordinate log beta
+            # increases in; the tables are read only on the cells beyond a bound
+            bounds.append([
+                (curves.boundary(bar + run.lb_offset, run.rule.cap, above), above)
+                for bar, above in run.rule.log_bars
+            ])
+            curves.log_bf_cells(run.rule.cap, 0.0)  # the cap's table, which stops every trial left
+        n_blocks = sum(-(-n_trials // r) for r in rows)
         groups = workers.run_groups(
-            run_group, n_trials, min(n_blocks, RUN_DRAW_BYTES // (8 * rows * per_trial)),
+            run_group, len(runs) * n_trials, min(n_blocks, RUN_DRAW_BYTES // max(block_bytes)),
             "a Monte Carlo",
         )
-    columns = {name: np.concatenate(parts) for name, parts in zip(names, zip(*groups))}
-    records = TrialRecords(k, columns.pop("g", g), seed, rule, **columns)
-    bad = np.count_nonzero(~np.isfinite(records.stopped_log_beta))
-    if bad:
-        raise OptstopError(
-            f"{bad} of {len(records)} trials stopped at a non-finite log Bayes factor: the data's "
-            "sums of squares left the double range, or this effect prior's tables are not finite"
-        )
-    return records
+    by_run = [[] for _ in runs]
+    for group in groups:
+        for i, columns in group:
+            by_run[i].append(columns)
+    del groups
+    batches = []
+    for run, run_names in zip(runs, names):
+        parts = by_run.pop(0)  # a run's parts are freed once its columns are joined
+        columns = {name: np.concatenate(col) for name, col in zip(run_names, zip(*parts))}
+        batches.append(TrialRecords(run.k, columns.pop("g", run.g), seed, run.rule, **columns))
+    for records in batches:
+        bad = np.count_nonzero(~np.isfinite(records.stopped_log_beta))
+        if bad:
+            raise OptstopError(
+                f"{bad} of {len(records)} trials stopped at a non-finite log Bayes factor: the "
+                "data's sums of squares left the double range, or this effect prior's tables are "
+                "not finite"
+            )
+    return batches
 
 
 def _validate_run(
@@ -589,6 +624,31 @@ def check_initial_sample(pair: InvariantModelPair, x_m, k: int) -> np.ndarray:
     return pair._validate(x_m)
 
 
+def run_trials_many(
+    pair: InvariantModelPair,
+    runs: Sequence[Tuple[int, float, StoppingRule]],
+    n_trials: int,
+    seed: int,
+) -> List[TrialRecords]:
+    """Run ``n_trials`` stopped trials under P_{k,g} for each (k, g, rule) of ``runs``.
+
+    One split job serves every run, and each run's records equal its own
+    :func:`run_trials` call bit for bit.  Every run is checked, in order
+    and as :func:`run_trials` checks it, before any table is built.
+    """
+    checked = []
+    for k, g, rule in runs:
+        _validate_run(pair, k, rule, n_trials, marginal=False)
+        checked.append((k, check_nuisance(pair, g), rule))
+    if n_trials == 0:
+        return [TrialRecords.empty(k, g, seed, rule) for k, g, rule in checked]
+    plans = [
+        _Run(k, g, rule, _stream_key(seed, k, (g,), variant=0), None, 0.0)
+        for k, g, rule in checked
+    ]
+    return _run_blocks(pair, plans, n_trials, seed)
+
+
 def run_trials(
     pair: InvariantModelPair,
     k: int,
@@ -605,14 +665,38 @@ def run_trials(
     stop.  Deterministic given (seed, configuration); see the module
     docstring for the stream layout.  Scale-group pairs only
     (``NotImplementedError`` otherwise).  A nuisance value that is not a
-    finite positive scale raises ``ValueError``.
+    finite positive scale raises ``ValueError``.  The one-run call of
+    :func:`run_trials_many`.
     """
-    _validate_run(pair, k, rule, n_trials, marginal=False)
-    g = check_nuisance(pair, g)
+    return run_trials_many(pair, [(k, g, rule)], n_trials, seed)[0]
+
+
+def run_marginal_trials_many(
+    pair: InvariantModelPair,
+    runs: Sequence[Tuple[int, Sequence[float], StoppingRule]],
+    n_trials: int,
+    seed: int,
+) -> List[TrialRecords]:
+    """Marginal trials given x_m for each (k, x_m, rule) of ``runs``, as one split job.
+
+    Each run's records equal its own :func:`run_marginal_trials` call bit
+    for bit.  Every run is checked, in order and as
+    :func:`run_marginal_trials` checks it, before any table is built.
+    """
+    checked = []
+    for k, x_m, rule in runs:
+        _validate_run(pair, k, rule, n_trials, marginal=True)
+        checked.append((k, check_initial_sample(pair, x_m, k), rule))
     if n_trials == 0:
-        return TrialRecords.empty(k, g, seed, rule)
-    key64 = _stream_key(seed, k, (g,), variant=0)
-    return _run_blocks(pair, k, g, rule, key64, n_trials, seed, None, 0.0)
+        return [TrialRecords.empty(k, np.empty(0), seed, rule) for k, _, rule in checked]
+    plans = []
+    for k, x_m, rule in checked:
+        with np.errstate(all="ignore"):  # non-finite, it fails the run in _run_blocks
+            lb_offset = pair.log_bf(x_m)
+        x_init = float(x_m[0])
+        key64 = _stream_key(seed, k, (x_init,), variant=1)
+        plans.append(_Run(k, None, rule, key64, x_init, lb_offset))
+    return _run_blocks(pair, plans, n_trials, seed)
 
 
 def run_marginal_trials(
@@ -631,17 +715,10 @@ def run_marginal_trials(
     conditional stopped value log beta_{tau|m}, and the rule is applied
     to that conditional value.  Scale-group pairs only.  An initial
     sample the pair rejects, or a nonzero point effect under the
-    alternative, raises ``ValueError`` (``check_initial_sample``).
+    alternative, raises ``ValueError`` (``check_initial_sample``).  The
+    one-run call of :func:`run_marginal_trials_many`.
     """
-    _validate_run(pair, k, rule, n_trials, marginal=True)
-    x_m = check_initial_sample(pair, x_m, k)
-    if n_trials == 0:
-        return TrialRecords.empty(k, np.empty(0), seed, rule)
-    with np.errstate(all="ignore"):  # non-finite, it fails the run in _run_blocks
-        lb_offset = pair.log_bf(x_m)
-    x_init = float(x_m[0])
-    key64 = _stream_key(seed, k, (x_init,), variant=1)
-    return _run_blocks(pair, k, None, rule, key64, n_trials, seed, x_init, lb_offset)
+    return run_marginal_trials_many(pair, [(k, x_m, rule)], n_trials, seed)[0]
 
 
 def _finite_chunk(model: FiniteModel) -> int:

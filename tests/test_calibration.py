@@ -134,14 +134,15 @@ def test_bins_partition_the_stopped_values(case):
 @pytest.mark.parametrize(
     "kind, sweep, trials, summary_key",
     [
-        ("mc-strong-calibration", "g", "run_trials", "per_g"),
-        ("mc-marginal-calibration", "x_m", "run_marginal_trials", "per_x_m"),
+        ("mc-strong-calibration", "g", "run_trials_many", "per_g"),
+        ("mc-marginal-calibration", "x_m", "run_marginal_trials_many", "per_x_m"),
     ],
 )
 def test_summary_bytes_match_reference(case, kind, sweep, trials, summary_key, tmp_path,
                                        monkeypatch):
     _, records = case
-    monkeypatch.setattr(montecarlo, trials, lambda pair, k, *args: records[k])
+    monkeypatch.setattr(montecarlo, trials,
+                        lambda pair, runs, *args: [records[k] for k, _, _ in runs])
     text = f"{sweep} = 1, 2\nn_trials = 10\nrule_upper = 5\nrule_lower = 0.2\nrule_cap = 100\n"
     (tmp_path / "c.cfg").write_text(text)
     code = main([kind, "--config", str(tmp_path / "c.cfg"), "--seed", "3", "--out",

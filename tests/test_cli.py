@@ -68,7 +68,7 @@ class TestExitCodes:
         assert "point-mass effect must be finite" in capsys.readouterr().err
 
     def test_fixed_n_past_the_cap_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_trials_many", trials_ran)
         cfg = write(tmp_path / "f.cfg", "rule = fixed-n\nrule_n = 50\nrule_cap = 20\n")
         code = main(["mc-strong-calibration", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
@@ -161,8 +161,8 @@ class TestExitCodes:
     )
     @pytest.mark.parametrize("n_trials", ["0", "-3"])
     def test_no_trials_exits_one_up_front(self, kind, n_trials, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
-        monkeypatch.setattr(montecarlo, "run_marginal_trials", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_trials_many", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_marginal_trials_many", trials_ran)
         cfg = write(tmp_path / "n.cfg", f"n_trials = {n_trials}\nrule_upper = 20\nrule_cap = 20\n")
         code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
@@ -181,8 +181,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kind", ["mc-strong-calibration", "mc-marginal-calibration"])
     def test_no_bins_exits_one_up_front(self, kind, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
-        monkeypatch.setattr(montecarlo, "run_marginal_trials", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_trials_many", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_marginal_trials_many", trials_ran)
         cfg = write(tmp_path / "b.cfg", "bins = 0\nn_trials = 50\nrule_upper = 20\nrule_cap = 20\n")
         code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 1
@@ -193,8 +193,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("bins", [montecarlo.DRAW_BUFFER_BYTES // 8, 1_000_000_000_000])
     def test_oversized_bins_refused_before_any_trial(self, kind, bins, tmp_path, capsys,
                                                      monkeypatch):
-        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
-        monkeypatch.setattr(montecarlo, "run_marginal_trials", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_trials_many", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_marginal_trials_many", trials_ran)
         text = f"bins = {bins}\nn_trials = 50\nrule_upper = 20\nrule_cap = 20\n"
         code = main([kind, "--config", write(tmp_path / "b.cfg", text), "--out",
                      str(tmp_path / "out")])
@@ -246,8 +246,8 @@ class TestExitCodes:
     )
     @pytest.mark.parametrize("value", ["", " , "])
     def test_empty_sweep_exits_one(self, kind, key, value, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
-        monkeypatch.setattr(montecarlo, "run_marginal_trials", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_trials_many", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_marginal_trials_many", trials_ran)
         rule = "" if kind == "mc-type1" else "rule_upper = 20\n"
         cfg = write(tmp_path / "e.cfg", f"{key} ={value}\nn_trials = 50\n{rule}")
         code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
@@ -267,8 +267,8 @@ class TestExitCodes:
     )
     def test_bad_sweep_value_refused_before_any_trial(self, kind, sweep, message, tmp_path,
                                                       capsys, monkeypatch):
-        monkeypatch.setattr(montecarlo, "run_trials", trials_ran)
-        monkeypatch.setattr(montecarlo, "run_marginal_trials", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_trials_many", trials_ran)
+        monkeypatch.setattr(montecarlo, "run_marginal_trials_many", trials_ran)
         rule = "" if kind == "mc-type1" else "rule_upper = 20\n"
         cfg = write(tmp_path / "v.cfg", f"{sweep}\nn_trials = 50\n{rule}")
         code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])
@@ -296,10 +296,12 @@ class TestExitCodes:
             ("mc-type1", "g = 1e-170\n"),
             # the r = 1e200 Cauchy tables are NaN
             ("mc-type1", "effect_scale = 1e200\n"),
+            # a later run of the call: the first, at g = 1, is finite
+            ("mc-bf-mean", "g = 1, 1e-170\nrule_upper = 20\n"),
             # the sums of squares overflow from x_1 on
             ("mc-marginal-calibration", "x_m = 1e200\nrule_upper = 20\n"),
         ],
-        ids=["g-1e-170", "effect-scale-1e200", "x_m-1e200"],
+        ids=["g-1e-170", "effect-scale-1e200", "g-1-then-1e-170", "x_m-1e200"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # the run shows none of numpy's
     def test_non_finite_stopped_log_beta_exits_one(self, kind, text, tmp_path, capsys):
@@ -402,6 +404,38 @@ class TestByteIdenticalOutputs:
 
 
 OUTPUTS = ("records.csv", "summary.json", "verdict.txt")
+
+
+@pytest.mark.parametrize("n_workers", [2, 3])
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("mc-strong-calibration", "g = 0.5, 1, 2\nrule_upper = 5\nrule_lower = 0.2\nbins = 8\n"),
+        ("mc-marginal-calibration", "x_m = 1, 2\nrule_upper = 5\nrule_lower = 0.2\nbins = 8\n"),
+        ("mc-type1", "alpha = 0.05, 0.2\ng = 0.5, 2\n"),
+    ],
+)
+def test_every_run_of_a_call_is_one_split_job(kind, text, n_workers, tmp_path, capsys,
+                                              monkeypatch):
+    """W - 1 forks for the whole call, not per arm or per value; the same bytes as W = 1."""
+    cfg = write(tmp_path / "c.cfg", f"{text}n_trials = 600\nrule_cap = 30\n")
+    monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 500)  # two blocks a run
+    monkeypatch.setattr(workers, "worker_count", lambda: 1)
+    # this first run also builds the tables, so the split run forks for its trials alone
+    code = main([kind, "--config", cfg, "--seed", "3", "--out", str(tmp_path / "one")])
+    started = []
+    fork = workers._fork
+
+    def spy(*args):
+        started.append(args)
+        return fork(*args)
+
+    monkeypatch.setattr(workers, "_fork", spy)
+    monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+    assert main([kind, "--config", cfg, "--seed", "3", "--out", str(tmp_path / "split")]) == code
+    assert len(started) == n_workers - 1
+    for name in OUTPUTS:
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
 
 
 class TestRewrite:

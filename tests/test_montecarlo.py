@@ -27,8 +27,10 @@ from optstop.montecarlo import (
     estimate_type1,
     records_to_csv,
     run_marginal_trials,
+    run_marginal_trials_many,
     run_trials,
     run_trials_finite,
+    run_trials_many,
     TrialRecords,
     wilson_interval,
 )
@@ -49,6 +51,31 @@ def fresh_stream(key64, trial):
 def one_process(monkeypatch):
     """Every block of a run runs in this process, where a spy sees it."""
     monkeypatch.setattr(workers, "worker_count", lambda: 1)
+
+
+def count_forks(monkeypatch):
+    """The forks a split job makes from here on; each still happens."""
+    started = []
+    fork = workers._fork
+
+    def spy(*args):
+        started.append(args)
+        return fork(*args)
+
+    monkeypatch.setattr(workers, "_fork", spy)
+    return started
+
+
+def no_work(monkeypatch):
+    """Fail the test if a table is built, a split job starts or a block runs."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("a table was built, a split job started or a block ran")
+
+    monkeypatch.setattr(ScaleBfCurves, "_table", work)
+    monkeypatch.setattr(montecarlo, "_curves_for", work)
+    monkeypatch.setattr(workers, "run_groups", work)
+    monkeypatch.setattr(montecarlo, "_run_block", work)
 
 
 TWO_SIDED = BfThreshold(upper=4.0, lower=0.25, cap=40)
@@ -99,14 +126,7 @@ class TestRunTrials:
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1000)
         if run_draw_blocks is not None:
             monkeypatch.setattr(montecarlo, "RUN_DRAW_BYTES", run_draw_blocks * 8 * 1000 * 40)
-        started = []
-        fork = workers._fork
-
-        def counting_fork(*args):
-            started.append(args)
-            return fork(*args)
-
-        monkeypatch.setattr(workers, "_fork", counting_fork)
+        started = count_forks(monkeypatch)
         assert run() == a
         assert len(started) == forks
 
@@ -171,11 +191,7 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("g", [0.0, -1.0, math.nan, math.inf])
     def test_nuisance_value_outside_the_group_refused(self, g, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a table was built or a block ran")
-
-        monkeypatch.setattr(ScaleBfCurves, "_table", no_work)
-        monkeypatch.setattr(montecarlo, "_run_block", no_work)
+        no_work(monkeypatch)
         with pytest.raises(ValueError, match="nuisance value must be finite with a positive scale"):
             run_trials(CAUCHY, 0, g, BfThreshold(upper=20.0, cap=10), 10, seed=0)
 
@@ -191,14 +207,97 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("n_trials", [0, 10])
     def test_location_scale_pair_refused_up_front(self, n_trials, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a table was built or a block ran")
-
-        monkeypatch.setattr(ScaleBfCurves, "_table", no_work)
-        monkeypatch.setattr(montecarlo, "_run_block", no_work)
+        no_work(monkeypatch)
         pair = InvariantModelPair.location_scale(PointMass(0.0))
         with pytest.raises(NotImplementedError, match="scale group"):
             run_trials(pair, 1, (1.5, -1.0), FixedN(n=6, cap=10), n_trials, seed=3)
+
+
+# runs that mix k, g, caps and bars: a corridor at cap 100, a one-sided bar at
+# cap 40, and the bar-less FixedN and SumOfSquares
+MANY_PLAIN = [
+    (0, 0.5, CORRIDOR),
+    (1, 0.5, CORRIDOR),
+    (1, 3.0, BfThreshold(upper=4.0, cap=40)),
+    (1, 1.0, FixedN(n=25, cap=40)),
+    (0, 1.3, SumOfSquares(20.0, cap=40)),
+]
+MANY_MARGINAL = [
+    (0, [0.8], CORRIDOR),
+    (1, [0.8], CORRIDOR),
+    (1, [1.5], BfThreshold(upper=4.0, cap=40)),
+    (0, [-0.6], FixedN(n=25, cap=40)),
+    (1, [2.0], SumOfSquares(20.0, cap=40)),
+]
+MANY = {
+    "plain": (run_trials_many, run_trials, MANY_PLAIN),
+    "marginal": (run_marginal_trials_many, run_marginal_trials, MANY_MARGINAL),
+}
+
+
+class TestManyRuns:
+    """A many-run call is one split job, and each run's records are its one-run call's."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", MANY)
+    def test_runs_equal_their_one_run_calls(self, kind, n_workers, monkeypatch):
+        many, one, runs = MANY[kind]
+        monkeypatch.setattr(workers, "worker_count", lambda: 1)
+        expected = [one(CAUCHY, k, v, rule, 2500, seed=5) for k, v, rule in runs]
+        # five runs of 2,500 trials, in blocks of at most 1000: the group edges,
+        # at items 6,250 (W = 2) and 4,166 and 8,333 (W = 3), fall inside runs
+        monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 1000)
+        forks = count_forks(monkeypatch)
+        got = many(CAUCHY, runs, 2500, seed=5)
+        assert len(got) == len(expected)
+        assert all(a == b for a, b in zip(got, expected))
+        assert len(forks) == n_workers - 1
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ((2, 1.0, CORRIDOR), ValueError, "hypothesis index must be 0 or 1, got 2"),
+            ((0, 0.0, CORRIDOR), ValueError, "nuisance value must be finite with a positive"),
+            ((1, -2.0, CORRIDOR), ValueError, "nuisance value must be finite with a positive"),
+            ((1, 1.0, FixedN(n=1, cap=1)), ValueError, "rule cap 1 must exceed the initial"),
+        ],
+        ids=["k", "g-zero", "g-negative", "cap-within-m"],
+    )
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_a_bad_run_anywhere_is_refused_before_any_work(self, bad, error, message, at,
+                                                           monkeypatch):
+        no_work(monkeypatch)
+        runs = MANY_PLAIN[:2]
+        runs.insert(at, bad)
+        with pytest.raises(error, match=message):
+            run_trials_many(CAUCHY, runs, 100, seed=3)
+
+    def test_a_bad_initial_sample_anywhere_is_refused_before_any_work(self, monkeypatch):
+        no_work(monkeypatch)
+        runs = MANY_MARGINAL[:2] + [(1, [0.0], CORRIDOR)]
+        with pytest.raises(SingularInputError):
+            run_marginal_trials_many(CAUCHY, runs, 100, seed=3)
+        with pytest.raises(ValueError, match="rule cap 1 must exceed the initial"):
+            run_marginal_trials_many(CAUCHY, runs[:1] + [(0, [1.0], FixedN(n=1, cap=1))], 10, 3)
+
+    @pytest.mark.parametrize("kind, row_bytes", [("plain", 24), ("marginal", 32)])
+    def test_records_over_budget_refused_before_any_work(self, kind, row_bytes, monkeypatch):
+        # the budget holds per run: each run's records alone must fit
+        many, _, runs = MANY[kind]
+        most = montecarlo.RECORD_BUDGET_BYTES // row_bytes
+        no_work(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="record budget"):
+            many(CAUCHY, runs, most + 1, seed=3)
+
+    @pytest.mark.parametrize("kind", MANY)
+    def test_zero_trials_give_one_empty_batch_per_run(self, kind, monkeypatch):
+        many, one, runs = MANY[kind]
+        expected = [one(CAUCHY, k, v, rule, 0, seed=3) for k, v, rule in runs]
+        no_work(monkeypatch)
+        got = many(CAUCHY, runs, 0, seed=3)
+        assert len(got) == len(runs) and all(len(b) == 0 for b in got)
+        assert all(a == b for a, b in zip(got, expected))
 
 
 def assert_no_child():
@@ -562,21 +661,13 @@ class TestMarginalCalibration:
     )
     @pytest.mark.parametrize("n_trials", [0, 10])
     def test_initial_sample_the_pair_rejects_refused(self, x_m, error, n_trials, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a table was built or a block ran")
-
-        monkeypatch.setattr(ScaleBfCurves, "_table", no_work)
-        monkeypatch.setattr(montecarlo, "_run_block", no_work)
+        no_work(monkeypatch)
         with pytest.raises(error):
             run_marginal_trials(CAUCHY, 0, x_m, FixedN(n=5, cap=10), n_trials, seed=0)
 
     @pytest.mark.parametrize("n_trials", [0, 10])
     def test_nonzero_point_effect_refused_under_the_alternative(self, n_trials, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("a table was built or a block ran")
-
-        monkeypatch.setattr(ScaleBfCurves, "_table", no_work)
-        monkeypatch.setattr(montecarlo, "_run_block", no_work)
+        no_work(monkeypatch)
         pair = InvariantModelPair.scale(PointMass(0.5))
         with pytest.raises(ValueError, match="nonzero point effect"):
             run_marginal_trials(pair, 1, [1.0], FixedN(n=5, cap=10), n_trials, seed=0)
