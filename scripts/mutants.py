@@ -16,7 +16,7 @@ row, and under it the first failing test, or why the row is stale:
 
 Exit status 1 if any row is stale, else 0; a survivor is reported, not a
 failure.  The working tree is never modified.  Not part of the tier-1
-suite; the whole table of 26 rows took 109 s on a 2-vCPU Xeon host.
+suite; the whole table of 35 rows took 113 s on a 2-vCPU Xeon host.
 
     python scripts/mutants.py
 """
@@ -37,9 +37,12 @@ EXACT = "src/optstop/exact.py"
 WORKERS = "src/optstop/workers.py"
 CLI = "src/optstop/cli.py"
 MONTECARLO = "src/optstop/montecarlo.py"
+MODELS = "src/optstop/models.py"
+STOPPING = "src/optstop/stopping.py"
 TEST_WORKERS = "tests/test_workers.py"
 TEST_EXACT = "tests/test_exact.py"
 TEST_MONTECARLO = "tests/test_montecarlo.py"
+TEST_STOPPING = "tests/test_stopping.py"
 
 # (name, file, old text, new text, pytest selection)
 MUTANTS = [
@@ -222,13 +225,82 @@ MUTANTS = [
         "        pair, [(k, v, rule) for k in (0, 1)], n_trials, seed)]\n",
         ["tests/test_cli.py::test_every_run_of_a_call_is_one_split_job"],
     ),
-    # verdicts
+    # one stopping-rule protocol: a rule's bars make every threshold decision
+    (
+        "a bar above fires only past it",
+        STOPPING,
+        "(log_beta >= bar if above else",
+        "(log_beta > bar if above else",
+        [f"{TEST_STOPPING}::TestBars::test_each_bar_fires_on_itself"],
+    ),
+    (
+        "a bar below fires only past it",
+        STOPPING,
+        "else log_beta <= bar)",
+        "else log_beta < bar)",
+        [f"{TEST_STOPPING}::TestBars::test_each_bar_fires_on_itself"],
+    ),
+    (
+        "boundary_gap measures to the farthest bar",
+        STOPPING,
+        "return min((abs(log_beta - bar) for bar, _ in self.log_bars), default=math.inf)",
+        "return max((abs(log_beta - bar) for bar, _ in self.log_bars), default=math.inf)",
+        [f"{TEST_STOPPING}::TestBars::test_boundary_gap_is_the_distance_to_the_nearest_bar"],
+    ),
+    (
+        "a raw rule passes when its invariance is not refuted",
+        STOPPING,
+        "return self.counterexample is not None",
+        "return self.counterexample is None",
+        [f"{TEST_STOPPING}::TestCheckInvariance::test_report_passes_on_a_decided_probe_without_mismatch"],
+    ),
+    (
+        "a raw rule is probed a chunk at a time",
+        STOPPING,
+        "chunk = PROBE_CHUNK if rule.declared_invariant else 1",
+        "chunk = PROBE_CHUNK",
+        [f"{TEST_STOPPING}::TestChunkedProbe::test_matches_sequential_reference"],
+    ),
+    (
+        "a read on an inner piece edge takes the piece that ends there",
+        MODELS,
+        "piece += (coord[:, None] >= stack.inner[ns]).sum(axis=1)",
+        "piece += (coord[:, None] > stack.inner[ns]).sum(axis=1)",
+        ["tests/test_boundary.py::test_read_on_an_inner_piece_edge_takes_the_piece_that_starts_there"],
+    ),
+    # one public way: the many-run calls own every Monte Carlo refusal
+    (
+        "run_trials_many takes g without check_nuisance",
+        MONTECARLO,
+        "checked.append((k, check_nuisance(g), rule))",
+        "checked.append((k, float(g), rule))",
+        ["tests/test_cli.py::TestExitCodes::test_bad_sweep_value_refused_before_any_trial"],
+    ),
+    (
+        "maximal_invariant divides by x_1 without abs",
+        MODELS,
+        "            return x / abs(x[0])\n",
+        "            return x / x[0]\n",
+        ["tests/test_models_scale.py::TestMaximalInvariant"],
+    ),
+    (
+        "estimate_marginal_calibration runs its arms as two calls",
+        MONTECARLO,
+        "    records0, records1 = run_marginal_trials_many(\n"
+        "        pair, [(k, x_m, rule) for k in (0, 1)], n_trials, seed\n"
+        "    )\n",
+        "    records0, records1 = (\n"
+        "        run_marginal_trials_many(pair, [(k, x_m, rule)], n_trials, seed)[0] for k in (0, 1)\n"
+        "    )\n",
+        [f"{TEST_MONTECARLO}::TestMarginalCalibration::test_both_arms_are_one_split_job"],
+    ),
+    # verdicts: the raw-rule controls (ROADMAP item 3)
     (
         "CalibrationEstimate passes at 50% of its bins instead of 93%",
         MONTECARLO,
         "return self.pass_fraction >= BIN_PASS_FRACTION",
         "return self.pass_fraction >= 0.5",
-        ["tests/test_cli_golden.py", "tests/test_calibration.py"],
+        ["tests/test_power.py::test_mc_strong_calibration_fails_a_raw_sum_of_squares_rule"],
     ),
     # survives: the raw-rule control sits about 51 se below 1 (ROADMAP item 3)
     (

@@ -24,7 +24,6 @@ from .groups import LOCATION_SCALE, SCALE, LocationScaleGroup, ScaleGroup
 from .models import (
     CauchyEffect,
     InvariantModelPair,
-    MaximalInvariantValue,
     PointMass,
     ScaleBfCurves,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "CauchyEffect",
     "PointMass",
     "InvariantModelPair",
-    "MaximalInvariantValue",
     "ScaleBfCurves",
     "StoppingRule",
     "FixedN",

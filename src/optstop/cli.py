@@ -131,13 +131,11 @@ def _alphas(cfg: ExperimentConfig) -> List[SignificanceLevel]:
         raise ConfigError(f"alpha: {exc}") from exc
 
 
-def _sweep(cfg: ExperimentConfig, key: str, check: Callable) -> List[float]:
-    """The values of a swept key (default 1), each passed to ``check`` before any trial runs."""
+def _sweep(cfg: ExperimentConfig, key: str) -> List[float]:
+    """The values of a swept key (default 1); the trials' many-run call checks each."""
     values = cfg.get_float_list(key, [1.0])
     if not values:
         raise ConfigError(f"{key}: at least one value is required")
-    for v in values:
-        check(v)
     return values
 
 
@@ -252,18 +250,18 @@ def _run_exact_markov(cfg: ExperimentConfig, seed: int, out_dir: str):
 
 
 def _run_mc_calibration(cfg: ExperimentConfig, seed: int, out_dir: str, sweep_key: str,
-                        check: Callable, trials: str, summary_key: str, line: str):
+                        trials: str, summary_key: str, line: str):
     """H1-against-H0 calibration at every value of one swept config key.
 
-    ``check(pair, value)`` refuses a swept value the trials would;
     ``trials`` names the montecarlo function that runs the (k, value,
     rule) arms, both at every value, in one call: one split job (looked
-    up at call time, so a wrapped function is the one called); ``line``
-    formats the verdict line of one value.
+    up at call time, so a wrapped function is the one called), which
+    refuses a bad value before any table is built; ``line`` formats the
+    verdict line of one value.
     """
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     rule = _rule(cfg, default_cap=200)
-    values = _sweep(cfg, sweep_key, partial(check, pair))
+    values = _sweep(cfg, sweep_key)
     n_trials = _count(cfg, "n_trials", 100_000)
     bins = montecarlo.check_bins(_count(cfg, "bins", montecarlo.DEFAULT_BINS))
     cfg.reject_unknown()
@@ -292,7 +290,7 @@ def _run_null_arm(cfg: ExperimentConfig, seed: int, out_dir: str, checks: Callab
     """
     pair = InvariantModelPair.scale(_effect_prior(cfg))
     pairs = checks(cfg)
-    gs = _sweep(cfg, "g", partial(montecarlo.check_nuisance, pair))
+    gs = _sweep(cfg, "g")
     n_trials = _count(cfg, "n_trials", 100_000, least=min_trials)
     cfg.reject_unknown()
     runs = [(rule, check, g) for rule, check in pairs for g in gs]
@@ -440,8 +438,7 @@ EXPERIMENTS = {
     ),
     "mc-strong-calibration": Experiment(
         partial(
-            _run_mc_calibration, sweep_key="g", check=montecarlo.check_nuisance,
-            trials="run_trials_many", summary_key="per_g",
+            _run_mc_calibration, sweep_key="g", trials="run_trials_many", summary_key="per_g",
             line="g={v:g}: {est.usable_bins} usable bins, pass fraction "
             f"{{est.pass_fraction:.3f}} (need >= {montecarlo.BIN_PASS_FRACTION}) -> {{verdict}}",
         ),
@@ -463,12 +460,10 @@ EXPERIMENTS = {
         "under the null at every nuisance value g (estimate_stopped_bf_mean).",
     ),
     "mc-marginal-calibration": Experiment(
-        # run_marginal_trials_many reads a scalar x as the initial sample x_m = (x,); its
-        # alternative arm (k = 1) refuses all that its null arm does
+        # run_marginal_trials_many reads a scalar x as the initial sample x_m = (x,)
         partial(
-            _run_mc_calibration, sweep_key="x_m",
-            check=partial(montecarlo.check_initial_sample, k=1),
-            trials="run_marginal_trials_many", summary_key="per_x_m",
+            _run_mc_calibration, sweep_key="x_m", trials="run_marginal_trials_many",
+            summary_key="per_x_m",
             line="x_m=({v:g},): {est.usable_bins} usable bins, pass fraction "
             "{est.pass_fraction:.3f} -> {verdict}",
         ),

@@ -183,13 +183,6 @@ EffectPrior = Union[PointMass, CauchyEffect]
 _NULL_EFFECT = PointMass(0.0)  # the null hypothesis: no effect
 
 
-@dataclass(frozen=True, eq=False)
-class MaximalInvariantValue:
-    """Coordinates of the data's group orbit."""
-
-    coords: np.ndarray
-
-
 def _scale_stats(x: np.ndarray) -> Tuple[int, float, float, float]:
     """Return (n, S, q, t_signed) for the scale-group sufficient statistics."""
     n = x.size
@@ -451,18 +444,6 @@ class InvariantModelPair:
             n[i], _, q[i], t[i] = _scale_stats(x)
         return self.effect_prior.log_bf_stats(n, q, t)
 
-    def log_bf_from_stats(self, n: int, q: float, t_signed: float) -> float:
-        """log beta_n from the invariant coordinates directly (scale pairs).
-
-        ``q`` is the squared normalized mean n*xbar^2/S and ``t_signed``
-        its signed square root; both are functions of the maximal
-        invariant, which is why this signature exists at all.
-        """
-        if not self.is_scale:
-            raise NotImplementedError("location-scale evidence is identically zero")
-        stats = (np.array([v], dtype=float) for v in (n, q, t_signed))
-        return float(self.effect_prior.log_bf_stats(*stats)[0])
-
     # ---------------------------------------------------------------- sampling
 
     def sample(self, k: int, g: GroupElement, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -477,28 +458,13 @@ class InvariantModelPair:
             if not self._excluded(x):
                 return x
 
-    def maximal_invariant(self, x) -> MaximalInvariantValue:
+    def maximal_invariant(self, x) -> np.ndarray:
+        """The orbit's coordinates: x / |x_1|, or (x_i - x_1) / |x_2 - x_1| for i >= 2."""
         x = self._validate(x)
         if self.is_scale:
-            return MaximalInvariantValue(coords=x / abs(x[0]))
+            return x / abs(x[0])
         diffs = x[1:] - x[0]
-        return MaximalInvariantValue(coords=diffs / abs(diffs[0]))
-
-    def sample_posterior_g_given_initial(self, k: int, x_m, rng: np.random.Generator) -> float:
-        """Draw a nuisance value from its posterior given the initial sample.
-
-        Implemented for the scale group under the null, where
-        x_1^2 / sigma^2 is chi-square with one degree of freedom, which
-        is all the marginal-calibration checks need from this interface.
-        """
-        if not self.is_scale or k != 0:
-            raise NotImplementedError(
-                "posterior nuisance sampling is implemented for the scale group under k=0"
-            )
-        x_m = self._validate(np.atleast_1d(np.asarray(x_m, dtype=float)))
-        if x_m.size != 1:
-            raise ValueError("the scale-group initial sample has length 1")
-        return _NULL_EFFECT.posterior_state(float(x_m[0]), rng)[0]
+        return diffs / abs(diffs[0])
 
     def _posterior_predictive_state(
         self, k: int, x1: float, rng: np.random.Generator
@@ -577,12 +543,6 @@ class ScaleBfCurves:
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._stacked: Optional[_TableStack] = None
         self._boundaries: dict[tuple[float, int, bool], np.ndarray] = {}
-
-    def _table(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The piece edges and per-piece coefficients of the table at n, built if missing."""
-        if n not in self._tables:
-            self._build([n])
-        return self._tables[n]
 
     def _build(self, ns) -> None:
         """Fit the tables at every n of ``ns`` together, one exact-evaluator call per round.

@@ -51,8 +51,8 @@ Records
     rule and scale g kept once (a marginal run keeps each trial's drawn
     scale in an array too).  The estimators read the arrays and
     ``records_to_csv`` formats rows from them a slice at a time; a
-    :class:`TrialRecord` row exists only where a batch is indexed or
-    iterated.  A non-finite stopped log beta fails the run.
+    :class:`TrialRecord` row exists only where a batch is iterated.  A
+    non-finite stopped log beta fails the run.
 
 Trajectory evaluation
     Trials run on scale-group pairs only, in lockstep over whole blocks,
@@ -102,7 +102,7 @@ import itertools
 import math
 import mmap
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -168,8 +168,7 @@ class TrialRecords:
     trial.  ``k``, ``seed`` and ``rule`` are the run's, and so is ``g``:
     its nuisance value (a scale, or NaN on a finite model), or, for a
     marginal run, whose trials draw it, an array of one value per trial.
-    Indexing and iteration give :class:`TrialRecord` rows, and a slice
-    is a batch of the same run.
+    Iteration gives :class:`TrialRecord` rows.
     ``==`` is exact: the same run and bit-identical columns.
     """
 
@@ -185,24 +184,8 @@ class TrialRecords:
     def per_trial_g(self) -> bool:
         return isinstance(self.g, np.ndarray)
 
-    def _trial_columns(self) -> Tuple[str, ...]:
-        """The fields that hold one value per trial."""
-        return ("stop_index", "stopped_log_beta", "trial") + (("g",) if self.per_trial_g else ())
-
     def __len__(self) -> int:
         return len(self.trial)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return replace(self, **{c: getattr(self, c)[index] for c in self._trial_columns()})
-        return TrialRecord(
-            k=self.k,
-            g=float(self.g[index]) if self.per_trial_g else self.g,
-            stop_index=int(self.stop_index[index]),
-            stopped_log_beta=float(self.stopped_log_beta[index]),
-            seed=self.seed,
-            trial=int(self.trial[index]),
-        )
 
     def __iter__(self) -> Iterator[TrialRecord]:
         gs = self.g.tolist() if self.per_trial_g else itertools.repeat(self.g)
@@ -593,8 +576,8 @@ def _validate_run(
         )
 
 
-def check_nuisance(pair: InvariantModelPair, g: float) -> float:
-    """Scale ``g`` of the scale-group ``pair`` as a float.
+def check_nuisance(g: float) -> float:
+    """Scale ``g`` of a scale-group pair as a float.
 
     ``ValueError`` unless g is finite and positive.
     """
@@ -639,7 +622,7 @@ def run_trials_many(
     checked = []
     for k, g, rule in runs:
         _validate_run(pair, k, rule, n_trials, marginal=False)
-        checked.append((k, check_nuisance(pair, g), rule))
+        checked.append((k, check_nuisance(g), rule))
     if n_trials == 0:
         return [TrialRecords.empty(k, g, seed, rule) for k, g, rule in checked]
     plans = [
@@ -677,11 +660,18 @@ def run_marginal_trials_many(
     n_trials: int,
     seed: int,
 ) -> List[TrialRecords]:
-    """Marginal trials given x_m for each (k, x_m, rule) of ``runs``, as one split job.
+    """Trials from the conditional marginal given x_m, for each (k, x_m, rule) of ``runs``.
 
-    Each run's records equal its own :func:`run_marginal_trials` call bit
-    for bit.  Every run is checked, in order and as
-    :func:`run_marginal_trials` checks it, before any table is built.
+    Each trial draws its nuisance value (and, under the alternative, its
+    effect) from the hypothesis-k posterior given ``x_m``, then extends
+    the sequence from ``x_m`` under those parameters.  Records hold the
+    conditional stopped value log beta_{tau|m}, and the rule is applied
+    to that conditional value.  Scale-group pairs only.  One split job
+    serves every run, and each run's records are those of a call with it
+    alone, bit for bit.  Every run is checked, in order, before any table
+    is built: an initial sample the pair rejects, or a nonzero point
+    effect under the alternative, raises ``ValueError``
+    (``check_initial_sample``).
     """
     checked = []
     for k, x_m, rule in runs:
@@ -697,28 +687,6 @@ def run_marginal_trials_many(
         key64 = _stream_key(seed, k, (x_init,), variant=1)
         plans.append(_Run(k, None, rule, key64, x_init, lb_offset))
     return _run_blocks(pair, plans, n_trials, seed)
-
-
-def run_marginal_trials(
-    pair: InvariantModelPair,
-    k: int,
-    x_m: Sequence[float],
-    rule: StoppingRule,
-    n_trials: int,
-    seed: int,
-) -> TrialRecords:
-    """Trials from the conditional marginal given the initial sample.
-
-    Each trial draws its nuisance value (and, under the alternative, its
-    effect) from the hypothesis-k posterior given ``x_m``, then extends
-    the sequence from ``x_m`` under those parameters.  Records hold the
-    conditional stopped value log beta_{tau|m}, and the rule is applied
-    to that conditional value.  Scale-group pairs only.  An initial
-    sample the pair rejects, or a nonzero point effect under the
-    alternative, raises ``ValueError`` (``check_initial_sample``).  The
-    one-run call of :func:`run_marginal_trials_many`.
-    """
-    return run_marginal_trials_many(pair, [(k, x_m, rule)], n_trials, seed)[0]
 
 
 def _finite_chunk(model: FiniteModel) -> int:
@@ -937,10 +905,14 @@ def estimate_marginal_calibration(
     seed: int,
     n_bins: int = DEFAULT_BINS,
 ) -> CalibrationEstimate:
-    """Calibration of the conditional stopped value given one initial sample."""
+    """Calibration of the conditional stopped value given one initial sample.
+
+    Both arms are one many-run call: one split job.
+    """
     check_bins(n_bins)
-    records0 = run_marginal_trials(pair, 0, x_m, rule, n_trials, seed)
-    records1 = run_marginal_trials(pair, 1, x_m, rule, n_trials, seed)
+    records0, records1 = run_marginal_trials_many(
+        pair, [(k, x_m, rule) for k in (0, 1)], n_trials, seed
+    )
     return estimate_strong_calibration(records0, records1, n_bins=n_bins)
 
 

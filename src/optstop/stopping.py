@@ -182,14 +182,6 @@ class BfThreshold(StoppingRule):
             bars += ((math.log(self.lower), False),)
         object.__setattr__(self, "log_bars", bars)
 
-    @property
-    def log_upper(self) -> float:
-        return self.log_bars[0][0]
-
-    @property
-    def log_lower(self) -> Optional[float]:
-        return None if self.lower is None else self.log_bars[1][0]
-
     def exposes_crossing(self, threshold: float) -> bool:
         # a path stopped early has crossed upper >= threshold; the rest run to the cap
         return self.lower is None and self.upper >= threshold
@@ -215,10 +207,11 @@ class _StatisticRule(StoppingRule):
 class InvariantStatistic(_StatisticRule):
     """Stop when a statistic of the maximal invariant crosses a threshold.
 
-    ``transform`` maps the raw prefix to maximal-invariant coordinates
-    (typically a pair's ``maximal_invariant``); ``statistic`` maps those
-    coordinates to a real number.  Decisions depend on the data only
-    through the invariant, which is what makes the rule admissible.
+    ``transform`` maps the raw prefix to an array of maximal-invariant
+    coordinates: a pair's ``maximal_invariant`` itself, or a function of
+    it.  ``statistic`` maps those coordinates to a real number.
+    Decisions depend on the data only through the invariant, which is
+    what makes the rule admissible.
     """
 
     statistic: Callable[[np.ndarray], float]

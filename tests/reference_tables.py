@@ -13,7 +13,8 @@ path or a loop over the pieces present, each a plain
 ``numpy.polynomial.chebyshev.chebval``.  It forms the table coordinate
 itself (xi = log(1 - q) with q clamped at Q_MAX, or the signed t) and
 gives its own zeros for the zero point mass, without reading a table;
-``read_per_n`` is its read at given table coordinates.
+``read_per_n`` is its read at given table coordinates, and
+``table_at`` the table it reads.
 It shares no evaluation code with ``ScaleBfCurves.log_bf_cells``, which
 must match it bit for bit: +0.0 for the zero point mass.
 """
@@ -47,6 +48,13 @@ def fit_per_n(curves, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(edges), np.array(coeffs)
 
 
+def table_at(curves, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The piece edges and per-piece coefficients of the table at n, built if missing."""
+    if n not in curves._tables:
+        curves._build([n])
+    return curves._tables[n]
+
+
 def log_bf_per_n(curves, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndarray:
     """log beta_n for vectors of invariant coordinates at one n."""
     q = np.asarray(q, dtype=float)
@@ -62,7 +70,7 @@ def log_bf_per_n(curves, n: int, q: np.ndarray, t_signed: np.ndarray) -> np.ndar
 
 def read_per_n(curves, n: int, coord: np.ndarray) -> np.ndarray:
     """The table at n read at table coordinates: on a piece edge, the piece that starts there."""
-    edges, coeffs = curves._table(n)
+    edges, coeffs = table_at(curves, n)
     coord = np.clip(coord, edges[0], edges[-1])
     if len(coeffs) == 1:
         lo, hi = edges

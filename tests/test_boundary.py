@@ -23,10 +23,10 @@ from optstop.models import (
     PointMass,
     ScaleBfCurves,
 )
-from optstop.montecarlo import run_marginal_trials, run_trials
+from optstop.montecarlo import run_marginal_trials_many, run_trials
 from optstop.stopping import BfThreshold, FixedN, SumOfSquares
 from reference_kernel import run_block_per_step
-from reference_tables import fit_per_n, log_bf_per_n, read_per_n
+from reference_tables import fit_per_n, log_bf_per_n, read_per_n, table_at
 
 PRIORS = [
     CauchyEffect(0.01),
@@ -78,7 +78,7 @@ def test_marginal_trials_match_per_step_kernel(prior, rule, x_m, split_blocks, m
     arms = (0,) if isinstance(prior, PointMass) and prior.delta0 != 0.0 else (0, 1)
     for k in arms:
         def run():
-            return run_marginal_trials(pair, k, x_m, rule, 1500, seed=12)
+            return run_marginal_trials_many(pair, [(k, x_m, rule)], 1500, seed=12)[0]
 
         assert run() == per_step(monkeypatch, run)
 
@@ -113,7 +113,8 @@ def test_block_reads_tables_in_a_few_waves(k, monkeypatch):
     pair = InvariantModelPair.scale(CauchyEffect(1.0))
     rule = BfThreshold(upper=5.0, lower=0.2, cap=100)
     curves = montecarlo._curves_for(pair)
-    curves.boundary(rule.log_upper, rule.cap, True)
+    for bar, above in rule.log_bars:
+        curves.boundary(bar, rule.cap, above)
     reads = count_reads(monkeypatch, curves)
     run_trials(pair, k, 1.0, rule, montecarlo.BLOCK_SIZE, seed=3)
     assert 0 < len(reads) <= 40
@@ -181,14 +182,14 @@ def test_narrow_prior_tables_have_pieces():
     """The reference comparison above covers multi-piece tables."""
     for r in (0.01, 0.1):
         curves = montecarlo._curves_for(InvariantModelPair.scale(CauchyEffect(r)))
-        assert len(curves._table(CAP)[1]) > 1
+        assert len(table_at(curves, CAP)[1]) > 1
 
 
 @pytest.mark.parametrize("r", [0.01, 0.1])
 def test_read_on_an_inner_piece_edge_takes_the_piece_that_starts_there(r):
     """A table coordinate exactly on an inner piece edge reads as ``searchsorted``, side right."""
     curves = ScaleBfCurves(InvariantModelPair.scale(CauchyEffect(r)))
-    inner = curves._table(CAP)[0][1:-1]
+    inner = table_at(curves, CAP)[0][1:-1]
     assert inner.size > 1
     got = curves._cells(np.full(inner.size, CAP), inner)
     assert got.tobytes() == read_per_n(curves, CAP, inner).tobytes()
@@ -238,7 +239,7 @@ def test_boundary_builds_every_table_in_one_evaluator_call(monkeypatch):
     builds = spy_builds(monkeypatch, curves)
     curves.boundary(math.log(20.0), 200, True)
     assert builds == [list(range(2, 200))]
-    assert all(len(curves._table(n)[1]) == 1 for n in range(2, 200))
+    assert all(len(curves._tables[n][1]) == 1 for n in range(2, 200))
     assert len(calls) == ONE_ROUND_CALLS
     assert calls[0] == 198 * (ScaleBfCurves.DEGREE + 1)  # every n's nodes
 
@@ -264,11 +265,11 @@ def test_batched_tables_equal_per_n_fit(prior, monkeypatch):
     reference = ScaleBfCurves(pair)
     for n in range(2, FIT_CAP):
         edges, coeffs = reference._tables[n] = fit_per_n(reference, n)
-        got_edges, got_coeffs = curves._table(n)
+        got_edges, got_coeffs = curves._tables[n]
         assert got_edges.tobytes() == edges.tobytes(), n
         assert got_coeffs.tobytes() == coeffs.tobytes(), n
     if isinstance(prior, CauchyEffect) and prior.scale <= 0.1:
-        assert len(curves._table(FIT_CAP - 1)[1]) > 1  # multi-piece tables are covered
+        assert len(curves._tables[FIT_CAP - 1][1]) > 1  # multi-piece tables are covered
     for bar, above in BARS:
         got = curves.boundary(bar, FIT_CAP, above)
         assert got.tobytes() == reference.boundary(bar, FIT_CAP, above).tobytes()
@@ -289,8 +290,8 @@ def test_batched_pieces_in_coordinate_order(steep_end, monkeypatch):
     for n in (2, 9, 30):
         edges, coeffs = fit_per_n(curves, n)
         assert len(coeffs) > 3
-        assert curves._table(n)[0].tobytes() == edges.tobytes()
-        assert curves._table(n)[1].tobytes() == coeffs.tobytes()
+        assert curves._tables[n][0].tobytes() == edges.tobytes()
+        assert curves._tables[n][1].tobytes() == coeffs.tobytes()
 
 
 CHUNK_CAP = 30
@@ -311,7 +312,7 @@ def test_records_do_not_depend_on_step_chunk(delta0, rule, chunk, monkeypatch):
     scale = InvariantModelPair.scale(PointMass(delta0))
     runs = [lambda k=k: run_trials(scale, k, 1.3, rule, 400, seed=21) for k in (0, 1)]
     # the alternative posterior is not sampled for a nonzero point effect
-    runs += [lambda k=k: run_marginal_trials(scale, k, (0.8,), rule, 400, seed=21)
+    runs += [lambda k=k: run_marginal_trials_many(scale, [(k, (0.8,), rule)], 400, seed=21)[0]
              for k in ((0,) if delta0 else (0, 1))]
     for run in runs:
         assert run() == per_step(monkeypatch, run)

@@ -51,9 +51,9 @@ def _all_equal():
 
 
 def _marginal():
-    return [
-        montecarlo.run_marginal_trials(CAUCHY, k, [1.5], CORRIDOR, 2000, seed=3) for k in (0, 1)
-    ]
+    return montecarlo.run_marginal_trials_many(
+        CAUCHY, [(k, [1.5], CORRIDOR) for k in (0, 1)], 2000, seed=3
+    )
 
 
 CASES = {

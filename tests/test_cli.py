@@ -267,8 +267,9 @@ class TestExitCodes:
     )
     def test_bad_sweep_value_refused_before_any_trial(self, kind, sweep, message, tmp_path,
                                                       capsys, monkeypatch):
-        monkeypatch.setattr(montecarlo, "run_trials_many", trials_ran)
-        monkeypatch.setattr(montecarlo, "run_marginal_trials_many", trials_ran)
+        # the many-run call checks every value before any table is built or trial runs
+        monkeypatch.setattr(ScaleBfCurves, "_build", trials_ran)
+        monkeypatch.setattr(montecarlo, "_run_block", trials_ran)
         rule = "" if kind == "mc-type1" else "rule_upper = 20\n"
         cfg = write(tmp_path / "v.cfg", f"{sweep}\nn_trials = 50\n{rule}")
         code = main([kind, "--config", cfg, "--out", str(tmp_path / "out")])

@@ -309,13 +309,20 @@ class TestLogBfMany:
 
 class TestMaximalInvariant:
     def test_formula(self, cauchy_pair):
-        coords = cauchy_pair.maximal_invariant([2.0, -4.0, 6.0]).coords
+        coords = cauchy_pair.maximal_invariant([2.0, -4.0, 6.0])
+        assert isinstance(coords, np.ndarray)
         assert np.allclose(coords, [1.0, -2.0, 3.0], atol=0)
+
+    def test_sign_of_x1_is_kept(self, cauchy_pair, rng):
+        # the group is the positive scales: x and -x lie on different orbits
+        assert cauchy_pair.maximal_invariant([-2.0, -4.0, 6.0]).tolist() == [-1.0, -2.0, 3.0]
+        x = rng.standard_normal(6) + 0.2
+        assert np.array_equal(cauchy_pair.maximal_invariant(-x), -cauchy_pair.maximal_invariant(x))
 
     def test_invariance_under_scaling(self, cauchy_pair, rng):
         x = rng.standard_normal(6) + 0.2
-        a = cauchy_pair.maximal_invariant(x).coords
-        b = cauchy_pair.maximal_invariant(5.0 * x).coords
+        a = cauchy_pair.maximal_invariant(x)
+        b = cauchy_pair.maximal_invariant(5.0 * x)
         assert np.allclose(a, b, atol=1e-14)
 
     def test_orbit_recovery(self, cauchy_pair, rng):
@@ -323,8 +330,8 @@ class TestMaximalInvariant:
         x = rng.standard_normal(5) + 0.4
         c = math.exp(rng.uniform(-2, 2))
         y = c * x
-        ux = cauchy_pair.maximal_invariant(x).coords
-        uy = cauchy_pair.maximal_invariant(y).coords
+        ux = cauchy_pair.maximal_invariant(x)
+        uy = cauchy_pair.maximal_invariant(y)
         assert np.allclose(ux, uy, atol=1e-12)
         recovered = abs(y[0]) / abs(x[0])
         assert np.allclose(x * recovered, y, atol=1e-10 * np.max(np.abs(y)))
@@ -333,9 +340,7 @@ class TestMaximalInvariant:
         x = rng.standard_normal(5) + 0.4
         y = x.copy()
         y[2] += 1.0
-        assert not np.allclose(
-            cauchy_pair.maximal_invariant(x).coords, cauchy_pair.maximal_invariant(y).coords
-        )
+        assert not np.allclose(cauchy_pair.maximal_invariant(x), cauchy_pair.maximal_invariant(y))
 
 
 class TestSampler:
@@ -398,55 +403,49 @@ class TestSampler:
         assert point.from_normals(z[:, :0]).tolist() == [-0.5] * 50
 
 
+def null_posterior_sigma(x1, rng):
+    """sigma from the null's posterior given x1: the draw the engine makes under H0."""
+    sigma, delta = PointMass(0.0).posterior_state(x1, rng)
+    assert delta == 0.0
+    return sigma
+
+
 class TestPosteriorSampler:
-    def test_chi_square_pullback(self, cauchy_pair, rng):
+    def test_chi_square_pullback(self, rng):
         x1 = 1.0
-        sigmas = np.array(
-            [cauchy_pair.sample_posterior_g_given_initial(0, [x1], rng) for _ in range(100_000)]
-        )
+        sigmas = np.array([null_posterior_sigma(x1, rng) for _ in range(100_000)])
         w = x1 * x1 / sigmas**2
         pvalue = stats.kstest(w, "chi2", args=(1,)).pvalue
         assert pvalue > 0.01
 
-    def test_scale_equivariance_of_posterior(self, cauchy_pair, rng):
-        a = np.array(
-            [cauchy_pair.sample_posterior_g_given_initial(0, [1.0], rng) for _ in range(4000)]
-        )
-        b = np.array(
-            [cauchy_pair.sample_posterior_g_given_initial(0, [2.0], rng) for _ in range(4000)]
-        )
+    def test_scale_equivariance_of_posterior(self, rng):
+        a = np.array([null_posterior_sigma(1.0, rng) for _ in range(4000)])
+        b = np.array([null_posterior_sigma(2.0, rng) for _ in range(4000)])
         stat = stats.ks_2samp(2.0 * a, b).statistic
         assert stat < 1.628 * math.sqrt(2.0 / 4000.0)
 
-    def test_properness(self, cauchy_pair, rng):
-        draws = np.array(
-            [cauchy_pair.sample_posterior_g_given_initial(0, [1.3], rng) for _ in range(100_000)]
-        )
+    def test_properness(self, rng):
+        draws = np.array([null_posterior_sigma(1.3, rng) for _ in range(100_000)])
         assert np.all(np.isfinite(draws))
         assert np.all(draws > 0)
 
     @pytest.mark.parametrize("x1", [1.3, -0.02, 7e5])
-    def test_draws_equal_the_chi_square_loop(self, cauchy_pair, x1):
-        """The sampler is the null branch of the posterior state: same draws, same stream."""
+    @pytest.mark.parametrize("prior", [CauchyEffect(1.0), PointMass(0.5)], ids=str)
+    def test_draws_equal_the_chi_square_loop(self, prior, x1):
+        """The engine's H0 posterior state is the chi-square loop's: same draws, same stream."""
 
         def loop(rng):  # the one-draw chi-square loop, written out
             w = 0.0
             while w == 0.0:
                 w = float(rng.chisquare(1))
-            return abs(x1) / math.sqrt(w)
+            return abs(x1) / math.sqrt(w), 0.0
 
+        pair = InvariantModelPair.scale(prior)
         rng, ref = np.random.default_rng(4242), np.random.default_rng(4242)
-        got = [cauchy_pair.sample_posterior_g_given_initial(0, [x1], rng) for _ in range(500)]
+        got = [pair._posterior_predictive_state(0, x1, rng) for _ in range(500)]
         expected = [loop(ref) for _ in range(500)]
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_unsupported_combinations(self, cauchy_pair, rng):
-        with pytest.raises(NotImplementedError):
-            cauchy_pair.sample_posterior_g_given_initial(1, [1.0], rng)
-        ls = InvariantModelPair.location_scale(CauchyEffect(1.0))
-        with pytest.raises(NotImplementedError):
-            ls.sample_posterior_g_given_initial(0, [1.0, 2.0], rng)
 
 
 def adaptive_cauchy_log_bf(n, xi, r):
@@ -551,7 +550,7 @@ class TestCurves:
             )
             t = np.copysign(np.sqrt(q), rng.standard_normal(q.size))
             got = curves.log_bf_cells(n, prior.coordinate(q, t))
-            exact = np.array([pair.log_bf_from_stats(n, float(qi), float(ti)) for qi, ti in zip(q, t)])
+            exact = prior.log_bf_stats(np.full(q.size, float(n)), q, t)
             assert np.max(np.abs(got - exact)) <= 1e-8
 
     def test_batch_makes_no_scalar_evaluation(self, monkeypatch):
@@ -582,4 +581,5 @@ class TestCurves:
         curves = curves_by_prior.setdefault(prior, ScaleBfCurves(pair))
         t = sign * math.sqrt(q)
         batch = curves.log_bf_cells(n, prior.coordinate(np.array([q]), np.array([t])))[0]
-        assert abs(pair.log_bf_from_stats(n, q, t) - batch) <= 1e-8
+        exact = prior.log_bf_stats(np.array([float(n)]), np.array([q]), np.array([t]))[0]
+        assert abs(exact - batch) <= 1e-8

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import signal
@@ -26,7 +27,6 @@ from optstop.montecarlo import (
     estimate_strong_calibration,
     estimate_type1,
     records_to_csv,
-    run_marginal_trials,
     run_marginal_trials_many,
     run_trials,
     run_trials_finite,
@@ -66,13 +66,18 @@ def count_forks(monkeypatch):
     return started
 
 
+def stops(records, trials):
+    """(stop index, stopped log beta) of each of ``trials``, read off the columns."""
+    return list(zip(records.stop_index[trials].tolist(), records.stopped_log_beta[trials].tolist()))
+
+
 def no_work(monkeypatch):
     """Fail the test if a table is built, a split job starts or a block runs."""
 
     def work(*args, **kwargs):
         raise AssertionError("a table was built, a split job started or a block ran")
 
-    monkeypatch.setattr(ScaleBfCurves, "_table", work)
+    monkeypatch.setattr(ScaleBfCurves, "_build", work)
     monkeypatch.setattr(montecarlo, "_curves_for", work)
     monkeypatch.setattr(workers, "run_groups", work)
     monkeypatch.setattr(montecarlo, "_run_block", work)
@@ -84,7 +89,7 @@ LAYOUT_RUNS = {
     "one-sided-h1": lambda: run_trials(CAUCHY, 1, 1.3, BfThreshold(upper=4.0, cap=40), 20_000, 5),
     "fixed-n-h1": lambda: run_trials(CAUCHY, 1, 1.3, FixedN(n=25, cap=40), 20_000, seed=5),
     "sum-of-squares-h0": lambda: run_trials(CAUCHY, 0, 1.3, SumOfSquares(20.0, cap=40), 20_000, 5),
-    "marginal-h1": lambda: run_marginal_trials(CAUCHY, 1, [0.8], TWO_SIDED, 20_000, seed=5),
+    "marginal-h1": lambda: run_marginal_trials_many(CAUCHY, [(1, [0.8], TWO_SIDED)], 20_000, 5)[0],
 }
 
 
@@ -134,7 +139,7 @@ class TestRunTrials:
     def test_draw_buffer_budget_only_changes_block_layout(self, monkeypatch):
         rule = BfThreshold(upper=4.0, lower=0.25, cap=40)
         a = run_trials(CAUCHY, 1, 1.3, rule, 2_000, seed=5)
-        am = run_marginal_trials(CAUCHY, 1, [0.8], rule, 2_000, seed=5)
+        am = run_marginal_trials_many(CAUCHY, [(1, [0.8], rule)], 2_000, seed=5)[0]
         blocks = []
         run_block = montecarlo._run_block
 
@@ -147,7 +152,7 @@ class TestRunTrials:
         assert run_trials(CAUCHY, 1, 1.3, rule, 2_000, seed=5) == a
         assert blocks == [300] * 6 + [200]
         blocks.clear()
-        assert run_marginal_trials(CAUCHY, 1, [0.8], rule, 2_000, seed=5) == am
+        assert run_marginal_trials_many(CAUCHY, [(1, [0.8], rule)], 2_000, seed=5)[0] == am
         assert blocks == [307] * 6 + [158]  # 39 draws per trial after x_1
 
     def test_default_budget_keeps_full_blocks_at_benchmark_caps(self):
@@ -173,8 +178,8 @@ class TestRunTrials:
         with pytest.raises(ResourceLimitError, match="record budget"):
             run_trials(CAUCHY, 0, 1.0, rule, over, seed=3)
         with pytest.raises(ResourceLimitError, match="record budget"):
-            run_marginal_trials(CAUCHY, 0, [0.8], rule, montecarlo.RECORD_BUDGET_BYTES // 32 + 1,
-                                seed=3)
+            run_marginal_trials_many(CAUCHY, [(0, [0.8], rule)],
+                                     montecarlo.RECORD_BUDGET_BYTES // 32 + 1, seed=3)
 
     def test_trials_differ_across_seeds_and_g(self):
         rule = FixedN(n=6, cap=10)
@@ -231,7 +236,12 @@ MANY_MARGINAL = [
 ]
 MANY = {
     "plain": (run_trials_many, run_trials, MANY_PLAIN),
-    "marginal": (run_marginal_trials_many, run_marginal_trials, MANY_MARGINAL),
+    "marginal": (
+        run_marginal_trials_many,
+        lambda pair, k, x_m, rule, n_trials, seed: run_marginal_trials_many(
+            pair, [(k, x_m, rule)], n_trials, seed)[0],
+        MANY_MARGINAL,
+    ),
 }
 
 
@@ -371,7 +381,7 @@ class TestWorkerProcesses:
         self.patch_block(monkeypatch, before)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            run_marginal_trials(CAUCHY, 1, [0.8], TWO_SIDED, 2000, seed=5)
+            run_marginal_trials_many(CAUCHY, [(1, [0.8], TWO_SIDED)], 2000, seed=5)
         assert time.monotonic() - start < 15
         assert_no_child()
 
@@ -422,7 +432,7 @@ class TestStreamContract:
         records = run_trials(CAUCHY, k, 0.7, rule, 300, seed=11)
         for trial in (0, 1, 57, 299):
             expected = self.reference_stop(CAUCHY, k, 0.7, rule, 11, trial)
-            assert (records[trial].stop_index, records[trial].stopped_log_beta) == expected
+            assert stops(records, [trial]) == [expected]
 
     @staticmethod
     def plain_state(bitgen):
@@ -464,10 +474,10 @@ class TestStreamContract:
         before = run_trials(pair, 1, 1.3, rule, 40, seed=2)
         self.patch_trial(monkeypatch, 17, [-0.5])  # x_1 = 1.3 * (0.5 - 0.5) = 0
         after = run_trials(pair, 1, 1.3, rule, 40, seed=2)
-        assert after[:17] == before[:17] and after[18:] == before[18:]
+        others = np.arange(40) != 17
+        assert stops(after, others) == stops(before, others)
         expected = self.reference_stop(pair, 1, 1.3, rule, 2, 17, lead=[-0.5])
-        assert (after[17].stop_index, after[17].stopped_log_beta) == expected
-        assert after[17] != before[17]
+        assert stops(after, [17]) == [expected] != stops(before, [17])
 
     def test_x1_zero_redraw_with_a_chunk_boundary_after_n_2(self, monkeypatch):
         # one step per chunk: the replayed trial's x_2 is read in a chunk of its own
@@ -485,10 +495,11 @@ class TestStreamContract:
         after = run_trials(pair, 1, 1.3, CORRIDOR, 1024, seed=2)
         (_, full), (rows, head), (survivors, replayed) = shapes
         assert rows == 512 and head < full == replayed == CORRIDOR.cap and survivors < rows
-        assert after[:524] == before[:524] and after[525:] == before[525:]
+        others = np.arange(1024) != 524
+        assert stops(after, others) == stops(before, others)
         expected = self.reference_stop(pair, 1, 1.3, CORRIDOR, 2, 524, lead=[-0.5])
-        assert (after[524].stop_index, after[524].stopped_log_beta) == expected
-        assert after[524].stop_index > head  # its x_n past the head came from the replay
+        assert stops(after, [524]) == [expected]
+        assert after.stop_index[524] > head  # its x_n past the head came from the replay
 
 
 def spy_buffers(monkeypatch):
@@ -513,7 +524,9 @@ LAZY_RUNS = {
         100,
     ),
     # x_1 is given: draws start at x_2
-    "marginal-h1": (lambda: run_marginal_trials(CAUCHY, 1, [0.8], CORRIDOR, 2048, seed=5), 99),
+    "marginal-h1": (
+        lambda: run_marginal_trials_many(CAUCHY, [(1, [0.8], CORRIDOR)], 2048, seed=5)[0], 99
+    ),
 }
 
 
@@ -595,7 +608,7 @@ class TestEstimators:
             rule = BfThreshold(upper=1.0 / alpha, cap=200)
             records = run_trials(CAUCHY, 0, 1.0, rule, 20_000, seed=4)
             est = estimate_type1(records, alpha)
-            hits = {r.trial for r in records if r.stopped_log_beta >= rule.log_upper}
+            hits = set(records.trial[records.stopped_log_beta >= rule.log_bars[0][0]].tolist())
             assert est.n_reject == len(hits)
             rejected.append(hits)
         assert all(a < b for a, b in zip(rejected, rejected[1:]))
@@ -644,7 +657,7 @@ class TestMarginalCalibration:
 
     def test_records_hold_conditional_values(self):
         rule = BfThreshold(upper=5.0, lower=0.2, cap=60)
-        records = run_marginal_trials(CAUCHY, 0, [1.0], rule, 500, seed=8)
+        records = run_marginal_trials_many(CAUCHY, [(0, [1.0], rule)], 500, seed=8)[0]
         assert len(records) == 500
         assert all(r.stop_index >= 2 for r in records)
         # the posterior-drawn nuisance value is recorded per trial
@@ -653,7 +666,7 @@ class TestMarginalCalibration:
     def test_requires_scale_group(self):
         pair = InvariantModelPair.location_scale(PointMass(0.0))
         with pytest.raises(NotImplementedError):
-            run_marginal_trials(pair, 0, [1.0, 2.0], FixedN(n=5, cap=10), 10, seed=0)
+            run_marginal_trials_many(pair, [(0, [1.0, 2.0], FixedN(n=5, cap=10))], 10, seed=0)
 
     @pytest.mark.parametrize(
         "x_m, error",
@@ -663,21 +676,39 @@ class TestMarginalCalibration:
     def test_initial_sample_the_pair_rejects_refused(self, x_m, error, n_trials, monkeypatch):
         no_work(monkeypatch)
         with pytest.raises(error):
-            run_marginal_trials(CAUCHY, 0, x_m, FixedN(n=5, cap=10), n_trials, seed=0)
+            run_marginal_trials_many(CAUCHY, [(0, x_m, FixedN(n=5, cap=10))], n_trials, seed=0)
 
     @pytest.mark.parametrize("n_trials", [0, 10])
     def test_nonzero_point_effect_refused_under_the_alternative(self, n_trials, monkeypatch):
         no_work(monkeypatch)
         pair = InvariantModelPair.scale(PointMass(0.5))
         with pytest.raises(ValueError, match="nonzero point effect"):
-            run_marginal_trials(pair, 1, [1.0], FixedN(n=5, cap=10), n_trials, seed=0)
+            run_marginal_trials_many(pair, [(1, [1.0], FixedN(n=5, cap=10))], n_trials, seed=0)
 
     @pytest.mark.parametrize("delta, k", [(0.5, 0), (0.0, 1)])
     def test_point_effect_marginal_runs_where_sampled(self, delta, k):
         pair = InvariantModelPair.scale(PointMass(delta))
-        records = run_marginal_trials(pair, k, [1.0], FixedN(n=5, cap=10), 50, seed=0)
+        records = run_marginal_trials_many(pair, [(k, [1.0], FixedN(n=5, cap=10))], 50, seed=0)[0]
         assert len(records) == 50
         assert all(r.stop_index == 5 for r in records)
+
+    @pytest.mark.parametrize("n_workers", [2, 3])
+    def test_both_arms_are_one_split_job(self, n_workers, monkeypatch):
+        """W - 1 forks for both arms, and the estimate of the arms' own runs, bit for bit."""
+        rule = BfThreshold(upper=5.0, lower=0.2, cap=40)
+        monkeypatch.setattr(workers, "worker_count", lambda: 1)
+        arms = [run_marginal_trials_many(CAUCHY, [(k, [1.5], rule)], 2000, seed=13)[0]
+                for k in (0, 1)]
+        expected = estimate_strong_calibration(*arms)
+        # two arms of four blocks of 500
+        monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 500)
+        forks = count_forks(monkeypatch)
+        got = estimate_marginal_calibration(CAUCHY, [1.5], rule, 2000, seed=13)
+        assert len(forks) == n_workers - 1
+        for field in dataclasses.fields(got):
+            value = np.asarray(getattr(got, field.name))
+            assert value.tobytes() == np.asarray(getattr(expected, field.name)).tobytes()
 
     def test_moderate_run_calibrates(self):
         rule = BfThreshold(upper=5.0, lower=0.2, cap=100)
@@ -720,13 +751,13 @@ class TestFiniteCrossCheck:
         assert chunk == montecarlo.FINITE_CHUNK_CELLS // 10_000
         short = run_trials_finite(model, 1, rule, 50, seed=9)
         long = run_trials_finite(model, 1, rule, chunk + 50, seed=9)
-        assert long[:50] == short
+        assert stops(long, slice(50)) == stops(short, slice(None))
         # the second chunk's rows match one-row evaluations bit for bit
         key64 = montecarlo._stream_key(9, 1, (), variant=2)
         trials = range(chunk, chunk + 50)
         seqs = [sample_sequence(model, 1, fresh_stream(key64, t)) for t in trials]
         batch = log_beta_paths(model, seqs)
-        for seq, row, record in zip(seqs, batch, long[chunk:]):
+        for seq, row, record in zip(seqs, batch, list(long)[chunk:]):
             assert trajectory_finite(model, seq).log_beta == tuple(row.tolist())
             assert record.stopped_log_beta == row[record.stop_index - 1]
 

@@ -26,7 +26,6 @@ PUBLIC = [
     "CauchyEffect",
     "PointMass",
     "InvariantModelPair",
-    "MaximalInvariantValue",
     "ScaleBfCurves",
     "StoppingRule",
     "FixedN",
@@ -61,6 +60,16 @@ REMOVED = [
     (core.BfTrajectory, "start"),  # always 1
     (exact, "Conditional"),  # a component is K masses
     (exact.FiniteModel, "_conditional"),
+    (models.InvariantModelPair, "log_bf_from_stats"),  # pair.effect_prior.log_bf_stats
+    # PointMass(0.0).posterior_state(x1, rng), the engine's draw under H0
+    (models.InvariantModelPair, "sample_posterior_g_given_initial"),
+    (models, "MaximalInvariantValue"),  # maximal_invariant returns the coordinate array
+    (stopping.BfThreshold, "log_upper"),  # rule.log_bars
+    (stopping.BfThreshold, "log_lower"),
+    (montecarlo.TrialRecords, "__getitem__"),  # the columns
+    (montecarlo.TrialRecords, "_trial_columns"),
+    (montecarlo, "run_marginal_trials"),  # run_marginal_trials_many(...)[0]
+    (models.ScaleBfCurves, "_table"),  # _tables, filled by _build
 ]
 
 

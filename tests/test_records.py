@@ -1,7 +1,7 @@
-"""Columnar trial records: the TrialRecords batch, its row views, and records.csv.
+"""Columnar trial records: the TrialRecords batch, its row view, and records.csv.
 
 Runs return one TrialRecords batch of arrays; a TrialRecord row exists
-only where a batch is indexed or iterated.  The columnar CSV writer must
+only where a batch is iterated.  The columnar CSV writer must
 give the bytes of the per-row csv.writer oracle in tests/csv_oracle.py.
 """
 
@@ -20,7 +20,7 @@ from optstop.montecarlo import (
     TrialRecords,
     estimate_type1,
     records_to_csv,
-    run_marginal_trials,
+    run_marginal_trials_many,
     run_trials,
     run_trials_finite,
 )
@@ -38,48 +38,40 @@ def batches():
     return {
         "scale": run_trials(CAUCHY, 1, 0.7, CORRIDOR, 300, seed=5),
         "fixed-n": run_trials(POINT, 1, 1.5, FixedN(n=6, cap=10), 200, seed=6),
-        "marginal": run_marginal_trials(CAUCHY, 0, [0.8], CORRIDOR, 250, seed=7),
+        "marginal": run_marginal_trials_many(CAUCHY, [(0, [0.8], CORRIDOR)], 250, seed=7)[0],
         "finite": run_trials_finite(BERNOULLI, 1, BfThreshold(upper=3.0, cap=8), 150, seed=8),
     }
 
 
 class TestTrialRecords:
-    def test_len_index_and_iteration_agree(self, batches):
+    def test_len_and_iteration_agree_with_the_columns(self, batches):
         for records in batches.values():
             rows = list(records)
             assert len(records) == len(rows) > 0
-            assert [records[i] for i in range(len(records))] == rows
-            assert records[-1] == rows[-1]
-            assert [r.trial for r in rows] == list(range(len(records)))
-            with pytest.raises(IndexError):
-                records[len(records)]
+            assert [r.stop_index for r in rows] == records.stop_index.tolist()
+            assert [r.stopped_log_beta for r in rows] == records.stopped_log_beta.tolist()
+            assert [r.trial for r in rows] == records.trial.tolist() == list(range(len(records)))
+            assert all((r.k, r.seed) == (records.k, records.seed) for r in rows)
+        marginal = batches["marginal"]
+        assert marginal.per_trial_g and [r.g for r in marginal] == marginal.g.tolist()
 
     def test_rows_are_python_scalars(self, batches):
         for records in batches.values():
-            for row in (records[0], next(iter(records))):
+            for row in list(records)[:2]:
                 assert isinstance(row, TrialRecord)
                 assert type(row.k) is int and type(row.seed) is int
                 assert type(row.stop_index) is int and type(row.trial) is int
                 assert type(row.stopped_log_beta) is float
                 assert type(row.g) is float
-        assert math.isnan(batches["finite"][0].g)
-        assert batches["scale"][3].g == 0.7
-
-    def test_slice_is_a_batch_of_the_same_run(self, batches):
-        for records in batches.values():
-            part = records[10:20]
-            assert isinstance(part, TrialRecords)
-            assert list(part) == list(records)[10:20]
-            assert part.rule is records.rule and part.seed == records.seed
-        marginal = batches["marginal"]
-        assert marginal.per_trial_g and len(marginal[5:9].g) == 4
-        assert [r.g for r in marginal[5:9]] == marginal.g[5:9].tolist()
+        assert math.isnan(next(iter(batches["finite"])).g)
+        assert list(batches["scale"])[3].g == 0.7
 
     def test_equality_is_exact(self, batches):
         records = batches["scale"]
         assert records == run_trials(CAUCHY, 1, 0.7, CORRIDOR, 300, seed=5)
         assert records != run_trials(CAUCHY, 1, 0.7, CORRIDOR, 300, seed=6)
-        assert records[:100] != records[:101]
+        columns = ("stop_index", "stopped_log_beta", "trial")
+        assert replace(records, **{c: getattr(records, c)[:-1] for c in columns}) != records
         lb = records.stopped_log_beta.copy()
         lb[42] = np.nextafter(lb[42], math.inf)
         assert replace(records, stopped_log_beta=lb) != records
@@ -93,7 +85,7 @@ class TestTrialRecords:
     def test_zero_trials_give_empty_batches(self):
         # run_trials: TestRunTrials.test_zero_trials
         for records in (
-            run_marginal_trials(CAUCHY, 0, [1.0], FixedN(n=5, cap=10), 0, seed=1),
+            run_marginal_trials_many(CAUCHY, [(0, [1.0], FixedN(n=5, cap=10))], 0, seed=1)[0],
             run_trials_finite(BERNOULLI, 0, FixedN(n=5, cap=8), 0, seed=1),
         ):
             assert isinstance(records, TrialRecords)
@@ -106,12 +98,12 @@ class TestTrialRecords:
         monkeypatch.setattr(TrialRecord, "__init__", no_rows)
         batches = [
             run_trials(CAUCHY, 1, 0.7, CORRIDOR, 500, seed=5),
-            run_marginal_trials(CAUCHY, 1, [0.8], CORRIDOR, 500, seed=7),
+            run_marginal_trials_many(CAUCHY, [(1, [0.8], CORRIDOR)], 500, seed=7)[0],
         ]
         records_to_csv(batches, tmp_path / "records.csv")
         assert len((tmp_path / "records.csv").read_bytes().splitlines()) == 1001
         with pytest.raises(AssertionError, match="row was built"):
-            batches[0][0]
+            next(iter(batches[0]))
 
 
 class TestType1Rule:
@@ -130,8 +122,9 @@ class TestType1Rule:
         # the rule stops at, equal to its bar, falls short of -log(alpha)
         alpha = 0.036
         rule = BfThreshold(upper=1.0 / alpha, cap=30)
-        assert -math.log(alpha) > rule.log_upper
-        lb = np.array([rule.log_upper, np.nextafter(rule.log_upper, -math.inf), -1.0])
+        ((bar, _),) = rule.log_bars
+        assert -math.log(alpha) > bar
+        lb = np.array([bar, np.nextafter(bar, -math.inf), -1.0])
         records = TrialRecords(
             0, 1.0, 0, rule, np.array([5, 30, 30]), lb, np.arange(3, dtype=np.int64)
         )

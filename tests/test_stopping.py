@@ -121,7 +121,7 @@ class TestDecideBatch:
             upper = math.exp(data.draw(st.floats(-3.0, 3.0)))
             lower = upper * data.draw(st.floats(0.01, 0.99)) if kind == "two-sided" else None
             rule = BfThreshold(upper=upper, lower=lower, cap=cap)
-            boundaries = [rule.log_upper] + ([rule.log_lower] if lower is not None else [])
+            boundaries = [bar for bar, _ in rule.log_bars]
         log_beta = data.draw(st.floats(-8.0, 8.0) | st.sampled_from(boundaries or [0.0]))
         batch = rule.decide_batch(n, np.array([log_beta]), np.array([sum_sq]))
         assert batch.shape == (1,)
@@ -190,11 +190,40 @@ class TestCheckInvariance:
         rule = InvariantStatistic(
             statistic=lambda coords: float(np.max(np.abs(coords))),
             threshold=2.5,
-            transform=lambda prefix: pair.maximal_invariant(prefix).coords,
+            transform=pair.maximal_invariant,
             cap=1000,
         )
         report = check_invariance(rule, pair, 500, rng)
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "pair, written_out",
+        [
+            (InvariantModelPair.scale(CauchyEffect(1.0)), lambda x: x / abs(x[0])),
+            (InvariantModelPair.location_scale(PointMass(0.0)),
+             lambda x: (x[1:] - x[0]) / abs(x[1] - x[0])),
+        ],
+        ids=["scale", "location-scale"],
+    )
+    def test_maximal_invariant_is_a_transform(self, pair, written_out, rng):
+        """``transform=pair.maximal_invariant`` decides as the coordinates written out."""
+
+        def rule(transform):
+            return InvariantStatistic(
+                lambda coords: float(np.max(np.abs(coords))), 2.5, transform, cap=1000
+            )
+
+        direct = rule(pair.maximal_invariant)
+        reference = rule(lambda prefix: written_out(np.asarray(prefix, dtype=float)))
+        decisions = []
+        for _ in range(400):
+            n = int(rng.integers(pair.m + 1, 13))
+            x = pair.sample(int(rng.integers(0, 2)), pair.group.random_element(rng), n, rng)
+            decisions.append(direct.decide(x))
+            assert decisions[-1] == reference.decide(x)
+        assert 0 < sum(decisions) < len(decisions)
+        report = check_invariance(direct, pair, 500, rng)
+        assert report.passed and report.mismatches == 0
 
     def test_rule_that_cannot_decide_refused_before_any_probe(self, rng):
         pair = InvariantModelPair.location_scale(PointMass(0.0))
@@ -238,7 +267,7 @@ class BfOrSquares(BfThreshold):
     declared_invariant = False
 
     def _fires(self, prefix, log_beta):
-        return log_beta >= self.log_upper or float(np.dot(prefix, prefix)) >= 20.0
+        return log_beta >= self.log_bars[0][0] or float(np.dot(prefix, prefix)) >= 20.0
 
 
 SCALE_PAIR = InvariantModelPair.scale(CauchyEffect(1.0))
@@ -257,7 +286,7 @@ class TestChunkedProbe:
         InvariantStatistic(
             statistic=lambda coords: float(np.max(np.abs(coords))),
             threshold=2.5,
-            transform=lambda prefix: SCALE_PAIR.maximal_invariant(prefix).coords,
+            transform=SCALE_PAIR.maximal_invariant,
             cap=1000,
         ),
     ]
