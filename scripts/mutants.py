@@ -16,7 +16,7 @@ row, and under it the first failing test, or why the row is stale:
 
 Exit status 1 if any row is stale, else 0; a survivor is reported, not a
 failure.  The working tree is never modified.  Not part of the tier-1
-suite; the whole table of 35 rows took 113 s on a 2-vCPU Xeon host.
+suite; the whole table of 39 rows took 134 s on a 2-vCPU Xeon host.
 
     python scripts/mutants.py
 """
@@ -185,8 +185,8 @@ MUTANTS = [
     (
         "every run uses the first run's bounds",
         MONTECARLO,
-        "seed, run.x_init, run.lb_offset, bounds[i], _lazy_head(stops),",
-        "seed, run.x_init, run.lb_offset, bounds[0], _lazy_head(stops),",
+        "run, offset = runs[i], i * n_trials",
+        "run, offset = runs[i]._replace(bounds=runs[0].bounds), i * n_trials",
         [f"{TEST_MONTECARLO}::TestManyRuns::test_runs_equal_their_one_run_calls"],
     ),
     (
@@ -206,8 +206,8 @@ MUTANTS = [
     (
         "the worker limit counts one run's blocks, not the call's",
         MONTECARLO,
-        "n_blocks = sum(-(-n_trials // r) for r in rows)",
-        "n_blocks = -(-n_trials // rows[0])",
+        "n_blocks = sum(-(-n_trials // run.block) for run in runs)",
+        "n_blocks = -(-n_trials // runs[0].block)",
         ["tests/test_cli.py::test_every_run_of_a_call_is_one_split_job"],
     ),
     (
@@ -216,6 +216,30 @@ MUTANTS = [
         "        _validate_run(pair, k, rule, n_trials, marginal=False)\n",
         "        checked or _validate_run(pair, k, rule, n_trials, marginal=False)\n",
         [f"{TEST_MONTECARLO}::TestManyRuns"],
+    ),
+    # one way through a run: planned once, its columns joined into records once
+    (
+        "every run reads the first run's plan",
+        MONTECARLO,
+        "runs = [planned(run) for run in runs]",
+        "runs = [planned(runs[0])._replace(k=r.k, g=r.g, rule=r.rule, key64=r.key64, "
+        "x_init=r.x_init) for r in runs]",
+        [f"{TEST_MONTECARLO}::TestManyRuns::test_runs_equal_their_one_run_calls"],
+    ),
+    (
+        "a marginal run drops its initial sample's log beta",
+        MONTECARLO,
+        "lb_offset = pair.log_bf([run.x_init]) if run.marginal else 0.0",
+        "lb_offset = 0.0",
+        [f"{TEST_MONTECARLO}::TestMarginalCalibration::"
+         "test_records_subtract_the_initial_samples_log_beta"],
+    ),
+    (
+        "the trial column counts from its block's start",
+        MONTECARLO,
+        "np.arange(n_trials, dtype=np.int64)))",
+        "np.arange(n_trials, dtype=np.int64) % run.block))",
+        [f"{TEST_MONTECARLO}::TestRunTrials::test_block_layout_invariance"],
     ),
     (
         "the CLI runs each calibration value as a call of its own",
@@ -246,6 +270,13 @@ MUTANTS = [
         "return min((abs(log_beta - bar) for bar, _ in self.log_bars), default=math.inf)",
         "return max((abs(log_beta - bar) for bar, _ in self.log_bars), default=math.inf)",
         [f"{TEST_STOPPING}::TestBars::test_boundary_gap_is_the_distance_to_the_nearest_bar"],
+    ),
+    (
+        "SumOfSquares accepts a NaN threshold",
+        STOPPING,
+        "        if math.isnan(self.threshold):\n",
+        "        if False:\n",
+        [f"{TEST_STOPPING}::TestDecide::test_sum_of_squares_refuses_a_nan_threshold"],
     ),
     (
         "a raw rule passes when its invariance is not refuted",
@@ -284,15 +315,11 @@ MUTANTS = [
         ["tests/test_models_scale.py::TestMaximalInvariant"],
     ),
     (
-        "estimate_marginal_calibration runs its arms as two calls",
-        MONTECARLO,
-        "    records0, records1 = run_marginal_trials_many(\n"
-        "        pair, [(k, x_m, rule) for k in (0, 1)], n_trials, seed\n"
-        "    )\n",
-        "    records0, records1 = (\n"
-        "        run_marginal_trials_many(pair, [(k, x_m, rule)], n_trials, seed)[0] for k in (0, 1)\n"
-        "    )\n",
-        [f"{TEST_MONTECARLO}::TestMarginalCalibration::test_both_arms_are_one_split_job"],
+        "the CLI runs each arm as a call of its own",
+        CLI,
+        "    all_records = getattr(montecarlo, trials)(pair, runs, n_trials, seed)\n",
+        "    all_records = [getattr(montecarlo, trials)(pair, [r], n_trials, seed)[0] for r in runs]\n",
+        ["tests/test_cli.py::test_every_run_of_a_call_is_one_split_job"],
     ),
     # verdicts: the raw-rule controls (ROADMAP item 3)
     (

@@ -470,7 +470,7 @@ EXPERIMENTS = {
         "Monte Carlo check of calibration for the conditional evidence given an\n"
         "initial sample: trials draw the nuisance value from its posterior given\n"
         "x_m and extend the sequence; the conditional stopped Bayes factor must\n"
-        "be calibrated for every initial sample (estimate_marginal_calibration).",
+        "be calibrated for every initial sample (estimate_strong_calibration).",
     ),
     "invariance-check": Experiment(
         _run_invariance_check,

@@ -40,16 +40,17 @@ Worker processes
     block of draws each within ``RUN_DRAW_BYTES``.  A group runs each run
     segment its range covers in that run's blocks, with a lazy-head
     history of its own per segment, so a segment's first block draws full
-    rows and the rest of it draws heads.  Every table and boundary the
-    runs' bars need, and the tables at their caps, are built before the
-    fork.  Each group returns its segments' record columns, and the caller
-    joins each run's in group order.
+    rows and the rest of it draws heads.  Each run's plan (trials per
+    block, per-n bounds, a marginal run's log beta offset) and every table
+    it reads are fixed before the fork.  Each group returns its segments'
+    record columns, and the caller joins each run's in group order.
 
 Records
     A run returns one :class:`TrialRecords` batch: an array each of stop
     index, stopped log beta and trial index, with the hypothesis, seed,
     rule and scale g kept once (a marginal run keeps each trial's drawn
-    scale in an array too).  The estimators read the arrays and
+    scale in an array too), built once, at the join, with trial indices
+    0 to n_trials - 1.  The estimators read the arrays and
     ``records_to_csv`` formats rows from them a slice at a time; a
     :class:`TrialRecord` row exists only where a batch is iterated.  A
     non-finite stopped log beta fails the run.
@@ -261,30 +262,18 @@ def _curves_for(pair: InvariantModelPair) -> ScaleBfCurves:
 
 
 def _run_block(
-    pair: InvariantModelPair,
-    curves: ScaleBfCurves,
-    k: int,
-    g: Optional[float],
-    rule: StoppingRule,
-    key64: int,
-    lo: int,
-    hi: int,
-    seed: int,
-    x_init: Optional[float],
-    lb_offset: float,
-    bounds: list,
-    head: int,
-) -> TrialRecords:
-    """Run trials [lo, hi) in lockstep and return their records in order.
+    pair: InvariantModelPair, curves: ScaleBfCurves, run: _Run, lo: int, hi: int, head: int
+) -> tuple:
+    """Run trials [lo, hi) of a planned ``run`` in lockstep; stop indices and stopped log betas.
 
-    ``bounds`` holds each bar of the rule as (``ScaleBfCurves.boundary``,
-    above).  Each trial draws its row up to step ``head`` up front; the
-    trials still running past it replay their rows to the cap.
+    A marginal run's drawn scales come third.  Each trial draws its row up
+    to step ``head`` up front; the trials still running past it replay
+    their rows to the cap.
     """
+    k, rule, x_init, marginal = run.k, run.rule, run.x_init, run.marginal
     size = hi - lo
-    marginal = x_init is not None
     # the scale g: one per trial, drawn from the posterior, in a marginal run
-    a = np.empty(size) if marginal else float(g)
+    a = np.empty(size) if marginal else run.g
     # an effect drawn from the prior takes the row's leading normals
     lead = pair.effect_prior.NORMALS if k == 1 and not marginal else 0
     col0 = (2 if marginal else 1) - lead  # a row's column holding x_n is n - col0
@@ -292,7 +281,7 @@ def _run_block(
     draws = _draw_buffer(size, head + 1 - col0)
     # each trial keys its stream and fills its row, after its posterior
     # draw in a marginal run
-    at = _TrialStreams(key64).at
+    at = _TrialStreams(run.key64).at
     posterior_state = pair._posterior_predictive_state
     if marginal:
         delta = np.empty(size)
@@ -337,7 +326,7 @@ def _run_block(
 
     def log_beta(ns, c: np.ndarray) -> np.ndarray:
         """log beta at cells (n, coordinate): one table read."""
-        return curves.log_bf_cells(ns, c) - lb_offset
+        return curves.log_bf_cells(ns, c) - run.lb_offset
 
     row = np.arange(size)  # each trial's row of draws
 
@@ -362,10 +351,10 @@ def _run_block(
             s2c += xn * xn
             if n == rule.cap:
                 continue
-            if bounds:
+            if run.bounds:
                 c = coordinate(n, s1c, s2c, out=xn)  # the row's observations are spent
                 near = np.zeros(act.size, dtype=bool)
-                for bound, above in bounds:
+                for bound, above in run.bounds:
                     near |= c >= bound[n] if above else c <= bound[n]
                 pos = np.flatnonzero(near)
                 c = c[pos]
@@ -411,7 +400,7 @@ def _run_block(
     # the cap stops every trial still running
     rest = np.flatnonzero(active)
     stop(rest, rule.cap, log_beta(rule.cap, coordinate(rule.cap, s1[rest], s2[rest])))
-    return TrialRecords(k, a, seed, rule, stop_n, stop_lb, np.arange(lo, hi, dtype=np.int64))
+    return (stop_n, stop_lb, a) if marginal else (stop_n, stop_lb)
 
 
 def _draw_buffer(rows: int, cols: int) -> np.ndarray:
@@ -456,19 +445,26 @@ def _lazy_head(stops: np.ndarray) -> int:
 
 
 class _Run(NamedTuple):
-    """One run of a many-run call, checked.
+    """One run of a many-run call, checked, and the plan its blocks share.
 
-    A marginal run has its initial sample's x_1 in ``x_init`` and the
-    sample's log beta in ``lb_offset``, and no ``g``; a plain run has
-    ``x_init`` None and ``lb_offset`` 0.
+    A marginal run has its initial sample (x_1 alone) in ``x_init`` and no
+    ``g``.  ``_run_blocks`` fixes the plan before the fork: ``block``, the
+    trials a block runs; ``bounds``, each bar as (``ScaleBfCurves.boundary``,
+    above); ``lb_offset``, a marginal run's log beta at ``x_init``, else 0.
     """
 
     k: int
     g: Optional[float]
     rule: StoppingRule
     key64: int
-    x_init: Optional[float]
-    lb_offset: float
+    x_init: Optional[float] = None
+    block: int = 0
+    bounds: tuple = ()
+    lb_offset: float = 0.0
+
+    @property
+    def marginal(self) -> bool:
+        return self.x_init is not None
 
 
 def _run_blocks(
@@ -476,75 +472,73 @@ def _run_blocks(
 ) -> List[TrialRecords]:
     """Trials [0, n_trials) of each run, in blocks whose draws fit DRAW_BUFFER_BYTES; its records.
 
-    ``n_trials`` is positive.  One split job over W processes serves the
-    whole call: its items are the runs' trials, run-major, and each group
-    runs the run segments its range covers.  See the module docstring for
-    the groups and the choice of W.  Each block gets the head
-    (``_lazy_head``) that the blocks before it in its segment call for.
-    ``OptstopError`` if a worker failed, or, for the first such run, if a
-    trial stopped at a non-finite log beta: the records of such a run
-    would pass or fail a check on NaN comparisons.  So numpy's
-    floating-point warnings, in the kernel and in the tables it builds,
-    are not shown.
+    No trials give each run an empty batch, before any table or offset.
+    Otherwise one split job over W processes serves the whole call: its
+    items are the runs' trials, run-major, and each group runs the run
+    segments its range covers.  See the module docstring for the groups
+    and the choice of W.  Each block gets the head (``_lazy_head``) that
+    the blocks before it in its segment call for.  ``OptstopError`` if a
+    worker failed, or, for the first such run, if a trial stopped at a
+    non-finite log beta: the records of such a run would pass or fail a
+    check on NaN comparisons.  So numpy's floating-point warnings, in the
+    kernel and in the tables it builds, are not shown.
     """
+    if n_trials == 0:
+        return [TrialRecords.empty(run.k, np.empty(0) if run.marginal else run.g, seed, run.rule)
+                for run in runs]
     curves = _curves_for(pair)
-    rows, block_bytes, names, bounds = [], [], [], []  # per run
+
+    def planned(run: _Run) -> _Run:
+        """``run`` with its plan, once the tables its bars and its cap read are built."""
+        lb_offset = pair.log_bf([run.x_init]) if run.marginal else 0.0
+        # each bar of the rule as per-n bounds on the coordinate log beta
+        # increases in; the tables are read only on the cells beyond a bound
+        bounds = tuple((curves.boundary(bar + lb_offset, run.rule.cap, above), above)
+                       for bar, above in run.rule.log_bars)
+        curves.log_bf_cells(run.rule.cap, 0.0)  # the cap's table, which stops every trial left
+        # the row fits: see _validate_run
+        block = min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * _draws_per_trial(run.rule, run.marginal)))
+        return run._replace(block=block, bounds=bounds, lb_offset=lb_offset)
 
     def run_group(items: range) -> list:
-        """(run index, one column per field of its ``names``) for each run segment in ``items``."""
+        """(run index, its record columns) for each run segment in ``items``."""
         parts = []
         for i in range(items.start // n_trials, (items.stop - 1) // n_trials + 1):
             run, offset = runs[i], i * n_trials
             lo, hi = max(items.start - offset, 0), min(items.stop - offset, n_trials)
             stops = np.zeros(run.rule.cap + 1, dtype=np.int64)
             blocks = []
-            for a in range(lo, hi, rows[i]):
-                blocks.append(_run_block(
-                    pair, curves, run.k, run.g, run.rule, run.key64, a, min(a + rows[i], hi),
-                    seed, run.x_init, run.lb_offset, bounds[i], _lazy_head(stops),
-                ))
-                stops += np.bincount(blocks[-1].stop_index, minlength=stops.size)
-            parts.append((i, [np.concatenate([getattr(b, name) for b in blocks])
-                              for name in names[i]]))
+            for a in range(lo, hi, run.block):
+                blocks.append(_run_block(pair, curves, run, a, min(a + run.block, hi),
+                                         _lazy_head(stops)))
+                stops += np.bincount(blocks[-1][0], minlength=stops.size)
+            parts.append((i, [np.concatenate(column) for column in zip(*blocks)]))
         return parts
 
     with np.errstate(all="ignore"):  # entered before the fork: the children inherit it
-        for run in runs:
-            marginal = run.x_init is not None
-            per_trial = _draws_per_trial(run.rule, marginal)  # the row fits: see _validate_run
-            rows.append(min(BLOCK_SIZE, DRAW_BUFFER_BYTES // (8 * per_trial)))
-            block_bytes.append(8 * rows[-1] * per_trial)
-            names.append(("stop_index", "stopped_log_beta", "trial") + ("g",) * marginal)
-            # each bar of the rule as per-n bounds on the coordinate log beta
-            # increases in; the tables are read only on the cells beyond a bound
-            bounds.append([
-                (curves.boundary(bar + run.lb_offset, run.rule.cap, above), above)
-                for bar, above in run.rule.log_bars
-            ])
-            curves.log_bf_cells(run.rule.cap, 0.0)  # the cap's table, which stops every trial left
-        n_blocks = sum(-(-n_trials // r) for r in rows)
-        groups = workers.run_groups(
-            run_group, len(runs) * n_trials, min(n_blocks, RUN_DRAW_BYTES // max(block_bytes)),
-            "a Monte Carlo",
-        )
+        runs = [planned(run) for run in runs]
+        n_blocks = sum(-(-n_trials // run.block) for run in runs)
+        block_bytes = max(8 * run.block * _draws_per_trial(run.rule, run.marginal) for run in runs)
+        most = min(n_blocks, RUN_DRAW_BYTES // block_bytes)
+        groups = workers.run_groups(run_group, len(runs) * n_trials, most, "a Monte Carlo")
     by_run = [[] for _ in runs]
     for group in groups:
         for i, columns in group:
             by_run[i].append(columns)
     del groups
     batches = []
-    for run, run_names in zip(runs, names):
-        parts = by_run.pop(0)  # a run's parts are freed once its columns are joined
-        columns = {name: np.concatenate(col) for name, col in zip(run_names, zip(*parts))}
-        batches.append(TrialRecords(run.k, columns.pop("g", run.g), seed, run.rule, **columns))
-    for records in batches:
-        bad = np.count_nonzero(~np.isfinite(records.stopped_log_beta))
+    for run in runs:
+        # a run's parts are freed once its columns are joined
+        stop_index, stopped_log_beta, *g = (np.concatenate(c) for c in zip(*by_run.pop(0)))
+        bad = np.count_nonzero(~np.isfinite(stopped_log_beta))
         if bad:
             raise OptstopError(
-                f"{bad} of {len(records)} trials stopped at a non-finite log Bayes factor: the "
+                f"{bad} of {n_trials} trials stopped at a non-finite log Bayes factor: the "
                 "data's sums of squares left the double range, or this effect prior's tables are "
                 "not finite"
             )
+        batches.append(TrialRecords(run.k, g[0] if g else run.g, seed, run.rule, stop_index,
+                                    stopped_log_beta, np.arange(n_trials, dtype=np.int64)))
     return batches
 
 
@@ -623,12 +617,7 @@ def run_trials_many(
     for k, g, rule in runs:
         _validate_run(pair, k, rule, n_trials, marginal=False)
         checked.append((k, check_nuisance(g), rule))
-    if n_trials == 0:
-        return [TrialRecords.empty(k, g, seed, rule) for k, g, rule in checked]
-    plans = [
-        _Run(k, g, rule, _stream_key(seed, k, (g,), variant=0), None, 0.0)
-        for k, g, rule in checked
-    ]
+    plans = [_Run(k, g, rule, _stream_key(seed, k, (g,), variant=0)) for k, g, rule in checked]
     return _run_blocks(pair, plans, n_trials, seed)
 
 
@@ -676,16 +665,10 @@ def run_marginal_trials_many(
     checked = []
     for k, x_m, rule in runs:
         _validate_run(pair, k, rule, n_trials, marginal=True)
-        checked.append((k, check_initial_sample(pair, x_m, k), rule))
-    if n_trials == 0:
-        return [TrialRecords.empty(k, np.empty(0), seed, rule) for k, _, rule in checked]
-    plans = []
-    for k, x_m, rule in checked:
-        with np.errstate(all="ignore"):  # non-finite, it fails the run in _run_blocks
-            lb_offset = pair.log_bf(x_m)
-        x_init = float(x_m[0])
-        key64 = _stream_key(seed, k, (x_init,), variant=1)
-        plans.append(_Run(k, None, rule, key64, x_init, lb_offset))
+        checked.append((k, float(check_initial_sample(pair, x_m, k)[0]), rule))
+    plans = [
+        _Run(k, None, rule, _stream_key(seed, k, (x1,), variant=1), x1) for k, x1, rule in checked
+    ]
     return _run_blocks(pair, plans, n_trials, seed)
 
 
@@ -895,25 +878,6 @@ def estimate_strong_calibration(
         ratio[j], ci_lo[j], ci_hi[j] = r, lo, hi
         ok[j] = lo <= math.exp(lbar) <= hi
     return CalibrationEstimate(edges, c0, c1, gmean, ratio, ci_lo, ci_hi, ok, n0, n1)
-
-
-def estimate_marginal_calibration(
-    pair: InvariantModelPair,
-    x_m: Sequence[float],
-    rule: StoppingRule,
-    n_trials: int,
-    seed: int,
-    n_bins: int = DEFAULT_BINS,
-) -> CalibrationEstimate:
-    """Calibration of the conditional stopped value given one initial sample.
-
-    Both arms are one many-run call: one split job.
-    """
-    check_bins(n_bins)
-    records0, records1 = run_marginal_trials_many(
-        pair, [(k, x_m, rule) for k in (0, 1)], n_trials, seed
-    )
-    return estimate_strong_calibration(records0, records1, n_bins=n_bins)
 
 
 @dataclass(frozen=True)

@@ -245,12 +245,18 @@ class SumOfSquares(StoppingRule):
     """The standard inadmissible rule: stop once sum(x_i^2) >= threshold.
 
     It reads the running state (n, log beta, sum of squares) and reacts
-    to the scale of the data, so it is not invariant.
+    to the scale of the data, so it is not invariant.  A NaN threshold,
+    which no sum of squares meets, is refused (inf runs to the cap).
     """
 
     threshold: float
     cap: int
     declared_invariant: ClassVar[bool] = False
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.threshold):
+            raise ValueError(f"sum-of-squares threshold must be a number, got {self.threshold}")
+        super().__post_init__()
 
     @staticmethod
     def _sum_sq(prefix) -> float:

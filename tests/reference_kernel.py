@@ -5,31 +5,26 @@ reads log beta gets the Chebyshev table evaluated on all active trials
 at every step, one step at a time, through the per-n table read of
 ``reference_tables``.  Every trial draws its effect (``draw``) and its
 full row of normals up front, whatever head the engine passes, and reads
-log beta at every step: it takes the ``bounds`` and ``head`` arguments
-and ignores them.  Swapped in for
-``montecarlo._run_block`` (same signature), it gives the records the
-chunked boundary engine, with its lazy heads and replayed rows, must
-reproduce bit for bit.
+log beta at every step: of the run's plan it takes the log beta offset
+and ignores the bounds, and it ignores ``head``.  Swapped in for
+``montecarlo._run_block`` (same signature, same columns), it gives the
+records the chunked boundary engine, with its lazy heads and replayed
+rows, must reproduce bit for bit.
 """
-
-from typing import Optional
 
 import numpy as np
 
-from optstop.montecarlo import TrialRecords, _draws_per_trial, _TrialStreams
+from optstop.montecarlo import _draws_per_trial, _TrialStreams
 from reference_tables import log_bf_per_n
 
 
-def run_block_per_step(
-    pair, curves, k, g, rule, key64, lo, hi, seed, x_init: Optional[float], lb_offset, bounds,
-    head,
-) -> TrialRecords:
+def run_block_per_step(pair, curves, run, lo, hi, head) -> tuple:
+    k, rule, x_init, marginal = run.k, run.rule, run.x_init, run.marginal
     size = hi - lo
-    marginal = x_init is not None
-    a = np.empty(size) if marginal else float(g)
+    a = np.empty(size) if marginal else float(run.g)
     delta = np.zeros(size)
     draws = np.empty((size, _draws_per_trial(rule, marginal)))
-    streams = _TrialStreams(key64)
+    streams = _TrialStreams(run.key64)
 
     def draw(i):
         gen = streams.at(lo + i)
@@ -61,7 +56,7 @@ def run_block_per_step(
     def log_beta(n, rows):
         q = s1[rows] ** 2 / (n * s2[rows])
         np.clip(q, 0.0, 1.0, out=q)
-        return log_bf_per_n(curves, n, q, np.copysign(np.sqrt(q), s1[rows])) - lb_offset
+        return log_bf_per_n(curves, n, q, np.copysign(np.sqrt(q), s1[rows])) - run.lb_offset
 
     active = np.ones(size, dtype=bool)
     stop_n = np.zeros(size, dtype=np.int64)
@@ -84,4 +79,4 @@ def run_block_per_step(
             stop_lb[hit] = lb[mask] if lb is not None else log_beta(n, hit)
             active[hit] = False
 
-    return TrialRecords(k, a, seed, rule, stop_n, stop_lb, np.arange(lo, hi, dtype=np.int64))
+    return (stop_n, stop_lb, a) if marginal else (stop_n, stop_lb)

@@ -32,10 +32,10 @@ from optstop.groups import LOCATION_SCALE, SCALE
 from optstop.models import CauchyEffect, InvariantModelPair, PointMass
 from optstop.montecarlo import (
     BIN_PASS_FRACTION,
-    estimate_marginal_calibration,
     estimate_stopped_bf_mean,
     estimate_strong_calibration,
     estimate_type1,
+    run_marginal_trials_many,
     run_trials,
 )
 from optstop.stopping import BfThreshold, FixedN, SumOfSquares, check_invariance
@@ -275,7 +275,10 @@ def test_criterion_10_marginal_calibration(cauchy_pair):
     details = []
     passed = True
     for x_m in (1.0, 2.0):
-        est = estimate_marginal_calibration(cauchy_pair, [x_m], rule, N_TRIALS, seed=SEED)
+        arms = run_marginal_trials_many(
+            cauchy_pair, [(k, [x_m], rule) for k in (0, 1)], N_TRIALS, seed=SEED
+        )
+        est = estimate_strong_calibration(*arms)
         details.append(f"x_m=({x_m:g},): {est.pass_fraction:.3f} of {est.usable_bins} bins")
         passed = passed and est.passed
     record_criterion(10, "marginal calibration given the initial sample", passed,

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from optstop import exact, montecarlo, workers
+from optstop import cli, exact, montecarlo, workers
 from optstop.cli import EXPERIMENTS, ConfigError, main, parse_config_text
 from optstop.errors import ResourceLimitError
 from optstop.models import ScaleBfCurves
@@ -361,6 +361,29 @@ class TestExitCodes:
         code = main(["exact-calibration", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "FAIL" in (tmp_path / "out" / "verdict.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("invariance-check", "trials = 200\nraw_threshold = nan\n"),
+        ("mc-bf-mean", "rule = raw-sum-squares\nrule_threshold = nan\nrule_cap = 20\n"
+                       "n_trials = 100\n"),
+    ],
+    ids=["invariance-check", "mc-bf-mean"],
+)
+def test_nan_sum_of_squares_threshold_exits_one_up_front(kind, text, tmp_path, capsys,
+                                                         monkeypatch):
+    # a rule no sum of squares fires: refused before any table, probe or trial
+    monkeypatch.setattr(ScaleBfCurves, "_build", trials_ran)
+    monkeypatch.setattr(montecarlo, "_run_block", trials_ran)
+    monkeypatch.setattr(cli, "check_invariance", trials_ran)
+    code = main([kind, "--config", write(tmp_path / "t.cfg", text), "--out",
+                 str(tmp_path / "out")])
+    assert code == 1
+    err = "error: sum-of-squares threshold must be a number, got nan\n"
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "out" / "records.csv").exists()
 
 
 class TestInvarianceCheckCli:

@@ -22,7 +22,6 @@ from optstop import montecarlo, workers
 from optstop.errors import OptstopError, ResourceLimitError, SingularInputError
 from optstop.models import CauchyEffect, InvariantModelPair, PointMass, ScaleBfCurves
 from optstop.montecarlo import (
-    estimate_marginal_calibration,
     estimate_stopped_bf_mean,
     estimate_strong_calibration,
     estimate_type1,
@@ -143,9 +142,9 @@ class TestRunTrials:
         blocks = []
         run_block = montecarlo._run_block
 
-        def spy(pair, curves, k, g, rule, key64, lo, hi, *rest):
+        def spy(pair, curves, run, lo, hi, head):
             blocks.append(hi - lo)
-            return run_block(pair, curves, k, g, rule, key64, lo, hi, *rest)
+            return run_block(pair, curves, run, lo, hi, head)
 
         monkeypatch.setattr(montecarlo, "_run_block", spy)
         monkeypatch.setattr(montecarlo, "DRAW_BUFFER_BYTES", 8 * 40 * 300)
@@ -330,9 +329,9 @@ class TestWorkerProcesses:
         caller = os.getpid()
         run_block = montecarlo._run_block
 
-        def patched(pair, curves, k, g, rule, key64, lo, *rest):
+        def patched(pair, curves, run, lo, *rest):
             before(lo, os.getpid() != caller)
-            return run_block(pair, curves, k, g, rule, key64, lo, *rest)
+            return run_block(pair, curves, run, lo, *rest)
 
         monkeypatch.setattr(montecarlo, "_run_block", patched)
 
@@ -648,10 +647,15 @@ class TestEstimators:
         assert lo < 0.5 < hi
 
 
+def marginal_calibration(pair, x_m, rule, n_trials, seed):
+    """The calibration of the conditional stopped value given ``x_m``, as the CLI computes it."""
+    arms = run_marginal_trials_many(pair, [(k, x_m, rule) for k in (0, 1)], n_trials, seed)
+    return estimate_strong_calibration(*arms)
+
+
 class TestMarginalCalibration:
     def test_point_zero_trivial(self):
-        pair = POINT0
-        est = estimate_marginal_calibration(pair, [1.0], FixedN(n=5, cap=10), 1000, seed=7)
+        est = marginal_calibration(POINT0, [1.0], FixedN(n=5, cap=10), 1000, seed=7)
         assert est.usable_bins == 1
         assert est.passed
 
@@ -685,6 +689,22 @@ class TestMarginalCalibration:
         with pytest.raises(ValueError, match="nonzero point effect"):
             run_marginal_trials_many(pair, [(1, [1.0], FixedN(n=5, cap=10))], n_trials, seed=0)
 
+    def test_records_subtract_the_initial_samples_log_beta(self):
+        # under PointMass(0.5), log beta_1 = log 2 Phi(0.5), about 0.32, at x_1 = 1: each
+        # stopped value is log beta_2 - log beta_1, read off the tables (error 1e-8)
+        pair = InvariantModelPair.scale(PointMass(0.5))
+        assert pair.log_bf([1.0]) == pytest.approx(math.log(2.0 * stats.norm.cdf(0.5)))
+        records = run_marginal_trials_many(pair, [(0, [1.0], FixedN(n=2, cap=10))], 5, seed=4)[0]
+        assert np.all(records.stop_index == 2)
+        key64 = montecarlo._stream_key(4, 0, (1.0,), variant=1)
+        for trial in range(5):
+            gen = fresh_stream(key64, trial)
+            a, delta = PointMass(0.0).posterior_state(1.0, gen)  # the H0 posterior, then z_2
+            x2 = a * (delta + gen.standard_normal())
+            assert records.g[trial] == a
+            exact = pair.log_bf([1.0, x2]) - pair.log_bf([1.0])
+            assert abs(records.stopped_log_beta[trial] - exact) <= 1e-8
+
     @pytest.mark.parametrize("delta, k", [(0.5, 0), (0.0, 1)])
     def test_point_effect_marginal_runs_where_sampled(self, delta, k):
         pair = InvariantModelPair.scale(PointMass(delta))
@@ -704,7 +724,7 @@ class TestMarginalCalibration:
         monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 500)
         forks = count_forks(monkeypatch)
-        got = estimate_marginal_calibration(CAUCHY, [1.5], rule, 2000, seed=13)
+        got = marginal_calibration(CAUCHY, [1.5], rule, 2000, seed=13)
         assert len(forks) == n_workers - 1
         for field in dataclasses.fields(got):
             value = np.asarray(getattr(got, field.name))
@@ -712,7 +732,7 @@ class TestMarginalCalibration:
 
     def test_moderate_run_calibrates(self):
         rule = BfThreshold(upper=5.0, lower=0.2, cap=100)
-        est = estimate_marginal_calibration(CAUCHY, [1.5], rule, 30_000, seed=13)
+        est = marginal_calibration(CAUCHY, [1.5], rule, 30_000, seed=13)
         # loose sanity bound; the strict contract is pinned in acceptance
         assert est.pass_fraction >= 0.8
 

@@ -70,6 +70,8 @@ REMOVED = [
     (montecarlo.TrialRecords, "_trial_columns"),
     (montecarlo, "run_marginal_trials"),  # run_marginal_trials_many(...)[0]
     (models.ScaleBfCurves, "_table"),  # _tables, filled by _build
+    # run_marginal_trials_many over both arms, then estimate_strong_calibration
+    (montecarlo, "estimate_marginal_calibration"),
 ]
 
 

@@ -61,6 +61,13 @@ class TestDecide:
         with pytest.raises(ValueError):
             RawStatistic(statistic=sum, threshold=1.0, cap=0)
 
+    def test_sum_of_squares_refuses_a_nan_threshold(self):
+        # no sum of squares meets NaN: such a rule would run every trial to its cap
+        with pytest.raises(ValueError, match="sum-of-squares threshold must be a number, got nan"):
+            SumOfSquares(math.nan, cap=10)
+        never = SumOfSquares(math.inf, cap=10)  # never met either, but a rule as written
+        assert not never.decide([1e100, 1e100], None) and never.decide([1.0] * 10, None)
+
     def test_declared_invariance_flags(self):
         assert FixedN(n=3).declared_invariant
         assert BfThreshold(upper=2.0, cap=5).declared_invariant
