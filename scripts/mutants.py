@@ -16,7 +16,7 @@ row, and under it the first failing test, or why the row is stale:
 
 Exit status 1 if any row is stale, else 0; a survivor is reported, not a
 failure.  The working tree is never modified.  Not part of the tier-1
-suite; the whole table of 39 rows took 134 s on a 2-vCPU Xeon host.
+suite; the whole table of 44 rows took 165 s on a 2-vCPU Xeon host.
 
     python scripts/mutants.py
 """
@@ -320,6 +320,45 @@ MUTANTS = [
         "    all_records = getattr(montecarlo, trials)(pair, runs, n_trials, seed)\n",
         "    all_records = [getattr(montecarlo, trials)(pair, [r], n_trials, seed)[0] for r in runs]\n",
         ["tests/test_cli.py::test_every_run_of_a_call_is_one_split_job"],
+    ),
+    # one owner per decision: hypothesis k's law, a trial's row, the sum-of-squares
+    # statistic, a check's summary row
+    (
+        "hypothesis 0 gets the alternative's prior",
+        MODELS,
+        "return self.effect_prior if k else _NULL_EFFECT",
+        "return self.effect_prior",
+        ["tests/test_models_scale.py::TestSampler::test_a_null_sample_draws_only_its_normals"],
+    ),
+    (
+        "the finite accessor runs without its check",
+        EXACT,
+        "        if k not in (0, 1):\n"
+        "            raise ValueError(f\"hypothesis index must be 0 or 1, got {k}\")\n",
+        "",
+        [f"{TEST_EXACT}::TestSampling::test_a_hypothesis_index_other_than_0_or_1_is_refused"],
+    ),
+    (
+        "SumOfSquares.statistic returns the plain sum",
+        STOPPING,
+        "        return np.dot(x, x)\n",
+        "        return np.sum(x)\n",
+        [f"{TEST_STOPPING}::TestDecide::test_raw_statistic_direct_arithmetic"],
+    ),
+    (
+        "a null-arm row keeps n_trials",
+        CLI,
+        '    del row["n_trials"]\n',
+        "",
+        ["tests/test_cli_golden.py::test_outputs_match_golden[mc-type1]"],
+    ),
+    (
+        "replay skips a marginal run's posterior draw",
+        MONTECARLO,
+        "        for i, out in zip(act.tolist(), full):\n            fill(i, out)\n",
+        "        for i, out in zip(act.tolist(), full):\n"
+        "            at(lo + i).standard_normal(out=out)\n",
+        [f"{TEST_MONTECARLO}::TestLazyDraws::test_later_blocks_draw_heads_then_replay[marginal-h1]"],
     ),
     # verdicts: the raw-rule controls (ROADMAP item 3)
     (

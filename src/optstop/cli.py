@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -150,6 +150,13 @@ def _verdict(passed: bool) -> str:
     return "PASS" if passed else "FAIL"
 
 
+def _estimate_row(est, g: float) -> dict:
+    """A null-arm check's summary row: the estimate's fields but ``n_trials``, g and ``passed``."""
+    row = asdict(est)
+    del row["n_trials"]
+    return dict(row, g=float(g), passed=est.passed)
+
+
 def _calibration_summary(est: montecarlo.CalibrationEstimate) -> dict:
     # the estimate itself stands for its bins list, which _write_summary writes from its columns
     return {
@@ -185,19 +192,8 @@ def _run_exact_table(cfg: ExperimentConfig, seed: int, out_dir: str, default_tol
 
 def _calibration_check(table: exact.ExactTable, tol: float):
     report = exact.verify_calibration(table, tol=tol)
-    body = {
-        "groups": [
-            {
-                "log_beta": float(g.log_beta),
-                "mass0": float(g.mass0),
-                "mass1": float(g.mass1),
-                "ratio": float(g.ratio),
-                "residual": float(g.residual),
-            }
-            for g in report.groups
-        ],
-        "max_residual": float(report.max_residual),
-    }
+    groups = [{k: v for k, v in asdict(g).items() if k != "beta"} for g in report.groups]
+    body = {"groups": groups, "max_residual": float(report.max_residual)}
     lines = [
         f"exact calibration: {len(report.groups)} Bayes-factor groups over "
         f"{len(table.entries)} stopped sequences",
@@ -317,21 +313,11 @@ def _type1_checks(cfg: ExperimentConfig):
 
 def _type1_check(level: SignificanceLevel, records: montecarlo.TrialRecords, g: float):
     est = montecarlo.estimate_type1(records, level)
-    row = {
-        "alpha": float(level.alpha),
-        "g": float(g),
-        "rate": float(est.rate),
-        "se": float(est.se),
-        "wilson_lo": float(est.wilson_lo),
-        "wilson_hi": float(est.wilson_hi),
-        "n_reject": est.n_reject,
-        "passed": est.passed,
-    }
     line = (
         f"alpha={level.alpha:g} g={g:g}: rejection rate {est.rate:.5f} "
         f"(alpha + 3se = {level.alpha + 3 * est.se:.5f}) -> {_verdict(est.passed)}"
     )
-    return row, line
+    return _estimate_row(est, g), line
 
 
 def _bf_mean_checks(cfg: ExperimentConfig):
@@ -340,19 +326,11 @@ def _bf_mean_checks(cfg: ExperimentConfig):
 
 def _bf_mean_check(records: montecarlo.TrialRecords, g: float):
     est = montecarlo.estimate_stopped_bf_mean(records)
-    row = {
-        "g": float(g),
-        "mean": float(est.mean),
-        "se": float(est.se),
-        "ci_lo": float(est.ci_lo),
-        "ci_hi": float(est.ci_hi),
-        "passed": est.passed,
-    }
     line = (
         f"g={g:g}: mean stopped Bayes factor {est.mean:.4f} +- {est.se:.4f} "
         f"(|mean - 1| <= 3se) -> {_verdict(est.passed)}"
     )
-    return row, line
+    return _estimate_row(est, g), line
 
 
 def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
@@ -362,7 +340,7 @@ def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
     upper = cfg.get_float("rule_upper", 20.0)
     raw_threshold = cfg.get_float("raw_threshold", 20.0)
     cfg.reject_unknown()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed % 2**64)  # a negative seed as its 64-bit pattern
     bf_rule = BfThreshold(upper=upper, cap=cap)
     bf_rule.check_start(pair.m)  # refuse a cap within the initial sample before FixedN(8) does
     rules = [
@@ -547,6 +525,7 @@ def run(kind: str, config: Dict[str, str], seed: Optional[int], out_dir: str) ->
     cfg = ExperimentConfig(values=dict(config))
     effective_seed = seed if seed is not None else cfg.get_int("seed", 0)
     cfg._used.add("seed")
+    montecarlo.check_seed(effective_seed)  # every kind: each records its seed
     try:
         os.makedirs(out_dir, exist_ok=True)
         body, lines, checks = EXPERIMENTS[kind].run(cfg, effective_seed, out_dir)

@@ -149,13 +149,19 @@ class FiniteModel:
             by_symbol=_read_only(np.ascontiguousarray(p.T)),
         )
 
+    def _mixture(self, k: int) -> _Mixture:
+        """Hypothesis k's mixture; ``ValueError`` unless k is 0 or 1."""
+        if k not in (0, 1):
+            raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
+        return self._mixtures[k]
+
     def weights(self, k: int) -> np.ndarray:
         """Prior weights of the hypothesis-k components (read-only)."""
-        return self._mixtures[k].weights
+        return self._mixture(k).weights
 
     def cond_matrix(self, k: int) -> np.ndarray:
         """(components x alphabet) symbol masses of the hypothesis-k components (read-only)."""
-        return self._mixtures[k].by_symbol.T
+        return self._mixture(k).by_symbol.T
 
     # ---------------------------------------------------------------- builders
 
@@ -202,7 +208,7 @@ def _prefix_masses(model: FiniteModel, k: int, seqs: np.ndarray) -> np.ndarray:
     mass is reduced from that row alone (a C-contiguous sum over axis 1),
     so a row's values do not depend on which rows share the batch.
     """
-    mix = model._mixtures[k]
+    mix = model._mixture(k)
     rows, length = seqs.shape
     lik = np.ones((rows, len(mix.weights)))
     step = np.empty_like(lik)
@@ -223,8 +229,6 @@ def log_beta_paths(model: FiniteModel, seqs) -> np.ndarray:
 
 def marginal_mass(model: FiniteModel, k: int, x: Sequence[int]) -> float:
     """Exact mixture mass of the sequence ``x`` under hypothesis ``k``."""
-    if k not in (0, 1):
-        raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
     seqs = _as_sequences(model, [x])
     if seqs.shape[1] == 0:
         return float(model.weights(k).sum())
@@ -249,7 +253,7 @@ def sample_sequence(model: FiniteModel, k: int, rng: np.random.Generator) -> Tup
     model.  The sequence, and the generator's state afterwards, are those
     of one ``rng.choice`` per draw, bit for bit.
     """
-    weight_cdf, symbol_cdf = model._mixtures[k].cdfs
+    weight_cdf, symbol_cdf = model._mixture(k).cdfs
     u = rng.random(model.horizon + 1)
     comp = int(np.searchsorted(weight_cdf, u[0], side="right"))
     return tuple(np.searchsorted(symbol_cdf[comp], u[1:], side="right").tolist())

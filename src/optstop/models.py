@@ -446,13 +446,21 @@ class InvariantModelPair:
 
     # ---------------------------------------------------------------- sampling
 
-    def sample(self, k: int, g: GroupElement, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw x ~ P_{k,e} and push it through the group element g."""
+    def effect(self, k: int) -> EffectPrior:
+        """Hypothesis k's effect prior: ``effect_prior`` at k = 1, the zero point mass at k = 0.
+
+        The only place the hypotheses differ; any other k raises ``ValueError``.
+        """
         if k not in (0, 1):
             raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
+        return self.effect_prior if k else _NULL_EFFECT
+
+    def sample(self, k: int, g: GroupElement, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw x ~ P_{k,e} and push it through the group element g."""
+        effect = self.effect(k)
         if n < self.m:
             raise ValueError(f"need n >= m = {self.m}, got {n}")
-        delta = self.effect_prior.draw(rng) if k == 1 else 0.0
+        delta = effect.draw(rng)
         while True:
             x = self.group.act(rng.standard_normal(n) + delta, g)
             if not self._excluded(x):
@@ -465,12 +473,6 @@ class InvariantModelPair:
             return x / abs(x[0])
         diffs = x[1:] - x[0]
         return diffs / abs(diffs[0])
-
-    def _posterior_predictive_state(
-        self, k: int, x1: float, rng: np.random.Generator
-    ) -> Tuple[float, float]:
-        """(sigma, delta) from the hypothesis-k posterior given x1 != 0 (k=1: posterior_sampled)."""
-        return (self.effect_prior if k == 1 else _NULL_EFFECT).posterior_state(x1, rng)
 
 
 class _TableStack(NamedTuple):

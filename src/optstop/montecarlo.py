@@ -9,20 +9,22 @@ Reproducibility model
     single record.  A block builds one Philox generator and re-keys it
     for each trial (counter 0, empty buffer: the state a freshly built
     ``Philox(key=[key, trial])`` starts in), then draws the trial's row
-    up front in one ``standard_normal`` call: the effect's leading
-    normals (a Cauchy effect is r * (z0 / z1) from two, numpy's
-    ``standard_cauchy`` bit for bit; a point mass takes none), then one
-    normal per observation.  A marginal run draws the trial's posterior
-    state before its row.  The first block of a run's segment (see
-    below) draws every row to the cap.  A later block draws only a head
-    of each row: the steps up to the first chunk's end past which at most
-    1 in ``LAZY_TAIL`` of the segment's earlier trials ran (the full row
-    if that lies past half the cap).  Before its first chunk that reads
-    past the head, every trial still running is re-keyed and replays its
-    whole row, the same values from the same stream, into a buffer of its
-    own, and the heads are released.  The rare trial whose initial sample falls in
-    the excluded set is re-keyed again, replays its full row and
-    continues its own stream for the replacement.  Blocks hold at most
+    up front in one ``standard_normal`` call: the leading normals of
+    hypothesis k's effect prior, ``pair.effect(k)`` (a Cauchy effect is
+    r * (z0 / z1) from two, numpy's ``standard_cauchy`` bit for bit; a
+    point mass, the null's among them, takes none), then one normal per
+    observation.  A marginal run draws the trial's posterior state under
+    that prior before its row, and again before each replay of it.  The
+    first block of a run's segment (see below) draws every row to the
+    cap.  A later block draws only a head of each row: the steps up to
+    the first chunk's end past which at most 1 in ``LAZY_TAIL`` of the
+    segment's earlier trials ran (the full row if that lies past half
+    the cap).  Before its first chunk that reads past the head, every
+    trial still running is re-keyed and replays its whole row, the same
+    values from the same stream, into a buffer of its own, and the heads
+    are released.  The rare trial whose initial sample falls in the
+    excluded set is re-keyed again, replays its full row and continues
+    its own stream for the replacement.  Blocks hold at most
     ``DRAW_BUFFER_BYTES`` of observation draws (an effect's leading
     normals ride along), each block in memory mappings of its own
     (``_draw_buffer``) that are returned to the system when the block
@@ -209,11 +211,16 @@ class TrialRecords:
         )
 
 
-def _stream_key(seed: int, k: int, g_components: Sequence[float], variant: int) -> int:
+def check_seed(seed: int) -> int:
+    """``seed`` as an int: ``ValueError`` unless it is a signed 64-bit integer."""
     if not -(2**63) <= int(seed) < 2**63:
         raise ValueError(f"seed must be a signed 64-bit integer, got {seed}")
+    return int(seed)
+
+
+def _stream_key(seed: int, k: int, g_components: Sequence[float], variant: int) -> int:
     h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<q", int(seed)))
+    h.update(struct.pack("<q", check_seed(seed)))
     h.update(bytes([k & 0xFF, variant & 0xFF]))
     for c in g_components:
         h.update(struct.pack("<d", float(c)))
@@ -270,38 +277,35 @@ def _run_block(
     to step ``head`` up front; the trials still running past it replay
     their rows to the cap.
     """
-    k, rule, x_init, marginal = run.k, run.rule, run.x_init, run.marginal
+    rule, x_init, marginal = run.rule, run.x_init, run.marginal
+    effect = pair.effect(run.k)
     size = hi - lo
-    # the scale g: one per trial, drawn from the posterior, in a marginal run
-    a = np.empty(size) if marginal else run.g
+    # the scale g and the effect: one each per trial, drawn from the
+    # posterior, in a marginal run
+    a, delta = (np.empty(size), np.empty(size)) if marginal else (run.g, None)
     # an effect drawn from the prior takes the row's leading normals
-    lead = pair.effect_prior.NORMALS if k == 1 and not marginal else 0
+    lead = 0 if marginal else effect.NORMALS
     col0 = (2 if marginal else 1) - lead  # a row's column holding x_n is n - col0
     width = rule.cap + 1 - col0  # a full row
     draws = _draw_buffer(size, head + 1 - col0)
-    # each trial keys its stream and fills its row, after its posterior
-    # draw in a marginal run
     at = _TrialStreams(run.key64).at
-    posterior_state = pair._posterior_predictive_state
-    if marginal:
-        delta = np.empty(size)
-        for i in range(size):
-            gen = at(lo + i)
-            a[i], delta[i] = posterior_state(k, x_init, gen)
-            gen.standard_normal(out=draws[i])
-    else:
-        for i in range(size):
-            at(lo + i).standard_normal(out=draws[i])
-        delta = pair.effect_prior.from_normals(draws[:, :lead]) if k == 1 else np.zeros(size)
+
+    def fill(i: int, out: np.ndarray) -> np.random.Generator:
+        """Key trial ``lo + i``'s stream, draw a marginal run's posterior state, fill ``out``."""
+        gen = at(lo + i)
+        if marginal:
+            a[i], delta[i] = effect.posterior_state(x_init, gen)
+        gen.standard_normal(out=out)
+        return gen
+
+    for i, out in enumerate(draws):
+        fill(i, out)
 
     def replay(act: np.ndarray) -> np.ndarray:
         """The full rows of trials ``act``, redrawn from their streams, in a buffer of their own."""
         full = _draw_buffer(act.size, width)
         for i, out in zip(act.tolist(), full):
-            gen = at(lo + i)
-            if marginal:
-                posterior_state(k, x_init, gen)
-            gen.standard_normal(out=out)
+            fill(i, out)
         return full
 
     if marginal:
@@ -310,10 +314,10 @@ def _run_block(
         # The excluded initial sample x_1 = 0 has probability zero.  A trial
         # that hits it replays its full row and continues its stream: the
         # next draw replaces x_1.
+        delta = effect.from_normals(draws[:, :lead])
         x1 = a * (delta + draws[:, lead])
         for i in np.flatnonzero(x1 == 0.0).tolist():
-            gen = at(lo + i)
-            gen.standard_normal(width)
+            gen = fill(i, np.empty(width))
             while x1[i] == 0.0:
                 x1[i] = a * (delta[i] + gen.standard_normal())
         s1, s2 = x1, x1 * x1
@@ -551,8 +555,7 @@ def _validate_run(
     """
     if not pair.is_scale:
         raise NotImplementedError("Monte Carlo trials are implemented for the scale group")
-    if k not in (0, 1):
-        raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
+    pair.effect(k)  # a hypothesis index other than 0 or 1 raises
     if n_trials < 0:
         raise ValueError("n_trials must be nonnegative")
     record_bytes = 8 * (4 if marginal else 3) * n_trials
@@ -586,11 +589,11 @@ def check_initial_sample(pair: InvariantModelPair, x_m, k: int) -> np.ndarray:
 
     It must have length m, be finite and lie outside the pair's excluded
     set (``SingularInputError``, e.g. x_1 = 0 for the scale group).
-    Under the alternative (k = 1, which refuses all the null does) the
-    effect prior's posterior given ``x_m`` must be sampled
-    (``posterior_sampled``): not for a nonzero point mass.
+    Hypothesis k's effect prior (``pair.effect(k)``) must have its
+    posterior given ``x_m`` sampled (``posterior_sampled``): not a
+    nonzero point mass under the alternative.
     """
-    if k == 1 and not pair.effect_prior.posterior_sampled:
+    if not pair.effect(k).posterior_sampled:
         raise ValueError(
             "marginal trials under the alternative need a Cauchy effect or a zero point "
             "mass: the posterior of a nonzero point effect given x_m is not sampled"
@@ -692,8 +695,7 @@ def run_trials_finite(
     neither on the chunk size nor on the other trials.  The finite model
     carries no group action: records store NaN in the nuisance slot.
     """
-    if k not in (0, 1):
-        raise ValueError(f"hypothesis index must be 0 or 1, got {k}")
+    model._mixture(k)  # a hypothesis index other than 0 or 1 raises, before any draw
     if rule.cap > model.horizon:
         raise ValueError("rule must cap at or before the model horizon")
     streams = _TrialStreams(_stream_key(seed, k, (), variant=2))

@@ -7,7 +7,8 @@ stop, so stopping times are bounded by construction.  Each rule owns its
 decision: the exact oracle, ``core.stop`` and the invariance checker ask
 it one prefix at a time (``decide``), and the Monte Carlo engine asks it
 about many prefixes at once, from their running state and possibly at
-different lengths (``decide_batch``).
+different lengths (``decide_batch``).  A statistic rule's ``statistic``
+of the prefix serves both its ``decide`` and its ``boundary_gap``.
 
 Rules declare whether their decision is invariant under the model's
 group action.  The declaration is not trusted: ``check_invariance``
@@ -33,6 +34,8 @@ import numpy as np
 BOUNDARY_SKIP_BAND = 1e-10
 # probes per log_bf_many call in check_invariance: 2 x 1024 short samples
 PROBE_CHUNK = 1024
+# check_invariance draws each probe's length from [m + 1, PROBE_MAX_LEN]
+PROBE_MAX_LEN = 12
 
 
 class StoppingRule:
@@ -54,9 +57,9 @@ class StoppingRule:
 
     A rule whose decision reads the prefix only through the running
     state (n, log beta, sum of squares) states it once, elementwise, in
-    ``_fires_at``; ``decide`` and its vector form ``decide_batch`` both
-    go through it.  Rules that read the whole prefix override
-    ``_fires`` instead and have no vector form.
+    ``_fires_at``; ``decide_batch`` goes through it, and so does
+    ``decide`` unless the rule overrides ``_fires``, as a statistic rule
+    does to read its ``statistic`` of the whole prefix.
     """
 
     cap: int
@@ -241,12 +244,13 @@ class RawStatistic(_StatisticRule):
 
 
 @dataclass(frozen=True)
-class SumOfSquares(StoppingRule):
+class SumOfSquares(_StatisticRule):
     """The standard inadmissible rule: stop once sum(x_i^2) >= threshold.
 
-    It reads the running state (n, log beta, sum of squares) and reacts
-    to the scale of the data, so it is not invariant.  A NaN threshold,
-    which no sum of squares meets, is refused (inf runs to the cap).
+    Its ``statistic`` decides a prefix and ``_fires_at`` the running state
+    (n, log beta, sum of squares); it reacts to the scale of the data, so
+    it is not invariant.  A NaN threshold, which no sum of squares meets,
+    is refused (inf runs to the cap).
     """
 
     threshold: float
@@ -259,22 +263,16 @@ class SumOfSquares(StoppingRule):
         super().__post_init__()
 
     @staticmethod
-    def _sum_sq(prefix) -> float:
-        x = np.asarray(prefix, dtype=float)
-        return float(np.dot(x, x))
-
-    def _fires(self, prefix, log_beta) -> bool:
-        return self._fires_at(len(prefix), log_beta, self._sum_sq(prefix))
+    def statistic(x: np.ndarray) -> float:
+        return np.dot(x, x)
 
     def _fires_at(self, n, log_beta, sum_sq):
         return sum_sq >= self.threshold
 
-    def boundary_gap(self, prefix, log_beta) -> float:
-        return abs(self._sum_sq(prefix) - self.threshold)
-
 
 # kind -> (constructor, required parameters, optional parameters); each
-# parameter name maps to the converter applied to its value
+# parameter name maps to the converter applied to its value, named in its error
+_NOT_A = {int: "an integer", float: "a number"}
 _RULE_KINDS = {
     "fixed-n": (FixedN, {"n": int}, {}),
     "bf-threshold": (BfThreshold, {"upper": float}, {"lower": float}),
@@ -307,7 +305,7 @@ def rule_from_params(kind: str, cap: int, **params) -> StoppingRule:
         try:
             args[name] = convert(value)
         except ValueError:
-            raise ValueError(f"rule parameter {name!r}: not a number: {value!r}") from None
+            raise ValueError(f"rule parameter {name!r}: not {_NOT_A[convert]}: {value!r}") from None
     return make(cap=cap, **args)
 
 
@@ -337,28 +335,28 @@ class InvarianceReport:
         return self.mismatches == 0 and self.skipped_boundary < self.trials
 
 
-def _draw_probe(pair, rng: np.random.Generator, max_len: int):
+def _draw_probe(pair, rng: np.random.Generator):
     """One probe (n, x, h, x.h), drawing from ``rng`` in the checker's fixed order."""
     group = pair.group
     k = int(rng.integers(0, 2))
     g = group.random_element(rng)
-    n = int(rng.integers(pair.m + 1, max_len + 1))
+    n = int(rng.integers(pair.m + 1, PROBE_MAX_LEN + 1))
     x = pair.sample(k, g, n, rng)
     h = group.random_element(rng)
     return n, x, h, group.act(x, h)
 
 
-def check_invariance(rule: StoppingRule, pair, trials: int, rng: np.random.Generator,
-                     max_len: int = 12) -> InvarianceReport:
+def check_invariance(rule: StoppingRule, pair, trials: int,
+                     rng: np.random.Generator) -> InvarianceReport:
     """Probe a rule's invariance under the pair's group action.
 
     Each trial draws a random prefix from the pair (random hypothesis,
-    random nuisance value, random length in [m+1, max_len]) and a random
-    group element h, then compares the rule's decision on x with its
-    decision on x.h.  The log Bayes factor is recomputed from scratch on
-    the transformed data.  For declared-invariant
-    rules any disagreement outside the boundary band counts as a
-    mismatch; for raw rules the probe stops at the first counterexample.
+    random nuisance value, random length in [m+1, PROBE_MAX_LEN]) and a
+    random group element h, then compares the rule's decision on x with
+    its decision on x.h.  The log Bayes factor is recomputed from scratch
+    on the transformed data.  For declared-invariant rules any
+    disagreement outside the boundary band counts as a mismatch; for raw
+    rules the probe stops at the first counterexample.
 
     Probes are drawn in order, in chunks: a declared-invariant rule takes
     PROBE_CHUNK probes at a time and, with ``log_bars``, has log beta of
@@ -380,7 +378,7 @@ def check_invariance(rule: StoppingRule, pair, trials: int, rng: np.random.Gener
     counterexample = None
     drawn = 0
     while drawn < trials and (rule.declared_invariant or counterexample is None):
-        probes = [_draw_probe(pair, rng, max_len) for _ in range(min(chunk, trials - drawn))]
+        probes = [_draw_probe(pair, rng) for _ in range(min(chunk, trials - drawn))]
         drawn += len(probes)
         live = [(x, h, xh) for n, x, h, xh in probes if n < rule.cap]
         skipped += len(probes) - len(live)  # the cap forces both decisions; nothing to learn

@@ -14,8 +14,12 @@ rows, must reproduce bit for bit.
 
 import numpy as np
 
+from optstop.models import PointMass
 from optstop.montecarlo import _draws_per_trial, _TrialStreams
 from reference_tables import log_bf_per_n
+
+
+NULL = PointMass(0.0)  # the null's effect prior
 
 
 def run_block_per_step(pair, curves, run, lo, hi, head) -> tuple:
@@ -29,7 +33,7 @@ def run_block_per_step(pair, curves, run, lo, hi, head) -> tuple:
     def draw(i):
         gen = streams.at(lo + i)
         if marginal:
-            a[i], delta[i] = pair._posterior_predictive_state(k, x_init, gen)
+            a[i], delta[i] = (pair.effect_prior if k == 1 else NULL).posterior_state(x_init, gen)
         elif k == 1:
             delta[i] = pair.effect_prior.draw(gen)
         gen.standard_normal(out=draws[i])

@@ -278,13 +278,24 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert not (tmp_path / "out" / "records.csv").exists()
 
+    # a short run of each kind of experiment: Monte Carlo, exact, invariance probe
+    SEED_RUNS = {
+        "mc-type1": "n_trials = 50\nrule_cap = 20\n",
+        "exact-markov": "horizon = 6\nprior_grid = 50\n",
+        "invariance-check": "trials = 300\nrule_cap = 500\n",
+    }
+
+    @pytest.mark.parametrize("kind", list(SEED_RUNS))
     @pytest.mark.parametrize("where", ["flag", "config"])
-    def test_seed_outside_64_bits_exits_one(self, where, tmp_path, capsys, monkeypatch):
+    def test_seed_outside_64_bits_exits_one(self, where, kind, tmp_path, capsys, monkeypatch):
+        # every kind refuses the seed before any work
         monkeypatch.setattr(montecarlo, "_run_block", trials_ran)
+        monkeypatch.setattr(exact, "build_table", trials_ran)
+        monkeypatch.setattr(cli, "check_invariance", trials_ran)
         seed = "99999999999999999999"
-        text = "n_trials = 50\nrule_cap = 20\n" + (f"seed = {seed}\n" if where == "config" else "")
+        text = self.SEED_RUNS[kind] + (f"seed = {seed}\n" if where == "config" else "")
         cfg = write(tmp_path / "s.cfg", text)
-        argv = ["mc-type1", "--config", cfg, "--out", str(tmp_path / "out")]
+        argv = [kind, "--config", cfg, "--out", str(tmp_path / "out")]
         code = main(argv + (["--seed", seed] if where == "flag" else []))
         assert code == 1
         assert capsys.readouterr().err == f"error: seed must be a signed 64-bit integer, got {seed}\n"
@@ -314,9 +325,10 @@ class TestExitCodes:
         assert "trials stopped at a non-finite log Bayes factor" in err[-1]
         assert not (tmp_path / "out" / "records.csv").exists()
 
-    def test_negative_seed_runs(self, tmp_path, capsys):
-        cfg = write(tmp_path / "s.cfg", "n_trials = 50\nrule_cap = 20\n")
-        code = main(["mc-type1", "--config", cfg, "--seed", "-7", "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("kind", list(SEED_RUNS))
+    def test_negative_seed_runs(self, kind, tmp_path, capsys):
+        cfg = write(tmp_path / "s.cfg", self.SEED_RUNS[kind])
+        code = main([kind, "--config", cfg, "--seed", "-7", "--out", str(tmp_path / "out")])
         assert code == 0
         assert json.loads((tmp_path / "out" / "summary.json").read_text())["seed"] == -7
 

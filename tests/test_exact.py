@@ -304,6 +304,20 @@ class TestSampling:
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=3, grid=2)
         assert sample_sequence(model, 1, Uniforms()) == (1, 0, 1)
 
+    @pytest.mark.parametrize(
+        "read, k",
+        [
+            (lambda model, k: sample_sequence(model, k, np.random.default_rng(0)), -1),
+            (lambda model, k: model.weights(k), 2),
+            (lambda model, k: model.cond_matrix(k), -1),
+            (lambda model, k: marginal_mass(model, k, (0, 1)), 2),
+        ],
+        ids=["sample_sequence", "weights", "cond_matrix", "marginal_mass"],
+    )
+    def test_a_hypothesis_index_other_than_0_or_1_is_refused(self, bernoulli10, read, k):
+        with pytest.raises(ValueError, match=f"hypothesis index must be 0 or 1, got {k}"):
+            read(bernoulli10, k)
+
     def test_sample_sequence_length_and_alphabet(self, rng):
         model = random_finite_model(rng)
         seq = sample_sequence(model, 1, rng)

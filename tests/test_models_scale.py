@@ -370,6 +370,22 @@ class TestSampler:
         crit = 1.628 * math.sqrt(2.0 / 4000.0)  # 0.01-level two-sample threshold
         assert stat < crit
 
+    def test_each_hypothesis_has_one_effect_prior(self):
+        prior = CauchyEffect(0.7)
+        pair = InvariantModelPair.scale(prior)
+        assert pair.effect(1) is prior
+        assert pair.effect(0) == PointMass(0.0)
+        for k in (-1, 2):
+            with pytest.raises(ValueError, match=f"hypothesis index must be 0 or 1, got {k}"):
+                pair.effect(k)
+
+    def test_a_null_sample_draws_only_its_normals(self, cauchy_pair):
+        """The null's zero point mass draws nothing: x is g times the stream's first n normals."""
+        gen, ref = np.random.default_rng(11), np.random.default_rng(11)
+        x = cauchy_pair.sample(0, 2.5, 6, gen)
+        assert x.tolist() == (2.5 * ref.standard_normal(6)).tolist()
+        assert gen.bit_generator.state == ref.bit_generator.state
+
     def test_rejects_bad_arguments(self, cauchy_pair, rng):
         with pytest.raises(ValueError):
             cauchy_pair.sample(2, 1.0, 3, rng)
@@ -442,7 +458,7 @@ class TestPosteriorSampler:
 
         pair = InvariantModelPair.scale(prior)
         rng, ref = np.random.default_rng(4242), np.random.default_rng(4242)
-        got = [pair._posterior_predictive_state(0, x1, rng) for _ in range(500)]
+        got = [pair.effect(0).posterior_state(x1, rng) for _ in range(500)]
         expected = [loop(ref) for _ in range(500)]
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state

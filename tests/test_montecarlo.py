@@ -781,6 +781,16 @@ class TestFiniteCrossCheck:
             assert trajectory_finite(model, seq).log_beta == tuple(row.tolist())
             assert record.stopped_log_beta == row[record.stop_index - 1]
 
+    @pytest.mark.parametrize("n_trials", [0, 10])
+    def test_a_bad_hypothesis_index_is_refused_before_any_draw(self, n_trials, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a sequence was drawn")
+
+        monkeypatch.setattr(montecarlo, "sample_sequence", draw)
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=6, grid=20)
+        with pytest.raises(ValueError, match="hypothesis index must be 0 or 1, got 5"):
+            run_trials_finite(model, 5, FixedN(n=6, cap=6), n_trials, seed=3)
+
     def test_finite_records_reproducible(self):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=6, grid=200)
         rule = FixedN(n=6, cap=6)

@@ -72,6 +72,8 @@ REMOVED = [
     (models.ScaleBfCurves, "_table"),  # _tables, filled by _build
     # run_marginal_trials_many over both arms, then estimate_strong_calibration
     (montecarlo, "estimate_marginal_calibration"),
+    (models.InvariantModelPair, "_posterior_predictive_state"),  # pair.effect(k).posterior_state
+    (stopping.SumOfSquares, "_sum_sq"),  # SumOfSquares.statistic
 ]
 
 

@@ -39,6 +39,7 @@ class TestDecide:
         rule = SumOfSquares(20.0, cap=100)
         assert rule.decide([3.0, 3.0, 2.0], None)  # 9 + 9 + 4 = 22 >= 20
         assert not rule.decide([3.0, 2.0], None)
+        assert rule.boundary_gap([3.0, 3.0, 2.0], None) == 2.0
 
     def test_cap_forces_stop(self):
         rule = BfThreshold(upper=1e9, cap=4)
@@ -157,8 +158,11 @@ class TestRuleFromParams:
     def test_missing_and_malformed_params_rejected(self):
         with pytest.raises(ValueError, match="needs parameter 'upper'"):
             rule_from_params("bf-threshold", cap=10, lower=0.5)
-        with pytest.raises(ValueError, match="not a number"):
-            rule_from_params("fixed-n", cap=10, n="five")
+        with pytest.raises(ValueError, match="rule parameter 'upper': not a number: 'five'"):
+            rule_from_params("bf-threshold", cap=10, upper="five")
+        for n in ("five", "8.5"):
+            with pytest.raises(ValueError, match=f"rule parameter 'n': not an integer: '{n}'"):
+                rule_from_params("fixed-n", cap=10, n=n)
 
     def test_string_params_and_absent_lower(self):
         rule = rule_from_params("bf_threshold", cap=10, upper="5", lower="")
