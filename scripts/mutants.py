@@ -16,7 +16,7 @@ row, and under it the first failing test, or why the row is stale:
 
 Exit status 1 if any row is stale, else 0; a survivor is reported, not a
 failure.  The working tree is never modified.  Not part of the tier-1
-suite; the whole table of 44 rows took 165 s on a 2-vCPU Xeon host.
+suite; the whole table of 47 rows took 161 s on a 2-vCPU Xeon host.
 
     python scripts/mutants.py
 """
@@ -359,6 +359,29 @@ MUTANTS = [
         "        for i, out in zip(act.tolist(), full):\n"
         "            at(lo + i).standard_normal(out=out)\n",
         [f"{TEST_MONTECARLO}::TestLazyDraws::test_later_blocks_draw_heads_then_replay[marginal-h1]"],
+    ),
+    # lazy heads from the start: a run segment starts with a probe block
+    (
+        "the probe is a full block",
+        MONTECARLO,
+        "lo + max(run.block // LAZY_TAIL, 1)",
+        "lo + run.block",
+        [f"{TEST_MONTECARLO}::TestLazyDraws::test_later_blocks_draw_heads_then_replay"],
+    ),
+    # a rule's integer fields take integers only
+    (
+        "a rule takes a cap that is not an integer",
+        STOPPING,
+        '        _check_integer("cap", self.cap)\n',
+        "",
+        [f"{TEST_STOPPING}::TestIntegerFields::test_refused"],
+    ),
+    (
+        "rule_from_params truncates an integer field again",
+        STOPPING,
+        "return int(value) if isinstance(value, str) else value",
+        "return int(value)",
+        [f"{TEST_STOPPING}::TestRuleFromParams::test_a_non_integer_n_is_refused_not_truncated"],
     ),
     # verdicts: the raw-rule controls (ROADMAP item 3)
     (

@@ -180,7 +180,7 @@ class FiniteModel:
                 f"prior grid {grid} exceeds the budget of {MAX_PRIOR_GRID} atoms"
             )
         thetas = (np.arange(grid) + 0.5) / grid
-        c1 = tuple((1.0 / grid, np.array([1.0 - t, t])) for t in thetas)
+        c1 = tuple((1.0 / grid, row) for row in np.stack([1.0 - thetas, thetas], axis=1))
         c0 = ((1.0, np.array([1.0 - theta0, theta0])),)
         return cls(alphabet_size=2, horizon=horizon, components0=c0, components1=c1)
 

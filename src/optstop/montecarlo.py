@@ -14,17 +14,18 @@ Reproducibility model
     r * (z0 / z1) from two, numpy's ``standard_cauchy`` bit for bit; a
     point mass, the null's among them, takes none), then one normal per
     observation.  A marginal run draws the trial's posterior state under
-    that prior before its row, and again before each replay of it.  The
-    first block of a run's segment (see below) draws every row to the
-    cap.  A later block draws only a head of each row: the steps up to
-    the first chunk's end past which at most 1 in ``LAZY_TAIL`` of the
-    segment's earlier trials ran (the full row if that lies past half
-    the cap).  Before its first chunk that reads past the head, every
-    trial still running is re-keyed and replays its whole row, the same
-    values from the same stream, into a buffer of its own, and the heads
-    are released.  The rare trial whose initial sample falls in the
-    excluded set is re-keyed again, replays its full row and continues
-    its own stream for the replacement.  Blocks hold at most
+    that prior before its row, and again before each replay of it.  A
+    run's segment (see below) starts with a probe block of 1 in
+    ``LAZY_TAIL`` of a block's trials, drawn to the cap.  Each later
+    block draws only a head of each row: the steps up to the first
+    chunk's end past which at most 1 in ``LAZY_TAIL`` of the segment's
+    earlier trials ran (the full row if that lies past half the cap).
+    Before its first chunk that reads past the head, every trial still
+    running is re-keyed and replays its whole row, the same values from
+    the same stream, into a buffer of its own, and the heads are
+    released.  The rare trial whose initial sample falls in the excluded
+    set is re-keyed again, replays its full row and continues its own
+    stream for the replacement.  Blocks hold at most
     ``DRAW_BUFFER_BYTES`` of observation draws (an effect's leading
     normals ride along), each block in memory mappings of its own
     (``_draw_buffer``) that are returned to the system when the block
@@ -41,11 +42,12 @@ Worker processes
     per block of the call, and no more than can map the call's largest
     block of draws each within ``RUN_DRAW_BYTES``.  A group runs each run
     segment its range covers in that run's blocks, with a lazy-head
-    history of its own per segment, so a segment's first block draws full
-    rows and the rest of it draws heads.  Each run's plan (trials per
-    block, per-n bounds, a marginal run's log beta offset) and every table
-    it reads are fixed before the fork.  Each group returns its segments'
-    record columns, and the caller joins each run's in group order.
+    history of its own per segment, so a segment's probe block draws
+    full rows and the rest of it draws heads.  Each run's plan (trials
+    per block, per-n bounds, a marginal run's log beta offset) and every
+    table it reads are fixed before the fork.  Each group returns its
+    segments' record columns, and the caller joins each run's in group
+    order.
 
 Records
     A run returns one :class:`TrialRecords` batch: an array each of stop
@@ -126,7 +128,8 @@ STEP_CHUNK = 8
 DRAW_BUFFER_BYTES = 64 * 2**20
 # a run's processes together map at most this of draws, a block each
 RUN_DRAW_BYTES = 4 * DRAW_BUFFER_BYTES
-# a block after the first draws its rows only up to the first chunk's end past
+# a run segment starts with a probe of 1 in LAZY_TAIL of a block's trials;
+# each block after it draws its rows only up to the first chunk's end past
 # which at most 1 in LAZY_TAIL of the earlier trials ran, if that lies within
 # half the cap (layout only: never changes a record)
 LAZY_TAIL = 8
@@ -439,7 +442,8 @@ def _lazy_head(stops: np.ndarray) -> int:
     ``stops[n]`` counts the earlier trials that stopped at n, up to the
     cap.  The head is the first chunk's end past which at most 1 in
     LAZY_TAIL of them ran, if it lies within half the cap, and else the
-    cap.  A fresh run draws in full.
+    cap.  With no earlier trials, the block (a segment's probe) draws in
+    full.
     """
     total = int(stops.sum())
     running = total - np.cumsum(stops)  # running[n]: trials that ran past step n
@@ -480,12 +484,14 @@ def _run_blocks(
     Otherwise one split job over W processes serves the whole call: its
     items are the runs' trials, run-major, and each group runs the run
     segments its range covers.  See the module docstring for the groups
-    and the choice of W.  Each block gets the head (``_lazy_head``) that
-    the blocks before it in its segment call for.  ``OptstopError`` if a
-    worker failed, or, for the first such run, if a trial stopped at a
-    non-finite log beta: the records of such a run would pass or fail a
-    check on NaN comparisons.  So numpy's floating-point warnings, in the
-    kernel and in the tables it builds, are not shown.
+    and the choice of W.  A segment starts with a probe block of
+    ``block // LAZY_TAIL`` trials (at least 1), and each block gets the
+    head (``_lazy_head``) that the blocks before it in its segment call
+    for.  ``OptstopError`` if a worker failed, or, for the first such
+    run, if a trial stopped at a non-finite log beta: the records of such
+    a run would pass or fail a check on NaN comparisons.  So numpy's
+    floating-point warnings, in the kernel and in the tables it builds,
+    are not shown.
     """
     if n_trials == 0:
         return [TrialRecords.empty(run.k, np.empty(0) if run.marginal else run.g, seed, run.rule)
@@ -510,11 +516,11 @@ def _run_blocks(
         for i in range(items.start // n_trials, (items.stop - 1) // n_trials + 1):
             run, offset = runs[i], i * n_trials
             lo, hi = max(items.start - offset, 0), min(items.stop - offset, n_trials)
+            edges = [lo, *range(lo + max(run.block // LAZY_TAIL, 1), hi, run.block), hi]
             stops = np.zeros(run.rule.cap + 1, dtype=np.int64)
             blocks = []
-            for a in range(lo, hi, run.block):
-                blocks.append(_run_block(pair, curves, run, a, min(a + run.block, hi),
-                                         _lazy_head(stops)))
+            for a, b in zip(edges, edges[1:]):
+                blocks.append(_run_block(pair, curves, run, a, b, _lazy_head(stops)))
                 stops += np.bincount(blocks[-1][0], minlength=stops.size)
             parts.append((i, [np.concatenate(column) for column in zip(*blocks)]))
         return parts

@@ -26,6 +26,7 @@ are counted as inconclusive skips rather than failures.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Sequence, Tuple
 
@@ -36,6 +37,12 @@ BOUNDARY_SKIP_BAND = 1e-10
 PROBE_CHUNK = 1024
 # check_invariance draws each probe's length from [m + 1, PROBE_MAX_LEN]
 PROBE_MAX_LEN = 12
+
+
+def _check_integer(name: str, value) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an int or a numpy integer (not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class StoppingRule:
@@ -67,6 +74,7 @@ class StoppingRule:
     log_bars: ClassVar[Tuple[Tuple[float, bool], ...]] = ()
 
     def __post_init__(self) -> None:
+        _check_integer("cap", self.cap)
         if self.cap < 1:
             raise ValueError(f"cap must be a positive sample size, got {self.cap}")
 
@@ -138,6 +146,7 @@ class FixedN(StoppingRule):
     declared_invariant: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
+        _check_integer("n", self.n)
         if self.n < 1:
             raise ValueError(f"fixed sample size must be >= 1, got {self.n}")
         if self.cap is None:
@@ -270,11 +279,16 @@ class SumOfSquares(_StatisticRule):
         return sum_sq >= self.threshold
 
 
+def _integer(value):
+    """A string of an integer as an int; any other value as it is, for the rule to check."""
+    return int(value) if isinstance(value, str) else value
+
+
 # kind -> (constructor, required parameters, optional parameters); each
 # parameter name maps to the converter applied to its value, named in its error
-_NOT_A = {int: "an integer", float: "a number"}
+_NOT_A = {_integer: "an integer", float: "a number"}
 _RULE_KINDS = {
-    "fixed-n": (FixedN, {"n": int}, {}),
+    "fixed-n": (FixedN, {"n": _integer}, {}),
     "bf-threshold": (BfThreshold, {"upper": float}, {"lower": float}),
     "raw-sum-squares": (SumOfSquares, {"threshold": float}, {}),
 }
@@ -284,7 +298,9 @@ def rule_from_params(kind: str, cap: int, **params) -> StoppingRule:
     """Construct a rule from a kind name and numeric parameters.
 
     Parameters may be numbers or numeric strings; one given as None or
-    "" counts as absent.  Used by the CLI config loader;
+    "" counts as absent.  An integer field given a number that is not an
+    integer is refused by the rule, not truncated, and so is a ``cap``
+    that is not an integer.  Used by the CLI config loader;
     ``InvariantStatistic`` rules need callables and are not
     constructible from flat configs.
     """

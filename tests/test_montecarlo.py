@@ -82,6 +82,19 @@ def no_work(monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_block", work)
 
 
+def spy_blocks(monkeypatch):
+    """The trials of every block a run runs in this process, in order."""
+    blocks = []
+    run_block = montecarlo._run_block
+
+    def spy(pair, curves, run, lo, hi, head):
+        blocks.append(hi - lo)
+        return run_block(pair, curves, run, lo, hi, head)
+
+    monkeypatch.setattr(montecarlo, "_run_block", spy)
+    return blocks
+
+
 TWO_SIDED = BfThreshold(upper=4.0, lower=0.25, cap=40)
 LAYOUT_RUNS = {
     "two-sided-h0": lambda: run_trials(CAUCHY, 0, 1.3, TWO_SIDED, 20_000, seed=5),
@@ -139,20 +152,13 @@ class TestRunTrials:
         rule = BfThreshold(upper=4.0, lower=0.25, cap=40)
         a = run_trials(CAUCHY, 1, 1.3, rule, 2_000, seed=5)
         am = run_marginal_trials_many(CAUCHY, [(1, [0.8], rule)], 2_000, seed=5)[0]
-        blocks = []
-        run_block = montecarlo._run_block
-
-        def spy(pair, curves, run, lo, hi, head):
-            blocks.append(hi - lo)
-            return run_block(pair, curves, run, lo, hi, head)
-
-        monkeypatch.setattr(montecarlo, "_run_block", spy)
+        blocks = spy_blocks(monkeypatch)
         monkeypatch.setattr(montecarlo, "DRAW_BUFFER_BYTES", 8 * 40 * 300)
         assert run_trials(CAUCHY, 1, 1.3, rule, 2_000, seed=5) == a
-        assert blocks == [300] * 6 + [200]
+        assert blocks == [37] + [300] * 6 + [163]  # a probe of 300 // 8 first
         blocks.clear()
         assert run_marginal_trials_many(CAUCHY, [(1, [0.8], rule)], 2_000, seed=5)[0] == am
-        assert blocks == [307] * 6 + [158]  # 39 draws per trial after x_1
+        assert blocks == [38] + [307] * 6 + [120]  # 39 draws per trial after x_1
 
     def test_default_budget_keeps_full_blocks_at_benchmark_caps(self):
         for cap in (100, 200, 1000):
@@ -320,7 +326,8 @@ class TestWorkerProcesses:
 
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
-        # 2,000 trials: four blocks of 500, the last two in a forked worker
+        # 2,000 trials: two groups of 1,000, the second in a forked worker;
+        # each runs a probe of 62 trials, then blocks of 500 and 438
         monkeypatch.setattr(workers, "worker_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 500)
 
@@ -356,11 +363,11 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize(
         "failure, message",
-        [("raise", "RuntimeError: block at trial 1500 failed"), ("signal", "died by signal 9")],
+        [("raise", "RuntimeError: block at trial 1562 failed"), ("signal", "died by signal 9")],
     )
     def test_worker_failure_raises_in_the_caller(self, failure, message, monkeypatch):
         def before(lo, in_worker):
-            if lo == 1500 and in_worker:
+            if lo == 1562 and in_worker:  # the worker's last block
                 if failure == "raise":
                     raise RuntimeError(f"block at trial {lo} failed")
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -374,7 +381,7 @@ class TestWorkerProcesses:
         def before(lo, in_worker):
             if in_worker:
                 time.sleep(30)  # would outlast the run unless killed
-            elif lo == 500:  # the caller's second block
+            elif lo == 62:  # the caller's second block, after its probe
                 raise KeyboardInterrupt
 
         self.patch_block(monkeypatch, before)
@@ -485,16 +492,17 @@ class TestStreamContract:
 
     @pytest.mark.usefixtures("one_process")
     def test_x1_zero_redraw_in_a_lazy_block(self, monkeypatch):
-        """Trial 524 sits in the second block, which draws heads, and runs past its head."""
+        """Trial 524 sits in the block of heads after the probe, and runs past its head."""
         pair = InvariantModelPair.scale(PointMass(0.5))
-        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)
-        before = run_trials(pair, 1, 1.3, CORRIDOR, 1024, seed=2)
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # a probe of 64, then a block of 512
+        before = run_trials(pair, 1, 1.3, CORRIDOR, 576, seed=2)
         shapes = spy_buffers(monkeypatch)
         self.patch_trial(monkeypatch, 524, [-0.5])  # x_1 = 1.3 * (0.5 - 0.5) = 0
-        after = run_trials(pair, 1, 1.3, CORRIDOR, 1024, seed=2)
-        (_, full), (rows, head), (survivors, replayed) = shapes
-        assert rows == 512 and head < full == replayed == CORRIDOR.cap and survivors < rows
-        others = np.arange(1024) != 524
+        after = run_trials(pair, 1, 1.3, CORRIDOR, 576, seed=2)
+        (probe, full), (rows, head), (survivors, replayed) = shapes
+        assert probe == 64 and rows == 512
+        assert head < full == replayed == CORRIDOR.cap and survivors < rows
+        others = np.arange(576) != 524
         assert stops(after, others) == stops(before, others)
         expected = self.reference_stop(pair, 1, 1.3, CORRIDOR, 2, 524, lead=[-0.5])
         assert stops(after, [524]) == [expected]
@@ -530,21 +538,46 @@ LAZY_RUNS = {
 
 
 class TestLazyDraws:
-    """Blocks after a run's first draw row heads; trials running past them replay to the cap."""
+    """A segment's blocks after its probe draw row heads; trials running past them replay.
+
+    A segment starts with a probe of ``block // LAZY_TAIL`` trials drawn to
+    the cap.
+    """
 
     @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("run, full", LAZY_RUNS.values(), ids=LAZY_RUNS.keys())
     def test_later_blocks_draw_heads_then_replay(self, run, full, monkeypatch):
-        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # four blocks
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # a probe of 64, then four blocks
         shapes = spy_buffers(monkeypatch)
         records = run()
-        assert shapes[0] == (512, full)
+        assert shapes[0] == (64, full)
         later = shapes[1:]
-        assert len(later) == 6
+        assert len(later) == 8
+        assert [rows for rows, _ in later[::2]] == [512, 512, 512, 448]
         for (rows, head), (survivors, replayed) in zip(later[::2], later[1::2]):
-            assert rows == 512 and head < full and replayed == full and 0 < survivors < rows
+            assert head < full and replayed == full and 0 < survivors < rows
         monkeypatch.setattr(montecarlo, "_run_block", run_block_per_step)
         assert records == run()
+
+    @pytest.mark.usefixtures("one_process")
+    def test_a_probe_takes_at_least_one_trial(self, monkeypatch):
+        expected = run_trials(CAUCHY, 0, 1.3, CORRIDOR, 15, seed=5)
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 4)  # 4 // LAZY_TAIL is 0
+        blocks = spy_blocks(monkeypatch)
+        assert run_trials(CAUCHY, 0, 1.3, CORRIDOR, 15, seed=5) == expected
+        assert blocks == [1, 4, 4, 4, 2]
+
+    @pytest.mark.usefixtures("one_process")
+    @pytest.mark.parametrize("run", [
+        lambda: run_trials(CAUCHY, 0, 1.3, CORRIDOR, 10_000, seed=5),
+        lambda: run_trials(CAUCHY, 1, 1.3, CORRIDOR, 10_000, seed=5),
+        lambda: run_marginal_trials_many(CAUCHY, [(1, [0.8], CORRIDOR)], 10_000, seed=5)[0],
+    ], ids=["h0", "h1", "marginal-h1"])
+    def test_records_equal_at_block_sizes_512_and_8192(self, run, monkeypatch):
+        assert montecarlo.BLOCK_SIZE == 8192  # a probe of 1,024, then 8,192 and 784
+        expected = run()
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # a probe of 64, then blocks of 512
+        assert run() == expected
 
     @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize(
@@ -555,14 +588,15 @@ class TestLazyDraws:
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)
         shapes = spy_buffers(monkeypatch)
         run_trials(CAUCHY, k, 1.0, rule, 2048, seed=3)
-        assert shapes == [(512, rule.cap + 2 * k)] * 4
+        full = rule.cap + 2 * k
+        assert shapes == [(64, full)] + [(512, full)] * 3 + [(448, full)]
 
     @staticmethod
     def head(cap, stops):
         return montecarlo._lazy_head(np.bincount(np.array(stops, dtype=np.int64), minlength=cap + 1))
 
     def test_head_is_the_first_chunk_end_with_few_trials_running(self):
-        assert self.head(100, []) == 100  # a fresh run draws in full
+        assert self.head(100, []) == 100  # a probe draws in full
         assert self.head(100, [2] * 8) == 9
         assert self.head(100, [2] * 7 + [100]) == 9  # 1 in 8 still running
         assert self.head(100, [2] * 6 + [100] * 2) == 100  # 1 in 4 until the cap

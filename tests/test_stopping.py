@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,43 @@ class TestRuleFromParams:
     def test_string_params_and_absent_lower(self):
         rule = rule_from_params("bf_threshold", cap=10, upper="5", lower="")
         assert rule == BfThreshold(upper=5.0, lower=None, cap=10)
+
+    @pytest.mark.parametrize("n", [8.5, 8.0, True], ids=["fraction", "float", "bool"])
+    def test_a_non_integer_n_is_refused_not_truncated(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            rule_from_params("fixed-n", cap=10, n=n)
+
+    def test_cap_must_be_an_integer(self):
+        assert rule_from_params("fixed-n", cap=np.int64(10), n=np.int32(8)) == FixedN(n=8, cap=10)
+        for cap in ["12", 12.5]:
+            with pytest.raises(ValueError, match=f"^cap must be an integer, got {cap!r}$"):
+                rule_from_params("bf-threshold", cap=cap, upper=20)
+
+
+class TestIntegerFields:
+    """A rule's cap, and FixedN's n, must be integers: a float or a bool is refused."""
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: FixedN(n=8.5, cap=10), "n must be an integer, got 8.5"),
+            (lambda: FixedN(n=True, cap=10), "n must be an integer, got True"),
+            (lambda: FixedN(n=8.0), "n must be an integer, got 8.0"),
+            (lambda: SumOfSquares(20.0, cap=12.5), "cap must be an integer, got 12.5"),
+            (lambda: BfThreshold(upper=20.0, cap=10.9), "cap must be an integer, got 10.9"),
+            (lambda: BfThreshold(upper=20.0, cap=True), "cap must be an integer, got True"),
+            (lambda: RawStatistic(statistic=sum, threshold=1.0, cap=np.float64(10.0)),
+             f"cap must be an integer, got {np.float64(10.0)!r}"),
+        ],
+        ids=["fixed-n-fraction", "fixed-n-bool", "fixed-n-float-cap-default", "sum-squares",
+             "bf-threshold", "bf-threshold-bool", "raw-numpy-float"],
+    )
+    def test_refused(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        assert FixedN(n=np.int64(8), cap=np.int32(10)) == FixedN(n=8, cap=10)
 
 
 class TestCheckInvariance:
