@@ -16,7 +16,7 @@ row, and under it the first failing test, or why the row is stale:
 
 Exit status 1 if any row is stale, else 0; a survivor is reported, not a
 failure.  The working tree is never modified.  Not part of the tier-1
-suite; the whole table of 47 rows took 161 s on a 2-vCPU Xeon host.
+suite; the whole table of 51 rows took 149 s on a 2-vCPU Xeon host.
 
     python scripts/mutants.py
 """
@@ -33,6 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "scripts", "pyproject.toml")
 TIME_LIMIT_S = 300
 
+INIT = "src/optstop/__init__.py"
 EXACT = "src/optstop/exact.py"
 WORKERS = "src/optstop/workers.py"
 CLI = "src/optstop/cli.py"
@@ -40,6 +41,7 @@ MONTECARLO = "src/optstop/montecarlo.py"
 MODELS = "src/optstop/models.py"
 STOPPING = "src/optstop/stopping.py"
 TEST_WORKERS = "tests/test_workers.py"
+TEST_CLI = "tests/test_cli.py"
 TEST_EXACT = "tests/test_exact.py"
 TEST_MONTECARLO = "tests/test_montecarlo.py"
 TEST_STOPPING = "tests/test_stopping.py"
@@ -57,16 +59,48 @@ MUTANTS = [
     (
         "_prepare without its shape check",
         EXACT,
-        "        if p.shape != (len(comps), self.alphabet_size):\n            raise wrong_shape\n",
+        "        if p.ndim != 2 or p.shape[1] != self.alphabet_size:\n            raise wrong_shape\n",
         "",
         [f"{TEST_EXACT}::TestModelValidation"],
     ),
     (
-        "_prepare lets a component that numpy cannot read raise as itself",
+        "_prepare lets masses that numpy cannot read raise as themselves",
         EXACT,
-        "except (TypeError, ValueError) as exc:",
+        "except (TypeError, ValueError) as exc:  # not numbers, or rows of unequal length",
         "except ValueError as exc:",
         [f"{TEST_EXACT}::TestModelValidation"],
+    ),
+    # the finite model: two arrays per hypothesis
+    (
+        "_prepare without the masses' full-support check",
+        EXACT,
+        "        if np.any(p <= 0.0):\n"
+        '            raise ValueError("full support required: zero conditional mass found")\n',
+        "",
+        [f"{TEST_EXACT}::TestModelValidation::test_last_bad_component_of_many_is_reported"],
+    ),
+    (
+        "_prepare without the weights' unit-sum check",
+        EXACT,
+        "        if abs(total - 1.0) > _PROB_TOL:\n"
+        '            raise ValueError(f"{name} prior weights sum to {total}, expected 1")\n',
+        "",
+        [f"{TEST_EXACT}::TestModelValidation::test_weights_sum_to_one_to_within_the_tolerance"],
+    ),
+    (
+        "the Bernoulli builder's rows are [theta, 1 - theta]",
+        EXACT,
+        "masses1=np.stack([1.0 - thetas, thetas], axis=1)",
+        "masses1=np.stack([thetas, 1.0 - thetas], axis=1)",
+        [f"{TEST_EXACT}::TestModelArrays::test_bernoulli_builder_equals_a_per_atom_oracle"],
+    ),
+    (
+        "import optstop leaves OpenBLAS its default thread pool",
+        INIT,
+        'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n',
+        "",
+        [f"{TEST_CLI}::TestEntryPoint::test_import_sets_one_blas_thread_unless_the_caller_did",
+         f"{TEST_CLI}::TestEntryPoint::test_exact_outputs_do_not_depend_on_blas_threads"],
     ),
     (
         "_grow reads H1's matrix for H0",

@@ -12,6 +12,16 @@ enumeration (`optstop.exact`), group-invariant models by Monte Carlo
 (`optstop.montecarlo`).
 """
 
+import os
+
+# Before anything imports numpy: one BLAS thread.  An exact node's mixture
+# mass is a BLAS dot product over the prior's atoms, which OpenBLAS splits
+# over its thread pool above 10,000 atoms; the pool's size follows the CPU
+# count, and so would the last bit of every such mass.  optstop runs in
+# parallel over processes, never BLAS threads.  A caller's own setting wins,
+# and a program that imports numpy before optstop must set it itself.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .core import (
     NEVER,
     BfTrajectory,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
@@ -42,7 +42,7 @@ from .stopping import BfThreshold, FixedN, RawStatistic, StoppingRule
 Prefix = Tuple[int, ...]
 
 _PROB_TOL = 1e-9
-MAX_PRIOR_GRID = 10**6  # uniform-prior atoms: about 0.3 GB of component objects at the limit
+MAX_PRIOR_GRID = 10**6  # uniform-prior atoms: about 24 MB of weights and masses at the limit
 # build_table splits a tree over processes only into groups of at least
 # _SPLIT_CELLS cells, (H0 + H1 components + _NODE_CELLS) x K^cap: a node's
 # products and dot products over the components, plus its fixed cost (the
@@ -93,61 +93,72 @@ def _cdf(p: np.ndarray) -> np.ndarray:
     return cdf / cdf[..., -1:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteModel:
     """Two hypotheses on sequences over a finite alphabet.
 
-    Each hypothesis is a prior-weighted mixture of i.i.d. components; a
-    component is the distribution of every symbol, K probabilities in
-    any sequence numpy reads.  Full support is required: every
-    probability must be strictly positive.  The components are validated
-    together at construction and kept as one (components x alphabet)
-    matrix per hypothesis.
+    Each hypothesis is a prior-weighted mixture of C i.i.d. components,
+    given as two arrays in any form numpy reads: ``weights`` of shape
+    (C,) and ``masses`` of shape (C x K), row c the distribution of every
+    symbol under component c.  Full support is required: every mass must
+    be strictly positive.  Both arrays are checked in whole-array
+    operations and copied once at construction; the model keeps only
+    those copies, read-only, and no object per component.
     """
 
     alphabet_size: int
     horizon: int
-    components0: Tuple[Tuple[float, Sequence[float]], ...]
-    components1: Tuple[Tuple[float, Sequence[float]], ...]
+    weights0: InitVar[Sequence[float]]
+    masses0: InitVar[Sequence[Sequence[float]]]
+    weights1: InitVar[Sequence[float]]
+    masses1: InitVar[Sequence[Sequence[float]]]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, weights0, masses0, weights1, masses1) -> None:
         if self.alphabet_size < 2:
             raise ValueError("alphabet must have at least two symbols")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        mixtures = []
-        for name, comps in (("H0", self.components0), ("H1", self.components1)):
-            if not comps:
-                raise ValueError(f"{name} needs at least one component")
-            if not all(0 < w < math.inf for w, _ in comps):  # NaN fails too
-                raise ValueError("prior weights must be positive and finite")
-            total = math.fsum(w for w, _ in comps)
-            if abs(total - 1.0) > _PROB_TOL:
-                raise ValueError(f"{name} prior weights sum to {total}, expected 1")
-            mixtures.append(self._prepare(comps))
-        object.__setattr__(self, "_mixtures", tuple(mixtures))
+        mixtures = (
+            self._prepare("H0", weights0, masses0),
+            self._prepare("H1", weights1, masses1),
+        )
+        object.__setattr__(self, "_mixtures", mixtures)
 
-    def _prepare(self, comps) -> _Mixture:
-        """Every component's masses as one matrix, checked: full support, unit sums."""
+    def _prepare(self, name: str, weights, masses) -> _Mixture:
+        """One hypothesis's arrays, copied and checked: weights summing to 1, full-support rows."""
+        try:
+            w = np.array(weights, dtype=float)
+        except (TypeError, ValueError) as exc:  # not numbers, or a ragged sequence
+            raise ValueError("prior weights must be positive and finite") from exc
+        if w.ndim != 1:
+            raise ValueError(f"{name} prior weights must be a vector, got shape {w.shape}")
+        if not len(w):
+            raise ValueError(f"{name} needs at least one component")
+        if not np.all((w > 0.0) & (w < math.inf)):  # NaN fails too
+            raise ValueError("prior weights must be positive and finite")
+        total = math.fsum(memoryview(w))
+        if abs(total - 1.0) > _PROB_TOL:
+            raise ValueError(f"{name} prior weights sum to {total}, expected 1")
         wrong_shape = ValueError(f"conditional must have {self.alphabet_size} entries")
         try:
-            p = np.array([cond for _, cond in comps], dtype=float)
+            # column-major, so that the transpose kept below is C-contiguous without a copy
+            p = np.array(masses, dtype=float, order="F")
         except (TypeError, ValueError) as exc:  # not numbers, or rows of unequal length
             raise wrong_shape from exc
-        if p.shape != (len(comps), self.alphabet_size):
+        if p.ndim != 2 or p.shape[1] != self.alphabet_size:
             raise wrong_shape
+        if len(p) != len(w):
+            raise ValueError(f"{name} has {len(w)} prior weights but {len(p)} rows of masses")
         if not np.all(np.isfinite(p)):
             raise ValueError("conditional masses must be finite")
         if np.any(p <= 0.0):
             raise ValueError("full support required: zero conditional mass found")
-        sums = p.sum(axis=1)
-        off = np.abs(sums - 1.0) > _PROB_TOL
-        if np.any(off):
-            raise ValueError(f"conditional masses sum to {float(sums[off][0])}, expected 1")
-        return _Mixture(
-            weights=_read_only(np.array([w for w, _ in comps], dtype=float)),
-            by_symbol=_read_only(np.ascontiguousarray(p.T)),
-        )
+        dev = p.sum(axis=1)  # each row's distance from a unit sum, in one (C,) buffer
+        dev -= 1.0
+        off = np.flatnonzero(np.abs(dev, out=dev) > _PROB_TOL)
+        if len(off):
+            raise ValueError(f"conditional masses sum to {float(p[off[0]].sum())}, expected 1")
+        return _Mixture(weights=_read_only(w), by_symbol=_read_only(p).T)
 
     def _mixture(self, k: int) -> _Mixture:
         """Hypothesis k's mixture; ``ValueError`` unless k is 0 or 1."""
@@ -180,9 +191,14 @@ class FiniteModel:
                 f"prior grid {grid} exceeds the budget of {MAX_PRIOR_GRID} atoms"
             )
         thetas = (np.arange(grid) + 0.5) / grid
-        c1 = tuple((1.0 / grid, row) for row in np.stack([1.0 - thetas, thetas], axis=1))
-        c0 = ((1.0, np.array([1.0 - theta0, theta0])),)
-        return cls(alphabet_size=2, horizon=horizon, components0=c0, components1=c1)
+        return cls(
+            alphabet_size=2,
+            horizon=horizon,
+            weights0=[1.0],
+            masses0=[[1.0 - theta0, theta0]],
+            weights1=np.full(grid, 1.0 / grid),
+            masses1=np.stack([1.0 - thetas, thetas], axis=1),
+        )
 
 
 def _as_sequences(model: FiniteModel, seqs) -> np.ndarray:
@@ -541,19 +557,15 @@ def random_finite_model(
     k = int(rng.integers(2, max_alphabet + 1))
     horizon = int(rng.integers(2, max_horizon + 1))
 
-    def components() -> Tuple[Tuple[float, np.ndarray], ...]:
+    def mixture() -> Tuple[np.ndarray, np.ndarray]:
         count = int(rng.integers(1, max_components + 1))
         weights = rng.dirichlet(np.ones(count) * 2.0)
-        out = []
-        for w in weights:
-            p = rng.dirichlet(np.ones(k))
-            p = (p + min_prob) / (1.0 + k * min_prob)
-            out.append((float(w), p))
-        return tuple(out)
+        masses = rng.dirichlet(np.ones(k), size=count)  # the draws of one call per row
+        return weights, (masses + min_prob) / (1.0 + k * min_prob)
 
-    return FiniteModel(
-        alphabet_size=k, horizon=horizon, components0=components(), components1=components()
-    )
+    weights0, masses0 = mixture()
+    weights1, masses1 = mixture()
+    return FiniteModel(k, horizon, weights0, masses0, weights1, masses1)
 
 
 def random_rule(rng: np.random.Generator, horizon: int) -> StoppingRule:

@@ -139,8 +139,10 @@ LAZY_TAIL = 8
 # one run's columns from its groups' parts it holds up to twice that run's
 # bytes, and a forked group's share passes through its unnamed temporary file
 RECORD_BUDGET_BYTES = 2**30
-# (trials x components) likelihood cells per finite-model chunk: 8 MB of doubles
-FINITE_CHUNK_CELLS = 2**20
+# (trials x components) likelihood cells per finite-model chunk: each of the
+# two slabs of exact._prefix_masses (running likelihoods, next factors) holds
+# at most 512 KB of doubles
+FINITE_CHUNK_CELLS = 2**16
 DEFAULT_BINS = 30
 BIN_PASS_FRACTION = 0.93
 MAX_BIN_WIDTH = 0.2  # nats; see estimate_strong_calibration

@@ -1,5 +1,7 @@
 import os
 
+# optstop before numpy, so that its one-BLAS-thread default holds in this process too
+import optstop  # noqa: F401
 import numpy as np
 import pytest
 

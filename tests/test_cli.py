@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -525,6 +526,15 @@ def child_env(**extra):
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+def blas_env(threads):
+    """``child_env()`` with OPENBLAS_NUM_THREADS unset, or set to ``threads``."""
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return env
+
+
 def run_python(*args):
     """A child interpreter on ``args`` that imports optstop from this checkout's src/."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=child_env())
@@ -541,6 +551,42 @@ class TestEntryPoint:
         proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("kind", ["exact-calibration", "exact-expectation"])
+    def test_exact_outputs_do_not_depend_on_blas_threads(self, kind, tmp_path):
+        """Same bytes with OpenBLAS left to its default pool and with one thread.
+
+        At 10,001 atoms a node's H1 mass is a dot product that OpenBLAS
+        splits over its pool, so on a host of 2 or more CPUs the last bits
+        followed the pool's size until the package fixed it at one thread.
+        """
+        bundled = os.path.join(SCRIPTS, "configs", kind.replace("-", "_") + ".cfg")
+        with open(bundled) as fh:
+            text = fh.read()
+        for key, value in (("horizon", 6), ("rule_cap", 6), ("prior_grid", 10_001)):
+            text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(text)
+        outs = []
+        for threads in (None, "1"):
+            out = tmp_path / f"threads-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "optstop.cli", kind, "--config", str(cfg), "--seed", "3",
+                 "--out", str(out)],
+                capture_output=True, text=True, env=blas_env(threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        for name in ("records.csv", "summary.json", "verdict.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("setting, seen", [(None, "1"), ("2", "2")], ids=["unset", "caller"])
+    def test_import_sets_one_blas_thread_unless_the_caller_did(self, setting, seen):
+        code = "import os, optstop; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=blas_env(setting))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == seen
 
     def test_evidence_needs_no_scipy(self):
         # scipy is a test dependency only: every Bayes factor and marginal

@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,61 +67,130 @@ def log_beta_by_masses(model, x):
     return math.log(marginal_mass(model, 1, x)) - math.log(marginal_mass(model, 0, x))
 
 
-def two_symbol_model(components0, components1):
-    return FiniteModel(
-        alphabet_size=2, horizon=4, components0=tuple(components0), components1=tuple(components1)
-    )
+FAIR = [0.5, 0.5]
+
+
+def two_symbol_model(weights0, masses0, weights1, masses1):
+    return FiniteModel(2, 4, weights0, masses0, weights1, masses1)
 
 
 class TestModelValidation:
     GRID = 10_000
 
-    def grid_model(self, last):
-        comps = [(1.0 / self.GRID, np.array([0.5, 0.5]))] * (self.GRID - 1)
-        comps.append((1.0 / self.GRID, np.asarray(last, dtype=float)))
-        return two_symbol_model([(1.0, np.array([0.5, 0.5]))], comps)
+    def grid_model(self, last, form):
+        """The uniform grid model whose H1 masses end in the row ``last``.
 
+        ``form`` "rows" passes the masses as a list of rows, "array" as one
+        (GRID x 2) array.
+        """
+        if form == "rows":
+            masses = [FAIR] * (self.GRID - 1) + [last]
+        else:
+            masses = np.full((self.GRID, 2), 0.5)
+            masses[-1] = last
+        return two_symbol_model([1.0], [FAIR], np.full(self.GRID, 1.0 / self.GRID), masses)
+
+    @pytest.mark.parametrize("form", ["rows", "array"])
     @pytest.mark.parametrize(
         "last, message",
         [
-            ([0.2, 0.3, 0.5], "conditional must have 2 entries"),
             ([0.0, 1.0], "full support required: zero conditional mass found"),
+            ([-0.5, 1.5], "full support required: zero conditional mass found"),
             ([0.5, 0.6], r"conditional masses sum to 1\.1\d*, expected 1"),
             ([math.nan, 0.5], "conditional masses must be finite"),
             ([math.inf, 0.5], "conditional masses must be finite"),
         ],
+        ids=["zero", "negative", "sum", "nan", "inf"],
     )
-    def test_last_bad_component_of_many_is_reported(self, last, message):
+    def test_last_bad_component_of_many_is_reported(self, last, message, form):
         with pytest.raises(ValueError, match=message):
-            self.grid_model(last)
+            self.grid_model(last, form)
+
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            [FAIR] * (GRID - 1) + [[0.2, 0.3, 0.5]],
+            [FAIR] * (GRID - 1) + [[1.0]],
+            np.full((GRID, 3), 1.0 / 3.0),
+            np.full((GRID, 1), 1.0),
+            np.full(GRID, 0.5),
+            np.full((GRID, 2, 1), 0.5),
+        ],
+        ids=["ragged-long", "ragged-short", "wide", "narrow", "vector", "three-axes"],
+    )
+    def test_ragged_or_wrong_width_masses_are_refused(self, masses):
+        weights = np.full(self.GRID, 1.0 / self.GRID)
+        with pytest.raises(ValueError, match="^conditional must have 2 entries$"):
+            two_symbol_model([1.0], [FAIR], weights, masses)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.0])
     def test_non_finite_or_nonpositive_weight_rejected(self, bad):
-        fair = np.array([0.5, 0.5])
-        for comps in ([(bad, fair)], [(bad, fair), (1.0, fair)]):
+        last_of_many = np.full(self.GRID, 1.0 / self.GRID)
+        last_of_many[-1] = bad
+        for weights in ([bad], [bad, 1.0], last_of_many):
+            masses = np.full((len(weights), 2), 0.5)
             with pytest.raises(ValueError, match="prior weights must be positive and finite"):
-                two_symbol_model([(1.0, fair)], comps)
+                two_symbol_model([1.0], [FAIR], weights, masses)
+
+    def test_weights_sum_to_one_to_within_the_tolerance(self):
+        """``math.fsum`` of the weights: exact, whatever the count and order."""
+        weights = np.full(self.GRID, 1.0 / self.GRID)
+        masses = np.full((self.GRID, 2), 0.5)
+        two_symbol_model([1.0], [FAIR], weights, masses)
+        weights[0] += 2e-9
+        with pytest.raises(ValueError, match=r"^H1 prior weights sum to 1\.000000002\d*, expected 1$"):
+            two_symbol_model([1.0], [FAIR], weights, masses)
+        with pytest.raises(ValueError, match=r"^H0 prior weights sum to 0\.5, expected 1$"):
+            two_symbol_model([0.5], [FAIR], [1.0], [FAIR])
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([], "^H1 needs at least one component$"),
+            (1.0, r"^H1 prior weights must be a vector, got shape \(\)$"),
+            ([[1.0]], r"^H1 prior weights must be a vector, got shape \(1, 1\)$"),
+            ([0.5, 0.5], "^H1 has 2 prior weights but 1 rows of masses$"),
+            (["a"], "^prior weights must be positive and finite$"),
+        ],
+        ids=["empty", "scalar", "matrix", "count", "not-numbers"],
+    )
+    def test_weights_that_are_not_one_per_row_are_refused(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            two_symbol_model([1.0], [FAIR], weights, [FAIR])
 
     def test_non_finite_mass_rejected_on_both_hypotheses(self):
         with pytest.raises(ValueError, match="must be finite"):
-            two_symbol_model([(1.0, np.array([math.nan, 0.5]))], [(1.0, np.array([0.5, 0.5]))])
+            two_symbol_model([1.0], [[math.nan, 0.5]], [1.0], [FAIR])
 
     def test_valid_grid_model_is_iid(self):
-        model = self.grid_model([0.5, 0.5])
+        model = self.grid_model(FAIR, "array")
         assert model.cond_matrix(1).shape == (self.GRID, 2)
+
+    def test_the_model_keeps_read_only_copies(self):
+        """The caller's arrays are copied: writing to them later leaves the model as built."""
+        weights, masses = np.array([0.25, 0.75]), np.array([[0.5, 0.5], [0.1, 0.9]])
+        model = two_symbol_model([1.0], [FAIR], weights, masses)
+        weights[0], masses[0, 0] = 0.0, 0.0
+        assert model.weights(1).tolist() == [0.25, 0.75]
+        assert model.cond_matrix(1).tolist() == [[0.5, 0.5], [0.1, 0.9]]
+        for read in (model.weights(1), model.cond_matrix(1)):
+            with pytest.raises(ValueError, match="read-only"):
+                read[0] = 1.0
 
     @staticmethod
     def three_symbol_model(form):
         return FiniteModel(
             alphabet_size=3,
             horizon=6,
-            components0=((1.0, form([0.2, 0.3, 0.5])),),
-            components1=((0.25, form([0.6, 0.3, 0.1])), (0.75, form([0.1, 0.1, 0.8]))),
+            weights0=form([1.0]),
+            masses0=form([form([0.2, 0.3, 0.5])]),
+            weights1=form([0.25, 0.75]),
+            masses1=form([form([0.6, 0.3, 0.1]), form([0.1, 0.1, 0.8])]),
         )
 
     @pytest.mark.parametrize("form", [list, tuple])
     def test_a_sequence_component_is_its_array(self, form, tmp_path):
-        """A list or tuple of masses builds the ndarray form's table bytes and masses."""
+        """Lists or tuples of masses build the ndarray form's table bytes and masses."""
         model, reference = self.three_symbol_model(form), self.three_symbol_model(np.array)
         rule = BfThreshold(upper=4.0, lower=0.25, cap=6)
         build_table(model, rule).to_csv(tmp_path / "seq.csv")
@@ -138,10 +208,65 @@ class TestModelValidation:
         ids=["callable", "one-entry", "three-entries", "matrix", "scalar", "string"],
     )
     def test_a_component_that_is_not_k_masses_is_refused(self, bad):
-        fair = [0.5, 0.5]
-        for comps0, comps1 in (([(1.0, fair)], [(1.0, bad)]), ([(1.0, bad)], [(1.0, fair)])):
+        for masses0, masses1 in (([FAIR], [bad]), ([bad], [FAIR])):
             with pytest.raises(ValueError, match="conditional must have 2 entries"):
-                two_symbol_model(comps0, comps1)
+                two_symbol_model([1.0], masses0, [1.0], masses1)
+
+
+def atom_oracle(grid, theta0=0.5):
+    """The uniform-prior Bernoulli model's arrays, built one atom at a time in Python floats."""
+    weights1 = [1.0 / grid for _ in range(grid)]
+    masses1 = []
+    for i in range(grid):
+        theta = (i + 0.5) / grid
+        masses1.append([1.0 - theta, theta])
+    return ([1.0], [[1.0 - theta0, theta0]]), (weights1, masses1)
+
+
+class TestModelArrays:
+    @pytest.mark.parametrize("grid", [2, 500, 10_000])
+    def test_bernoulli_builder_equals_a_per_atom_oracle(self, grid):
+        """Weights, masses and sampling CDFs, bit for bit."""
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=4, grid=grid)
+        for k, (weights, masses) in enumerate(atom_oracle(grid)):
+            assert model.weights(k).tolist() == weights
+            assert model.cond_matrix(k).tolist() == masses
+            weight_cdf, symbol_cdf = model._mixture(k).cdfs
+            p = np.array(weights) / np.sum(weights)
+            assert weight_cdf.tolist() == (np.cumsum(p) / np.cumsum(p)[-1]).tolist()
+            for row, cdf in zip(masses, symbol_cdf):
+                q = np.array(row) / np.sum(row)
+                assert cdf.tolist() == (np.cumsum(q) / np.cumsum(q)[-1]).tolist()
+
+    def test_random_models_are_those_of_the_per_row_draws(self):
+        """sha256 of 20 seeded models' arrays and each generator's next draws.
+
+        Pinned when each row of masses was drawn by its own ``rng.dirichlet``
+        call and kept as a (weight, row) pair.
+        """
+        digest = hashlib.sha256()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            model = random_finite_model(rng, max_alphabet=5, max_components=4)
+            digest.update(repr((model.alphabet_size, model.horizon)).encode())
+            for k in (0, 1):
+                digest.update(np.ascontiguousarray(model.weights(k)).tobytes())
+                digest.update(np.ascontiguousarray(model.cond_matrix(k)).tobytes())
+            digest.update(rng.random(2).tobytes())
+        assert digest.hexdigest() == (
+            "705f95d5f4ba6eb3700abb0c6e1315c4a81702a86ad0bf424331f374bc8c28de"
+        )
+
+    def test_a_large_build_holds_no_per_atom_objects(self):
+        """10^5 atoms peak below 8 MB of traced allocations: 2.4 MB of arrays and their checks."""
+        tracemalloc.start()
+        try:
+            model = FiniteModel.bernoulli_point_vs_uniform(horizon=4, grid=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.weights(1).shape == (100_000,)
+        assert peak < 8 * 2**20
 
 
 class TestBuildTable:
@@ -184,8 +309,7 @@ class TestBuildTable:
 
 class TestVerifiers:
     def test_identical_hypotheses_single_unit_group(self):
-        comp = ((1.0, np.array([0.4, 0.6])),)
-        model = FiniteModel(alphabet_size=2, horizon=6, components0=comp, components1=comp)
+        model = FiniteModel(2, 6, [1.0], [[0.4, 0.6]], [1.0], [[0.4, 0.6]])
         table = build_table(model, BfThreshold(upper=2.0, cap=6))
         report = verify_calibration(table, tol=1e-12)
         assert report.passed
@@ -204,8 +328,7 @@ class TestVerifiers:
         assert chk.bound_holds
 
     def test_markov_identical_hypotheses_zero_probability(self):
-        comp = ((1.0, np.array([0.5, 0.5])),)
-        model = FiniteModel(alphabet_size=2, horizon=8, components0=comp, components1=comp)
+        model = FiniteModel(2, 8, [1.0], [FAIR], [1.0], [FAIR])
         for alpha in (0.05, 0.5):
             table = build_table(model, BfThreshold(upper=1.0 / alpha, cap=8))
             (chk,) = verify_markov_bound(table, [SignificanceLevel(alpha)])
@@ -241,8 +364,7 @@ class TestVerifiers:
             assert chk.probability == expected.probability
 
     def test_expected_stopped_bf_identical_hypotheses(self):
-        comp = ((1.0, np.array([0.3, 0.7])),)
-        model = FiniteModel(alphabet_size=2, horizon=5, components0=comp, components1=comp)
+        model = FiniteModel(2, 5, [1.0], [[0.3, 0.7]], [1.0], [[0.3, 0.7]])
         table = build_table(model, FixedN(n=5, cap=5))
         assert verify_expected_stopped_bf(table) == pytest.approx(1.0, abs=1e-14)
 
@@ -268,10 +390,9 @@ def sample_sequence_by_choice(model, k, rng):
     """Reference sampler: one ``rng.choice`` per component and per symbol."""
     weights = model.weights(k)
     comp = int(rng.choice(len(weights), p=weights / weights.sum()))
-    cond = (model.components0 if k == 0 else model.components1)[comp][1]
+    p = model.cond_matrix(k)[comp]
     out = []
     for _ in range(model.horizon):
-        p = np.asarray(cond, dtype=float)
         out.append(int(rng.choice(model.alphabet_size, p=p / p.sum())))
     return tuple(out)
 

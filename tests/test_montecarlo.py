@@ -815,6 +815,20 @@ class TestFiniteCrossCheck:
             assert trajectory_finite(model, seq).log_beta == tuple(row.tolist())
             assert record.stopped_log_beta == row[record.stop_index - 1]
 
+    @pytest.mark.parametrize("grid", [500, 10_000])
+    def test_records_equal_at_the_old_and_new_chunk_sizes(self, grid, monkeypatch):
+        """2^20 cells per chunk (8 MB slabs) and 2^16 (512 KB) give the same records."""
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=8, grid=grid)
+        rule = BfThreshold(upper=3.0, lower=0.5, cap=8)
+        n_trials = 2**20 // grid + 7  # past the first 2^20-cell chunk
+        records = []
+        for cells in (2**20, 2**16):
+            monkeypatch.setattr(montecarlo, "FINITE_CHUNK_CELLS", cells)
+            assert montecarlo._finite_chunk(model) == cells // grid
+            records.append(run_trials_finite(model, 0, rule, n_trials, seed=5))
+        assert records[0] == records[1]
+        assert len(records[0]) == n_trials
+
     @pytest.mark.parametrize("n_trials", [0, 10])
     def test_a_bad_hypothesis_index_is_refused_before_any_draw(self, n_trials, monkeypatch):
         def draw(*args):

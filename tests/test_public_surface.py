@@ -60,6 +60,8 @@ REMOVED = [
     (core.BfTrajectory, "start"),  # always 1
     (exact, "Conditional"),  # a component is K masses
     (exact.FiniteModel, "_conditional"),
+    (exact.FiniteModel, "components0"),  # weights(k) and cond_matrix(k)
+    (exact.FiniteModel, "components1"),
     (models.InvariantModelPair, "log_bf_from_stats"),  # pair.effect_prior.log_bf_stats
     # PointMass(0.0).posterior_state(x1, rng), the engine's draw under H0
     (models.InvariantModelPair, "sample_posterior_g_given_initial"),
