@@ -16,7 +16,7 @@ row, and under it the first failing test, or why the row is stale:
 
 Exit status 1 if any row is stale, else 0; a survivor is reported, not a
 failure.  The working tree is never modified.  Not part of the tier-1
-suite; the whole table of 51 rows took 149 s on a 2-vCPU Xeon host.
+suite; the whole table of 53 rows took 123 s on a 2-vCPU Xeon host.
 
     python scripts/mutants.py
 """
@@ -398,9 +398,25 @@ MUTANTS = [
     (
         "the probe is a full block",
         MONTECARLO,
-        "lo + max(run.block // LAZY_TAIL, 1)",
-        "lo + run.block",
+        "size = max(run.block // LAZY_TAIL, 1)",
+        "size = run.block",
         [f"{TEST_MONTECARLO}::TestLazyDraws::test_later_blocks_draw_heads_then_replay"],
+    ),
+    # full rows in blocks of FULL_BLOCK_SIZE, read a few cells at a time
+    (
+        "full-row blocks hold BLOCK_SIZE trials",
+        MONTECARLO,
+        "else min(run.block, FULL_BLOCK_SIZE)",
+        "else run.block",
+        [f"{TEST_MONTECARLO}::TestLazyDraws::"
+         "test_full_rows_are_drawn_full_block_size_trials_at_a_time"],
+    ),
+    (
+        "a small read's recurrence adds c0 * 2u to c1",
+        MODELS,
+        "c0, c1 = c - c1, c0 + c1 * x2",
+        "c0, c1 = c - c1, c1 + c0 * x2",
+        ["tests/test_boundary.py::test_small_reads_equal_one_large_read"],
     ),
     # a rule's integer fields take integers only
     (

@@ -68,12 +68,17 @@ class _Mixture:
     by_symbol: np.ndarray  # (alphabet x components), C-contiguous
 
     @cached_property
-    def cdfs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Sampling CDFs (:func:`_cdf`) of the weights, and of each component by row.
+    def weight_cdf(self) -> np.ndarray:
+        """Sampling CDF (:func:`_cdf`) of the weights, built on the first draw."""
+        return _cdf(self.weights)
 
-        Built on the first draw.
+    def symbol_cdf(self, comp: int) -> np.ndarray:
+        """Sampling CDF of component ``comp``'s symbols, formed at each draw.
+
+        A few microseconds a draw; a cached CDF of every component would be
+        a second (components x alphabet) copy of the model.
         """
-        return _cdf(self.weights), _cdf(np.ascontiguousarray(self.by_symbol.T))
+        return _cdf(np.ascontiguousarray(self.by_symbol[:, comp]))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -265,14 +270,15 @@ def sample_sequence(model: FiniteModel, k: int, rng: np.random.Generator) -> Tup
 
     One ``rng.random(horizon + 1)`` gives the uniforms: the first picks
     the component and each later one the next symbol, by
-    ``searchsorted(side="right")`` on a CDF from :func:`_cdf`, cached per
-    model.  The sequence, and the generator's state afterwards, are those
-    of one ``rng.choice`` per draw, bit for bit.
+    ``searchsorted(side="right")`` on a CDF from :func:`_cdf`: the
+    weights', cached per model, then the drawn component's.  The
+    sequence, and the generator's state afterwards, are those of one
+    ``rng.choice`` per draw, bit for bit.
     """
-    weight_cdf, symbol_cdf = model._mixture(k).cdfs
+    mix = model._mixture(k)
     u = rng.random(model.horizon + 1)
-    comp = int(np.searchsorted(weight_cdf, u[0], side="right"))
-    return tuple(np.searchsorted(symbol_cdf[comp], u[1:], side="right").tolist())
+    comp = int(np.searchsorted(mix.weight_cdf, u[0], side="right"))
+    return tuple(np.searchsorted(mix.symbol_cdf(comp), u[1:], side="right").tolist())
 
 
 class TableEntry(NamedTuple):

@@ -25,7 +25,12 @@ Reproducibility model
     the same stream, into a buffer of its own, and the heads are
     released.  The rare trial whose initial sample falls in the excluded
     set is re-keyed again, replays its full row and continues its own
-    stream for the replacement.  Blocks hold at most
+    stream for the replacement.  A block of heads holds ``BLOCK_SIZE``
+    trials.  A later block whose head is the cap draws full rows, the
+    largest draws a run makes, and holds ``FULL_BLOCK_SIZE`` trials; its
+    chunks then read fewer cells at a time, which a read of at most
+    ``ScaleBfCurves.SCALAR_CELLS`` cells keeps cheap.  A block's size is
+    chosen as it starts, from its head.  Blocks hold at most
     ``DRAW_BUFFER_BYTES`` of observation draws (an effect's leading
     normals ride along), each block in memory mappings of its own
     (``_draw_buffer``) that are returned to the system when the block
@@ -39,11 +44,14 @@ Worker processes
     one-run call is one of them) are one split job of ``optstop.workers``.
     Its items are every run's trials, run after run, and they are split
     into contiguous groups of equal size (to a trial): at most one group
-    per block of the call, and no more than can map the call's largest
-    block of draws each within ``RUN_DRAW_BYTES``.  A group runs each run
-    segment its range covers in that run's blocks, with a lazy-head
-    history of its own per segment, so a segment's probe block draws
-    full rows and the rest of it draws heads.  Each run's plan (trials
+    per ``BLOCK_SIZE`` trials of the call's runs (so a small run of full
+    rows stays one group), and no more than can each map, within
+    ``RUN_DRAW_BYTES``, the most draws one of the call's blocks maps at
+    once (``_mapped_bytes``: heads up to half the cap with a replay
+    buffer, or a block of full rows).  A group runs each run segment its
+    range covers in that run's blocks, with a lazy-head history of its
+    own per segment, so a segment's probe block draws full rows and each
+    later block the head its history calls for.  Each run's plan (trials
     per block, per-n bounds, a marginal run's log beta offset) and every
     table it reads are fixed before the fork.  Each group returns its
     segments' record columns, and the caller joins each run's in group
@@ -121,6 +129,14 @@ from . import workers
 from .workers import worker_count  # noqa: F401  (re-exported: the CPUs a run may fork over)
 
 BLOCK_SIZE = 8192
+# a later block whose head is the cap (full rows) holds at most this many
+# trials: a cap-200 null block of 2,048 maps 3.3 MB of draws, where one of
+# 7,168 mapped 11.5 MB, and the smaller reads its chunks make stay cheap
+# (ScaleBfCurves.SCALAR_CELLS).  Blocks of heads keep BLOCK_SIZE: a
+# corridor's chunks read 20 to 60 cells at a time, and in blocks of 2,048 a
+# cap-100 corridor run was 15-20% slower on 2 vCPUs (layout only: never
+# changes a record)
+FULL_BLOCK_SIZE = 2048
 # steps a block advances between table reads (layout only: never changes a record)
 STEP_CHUNK = 8
 # a block's draws, (trials x draws per trial) doubles, take at most this;
@@ -369,7 +385,9 @@ def _run_block(
                 c = c[pos]
             else:  # the rule never reads log beta: its cells are those where it fires
                 pos = np.flatnonzero(rule.decide_batch(n, None, s2c))
-                c = coordinate(n, s1c[pos], s2c[pos])
+                c = coordinate(n, s1c[pos], s2c[pos]) if pos.size else None
+            if pos.size == 0:  # most steps of a run to the cap mark no cell
+                continue
             parts = act[pos], np.full(pos.size, n, dtype=np.int32), c, s2c[pos], rank[pos]
             for column, part in zip(cells, parts):
                 column.append(part)
@@ -477,6 +495,19 @@ class _Run(NamedTuple):
         return self.x_init is not None
 
 
+def _mapped_bytes(run: _Run) -> int:
+    """The most bytes of draws one block of a planned ``run`` maps at once.
+
+    A block of heads maps its rows up to at most half the cap, and then a
+    replay buffer for the 1 in LAZY_TAIL of its trials that its head is
+    chosen to leave running; a probe maps that many full rows, and a later
+    block of full rows at most FULL_BLOCK_SIZE of them.
+    """
+    row = _draws_per_trial(run.rule, run.marginal)
+    heads = run.block * ((row + 1) // 2) + max(run.block // LAZY_TAIL, 1) * row
+    return 8 * max(heads, min(run.block, FULL_BLOCK_SIZE) * row)
+
+
 def _run_blocks(
     pair: InvariantModelPair, runs: Sequence[_Run], n_trials: int, seed: int
 ) -> List[TrialRecords]:
@@ -489,11 +520,12 @@ def _run_blocks(
     and the choice of W.  A segment starts with a probe block of
     ``block // LAZY_TAIL`` trials (at least 1), and each block gets the
     head (``_lazy_head``) that the blocks before it in its segment call
-    for.  ``OptstopError`` if a worker failed, or, for the first such
-    run, if a trial stopped at a non-finite log beta: the records of such
-    a run would pass or fail a check on NaN comparisons.  So numpy's
-    floating-point warnings, in the kernel and in the tables it builds,
-    are not shown.
+    for: a later block whose head is the cap holds at most
+    FULL_BLOCK_SIZE trials, one of heads ``block``.  ``OptstopError`` if
+    a worker failed, or, for the first such run, if a trial stopped at a
+    non-finite log beta: the records of such a run would pass or fail a
+    check on NaN comparisons.  So numpy's floating-point warnings, in the
+    kernel and in the tables it builds, are not shown.
     """
     if n_trials == 0:
         return [TrialRecords.empty(run.k, np.empty(0) if run.marginal else run.g, seed, run.rule)
@@ -518,20 +550,25 @@ def _run_blocks(
         for i in range(items.start // n_trials, (items.stop - 1) // n_trials + 1):
             run, offset = runs[i], i * n_trials
             lo, hi = max(items.start - offset, 0), min(items.stop - offset, n_trials)
-            edges = [lo, *range(lo + max(run.block // LAZY_TAIL, 1), hi, run.block), hi]
             stops = np.zeros(run.rule.cap + 1, dtype=np.int64)
-            blocks = []
-            for a, b in zip(edges, edges[1:]):
-                blocks.append(_run_block(pair, curves, run, a, b, _lazy_head(stops)))
+            blocks, a = [], lo
+            while a < hi:
+                head = _lazy_head(stops)
+                if a == lo:  # the probe
+                    size = max(run.block // LAZY_TAIL, 1)
+                else:
+                    size = run.block if head < run.rule.cap else min(run.block, FULL_BLOCK_SIZE)
+                b = min(a + size, hi)
+                blocks.append(_run_block(pair, curves, run, a, b, head))
                 stops += np.bincount(blocks[-1][0], minlength=stops.size)
+                a = b
             parts.append((i, [np.concatenate(column) for column in zip(*blocks)]))
         return parts
 
     with np.errstate(all="ignore"):  # entered before the fork: the children inherit it
         runs = [planned(run) for run in runs]
         n_blocks = sum(-(-n_trials // run.block) for run in runs)
-        block_bytes = max(8 * run.block * _draws_per_trial(run.rule, run.marginal) for run in runs)
-        most = min(n_blocks, RUN_DRAW_BYTES // block_bytes)
+        most = min(n_blocks, RUN_DRAW_BYTES // max(_mapped_bytes(run) for run in runs))
         groups = workers.run_groups(run_group, len(runs) * n_trials, most, "a Monte Carlo")
     by_run = [[] for _ in runs]
     for group in groups:

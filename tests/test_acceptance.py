@@ -312,22 +312,29 @@ def test_criterion_12_reproducibility_across_block_layouts(tmp_path, monkeypatch
     cfg.write_text(
         "g = 0.5, 2\nn_trials = 20000\nrule = bf-threshold\nrule_upper = 20\nrule_cap = 100\n"
     )
-    # (block size, worker processes): one process first, then split over 1 to 3
-    layouts = [(montecarlo.BLOCK_SIZE, 1)] + [(1000, n_workers) for n_workers in (1, 2, 3)]
+    # (block size, full-row block size, worker processes): one process first,
+    # with full rows in blocks of the default, of 700 and of BLOCK_SIZE; then
+    # blocks of 1000 split over 1 to 3
+    block, full = montecarlo.BLOCK_SIZE, montecarlo.FULL_BLOCK_SIZE
+    layouts = [(block, full, 1), (block, 700, 1), (block, block, 1)] + [
+        (1000, full, n_workers) for n_workers in (1, 2, 3)
+    ]
     outputs = {}
-    for block_size, n_workers in layouts:
+    for block_size, full_block_size, n_workers in layouts:
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", block_size)
+        monkeypatch.setattr(montecarlo, "FULL_BLOCK_SIZE", full_block_size)
         monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
-        out = tmp_path / f"b{block_size}-w{n_workers}"
+        out = tmp_path / f"b{block_size}-f{full_block_size}-w{n_workers}"
         code = main(["mc-bf-mean", "--config", str(cfg), "--seed", "11", "--out", str(out)])
         assert code == 0
-        outputs[block_size, n_workers] = [
+        outputs[block_size, full_block_size, n_workers] = [
             (out / name).read_bytes() for name in ("records.csv", "summary.json", "verdict.txt")
         ]
     first, *others = outputs.values()
     passed = all(other == first for other in others)
     record_criterion(
-        12, f"byte-identical outputs across block sizes {layouts[0][0]} and 1000 and 1 to 3 "
-        "worker processes", passed, f"{len(first[0])} bytes of records.csv",
+        12, f"byte-identical outputs across block sizes {block} and 1000, full-row blocks of "
+        f"{full}, 700 and {block}, and 1 to 3 worker processes", passed,
+        f"{len(first[0])} bytes of records.csv",
     )
     assert passed

@@ -8,6 +8,7 @@ every step through the per-n table read, and no coordinate outside a
 bound may meet the bar.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -123,8 +124,9 @@ def test_block_reads_tables_in_a_few_waves(k, monkeypatch):
 def test_run_peaks_near_its_draw_buffer():
     """Traced memory of a cap-200 null run: at most 2 MiB besides the draw buffer.
 
-    The 13 MB draw buffer is a memory mapping of its own, which
-    tracemalloc does not see; the rest of the kernel's memory is traced.
+    Each 3.3 MB draw buffer (2,048 full rows) is a memory mapping of its
+    own, which tracemalloc does not see; the rest of the kernel's memory
+    is traced.
     """
     pair = InvariantModelPair.scale(CauchyEffect(1.0))
     rule = BfThreshold(upper=20.0, cap=200)
@@ -159,6 +161,46 @@ def test_cells_read_matches_per_n_reference(prior):
     assert got.tobytes() == np.concatenate([expected[n] for n in ns])[order].tobytes()
     empty = curves.log_bf_cells(np.empty(0, dtype=np.int64), np.empty(0))
     assert empty.shape == (0,)
+
+
+SMALL_READ_PRIORS = [
+    CauchyEffect(0.1),  # 7 pieces at n = 1000
+    CauchyEffect(1.0),
+    CauchyEffect(10.0),
+    PointMass(0.5),
+    PointMass(-0.7),
+    PointMass(0.0),
+]
+
+
+@pytest.mark.parametrize("prior", SMALL_READ_PRIORS, ids=str)
+def test_small_reads_equal_one_large_read(prior):
+    """Cells read 1 to SCALAR_CELLS + 1 at a time equal one read of them all, bit for bit.
+
+    A read of at most SCALAR_CELLS cells runs the recurrence on Python
+    floats, a larger one on arrays.  The cells mix n, and their table
+    coordinates lie inside the range, outside it, on its ends and on the
+    inner piece edges.
+    """
+    curves = ScaleBfCurves(InvariantModelPair.scale(prior))
+    lo, hi = prior.TABLE_RANGE
+    rng = np.random.default_rng(3)
+    edges = [table_at(curves, n)[0] for n in (2, 3, 40, CAP)]
+    coord = np.concatenate([
+        rng.uniform(lo, hi, 400),
+        lo - rng.exponential(size=20), hi + rng.exponential(size=20),
+        [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo)] * 5,
+        *(e[1:-1] for e in edges),
+    ])
+    ns = rng.choice([2, 3, 40, CAP], size=coord.size)
+    expected = curves._cells(ns, coord)
+    sizes = itertools.cycle(range(1, ScaleBfCurves.SCALAR_CELLS + 2))
+    got, at = [], 0
+    while at < coord.size:
+        size = next(sizes)
+        got.append(curves._cells(ns[at : at + size], coord[at : at + size]))
+        at += size
+    assert np.concatenate(got).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("prior", [CauchyEffect(1.0), PointMass(0.5), PointMass(0.0)], ids=str)

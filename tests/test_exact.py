@@ -231,12 +231,12 @@ class TestModelArrays:
         for k, (weights, masses) in enumerate(atom_oracle(grid)):
             assert model.weights(k).tolist() == weights
             assert model.cond_matrix(k).tolist() == masses
-            weight_cdf, symbol_cdf = model._mixture(k).cdfs
+            mix = model._mixture(k)
             p = np.array(weights) / np.sum(weights)
-            assert weight_cdf.tolist() == (np.cumsum(p) / np.cumsum(p)[-1]).tolist()
-            for row, cdf in zip(masses, symbol_cdf):
+            assert mix.weight_cdf.tolist() == (np.cumsum(p) / np.cumsum(p)[-1]).tolist()
+            for comp, row in enumerate(masses):
                 q = np.array(row) / np.sum(row)
-                assert cdf.tolist() == (np.cumsum(q) / np.cumsum(q)[-1]).tolist()
+                assert mix.symbol_cdf(comp).tolist() == (np.cumsum(q) / np.cumsum(q)[-1]).tolist()
 
     def test_random_models_are_those_of_the_per_row_draws(self):
         """sha256 of 20 seeded models' arrays and each generator's next draws.
@@ -413,6 +413,39 @@ class TestSampling:
                 for _ in range(5):
                     assert sample_sequence(model, k, a) == sample_sequence_by_choice(model, k, b)
                 assert a.random(3).tolist() == b.random(3).tolist()
+
+    @pytest.mark.parametrize("alphabet", range(2, 13))
+    def test_sample_sequence_matches_choice_at_every_alphabet_size(self, alphabet):
+        """Each component's CDF, formed at its draw, is the one ``rng.choice`` forms."""
+        for seed in range(10):
+            rng = np.random.default_rng([seed, alphabet])
+            hypotheses = []
+            for count in (1, int(rng.integers(2, 6))):
+                masses = rng.dirichlet(np.ones(alphabet), size=count) + 0.05
+                masses /= 1 + 0.05 * alphabet
+                hypotheses += [rng.dirichlet(np.ones(count)), masses]
+            model = FiniteModel(alphabet, 6, *hypotheses)
+            for k in (0, 1):
+                a = np.random.Generator(np.random.Philox(key=[seed, k]))
+                b = np.random.Generator(np.random.Philox(key=[seed, k]))
+                for _ in range(5):
+                    assert sample_sequence(model, k, a) == sample_sequence_by_choice(model, k, b)
+                assert a.random(3).tolist() == b.random(3).tolist()
+
+    def test_the_first_draw_keeps_only_the_weights_cdf(self):
+        """10^5 atoms: the draw holds one CDF of the weights (0.76 MiB) and peaks below 3 MiB.
+
+        A (components x alphabet) CDF of every component held 2.29 MiB after
+        the draw and peaked at 5.4 MiB.
+        """
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=4, grid=100_000)
+        tracemalloc.start()
+        try:
+            sample_sequence(model, 1, np.random.default_rng(0))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20 and peak < 3 * 2**20
 
     def test_a_uniform_on_a_cdf_step_takes_the_next_index(self):
         """``searchsorted(side="right")``, as ``rng.choice`` uses, for the atom and each symbol."""

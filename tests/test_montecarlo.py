@@ -39,6 +39,7 @@ from reference_kernel import run_block_per_step
 CAUCHY = InvariantModelPair.scale(CauchyEffect(1.0))
 POINT0 = InvariantModelPair.scale(PointMass(0.0))
 CORRIDOR = BfThreshold(upper=5.0, lower=0.2, cap=100)
+TYPE1 = BfThreshold(upper=20.0, cap=100)
 
 
 def fresh_stream(key64, trial):
@@ -161,9 +162,18 @@ class TestRunTrials:
         assert blocks == [38] + [307] * 6 + [120]  # 39 draws per trial after x_1
 
     def test_default_budget_keeps_full_blocks_at_benchmark_caps(self):
+        """DRAW_BUFFER_BYTES shrinks neither the blocks of heads nor those of full rows."""
         for cap in (100, 200, 1000):
             rows = montecarlo.DRAW_BUFFER_BYTES // (8 * cap)
-            assert rows >= montecarlo.BLOCK_SIZE
+            assert rows >= montecarlo.BLOCK_SIZE and rows >= montecarlo.FULL_BLOCK_SIZE
+
+    def test_two_cpus_get_two_workers_at_benchmark_caps(self):
+        """The draws a block maps leave room for at least two processes within RUN_DRAW_BYTES."""
+        for cap in (100, 200, 1000):
+            rule = BfThreshold(upper=20.0, cap=cap)
+            for g, x_init in ((1.0, None), (None, 0.8)):  # a plain run, a marginal one
+                run = montecarlo._Run(0, g, rule, 0, x_init, block=montecarlo.BLOCK_SIZE)
+                assert montecarlo.RUN_DRAW_BYTES // montecarlo._mapped_bytes(run) >= 2
 
     @pytest.mark.parametrize("marginal, row_bytes", [(False, 24), (True, 32)])
     def test_record_budget_boundary(self, marginal, row_bytes):
@@ -572,12 +582,30 @@ class TestLazyDraws:
         lambda: run_trials(CAUCHY, 0, 1.3, CORRIDOR, 10_000, seed=5),
         lambda: run_trials(CAUCHY, 1, 1.3, CORRIDOR, 10_000, seed=5),
         lambda: run_marginal_trials_many(CAUCHY, [(1, [0.8], CORRIDOR)], 10_000, seed=5)[0],
-    ], ids=["h0", "h1", "marginal-h1"])
+        # most trials run to the cap: full rows after the probe
+        lambda: run_trials(CAUCHY, 0, 1.3, TYPE1, 10_000, seed=5),
+        lambda: run_marginal_trials_many(CAUCHY, [(0, [0.8], TYPE1)], 10_000, seed=5)[0],
+    ], ids=["h0", "h1", "marginal-h1", "type1-h0", "type1-marginal-h0"])
     def test_records_equal_at_block_sizes_512_and_8192(self, run, monkeypatch):
-        assert montecarlo.BLOCK_SIZE == 8192  # a probe of 1,024, then 8,192 and 784
+        # a probe of 1,024, then heads in blocks of 8,192 or full rows in blocks of 2,048
+        assert (montecarlo.BLOCK_SIZE, montecarlo.FULL_BLOCK_SIZE) == (8192, 2048)
         expected = run()
+        for full in (700, montecarlo.BLOCK_SIZE):
+            monkeypatch.setattr(montecarlo, "FULL_BLOCK_SIZE", full)
+            assert run() == expected
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # a probe of 64, then blocks of 512
         assert run() == expected
+
+    @pytest.mark.usefixtures("one_process")
+    def test_full_rows_are_drawn_full_block_size_trials_at_a_time(self, monkeypatch):
+        """A cap-200 null run maps 2,048 full rows at a time; a corridor run's heads, 7,168."""
+        shapes = spy_buffers(monkeypatch)
+        run_trials(CAUCHY, 0, 1.0, BfThreshold(upper=20.0, cap=200), 8192, seed=3)
+        assert shapes == [(1024, 200)] + [(2048, 200)] * 3 + [(1024, 200)]
+        shapes.clear()
+        run_trials(CAUCHY, 0, 1.0, CORRIDOR, 8192, seed=3)
+        (probe, full), (rows, head) = shapes[:2]
+        assert (probe, full, rows) == (1024, CORRIDOR.cap, 7168) and head < full
 
     @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize(
