@@ -16,7 +16,7 @@ row, and under it the first failing test, or why the row is stale:
 
 Exit status 1 if any row is stale, else 0; a survivor is reported, not a
 failure.  The working tree is never modified.  Not part of the tier-1
-suite; the whole table of 53 rows took 123 s on a 2-vCPU Xeon host.
+suite; the whole table of 53 rows took 141 s on a 2-vCPU Xeon host.
 
     python scripts/mutants.py
 """
@@ -34,6 +34,7 @@ COPIED = ("src", "tests", "scripts", "pyproject.toml")
 TIME_LIMIT_S = 300
 
 INIT = "src/optstop/__init__.py"
+CORE = "src/optstop/core.py"
 EXACT = "src/optstop/exact.py"
 WORKERS = "src/optstop/workers.py"
 CLI = "src/optstop/cli.py"
@@ -394,14 +395,6 @@ MUTANTS = [
         "            at(lo + i).standard_normal(out=out)\n",
         [f"{TEST_MONTECARLO}::TestLazyDraws::test_later_blocks_draw_heads_then_replay[marginal-h1]"],
     ),
-    # lazy heads from the start: a run segment starts with a probe block
-    (
-        "the probe is a full block",
-        MONTECARLO,
-        "size = max(run.block // LAZY_TAIL, 1)",
-        "size = run.block",
-        [f"{TEST_MONTECARLO}::TestLazyDraws::test_later_blocks_draw_heads_then_replay"],
-    ),
     # full rows in blocks of FULL_BLOCK_SIZE, read a few cells at a time
     (
         "full-row blocks hold BLOCK_SIZE trials",
@@ -432,6 +425,14 @@ MUTANTS = [
         "return int(value) if isinstance(value, str) else value",
         "return int(value)",
         [f"{TEST_STOPPING}::TestRuleFromParams::test_a_non_integer_n_is_refused_not_truncated"],
+    ),
+    # one alpha bar: the exact Markov check reads the rule's bar
+    (
+        "log_threshold is -log(alpha), one ulp off the rule's bar",
+        CORE,
+        "return math.log(1.0 / self.alpha)",
+        "return -math.log(self.alpha)",
+        [f"{TEST_EXACT}::TestVerifiers::test_markov_counts_a_path_stopped_exactly_at_the_bar"],
     ),
     # verdicts: the raw-rule controls (ROADMAP item 3)
     (

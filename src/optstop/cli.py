@@ -352,17 +352,9 @@ def _run_invariance_check(cfg: ExperimentConfig, seed: int, out_dir: str):
     for name, rule in rules:
         report = check_invariance(rule, pair, trials=trials, rng=rng)
         found = report.counterexample is not None
-        rows.append(
-            {
-                "rule": name,
-                "declared_invariant": rule.declared_invariant,
-                "trials": report.trials,
-                "mismatches": report.mismatches,
-                "skipped_boundary": report.skipped_boundary,
-                "counterexample_found": found,
-                "passed": report.passed,
-            }
-        )
+        row = asdict(report)
+        del row["rule_kind"], row["counterexample"]
+        rows.append(dict(row, rule=name, counterexample_found=found, passed=report.passed))
         if rule.declared_invariant:
             lines.append(
                 f"{name}: {report.mismatches} mismatches in {report.trials} trials "

@@ -47,8 +47,12 @@ class SignificanceLevel:
 
     @property
     def log_threshold(self) -> float:
-        """log(1/alpha), the evidence threshold whose crossing rejects."""
-        return -math.log(self.alpha)
+        """log(1/alpha), the evidence threshold whose crossing rejects.
+
+        The bar of ``BfThreshold(upper=1/alpha)`` bit for bit: -log(alpha)
+        can lie one ulp above it, where a rule's rejection would be missed.
+        """
+        return math.log(1.0 / self.alpha)
 
 
 @dataclass(frozen=True)

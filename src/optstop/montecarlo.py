@@ -15,22 +15,22 @@ Reproducibility model
     point mass, the null's among them, takes none), then one normal per
     observation.  A marginal run draws the trial's posterior state under
     that prior before its row, and again before each replay of it.  A
-    run's segment (see below) starts with a probe block of 1 in
-    ``LAZY_TAIL`` of a block's trials, drawn to the cap.  Each later
-    block draws only a head of each row: the steps up to the first
-    chunk's end past which at most 1 in ``LAZY_TAIL`` of the segment's
-    earlier trials ran (the full row if that lies past half the cap).
-    Before its first chunk that reads past the head, every trial still
-    running is re-keyed and replays its whole row, the same values from
-    the same stream, into a buffer of its own, and the heads are
-    released.  The rare trial whose initial sample falls in the excluded
-    set is re-keyed again, replays its full row and continues its own
-    stream for the replacement.  A block of heads holds ``BLOCK_SIZE``
-    trials.  A later block whose head is the cap draws full rows, the
-    largest draws a run makes, and holds ``FULL_BLOCK_SIZE`` trials; its
-    chunks then read fewer cells at a time, which a read of at most
-    ``ScaleBfCurves.SCALAR_CELLS`` cells keeps cheap.  A block's size is
-    chosen as it starts, from its head.  Blocks hold at most
+    run's segment (see below) runs in blocks of two kinds, each block's
+    kind and size chosen as it starts, from its head: the steps up to
+    the first chunk's end past which at most 1 in ``LAZY_TAIL`` of the
+    segment's earlier trials ran, if that lies within half the cap, and
+    else the cap.  A block of heads holds ``BLOCK_SIZE`` trials.  Before
+    its first chunk that reads past the head, every trial still running
+    is re-keyed and replays its whole row, the same values from the
+    same stream, into a buffer of its own, and the heads are released.
+    A block whose head is the cap, a segment's first among them (it has
+    no earlier trials), draws full rows, the largest draws a run makes,
+    and holds ``FULL_BLOCK_SIZE`` trials; its chunks then read fewer
+    cells at a time, which a read of at most
+    ``ScaleBfCurves.SCALAR_CELLS`` cells keeps cheap.  The rare trial
+    whose initial sample falls in the excluded set is re-keyed,
+    replays its full row and continues its own stream for the
+    replacement.  Blocks hold at most
     ``DRAW_BUFFER_BYTES`` of observation draws (an effect's leading
     normals ride along), each block in memory mappings of its own
     (``_draw_buffer``) that are returned to the system when the block
@@ -50,7 +50,7 @@ Worker processes
     once (``_mapped_bytes``: heads up to half the cap with a replay
     buffer, or a block of full rows).  A group runs each run segment its
     range covers in that run's blocks, with a lazy-head history of its
-    own per segment, so a segment's probe block draws full rows and each
+    own per segment, so a segment's first block draws full rows and each
     later block the head its history calls for.  Each run's plan (trials
     per block, per-n bounds, a marginal run's log beta offset) and every
     table it reads are fixed before the fork.  Each group returns its
@@ -129,7 +129,7 @@ from . import workers
 from .workers import worker_count  # noqa: F401  (re-exported: the CPUs a run may fork over)
 
 BLOCK_SIZE = 8192
-# a later block whose head is the cap (full rows) holds at most this many
+# a block whose head is the cap (full rows) holds at most this many
 # trials: a cap-200 null block of 2,048 maps 3.3 MB of draws, where one of
 # 7,168 mapped 11.5 MB, and the smaller reads its chunks make stay cheap
 # (ScaleBfCurves.SCALAR_CELLS).  Blocks of heads keep BLOCK_SIZE: a
@@ -144,10 +144,10 @@ STEP_CHUNK = 8
 DRAW_BUFFER_BYTES = 64 * 2**20
 # a run's processes together map at most this of draws, a block each
 RUN_DRAW_BYTES = 4 * DRAW_BUFFER_BYTES
-# a run segment starts with a probe of 1 in LAZY_TAIL of a block's trials;
-# each block after it draws its rows only up to the first chunk's end past
-# which at most 1 in LAZY_TAIL of the earlier trials ran, if that lies within
-# half the cap (layout only: never changes a record)
+# a block draws its rows only up to the first chunk's end past which at most
+# 1 in LAZY_TAIL of its segment's earlier trials ran, if that lies within half
+# the cap, and _mapped_bytes bounds its replay buffer by the 1 in LAZY_TAIL of
+# its trials that such a head leaves running (layout only: never changes a record)
 LAZY_TAIL = 8
 # a run's records, 8 bytes per trial in each column (stop index, stopped log
 # beta, trial index; a marginal run's drawn scale too), take at most this: the
@@ -462,8 +462,8 @@ def _lazy_head(stops: np.ndarray) -> int:
     ``stops[n]`` counts the earlier trials that stopped at n, up to the
     cap.  The head is the first chunk's end past which at most 1 in
     LAZY_TAIL of them ran, if it lies within half the cap, and else the
-    cap.  With no earlier trials, the block (a segment's probe) draws in
-    full.
+    cap.  With no earlier trials (a segment's first block), that is the
+    cap.
     """
     total = int(stops.sum())
     running = total - np.cumsum(stops)  # running[n]: trials that ran past step n
@@ -500,8 +500,8 @@ def _mapped_bytes(run: _Run) -> int:
 
     A block of heads maps its rows up to at most half the cap, and then a
     replay buffer for the 1 in LAZY_TAIL of its trials that its head is
-    chosen to leave running; a probe maps that many full rows, and a later
-    block of full rows at most FULL_BLOCK_SIZE of them.
+    chosen to leave running; a block of full rows maps at most
+    FULL_BLOCK_SIZE of them.
     """
     row = _draws_per_trial(run.rule, run.marginal)
     heads = run.block * ((row + 1) // 2) + max(run.block // LAZY_TAIL, 1) * row
@@ -517,10 +517,9 @@ def _run_blocks(
     Otherwise one split job over W processes serves the whole call: its
     items are the runs' trials, run-major, and each group runs the run
     segments its range covers.  See the module docstring for the groups
-    and the choice of W.  A segment starts with a probe block of
-    ``block // LAZY_TAIL`` trials (at least 1), and each block gets the
-    head (``_lazy_head``) that the blocks before it in its segment call
-    for: a later block whose head is the cap holds at most
+    and the choice of W.  Each block gets the head (``_lazy_head``) that
+    the blocks before it in its segment call for, the cap for a
+    segment's first: a block whose head is the cap holds at most
     FULL_BLOCK_SIZE trials, one of heads ``block``.  ``OptstopError`` if
     a worker failed, or, for the first such run, if a trial stopped at a
     non-finite log beta: the records of such a run would pass or fail a
@@ -554,10 +553,7 @@ def _run_blocks(
             blocks, a = [], lo
             while a < hi:
                 head = _lazy_head(stops)
-                if a == lo:  # the probe
-                    size = max(run.block // LAZY_TAIL, 1)
-                else:
-                    size = run.block if head < run.rule.cap else min(run.block, FULL_BLOCK_SIZE)
+                size = run.block if head < run.rule.cap else min(run.block, FULL_BLOCK_SIZE)
                 b = min(a + size, hi)
                 blocks.append(_run_block(pair, curves, run, a, b, head))
                 stops += np.bincount(blocks[-1][0], minlength=stops.size)
@@ -954,12 +950,12 @@ def estimate_type1(
     smaller bar stops at its first crossing of it and never gets the
     chance to reach 1/alpha, and one under a larger bar that crosses
     1/alpha without reaching its own is recorded at its final value.  A
-    trial rejects where the upper bar stopped it, at log beta >= the bar
-    (for some alpha one ulp below -log(alpha)).
+    trial rejects where the upper bar stopped it, at log beta >= the bar,
+    ``level.log_threshold``.
     """
     level = alpha if isinstance(alpha, SignificanceLevel) else SignificanceLevel(float(alpha))
     rule = records.rule
-    bar = math.log(1.0 / level.alpha)
+    bar = level.log_threshold
     if [b for b, above in rule.log_bars if above] != [bar]:
         raise ValueError(
             f"a Type-I rate at alpha = {level.alpha:g} needs records of "

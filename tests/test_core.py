@@ -25,6 +25,12 @@ class TestSignificanceLevel:
     def test_threshold(self):
         assert SignificanceLevel(0.05).log_threshold == pytest.approx(math.log(20.0))
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.042, 0.1])
+    def test_threshold_is_the_rules_bar(self, alpha):
+        # -log(alpha) is one ulp off log(1/alpha) at each of these
+        bar = BfThreshold(upper=1 / alpha, cap=2).log_bars[0][0]
+        assert SignificanceLevel(alpha).log_threshold == bar
+
 
 class TestTrajectory:
     def test_indexing(self):

@@ -334,6 +334,17 @@ class TestVerifiers:
             (chk,) = verify_markov_bound(table, [SignificanceLevel(alpha)])
             assert chk.probability == 0.0
 
+    def test_markov_counts_a_path_stopped_exactly_at_the_bar(self):
+        # the rule stops (1,) * 6 at log beta = log(1 / 0.042), one ulp below
+        # -log(0.042): the crossing counts only if both read the same bar
+        q = 0.8480636640789329
+        model = FiniteModel(2, 6, [1.0], [[0.5, 0.5]], [1.0], [[1 - q, q]])
+        table = build_table(model, BfThreshold(upper=1 / 0.042, cap=6))
+        entry = table.entries[(1,) * 6]
+        assert entry.log_beta == math.log(1 / 0.042) < -math.log(0.042)
+        (chk,) = verify_markov_bound(table, [SignificanceLevel(0.042)])
+        assert chk.probability == entry.mass0 == 0.015625
+
     def test_markov_rejects_tables_that_hide_the_crossing(self, bernoulli10):
         level = SignificanceLevel(0.01)
         for rule in (

@@ -156,10 +156,10 @@ class TestRunTrials:
         blocks = spy_blocks(monkeypatch)
         monkeypatch.setattr(montecarlo, "DRAW_BUFFER_BYTES", 8 * 40 * 300)
         assert run_trials(CAUCHY, 1, 1.3, rule, 2_000, seed=5) == a
-        assert blocks == [37] + [300] * 6 + [163]  # a probe of 300 // 8 first
+        assert blocks == [300] * 6 + [200]  # full rows: the cap is 40
         blocks.clear()
         assert run_marginal_trials_many(CAUCHY, [(1, [0.8], rule)], 2_000, seed=5)[0] == am
-        assert blocks == [38] + [307] * 6 + [120]  # 39 draws per trial after x_1
+        assert blocks == [307] * 6 + [158]  # 39 draws per trial after x_1
 
     def test_default_budget_keeps_full_blocks_at_benchmark_caps(self):
         """DRAW_BUFFER_BYTES shrinks neither the blocks of heads nor those of full rows."""
@@ -337,7 +337,7 @@ class TestWorkerProcesses:
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
         # 2,000 trials: two groups of 1,000, the second in a forked worker;
-        # each runs a probe of 62 trials, then blocks of 500 and 438
+        # each runs two blocks of 500
         monkeypatch.setattr(workers, "worker_count", lambda: 2)
         monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 500)
 
@@ -373,11 +373,11 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize(
         "failure, message",
-        [("raise", "RuntimeError: block at trial 1562 failed"), ("signal", "died by signal 9")],
+        [("raise", "RuntimeError: block at trial 1500 failed"), ("signal", "died by signal 9")],
     )
     def test_worker_failure_raises_in_the_caller(self, failure, message, monkeypatch):
         def before(lo, in_worker):
-            if lo == 1562 and in_worker:  # the worker's last block
+            if lo == 1500 and in_worker:  # the worker's last block
                 if failure == "raise":
                     raise RuntimeError(f"block at trial {lo} failed")
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -391,7 +391,7 @@ class TestWorkerProcesses:
         def before(lo, in_worker):
             if in_worker:
                 time.sleep(30)  # would outlast the run unless killed
-            elif lo == 62:  # the caller's second block, after its probe
+            elif lo == 500:  # the caller's second block
                 raise KeyboardInterrupt
 
         self.patch_block(monkeypatch, before)
@@ -502,15 +502,15 @@ class TestStreamContract:
 
     @pytest.mark.usefixtures("one_process")
     def test_x1_zero_redraw_in_a_lazy_block(self, monkeypatch):
-        """Trial 524 sits in the block of heads after the probe, and runs past its head."""
+        """Trial 524 sits in the block of heads after the first, and runs past its head."""
         pair = InvariantModelPair.scale(PointMass(0.5))
-        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # a probe of 64, then a block of 512
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # 512 full rows, then 64 heads
         before = run_trials(pair, 1, 1.3, CORRIDOR, 576, seed=2)
         shapes = spy_buffers(monkeypatch)
         self.patch_trial(monkeypatch, 524, [-0.5])  # x_1 = 1.3 * (0.5 - 0.5) = 0
         after = run_trials(pair, 1, 1.3, CORRIDOR, 576, seed=2)
-        (probe, full), (rows, head), (survivors, replayed) = shapes
-        assert probe == 64 and rows == 512
+        (first, full), (rows, head), (survivors, replayed) = shapes
+        assert first == 512 and rows == 64
         assert head < full == replayed == CORRIDOR.cap and survivors < rows
         others = np.arange(576) != 524
         assert stops(after, others) == stops(before, others)
@@ -548,64 +548,60 @@ LAZY_RUNS = {
 
 
 class TestLazyDraws:
-    """A segment's blocks after its probe draw row heads; trials running past them replay.
+    """A segment's blocks after its first draw row heads; trials running past them replay.
 
-    A segment starts with a probe of ``block // LAZY_TAIL`` trials drawn to
-    the cap.
+    A segment's first block has no earlier trials to choose a head from, so
+    its head is the cap: it draws full rows.
     """
 
     @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("run, full", LAZY_RUNS.values(), ids=LAZY_RUNS.keys())
     def test_later_blocks_draw_heads_then_replay(self, run, full, monkeypatch):
-        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # a probe of 64, then four blocks
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # full rows, then three blocks
         shapes = spy_buffers(monkeypatch)
         records = run()
-        assert shapes[0] == (64, full)
+        assert shapes[0] == (512, full)
         later = shapes[1:]
-        assert len(later) == 8
-        assert [rows for rows, _ in later[::2]] == [512, 512, 512, 448]
+        assert len(later) == 6
+        assert [rows for rows, _ in later[::2]] == [512, 512, 512]
         for (rows, head), (survivors, replayed) in zip(later[::2], later[1::2]):
             assert head < full and replayed == full and 0 < survivors < rows
         monkeypatch.setattr(montecarlo, "_run_block", run_block_per_step)
         assert records == run()
 
     @pytest.mark.usefixtures("one_process")
-    def test_a_probe_takes_at_least_one_trial(self, monkeypatch):
-        expected = run_trials(CAUCHY, 0, 1.3, CORRIDOR, 15, seed=5)
-        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 4)  # 4 // LAZY_TAIL is 0
-        blocks = spy_blocks(monkeypatch)
-        assert run_trials(CAUCHY, 0, 1.3, CORRIDOR, 15, seed=5) == expected
-        assert blocks == [1, 4, 4, 4, 2]
-
-    @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize("run", [
         lambda: run_trials(CAUCHY, 0, 1.3, CORRIDOR, 10_000, seed=5),
         lambda: run_trials(CAUCHY, 1, 1.3, CORRIDOR, 10_000, seed=5),
         lambda: run_marginal_trials_many(CAUCHY, [(1, [0.8], CORRIDOR)], 10_000, seed=5)[0],
-        # most trials run to the cap: full rows after the probe
+        # most trials run to the cap: full rows in every block
         lambda: run_trials(CAUCHY, 0, 1.3, TYPE1, 10_000, seed=5),
         lambda: run_marginal_trials_many(CAUCHY, [(0, [0.8], TYPE1)], 10_000, seed=5)[0],
     ], ids=["h0", "h1", "marginal-h1", "type1-h0", "type1-marginal-h0"])
     def test_records_equal_at_block_sizes_512_and_8192(self, run, monkeypatch):
-        # a probe of 1,024, then heads in blocks of 8,192 or full rows in blocks of 2,048
+        # full rows in blocks of 2,048 first, then heads in blocks of 8,192 or full rows
         assert (montecarlo.BLOCK_SIZE, montecarlo.FULL_BLOCK_SIZE) == (8192, 2048)
         expected = run()
         for full in (700, montecarlo.BLOCK_SIZE):
             monkeypatch.setattr(montecarlo, "FULL_BLOCK_SIZE", full)
             assert run() == expected
-        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # a probe of 64, then blocks of 512
+        monkeypatch.setattr(montecarlo, "BLOCK_SIZE", 512)  # every block of 512
         assert run() == expected
 
     @pytest.mark.usefixtures("one_process")
     def test_full_rows_are_drawn_full_block_size_trials_at_a_time(self, monkeypatch):
-        """A cap-200 null run maps 2,048 full rows at a time; a corridor run's heads, 7,168."""
+        """A cap-200 null run maps 2,048 full rows at a time; a corridor run's heads, 6,144.
+
+        A corridor segment starts with a block of full rows, then draws heads.
+        """
         shapes = spy_buffers(monkeypatch)
         run_trials(CAUCHY, 0, 1.0, BfThreshold(upper=20.0, cap=200), 8192, seed=3)
-        assert shapes == [(1024, 200)] + [(2048, 200)] * 3 + [(1024, 200)]
+        assert shapes == [(2048, 200)] * 4
         shapes.clear()
         run_trials(CAUCHY, 0, 1.0, CORRIDOR, 8192, seed=3)
-        (probe, full), (rows, head) = shapes[:2]
-        assert (probe, full, rows) == (1024, CORRIDOR.cap, 7168) and head < full
+        rows, head = shapes[1]
+        assert shapes[0] == (montecarlo.FULL_BLOCK_SIZE, CORRIDOR.cap)
+        assert rows == 6144 and head < CORRIDOR.cap
 
     @pytest.mark.usefixtures("one_process")
     @pytest.mark.parametrize(
@@ -617,14 +613,14 @@ class TestLazyDraws:
         shapes = spy_buffers(monkeypatch)
         run_trials(CAUCHY, k, 1.0, rule, 2048, seed=3)
         full = rule.cap + 2 * k
-        assert shapes == [(64, full)] + [(512, full)] * 3 + [(448, full)]
+        assert shapes == [(512, full)] * 4
 
     @staticmethod
     def head(cap, stops):
         return montecarlo._lazy_head(np.bincount(np.array(stops, dtype=np.int64), minlength=cap + 1))
 
     def test_head_is_the_first_chunk_end_with_few_trials_running(self):
-        assert self.head(100, []) == 100  # a probe draws in full
+        assert self.head(100, []) == 100  # a segment's first block draws in full
         assert self.head(100, [2] * 8) == 9
         assert self.head(100, [2] * 7 + [100]) == 9  # 1 in 8 still running
         assert self.head(100, [2] * 6 + [100] * 2) == 100  # 1 in 4 until the cap
