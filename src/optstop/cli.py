@@ -187,7 +187,7 @@ def _run_exact_table(cfg: ExperimentConfig, seed: int, out_dir: str, default_tol
     table = exact.build_table(model, rule)
     body, lines, passed = check(table, tol)
     table.to_csv(os.path.join(out_dir, "records.csv"))
-    return dict(body, entries=len(table.entries), tol=float(tol)), lines, [passed]
+    return dict(body, entries=len(table), tol=float(tol)), lines, [passed]
 
 
 def _calibration_check(table: exact.ExactTable, tol: float):
@@ -196,7 +196,7 @@ def _calibration_check(table: exact.ExactTable, tol: float):
     body = {"groups": groups, "max_residual": float(report.max_residual)}
     lines = [
         f"exact calibration: {len(report.groups)} Bayes-factor groups over "
-        f"{len(table.entries)} stopped sequences",
+        f"{len(table)} stopped sequences",
         f"max relative residual {report.max_residual:.3e} (tolerance {tol:.1e})",
     ]
     return body, lines, report.passed
@@ -207,7 +207,7 @@ def _expectation_check(table: exact.ExactTable, tol: float):
     error = abs(expectation - 1.0)
     body = {"expected_stopped_bf": float(expectation), "abs_error": float(error)}
     lines = [
-        f"E0[stopped Bayes factor] = {expectation!r} over {len(table.entries)} sequences",
+        f"E0[stopped Bayes factor] = {expectation!r} over {len(table)} sequences",
         f"|E - 1| = {error:.3e} (tolerance {tol:.1e})",
     ]
     return body, lines, error <= tol

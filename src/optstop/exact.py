@@ -14,12 +14,22 @@ path alone.  The caller expands the top of the tree and its open
 subtrees run in contiguous groups through ``optstop.workers``: one group
 in the caller, or, for a large tree (at least ``2 * _SPLIT_CELLS``
 cells, see ``build_table``), one per usable CPU, each but the first in a
-forked worker process.  The table, keys, float bits and order, is that
-of a plain depth-first enumeration from the root whatever the split.
+forked worker process.  The table, sequences, float bits and order, is
+that of a plain depth-first enumeration from the root whatever the split.
+
+A table is columns in enumeration order, with no Python object per
+stopped sequence: the sequences' symbols back to back in one array of
+the narrowest unsigned type that holds K - 1, and an int64 or float64
+array each of stop indices, H0 and H1 masses, log Bayes factors and
+their running maxima.  A leaf takes 40 bytes plus one a symbol (K <=
+256), so the default budget of 2**24 leaves bounds a table at about
+1 GB; one named tuple per leaf in a dict, about 391 bytes each, came to
+about 6.5 GB.  A worker's leaves come back as typed arrays, and
+iterating a table gives its rows as ``TableEntry`` tuples.
 
 Masses are kept in linear space: with conditional probabilities bounded
 away from zero and horizons below ~40, products stay far from the
-double-precision underflow threshold.  Reductions over entries use
+double-precision underflow threshold.  Reductions over rows use
 ``math.fsum`` so the verification tolerances are limited by the model's
 own arithmetic, not by summation order.
 """
@@ -28,9 +38,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import InitVar, dataclass, field
+from array import array
+from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -282,7 +293,7 @@ def sample_sequence(model: FiniteModel, k: int, rng: np.random.Generator) -> Tup
 
 
 class TableEntry(NamedTuple):
-    """A stopped sequence; a named tuple: one unpickled from a worker is as small as one built."""
+    """One row of an :class:`ExactTable`, as iterating the table gives it."""
 
     sequence: Prefix
     mass0: float
@@ -292,27 +303,60 @@ class TableEntry(NamedTuple):
     max_log_beta: float
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ExactTable:
-    """All stopped sequences of a model under one capped rule."""
+    """All stopped sequences of a model under one capped rule: columns, in enumeration order.
+
+    Row i is the sequence of ``stop_index[i]`` symbols that follows rows
+    0 to i - 1 in ``symbols``, with its masses under H0 and H1, its log
+    Bayes factor and the running maximum of log beta up to its stop.
+    ``symbols`` has the narrowest unsigned dtype that holds K - 1, and
+    the other columns are int64 and float64: a row takes 40 bytes plus
+    its symbols, one byte each for K <= 256.  ``len`` counts the rows,
+    and iterating the table gives them as :class:`TableEntry` tuples.
+    """
 
     model: FiniteModel
     rule: StoppingRule
-    entries: Dict[Prefix, TableEntry] = field(default_factory=dict)
+    symbols: np.ndarray
+    stop_index: np.ndarray
+    mass0: np.ndarray
+    mass1: np.ndarray
+    log_beta: np.ndarray
+    max_log_beta: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.stop_index)
+
+    def __iter__(self) -> Iterator[TableEntry]:
+        columns = (self.mass0, self.mass1, self.log_beta, self.stop_index, self.max_log_beta)
+        for seq, *fields in zip(self._sequences(), *(c.tolist() for c in columns)):
+            yield TableEntry(tuple(seq), *fields)
+
+    @property
+    def entries(self) -> "ExactTable":
+        """The table itself, as its row view: the name perfbench's tracer counts leaves by."""
+        return self
+
+    def _sequences(self) -> Iterator[List[int]]:
+        """Each row's symbols, in row order."""
+        symbols = self.symbols.tolist()
+        ends = np.cumsum(self.stop_index).tolist()
+        return (symbols[a:b] for a, b in zip([0] + ends, ends))
 
     def to_csv(self, path) -> None:
+        def real(column):
+            return [format(v, ".17g") for v in column.tolist()]
+
         write_csv(
             path,
             ["sequence", "mass0", "mass1", "log_beta", "stop_index"],
             (
-                [
-                    "-".join(str(s) for s in e.sequence),
-                    format(e.mass0, ".17g"),
-                    format(e.mass1, ".17g"),
-                    format(e.log_beta, ".17g"),
-                    e.stop_index,
-                ]
-                for e in self.entries.values()
+                ["-".join(map(str, seq)), *fields]
+                for seq, *fields in zip(
+                    self._sequences(), real(self.mass0), real(self.mass1), real(self.log_beta),
+                    self.stop_index.tolist(),
+                )
             ),
         )
 
@@ -327,6 +371,13 @@ def build_table(
     sequences form a prefix-free partition of the sample space.  Raises
     :class:`ResourceLimitError` once more than ``max_entries`` leaves
     would be recorded.
+
+    The leaves are kept as columns (:class:`ExactTable`), 40 bytes plus
+    one byte a symbol each for K <= 256, with no Python object per leaf:
+    the default budget of 2**24 leaves bounds the table at about 1 GB
+    (0.9 GB at cap 12), where a dict of one named tuple per leaf, about
+    391 bytes each, came to about 6.5 GB.  While the groups' columns are
+    joined, both copies are held.
 
     Every tree is enumerated by :func:`_split`, in up to ``cells //
     _SPLIT_CELLS`` processes (``optstop.workers``) for a tree of (H0 +
@@ -344,8 +395,8 @@ def build_table(
     # a node of the tree: (prefix, lik0, lik1, running max of log beta)
     root = ((), np.ones(len(w0)), np.ones(len(w1)), -math.inf)
     cells = (len(w0) + len(w1) + _NODE_CELLS) * model.alphabet_size**rule.cap
-    entries = _split(model, rule, root, workers.usable(cells // _SPLIT_CELLS), max_entries)
-    return ExactTable(model=model, rule=rule, entries={e.sequence: e for e in entries})
+    columns = _split(model, rule, root, workers.usable(cells // _SPLIT_CELLS), max_entries)
+    return ExactTable(model, rule, *columns)
 
 
 def _over_budget(max_entries: int) -> ResourceLimitError:
@@ -354,24 +405,33 @@ def _over_budget(max_entries: int) -> ResourceLimitError:
     )
 
 
-def _grow(model: FiniteModel, rule: StoppingRule, stack: list, out: list, budget: int,
-          depth: int = -1) -> bool:
+def _columns(model: FiniteModel) -> tuple:
+    """Empty leaf columns for ``_grow``, typed arrays in :class:`ExactTable`'s field order."""
+    symbols = array(np.min_scalar_type(model.alphabet_size - 1).char)
+    return (symbols, array("q"), array("d"), array("d"), array("d"), array("d"))
+
+
+def _grow(model: FiniteModel, rule: StoppingRule, stack: list, out: tuple, budget: int,
+          depth: int = -1, nodes: Optional[list] = None) -> bool:
     """Expand the nodes of ``stack`` depth first, popping from its end.
 
-    Appends to ``out`` the entry of every stopped sequence in the order
-    it is reached, and each node at ``depth`` itself, unexpanded, in the
-    place its subtree's entries would take.  False, with ``out`` left
-    short, once ``out`` would hold more than ``budget`` items.
+    Appends every stopped sequence, in the order it is reached, to the
+    columns ``out`` (:func:`_columns`), and each node at ``depth``
+    itself, unexpanded, to ``nodes``, with the number of leaves before
+    it.  False, with ``out`` left short, once ``out`` and ``nodes``
+    would hold more than ``budget`` items.
     """
     w0, w1 = model.weights(0), model.weights(1)
     cond0, cond1 = model.cond_matrix(0), model.cond_matrix(1)
+    symbols, stop_index, masses0, masses1, log_betas, max_log_betas = out
+    opened = [] if nodes is None else nodes
     while stack:
         node = stack.pop()
         prefix, lik0, lik1, max_lb = node
         if len(prefix) == depth:
-            if len(out) >= budget:
+            if len(stop_index) + len(opened) >= budget:
                 return False
-            out.append(node)
+            opened.append((len(stop_index), node))
             continue
         for sym in reversed(range(model.alphabet_size)):
             child = prefix + (sym,)
@@ -382,36 +442,34 @@ def _grow(model: FiniteModel, rule: StoppingRule, stack: list, out: list, budget
             lb = math.log(mass1) - math.log(mass0)
             cmax = max(max_lb, lb)
             if rule.decide(child, lb):
-                if len(out) >= budget:
+                if len(stop_index) + len(opened) >= budget:
                     return False
-                out.append(
-                    TableEntry(
-                        sequence=child,
-                        mass0=mass0,
-                        mass1=mass1,
-                        log_beta=lb,
-                        stop_index=len(child),
-                        max_log_beta=cmax,
-                    )
-                )
+                symbols.extend(child)
+                stop_index.append(len(child))
+                masses0.append(mass0)
+                masses1.append(mass1)
+                log_betas.append(lb)
+                max_log_betas.append(cmax)
             else:
                 stack.append((child, clik0, clik1, cmax))
     return True
 
 
 def _split(model: FiniteModel, rule: StoppingRule, root: tuple, w: int, max_entries: int) -> list:
-    """The entries ``_grow`` enumerates from ``root`` alone, in up to ``w`` processes.
+    """The columns of the leaves ``_grow`` enumerates from ``root`` alone, in up to ``w`` processes.
 
     The same path at every ``w``.  The caller expands the top of the
     tree, down to the first depth of at least _TOP_NODES_PER_GROUP * w
-    nodes (K^depth, or the cap less one): ``_grow`` gives the entries
-    stopped above that depth in their order, each open node in its
-    subtree's place.  The open nodes split into up to ``w`` contiguous
+    nodes (K^depth, or the cap less one): ``_grow`` gives the leaves
+    stopped above that depth and the open nodes, each with its place
+    among them.  The open nodes split into up to ``w`` contiguous
     groups; the caller grows the first group's subtrees and a forked
-    child each other's (``workers.run_groups``), and puts every subtree's
-    entries back in its node's place.
+    child each other's (``workers.run_groups``).  A group returns its
+    columns and the leaf count at the end of each of its subtrees, and
+    the caller joins the top's leaves and the subtrees' column slices in
+    tree order.
 
-    Every item of the top, an entry or an open node, holds at least one
+    Every item of the top, a leaf or an open node, holds at least one
     leaf, so a group's budget is ``max_entries`` less the items outside
     it.  A group past its budget stops: the caller's raises
     ``ResourceLimitError`` at once (killing the children), a child's
@@ -420,37 +478,53 @@ def _split(model: FiniteModel, rule: StoppingRule, root: tuple, w: int, max_entr
     depth = 0
     while depth < rule.cap - 1 and model.alphabet_size**depth < _TOP_NODES_PER_GROUP * w:
         depth += 1
-    top: list = []
-    if not _grow(model, rule, [root], top, max_entries, depth):
+    top, nodes = _columns(model), []
+    if not _grow(model, rule, [root], top, max_entries, depth, nodes):
         raise _over_budget(max_entries)
-    nodes = [item for item in top if not isinstance(item, TableEntry)]
+    items = len(top[1]) + len(nodes)
     caller = os.getpid()
 
     def run(group: range):
-        """The group's entries, subtree after subtree, and each subtree's end; or its count."""
-        out: list = []
+        """The group's columns, subtree after subtree, and each subtree's end; or its count."""
+        out = _columns(model)
         ends = []
-        for node in nodes[group.start:group.stop]:
-            if not _grow(model, rule, [node], out, max_entries - (len(top) - len(group))):
+        for _, node in nodes[group.start:group.stop]:
+            if not _grow(model, rule, [node], out, max_entries - (items - len(group))):
                 if os.getpid() == caller:
                     raise _over_budget(max_entries)
-                return len(out) + 1
-            ends.append(len(out))
+                return len(out[1]) + 1
+            ends.append(len(out[1]))
         return out, ends
 
     results = workers.run_groups(run, len(nodes), w, "an exact-table")
     if any(isinstance(result, int) for result in results):
         raise _over_budget(max_entries)
-    subtrees = (out[a:b] for out, ends in results for a, b in zip([0] + ends, ends))
-    entries = []
-    for item in top:
-        if isinstance(item, TableEntry):
-            entries.append(item)
-        else:
-            entries += next(subtrees)
-    if len(entries) > max_entries:
+    # (source, first leaf, end): source 0 the top, source g + 1 group g
+    subtrees = (
+        (g, a, b) for g, (_, ends) in enumerate(results, 1) for a, b in zip([0] + ends, ends)
+    )
+    pieces, at = [], 0
+    for (before, _), subtree in zip(nodes, subtrees):
+        pieces += [(0, at, before), subtree]
+        at = before
+    pieces.append((0, at, len(top[1])))
+    columns = _join([top] + [out for out, _ in results], pieces)
+    if len(columns[1]) > max_entries:
         raise _over_budget(max_entries)
-    return entries
+    return columns
+
+
+def _join(sources: list, pieces: list) -> list:
+    """Read-only columns of the leaves ``pieces`` name, back to back.
+
+    A piece (s, a, b) is leaves a to b of the columns ``sources[s]``;
+    a leaf's symbols start after those of the leaves before it.
+    """
+    sources = [[np.asarray(column) for column in source] for source in sources]
+    starts = [np.concatenate(([0], np.cumsum(source[1]))) for source in sources]
+    symbols = np.concatenate([sources[s][0][starts[s][a]:starts[s][b]] for s, a, b in pieces])
+    rest = [np.concatenate([sources[s][j][a:b] for s, a, b in pieces]) for j in range(1, 6)]
+    return [_read_only(column) for column in (symbols, *rest)]
 
 
 # -------------------------------------------------------------------- checks
@@ -480,22 +554,22 @@ class CalibrationReport:
 def verify_calibration(table: ExactTable, tol: float) -> CalibrationReport:
     """Check that within each Bayes-factor level set, mass1/mass0 equals beta.
 
-    Entries are grouped by log Bayes factor rounded to 12 significant
+    Rows are grouped by log Bayes factor rounded to 12 significant
     digits, which merges float noise while keeping genuinely distinct
     values apart at the horizons this module targets.
     """
-    buckets: Dict[str, List[TableEntry]] = {}
-    for e in table.entries.values():
-        key = format(e.log_beta + 0.0, ".12g")  # +0.0 folds -0.0 into 0.0
-        buckets.setdefault(key, []).append(e)
+    buckets: Dict[str, List[int]] = {}
+    for i, log_beta in enumerate(table.log_beta.tolist()):
+        key = format(log_beta + 0.0, ".12g")  # +0.0 folds -0.0 into 0.0
+        buckets.setdefault(key, []).append(i)
     groups = []
     ok = True
     for key in sorted(buckets, key=float):
-        members = buckets[key]
-        lb = float(np.median([e.log_beta for e in members]))
+        members = buckets[key]  # row numbers, in row order
+        lb = float(np.median(table.log_beta[members]))
         beta = math.exp(lb)
-        mass0 = math.fsum(e.mass0 for e in members)
-        mass1 = math.fsum(e.mass1 for e in members)
+        mass0 = math.fsum(table.mass0[members].tolist())
+        mass1 = math.fsum(table.mass1[members].tolist())
         ratio = mass1 / mass0
         residual = abs(ratio - beta) / beta
         ok = ok and residual <= tol
@@ -539,14 +613,16 @@ def verify_markov_bound(
                 "upper threshold is at least 1/alpha, or with FixedN(n=cap)"
             )
         thr = level.log_threshold
-        prob = math.fsum(e.mass0 for e in table.entries.values() if e.max_log_beta >= thr)
+        prob = math.fsum(table.mass0[table.max_log_beta >= thr].tolist())
         checks.append(MarkovCheck(alpha=level.alpha, probability=prob))
     return tuple(checks)
 
 
 def verify_expected_stopped_bf(table: ExactTable) -> float:
     """Exact E0[beta_tau]; equals 1 for every proper-prior model and capped rule."""
-    return math.fsum(e.mass0 * math.exp(e.log_beta) for e in table.entries.values())
+    return math.fsum(
+        m * math.exp(lb) for m, lb in zip(table.mass0.tolist(), table.log_beta.tolist())
+    )
 
 
 # ------------------------------------------------------- randomized instances

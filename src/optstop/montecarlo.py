@@ -737,6 +737,8 @@ def run_trials_finite(
     carries no group action: records store NaN in the nuisance slot.
     """
     model._mixture(k)  # a hypothesis index other than 0 or 1 raises, before any draw
+    if n_trials < 0:
+        raise ValueError("n_trials must be nonnegative")
     if rule.cap > model.horizon:
         raise ValueError("rule must cap at or before the model horizon")
     streams = _TrialStreams(_stream_key(seed, k, (), variant=2))

@@ -1,9 +1,9 @@
 import hashlib
 import math
 import os
-import pickle
 import time
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -28,11 +28,19 @@ from optstop.exact import (
     verify_markov_bound,
 )
 from optstop.stopping import BfThreshold, FixedN, RawStatistic, SumOfSquares
+from reference_exact import calibration_groups, expected_stopped_bf, markov_probability
+
+COLUMNS = ("symbols", "stop_index", "mass0", "mass1", "log_beta", "max_log_beta")
 
 
 @pytest.fixture(scope="module")
 def bernoulli10():
     return FiniteModel.bernoulli_point_vs_uniform(horizon=10)
+
+
+def rows(table):
+    """The table's rows by sequence."""
+    return {e.sequence: e for e in table}
 
 
 class TestMarginalMass:
@@ -272,28 +280,28 @@ class TestModelArrays:
 class TestBuildTable:
     def test_stop_at_one(self, bernoulli10):
         table = build_table(bernoulli10, FixedN(n=1, cap=10))
-        assert len(table.entries) == 2
-        assert math.fsum(e.mass0 for e in table.entries.values()) == pytest.approx(1.0, abs=1e-15)
-        assert math.fsum(e.mass1 for e in table.entries.values()) == pytest.approx(1.0, abs=1e-12)
+        assert len(table) == 2
+        assert math.fsum(e.mass0 for e in table) == pytest.approx(1.0, abs=1e-15)
+        assert math.fsum(e.mass1 for e in table) == pytest.approx(1.0, abs=1e-12)
 
     def test_full_tree_leaf_count(self):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=100)
         table = build_table(model, FixedN(n=10, cap=10))
-        assert len(table.entries) == 1024
+        assert len(table) == 1024
 
     def test_hand_enumerated_two_level_tree(self):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=2, grid=10_000)
         table = build_table(model, BfThreshold(upper=4.0 / 3.0, cap=2))
         # (1,1) ends with beta = (1/3)/(1/4) = 4/3 >= 4/3, mass0 = 1/4
-        entry = table.entries[(1, 1)]
+        entry = rows(table)[(1, 1)]
         assert entry.mass0 == pytest.approx(0.25, abs=1e-15)
         assert entry.stop_index == 2
         # prefix-free partition
-        assert math.fsum(e.mass0 for e in table.entries.values()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(e.mass0 for e in table) == pytest.approx(1.0, abs=1e-12)
 
     def test_prefix_free(self, bernoulli10):
         table = build_table(bernoulli10, BfThreshold(upper=3.0, cap=10))
-        seqs = set(table.entries)
+        seqs = set(rows(table))
         for s in seqs:
             for cut in range(1, len(s)):
                 assert s[:cut] not in seqs
@@ -340,7 +348,7 @@ class TestVerifiers:
         q = 0.8480636640789329
         model = FiniteModel(2, 6, [1.0], [[0.5, 0.5]], [1.0], [[1 - q, q]])
         table = build_table(model, BfThreshold(upper=1 / 0.042, cap=6))
-        entry = table.entries[(1,) * 6]
+        entry = rows(table)[(1,) * 6]
         assert entry.log_beta == math.log(1 / 0.042) < -math.log(0.042)
         (chk,) = verify_markov_bound(table, [SignificanceLevel(0.042)])
         assert chk.probability == entry.mass0 == 0.015625
@@ -392,9 +400,9 @@ class TestTauIndependenceCrossCheck:
         rule_b = FixedN(n=model.horizon, cap=model.horizon)
         ta = build_table(model, rule_a)
         tb = build_table(model, rule_b)
-        shared = set(ta.entries) & set(tb.entries)
-        for seq in shared:
-            assert ta.entries[seq].log_beta == tb.entries[seq].log_beta
+        rows_a, rows_b = rows(ta), rows(tb)
+        for seq in rows_a.keys() & rows_b.keys():
+            assert rows_a[seq].log_beta == rows_b[seq].log_beta
 
 
 def sample_sequence_by_choice(model, k, rng):
@@ -518,8 +526,8 @@ def test_partition_calibration_markov_expectation_properties(seed):
     model = random_finite_model(rng)
     rule = random_rule(rng, model.horizon)
     table = build_table(model, rule)
-    assert abs(math.fsum(e.mass0 for e in table.entries.values()) - 1.0) <= 1e-12
-    assert abs(math.fsum(e.mass1 for e in table.entries.values()) - 1.0) <= 1e-12
+    assert abs(math.fsum(e.mass0 for e in table) - 1.0) <= 1e-12
+    assert abs(math.fsum(e.mass1 for e in table) - 1.0) <= 1e-12
     assert verify_calibration(table, tol=1e-9).passed
     assert abs(verify_expected_stopped_bf(table) - 1.0) <= 1e-10
     alpha = float(rng.uniform(0.02, 0.9))
@@ -530,9 +538,10 @@ def test_partition_calibration_markov_expectation_properties(seed):
 
 # split enumeration -----------------------------------------------------------
 
-# sha256 of repr(list(table.entries.values())) for the bundled exact-markov
+# sha256 of repr(list(table)), the table's rows, for the bundled exact-markov
 # tree (horizon 12, prior_grid 10,000, BfThreshold(100)), as one process built
-# it before the tree could split
+# it before the tree could split (then the repr of a dict's values, one
+# TableEntry per sequence)
 MARKOV_DIGEST = "684c47012525ed46e9f3f01998ec4cd3b0696968367888cc31a3f215dd0de5f6"
 BUDGET_MESSAGE = "^stopped-sequence table would exceed the budget of {} entries$"
 
@@ -544,8 +553,8 @@ def assert_no_child():
 
 
 def items_digest(table):
-    """sha256 of ``repr`` of the table's items, in order: every float bit shows."""
-    return hashlib.sha256(repr(list(table.entries.items())).encode()).hexdigest()
+    """sha256 of ``repr`` of the table's rows, in order: every float bit shows."""
+    return hashlib.sha256(repr(list(table)).encode()).hexdigest()
 
 
 def table_items(model, rule, n_workers, monkeypatch, split_cells=1, **kwargs):
@@ -558,9 +567,9 @@ def table_items(model, rule, n_workers, monkeypatch, split_cells=1, **kwargs):
 def plain_items(model, rule):
     """``items_digest`` of the table a plain depth-first enumeration from the root gives."""
     root = ((), np.ones(len(model.weights(0))), np.ones(len(model.weights(1))), -math.inf)
-    out = []
+    out = exact._columns(model)
     assert exact._grow(model, rule, [root], out, 2**24)
-    return items_digest(ExactTable(model, rule, {e.sequence: e for e in out}))
+    return items_digest(ExactTable(model, rule, *(np.array(column) for column in out)))
 
 
 @pytest.fixture
@@ -577,19 +586,61 @@ def forks(monkeypatch):
     return started
 
 
-def test_table_entry_fields_repr_and_pickle():
-    entry = TableEntry(sequence=(0, 1), mass0=0.25, mass1=0.125, log_beta=-math.log(2.0),
-                       stop_index=2, max_log_beta=0.5)
-    names = ("sequence", "mass0", "mass1", "log_beta", "stop_index", "max_log_beta")
-    assert [getattr(entry, name) for name in names] == [(0, 1), 0.25, 0.125, -math.log(2.0), 2, 0.5]
-    assert repr(entry) == (
-        "TableEntry(sequence=(0, 1), mass0=0.25, mass1=0.125, log_beta=-0.6931471805599453, "
-        "stop_index=2, max_log_beta=0.5)"
+def test_a_table_is_columns_of_at_most_40_plus_cap_bytes_a_leaf():
+    rule = BfThreshold(upper=4.0, lower=0.25, cap=10)
+    table = build_table(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50), rule)
+    columns = [getattr(table, name) for name in COLUMNS]
+    assert [c.dtype for c in columns] == [np.uint8, np.int64] + [np.float64] * 4
+    assert all(not c.flags.writeable for c in columns)
+    assert len(table) == len(list(table)) == len(table.stop_index) > 100
+    assert len(table.symbols) == table.stop_index.sum()
+    assert sum(c.nbytes for c in columns) <= (40 + rule.cap) * len(table)
+    assert all(type(e) is TableEntry for e in table)
+
+
+def test_the_row_view_is_python_numbers():
+    model = FiniteModel(2, 2, [1.0], [[0.5, 0.5]], [1.0], [[0.75, 0.25]])
+    (first, second) = build_table(model, FixedN(n=1, cap=2))  # a node's leaves: last symbol first
+    assert repr(first) == (
+        "TableEntry(sequence=(1,), mass0=0.5, mass1=0.25, log_beta=-0.6931471805599453, "
+        "stop_index=1, max_log_beta=-0.6931471805599453)"
     )
-    with pytest.raises(AttributeError):
-        entry.mass0 = 1.0
-    back = pickle.loads(pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
-    assert type(back) is TableEntry and back == entry
+    assert second == TableEntry(sequence=(0,), mass0=0.5, mass1=0.75, log_beta=math.log(1.5),
+                                stop_index=1, max_log_beta=math.log(1.5))
+    assert [type(v) for v in first] == [tuple, float, float, float, int, float]
+    assert type(first.sequence[0]) is int
+
+
+@pytest.mark.parametrize("alphabet, dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_symbols_take_the_narrowest_type_that_holds_k_minus_1(alphabet, dtype):
+    uniform = [np.full(alphabet, 1.0 / alphabet)]
+    table = build_table(FiniteModel(alphabet, 1, [1.0], uniform, [1.0], uniform), FixedN(1, 1))
+    assert table.symbols.dtype == dtype
+    assert table.symbols.tolist() == list(reversed(range(alphabet)))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.data_too_large, HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**31 - 1))
+def test_column_verifiers_equal_the_per_row_oracle(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    model = random_finite_model(rng)
+    rule = random_rule(rng, model.horizon)
+    levels = sorted((SignificanceLevel(float(a)) for a in rng.uniform(0.02, 0.9, 3)),
+                    key=lambda level: level.alpha)
+    strict = BfThreshold(upper=1.0 / levels[0].alpha, cap=model.horizon)
+    monkeypatch.setattr(exact, "_SPLIT_CELLS", 1)
+    for n_workers in (1, 2):
+        monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+        table, markov_table = build_table(model, rule), build_table(model, strict)
+        report = verify_calibration(table, tol=1e-9)
+        groups = [(g.log_beta, g.beta, g.mass0, g.mass1, g.ratio, g.residual)
+                  for g in report.groups]
+        assert repr(groups) == repr(calibration_groups(table))
+        assert repr(verify_expected_stopped_bf(table)) == repr(expected_stopped_bf(table))
+        probabilities = [c.probability for c in verify_markov_bound(markov_table, levels)]
+        oracle = [markov_probability(markov_table, level.log_threshold) for level in levels]
+        assert repr(probabilities) == repr(oracle)
 
 
 @settings(max_examples=25, deadline=None,
@@ -640,16 +691,29 @@ class TestSplitEnumeration:
         table_items(model, rule, 3, monkeypatch, split_cells=2**40)  # too small to split
         assert groups == [1, 2, 3, 1]
 
-    def test_entries_from_every_group_are_table_entries(self, forks, monkeypatch):
+    def test_a_forked_groups_leaves_come_back_as_arrays(self, forks, monkeypatch):
+        values = []
+        run_groups = workers.run_groups
+
+        def spy(*args):
+            values[:] = run_groups(*args)
+            return values
+
+        monkeypatch.setattr(workers, "run_groups", spy)
         monkeypatch.setattr(workers, "worker_count", lambda: 2)
         monkeypatch.setattr(exact, "_SPLIT_CELLS", 1)
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
-        entries = build_table(model, FixedN(n=10, cap=10)).entries.values()
+        table = build_table(model, FixedN(n=10, cap=10))
         (child_group,) = forks  # a range of the open nodes, here every node at one depth
-        per_node = len(entries) // child_group.stop  # each node's leaves, in node order
-        from_child = list(entries)[child_group.start * per_node:]
-        assert 0 < len(from_child) < len(entries)
-        assert all(type(e) is TableEntry for e in entries)
+        per_node = len(table) // child_group.stop  # each node's leaves, in node order
+        _, (columns, ends) = values  # the caller's group's value, then the child's
+        assert [type(c) for c in columns] == [array] * 6
+        assert [c.typecode for c in columns] == ["B", "q", "d", "d", "d", "d"]
+        assert ends == [per_node * (i + 1) for i in range(len(child_group))]
+        from_child = child_group.start * per_node  # the child's leaves end the table
+        for name, column in zip(COLUMNS[1:], columns[1:]):
+            assert column.tolist() == getattr(table, name)[from_child:].tolist()
+        assert columns[0].tolist() == table.symbols[from_child * 10:].tolist()
 
     def test_bundled_markov_tree_digest(self, forks, monkeypatch):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=12, grid=10_000)
@@ -657,10 +721,10 @@ class TestSplitEnumeration:
         for n_workers in (1, 2, 3):
             monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
             forks.clear()
-            entries = build_table(model, rule).entries  # the bundled split constant
+            table = build_table(model, rule)  # the bundled split constant
             assert len(forks) == n_workers - 1
-            digest = hashlib.sha256(repr(list(entries.values())).encode()).hexdigest()
-            assert (len(entries), digest) == (4094, MARKOV_DIGEST)
+            digest = hashlib.sha256(repr(list(table)).encode()).hexdigest()
+            assert (len(table), digest) == (4094, MARKOV_DIGEST)
 
     def test_only_large_trees_split(self, forks, monkeypatch):
         monkeypatch.setattr(workers, "worker_count", lambda: 2)
@@ -689,7 +753,7 @@ class TestSplitEnumeration:
             table_items(model, rule, 3, monkeypatch, max_entries=max_entries)
         assert [len(group) for group in forks] == [11, 11]
         assert_no_child()
-        assert len(build_table(model, rule, max_entries=1024).entries) == 1024
+        assert len(build_table(model, rule, max_entries=1024)) == 1024
         assert_no_child()
 
     def test_an_over_budget_caller_group_raises_without_waiting(self, monkeypatch):

@@ -863,6 +863,15 @@ class TestFiniteCrossCheck:
         with pytest.raises(ValueError, match="hypothesis index must be 0 or 1, got 5"):
             run_trials_finite(model, 5, FixedN(n=6, cap=6), n_trials, seed=3)
 
+    def test_a_negative_trial_count_is_refused_before_any_draw(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a sequence was drawn")
+
+        monkeypatch.setattr(montecarlo, "sample_sequence", draw)
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=6, grid=20)
+        with pytest.raises(ValueError, match="^n_trials must be nonnegative$"):
+            run_trials_finite(model, 0, FixedN(n=6, cap=6), -5, seed=3)
+
     def test_finite_records_reproducible(self):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=6, grid=200)
         rule = FixedN(n=6, cap=6)
