@@ -16,7 +16,7 @@ row, and under it the first failing test, or why the row is stale:
 
 Exit status 1 if any row is stale, else 0; a survivor is reported, not a
 failure.  The working tree is never modified.  Not part of the tier-1
-suite; the whole table of 54 rows took 130 s on a 2-vCPU Xeon host.
+suite; the whole table of 61 rows took 181 s on a 2-vCPU Xeon host.
 
     python scripts/mutants.py
 """
@@ -44,6 +44,7 @@ STOPPING = "src/optstop/stopping.py"
 TEST_WORKERS = "tests/test_workers.py"
 TEST_CLI = "tests/test_cli.py"
 TEST_EXACT = "tests/test_exact.py"
+TEST_LATTICE = "tests/test_lattice.py"
 TEST_MONTECARLO = "tests/test_montecarlo.py"
 TEST_STOPPING = "tests/test_stopping.py"
 
@@ -106,8 +107,8 @@ MUTANTS = [
     (
         "_grow reads H1's matrix for H0",
         EXACT,
-        "cond0, cond1 = model.cond_matrix(0), model.cond_matrix(1)",
-        "cond0, cond1 = model.cond_matrix(1), model.cond_matrix(1)",
+        "cond0, cond1 = model.cond_matrix(0), model.cond_matrix(1)\n    symbols,",
+        "cond0, cond1 = model.cond_matrix(1), model.cond_matrix(1)\n    symbols,",
         [f"{TEST_EXACT}::TestBuildTable"],
     ),
     # a closed stdout ends in one error line
@@ -440,6 +441,57 @@ MUTANTS = [
         "return math.log(1.0 / self.alpha)",
         "return -math.log(self.alpha)",
         [f"{TEST_EXACT}::TestVerifiers::test_markov_counts_a_path_stopped_exactly_at_the_bar"],
+    ),
+    # the exact Markov bound on the count lattice
+    (
+        "crossing_probabilities absorbs only above the bar",
+        EXACT,
+        "if reach[i] and lb >= thr:",
+        "if reach[i] and lb > thr:",
+        [f"{TEST_LATTICE}::TestAgainstTheTree"],
+    ),
+    (
+        "crossing_probabilities reaches a state from its symbol-0 predecessor only",
+        EXACT,
+        "(paths.pop(last, None), *map(paths.get, others))",
+        "(paths.pop(last, None),)",
+        [f"{TEST_LATTICE}::TestAgainstTheTree"],
+    ),
+    (
+        "crossing_probabilities drops the path count from each crossing term",
+        EXACT,
+        "crossed[i].append(reach[i] * mass0)",
+        "crossed[i].append(mass0)",
+        [f"{TEST_LATTICE}::TestAgainstTheTree"],
+    ),
+    (
+        "crossing_probabilities reads H1's matrix for H0",
+        EXACT,
+        "cond0, cond1 = model.cond_matrix(0), model.cond_matrix(1)\n    # lik[s]",
+        "cond0, cond1 = model.cond_matrix(1), model.cond_matrix(1)\n    # lik[s]",
+        [f"{TEST_LATTICE}::TestAgainstTheTree"],
+    ),
+    (
+        "crossing_probabilities without its up-front cell budget",
+        EXACT,
+        "    if cells > MAX_LATTICE_CELLS:\n",
+        "    if False:\n",
+        [f"{TEST_LATTICE}::TestResourceLimits"],
+    ),
+    (
+        "crossing_probabilities admits subnormal masses",
+        EXACT,
+        "if not (mass0 >= normal and mass1 >= normal):",
+        "if not (mass0 > 0.0 and mass1 > 0.0):",
+        [f"{TEST_LATTICE}::TestResourceLimits"],
+    ),
+    (
+        "exact-markov enumerates the stopped-sequence tree again",
+        CLI,
+        "rows = exact.crossing_probabilities(model, levels)",
+        "rows = exact.verify_markov_bound(exact.build_table(model, BfThreshold(\n"
+        "        upper=1.0 / min(level.alpha for level in levels), cap=model.horizon)), levels)",
+        [f"{TEST_LATTICE}::TestCli::test_bundled_config_builds_no_tree_and_forks_nothing"],
     ),
     # verdicts: the raw-rule controls (ROADMAP item 3)
     (

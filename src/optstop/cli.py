@@ -217,11 +217,7 @@ def _run_exact_markov(cfg: ExperimentConfig, seed: int, out_dir: str):
     model = _finite_model(cfg)
     levels = _alphas(cfg)
     cfg.reject_unknown()
-    # one table at the strictest level answers every level exactly: a path
-    # it stops early has crossed every lower threshold, the rest run to the cap
-    strictest = min(level.alpha for level in levels)
-    table = exact.build_table(model, BfThreshold(upper=1.0 / strictest, cap=model.horizon))
-    rows = exact.verify_markov_bound(table, levels)
+    rows = exact.crossing_probabilities(model, levels)
     write_csv(
         os.path.join(out_dir, "records.csv"),
         ["alpha", "crossing_probability", "bound_holds"],
@@ -395,10 +391,13 @@ EXPERIMENTS = {
     ),
     "exact-markov": Experiment(
         _run_exact_markov,
-        "Exhaustively computes the null probability of the Bayes factor ever\n"
-        "reaching 1/alpha before the horizon and checks the Markov bound: that\n"
-        "probability never exceeds alpha, which is the Type-I error guarantee of\n"
-        "the rule 'reject once beta >= 1/alpha' under optional stopping.",
+        "Computes exactly the null probability of the Bayes factor ever reaching\n"
+        "1/alpha before the horizon and checks the Markov bound: that probability\n"
+        "never exceeds alpha, which is the Type-I error guarantee of the rule\n"
+        "'reject once beta >= 1/alpha' under optional stopping.  The sum runs over\n"
+        "symbol-count states, not sequences: each state's exact number of paths\n"
+        "that reach it without crossing, times one sequence's null mass\n"
+        "(crossing_probabilities).",
     ),
     "exact-expectation": Experiment(
         partial(_run_exact_table, default_tol=1e-10, check=_expectation_check),

@@ -1,12 +1,27 @@
 """Exhaustive-enumeration oracle on finite sample spaces.
 
-Enumerates every stopped sequence of a finite-alphabet model under a
-capped stopping rule and records its exact mass under both hypothesis
-marginals.  On these tables the three optional-stopping properties are
-checked without sampling error: grouped-mass calibration, the Markov
-bound on the threshold-crossing probability, and the unit expectation of
-the stopped Bayes factor.  The tables double as ground truth for the
-Monte Carlo engine.
+Two engines compute exact probabilities under a finite-alphabet model.
+
+- The stopped-sequence tree (``build_table``) enumerates every stopped
+  sequence under a capped stopping rule and records its exact mass under
+  both hypothesis marginals.  On these tables the three optional-stopping
+  properties are checked without sampling error: grouped-mass
+  calibration, the Markov bound on the threshold-crossing probability,
+  and the unit expectation of the stopped Bayes factor.  The tables
+  double as ground truth for the Monte Carlo engine.  Its cost grows
+  as K^cap.
+- The count lattice (``crossing_probabilities``) computes the Markov
+  bound's crossing probabilities alone, over count vectors.  Each
+  hypothesis is a mixture of i.i.d. laws, so a sequence's mass under
+  either, and with them beta_n, depends only on how often each symbol
+  occurs; every sequence with one count vector has the masses of its
+  sorted sequence.  The rule "reject once beta >= 1/alpha" reads only
+  beta_n, so whether a path has crossed by step n is decided state by
+  state, and the number of paths that reach a state without crossing is
+  an exact integer recursion over its predecessors.  Its cost grows as
+  C(H + K, K): (H + 1)(H + 2)/2 states for K = 2.  The tree stays the
+  oracle it is tested against, and the engine of every per-sequence
+  table.
 
 The tree is enumerated depth first, every node's masses from its
 parent's per-component likelihoods, so a subtree depends on its own
@@ -29,7 +44,9 @@ iterating a table gives its rows as ``TableEntry`` tuples.
 
 Masses are kept in linear space: with conditional probabilities bounded
 away from zero and horizons below ~40, products stay far from the
-double-precision underflow threshold.  Reductions over rows use
+double-precision underflow threshold.  The lattice reaches horizons in
+the thousands, where they do not, and refuses any state whose mass under
+either hypothesis is not a positive normal double.  Reductions over rows use
 ``math.fsum`` so the verification tolerances are limited by the model's
 own arithmetic, not by summation order.
 """
@@ -38,6 +55,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from array import array
 from dataclasses import InitVar, dataclass
 from functools import cached_property
@@ -58,13 +76,20 @@ MAX_PRIOR_GRID = 10**6  # uniform-prior atoms: about 24 MB of weights and masses
 # _SPLIT_CELLS cells, (H0 + H1 components + _NODE_CELLS) x K^cap: a node's
 # products and dot products over the components, plus its fixed cost (the
 # rule's decision, the entry), about that of 4,096 components.  Forced
-# two-way splits on 2 CPUs paid from 14 M cells up (the bundled exact
-# configs, 10,001 components at cap 10 or 12: 14 or 58 M; 100 or 500 atoms
-# at cap 12: 17 or 19 M) and lost at 1.2 to 4.7 M (the finite cross-check's
-# 501 components at cap 8; 10,000 atoms at cap 8, 5,000 at cap 9)
+# two-way splits on 2 CPUs paid from 14 M cells up (the bundled
+# exact-calibration and exact-expectation trees, 10,001 components at cap
+# 10: 14 M; as many at cap 12: 58 M; 100 or 500 atoms at cap 12: 17 or
+# 19 M) and lost at 1.2 to 4.7 M (the finite cross-check's 501 components at
+# cap 8; 10,000 atoms at cap 8, 5,000 at cap 9).  exact-markov builds no tree
+# (crossing_probabilities)
 _SPLIT_CELLS = 2**22
 _NODE_CELLS = 4096
 _TOP_NODES_PER_GROUP = 8  # open nodes per group where the caller's expansion of the top stops
+# crossing_probabilities refuses a count lattice of more than MAX_LATTICE_CELLS
+# cells, (H0 + H1 components + _NODE_CELLS) x count vectors, before any mass: a
+# state costs what a tree node does.  Horizon 1000 at grid 1,000 (K = 2) is
+# 2.6e9 cells, about 5 s on one CPU; horizon 10^6 is over 10^15
+MAX_LATTICE_CELLS = 2**32
 
 
 @dataclass(frozen=True)
@@ -616,6 +641,108 @@ def verify_markov_bound(
         prob = math.fsum(table.mass0[table.max_log_beta >= thr].tolist())
         checks.append(MarkovCheck(alpha=level.alpha, probability=prob))
     return tuple(checks)
+
+
+def crossing_probabilities(
+    model: FiniteModel, alphas: Sequence[SignificanceLevel]
+) -> Tuple[MarkovCheck, ...]:
+    """Exact P0(exists n <= horizon: beta_n >= 1/alpha) for each alpha, on the count lattice.
+
+    The rows ``verify_markov_bound`` gives for the table of
+    ``BfThreshold(upper=1/min alpha, cap=horizon)``, computed over the
+    count vectors of at most ``horizon`` symbols (C(H + K, K) states)
+    instead of the stopped sequences (up to K^H).  Both hypotheses are
+    mixtures of i.i.d. laws, so every sequence with one count vector has
+    one beta_n and one mass under each hypothesis; each state's are
+    those of its sorted sequence (all 0s, then all 1s, ...), made with
+    the tree's own per-node operations, so they equal the tree's for
+    that sequence bit for bit.  At each level, a state's paths are the
+    exact number of sequences that reach it without beta crossing
+    1/alpha before it, the sum of its open predecessors'; a state with
+    beta >= 1/alpha absorbs them, and P0 is the ``math.fsum`` of paths x
+    null mass over the absorbing states.
+
+    Raises ``ResourceLimitError`` before any mass is computed when the
+    lattice has more than ``MAX_LATTICE_CELLS`` cells, and at the first
+    state whose mass under either hypothesis is not a positive normal
+    double.
+    """
+    alphabet, horizon = model.alphabet_size, model.horizon
+    w0, w1 = model.weights(0), model.weights(1)
+    states = math.comb(horizon + alphabet, alphabet)
+    cells = (len(w0) + len(w1) + _NODE_CELLS) * states
+    if cells > MAX_LATTICE_CELLS:
+        raise ResourceLimitError(
+            f"the count lattice of {states} states at horizon {horizon} has {cells} cells, "
+            f"over the budget of {MAX_LATTICE_CELLS}"
+        )
+    thresholds = [level.log_threshold for level in alphas]
+    normal = sys.float_info.min
+    cond0, cond1 = model.cond_matrix(0), model.cond_matrix(1)
+    # lik[s]: each component's likelihood of the sorted sequence's symbols up to s
+    lik0, lik1 = [np.ones(len(w0))] * alphabet, [np.ones(len(w1))] * alphabet
+    paths = {0: [1] * len(thresholds)}  # an open state's paths per level, by key; 0 the root
+    crossed: List[List[float]] = [[] for _ in thresholds]
+    for n, sym, key, last, others in _count_states(alphabet, horizon):
+        lik0[sym:] = [lik0[sym] * cond0[:, sym]] * (alphabet - sym)
+        lik1[sym:] = [lik1[sym] * cond1[:, sym]] * (alphabet - sym)
+        mass0 = float(w0 @ lik0[sym])
+        mass1 = float(w1 @ lik1[sym])
+        if not (mass0 >= normal and mass1 >= normal):  # NaN fails too
+            raise ResourceLimitError(
+                f"a sequence of n = {n} symbols has mass {mass0!r} under H0 and {mass1!r} "
+                "under H1: the count lattice needs both to be positive normal doubles"
+            )
+        lb = math.log(mass1) - math.log(mass0)
+        reach = [0] * len(thresholds)
+        # c is the last successor of c less one 0, which is dropped here
+        for prev in filter(None, (paths.pop(last, None), *map(paths.get, others))):
+            reach = [a + b for a, b in zip(reach, prev)]
+        for i, thr in enumerate(thresholds):
+            if reach[i] and lb >= thr:
+                crossed[i].append(reach[i] * mass0)  # reach <= 1 / mass0: a finite double
+                reach[i] = 0
+        if n < horizon and any(reach):
+            paths[key] = reach
+    return tuple(
+        MarkovCheck(alpha=level.alpha, probability=math.fsum(terms))
+        for level, terms in zip(alphas, crossed)
+    )
+
+
+def _count_states(
+    alphabet_size: int, horizon: int
+) -> Iterator[Tuple[int, int, int, Optional[int], List[int]]]:
+    """Every count vector of 1 to ``horizon`` symbols, in lexicographic order.
+
+    Yields (n, symbol, key, last, others) for each vector c of n symbols.
+    c is the vector before it with count ``symbol`` one higher and every
+    later count zero, so c's sorted sequence is the previous vector's
+    sorted sequence up to ``symbol``, plus one ``symbol``.  ``key`` is
+    the sum of c_s (horizon + 1)^s; ``last`` is the key of c less one 0
+    (None without a 0), of which c is the last successor, and ``others``
+    the keys of c less one of each later symbol it holds.  Every one of
+    them comes before c.
+    """
+    radix = [(horizon + 1) ** s for s in range(alphabet_size)]
+    counts = [0] * alphabet_size
+    n = key = 0
+    while True:
+        sym = alphabet_size - 1
+        if n == horizon:  # the last nonzero count goes back to zero, the one before it up
+            while not counts[sym]:
+                sym -= 1
+            if sym == 0:
+                return
+            n -= counts[sym]
+            key -= counts[sym] * radix[sym]
+            counts[sym] = 0
+            sym -= 1
+        counts[sym] += 1
+        n += 1
+        key += radix[sym]
+        yield (n, sym, key, key - 1 if counts[0] else None,
+               [key - radix[s] for s in range(1, alphabet_size) if counts[s]])
 
 
 def verify_expected_stopped_bf(table: ExactTable) -> float:
