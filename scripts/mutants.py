@@ -16,7 +16,7 @@ row, and under it the first failing test, or why the row is stale:
 
 Exit status 1 if any row is stale, else 0; a survivor is reported, not a
 failure.  The working tree is never modified.  Not part of the tier-1
-suite; the whole table of 61 rows took 181 s on a 2-vCPU Xeon host.
+suite; the whole table of 59 rows took 109 s on a 2-vCPU Xeon host.
 
     python scripts/mutants.py
 """
@@ -184,38 +184,20 @@ MUTANTS = [
         "            pass  # the exited child's writes moved the offset",
         [f"{TEST_WORKERS}::test_a_split_job_runs_further_jobs_where_they_are"],
     ),
+    # one process builds the stopped-sequence tree
     (
-        "build_table bypasses _split at one worker",
+        "the entry budget admits one leaf more",
         EXACT,
-        "    columns = _split(model, rule, root, workers.usable(cells // _SPLIT_CELLS), max_entries)\n",
-        "    w = workers.usable(cells // _SPLIT_CELLS)\n"
-        "    columns = _columns(model)\n"
-        "    if w > 1:\n"
-        "        columns = _split(model, rule, root, w, max_entries)\n"
-        "    elif not _grow(model, rule, [root], columns, max_entries):\n"
-        "        raise _over_budget(max_entries)\n",
-        [f"{TEST_EXACT}::TestSplitEnumeration::test_one_path_at_every_worker_count"],
+        "                if len(stop_index) >= budget:\n",
+        "                if len(stop_index) > budget:\n",
+        [f"{TEST_EXACT}::TestOneProcessBuild::test_the_entry_budget_admits_max_entries_leaves"],
     ),
     (
-        "a group's columns come back as lists",
+        "a table's columns are left writable",
         EXACT,
-        "        return out, ends\n",
-        "        return [list(column) for column in out], ends\n",
-        [f"{TEST_EXACT}::TestSplitEnumeration::test_a_forked_groups_leaves_come_back_as_arrays"],
-    ),
-    (
-        "a group's subtrees are joined last first",
-        EXACT,
-        "enumerate(results, 1) for a, b in zip([0] + ends, ends)",
-        "enumerate(results, 1) for a, b in reversed(list(zip([0] + ends, ends)))",
-        [f"{TEST_EXACT}::TestSplitEnumeration::test_bundled_markov_tree_digest"],
-    ),
-    (
-        "an over-budget caller group returns its count instead of raising",
-        EXACT,
-        "                if os.getpid() == caller:\n                    raise _over_budget(max_entries)\n",
-        "",
-        [f"{TEST_EXACT}::TestSplitEnumeration::test_an_over_budget_caller_group_raises_without_waiting"],
+        "*(_read_only(np.asarray(column)) for column in columns))",
+        "*(np.asarray(column) for column in columns))",
+        [f"{TEST_EXACT}::test_a_table_is_columns_of_at_most_40_plus_cap_bytes_a_leaf"],
     ),
     # one split job per call: every run of a many-run call
     (

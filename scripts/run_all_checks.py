@@ -4,9 +4,8 @@
 Writes one output directory per experiment under --out (default
 results/) and prints a final table: each experiment's verdict, its wall
 seconds and its CPU seconds, this process's plus those of the worker
-processes it forks, for Monte Carlo runs, for large Bayes-factor table
-builds and for large exact-table builds (stdout only; the output
-directories do not hold them).
+processes it forks, for Monte Carlo runs and for large Bayes-factor
+table builds (stdout only; the output directories do not hold them).
 Exit code 0 iff every experiment's
 contracts passed; a package or configuration error stops the sweep with
 ``error: <message>`` on stderr and exit code 1.  The full sweep at the

@@ -23,24 +23,17 @@ Two engines compute exact probabilities under a finite-alphabet model.
   oracle it is tested against, and the engine of every per-sequence
   table.
 
-The tree is enumerated depth first, every node's masses from its
-parent's per-component likelihoods, so a subtree depends on its own
-path alone.  The caller expands the top of the tree and its open
-subtrees run in contiguous groups through ``optstop.workers``: one group
-in the caller, or, for a large tree (at least ``2 * _SPLIT_CELLS``
-cells, see ``build_table``), one per usable CPU, each but the first in a
-forked worker process.  The table, sequences, float bits and order, is
-that of a plain depth-first enumeration from the root whatever the split.
-
-A table is columns in enumeration order, with no Python object per
-stopped sequence: the sequences' symbols back to back in one array of
-the narrowest unsigned type that holds K - 1, and an int64 or float64
-array each of stop indices, H0 and H1 masses, log Bayes factors and
-their running maxima.  A leaf takes 40 bytes plus one a symbol (K <=
-256), so the default budget of 2**24 leaves bounds a table at about
-1 GB; one named tuple per leaf in a dict, about 391 bytes each, came to
-about 6.5 GB.  A worker's leaves come back as typed arrays, and
-iterating a table gives its rows as ``TableEntry`` tuples.
+The tree is enumerated depth first in the calling process, every node's
+masses from its parent's per-component likelihoods.  A table is columns
+in enumeration order, with no Python object per stopped sequence: the
+sequences' symbols back to back in one array of the narrowest unsigned
+type that holds K - 1, and an int64 or float64 array each of stop
+indices, H0 and H1 masses, log Bayes factors and their running maxima.
+A leaf takes 40 bytes plus one a symbol (K <= 256), so the default
+budget of 2**24 leaves bounds a table at about 1 GB; one named tuple
+per leaf in a dict, about 391 bytes each, came to about 6.5 GB.  The
+leaves grow in typed arrays that the table's columns view without a
+copy, and iterating a table gives its rows as ``TableEntry`` tuples.
 
 Masses are kept in linear space: with conditional probabilities bounded
 away from zero and horizons below ~40, products stay far from the
@@ -54,7 +47,6 @@ own arithmetic, not by summation order.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from array import array
 from dataclasses import InitVar, dataclass
@@ -63,7 +55,6 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import workers
 from .core import BfTrajectory, SignificanceLevel, write_csv
 from .errors import ResourceLimitError
 from .stopping import BfThreshold, FixedN, RawStatistic, StoppingRule
@@ -72,23 +63,13 @@ Prefix = Tuple[int, ...]
 
 _PROB_TOL = 1e-9
 MAX_PRIOR_GRID = 10**6  # uniform-prior atoms: about 24 MB of weights and masses at the limit
-# build_table splits a tree over processes only into groups of at least
-# _SPLIT_CELLS cells, (H0 + H1 components + _NODE_CELLS) x K^cap: a node's
-# products and dot products over the components, plus its fixed cost (the
-# rule's decision, the entry), about that of 4,096 components.  Forced
-# two-way splits on 2 CPUs paid from 14 M cells up (the bundled
-# exact-calibration and exact-expectation trees, 10,001 components at cap
-# 10: 14 M; as many at cap 12: 58 M; 100 or 500 atoms at cap 12: 17 or
-# 19 M) and lost at 1.2 to 4.7 M (the finite cross-check's 501 components at
-# cap 8; 10,000 atoms at cap 8, 5,000 at cap 9).  exact-markov builds no tree
-# (crossing_probabilities)
-_SPLIT_CELLS = 2**22
-_NODE_CELLS = 4096
-_TOP_NODES_PER_GROUP = 8  # open nodes per group where the caller's expansion of the top stops
 # crossing_probabilities refuses a count lattice of more than MAX_LATTICE_CELLS
 # cells, (H0 + H1 components + _NODE_CELLS) x count vectors, before any mass: a
-# state costs what a tree node does.  Horizon 1000 at grid 1,000 (K = 2) is
-# 2.6e9 cells, about 5 s on one CPU; horizon 10^6 is over 10^15
+# state costs what a tree node does, its products and dot products over the
+# components plus a fixed cost about that of _NODE_CELLS components.  Horizon
+# 1000 at grid 1,000 (K = 2) is 2.6e9 cells, about 5 s on one CPU; horizon 10^6
+# is over 10^15
+_NODE_CELLS = 4096
 MAX_LATTICE_CELLS = 2**32
 
 
@@ -337,8 +318,10 @@ class ExactTable:
     Bayes factor and the running maximum of log beta up to its stop.
     ``symbols`` has the narrowest unsigned dtype that holds K - 1, and
     the other columns are int64 and float64: a row takes 40 bytes plus
-    its symbols, one byte each for K <= 256.  ``len`` counts the rows,
-    and iterating the table gives them as :class:`TableEntry` tuples.
+    its symbols, one byte each for K <= 256.  The columns are read-only,
+    and those :func:`build_table` gives view the typed arrays its leaves
+    grew in, without a copy.  ``len`` counts the rows, and iterating the
+    table gives them as :class:`TableEntry` tuples.
     """
 
     model: FiniteModel
@@ -395,69 +378,41 @@ def build_table(
     forces firing at the latest at ``rule.cap``), so the recorded
     sequences form a prefix-free partition of the sample space.  Raises
     :class:`ResourceLimitError` once more than ``max_entries`` leaves
-    would be recorded.
+    would be recorded.  An error of the rule's own callable (the
+    statistic of ``RawStatistic`` or ``InvariantStatistic``) raises as
+    itself.
 
     The leaves are kept as columns (:class:`ExactTable`), 40 bytes plus
     one byte a symbol each for K <= 256, with no Python object per leaf:
     the default budget of 2**24 leaves bounds the table at about 1 GB
     (0.9 GB at cap 12), where a dict of one named tuple per leaf, about
-    391 bytes each, came to about 6.5 GB.  While the groups' columns are
-    joined, both copies are held.
-
-    Every tree is enumerated by :func:`_split`, in up to ``cells //
-    _SPLIT_CELLS`` processes (``optstop.workers``) for a tree of (H0 +
-    H1 components + _NODE_CELLS) x K^cap cells.  The table, its float
-    bits and its order, does not depend on the split.
-
-    An error of the rule's own callable (the statistic of
-    ``RawStatistic`` or ``InvariantStatistic``) raises as itself in the
-    caller's group; in a child's group it reaches the caller as
-    ``OptstopError("an exact-table worker failed: ...")``.
+    391 bytes each, came to about 6.5 GB.  The columns are read-only
+    views of the typed arrays the leaves grow in, so one copy is held.
     """
     if rule.cap > model.horizon:
         raise ValueError(f"rule cap {rule.cap} exceeds the model horizon {model.horizon}")
-    w0, w1 = model.weights(0), model.weights(1)
-    # a node of the tree: (prefix, lik0, lik1, running max of log beta)
-    root = ((), np.ones(len(w0)), np.ones(len(w1)), -math.inf)
-    cells = (len(w0) + len(w1) + _NODE_CELLS) * model.alphabet_size**rule.cap
-    columns = _split(model, rule, root, workers.usable(cells // _SPLIT_CELLS), max_entries)
-    return ExactTable(model, rule, *columns)
-
-
-def _over_budget(max_entries: int) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"stopped-sequence table would exceed the budget of {max_entries} entries"
-    )
-
-
-def _columns(model: FiniteModel) -> tuple:
-    """Empty leaf columns for ``_grow``, typed arrays in :class:`ExactTable`'s field order."""
     symbols = array(np.min_scalar_type(model.alphabet_size - 1).char)
-    return (symbols, array("q"), array("d"), array("d"), array("d"), array("d"))
+    columns = (symbols, array("q"), array("d"), array("d"), array("d"), array("d"))
+    _grow(model, rule, columns, max_entries)
+    return ExactTable(model, rule, *(_read_only(np.asarray(column)) for column in columns))
 
 
-def _grow(model: FiniteModel, rule: StoppingRule, stack: list, out: tuple, budget: int,
-          depth: int = -1, nodes: Optional[list] = None) -> bool:
-    """Expand the nodes of ``stack`` depth first, popping from its end.
+def _grow(model: FiniteModel, rule: StoppingRule, out: tuple, budget: int) -> None:
+    """Expand the tree from its root depth first, popping open nodes from a stack.
 
     Appends every stopped sequence, in the order it is reached, to the
-    columns ``out`` (:func:`_columns`), and each node at ``depth``
-    itself, unexpanded, to ``nodes``, with the number of leaves before
-    it.  False, with ``out`` left short, once ``out`` and ``nodes``
-    would hold more than ``budget`` items.
+    typed-array columns ``out``, in :class:`ExactTable`'s field order: a
+    node's stopped children, last symbol first, come before the subtrees
+    of its open children, first symbol first.  ``ResourceLimitError``
+    once ``out`` would hold more than ``budget`` leaves.
     """
     w0, w1 = model.weights(0), model.weights(1)
     cond0, cond1 = model.cond_matrix(0), model.cond_matrix(1)
     symbols, stop_index, masses0, masses1, log_betas, max_log_betas = out
-    opened = [] if nodes is None else nodes
+    # a node of the tree: (prefix, lik0, lik1, running max of log beta)
+    stack = [((), np.ones(len(w0)), np.ones(len(w1)), -math.inf)]
     while stack:
-        node = stack.pop()
-        prefix, lik0, lik1, max_lb = node
-        if len(prefix) == depth:
-            if len(stop_index) + len(opened) >= budget:
-                return False
-            opened.append((len(stop_index), node))
-            continue
+        prefix, lik0, lik1, max_lb = stack.pop()
         for sym in reversed(range(model.alphabet_size)):
             child = prefix + (sym,)
             clik0 = lik0 * cond0[:, sym]
@@ -467,8 +422,10 @@ def _grow(model: FiniteModel, rule: StoppingRule, stack: list, out: tuple, budge
             lb = math.log(mass1) - math.log(mass0)
             cmax = max(max_lb, lb)
             if rule.decide(child, lb):
-                if len(stop_index) + len(opened) >= budget:
-                    return False
+                if len(stop_index) >= budget:
+                    raise ResourceLimitError(
+                        f"stopped-sequence table would exceed the budget of {budget} entries"
+                    )
                 symbols.extend(child)
                 stop_index.append(len(child))
                 masses0.append(mass0)
@@ -477,79 +434,6 @@ def _grow(model: FiniteModel, rule: StoppingRule, stack: list, out: tuple, budge
                 max_log_betas.append(cmax)
             else:
                 stack.append((child, clik0, clik1, cmax))
-    return True
-
-
-def _split(model: FiniteModel, rule: StoppingRule, root: tuple, w: int, max_entries: int) -> list:
-    """The columns of the leaves ``_grow`` enumerates from ``root`` alone, in up to ``w`` processes.
-
-    The same path at every ``w``.  The caller expands the top of the
-    tree, down to the first depth of at least _TOP_NODES_PER_GROUP * w
-    nodes (K^depth, or the cap less one): ``_grow`` gives the leaves
-    stopped above that depth and the open nodes, each with its place
-    among them.  The open nodes split into up to ``w`` contiguous
-    groups; the caller grows the first group's subtrees and a forked
-    child each other's (``workers.run_groups``).  A group returns its
-    columns and the leaf count at the end of each of its subtrees, and
-    the caller joins the top's leaves and the subtrees' column slices in
-    tree order.
-
-    Every item of the top, a leaf or an open node, holds at least one
-    leaf, so a group's budget is ``max_entries`` less the items outside
-    it.  A group past its budget stops: the caller's raises
-    ``ResourceLimitError`` at once (killing the children), a child's
-    returns its count and the caller raises once it has reaped them all.
-    """
-    depth = 0
-    while depth < rule.cap - 1 and model.alphabet_size**depth < _TOP_NODES_PER_GROUP * w:
-        depth += 1
-    top, nodes = _columns(model), []
-    if not _grow(model, rule, [root], top, max_entries, depth, nodes):
-        raise _over_budget(max_entries)
-    items = len(top[1]) + len(nodes)
-    caller = os.getpid()
-
-    def run(group: range):
-        """The group's columns, subtree after subtree, and each subtree's end; or its count."""
-        out = _columns(model)
-        ends = []
-        for _, node in nodes[group.start:group.stop]:
-            if not _grow(model, rule, [node], out, max_entries - (items - len(group))):
-                if os.getpid() == caller:
-                    raise _over_budget(max_entries)
-                return len(out[1]) + 1
-            ends.append(len(out[1]))
-        return out, ends
-
-    results = workers.run_groups(run, len(nodes), w, "an exact-table")
-    if any(isinstance(result, int) for result in results):
-        raise _over_budget(max_entries)
-    # (source, first leaf, end): source 0 the top, source g + 1 group g
-    subtrees = (
-        (g, a, b) for g, (_, ends) in enumerate(results, 1) for a, b in zip([0] + ends, ends)
-    )
-    pieces, at = [], 0
-    for (before, _), subtree in zip(nodes, subtrees):
-        pieces += [(0, at, before), subtree]
-        at = before
-    pieces.append((0, at, len(top[1])))
-    columns = _join([top] + [out for out, _ in results], pieces)
-    if len(columns[1]) > max_entries:
-        raise _over_budget(max_entries)
-    return columns
-
-
-def _join(sources: list, pieces: list) -> list:
-    """Read-only columns of the leaves ``pieces`` name, back to back.
-
-    A piece (s, a, b) is leaves a to b of the columns ``sources[s]``;
-    a leaf's symbols start after those of the leaves before it.
-    """
-    sources = [[np.asarray(column) for column in source] for source in sources]
-    starts = [np.concatenate(([0], np.cumsum(source[1]))) for source in sources]
-    symbols = np.concatenate([sources[s][0][starts[s][a]:starts[s][b]] for s, a, b in pieces])
-    rest = [np.concatenate([sources[s][j][a:b] for s, a, b in pieces]) for j in range(1, 6)]
-    return [_read_only(column) for column in (symbols, *rest)]
 
 
 # -------------------------------------------------------------------- checks

@@ -1,18 +1,17 @@
 """Worker processes: one job split into contiguous groups, each but the first in a forked child.
 
-A job (a Monte Carlo run's trials, the points of a large exact-evaluator
-call, the subtrees of a large exact table) of ``size`` items is split
-into W contiguous groups of whole ``step``s (``run_groups``).  The
-calling process runs the first group and one ``os.fork``ed child per
-other group runs another, all at once; at W = 1 the one group runs in
-the caller through the same code.  Each group returns its results: a
-child's return value is pickled into an unnamed temporary file, which
-the caller reads once it has reaped the child, and ``run_groups``
-returns every group's value in group order for the caller to join.
-Every result is a function of its own inputs alone, so the output does
-not depend on W.  Whatever the job needs read-only (a run's tables, the
-evaluator's parameters, the model) is made before the fork, so the
-children inherit it.
+A job (a Monte Carlo run's trials, or the points of a large
+exact-evaluator call) of ``size`` items is split into W contiguous
+groups of whole ``step``s (``run_groups``).  The calling process runs
+the first group and one ``os.fork``ed child per other group runs
+another, all at once; at W = 1 the one group runs in the caller through
+the same code.  Each group returns its results: a child's return value
+is pickled into an unnamed temporary file, which the caller reads once
+it has reaped the child, and ``run_groups`` returns every group's value
+in group order for the caller to join.  Every result is a function of
+its own inputs alone, so the output does not depend on W.  Whatever the
+job needs read-only (a run's tables, the evaluator's parameters) is
+made before the fork, so the children inherit it.
 
 W is at most ``worker_count()`` (the usable CPUs on Linux with
 ``os.fork``, else 1), the job's own limit (``usable``) and its number

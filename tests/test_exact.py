@@ -1,19 +1,15 @@
 import hashlib
 import math
-import os
-import time
 import tracemalloc
-from array import array
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from optstop import exact, workers
+from optstop import workers
 from optstop.core import NEVER, SignificanceLevel, stop
-from optstop.errors import OptstopError, ResourceLimitError
+from optstop.errors import ResourceLimitError
 from optstop.exact import (
-    ExactTable,
     FiniteModel,
     TableEntry,
     build_table,
@@ -536,40 +532,14 @@ def test_partition_calibration_markov_expectation_properties(seed):
     assert chk.bound_holds
 
 
-# split enumeration -----------------------------------------------------------
+# one-process enumeration -----------------------------------------------------
 
-# sha256 of repr(list(table)), the table's rows, for the bundled exact-markov
-# tree (horizon 12, prior_grid 10,000, BfThreshold(100)), as one process built
-# it before the tree could split (then the repr of a dict's values, one
-# TableEntry per sequence)
+# sha256 of repr(list(table)), the table's rows, for the stopped-sequence tree
+# of the bundled exact-markov config (horizon 12, prior_grid 10,000,
+# BfThreshold(100)), taken when a table was a dict of one TableEntry per
+# sequence (then the repr of the dict's values)
 MARKOV_DIGEST = "684c47012525ed46e9f3f01998ec4cd3b0696968367888cc31a3f215dd0de5f6"
 BUDGET_MESSAGE = "^stopped-sequence table would exceed the budget of {} entries$"
-
-
-def assert_no_child():
-    """This process has no child process left, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def items_digest(table):
-    """sha256 of ``repr`` of the table's rows, in order: every float bit shows."""
-    return hashlib.sha256(repr(list(table)).encode()).hexdigest()
-
-
-def table_items(model, rule, n_workers, monkeypatch, split_cells=1, **kwargs):
-    """``items_digest`` of the table built with ``n_workers`` usable CPUs."""
-    monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
-    monkeypatch.setattr(exact, "_SPLIT_CELLS", split_cells)
-    return items_digest(build_table(model, rule, **kwargs))
-
-
-def plain_items(model, rule):
-    """``items_digest`` of the table a plain depth-first enumeration from the root gives."""
-    root = ((), np.ones(len(model.weights(0))), np.ones(len(model.weights(1))), -math.inf)
-    out = exact._columns(model)
-    assert exact._grow(model, rule, [root], out, 2**24)
-    return items_digest(ExactTable(model, rule, *(np.array(column) for column in out)))
 
 
 @pytest.fixture
@@ -619,209 +589,66 @@ def test_symbols_take_the_narrowest_type_that_holds_k_minus_1(alphabet, dtype):
     assert table.symbols.tolist() == list(reversed(range(alphabet)))
 
 
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.data_too_large, HealthCheck.function_scoped_fixture])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
 @given(seed=st.integers(0, 2**31 - 1))
-def test_column_verifiers_equal_the_per_row_oracle(seed, monkeypatch):
+def test_column_verifiers_equal_the_per_row_oracle(seed):
     rng = np.random.default_rng(seed)
     model = random_finite_model(rng)
     rule = random_rule(rng, model.horizon)
     levels = sorted((SignificanceLevel(float(a)) for a in rng.uniform(0.02, 0.9, 3)),
                     key=lambda level: level.alpha)
     strict = BfThreshold(upper=1.0 / levels[0].alpha, cap=model.horizon)
-    monkeypatch.setattr(exact, "_SPLIT_CELLS", 1)
-    for n_workers in (1, 2):
+    table, markov_table = build_table(model, rule), build_table(model, strict)
+    report = verify_calibration(table, tol=1e-9)
+    groups = [(g.log_beta, g.beta, g.mass0, g.mass1, g.ratio, g.residual)
+              for g in report.groups]
+    assert repr(groups) == repr(calibration_groups(table))
+    assert repr(verify_expected_stopped_bf(table)) == repr(expected_stopped_bf(table))
+    probabilities = [c.probability for c in verify_markov_bound(markov_table, levels)]
+    oracle = [markov_probability(markov_table, level.log_threshold) for level in levels]
+    assert repr(probabilities) == repr(oracle)
+
+
+class TestOneProcessBuild:
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_a_build_forks_nothing(self, n_workers, forks, monkeypatch):
         monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
-        table, markov_table = build_table(model, rule), build_table(model, strict)
-        report = verify_calibration(table, tol=1e-9)
-        groups = [(g.log_beta, g.beta, g.mass0, g.mass1, g.ratio, g.residual)
-                  for g in report.groups]
-        assert repr(groups) == repr(calibration_groups(table))
-        assert repr(verify_expected_stopped_bf(table)) == repr(expected_stopped_bf(table))
-        probabilities = [c.probability for c in verify_markov_bound(markov_table, levels)]
-        oracle = [markov_probability(markov_table, level.log_threshold) for level in levels]
-        assert repr(probabilities) == repr(oracle)
-
-
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.data_too_large, HealthCheck.function_scoped_fixture])
-@given(seed=st.integers(0, 2**31 - 1))
-def test_split_table_equals_one_process(seed, monkeypatch):
-    rng = np.random.default_rng(seed)
-    model = random_finite_model(rng)
-    rule = random_rule(rng, model.horizon)
-    plain = plain_items(model, rule)
-    for n_workers in (1, 2, 3):
-        assert table_items(model, rule, n_workers, monkeypatch) == plain
-
-
-class TestSplitEnumeration:
-    @pytest.mark.parametrize(
-        "rule",
-        [
-            BfThreshold(upper=4.0, lower=0.25, cap=10),
-            RawStatistic(statistic=lambda x: float(np.sum(x)), threshold=4.0, cap=10),
-            FixedN(n=10, cap=10),
-        ],
-        ids=["two-sided", "raw-statistic", "fixed-n"],
-    )
-    def test_same_items_across_worker_counts(self, rule, forks, monkeypatch):
-        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
-        plain = plain_items(model, rule)
-        for n_workers in (1, 2, 3):
-            forks.clear()
-            assert table_items(model, rule, n_workers, monkeypatch) == plain
-            assert len(forks) == n_workers - 1
-            assert_no_child()
-
-    def test_one_path_at_every_worker_count(self, monkeypatch):
-        groups = []
-        run_groups = workers.run_groups
-
-        def spy(*args):
-            values = run_groups(*args)
-            groups.append(len(values))  # one value per group
-            return values
-
-        monkeypatch.setattr(workers, "run_groups", spy)
-        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
-        rule = BfThreshold(upper=4.0, lower=0.25, cap=10)
-        for n_workers in (1, 2, 3):
-            table_items(model, rule, n_workers, monkeypatch)
-        table_items(model, rule, 3, monkeypatch, split_cells=2**40)  # too small to split
-        assert groups == [1, 2, 3, 1]
-
-    def test_a_forked_groups_leaves_come_back_as_arrays(self, forks, monkeypatch):
-        values = []
-        run_groups = workers.run_groups
-
-        def spy(*args):
-            values[:] = run_groups(*args)
-            return values
-
-        monkeypatch.setattr(workers, "run_groups", spy)
-        monkeypatch.setattr(workers, "worker_count", lambda: 2)
-        monkeypatch.setattr(exact, "_SPLIT_CELLS", 1)
-        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
-        table = build_table(model, FixedN(n=10, cap=10))
-        (child_group,) = forks  # a range of the open nodes, here every node at one depth
-        per_node = len(table) // child_group.stop  # each node's leaves, in node order
-        _, (columns, ends) = values  # the caller's group's value, then the child's
-        assert [type(c) for c in columns] == [array] * 6
-        assert [c.typecode for c in columns] == ["B", "q", "d", "d", "d", "d"]
-        assert ends == [per_node * (i + 1) for i in range(len(child_group))]
-        from_child = child_group.start * per_node  # the child's leaves end the table
-        for name, column in zip(COLUMNS[1:], columns[1:]):
-            assert column.tolist() == getattr(table, name)[from_child:].tolist()
-        assert columns[0].tolist() == table.symbols[from_child * 10:].tolist()
-
-    def test_bundled_markov_tree_digest(self, forks, monkeypatch):
-        model = FiniteModel.bernoulli_point_vs_uniform(horizon=12, grid=10_000)
-        rule = BfThreshold(upper=100.0, cap=12)
-        for n_workers in (1, 2, 3):
-            monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
-            forks.clear()
-            table = build_table(model, rule)  # the bundled split constant
-            assert len(forks) == n_workers - 1
-            digest = hashlib.sha256(repr(list(table)).encode()).hexdigest()
-            assert (len(table), digest) == (4094, MARKOV_DIGEST)
-
-    def test_only_large_trees_split(self, forks, monkeypatch):
-        monkeypatch.setattr(workers, "worker_count", lambda: 2)
-        # the finite cross-check's tree: 501 components, cap 8
-        build_table(FiniteModel.bernoulli_point_vs_uniform(horizon=8, grid=500),
-                    BfThreshold(upper=5.0, cap=8))
-        assert forks == []
         # the bundled exact-calibration tree: 10,001 components, cap 10
-        build_table(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=10_000),
-                    BfThreshold(upper=3.0, cap=10))
-        assert len(forks) == 1
+        table = build_table(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=10_000),
+                            BfThreshold(upper=3.0, cap=10))
+        assert (len(table), forks) == (874, [])
 
-    # FixedN(10) on a 10-symbol-deep binary tree: 1,024 leaves.  At three
-    # workers the top is the 32 nodes at depth 5, 32 leaves each, in groups
-    # of 10, 11 and 11 nodes: 320, 352 and 352 leaves, with budgets of
-    # max_entries less the 22, 21 and 21 items outside the group
-    @pytest.mark.parametrize(
-        "max_entries",
-        [128, 360, 1023],
-        ids=["caller-group-over", "child-group-over", "only-the-sum-over"],
-    )
-    def test_entry_budget_of_a_split_tree(self, max_entries, forks, monkeypatch):
+    def test_the_entry_budget_admits_max_entries_leaves(self):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=100)
-        rule = FixedN(n=10, cap=10)
-        with pytest.raises(ResourceLimitError, match=BUDGET_MESSAGE.format(max_entries)):
-            table_items(model, rule, 3, monkeypatch, max_entries=max_entries)
-        assert [len(group) for group in forks] == [11, 11]
-        assert_no_child()
+        rule = FixedN(n=10, cap=10)  # 1,024 leaves
+        with pytest.raises(ResourceLimitError, match=BUDGET_MESSAGE.format(1023)):
+            build_table(model, rule, max_entries=1023)
         assert len(build_table(model, rule, max_entries=1024)) == 1024
-        assert_no_child()
 
-    def test_an_over_budget_caller_group_raises_without_waiting(self, monkeypatch):
-        caller, slept = os.getpid(), []
-
-        def statistic(x):
-            if os.getpid() != caller and not slept:
-                slept.append(True)
-                time.sleep(30)  # would outlast the build unless killed
-            return 0.0
-
-        rule = RawStatistic(statistic=statistic, threshold=1.0, cap=10)
-        start = time.monotonic()
-        with pytest.raises(ResourceLimitError, match=BUDGET_MESSAGE.format(128)):
-            table_items(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50), rule, 3,
-                        monkeypatch, max_entries=128)
-        assert time.monotonic() - start < 15
-        assert_no_child()
-
-    def test_worker_failure_raises_in_the_caller(self, monkeypatch):
-        caller = os.getpid()
+    def test_a_statistics_error_raises_as_itself(self, monkeypatch):
+        monkeypatch.setattr(workers, "worker_count", lambda: 2)
 
         def statistic(x):
-            if os.getpid() != caller:
+            if len(x) > 4 and x[0] == 1:  # deep in the root's last subtree
                 raise RuntimeError("statistic failed")
             return 0.0
 
         rule = RawStatistic(statistic=statistic, threshold=1.0, cap=10)
-        with pytest.raises(
-            OptstopError, match="^an exact-table worker failed: RuntimeError: statistic failed$"
-        ):
-            table_items(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50), rule, 2,
-                        monkeypatch)
-        assert_no_child()
+        with pytest.raises(RuntimeError, match="^statistic failed$"):
+            build_table(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=10_000), rule)
 
-    def test_interrupted_caller_kills_and_reaps_its_workers(self, monkeypatch):
-        caller = os.getpid()
+    def test_a_build_holds_one_copy_of_its_columns(self):
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=14, grid=5)
+        tracemalloc.start()
+        try:
+            table = build_table(model, FixedN(n=14, cap=14))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * sum(getattr(table, name).nbytes for name in COLUMNS)
 
-        def statistic(x):
-            if os.getpid() != caller:
-                time.sleep(30)  # would outlast the build unless killed
-            elif workers._in_job:  # the caller's own group
-                raise KeyboardInterrupt
-            return 0.0
-
-        rule = RawStatistic(statistic=statistic, threshold=1.0, cap=10)
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            table_items(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50), rule, 3,
-                        monkeypatch)
-        assert time.monotonic() - start < 15
-        assert_no_child()
-
-    def test_a_build_inside_a_split_job_forks_nothing(self, monkeypatch):
-        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
-        rule = BfThreshold(upper=4.0, lower=0.25, cap=10)
-        one = table_items(model, rule, 1, monkeypatch)
-        caller, fork = os.getpid(), workers._fork
-
-        def outside_jobs(run, group):
-            if os.getpid() != caller or workers._in_job:
-                raise AssertionError("a process of a split job forked")
-            return fork(run, group)
-
-        monkeypatch.setattr(workers, "_fork", outside_jobs)
-        monkeypatch.setattr(workers, "worker_count", lambda: 2)
-        built = workers.run_groups(
-            lambda group: items_digest(build_table(model, rule)), 2, 2, "a test"
-        )
-        assert built == [one, one]  # the caller's group's table, then the child's
-        assert_no_child()
+    def test_bundled_markov_tree_digest(self):
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=12, grid=10_000)
+        table = build_table(model, BfThreshold(upper=100.0, cap=12))
+        digest = hashlib.sha256(repr(list(table)).encode()).hexdigest()
+        assert (len(table), digest) == (4094, MARKOV_DIGEST)
