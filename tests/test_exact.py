@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -542,6 +543,46 @@ MARKOV_DIGEST = "684c47012525ed46e9f3f01998ec4cd3b0696968367888cc31a3f215dd0de5f
 BUDGET_MESSAGE = "^stopped-sequence table would exceed the budget of {} entries$"
 
 
+def assert_no_child():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def items_digest(table):
+    """sha256 of ``repr`` of the table's rows, in order: every float bit shows."""
+    return hashlib.sha256(repr(list(table)).encode()).hexdigest()
+
+
+def recursive_rows(model, rule):
+    """The rows of ``build_table(model, rule)`` by a recursive enumeration.
+
+    A node's stopped children, last symbol first, come before the subtrees
+    of its open children, first symbol first; each child's masses are its
+    parent's likelihoods times one conditional column, as in the tree.
+    """
+    w0, w1 = model.weights(0), model.weights(1)
+    cond0, cond1 = model.cond_matrix(0), model.cond_matrix(1)
+    found = []
+
+    def visit(prefix, lik0, lik1, max_lb):
+        open_children = []
+        for sym in reversed(range(model.alphabet_size)):
+            child = prefix + (sym,)
+            clik0, clik1 = lik0 * cond0[:, sym], lik1 * cond1[:, sym]
+            mass0, mass1 = float(w0 @ clik0), float(w1 @ clik1)
+            lb = math.log(mass1) - math.log(mass0)
+            if rule.decide(child, lb):
+                found.append(TableEntry(child, mass0, mass1, lb, len(child), max(max_lb, lb)))
+            else:
+                open_children.append((child, clik0, clik1, max(max_lb, lb)))
+        for node in reversed(open_children):
+            visit(*node)
+
+    visit((), np.ones(len(w0)), np.ones(len(w1)), -math.inf)
+    return found
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """The groups handed to forked children, in order; the fork itself still happens."""
@@ -618,12 +659,47 @@ class TestOneProcessBuild:
                             BfThreshold(upper=3.0, cap=10))
         assert (len(table), forks) == (874, [])
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            BfThreshold(upper=4.0, lower=0.25, cap=10),
+            RawStatistic(statistic=lambda x: float(np.sum(x)), threshold=4.0, cap=10),
+            FixedN(n=10, cap=10),
+        ],
+        ids=["two-sided", "raw-statistic", "fixed-n"],
+    )
+    def test_same_items_across_worker_counts(self, rule, forks, monkeypatch):
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
+        oracle = recursive_rows(model, rule)
+        assert len(oracle) > 100
+        for n_workers in (1, 2, 3):
+            monkeypatch.setattr(workers, "worker_count", lambda: n_workers)
+            assert items_digest(build_table(model, rule)) == items_digest(oracle)
+        assert forks == []
+
     def test_the_entry_budget_admits_max_entries_leaves(self):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=100)
         rule = FixedN(n=10, cap=10)  # 1,024 leaves
         with pytest.raises(ResourceLimitError, match=BUDGET_MESSAGE.format(1023)):
             build_table(model, rule, max_entries=1023)
         assert len(build_table(model, rule, max_entries=1024)) == 1024
+
+    # FixedN(10) on a 10-symbol-deep binary tree: 1,024 leaves
+    @pytest.mark.parametrize("max_entries", [1, 128, 360, 1023])
+    def test_an_over_budget_build_stops_at_the_first_leaf_past_it(self, max_entries,
+                                                                  monkeypatch):
+        fired, decide = [], FixedN.decide
+
+        def spy(rule, prefix, log_beta=None):
+            stops = decide(rule, prefix, log_beta)
+            fired.extend([prefix] if stops else [])
+            return stops
+
+        monkeypatch.setattr(FixedN, "decide", spy)
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=100)
+        with pytest.raises(ResourceLimitError, match=BUDGET_MESSAGE.format(max_entries)):
+            build_table(model, FixedN(n=10, cap=10), max_entries=max_entries)
+        assert len(fired) == max_entries + 1  # no leaf is reached after the one over
 
     def test_a_statistics_error_raises_as_itself(self, monkeypatch):
         monkeypatch.setattr(workers, "worker_count", lambda: 2)
@@ -636,6 +712,39 @@ class TestOneProcessBuild:
         rule = RawStatistic(statistic=statistic, threshold=1.0, cap=10)
         with pytest.raises(RuntimeError, match="^statistic failed$"):
             build_table(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=10_000), rule)
+
+    def test_an_interrupt_raises_as_itself_and_leaves_no_child(self, forks, monkeypatch):
+        monkeypatch.setattr(workers, "worker_count", lambda: 3)
+
+        def statistic(x):
+            if len(x) > 4 and x[0] == 1:  # deep in the root's last subtree
+                raise KeyboardInterrupt
+            return 0.0
+
+        rule = RawStatistic(statistic=statistic, threshold=1.0, cap=10)
+        with pytest.raises(KeyboardInterrupt):
+            build_table(FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50), rule)
+        assert forks == []
+        assert_no_child()
+
+    def test_a_build_inside_a_worker_job_forks_nothing(self, monkeypatch):
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, grid=50)
+        rule = BfThreshold(upper=4.0, lower=0.25, cap=10)
+        one = items_digest(build_table(model, rule))
+        caller, fork = os.getpid(), workers._fork
+
+        def outside_jobs(run, group):
+            if os.getpid() != caller or workers._in_job:
+                raise AssertionError("a process of a worker job forked")
+            return fork(run, group)
+
+        monkeypatch.setattr(workers, "_fork", outside_jobs)
+        monkeypatch.setattr(workers, "worker_count", lambda: 2)
+        built = workers.run_groups(
+            lambda group: items_digest(build_table(model, rule)), 2, 2, "a test"
+        )
+        assert built == [one, one]  # the caller's group's table, then the child's
+        assert_no_child()
 
     def test_a_build_holds_one_copy_of_its_columns(self):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=14, grid=5)
@@ -650,5 +759,4 @@ class TestOneProcessBuild:
     def test_bundled_markov_tree_digest(self):
         model = FiniteModel.bernoulli_point_vs_uniform(horizon=12, grid=10_000)
         table = build_table(model, BfThreshold(upper=100.0, cap=12))
-        digest = hashlib.sha256(repr(list(table)).encode()).hexdigest()
-        assert (len(table), digest) == (4094, MARKOV_DIGEST)
+        assert (len(table), items_digest(table)) == (4094, MARKOV_DIGEST)
