@@ -35,13 +35,17 @@ per leaf in a dict, about 391 bytes each, came to about 6.5 GB.  The
 leaves grow in typed arrays that the table's columns view without a
 copy, and iterating a table gives its rows as ``TableEntry`` tuples.
 
-Masses are kept in linear space: with conditional probabilities bounded
-away from zero and horizons below ~40, products stay far from the
-double-precision underflow threshold.  The lattice reaches horizons in
-the thousands, where they do not, and refuses any state whose mass under
-either hypothesis is not a positive normal double.  Reductions over rows use
-``math.fsum`` so the verification tolerances are limited by the model's
-own arithmetic, not by summation order.
+Masses are kept in linear space.  Both engines make a child's
+per-component likelihoods, masses and log beta from its parent's in one
+child step (``_child_step``), which refuses, naming n, a mass under
+either hypothesis that is not a positive normal double: a subnormal mass
+has lost bits and 0 has no log.  The tree's products stay far from that
+threshold unless a symbol is rare (mass 1e-32 reaches it at n = 10); the
+lattice reaches horizons in the thousands.  ``log_beta_paths`` refuses
+the same masses, and the finite Monte Carlo engine those a trial reads
+up to its stop.  Reductions over rows use ``math.fsum`` so the
+verification tolerances are limited by the model's own arithmetic, not
+by summation order.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from .stopping import BfThreshold, FixedN, RawStatistic, StoppingRule
 Prefix = Tuple[int, ...]
 
 _PROB_TOL = 1e-9
+_NORMAL = sys.float_info.min  # the least positive normal double: an exact mass below it is refused
 MAX_PRIOR_GRID = 10**6  # uniform-prior atoms: about 24 MB of weights and masses at the limit
 # crossing_probabilities refuses a count lattice of more than MAX_LATTICE_CELLS
 # cells, (H0 + H1 components + _NODE_CELLS) x count vectors, before any mass: a
@@ -259,10 +264,49 @@ def _prefix_masses(model: FiniteModel, k: int, seqs: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_beta_paths(model: FiniteModel, seqs) -> np.ndarray:
-    """log beta_n for n = 1..length of every row of ``seqs`` (rows x length)."""
+def _mass_refusal(n: int, mass0: float, mass1: float) -> ResourceLimitError:
+    """The error for a sequence of n symbols whose masses are not both positive normal doubles."""
+    return ResourceLimitError(
+        f"a sequence of n = {n} symbols has mass {mass0!r} under H0 and {mass1!r} "
+        "under H1: exact log Bayes factors need both to be positive normal doubles"
+    )
+
+
+def _log_beta_rows(model: FiniteModel, seqs) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log beta_n and the H0 and H1 masses of every prefix of every row of ``seqs``.
+
+    Nothing is refused here: where a mass is not a positive normal double
+    log beta is wrong or infinite, and each caller refuses the prefixes it
+    reads (:func:`_refuse_non_normal`).
+    """
     seqs = _as_sequences(model, seqs)
-    return np.log(_prefix_masses(model, 1, seqs)) - np.log(_prefix_masses(model, 0, seqs))
+    mass0, mass1 = _prefix_masses(model, 0, seqs), _prefix_masses(model, 1, seqs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(mass1) - np.log(mass0), mass0, mass1
+
+
+def _refuse_non_normal(mass0: np.ndarray, mass1: np.ndarray, lengths) -> None:
+    """Raise :func:`_mass_refusal` at the first prefix, in row order, of non-normal mass.
+
+    Only the first ``lengths[i]`` prefixes of row i are checked.
+    """
+    low = ~(np.minimum(mass0, mass1) >= _NORMAL)  # NaN is low too
+    low &= np.arange(mass0.shape[1]) < np.asarray(lengths)[:, None]
+    if low.any():
+        row, col = np.argwhere(low)[0].tolist()
+        raise _mass_refusal(col + 1, float(mass0[row, col]), float(mass1[row, col]))
+
+
+def log_beta_paths(model: FiniteModel, seqs) -> np.ndarray:
+    """log beta_n for n = 1..length of every row of ``seqs`` (rows x length).
+
+    Raises :class:`ResourceLimitError` naming n (:func:`_mass_refusal`)
+    at the first prefix, in row order, whose mass under either
+    hypothesis is not a positive normal double.
+    """
+    log_beta, mass0, mass1 = _log_beta_rows(model, seqs)
+    _refuse_non_normal(mass0, mass1, np.full(len(log_beta), log_beta.shape[1]))
+    return log_beta
 
 
 def marginal_mass(model: FiniteModel, k: int, x: Sequence[int]) -> float:
@@ -376,11 +420,19 @@ def build_table(
 
     A leaf is recorded at the first prefix where the rule fires (the cap
     forces firing at the latest at ``rule.cap``), so the recorded
-    sequences form a prefix-free partition of the sample space.  Raises
-    :class:`ResourceLimitError` once more than ``max_entries`` leaves
-    would be recorded.  An error of the rule's own callable (the
-    statistic of ``RawStatistic`` or ``InvariantStatistic``) raises as
-    itself.
+    sequences form a prefix-free partition of the sample space.  Open
+    nodes are popped from a stack, and every stopped sequence is appended
+    in the order it is reached: a node's stopped children, last symbol
+    first, come before the subtrees of its open children, first symbol
+    first.  Each child's masses and log beta come from its parent's
+    per-component likelihoods through :func:`_child_step`, the count
+    lattice's step too.
+
+    Raises :class:`ResourceLimitError` once more than ``max_entries``
+    leaves would be recorded, and at the first node whose mass under
+    either hypothesis is not a positive normal double.  An error of the
+    rule's own callable (the statistic of ``RawStatistic`` or
+    ``InvariantStatistic``) raises as itself.
 
     The leaves are kept as columns (:class:`ExactTable`), 40 bytes plus
     one byte a symbol each for K <= 256, with no Python object per leaf:
@@ -391,40 +443,22 @@ def build_table(
     """
     if rule.cap > model.horizon:
         raise ValueError(f"rule cap {rule.cap} exceeds the model horizon {model.horizon}")
+    step = _child_step(model)
     symbols = array(np.min_scalar_type(model.alphabet_size - 1).char)
     columns = (symbols, array("q"), array("d"), array("d"), array("d"), array("d"))
-    _grow(model, rule, columns, max_entries)
-    return ExactTable(model, rule, *(_read_only(np.asarray(column)) for column in columns))
-
-
-def _grow(model: FiniteModel, rule: StoppingRule, out: tuple, budget: int) -> None:
-    """Expand the tree from its root depth first, popping open nodes from a stack.
-
-    Appends every stopped sequence, in the order it is reached, to the
-    typed-array columns ``out``, in :class:`ExactTable`'s field order: a
-    node's stopped children, last symbol first, come before the subtrees
-    of its open children, first symbol first.  ``ResourceLimitError``
-    once ``out`` would hold more than ``budget`` leaves.
-    """
-    w0, w1 = model.weights(0), model.weights(1)
-    cond0, cond1 = model.cond_matrix(0), model.cond_matrix(1)
-    symbols, stop_index, masses0, masses1, log_betas, max_log_betas = out
+    symbols, stop_index, masses0, masses1, log_betas, max_log_betas = columns
     # a node of the tree: (prefix, lik0, lik1, running max of log beta)
-    stack = [((), np.ones(len(w0)), np.ones(len(w1)), -math.inf)]
+    stack = [((), np.ones(len(model.weights(0))), np.ones(len(model.weights(1))), -math.inf)]
     while stack:
         prefix, lik0, lik1, max_lb = stack.pop()
         for sym in reversed(range(model.alphabet_size)):
             child = prefix + (sym,)
-            clik0 = lik0 * cond0[:, sym]
-            clik1 = lik1 * cond1[:, sym]
-            mass0 = float(w0 @ clik0)
-            mass1 = float(w1 @ clik1)
-            lb = math.log(mass1) - math.log(mass0)
+            clik0, clik1, mass0, mass1, lb = step(lik0, lik1, sym, len(child))
             cmax = max(max_lb, lb)
             if rule.decide(child, lb):
-                if len(stop_index) >= budget:
+                if len(stop_index) >= max_entries:
                     raise ResourceLimitError(
-                        f"stopped-sequence table would exceed the budget of {budget} entries"
+                        f"stopped-sequence table would exceed the budget of {max_entries} entries"
                     )
                 symbols.extend(child)
                 stop_index.append(len(child))
@@ -434,6 +468,32 @@ def _grow(model: FiniteModel, rule: StoppingRule, out: tuple, budget: int) -> No
                 max_log_betas.append(cmax)
             else:
                 stack.append((child, clik0, clik1, cmax))
+    return ExactTable(model, rule, *(_read_only(np.asarray(column)) for column in columns))
+
+
+def _child_step(model: FiniteModel):
+    """The one node step of both exact engines, over ``model``'s arrays.
+
+    ``step(lik0, lik1, sym, n)`` takes each component's likelihood of a
+    sequence under H0 and H1 and gives, for that sequence followed by
+    ``sym`` (n symbols in all), each component's likelihood under H0 and
+    H1, the two mixture masses and log beta.  It raises
+    :class:`ResourceLimitError` naming n unless both masses are positive
+    normal doubles (:func:`_mass_refusal`).
+    """
+    w0, w1 = model.weights(0), model.weights(1)
+    cond0, cond1 = model.cond_matrix(0), model.cond_matrix(1)
+
+    def step(lik0: np.ndarray, lik1: np.ndarray, sym: int, n: int):
+        clik0 = lik0 * cond0[:, sym]
+        clik1 = lik1 * cond1[:, sym]
+        mass0 = float(w0 @ clik0)
+        mass1 = float(w1 @ clik1)
+        if not (mass0 >= _NORMAL and mass1 >= _NORMAL):  # NaN fails too
+            raise _mass_refusal(n, mass0, mass1)
+        return clik0, clik1, mass0, mass1, math.log(mass1) - math.log(mass0)
+
+    return step
 
 
 # -------------------------------------------------------------------- checks
@@ -538,18 +598,18 @@ def crossing_probabilities(
     instead of the stopped sequences (up to K^H).  Both hypotheses are
     mixtures of i.i.d. laws, so every sequence with one count vector has
     one beta_n and one mass under each hypothesis; each state's are
-    those of its sorted sequence (all 0s, then all 1s, ...), made with
-    the tree's own per-node operations, so they equal the tree's for
-    that sequence bit for bit.  At each level, a state's paths are the
-    exact number of sequences that reach it without beta crossing
-    1/alpha before it, the sum of its open predecessors'; a state with
-    beta >= 1/alpha absorbs them, and P0 is the ``math.fsum`` of paths x
-    null mass over the absorbing states.
+    those of its sorted sequence (all 0s, then all 1s, ...), made by
+    the tree's own child step (``_child_step``), so they equal the
+    tree's for that sequence bit for bit.  At each level, a state's
+    paths are the exact number of sequences that reach it without beta
+    crossing 1/alpha before it, the sum of its open predecessors'; a
+    state with beta >= 1/alpha absorbs them, and P0 is the ``math.fsum``
+    of paths x null mass over the absorbing states.
 
     Raises ``ResourceLimitError`` before any mass is computed when the
-    lattice has more than ``MAX_LATTICE_CELLS`` cells, and at the first
-    state whose mass under either hypothesis is not a positive normal
-    double.
+    lattice has more than ``MAX_LATTICE_CELLS`` cells, and, through the
+    child step, at the first state whose mass under either hypothesis is
+    not a positive normal double.
     """
     alphabet, horizon = model.alphabet_size, model.horizon
     w0, w1 = model.weights(0), model.weights(1)
@@ -561,23 +621,15 @@ def crossing_probabilities(
             f"over the budget of {MAX_LATTICE_CELLS}"
         )
     thresholds = [level.log_threshold for level in alphas]
-    normal = sys.float_info.min
-    cond0, cond1 = model.cond_matrix(0), model.cond_matrix(1)
+    step = _child_step(model)
     # lik[s]: each component's likelihood of the sorted sequence's symbols up to s
     lik0, lik1 = [np.ones(len(w0))] * alphabet, [np.ones(len(w1))] * alphabet
     paths = {0: [1] * len(thresholds)}  # an open state's paths per level, by key; 0 the root
     crossed: List[List[float]] = [[] for _ in thresholds]
     for n, sym, key, last, others in _count_states(alphabet, horizon):
-        lik0[sym:] = [lik0[sym] * cond0[:, sym]] * (alphabet - sym)
-        lik1[sym:] = [lik1[sym] * cond1[:, sym]] * (alphabet - sym)
-        mass0 = float(w0 @ lik0[sym])
-        mass1 = float(w1 @ lik1[sym])
-        if not (mass0 >= normal and mass1 >= normal):  # NaN fails too
-            raise ResourceLimitError(
-                f"a sequence of n = {n} symbols has mass {mass0!r} under H0 and {mass1!r} "
-                "under H1: the count lattice needs both to be positive normal doubles"
-            )
-        lb = math.log(mass1) - math.log(mass0)
+        clik0, clik1, mass0, _, lb = step(lik0[sym], lik1[sym], sym, n)
+        lik0[sym:] = [clik0] * (alphabet - sym)
+        lik1[sym:] = [clik1] * (alphabet - sym)
         reach = [0] * len(thresholds)
         # c is the last successor of c less one 0, which is dropped here
         for prev in filter(None, (paths.pop(last, None), *map(paths.get, others))):

@@ -63,6 +63,13 @@ LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
 Q_MAX = 1.0 - 2.0**-53  # largest double below 1
 XI_MIN = math.log1p(-Q_MAX)  # xi = log(1 - q) at the clamp
+# _cauchy_phi clamps -l, l the log mixing variance, at _PHI_CLAMP nats, and the
+# Cauchy scan starts _PRIOR_SCAN_NATS below the prior scale log(r^2 / 2).  Below
+# _MIN_CAUCHY_SCALE the clamp reaches into the scan and the Bayes factor is wrong
+# (22.1 nats, not 0, at r = 1e-152); at r = 1e-300, r^2 / 2 is 0.0 and has no log
+_PHI_CLAMP = 700.0
+_PRIOR_SCAN_NATS = 45.0
+_MIN_CAUCHY_SCALE = math.sqrt(2.0 * math.exp(_PRIOR_SCAN_NATS - _PHI_CLAMP))  # about 8.3e-143
 
 
 @dataclass(frozen=True)
@@ -128,8 +135,11 @@ class CauchyEffect:
     posterior_sampled: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"Cauchy scale must be positive and finite, got {self.scale}")
+        if not (_MIN_CAUCHY_SCALE <= self.scale < math.inf):  # NaN fails too
+            raise ValueError(
+                f"Cauchy scale must be finite and at least {_MIN_CAUCHY_SCALE:.3g}, "
+                f"got {self.scale}"
+            )
 
     def from_normals(self, z: np.ndarray) -> np.ndarray:
         """The effect drawn from each row (z0, z1) of standard normals: scale * (z0 / z1).
@@ -214,7 +224,7 @@ def _cauchy_phi(ell: np.ndarray, n, xi, r: float) -> np.ndarray:
     return (
         (0.5 * math.log(half_r2) - 0.5 * LOG_PI)
         - 0.5 * ell
-        - half_r2 * np.exp(np.minimum(-ell, 700.0))
+        - half_r2 * np.exp(np.minimum(-ell, _PHI_CLAMP))
         + 0.5 * (n - 1) * np.logaddexp(0.0, ell + log_n)
         - 0.5 * n * np.logaddexp(0.0, ell + (log_n + xi))
     )
@@ -323,7 +333,7 @@ def _cauchy_log_bf_xi(n, xi, r: float) -> np.ndarray:
     n, xi = np.asarray(n, dtype=float), np.asarray(xi, dtype=float)
     l_prior = math.log(0.5 * r * r)
     hi = np.maximum(l_prior, -(np.log(n) + xi)) + 60.0
-    return _log_integral(partial(_cauchy_phi, r=r), l_prior - 45.0, hi, n, xi)
+    return _log_integral(partial(_cauchy_phi, r=r), l_prior - _PRIOR_SCAN_NATS, hi, n, xi)
 
 
 def _m_phi(s: np.ndarray, k, b) -> np.ndarray:

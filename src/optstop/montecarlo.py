@@ -122,7 +122,7 @@ import numpy as np
 
 from .core import NEVER, BfTrajectory, SignificanceLevel, rewrite, stop
 from .errors import OptstopError, ResourceLimitError
-from .exact import FiniteModel, log_beta_paths, sample_sequence
+from .exact import FiniteModel, _log_beta_rows, _refuse_non_normal, sample_sequence
 from .models import InvariantModelPair, ScaleBfCurves
 from .stopping import StoppingRule
 from . import workers
@@ -729,12 +729,16 @@ def run_trials_finite(
 
     Each trial draws its full-horizon sequence from its own Philox
     stream.  The log Bayes factors of a chunk of trials come from one
-    likelihood recursion over (trials x components)
-    (:func:`~optstop.exact.log_beta_paths`), and ``core.stop`` then stops
+    likelihood recursion over (trials x components), that of
+    :func:`~optstop.exact.log_beta_paths`, and ``core.stop`` then stops
     each trial on its own row, so every rule works and stopped values
-    are read from the trajectory verbatim.  A trial's record depends
-    neither on the chunk size nor on the other trials.  The finite model
-    carries no group action: records store NaN in the nuisance slot.
+    are read from the trajectory verbatim.  A trial that read a mass, up
+    to its stop, that is not a positive normal double raises the
+    ``ResourceLimitError`` of ``log_beta_paths``; later prefixes, which
+    the exact tree never reaches either, are not checked.  A trial's
+    record depends neither on the chunk size nor on the other trials.
+    The finite model carries no group action: records store NaN in the
+    nuisance slot.
     """
     model._mixture(k)  # a hypothesis index other than 0 or 1 raises, before any draw
     if n_trials < 0:
@@ -748,11 +752,14 @@ def run_trials_finite(
     for lo in range(0, n_trials, chunk):
         trials = range(lo, min(lo + chunk, n_trials))
         seqs = [sample_sequence(model, k, streams.at(t)) for t in trials]
-        for seq, path in zip(seqs, log_beta_paths(model, seqs).tolist()):
+        paths, mass0, mass1 = _log_beta_rows(model, seqs)
+        first = len(stop_n)
+        for seq, path in zip(seqs, paths.tolist()):
             outcome = stop(BfTrajectory(path), rule, seq)
             assert outcome.stop_index is not NEVER  # cap <= horizon forces a stop
             stop_n.append(outcome.stop_index)
             stop_lb.append(outcome.stopped_log_beta)
+        _refuse_non_normal(mass0, mass1, stop_n[first:])
     return TrialRecords(
         k,
         math.nan,

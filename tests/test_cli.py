@@ -588,6 +588,28 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == seen
 
+    @pytest.mark.parametrize("kind", ["exact-calibration", "exact-expectation"])
+    def test_a_subnormal_exact_mass_exits_one_without_a_traceback(self, kind, tmp_path):
+        # the all-ones sequence of FixedN(10) has null mass 1e-32^10 = 1e-320
+        cfg = write(tmp_path / "s.cfg",
+                    "horizon = 10\ntheta0 = 1e-32\nrule = fixed-n\nrule_n = 10\nrule_cap = 10\n")
+        proc = run_python("-m", "optstop.cli", kind, "--config", cfg, "--out",
+                          str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: a sequence of n = 10 symbols has mass 1e-320 under H0 ")
+
+    @pytest.mark.parametrize("kind", ["mc-type1", "invariance-check"])
+    def test_a_cauchy_scale_below_the_least_exits_one(self, kind, tmp_path):
+        cfg = write(tmp_path / "c.cfg", "effect_scale = 1e-300\n")
+        proc = run_python("-m", "optstop.cli", kind, "--config", cfg, "--out",
+                          str(tmp_path / "out"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: Cauchy scale must be finite and at least 8.3e-143, ")
+
     def test_evidence_needs_no_scipy(self):
         # scipy is a test dependency only: every Bayes factor and marginal
         # must evaluate with it unimportable

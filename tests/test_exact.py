@@ -312,6 +312,32 @@ class TestBuildTable:
             build_table(bernoulli10, FixedN(n=11, cap=11))
 
 
+class TestNonNormalMasses:
+    """The tree and the path recursion refuse a mass that is not a positive normal double."""
+
+    @pytest.mark.parametrize(
+        "horizon, theta0, mass0", [(10, 1e-32, "1e-320"), (2, 1e-200, r"0\.0")],
+        ids=["subnormal", "zero"],
+    )
+    def test_a_tree_node_of_non_normal_mass_is_refused_naming_n(self, horizon, theta0, mass0):
+        # the all-ones sequence has null mass theta0^horizon: 1e-320 is below the smallest
+        # normal double, and 1e-400 underflows to 0.0, which has no log
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=horizon, theta0=theta0)
+        message = rf"^a sequence of n = {horizon} symbols has mass {mass0} under H0 .* positive normal"
+        with pytest.raises(ResourceLimitError, match=message):
+            build_table(model, FixedN(n=horizon, cap=horizon))
+
+    @pytest.mark.parametrize("theta0", [1e-160, 1e-200], ids=["subnormal", "zero"])
+    def test_a_path_through_a_non_normal_mass_is_refused_naming_n(self, theta0):
+        # Bernoulli(theta0) against Bernoulli(0.5): the null mass of (1, 1) is theta0^2
+        model = FiniteModel(2, 2, [1.0], [[1.0 - theta0, theta0]], [1.0], [[0.5, 0.5]])
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"^a sequence of n = 2 symbols has mass .* under H1: .* positive normal",
+        ):
+            log_beta_paths(model, [[0, 0], [1, 1]])
+
+
 class TestVerifiers:
     def test_identical_hypotheses_single_unit_group(self):
         model = FiniteModel(2, 6, [1.0], [[0.4, 0.6]], [1.0], [[0.4, 0.6]])

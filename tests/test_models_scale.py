@@ -504,6 +504,20 @@ class TestCauchyEvaluator:
             assert models.log_m(n[i] - 1, b[i]) == m_batch[i]
 
 
+class TestCauchyScale:
+    def test_the_least_scale_is_resolved_and_a_smaller_one_refused(self):
+        # the scan's left end, log(r^2 / 2) - 45, meets _cauchy_phi's 700-nat clamp at
+        # r = sqrt(2 exp(-655)); from there down log beta tends to 0 with r, and at
+        # r = 1e-152 the clamped integrand gave 22.1, at r = 1e-300 a math domain error
+        least = models._MIN_CAUCHY_SCALE
+        assert 8.2e-143 < least < 8.4e-143
+        x = [1.0, 0.5, -0.3, 2.0]
+        assert abs(InvariantModelPair.scale(CauchyEffect(least)).log_bf(x)) < 1e-12
+        for r in (math.nextafter(least, 0.0), 1e-152, 1e-300):
+            with pytest.raises(ValueError, match=rf"^Cauchy scale .* got {r}$"):
+                CauchyEffect(r)
+
+
 class TestShareCount:
     """The scan points below each panel share, counted without a (points x scan x shares) array."""
 

@@ -839,6 +839,25 @@ class TestFiniteCrossCheck:
             assert trajectory_finite(model, seq).log_beta == tuple(row.tolist())
             assert record.stopped_log_beta == row[record.stop_index - 1]
 
+    def test_a_trial_is_refused_only_for_the_masses_it_read(self):
+        # at theta0 = 1e-32 the all-ones sequence has null mass 1e-320 at n = 10: a rule that
+        # stops every path before then builds its tree and runs its trials, and FixedN(10) does
+        # neither
+        model = FiniteModel.bernoulli_point_vs_uniform(horizon=10, theta0=1e-32, grid=1000)
+        key64 = montecarlo._stream_key(3, 1, (), variant=2)
+        for rule in (FixedN(n=2, cap=2), BfThreshold(upper=20.0, cap=10)):
+            build_table(model, rule)
+            records = run_trials_finite(model, 1, rule, 100, seed=3)
+            for t, record in enumerate(records):
+                seq = sample_sequence(model, 1, fresh_stream(key64, t))[: record.stop_index]
+                assert record.stopped_log_beta == log_beta_paths(model, [seq])[0, -1]
+        rule = FixedN(n=10, cap=10)
+        message = "^a sequence of n = 10 symbols has mass 1e-320 under H0 "
+        with pytest.raises(ResourceLimitError, match=message):
+            build_table(model, rule)
+        with pytest.raises(ResourceLimitError, match=message):
+            run_trials_finite(model, 1, rule, 100, seed=3)
+
     @pytest.mark.parametrize("grid", [500, 10_000])
     def test_records_equal_at_the_old_and_new_chunk_sizes(self, grid, monkeypatch):
         """2^20 cells per chunk (8 MB slabs) and 2^16 (512 KB) give the same records."""
